@@ -538,17 +538,12 @@ void BM_RepeatedPatchRun(benchmark::State& state) {
 }
 BENCHMARK(BM_RepeatedPatchRun)->Arg(0)->Arg(1);
 
-// Thread-scaling sweeps for the parallel patch runtimes at 1/2/4/8
-// workers (arg 0), over the same model and grid (3x4 = 12 branches):
-//   BM_ParallelPatchRun  — the two-phase barrier runtime (branch barrier,
-//                          then the whole tail on the caller);
-//   BM_PipelinedPatchRun — the dependency-driven dataflow graph (branch
-//                          tasks -> tail row bands -> join), which hides
-//                          the tail behind the last branches.
-// The 1-worker row is the sequential code path — the scaling baseline the
-// acceptance criterion compares against; pipelined-vs-barrier at equal
-// workers is the overlap win. On a single-core host the rows collapse to
-// ~1x; the shape of the curves is the artifact CI tracks across machines.
+// Thread-scaling sweep for the pipelined patch runtime at 1/2/4/8 workers
+// (arg 0) over a 3x4 = 12-branch grid: the dependency-driven dataflow graph
+// (branch tasks -> tail row bands -> join), which hides the tail behind the
+// last branches. The 1-worker row is the sequential code path — the
+// scaling baseline. On a single-core host the rows collapse to ~1x; the
+// shape of the curve is the artifact CI tracks across machines.
 struct PatchRunSetup {
   nn::Graph g;
   nn::Tensor in;
@@ -576,22 +571,6 @@ PatchRunSetup patch_run_setup() {
                                                         qcfg);
   return s;
 }
-
-void BM_ParallelPatchRun(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  const PatchRunSetup s = patch_run_setup();
-  nn::WorkerPool pool(workers);
-  // Warm-up: builds worker contexts + prepacks per-worker panels.
-  (void)s.pexec->run_parallel_barrier(s.in, &pool);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(s.pexec->run_parallel_barrier(s.in, &pool));
-  }
-  state.SetItemsProcessed(state.iterations() * s.stage_macs);
-  state.counters["workers"] = workers;
-  state.counters["branches"] = static_cast<double>(s.branches);
-}
-BENCHMARK(BM_ParallelPatchRun)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PipelinedPatchRun(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));

@@ -5,9 +5,8 @@
 //   1. Intra-request parallelism: one patch-based inference scheduled as a
 //      dependency-driven task graph over a WorkerPool — branch tasks merge
 //      into the assembled map, tail row bands start on spare workers as
-//      soon as their input rows are ready, and the barrier runtime stays
-//      available for comparison. Bit-identical to the sequential run at
-//      every worker count.
+//      soon as their input rows are ready. Bit-identical to the
+//      sequential run at every worker count.
 //   2. Inter-request parallelism: a SessionPool of pre-compiled
 //      (model, arena, scratch) triples serving submit()-style traffic from
 //      several client threads, sharing one weight conversion — plus
@@ -80,28 +79,17 @@ int main() {
     nn::WorkerPool pool(workers);
     (void)pexec.run_parallel(input, &pool);  // warm worker contexts
     constexpr int kReps = 5;
-    double pipelined_ms = 0.0;
-    double barrier_ms = 0.0;
-    {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int r = 0; r < kReps; ++r) {
-        const nn::QTensor out = pexec.run_parallel(input, &pool);
-        if (!std::equal(out.data().begin(), out.data().end(),
-                        sequential.data().begin())) {
-          std::printf("  !! worker count %d diverged from sequential\n",
-                      workers);
-          return 1;
-        }
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int r = 0; r < kReps; ++r) {
+      const nn::QTensor out = pexec.run_parallel(input, &pool);
+      if (!std::equal(out.data().begin(), out.data().end(),
+                      sequential.data().begin())) {
+        std::printf("  !! worker count %d diverged from sequential\n",
+                    workers);
+        return 1;
       }
-      pipelined_ms = ms_since(t0) / kReps;
     }
-    {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int r = 0; r < kReps; ++r) {
-        (void)pexec.run_parallel_barrier(input, &pool);
-      }
-      barrier_ms = ms_since(t0) / kReps;
-    }
+    const double pipelined_ms = ms_since(t0) / kReps;
     if (workers == 1) {
       // A 1-worker pool takes the sequential path: unified single arena.
       std::printf(
@@ -112,9 +100,9 @@ int main() {
     } else {
       const auto& pplan = pexec.compiled().pipelined_plan(workers);
       std::printf(
-          "  %d worker(s): %6.2f ms/run pipelined, %6.2f ms/run barrier  "
-          "bit-exact  arena %lld B (%d x %lld slice + %lld shared)\n",
-          workers, pipelined_ms, barrier_ms,
+          "  %d worker(s): %6.2f ms/run pipelined  bit-exact  arena %lld B "
+          "(%d x %lld slice + %lld shared)\n",
+          workers, pipelined_ms,
           static_cast<long long>(pplan.total_bytes()), workers,
           static_cast<long long>(pplan.slice_stride),
           static_cast<long long>(pplan.shared.peak_bytes));

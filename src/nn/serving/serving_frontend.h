@@ -179,6 +179,7 @@ class ServingFrontend {
             pinned_lanes_.fetch_add(1, std::memory_order_relaxed);
           }
         });
+    slab_ = pool_->slab();
   }
 
   ServingFrontend(const ServingFrontend&) = delete;
@@ -371,7 +372,7 @@ class ServingFrontend {
   [[nodiscard]] const ServingConfig& config() const { return cfg_; }
   [[nodiscard]] int num_sessions() const { return pool_->num_sessions(); }
   [[nodiscard]] const std::shared_ptr<ArenaSlab>& slab() const {
-    return pool_->slab();
+    return slab_;
   }
   // Per-lane request counts (read when no traffic is in flight).
   [[nodiscard]] std::vector<std::uint64_t> per_session_requests() const {
@@ -468,6 +469,9 @@ class ServingFrontend {
   // Lane -> WorkerPool slice (empty when the model has no pool-run entry
   // point or the budget gives each lane a single worker).
   std::vector<std::unique_ptr<WorkerPool>> pools_;
+  // The lanes' arena slab, co-owned here so it outlives streams_: each
+  // open stream's retained arena is a lease on it.
+  std::shared_ptr<ArenaSlab> slab_;
   std::mutex stream_mu_;
   std::map<std::uint64_t, StreamEntry> streams_;
   std::uint64_t next_stream_id_ = 1;

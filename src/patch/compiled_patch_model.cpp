@@ -68,15 +68,75 @@ nn::TensorShape region_shape(const BranchStep& step, int channels) {
   return {step.out_region.y.size(), step.out_region.x.size(), channels};
 }
 
-nn::Tensor borrow_f32(nn::ops::ScratchArena& a, const nn::TensorShape& s) {
+// A crop temporary from `a` shaped `s`, in the domain (and, quantized,
+// with the params) of `like`.
+nn::Tensor borrow_like(nn::ops::ScratchArena& a, const nn::TensorShape& s,
+                       const nn::Tensor& /*like*/) {
   auto buf = a.f32(static_cast<std::size_t>(s.elements()));
   return nn::Tensor(s, std::span<float>(buf.data(), buf.size()));
 }
 
-nn::QTensor borrow_q(nn::ops::ScratchArena& a, const nn::TensorShape& s,
-                     const nn::QuantParams& p) {
+nn::QTensor borrow_like(nn::ops::ScratchArena& a, const nn::TensorShape& s,
+                        const nn::QTensor& like) {
   auto buf = a.i8(static_cast<std::size_t>(s.elements()));
-  return nn::QTensor(s, p, std::span<std::int8_t>(buf.data(), buf.size()));
+  return nn::QTensor(s, like.params(),
+                     std::span<std::int8_t>(buf.data(), buf.size()));
+}
+
+// Region crop (zero padding: 0.0f, or the producer's zero point), the
+// element-wise ops and the tile merge (plain, or compare-before-write when
+// `changed` is set), overloaded per domain so the engine spells each once.
+void crop_into(const nn::Tensor& have, const Region& avail, const Region& want,
+               const nn::TensorShape& full, nn::Tensor& out) {
+  crop_from_region_into(have, avail, want, full, out);
+}
+
+void crop_into(const nn::QTensor& have, const Region& avail,
+               const Region& want, const nn::TensorShape& full,
+               nn::QTensor& out) {
+  crop_from_region_q_into(have, avail, want, full, out);
+}
+
+void add_into(nn::ops::KernelBackend& /*backend*/, const nn::Tensor& a,
+              const nn::Tensor& b, nn::Activation act, nn::Tensor& out) {
+  nn::ops::add_f32_into(a, b, act, out);
+}
+
+void add_into(nn::ops::KernelBackend& backend, const nn::QTensor& a,
+              const nn::QTensor& b, nn::Activation act, nn::QTensor& out) {
+  backend.add_into(a, b, act, out);
+}
+
+void concat_into(nn::ops::KernelBackend& /*backend*/,
+                 std::span<const nn::Tensor* const> inputs, nn::Tensor& out) {
+  nn::ops::concat_f32_into(inputs, out);
+}
+
+void concat_into(nn::ops::KernelBackend& backend,
+                 std::span<const nn::QTensor* const> inputs,
+                 nn::QTensor& out) {
+  backend.concat_into(inputs, out);
+}
+
+void merge_tile(const nn::Tensor& tile, const Region& r, nn::Tensor& assembled,
+                bool* changed) {
+  if (changed == nullptr) {
+    merge_region_f32(tile, r, assembled);
+  } else {
+    *changed = merge_region_f32_changed(tile, r, assembled);
+  }
+}
+
+// The quantized tile is requantized into the assembled map's params
+// (identity copy in uniform mode). Tiles are disjoint, so concurrent merges
+// from several workers commute.
+void merge_tile(const nn::QTensor& tile, const Region& r,
+                nn::QTensor& assembled, bool* changed) {
+  if (changed == nullptr) {
+    merge_region_q(tile, r, assembled);
+  } else {
+    *changed = merge_region_q_changed(tile, r, assembled);
+  }
 }
 
 // Binds a float view onto its planned slot at `base`. `measured` tracks the
@@ -154,10 +214,10 @@ int chunks_per_grid_row(const PatchPlan& plan, int workers) {
                          plan.spec.grid_rows);
 }
 
-// Builds the dataflow graph shared by the float and quant pipelined runs:
-// cost-weighted branch-chunk tasks per grid row -> tail row-band tasks
-// wired through the precomputed readiness structure -> one join task for
-// the non-banded rest of the tail. The body callbacks capture only the
+// Builds the pipelined dataflow graph: cost-weighted branch-chunk tasks
+// per grid row -> tail row-band tasks wired through the precomputed
+// readiness structure -> one join task for the non-banded rest of the
+// tail. The body callbacks capture only the
 // model (`this`), so the returned graph is cacheable per worker count —
 // per-run state travels through the model's run_* members instead of the
 // closures. Signatures: branch(b, lane), band(pi, j, lane), rest(lane).
@@ -212,6 +272,35 @@ nn::TaskGraph build_pipeline_graph(const PatchPlan& plan,
   const int join = graph.add([rest_body](int lane) { rest_body(lane); });
   for (int t = 0; t < join_preds; ++t) graph.depend(join, t);
   return graph;
+}
+
+// Clears one frame's change-propagation flags and counters. On the priming
+// frame (`force_all_dirty`) every grid row starts dirty instead: the
+// arena's initial bytes are not a valid previous frame, so a first-frame
+// merge that happens to match them (all-zero quant tiles over a fresh
+// zeroed buffer) must not suppress the bands downstream of it.
+void reset_stream_frame(StreamState& state, int grid_rows, int total_bands,
+                        bool force_all_dirty) {
+  const char row_init = force_all_dirty ? 1 : 0;
+  for (int r = 0; r < grid_rows; ++r) {
+    state.row_changed[static_cast<std::size_t>(r)].store(
+        row_init, std::memory_order_relaxed);
+  }
+  for (int i = 0; i < total_bands; ++i) {
+    state.band_changed[static_cast<std::size_t>(i)].store(
+        0, std::memory_order_relaxed);
+  }
+  state.any_changed.store(row_init, std::memory_order_relaxed);
+  state.branches_run.store(0, std::memory_order_relaxed);
+  state.bands_run.store(0, std::memory_order_relaxed);
+}
+
+int total_band_count(std::span<const PipelinedTailLayer> pipeline) {
+  int total = 0;
+  for (const PipelinedTailLayer& pl : pipeline) {
+    total += static_cast<int>(pl.bands.size());
+  }
+  return total;
 }
 
 }  // namespace
@@ -327,47 +416,301 @@ std::vector<std::vector<std::vector<std::int32_t>>> build_branch_bias(
   return branch_bias;
 }
 
-// --- float -----------------------------------------------------------------
+// --- float domain ---------------------------------------------------------
 
-CompiledPatchModel::CompiledPatchModel(const nn::Graph& g, PatchPlan plan,
-                                       nn::ops::KernelTier tier)
-    : graph_(&g), plan_(std::move(plan)), backend_(tier) {
+nn::Tensor FloatDomain::bind_layer(int /*layer_id*/, std::uint8_t* base,
+                                   const nn::ArenaSlot& slot,
+                                   const nn::TensorShape& shape,
+                                   std::int64_t& measured) {
+  return bind_f32_slot(base, slot, shape, measured);
+}
+
+nn::Tensor FloatDomain::bind_step(const nn::Layer& /*layer*/,
+                                  const PatchBranch& /*branch*/, int /*bi*/,
+                                  int /*s*/, std::span<const Tensor> /*views*/,
+                                  std::uint8_t* base, const nn::ArenaSlot& slot,
+                                  const nn::TensorShape& shape,
+                                  std::int64_t& measured) {
+  return bind_f32_slot(base, slot, shape, measured);
+}
+
+void FloatDomain::stage_input(const nn::Graph& /*g*/, const nn::Tensor& input,
+                              std::uint8_t* /*base*/,
+                              const nn::ArenaSlot* /*slot*/,
+                              std::int64_t& /*measured*/) const {
+  input_ = &input;
+}
+
+void FloatDomain::input_into(nn::ops::KernelBackend& /*backend*/,
+                             nn::ops::ScratchArena& /*crops*/,
+                             const nn::Graph& /*g*/, const BranchStep& step,
+                             Tensor& out) const {
+  crop_from_region_into(*input_, full_region(input_->shape()),
+                        step.out_region, input_->shape(), out);
+}
+
+void FloatDomain::windowed_into(nn::ops::KernelBackend& backend,
+                                const nn::Graph& g, const Tensor& in,
+                                const nn::Layer& local, int layer_id,
+                                int /*bi*/, int /*s*/, Tensor& out) {
+  if (local.kind == nn::OpKind::Conv2D) {
+    backend.conv2d_f32_into(in, local, g.weights(layer_id), g.bias(layer_id),
+                            out);
+  } else {
+    backend.depthwise_conv2d_f32_into(in, local, g.weights(layer_id),
+                                      g.bias(layer_id), out);
+  }
+}
+
+void FloatDomain::pool_into(const Tensor& have, const Region& avail,
+                            const nn::Layer& l, const Region& out_region,
+                            const nn::TensorShape& full, Tensor& out) {
+  pool_region_f32_into(have, avail, l, out_region, full, out);
+}
+
+void FloatDomain::run_layer(const nn::Graph& g, int id,
+                            std::span<const Tensor> memo,
+                            nn::ops::KernelBackend& backend, Tensor& out) {
+  nn::run_layer_f32_into(g, id, memo, backend, out);
+}
+
+// --- quantized domain -----------------------------------------------------
+
+QuantDomain::QuantDomain(
+    const nn::Graph& g, const PatchPlan& plan, nn::ActivationQuantConfig cfg,
+    std::vector<BranchQuantConfig> branch_cfgs,
+    std::shared_ptr<const nn::QuantizedParameters> params,
+    std::vector<std::vector<std::vector<std::int32_t>>> branch_bias,
+    std::shared_ptr<const nn::PrecompiledBundle> kernels)
+    : cfg_(std::move(cfg)),
+      effective_(nn::effective_output_params(g, cfg_)),
+      branch_cfgs_(std::move(branch_cfgs)),
+      params_(params ? std::move(params)
+                     : nn::QuantizedParameters::build_shared(g, cfg_)),
+      bundle_(std::move(kernels)) {
+  QMCU_REQUIRE(!plan.branches.empty(), "plan has no branches");
+  if (!branch_cfgs_.empty()) {
+    QMCU_REQUIRE(branch_cfgs_.size() == plan.branches.size(),
+                 "branch configs must cover every branch");
+    for (std::size_t b = 0; b < branch_cfgs_.size(); ++b) {
+      QMCU_REQUIRE(branch_cfgs_[b].per_step.size() ==
+                       plan.branches[b].steps.size(),
+                   "branch config must cover every step");
+    }
+    if (branch_bias.empty()) {
+      branch_bias_ = build_branch_bias(g, plan, branch_cfgs_, *params_);
+    } else {
+      // Artifact-supplied biases (the graph may be topology-only, so the
+      // float-bias rescale that build_branch_bias runs is not available).
+      QMCU_REQUIRE(branch_bias.size() == plan.branches.size(),
+                   "precomputed branch bias must cover every branch");
+      branch_bias_ = std::move(branch_bias);
+    }
+  }
+  // AvgPool reciprocal tables for every window size the graph uses —
+  // built now so the run path (possibly many workers at once) only reads.
+  for (int id = 0; id < g.size(); ++id) {
+    const nn::Layer& l = g.layer(id);
+    if (l.kind != nn::OpKind::AvgPool) continue;
+    const int count = l.kernel_h * l.kernel_w;
+    pool_tables_.emplace(count, nn::ops::AvgPoolMultipliers(count));
+  }
+}
+
+const nn::QuantParams& QuantDomain::branch_step_params(int bi, int s,
+                                                       int layer_id) const {
+  if (!branch_cfgs_.empty()) {
+    return branch_cfgs_[static_cast<std::size_t>(bi)]
+        .per_step[static_cast<std::size_t>(s)];
+  }
+  return effective_[static_cast<std::size_t>(layer_id)];
+}
+
+nn::QTensor QuantDomain::bind_layer(int layer_id, std::uint8_t* base,
+                                    const nn::ArenaSlot& slot,
+                                    const nn::TensorShape& shape,
+                                    std::int64_t& measured) const {
+  return bind_q_slot(base, slot, shape,
+                     effective_[static_cast<std::size_t>(layer_id)],
+                     measured);
+}
+
+nn::QTensor QuantDomain::bind_step(const nn::Layer& layer,
+                                   const PatchBranch& branch, int bi, int s,
+                                   std::span<const Tensor> views,
+                                   std::uint8_t* base,
+                                   const nn::ArenaSlot& slot,
+                                   const nn::TensorShape& shape,
+                                   std::int64_t& measured) const {
+  if (layer.kind == nn::OpKind::MaxPool || layer.kind == nn::OpKind::AvgPool) {
+    const int p = branch.step_of(layer.inputs[0]);
+    QMCU_ENSURE(p >= 0 && p < s, "producer step missing from branch");
+    return bind_q_slot(base, slot, shape,
+                       views[static_cast<std::size_t>(p)].params(), measured);
+  }
+  return bind_q_slot(
+      base, slot, shape,
+      branch_step_params(bi, s,
+                         branch.steps[static_cast<std::size_t>(s)].layer_id),
+      measured);
+}
+
+void QuantDomain::stage_input(const nn::Graph& g, const nn::Tensor& input,
+                              std::uint8_t* base, const nn::ArenaSlot* slot,
+                              std::int64_t& measured) const {
+  const int id = g.inputs().front();
+  input_ = bind_q_slot(base, *slot, g.shape(id),
+                       cfg_.params[static_cast<std::size_t>(id)], measured);
+  nn::quantize_into(input, input_);
+}
+
+void QuantDomain::input_into(nn::ops::KernelBackend& backend,
+                             nn::ops::ScratchArena& crops, const nn::Graph& g,
+                             const BranchStep& step, Tensor& out) const {
+  // The input patch tile is quantized straight into the branch's params
+  // (mixed mode stores it sub-byte, uniform mode at int8).
+  const nn::TensorShape& full = g.shape(step.layer_id);
+  nn::QTensor crop = borrow_like(crops, out.shape(), input_);
+  crop_from_region_q_into(input_, full_region(full), step.out_region, full,
+                          crop);
+  backend.requantize_into(crop, out);
+}
+
+void QuantDomain::windowed_into(nn::ops::KernelBackend& backend,
+                                const nn::Graph& /*g*/, const Tensor& in,
+                                const nn::Layer& local, int layer_id, int bi,
+                                int s, Tensor& out) const {
+  const std::span<const std::int32_t> bias =
+      bi >= 0 && !branch_cfgs_.empty()
+          ? std::span<const std::int32_t>(
+                branch_bias_[static_cast<std::size_t>(bi)]
+                            [static_cast<std::size_t>(s)])
+          : std::span<const std::int32_t>(
+                params_->bias[static_cast<std::size_t>(layer_id)]);
+  const auto& w = params_->weights[static_cast<std::size_t>(layer_id)];
+  if (local.kind == nn::OpKind::Conv2D) {
+    backend.conv2d_into(in, local, w.data, w.params, bias, out);
+  } else {
+    backend.depthwise_conv2d_into(in, local, w.data, w.params, bias, out);
+  }
+}
+
+void QuantDomain::pool_into(const Tensor& have, const Region& avail,
+                            const nn::Layer& l, const Region& out_region,
+                            const nn::TensorShape& full, Tensor& out) const {
+  pool_region_q_into(have, avail, l, out_region, full, pool_table(l), out);
+}
+
+void QuantDomain::run_layer(const nn::Graph& g, int id,
+                            std::span<const Tensor> memo,
+                            nn::ops::KernelBackend& backend,
+                            Tensor& out) const {
+  nn::run_layer_q_into(g, id, memo, *params_, backend, out);
+}
+
+void QuantDomain::adopt_kernels(nn::ops::KernelBackend& backend) const {
+  if (bundle_ != nullptr) bundle_->apply(backend);
+}
+
+void QuantDomain::prepare_lane(nn::ops::KernelBackend& backend,
+                               const nn::Graph& g,
+                               const PatchPlan& plan) const {
+  // Artifact path: adopt the precomputed panels first, so the prepack
+  // pass below is a no-op for everything the artifact baked.
+  adopt_kernels(backend);
+  // Pre-pack the conv panels any task on this lane may need — stage convs
+  // for branch tasks, tail convs for row bands and the join — so a lane's
+  // first run pays no packing cost (construction-time work, exempt from
+  // the affinity guard). Gated on the quantized params, not the graph: the
+  // artifact path loads a topology-only graph.
+  const auto prepack = [&](int layer_id) {
+    const nn::Layer& l = g.layer(layer_id);
+    const auto& w = params_->weights[static_cast<std::size_t>(layer_id)];
+    if (w.data.empty()) return;
+    const int in_bits = effective_[static_cast<std::size_t>(l.inputs[0])].bits;
+    if (l.kind == nn::OpKind::Conv2D) {
+      const int n = l.out_channels;
+      const int k = static_cast<int>(w.data.size()) / n;
+      backend.prepack(w.data, n, k);
+      // Sub-byte stages may take the LUT path: bake the recode up front so
+      // a lane's first patch pays no table construction. Only tables the
+      // current force mode can actually run are baked — 4-bit tables cost
+      // 32*n*k bytes and only run under QMCU_FORCE_LUT.
+      if (nn::ops::lut::lut_planned(in_bits)) {
+        backend.prepack_lut(w.data, n, k, in_bits);
+      }
+    } else if (l.kind == nn::OpKind::FullyConnected) {
+      const int k = static_cast<int>(g.shape(l.inputs[0]).elements());
+      // fc shares the conv panel GEMM since the microkernel rewrite.
+      backend.prepack(w.data, l.out_channels, k);
+      if (nn::ops::lut::lut_planned(in_bits)) {
+        backend.prepack_lut(w.data, l.out_channels, k, in_bits);
+      }
+    }
+  };
+  for (const BranchStep& step : plan.branches.front().steps) {
+    prepack(step.layer_id);
+  }
+  for (int id = plan.spec.split_layer + 1; id < g.size(); ++id) {
+    prepack(id);
+  }
+}
+
+void QuantDomain::observe(std::span<const Tensor> memo, int split) const {
+  if (!stats_hook_) return;
+  for (std::size_t id = static_cast<std::size_t>(split); id < memo.size();
+       ++id) {
+    stats_hook_(static_cast<int>(id), memo[id]);
+  }
+}
+
+const nn::ops::AvgPoolMultipliers* QuantDomain::pool_table(
+    const nn::Layer& l) const {
+  if (l.kind != nn::OpKind::AvgPool) return nullptr;
+  const auto it = pool_tables_.find(l.kernel_h * l.kernel_w);
+  QMCU_ENSURE(it != pool_tables_.end(),
+              "AvgPool window missing from the precomputed tables");
+  return &it->second;
+}
+
+// --- the engine -----------------------------------------------------------
+
+template <class Domain>
+void CompiledPatchEngine<Domain>::compile(
+    std::vector<PipelinedTailLayer> pipeline) {
+  const nn::Graph& g = *graph_;
   QMCU_REQUIRE(!plan_.branches.empty(), "plan has no branches");
-  const PatchTimeline t = build_timeline(
-      g, plan_, static_cast<std::int64_t>(sizeof(float)));
+  this->adopt_kernels(self_.backend);
+  PatchTimeline t = build_timeline(
+      g, plan_, static_cast<std::int64_t>(sizeof(typename Domain::Elem)));
   num_steps_ = t.num_steps;
   assembled_slot_ = t.assembled_index;
+  if constexpr (Domain::kQuantizedInput) {
+    // Quantized full input, cropped by every branch: live across the whole
+    // branch phase.
+    input_slot_ = static_cast<int>(t.requests.size());
+    t.requests.push_back({g.shape(g.inputs().front()).elements(), 0,
+                          std::max(num_steps_ - 1, 0)});
+  }
   aplan_ = nn::ArenaPlanner().plan(t.requests);
   // Parallel layout inputs: branch-step slots become the per-worker slice,
-  // tail + assembled slots the shared region.
+  // everything else the shared region.
   slice_requests_.assign(t.requests.begin(),
                          t.requests.begin() + num_steps_);
   shared_requests_.assign(t.requests.begin() + num_steps_, t.requests.end());
-  par_assembled_slot_ = static_cast<int>(shared_requests_.size()) - 1;
   // Pipelined dataflow structure: row-banded tail prefix (band count tied
   // to the patch grid's row granularity), branch pricing for cost-weighted
   // task chunking, and the widening horizon for plan_pipelined.
   pipeline_ =
-      build_pipelined_tail(g, plan_, std::max(2, plan_.spec.grid_rows));
+      pipeline.empty()
+          ? build_pipelined_tail(g, plan_, std::max(2, plan_.spec.grid_rows))
+          : std::move(pipeline);
   branch_costs_ = branch_costs(plan_);
-  pipeline_horizon_ =
-      num_steps_ + static_cast<int>(pipeline_.size()) - 1;
+  pipeline_horizon_ = num_steps_ + static_cast<int>(pipeline_.size()) - 1;
 }
 
-const nn::ParallelArenaPlan& CompiledPatchModel::parallel_plan(
-    int num_workers) const {
-  auto it = pplans_.find(num_workers);
-  if (it == pplans_.end()) {
-    it = pplans_
-             .emplace(num_workers,
-                      nn::ArenaPlanner().plan_parallel(
-                          slice_requests_, shared_requests_, num_workers))
-             .first;
-  }
-  return it->second;
-}
-
-const nn::ParallelArenaPlan& CompiledPatchModel::pipelined_plan(
+template <class Domain>
+const nn::ParallelArenaPlan& CompiledPatchEngine<Domain>::pipelined_plan(
     int num_workers) const {
   auto it = pipelined_pplans_.find(num_workers);
   if (it == pipelined_pplans_.end()) {
@@ -380,7 +723,8 @@ const nn::ParallelArenaPlan& CompiledPatchModel::pipelined_plan(
   return it->second;
 }
 
-const nn::ParallelArenaPlan& CompiledPatchModel::streaming_plan(
+template <class Domain>
+const nn::ParallelArenaPlan& CompiledPatchEngine<Domain>::streaming_plan(
     int num_workers) const {
   auto it = streaming_pplans_.find(num_workers);
   if (it == streaming_pplans_.end()) {
@@ -394,32 +738,38 @@ const nn::ParallelArenaPlan& CompiledPatchModel::streaming_plan(
   return it->second;
 }
 
-std::span<std::uint8_t> CompiledPatchModel::bind_run_arena(
+template <class Domain>
+std::span<std::uint8_t> CompiledPatchEngine<Domain>::bind_run_arena(
     std::int64_t need, nn::ArenaSlab::Lease& lease) const {
+  std::span<std::uint8_t> arena;
   if (arena_source_ != nullptr) {
     lease = arena_source_->acquire(need);
-    return lease.bytes();
+    arena = lease.bytes();
+  } else {
+    if (static_cast<std::int64_t>(arena_.size()) < need) {
+      arena_.resize(static_cast<std::size_t>(need));
+    }
+    arena = {arena_.data(), arena_.size()};
   }
-  if (static_cast<std::int64_t>(arena_.size()) < need) {
-    arena_.resize(static_cast<std::size_t>(need));
-  }
-  return {arena_.data(), arena_.size()};
+  nn::check_arena(arena, need, alignof(typename Domain::Elem));
+  return arena;
 }
 
-CompiledPatchModel::WorkerCtx& CompiledPatchModel::worker_ctx(
-    int lane) const {
-  // Unlike the quant variant there is nothing to prepack: the float conv
-  // path packs its k-major panel into arena scratch per call (no f32 panel
-  // cache exists), so a fresh context is ready immediately.
+template <class Domain>
+typename CompiledPatchEngine<Domain>::WorkerCtx&
+CompiledPatchEngine<Domain>::worker_ctx(int lane) const {
   while (static_cast<int>(workers_.size()) <= lane) {
-    workers_.push_back(std::make_unique<WorkerCtx>(backend_.tier()));
+    auto ctx = std::make_unique<WorkerCtx>(self_.backend.tier());
+    this->prepare_lane(ctx->backend, *graph_, plan_);
+    workers_.push_back(std::move(ctx));
   }
   return *workers_[static_cast<std::size_t>(lane)];
 }
 
-std::int64_t CompiledPatchModel::scratch_bytes() const {
+template <class Domain>
+std::int64_t CompiledPatchEngine<Domain>::scratch_bytes() const {
   std::int64_t total = static_cast<std::int64_t>(
-      crops_.footprint_bytes() + backend_.arena().footprint_bytes());
+      self_.crops.footprint_bytes() + self_.backend.arena().footprint_bytes());
   for (const auto& w : workers_) {
     total += static_cast<std::int64_t>(w->crops.footprint_bytes() +
                                        w->backend.arena().footprint_bytes());
@@ -427,201 +777,176 @@ std::int64_t CompiledPatchModel::scratch_bytes() const {
   return total;
 }
 
-void CompiledPatchModel::exec_branch(
-    const PatchBranch& branch, const nn::Tensor& input, std::uint8_t* base,
-    std::span<const nn::ArenaSlot> slots, nn::ops::KernelBackend& backend,
-    nn::ops::ScratchArena& crops, std::span<nn::Tensor> step_views,
-    std::int64_t& measured, nn::Tensor& assembled,
-    bool* merge_changed) const {
+template <class Domain>
+void CompiledPatchEngine<Domain>::check_input(const nn::Tensor& input) const {
+  QMCU_REQUIRE(input.shape() == graph_->shape(graph_->inputs().front()),
+               "input shape does not match graph input");
+}
+
+template <class Domain>
+void CompiledPatchEngine<Domain>::stage(const nn::Tensor& input,
+                                        std::uint8_t* base,
+                                        std::span<const nn::ArenaSlot> slots,
+                                        int first,
+                                        std::int64_t& measured) const {
   const nn::Graph& g = *graph_;
   const int split = plan_.spec.split_layer;
+  const auto slot = [&](int request) -> const nn::ArenaSlot& {
+    return slots[static_cast<std::size_t>(request - first)];
+  };
+  this->stage_input(g, input, base,
+                    input_slot_ < 0 ? nullptr : &slot(input_slot_), measured);
+  tail_memo_.resize(static_cast<std::size_t>(g.size()));
+  tail_memo_[static_cast<std::size_t>(split)] = this->bind_layer(
+      split, base, slot(assembled_slot_), g.shape(split), measured);
+  for (int id = split + 1; id < g.size(); ++id) {
+    tail_memo_[static_cast<std::size_t>(id)] =
+        this->bind_layer(id, base, slot(num_steps_ + (id - split - 1)),
+                         g.shape(id), measured);
+  }
+}
+
+template <class Domain>
+void CompiledPatchEngine<Domain>::exec_branch(
+    int bi, std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
+    WorkerCtx& ctx, bool* merge_changed) const {
+  const nn::Graph& g = *graph_;
+  const PatchBranch& branch = plan_.branches[static_cast<std::size_t>(bi)];
+  const std::span<Tensor> views(ctx.step_views);
   for (int s = 0; s < num_steps_; ++s) {
     const BranchStep& step = branch.steps[static_cast<std::size_t>(s)];
     const nn::Layer& layer = g.layer(step.layer_id);
-    nn::Tensor out = bind_f32_slot(
-        base, slots[static_cast<std::size_t>(s)],
-        region_shape(step, g.shape(step.layer_id).c), measured);
-    crops.reset();
+    Tensor out = this->bind_step(
+        layer, branch, bi, s, views, base, slots[static_cast<std::size_t>(s)],
+        region_shape(step, g.shape(step.layer_id).c), ctx.measured);
+    ctx.crops.reset();
 
-    const auto producer_crop = [&](int input_id,
-                                   const Region& want) -> nn::Tensor {
+    const auto producer_crop = [&](int input_id, const Region& want) {
       const int p = branch.step_of(input_id);
       QMCU_ENSURE(p >= 0 && p < s, "producer step missing from branch");
-      const BranchStep& ps = branch.steps[static_cast<std::size_t>(p)];
-      nn::Tensor crop = borrow_f32(
-          crops, nn::TensorShape{want.y.size(), want.x.size(),
-                                 g.shape(input_id).c});
-      crop_from_region_into(step_views[static_cast<std::size_t>(p)],
-                            ps.out_region, want, g.shape(input_id), crop);
+      const Tensor& have = views[static_cast<std::size_t>(p)];
+      Tensor crop = borrow_like(
+          ctx.crops,
+          nn::TensorShape{want.y.size(), want.x.size(), g.shape(input_id).c},
+          have);
+      crop_into(have, branch.steps[static_cast<std::size_t>(p)].out_region,
+                want, g.shape(input_id), crop);
       return crop;
     };
 
     switch (layer.kind) {
       case nn::OpKind::Input:
-        crop_from_region_into(input, full_region(input.shape()),
-                              step.out_region, input.shape(), out);
+        this->input_into(ctx.backend, ctx.crops, g, step, out);
         break;
       case nn::OpKind::Conv2D:
       case nn::OpKind::DepthwiseConv2D: {
-        // Zero padding is exactly what the unclamped crop materialises,
-        // so run the kernel pad-free on the region tensor.
-        const nn::Tensor padded =
-            producer_crop(layer.inputs[0], step.in_region);
+        // Zero padding is exactly what the unclamped crop materialises
+        // (0.0f, or the producer's zero point — the quantized encoding of
+        // real 0), so run the kernel pad-free on the region tensor.
+        const Tensor padded = producer_crop(layer.inputs[0], step.in_region);
         nn::Layer local = layer;
         local.pad_h = local.pad_w = 0;
-        if (layer.kind == nn::OpKind::Conv2D) {
-          backend.conv2d_f32_into(padded, local, g.weights(step.layer_id),
-                                  g.bias(step.layer_id), out);
-        } else {
-          backend.depthwise_conv2d_f32_into(padded, local,
-                                            g.weights(step.layer_id),
-                                            g.bias(step.layer_id), out);
-        }
+        this->windowed_into(ctx.backend, g, padded, local, step.layer_id, bi,
+                            s, out);
         break;
       }
       case nn::OpKind::MaxPool:
       case nn::OpKind::AvgPool: {
         const int p = branch.step_of(layer.inputs[0]);
         QMCU_ENSURE(p >= 0, "producer step missing from branch");
-        pool_region_f32_into(
-            step_views[static_cast<std::size_t>(p)],
-            branch.steps[static_cast<std::size_t>(p)].out_region, layer,
-            step.out_region, g.shape(layer.inputs[0]), out);
+        this->pool_into(views[static_cast<std::size_t>(p)],
+                        branch.steps[static_cast<std::size_t>(p)].out_region,
+                        layer, step.out_region, g.shape(layer.inputs[0]),
+                        out);
         break;
       }
       case nn::OpKind::Add: {
-        const nn::Tensor a = producer_crop(layer.inputs[0], step.out_region);
-        const nn::Tensor b = producer_crop(layer.inputs[1], step.out_region);
-        nn::ops::add_f32_into(a, b, layer.act, out);
+        const Tensor a = producer_crop(layer.inputs[0], step.out_region);
+        const Tensor b = producer_crop(layer.inputs[1], step.out_region);
+        add_into(ctx.backend, a, b, layer.act, out);
         break;
       }
       case nn::OpKind::Concat: {
-        std::vector<nn::Tensor> cropped;
+        std::vector<Tensor> cropped;
         cropped.reserve(layer.inputs.size());
         for (int in : layer.inputs) {
           cropped.push_back(producer_crop(in, step.out_region));
         }
-        std::vector<const nn::Tensor*> ptrs;
+        std::vector<const Tensor*> ptrs;
         ptrs.reserve(cropped.size());
-        for (const nn::Tensor& t : cropped) ptrs.push_back(&t);
-        nn::ops::concat_f32_into(ptrs, out);
+        for (const Tensor& t : cropped) ptrs.push_back(&t);
+        concat_into(ctx.backend, ptrs, out);
         break;
       }
       default:
         QMCU_REQUIRE(false, "op kind not supported inside a patch stage: " +
                                 std::string(nn::to_string(layer.kind)));
     }
-    step_views[static_cast<std::size_t>(s)] = std::move(out);
+    views[static_cast<std::size_t>(s)] = std::move(out);
   }
   const BranchStep& last = branch.steps.back();
-  QMCU_ENSURE(last.layer_id == split, "branch must end at the cut layer");
-  if (merge_changed == nullptr) {
-    merge_region_f32(step_views[static_cast<std::size_t>(num_steps_ - 1)],
-                     last.out_region, assembled);
-  } else {
-    *merge_changed = merge_region_f32_changed(
-        step_views[static_cast<std::size_t>(num_steps_ - 1)], last.out_region,
-        assembled);
-  }
+  QMCU_ENSURE(last.layer_id == plan_.spec.split_layer,
+              "branch must end at the cut layer");
+  merge_tile(views[static_cast<std::size_t>(num_steps_ - 1)], last.out_region,
+             tail_memo_[static_cast<std::size_t>(plan_.spec.split_layer)],
+             merge_changed);
 }
 
-void CompiledPatchModel::bind_tail(std::uint8_t* base,
-                                   std::span<const nn::ArenaSlot> slots,
-                                   int first_tail_slot, int assembled_slot,
-                                   std::int64_t& measured) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  tail_memo_.resize(static_cast<std::size_t>(g.size()));
-  tail_memo_[static_cast<std::size_t>(split)] = bind_f32_slot(
-      base, slots[static_cast<std::size_t>(assembled_slot)], g.shape(split),
-      measured);
-  for (int id = split + 1; id < g.size(); ++id) {
-    tail_memo_[static_cast<std::size_t>(id)] = bind_f32_slot(
-        base,
-        slots[static_cast<std::size_t>(first_tail_slot + (id - split - 1))],
-        g.shape(id), measured);
-  }
-}
-
-nn::Tensor CompiledPatchModel::exec_tail(std::uint8_t* base,
-                                         std::span<const nn::ArenaSlot> slots,
-                                         int first_tail_slot,
-                                         int assembled_slot,
-                                         std::int64_t& measured) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  bind_tail(base, slots, first_tail_slot, assembled_slot, measured);
-  for (int id = split + 1; id < g.size(); ++id) {
-    nn::run_layer_f32_into(g, id, tail_memo_, backend_,
-                           tail_memo_[static_cast<std::size_t>(id)]);
-  }
-  return tail_memo_[static_cast<std::size_t>(g.output())];
-}
-
-void CompiledPatchModel::exec_tail_band(int layer_id, const Interval& rows,
-                                        nn::ops::KernelBackend& backend,
-                                        nn::ops::ScratchArena& crops) const {
+template <class Domain>
+void CompiledPatchEngine<Domain>::exec_tail_band(int layer_id,
+                                                 const Interval& rows,
+                                                 WorkerCtx& ctx) const {
   const nn::Graph& g = *graph_;
   const nn::Layer& l = g.layer(layer_id);
   const nn::TensorShape& os = g.shape(layer_id);
   const Region out_region{rows, {0, os.w}};
-  nn::Tensor out =
-      row_view(tail_memo_[static_cast<std::size_t>(layer_id)], rows);
-  crops.reset();
+  const auto memo = [&](int id) -> Tensor& {
+    return tail_memo_[static_cast<std::size_t>(id)];
+  };
+  Tensor out = row_view(memo(layer_id), rows);
+  ctx.crops.reset();
   switch (l.kind) {
     case nn::OpKind::Conv2D:
     case nn::OpKind::DepthwiseConv2D: {
-      // Same trick as the branch steps: materialise the (unclamped) input
-      // region with zero fill and run the kernel pad-free — bit-identical
-      // to the padded full-map call, proven by the patch/layer parity
-      // tests.
+      // Same construction as the branch steps: materialise the (unclamped)
+      // input region with zero fill and run the kernel pad-free —
+      // bit-identical to the padded full-map call, proven by the
+      // patch/layer parity tests.
       const nn::TensorShape& is = g.shape(l.inputs[0]);
+      const Tensor& in_full = memo(l.inputs[0]);
       const Region want = required_input_region(l, is, out_region);
-      nn::Tensor crop = borrow_f32(
-          crops,
-          nn::TensorShape{want.y.size(), want.x.size(), is.c});
-      crop_from_region_into(tail_memo_[static_cast<std::size_t>(l.inputs[0])],
-                            full_region(is), want, is, crop);
+      Tensor crop = borrow_like(
+          ctx.crops, nn::TensorShape{want.y.size(), want.x.size(), is.c},
+          in_full);
+      crop_into(in_full, full_region(is), want, is, crop);
       nn::Layer local = l;
       local.pad_h = local.pad_w = 0;
-      if (l.kind == nn::OpKind::Conv2D) {
-        backend.conv2d_f32_into(crop, local, g.weights(layer_id),
-                                g.bias(layer_id), out);
-      } else {
-        backend.depthwise_conv2d_f32_into(crop, local,
-                                          g.weights(layer_id),
-                                          g.bias(layer_id), out);
-      }
+      this->windowed_into(ctx.backend, g, crop, local, layer_id, -1, -1, out);
       break;
     }
     case nn::OpKind::MaxPool:
     case nn::OpKind::AvgPool: {
       const nn::TensorShape& is = g.shape(l.inputs[0]);
-      pool_region_f32_into(tail_memo_[static_cast<std::size_t>(l.inputs[0])],
-                           full_region(is), l, out_region, is, out);
+      this->pool_into(memo(l.inputs[0]), full_region(is), l, out_region, is,
+                      out);
       break;
     }
     case nn::OpKind::Add: {
       // Element-wise: the band reads exactly its own rows of both inputs —
       // pure views, no copy.
-      nn::Tensor a =
-          row_view(tail_memo_[static_cast<std::size_t>(l.inputs[0])], rows);
-      nn::Tensor b =
-          row_view(tail_memo_[static_cast<std::size_t>(l.inputs[1])], rows);
-      nn::ops::add_f32_into(a, b, l.act, out);
+      const Tensor a = row_view(memo(l.inputs[0]), rows);
+      const Tensor b = row_view(memo(l.inputs[1]), rows);
+      add_into(ctx.backend, a, b, l.act, out);
       break;
     }
     case nn::OpKind::Concat: {
-      std::vector<nn::Tensor> views;
+      std::vector<Tensor> views;
       views.reserve(l.inputs.size());
-      for (const int in : l.inputs) {
-        views.push_back(
-            row_view(tail_memo_[static_cast<std::size_t>(in)], rows));
-      }
-      std::vector<const nn::Tensor*> ptrs;
+      for (const int in : l.inputs) views.push_back(row_view(memo(in), rows));
+      std::vector<const Tensor*> ptrs;
       ptrs.reserve(views.size());
-      for (const nn::Tensor& t : views) ptrs.push_back(&t);
-      nn::ops::concat_f32_into(ptrs, out);
+      for (const Tensor& t : views) ptrs.push_back(&t);
+      concat_into(ctx.backend, ptrs, out);
       break;
     }
     default:
@@ -630,96 +955,172 @@ void CompiledPatchModel::exec_tail_band(int layer_id, const Interval& rows,
   }
 }
 
-nn::Tensor CompiledPatchModel::run(const nn::Tensor& input) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  QMCU_REQUIRE(input.shape() == g.shape(g.inputs().front()),
-               "input shape does not match graph input");
+template <class Domain>
+void CompiledPatchEngine<Domain>::run_tail_layers(
+    int first_id, nn::ops::KernelBackend& backend) const {
+  for (int id = first_id; id < graph_->size(); ++id) {
+    this->run_layer(*graph_, id, tail_memo_, backend,
+                    tail_memo_[static_cast<std::size_t>(id)]);
+  }
+}
+
+template <class Domain>
+typename Domain::Tensor CompiledPatchEngine<Domain>::run(
+    const nn::Tensor& input) const {
+  check_input(input);
   nn::ArenaSlab::Lease lease;
   const std::span<std::uint8_t> arena =
       bind_run_arena(aplan_.peak_bytes, lease);
-  nn::check_arena(arena, aplan_.peak_bytes, alignof(float));
-  // Compiled runs are per-run thread-affine: hand this run's contexts to
+  // Compiled runs are per-run thread-affine: hand this run's context to
   // the calling thread.
-  backend_.rebind_thread();
-  crops_.rebind_thread();
-  measured_ = 0;
-
-  nn::Tensor assembled = bind_f32_slot(
-      arena.data(), aplan_.slots[static_cast<std::size_t>(assembled_slot_)],
-      g.shape(split), measured_);
-  step_views_.resize(static_cast<std::size_t>(num_steps_));
-  for (const PatchBranch& branch : plan_.branches) {
-    exec_branch(branch, input, arena.data(),
-                std::span<const nn::ArenaSlot>(aplan_.slots)
-                    .subspan(0, static_cast<std::size_t>(num_steps_)),
-                backend_, crops_, step_views_, measured_, assembled);
+  self_.begin_run(num_steps_);
+  stage(input, arena.data(), aplan_.slots, 0, self_.measured);
+  const auto slots = std::span<const nn::ArenaSlot>(aplan_.slots)
+                         .first(static_cast<std::size_t>(num_steps_));
+  for (int b = 0; b < static_cast<int>(plan_.branches.size()); ++b) {
+    exec_branch(b, arena.data(), slots, self_);
   }
-  return exec_tail(arena.data(), aplan_.slots, num_steps_, assembled_slot_,
-                   measured_);
+  run_tail_layers(plan_.spec.split_layer + 1, self_.backend);
+  measured_ = self_.measured;
+  this->observe(tail_memo_, plan_.spec.split_layer);
+  return tail_memo_[static_cast<std::size_t>(graph_->output())];
 }
 
-nn::TaskGraph& CompiledPatchModel::pipeline_graph(int num_workers) const {
+template <class Domain>
+void CompiledPatchEngine<Domain>::branch_task(
+    std::int64_t b, WorkerCtx& ctx, std::uint8_t* slice,
+    std::span<const nn::ArenaSlot> slots) const {
+  // Streaming frames route through the same code: clean branches return
+  // immediately, dirty ones report whether their merge changed any
+  // retained byte.
+  StreamState* stream = run_stream_;
+  if (stream != nullptr && !stream->branch_dirty[static_cast<std::size_t>(b)]) {
+    return;
+  }
+  bool changed = false;
+  exec_branch(static_cast<int>(b), slice, slots, ctx,
+              stream != nullptr ? &changed : nullptr);
+  if (stream != nullptr) stream_mark_branch(*stream, b, changed);
+  if (branch_hook_) branch_hook_(static_cast<int>(b));
+}
+
+template <class Domain>
+void CompiledPatchEngine<Domain>::band_task(std::size_t pi, std::size_t j,
+                                            WorkerCtx& ctx) const {
+  StreamState* stream = run_stream_;
+  if (stream != nullptr && !stream_band_needed(*stream, pi, j)) return;
+  exec_tail_band(pipeline_[pi].layer_id, pipeline_[pi].bands[j], ctx);
+  if (stream != nullptr) stream_mark_band(*stream, pi, j);
+}
+
+template <class Domain>
+void CompiledPatchEngine<Domain>::rest_task(WorkerCtx& ctx) const {
+  if (run_stream_ != nullptr && !run_stream_->frame_changed_output()) return;
+  run_tail_layers(
+      plan_.spec.split_layer + 1 + static_cast<int>(pipeline_.size()),
+      ctx.backend);
+}
+
+template <class Domain>
+nn::TaskGraph& CompiledPatchEngine<Domain>::pipeline_graph(
+    int num_workers) const {
   auto it = pipeline_graphs_.find(num_workers);
   if (it != pipeline_graphs_.end()) return it->second;
-  const int first_rest =
-      plan_.spec.split_layer + 1 + static_cast<int>(pipeline_.size());
   return pipeline_graphs_
-      .emplace(
-          num_workers,
-          build_pipeline_graph(
-              plan_, pipeline_, branch_costs_, num_workers,
-              [this](std::int64_t b, int lane) {
-                // Streaming frames route through the same cached graph:
-                // clean branches return immediately, dirty ones report
-                // whether their merge changed any retained byte.
-                StreamState* stream = run_stream_;
-                if (stream != nullptr &&
-                    !stream->branch_dirty[static_cast<std::size_t>(b)]) {
-                  return;
-                }
-                WorkerCtx& ctx = *workers_[static_cast<std::size_t>(lane)];
-                bool changed = false;
-                exec_branch(
-                    plan_.branches[static_cast<std::size_t>(b)], *run_input_,
-                    run_data_ + run_pplan_->slice_offset(lane),
-                    run_pplan_->slice.slots, ctx.backend, ctx.crops,
-                    ctx.step_views, ctx.measured,
-                    tail_memo_[static_cast<std::size_t>(
-                        plan_.spec.split_layer)],
-                    stream != nullptr ? &changed : nullptr);
-                if (stream != nullptr) stream_mark_branch(*stream, b, changed);
-                if (branch_hook_) branch_hook_(static_cast<int>(b));
-              },
-              [this](std::size_t pi, std::size_t j, int lane) {
-                StreamState* stream = run_stream_;
-                if (stream != nullptr && !stream_band_needed(*stream, pi, j)) {
-                  return;
-                }
-                WorkerCtx& ctx = *workers_[static_cast<std::size_t>(lane)];
-                exec_tail_band(pipeline_[pi].layer_id, pipeline_[pi].bands[j],
-                               ctx.backend, ctx.crops);
-                if (stream != nullptr) stream_mark_band(*stream, pi, j);
-              },
-              [this, first_rest](int lane) {
-                if (run_stream_ != nullptr &&
-                    !run_stream_->frame_changed_output()) {
-                  return;
-                }
-                WorkerCtx& ctx = *workers_[static_cast<std::size_t>(lane)];
-                for (int id = first_rest; id < graph_->size(); ++id) {
-                  nn::run_layer_f32_into(
-                      *graph_, id, tail_memo_, ctx.backend,
-                      tail_memo_[static_cast<std::size_t>(id)]);
-                }
-              }))
+      .emplace(num_workers,
+               build_pipeline_graph(
+                   plan_, pipeline_, branch_costs_, num_workers,
+                   [this](std::int64_t b, int lane) {
+                     branch_task(b, *workers_[static_cast<std::size_t>(lane)],
+                                 run_data_ + run_pplan_->slice_offset(lane),
+                                 run_pplan_->slice.slots);
+                   },
+                   [this](std::size_t pi, std::size_t j, int lane) {
+                     band_task(pi, j,
+                               *workers_[static_cast<std::size_t>(lane)]);
+                   },
+                   [this](int lane) {
+                     rest_task(*workers_[static_cast<std::size_t>(lane)]);
+                   }))
       .first->second;
 }
 
-// --- streaming (float) ------------------------------------------------------
+template <class Domain>
+void CompiledPatchEngine<Domain>::run_parallel(
+    const nn::Tensor& input, nn::WorkerPool* pool,
+    const nn::ParallelArenaPlan& pplan, std::uint8_t* data) const {
+  const int w = pplan.num_workers;
+  std::int64_t shared_measured = 0;
+  // Stage this run's state for the cached graph's tasks: arena base and
+  // plan, plus every shared view (input, assembled map, all tail layers)
+  // bound before dispatch — tasks only read and write through them.
+  run_data_ = data;
+  run_pplan_ = &pplan;
+  stage(input, data + pplan.shared_offset(), pplan.shared.slots, num_steps_,
+        shared_measured);
+  measured_ = pplan.shared_offset() + shared_measured;
+  if (w == 1) {
+    // Streaming on one lane: the task bodies in graph order on the
+    // calling thread's context.
+    self_.begin_run(num_steps_);
+    std::uint8_t* const slice = data + pplan.slice_offset(0);
+    for (std::size_t b = 0; b < plan_.branches.size(); ++b) {
+      branch_task(static_cast<std::int64_t>(b), self_, slice,
+                  pplan.slice.slots);
+    }
+    for (std::size_t pi = 0; pi < pipeline_.size(); ++pi) {
+      const std::size_t nb = pipeline_[pi].bands.size();
+      std::size_t needed = 0;
+      for (std::size_t j = 0; j < nb; ++j) {
+        needed += stream_band_needed(*run_stream_, pi, j) ? 1 : 0;
+      }
+      if (needed == nb) {
+        // Every band is dirty: the banded path would pay one halo crop per
+        // band for nothing — run the layer whole, exactly like the
+        // sequential tail does (bit-identical; the bands exist for
+        // multi-worker pipelining, not for single-lane execution).
+        const int id = pipeline_[pi].layer_id;
+        this->run_layer(*graph_, id, tail_memo_, self_.backend,
+                        tail_memo_[static_cast<std::size_t>(id)]);
+        for (std::size_t j = 0; j < nb; ++j) {
+          stream_mark_band(*run_stream_, pi, j);
+        }
+        continue;
+      }
+      for (std::size_t j = 0; j < nb; ++j) band_task(pi, j, self_);
+    }
+    rest_task(self_);
+    measured_ = std::max(measured_, pplan.slice_offset(0) + self_.measured);
+    return;
+  }
+  for (int lane = 0; lane < w; ++lane) worker_ctx(lane).begin_run(num_steps_);
+  pool->run_graph(pipeline_graph(w));
+  for (int lane = 0; lane < w; ++lane) {
+    measured_ = std::max(
+        measured_, pplan.slice_offset(lane) +
+                       workers_[static_cast<std::size_t>(lane)]->measured);
+  }
+}
 
-void CompiledPatchModel::prime_stream_state(StreamState& state,
-                                            int workers) const {
+template <class Domain>
+typename Domain::Tensor CompiledPatchEngine<Domain>::run(
+    const nn::Tensor& input, nn::WorkerPool* pool) const {
+  if (pool == nullptr || pool->num_workers() == 1) return run(input);
+  check_input(input);
+  const nn::ParallelArenaPlan& pplan = pipelined_plan(pool->num_workers());
+  nn::ArenaSlab::Lease lease;
+  const std::span<std::uint8_t> arena =
+      bind_run_arena(pplan.total_bytes(), lease);
+  run_parallel(input, pool, pplan, arena.data());
+  this->observe(tail_memo_, plan_.spec.split_layer);
+  return tail_memo_[static_cast<std::size_t>(graph_->output())];
+}
+
+// --- streaming ------------------------------------------------------------
+
+template <class Domain>
+void CompiledPatchEngine<Domain>::prime_stream_state(StreamState& state,
+                                                     int workers) const {
   QMCU_REQUIRE(workers >= 1, "streaming needs at least one lane");
   if (state.workers != 0) {
     QMCU_REQUIRE(state.workers == workers,
@@ -741,8 +1142,10 @@ void CompiledPatchModel::prime_stream_state(StreamState& state,
   }
 }
 
-std::span<std::uint8_t> CompiledPatchModel::bind_stream_arena(
+template <class Domain>
+std::span<std::uint8_t> CompiledPatchEngine<Domain>::bind_stream_arena(
     std::int64_t need, StreamState& state) const {
+  std::span<std::uint8_t> arena;
   if (arena_source_ != nullptr) {
     if (state.lease.empty() ||
         static_cast<std::int64_t>(state.lease.bytes().size()) < need) {
@@ -750,18 +1153,22 @@ std::span<std::uint8_t> CompiledPatchModel::bind_stream_arena(
                   "streaming arena cannot be re-acquired once primed");
       state.lease = arena_source_->acquire(need);
     }
-    return state.lease.bytes();
+    arena = state.lease.bytes();
+  } else {
+    if (static_cast<std::int64_t>(state.owned.size()) < need) {
+      QMCU_ENSURE(!state.primed, "streaming arena cannot grow once primed");
+      state.owned.resize(static_cast<std::size_t>(need));
+    }
+    arena = {state.owned.data(), state.owned.size()};
   }
-  if (static_cast<std::int64_t>(state.owned.size()) < need) {
-    QMCU_ENSURE(!state.primed, "streaming arena cannot grow once primed");
-    state.owned.resize(static_cast<std::size_t>(need));
-  }
-  return {state.owned.data(), state.owned.size()};
+  nn::check_arena(arena, need, alignof(typename Domain::Elem));
+  return arena;
 }
 
-bool CompiledPatchModel::stream_band_needed(const StreamState& state,
-                                            std::size_t pi,
-                                            std::size_t j) const {
+template <class Domain>
+bool CompiledPatchEngine<Domain>::stream_band_needed(const StreamState& state,
+                                                     std::size_t pi,
+                                                     std::size_t j) const {
   const PipelinedTailLayer& pl = pipeline_[pi];
   for (const int r : pl.grid_row_deps[j]) {
     if (state.row_changed[static_cast<std::size_t>(r)].load(
@@ -780,9 +1187,10 @@ bool CompiledPatchModel::stream_band_needed(const StreamState& state,
   return false;
 }
 
-void CompiledPatchModel::stream_mark_branch(StreamState& state,
-                                            std::int64_t b,
-                                            bool changed) const {
+template <class Domain>
+void CompiledPatchEngine<Domain>::stream_mark_branch(StreamState& state,
+                                                     std::int64_t b,
+                                                     bool changed) const {
   state.branches_run.fetch_add(1, std::memory_order_relaxed);
   if (!changed) return;
   state.row_changed[static_cast<std::size_t>(b / plan_.spec.grid_cols)].store(
@@ -790,60 +1198,25 @@ void CompiledPatchModel::stream_mark_branch(StreamState& state,
   state.any_changed.store(1, std::memory_order_relaxed);
 }
 
-void CompiledPatchModel::stream_mark_band(StreamState& state, std::size_t pi,
-                                          std::size_t j) const {
+template <class Domain>
+void CompiledPatchEngine<Domain>::stream_mark_band(StreamState& state,
+                                                   std::size_t pi,
+                                                   std::size_t j) const {
   state.bands_run.fetch_add(1, std::memory_order_relaxed);
   state
       .band_changed[static_cast<std::size_t>(state.band_offset[pi]) + j]
       .store(1, std::memory_order_relaxed);
 }
 
-namespace {
-
-// Clears one frame's change-propagation flags and counters. On the priming
-// frame (`force_all_dirty`) every grid row starts dirty instead: the
-// arena's initial bytes are not a valid previous frame, so a first-frame
-// merge that happens to match them (all-zero quant tiles over a fresh
-// zeroed buffer) must not suppress the bands downstream of it.
-void reset_stream_frame(StreamState& state, int grid_rows, int total_bands,
-                        bool force_all_dirty) {
-  const char row_init = force_all_dirty ? 1 : 0;
-  for (int r = 0; r < grid_rows; ++r) {
-    state.row_changed[static_cast<std::size_t>(r)].store(
-        row_init, std::memory_order_relaxed);
-  }
-  for (int i = 0; i < total_bands; ++i) {
-    state.band_changed[static_cast<std::size_t>(i)].store(
-        0, std::memory_order_relaxed);
-  }
-  state.any_changed.store(row_init, std::memory_order_relaxed);
-  state.branches_run.store(0, std::memory_order_relaxed);
-  state.bands_run.store(0, std::memory_order_relaxed);
-}
-
-int total_band_count(std::span<const PipelinedTailLayer> pipeline) {
-  int total = 0;
-  for (const PipelinedTailLayer& pl : pipeline) {
-    total += static_cast<int>(pl.bands.size());
-  }
-  return total;
-}
-
-}  // namespace
-
-nn::Tensor CompiledPatchModel::run_streaming(const nn::Tensor& input,
-                                             nn::WorkerPool* pool,
-                                             StreamState& state) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  QMCU_REQUIRE(input.shape() == g.shape(g.inputs().front()),
-               "input shape does not match graph input");
+template <class Domain>
+typename Domain::Tensor CompiledPatchEngine<Domain>::run_streaming(
+    const nn::Tensor& input, nn::WorkerPool* pool, StreamState& state) const {
+  check_input(input);
   const int w = pool == nullptr ? 1 : pool->num_workers();
   prime_stream_state(state, w);
   const nn::ParallelArenaPlan& pplan = streaming_plan(w);
   const std::span<std::uint8_t> arena =
       bind_stream_arena(pplan.total_bytes(), state);
-  nn::check_arena(arena, pplan.total_bytes(), alignof(float));
 
   // First frame: nothing retained yet, every branch runs.
   if (!state.primed) {
@@ -853,182 +1226,25 @@ nn::Tensor CompiledPatchModel::run_streaming(const nn::Tensor& input,
   reset_stream_frame(state, plan_.spec.grid_rows, total_band_count(pipeline_),
                      !state.primed);
 
-  std::int64_t shared_measured = 0;
-  run_input_ = &input;
-  run_data_ = arena.data();
-  run_pplan_ = &pplan;
-  bind_tail(run_data_ + pplan.shared_offset(), pplan.shared.slots, 0,
-            par_assembled_slot_, shared_measured);
+  // The quantized domain requantizes the full frame every time (cheap, and
+  // dirty branches crop it); a byte-identical float crop quantizes to
+  // byte-identical codes, so clean branches stay clean through this write.
   run_stream_ = &state;
-
-  if (w == 1) {
-    backend_.rebind_thread();
-    crops_.rebind_thread();
-    step_views_.resize(static_cast<std::size_t>(num_steps_));
-    std::int64_t slice_measured = 0;
-    std::uint8_t* const slice_base = run_data_ + pplan.slice_offset(0);
-    for (std::size_t b = 0; b < plan_.branches.size(); ++b) {
-      if (!state.branch_dirty[b]) continue;
-      bool changed = false;
-      exec_branch(plan_.branches[b], input, slice_base, pplan.slice.slots,
-                  backend_, crops_, step_views_, slice_measured,
-                  tail_memo_[static_cast<std::size_t>(split)], &changed);
-      stream_mark_branch(state, static_cast<std::int64_t>(b), changed);
-      if (branch_hook_) branch_hook_(static_cast<int>(b));
-    }
-    for (std::size_t pi = 0; pi < pipeline_.size(); ++pi) {
-      const std::size_t nb = pipeline_[pi].bands.size();
-      std::size_t needed = 0;
-      for (std::size_t j = 0; j < nb; ++j) {
-        needed += stream_band_needed(state, pi, j) ? 1 : 0;
-      }
-      if (needed == nb) {
-        // Every band is dirty: run the layer whole like the sequential
-        // tail (bit-identical) instead of paying one halo crop per band.
-        const int id = pipeline_[pi].layer_id;
-        nn::run_layer_f32_into(g, id, tail_memo_, backend_,
-                               tail_memo_[static_cast<std::size_t>(id)]);
-        for (std::size_t j = 0; j < nb; ++j) stream_mark_band(state, pi, j);
-        continue;
-      }
-      for (std::size_t j = 0; j < nb; ++j) {
-        if (!stream_band_needed(state, pi, j)) continue;
-        exec_tail_band(pipeline_[pi].layer_id, pipeline_[pi].bands[j],
-                       backend_, crops_);
-        stream_mark_band(state, pi, j);
-      }
-    }
-    if (state.frame_changed_output()) {
-      const int first_rest = split + 1 + static_cast<int>(pipeline_.size());
-      for (int id = first_rest; id < g.size(); ++id) {
-        nn::run_layer_f32_into(g, id, tail_memo_, backend_,
-                               tail_memo_[static_cast<std::size_t>(id)]);
-      }
-    }
-    measured_ = std::max(pplan.shared_offset() + shared_measured,
-                         pplan.slice_offset(0) + slice_measured);
-  } else {
-    for (int lane = 0; lane < w; ++lane) {
-      WorkerCtx& ctx = worker_ctx(lane);
-      ctx.backend.rebind_thread();
-      ctx.crops.rebind_thread();
-      ctx.step_views.resize(static_cast<std::size_t>(num_steps_));
-      ctx.measured = 0;
-    }
-    pool->run_graph(pipeline_graph(w));
-    measured_ = pplan.shared_offset() + shared_measured;
-    for (int lane = 0; lane < w; ++lane) {
-      measured_ = std::max(
-          measured_, pplan.slice_offset(lane) +
-                         workers_[static_cast<std::size_t>(lane)]->measured);
-    }
-  }
+  run_parallel(input, pool, pplan, arena.data());
   run_stream_ = nullptr;
   state.primed = true;
-  return tail_memo_[static_cast<std::size_t>(g.output())];
+  this->observe(tail_memo_, plan_.spec.split_layer);
+  return tail_memo_[static_cast<std::size_t>(graph_->output())];
 }
 
-nn::Tensor CompiledPatchModel::run(const nn::Tensor& input,
-                                   nn::WorkerPool* pool) const {
-  if (pool == nullptr || pool->num_workers() == 1) return run(input);
-  const nn::Graph& g = *graph_;
-  QMCU_REQUIRE(input.shape() == g.shape(g.inputs().front()),
-               "input shape does not match graph input");
-  const int w = pool->num_workers();
-  const nn::ParallelArenaPlan& pplan = pipelined_plan(w);
-  nn::ArenaSlab::Lease lease;
-  const std::span<std::uint8_t> arena =
-      bind_run_arena(pplan.total_bytes(), lease);
-  nn::check_arena(arena, pplan.total_bytes(), alignof(float));
-  std::int64_t shared_measured = 0;
+template class CompiledPatchEngine<FloatDomain>;
+template class CompiledPatchEngine<QuantDomain>;
 
-  // Stage this run's state for the cached graph's tasks: arena base, plan
-  // and input, plus every shared view (assembled map and all tail layers)
-  // bound before dispatch — tasks only read and write through them.
-  run_input_ = &input;
-  run_data_ = arena.data();
-  run_pplan_ = &pplan;
-  bind_tail(run_data_ + pplan.shared_offset(), pplan.shared.slots, 0,
-            par_assembled_slot_, shared_measured);
+// --- the two models -------------------------------------------------------
 
-  for (int lane = 0; lane < w; ++lane) {
-    WorkerCtx& ctx = worker_ctx(lane);
-    ctx.backend.rebind_thread();
-    ctx.crops.rebind_thread();
-    ctx.step_views.resize(static_cast<std::size_t>(num_steps_));
-    ctx.measured = 0;
-  }
-
-  pool->run_graph(pipeline_graph(w));
-
-  measured_ = pplan.shared_offset() + shared_measured;
-  for (int lane = 0; lane < w; ++lane) {
-    measured_ = std::max(
-        measured_, pplan.slice_offset(lane) +
-                       workers_[static_cast<std::size_t>(lane)]->measured);
-  }
-  return tail_memo_[static_cast<std::size_t>(g.output())];
-}
-
-nn::Tensor CompiledPatchModel::run_barrier(const nn::Tensor& input,
-                                           nn::WorkerPool* pool) const {
-  if (pool == nullptr || pool->num_workers() == 1) return run(input);
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  QMCU_REQUIRE(input.shape() == g.shape(g.inputs().front()),
-               "input shape does not match graph input");
-  const int w = pool->num_workers();
-  const nn::ParallelArenaPlan& pplan = parallel_plan(w);
-  nn::ArenaSlab::Lease lease;
-  const std::span<std::uint8_t> arena =
-      bind_run_arena(pplan.total_bytes(), lease);
-  nn::check_arena(arena, pplan.total_bytes(), alignof(float));
-  backend_.rebind_thread();  // tail runs on the calling thread
-  crops_.rebind_thread();
-  std::uint8_t* const shared_base = arena.data() + pplan.shared_offset();
-  std::int64_t shared_measured = 0;
-
-  nn::Tensor assembled = bind_f32_slot(
-      shared_base,
-      pplan.shared.slots[static_cast<std::size_t>(par_assembled_slot_)],
-      g.shape(split), shared_measured);
-
-  for (int lane = 0; lane < w; ++lane) {
-    WorkerCtx& ctx = worker_ctx(lane);
-    ctx.backend.rebind_thread();
-    ctx.crops.rebind_thread();
-    ctx.step_views.resize(static_cast<std::size_t>(num_steps_));
-    ctx.measured = 0;
-  }
-
-  const auto chunks = weighted_chunks(
-      branch_costs_, plan_.spec.grid_rows * chunks_per_grid_row(plan_, w));
-  pool->parallel_ranges(
-      chunks, [&](std::int64_t b0, std::int64_t b1, int lane) {
-        WorkerCtx& ctx = *workers_[static_cast<std::size_t>(lane)];
-        std::uint8_t* base = arena.data() + pplan.slice_offset(lane);
-        for (std::int64_t b = b0; b < b1; ++b) {
-          exec_branch(plan_.branches[static_cast<std::size_t>(b)], input,
-                      base, pplan.slice.slots, ctx.backend, ctx.crops,
-                      ctx.step_views, ctx.measured, assembled);
-          if (branch_hook_) branch_hook_(static_cast<int>(b));
-        }
-      });
-
-  measured_ = pplan.shared_offset() + shared_measured;
-  for (int lane = 0; lane < w; ++lane) {
-    measured_ = std::max(
-        measured_, pplan.slice_offset(lane) +
-                       workers_[static_cast<std::size_t>(lane)]->measured);
-  }
-  std::int64_t tail_measured = 0;
-  nn::Tensor out = exec_tail(shared_base, pplan.shared.slots, 0,
-                             par_assembled_slot_, tail_measured);
-  measured_ = std::max(measured_, pplan.shared_offset() + tail_measured);
-  return out;
-}
-
-// --- quantized -------------------------------------------------------------
+CompiledPatchModel::CompiledPatchModel(const nn::Graph& g, PatchPlan plan,
+                                       nn::ops::KernelTier tier)
+    : CompiledPatchEngine(g, std::move(plan), tier, {}) {}
 
 CompiledPatchQuantModel::CompiledPatchQuantModel(
     const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
@@ -1043,847 +1259,18 @@ CompiledPatchQuantModel::CompiledPatchQuantModel(
     std::vector<BranchQuantConfig> branch_cfgs,
     std::shared_ptr<const nn::QuantizedParameters> params,
     PrecompiledPatchParts parts, nn::ops::KernelTier tier)
-    : graph_(&g),
-      plan_(std::move(plan)),
-      cfg_(std::move(cfg)),
-      effective_(nn::effective_output_params(g, cfg_)),
-      branch_cfgs_(std::move(branch_cfgs)),
-      params_(params ? std::move(params)
-                     : nn::QuantizedParameters::build_shared(g, cfg_)),
-      bundle_(std::move(parts.kernels)),
-      backend_(tier) {
-  QMCU_REQUIRE(!plan_.branches.empty(), "plan has no branches");
-  if (bundle_ != nullptr) bundle_->apply(backend_);
-  if (!branch_cfgs_.empty()) {
-    QMCU_REQUIRE(branch_cfgs_.size() == plan_.branches.size(),
-                 "branch configs must cover every branch");
-    for (std::size_t b = 0; b < branch_cfgs_.size(); ++b) {
-      QMCU_REQUIRE(branch_cfgs_[b].per_step.size() ==
-                       plan_.branches[b].steps.size(),
-                   "branch config must cover every step");
-    }
-    if (parts.branch_bias.empty()) {
-      branch_bias_ = build_branch_bias(g, plan_, branch_cfgs_, *params_);
-    } else {
-      // Artifact-supplied biases (the graph may be topology-only, so the
-      // float-bias rescale that build_branch_bias runs is not available).
-      QMCU_REQUIRE(parts.branch_bias.size() == plan_.branches.size(),
-                   "precomputed branch bias must cover every branch");
-      branch_bias_ = std::move(parts.branch_bias);
-    }
-  }
-  // AvgPool reciprocal tables for every window size the graph uses —
-  // built now so the run path (possibly many workers at once) only reads.
-  for (int id = 0; id < g.size(); ++id) {
-    const nn::Layer& l = g.layer(id);
-    if (l.kind != nn::OpKind::AvgPool) continue;
-    const int count = l.kernel_h * l.kernel_w;
-    pool_tables_.emplace(count, nn::ops::AvgPoolMultipliers(count));
-  }
-  PatchTimeline t = build_timeline(g, plan_, 1);
-  num_steps_ = t.num_steps;
-  assembled_slot_ = t.assembled_index;
-  // Quantized full input, cropped by every branch: live across the whole
-  // branch phase.
-  input_slot_ = static_cast<int>(t.requests.size());
-  t.requests.push_back({g.shape(g.inputs().front()).elements(), 0,
-                        std::max(num_steps_ - 1, 0)});
-  aplan_ = nn::ArenaPlanner().plan(t.requests);
-  slice_requests_.assign(t.requests.begin(),
-                         t.requests.begin() + num_steps_);
-  shared_requests_.assign(t.requests.begin() + num_steps_, t.requests.end());
-  par_assembled_slot_ = static_cast<int>(shared_requests_.size()) - 2;
-  par_input_slot_ = static_cast<int>(shared_requests_.size()) - 1;
-  pipeline_ =
-      parts.pipeline.empty()
-          ? build_pipelined_tail(g, plan_, std::max(2, plan_.spec.grid_rows))
-          : std::move(parts.pipeline);
-  branch_costs_ = branch_costs(plan_);
-  pipeline_horizon_ =
-      num_steps_ + static_cast<int>(pipeline_.size()) - 1;
-}
-
-const nn::ParallelArenaPlan& CompiledPatchQuantModel::parallel_plan(
-    int num_workers) const {
-  auto it = pplans_.find(num_workers);
-  if (it == pplans_.end()) {
-    it = pplans_
-             .emplace(num_workers,
-                      nn::ArenaPlanner().plan_parallel(
-                          slice_requests_, shared_requests_, num_workers))
-             .first;
-  }
-  return it->second;
-}
-
-const nn::ParallelArenaPlan& CompiledPatchQuantModel::pipelined_plan(
-    int num_workers) const {
-  auto it = pipelined_pplans_.find(num_workers);
-  if (it == pipelined_pplans_.end()) {
-    it = pipelined_pplans_
-             .emplace(num_workers, nn::ArenaPlanner().plan_pipelined(
-                                       slice_requests_, shared_requests_,
-                                       num_workers, pipeline_horizon_))
-             .first;
-  }
-  return it->second;
-}
-
-const nn::ParallelArenaPlan& CompiledPatchQuantModel::streaming_plan(
-    int num_workers) const {
-  auto it = streaming_pplans_.find(num_workers);
-  if (it == streaming_pplans_.end()) {
-    it = streaming_pplans_
-             .emplace(num_workers,
-                      nn::ArenaPlanner().plan_parallel(
-                          slice_requests_, widen_shared(shared_requests_),
-                          num_workers))
-             .first;
-  }
-  return it->second;
-}
-
-std::span<std::uint8_t> CompiledPatchQuantModel::bind_run_arena(
-    std::int64_t need, nn::ArenaSlab::Lease& lease) const {
-  if (arena_source_ != nullptr) {
-    lease = arena_source_->acquire(need);
-    return lease.bytes();
-  }
-  if (static_cast<std::int64_t>(arena_.size()) < need) {
-    arena_.resize(static_cast<std::size_t>(need));
-  }
-  return {arena_.data(), arena_.size()};
-}
+    : CompiledPatchEngine(g, std::move(plan), tier, std::move(parts.pipeline),
+                          std::move(cfg), std::move(branch_cfgs),
+                          std::move(params), std::move(parts.branch_bias),
+                          std::move(parts.kernels)) {}
 
 const nn::QuantParams& CompiledPatchQuantModel::step_params(int branch,
                                                             int step) const {
-  if (!branch_cfgs_.empty()) {
-    return branch_cfgs_[static_cast<std::size_t>(branch)]
-        .per_step[static_cast<std::size_t>(step)];
-  }
-  const int layer_id = plan_.branches[static_cast<std::size_t>(branch)]
-                           .steps[static_cast<std::size_t>(step)]
-                           .layer_id;
-  return effective_[static_cast<std::size_t>(layer_id)];
-}
-
-std::int64_t CompiledPatchQuantModel::scratch_bytes() const {
-  std::int64_t total = static_cast<std::int64_t>(
-      crops_.footprint_bytes() + backend_.arena().footprint_bytes());
-  for (const auto& w : workers_) {
-    total += static_cast<std::int64_t>(w->crops.footprint_bytes() +
-                                       w->backend.arena().footprint_bytes());
-  }
-  return total;
-}
-
-const nn::ops::AvgPoolMultipliers* CompiledPatchQuantModel::pool_table(
-    const nn::Layer& l) const {
-  if (l.kind != nn::OpKind::AvgPool) return nullptr;
-  const auto it = pool_tables_.find(l.kernel_h * l.kernel_w);
-  QMCU_ENSURE(it != pool_tables_.end(),
-              "AvgPool window missing from the precomputed tables");
-  return &it->second;
-}
-
-CompiledPatchQuantModel::WorkerCtx& CompiledPatchQuantModel::worker_ctx(
-    int lane) const {
-  while (static_cast<int>(workers_.size()) <= lane) {
-    auto ctx = std::make_unique<WorkerCtx>(backend_.tier());
-    // Artifact path: adopt the precomputed panels first, so the prepack
-    // pass below is a no-op for everything the artifact baked.
-    if (bundle_ != nullptr) bundle_->apply(ctx->backend);
-    // Pre-pack the conv panels any task on this lane may need — stage
-    // convs for branch tasks, tail convs for row bands and the join — so a
-    // lane's first run pays no packing cost (construction-time work,
-    // exempt from the affinity guard). Gated on the quantized params, not
-    // the graph: the artifact path loads a topology-only graph.
-    const nn::Graph& g = *graph_;
-    const auto prepack = [&](int layer_id) {
-      const nn::Layer& l = g.layer(layer_id);
-      const auto& w = params_->weights[static_cast<std::size_t>(layer_id)];
-      if (w.data.empty()) return;
-      const auto in_bits = [&] {
-        return effective_[static_cast<std::size_t>(l.inputs[0])].bits;
-      };
-      if (l.kind == nn::OpKind::Conv2D) {
-        const int n = l.out_channels;
-        const int k = static_cast<int>(w.data.size()) / n;
-        ctx->backend.prepack(w.data, n, k);
-        // Sub-byte stages may take the LUT path: bake the recode up front
-        // so a lane's first patch pays no table construction. Only tables
-        // the current force mode can actually run are baked — 4-bit
-        // tables cost 32*n*k bytes and only run under QMCU_FORCE_LUT.
-        const int bits = in_bits();
-        if (nn::ops::lut::lut_planned(bits)) {
-          ctx->backend.prepack_lut(w.data, n, k, bits);
-        }
-      } else if (l.kind == nn::OpKind::FullyConnected) {
-        const int k = static_cast<int>(g.shape(l.inputs[0]).elements());
-        // fc shares the conv panel GEMM since the microkernel rewrite.
-        ctx->backend.prepack(w.data, l.out_channels, k);
-        if (nn::ops::lut::lut_planned(in_bits())) {
-          ctx->backend.prepack_lut(w.data, l.out_channels, k, in_bits());
-        }
-      }
-    };
-    for (const BranchStep& step : plan_.branches.front().steps) {
-      prepack(step.layer_id);
-    }
-    for (int id = plan_.spec.split_layer + 1; id < g.size(); ++id) {
-      prepack(id);
-    }
-    workers_.push_back(std::move(ctx));
-  }
-  return *workers_[static_cast<std::size_t>(lane)];
-}
-
-void CompiledPatchQuantModel::exec_branch(
-    int branch_index, const nn::QTensor& qinput, std::uint8_t* base,
-    std::span<const nn::ArenaSlot> slots, nn::ops::KernelBackend& backend,
-    nn::ops::ScratchArena& crops, std::span<nn::QTensor> step_views,
-    std::int64_t& measured, nn::QTensor& assembled,
-    bool* merge_changed) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  const PatchBranch& branch =
-      plan_.branches[static_cast<std::size_t>(branch_index)];
-  for (int s = 0; s < num_steps_; ++s) {
-    const BranchStep& step = branch.steps[static_cast<std::size_t>(s)];
-    const nn::Layer& layer = g.layer(step.layer_id);
-    const bool pool = layer.kind == nn::OpKind::MaxPool ||
-                      layer.kind == nn::OpKind::AvgPool;
-    // Pools never requantize: their slot carries the producer's actual
-    // params, exactly as the legacy executor's region tensors do.
-    nn::QuantParams out_p;
-    if (pool) {
-      const int p = branch.step_of(layer.inputs[0]);
-      QMCU_ENSURE(p >= 0 && p < s, "producer step missing from branch");
-      out_p = step_views[static_cast<std::size_t>(p)].params();
-    } else {
-      out_p = step_params(branch_index, s);
-    }
-    nn::QTensor out = bind_q_slot(
-        base, slots[static_cast<std::size_t>(s)],
-        region_shape(step, g.shape(step.layer_id).c), out_p, measured);
-    crops.reset();
-
-    const auto producer_crop = [&](int input_id,
-                                   const Region& want) -> nn::QTensor {
-      const int p = branch.step_of(input_id);
-      QMCU_ENSURE(p >= 0 && p < s, "producer step missing from branch");
-      const BranchStep& ps = branch.steps[static_cast<std::size_t>(p)];
-      const nn::QTensor& have = step_views[static_cast<std::size_t>(p)];
-      nn::QTensor crop = borrow_q(
-          crops,
-          nn::TensorShape{want.y.size(), want.x.size(), g.shape(input_id).c},
-          have.params());
-      crop_from_region_q_into(have, ps.out_region, want, g.shape(input_id),
-                              crop);
-      return crop;
-    };
-
-    switch (layer.kind) {
-      case nn::OpKind::Input: {
-        // The input patch tile is quantized straight into the branch's
-        // params (mixed mode stores it sub-byte, uniform mode at int8).
-        nn::QTensor crop = borrow_q(crops, out.shape(), qinput.params());
-        crop_from_region_q_into(qinput, full_region(g.shape(step.layer_id)),
-                                step.out_region, g.shape(step.layer_id),
-                                crop);
-        backend.requantize_into(crop, out);
-        break;
-      }
-      case nn::OpKind::Conv2D:
-      case nn::OpKind::DepthwiseConv2D: {
-        // Out-of-bounds crop positions carry the producer's zero point —
-        // the quantized encoding of real 0, i.e. genuine zero padding.
-        const nn::QTensor padded =
-            producer_crop(layer.inputs[0], step.in_region);
-        nn::Layer local = layer;
-        local.pad_h = local.pad_w = 0;
-        const std::span<const std::int32_t> bias =
-            branch_cfgs_.empty()
-                ? params_->bias[static_cast<std::size_t>(step.layer_id)]
-                : std::span<const std::int32_t>(
-                      branch_bias_[static_cast<std::size_t>(branch_index)]
-                                  [static_cast<std::size_t>(s)]);
-        const auto& w =
-            params_->weights[static_cast<std::size_t>(step.layer_id)];
-        if (layer.kind == nn::OpKind::Conv2D) {
-          backend.conv2d_into(padded, local, w.data, w.params, bias, out);
-        } else {
-          backend.depthwise_conv2d_into(padded, local, w.data, w.params,
-                                        bias, out);
-        }
-        break;
-      }
-      case nn::OpKind::MaxPool:
-      case nn::OpKind::AvgPool: {
-        const int p = branch.step_of(layer.inputs[0]);
-        QMCU_ENSURE(p >= 0, "producer step missing from branch");
-        pool_region_q_into(
-            step_views[static_cast<std::size_t>(p)],
-            branch.steps[static_cast<std::size_t>(p)].out_region, layer,
-            step.out_region, g.shape(layer.inputs[0]), pool_table(layer),
-            out);
-        break;
-      }
-      case nn::OpKind::Add: {
-        const nn::QTensor a = producer_crop(layer.inputs[0], step.out_region);
-        const nn::QTensor b = producer_crop(layer.inputs[1], step.out_region);
-        backend.add_into(a, b, layer.act, out);
-        break;
-      }
-      case nn::OpKind::Concat: {
-        std::vector<nn::QTensor> cropped;
-        cropped.reserve(layer.inputs.size());
-        for (int in : layer.inputs) {
-          cropped.push_back(producer_crop(in, step.out_region));
-        }
-        std::vector<const nn::QTensor*> ptrs;
-        ptrs.reserve(cropped.size());
-        for (const nn::QTensor& t : cropped) ptrs.push_back(&t);
-        backend.concat_into(ptrs, out);
-        break;
-      }
-      default:
-        QMCU_REQUIRE(false, "op kind not supported inside a patch stage: " +
-                                std::string(nn::to_string(layer.kind)));
-    }
-    step_views[static_cast<std::size_t>(s)] = std::move(out);
-  }
-  const BranchStep& last = branch.steps.back();
-  QMCU_ENSURE(last.layer_id == split, "branch must end at the cut layer");
-  // The branch slice is requantized into the shared accumulation buffer's
-  // parameters (identity copy in uniform mode). Tiles are disjoint, so
-  // concurrent merges from several workers commute.
-  if (merge_changed == nullptr) {
-    merge_region_q(step_views[static_cast<std::size_t>(num_steps_ - 1)],
-                   last.out_region, assembled);
-  } else {
-    *merge_changed = merge_region_q_changed(
-        step_views[static_cast<std::size_t>(num_steps_ - 1)], last.out_region,
-        assembled);
-  }
-}
-
-void CompiledPatchQuantModel::bind_tail(std::uint8_t* base,
-                                        std::span<const nn::ArenaSlot> slots,
-                                        int first_tail_slot,
-                                        int assembled_slot,
-                                        std::int64_t& measured) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  tail_memo_.resize(static_cast<std::size_t>(g.size()));
-  tail_memo_[static_cast<std::size_t>(split)] = bind_q_slot(
-      base, slots[static_cast<std::size_t>(assembled_slot)], g.shape(split),
-      effective_[static_cast<std::size_t>(split)], measured);
-  for (int id = split + 1; id < g.size(); ++id) {
-    tail_memo_[static_cast<std::size_t>(id)] = bind_q_slot(
-        base,
-        slots[static_cast<std::size_t>(first_tail_slot + (id - split - 1))],
-        g.shape(id), effective_[static_cast<std::size_t>(id)], measured);
-  }
-}
-
-nn::QTensor CompiledPatchQuantModel::exec_tail(
-    std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
-    int first_tail_slot, int assembled_slot, std::int64_t& measured) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  bind_tail(base, slots, first_tail_slot, assembled_slot, measured);
-  for (int id = split + 1; id < g.size(); ++id) {
-    nn::run_layer_q_into(g, id, tail_memo_, *params_, backend_,
-                         tail_memo_[static_cast<std::size_t>(id)]);
-  }
-  return tail_memo_[static_cast<std::size_t>(g.output())];
-}
-
-void CompiledPatchQuantModel::exec_tail_band(
-    int layer_id, const Interval& rows, nn::ops::KernelBackend& backend,
-    nn::ops::ScratchArena& crops) const {
-  const nn::Graph& g = *graph_;
-  const nn::Layer& l = g.layer(layer_id);
-  const nn::TensorShape& os = g.shape(layer_id);
-  const Region out_region{rows, {0, os.w}};
-  nn::QTensor out =
-      row_view(tail_memo_[static_cast<std::size_t>(layer_id)], rows);
-  crops.reset();
-  switch (l.kind) {
-    case nn::OpKind::Conv2D:
-    case nn::OpKind::DepthwiseConv2D: {
-      // Out-of-bounds crop positions carry the producer's zero point (the
-      // quantized encoding of real 0) and the kernel runs pad-free — the
-      // same construction every branch step uses, bit-identical to the
-      // padded full-map call.
-      const nn::TensorShape& is = g.shape(l.inputs[0]);
-      nn::QTensor& in_full =
-          tail_memo_[static_cast<std::size_t>(l.inputs[0])];
-      const Region want = required_input_region(l, is, out_region);
-      nn::QTensor crop = borrow_q(
-          crops, nn::TensorShape{want.y.size(), want.x.size(), is.c},
-          in_full.params());
-      crop_from_region_q_into(in_full, full_region(is), want, is, crop);
-      nn::Layer local = l;
-      local.pad_h = local.pad_w = 0;
-      const auto& w = params_->weights[static_cast<std::size_t>(layer_id)];
-      const auto& bias = params_->bias[static_cast<std::size_t>(layer_id)];
-      if (l.kind == nn::OpKind::Conv2D) {
-        backend.conv2d_into(crop, local, w.data, w.params, bias, out);
-      } else {
-        backend.depthwise_conv2d_into(crop, local, w.data, w.params,
-                                      bias, out);
-      }
-      break;
-    }
-    case nn::OpKind::MaxPool:
-    case nn::OpKind::AvgPool: {
-      const nn::TensorShape& is = g.shape(l.inputs[0]);
-      pool_region_q_into(tail_memo_[static_cast<std::size_t>(l.inputs[0])],
-                         full_region(is), l, out_region, is, pool_table(l),
-                         out);
-      break;
-    }
-    case nn::OpKind::Add: {
-      nn::QTensor a =
-          row_view(tail_memo_[static_cast<std::size_t>(l.inputs[0])], rows);
-      nn::QTensor b =
-          row_view(tail_memo_[static_cast<std::size_t>(l.inputs[1])], rows);
-      backend.add_into(a, b, l.act, out);
-      break;
-    }
-    case nn::OpKind::Concat: {
-      std::vector<nn::QTensor> views;
-      views.reserve(l.inputs.size());
-      for (const int in : l.inputs) {
-        views.push_back(
-            row_view(tail_memo_[static_cast<std::size_t>(in)], rows));
-      }
-      std::vector<const nn::QTensor*> ptrs;
-      ptrs.reserve(views.size());
-      for (const nn::QTensor& t : views) ptrs.push_back(&t);
-      backend.concat_into(ptrs, out);
-      break;
-    }
-    default:
-      QMCU_ENSURE(false, "op kind is not row-bandable: " +
-                             std::string(nn::to_string(l.kind)));
-  }
-}
-
-nn::QTensor CompiledPatchQuantModel::run(const nn::Tensor& input) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  const int input_layer = g.inputs().front();
-  QMCU_REQUIRE(input.shape() == g.shape(input_layer),
-               "input shape does not match graph input");
-  nn::ArenaSlab::Lease lease;
-  const std::span<std::uint8_t> arena =
-      bind_run_arena(aplan_.peak_bytes, lease);
-  nn::check_arena(arena, aplan_.peak_bytes, 1);
-  backend_.rebind_thread();
-  crops_.rebind_thread();
-  measured_ = 0;
-
-  nn::QTensor qinput = bind_q_slot(
-      arena.data(), aplan_.slots[static_cast<std::size_t>(input_slot_)],
-      g.shape(input_layer), cfg_.params[static_cast<std::size_t>(input_layer)],
-      measured_);
-  nn::quantize_into(input, qinput);
-  nn::QTensor assembled = bind_q_slot(
-      arena.data(), aplan_.slots[static_cast<std::size_t>(assembled_slot_)],
-      g.shape(split), effective_[static_cast<std::size_t>(split)], measured_);
-  step_views_.resize(static_cast<std::size_t>(num_steps_));
-
-  for (int bi = 0; bi < static_cast<int>(plan_.branches.size()); ++bi) {
-    exec_branch(bi, qinput, arena.data(),
-                std::span<const nn::ArenaSlot>(aplan_.slots)
-                    .subspan(0, static_cast<std::size_t>(num_steps_)),
-                backend_, crops_, step_views_, measured_, assembled);
-  }
-  nn::QTensor out = exec_tail(arena.data(), aplan_.slots, num_steps_,
-                              assembled_slot_, measured_);
-  invoke_stats_hook();
-  return out;
-}
-
-nn::TaskGraph& CompiledPatchQuantModel::pipeline_graph(
-    int num_workers) const {
-  auto it = pipeline_graphs_.find(num_workers);
-  if (it != pipeline_graphs_.end()) return it->second;
-  const int first_rest =
-      plan_.spec.split_layer + 1 + static_cast<int>(pipeline_.size());
-  return pipeline_graphs_
-      .emplace(
-          num_workers,
-          build_pipeline_graph(
-              plan_, pipeline_, branch_costs_, num_workers,
-              [this](std::int64_t b, int lane) {
-                // Streaming frames route through the same cached graph
-                // (see CompiledPatchModel::pipeline_graph).
-                StreamState* stream = run_stream_;
-                if (stream != nullptr &&
-                    !stream->branch_dirty[static_cast<std::size_t>(b)]) {
-                  return;
-                }
-                WorkerCtx& ctx = *workers_[static_cast<std::size_t>(lane)];
-                bool changed = false;
-                exec_branch(
-                    static_cast<int>(b), run_qinput_,
-                    run_data_ + run_pplan_->slice_offset(lane),
-                    run_pplan_->slice.slots, ctx.backend, ctx.crops,
-                    ctx.step_views, ctx.measured,
-                    tail_memo_[static_cast<std::size_t>(
-                        plan_.spec.split_layer)],
-                    stream != nullptr ? &changed : nullptr);
-                if (stream != nullptr) stream_mark_branch(*stream, b, changed);
-                if (branch_hook_) branch_hook_(static_cast<int>(b));
-              },
-              [this](std::size_t pi, std::size_t j, int lane) {
-                StreamState* stream = run_stream_;
-                if (stream != nullptr && !stream_band_needed(*stream, pi, j)) {
-                  return;
-                }
-                WorkerCtx& ctx = *workers_[static_cast<std::size_t>(lane)];
-                exec_tail_band(pipeline_[pi].layer_id, pipeline_[pi].bands[j],
-                               ctx.backend, ctx.crops);
-                if (stream != nullptr) stream_mark_band(*stream, pi, j);
-              },
-              [this, first_rest](int lane) {
-                if (run_stream_ != nullptr &&
-                    !run_stream_->frame_changed_output()) {
-                  return;
-                }
-                WorkerCtx& ctx = *workers_[static_cast<std::size_t>(lane)];
-                for (int id = first_rest; id < graph_->size(); ++id) {
-                  nn::run_layer_q_into(
-                      *graph_, id, tail_memo_, *params_, ctx.backend,
-                      tail_memo_[static_cast<std::size_t>(id)]);
-                }
-              }))
-      .first->second;
-}
-
-// --- streaming (quantized) --------------------------------------------------
-
-void CompiledPatchQuantModel::prime_stream_state(StreamState& state,
-                                                 int workers) const {
-  QMCU_REQUIRE(workers >= 1, "streaming needs at least one lane");
-  if (state.workers != 0) {
-    QMCU_REQUIRE(state.workers == workers,
-                 "stream state is pinned to its first frame's worker count");
-  }
-  state.workers = workers;
-  state.branch_dirty.resize(plan_.branches.size(), 1);
-  if (state.row_changed == nullptr) {
-    state.row_changed = std::make_unique<std::atomic<char>[]>(
-        static_cast<std::size_t>(plan_.spec.grid_rows));
-    state.band_offset.resize(pipeline_.size());
-    int total = 0;
-    for (std::size_t pi = 0; pi < pipeline_.size(); ++pi) {
-      state.band_offset[pi] = total;
-      total += static_cast<int>(pipeline_[pi].bands.size());
-    }
-    state.band_changed = std::make_unique<std::atomic<char>[]>(
-        static_cast<std::size_t>(std::max(total, 1)));
-  }
-}
-
-std::span<std::uint8_t> CompiledPatchQuantModel::bind_stream_arena(
-    std::int64_t need, StreamState& state) const {
-  if (arena_source_ != nullptr) {
-    if (state.lease.empty() ||
-        static_cast<std::int64_t>(state.lease.bytes().size()) < need) {
-      QMCU_ENSURE(!state.primed,
-                  "streaming arena cannot be re-acquired once primed");
-      state.lease = arena_source_->acquire(need);
-    }
-    return state.lease.bytes();
-  }
-  if (static_cast<std::int64_t>(state.owned.size()) < need) {
-    QMCU_ENSURE(!state.primed, "streaming arena cannot grow once primed");
-    state.owned.resize(static_cast<std::size_t>(need));
-  }
-  return {state.owned.data(), state.owned.size()};
-}
-
-bool CompiledPatchQuantModel::stream_band_needed(const StreamState& state,
-                                                 std::size_t pi,
-                                                 std::size_t j) const {
-  const PipelinedTailLayer& pl = pipeline_[pi];
-  for (const int r : pl.grid_row_deps[j]) {
-    if (state.row_changed[static_cast<std::size_t>(r)].load(
-            std::memory_order_relaxed) != 0) {
-      return true;
-    }
-  }
-  for (const auto& [qi, k] : pl.band_deps[j]) {
-    if (state
-            .band_changed[static_cast<std::size_t>(
-                state.band_offset[static_cast<std::size_t>(qi)] + k)]
-            .load(std::memory_order_relaxed) != 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void CompiledPatchQuantModel::stream_mark_branch(StreamState& state,
-                                                 std::int64_t b,
-                                                 bool changed) const {
-  state.branches_run.fetch_add(1, std::memory_order_relaxed);
-  if (!changed) return;
-  state.row_changed[static_cast<std::size_t>(b / plan_.spec.grid_cols)].store(
-      1, std::memory_order_relaxed);
-  state.any_changed.store(1, std::memory_order_relaxed);
-}
-
-void CompiledPatchQuantModel::stream_mark_band(StreamState& state,
-                                               std::size_t pi,
-                                               std::size_t j) const {
-  state.bands_run.fetch_add(1, std::memory_order_relaxed);
-  state
-      .band_changed[static_cast<std::size_t>(state.band_offset[pi]) + j]
-      .store(1, std::memory_order_relaxed);
-}
-
-void CompiledPatchQuantModel::invoke_stats_hook() const {
-  if (!stats_hook_) return;
-  const int split = plan_.spec.split_layer;
-  for (int id = split; id < graph_->size(); ++id) {
-    stats_hook_(id, tail_memo_[static_cast<std::size_t>(id)]);
-  }
-}
-
-nn::QTensor CompiledPatchQuantModel::run_streaming(const nn::Tensor& input,
-                                                   nn::WorkerPool* pool,
-                                                   StreamState& state) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  const int input_layer = g.inputs().front();
-  QMCU_REQUIRE(input.shape() == g.shape(input_layer),
-               "input shape does not match graph input");
-  const int w = pool == nullptr ? 1 : pool->num_workers();
-  prime_stream_state(state, w);
-  const nn::ParallelArenaPlan& pplan = streaming_plan(w);
-  const std::span<std::uint8_t> arena =
-      bind_stream_arena(pplan.total_bytes(), state);
-  nn::check_arena(arena, pplan.total_bytes(), 1);
-
-  if (!state.primed) {
-    std::fill(state.branch_dirty.begin(), state.branch_dirty.end(),
-              std::uint8_t{1});
-  }
-  reset_stream_frame(state, plan_.spec.grid_rows, total_band_count(pipeline_),
-                     !state.primed);
-
-  // The full frame is requantized every time (cheap, and dirty branches
-  // crop it); a byte-identical float crop quantizes to byte-identical
-  // int8, so clean branches stay clean through this write.
-  std::int64_t shared_measured = 0;
-  run_data_ = arena.data();
-  run_pplan_ = &pplan;
-  std::uint8_t* const shared_base = run_data_ + pplan.shared_offset();
-  run_qinput_ = bind_q_slot(
-      shared_base,
-      pplan.shared.slots[static_cast<std::size_t>(par_input_slot_)],
-      g.shape(input_layer), cfg_.params[static_cast<std::size_t>(input_layer)],
-      shared_measured);
-  nn::quantize_into(input, run_qinput_);
-  bind_tail(shared_base, pplan.shared.slots, 0, par_assembled_slot_,
-            shared_measured);
-  run_stream_ = &state;
-
-  if (w == 1) {
-    backend_.rebind_thread();
-    crops_.rebind_thread();
-    step_views_.resize(static_cast<std::size_t>(num_steps_));
-    std::int64_t slice_measured = 0;
-    std::uint8_t* const slice_base = run_data_ + pplan.slice_offset(0);
-    for (std::size_t b = 0; b < plan_.branches.size(); ++b) {
-      if (!state.branch_dirty[b]) continue;
-      bool changed = false;
-      exec_branch(static_cast<int>(b), run_qinput_, slice_base,
-                  pplan.slice.slots, backend_, crops_, step_views_,
-                  slice_measured, tail_memo_[static_cast<std::size_t>(split)],
-                  &changed);
-      stream_mark_branch(state, static_cast<std::int64_t>(b), changed);
-      if (branch_hook_) branch_hook_(static_cast<int>(b));
-    }
-    for (std::size_t pi = 0; pi < pipeline_.size(); ++pi) {
-      const std::size_t nb = pipeline_[pi].bands.size();
-      std::size_t needed = 0;
-      for (std::size_t j = 0; j < nb; ++j) {
-        needed += stream_band_needed(state, pi, j) ? 1 : 0;
-      }
-      if (needed == nb) {
-        // Every band is dirty: the banded path would pay one halo crop per
-        // band for nothing — run the layer whole, exactly like the
-        // sequential tail does (bit-identical; the bands exist for
-        // multi-worker pipelining, not for single-lane execution).
-        const int id = pipeline_[pi].layer_id;
-        nn::run_layer_q_into(g, id, tail_memo_, *params_, backend_,
-                             tail_memo_[static_cast<std::size_t>(id)]);
-        for (std::size_t j = 0; j < nb; ++j) stream_mark_band(state, pi, j);
-        continue;
-      }
-      for (std::size_t j = 0; j < nb; ++j) {
-        if (!stream_band_needed(state, pi, j)) continue;
-        exec_tail_band(pipeline_[pi].layer_id, pipeline_[pi].bands[j],
-                       backend_, crops_);
-        stream_mark_band(state, pi, j);
-      }
-    }
-    if (state.frame_changed_output()) {
-      const int first_rest = split + 1 + static_cast<int>(pipeline_.size());
-      for (int id = first_rest; id < g.size(); ++id) {
-        nn::run_layer_q_into(g, id, tail_memo_, *params_, backend_,
-                             tail_memo_[static_cast<std::size_t>(id)]);
-      }
-    }
-    measured_ = std::max(pplan.shared_offset() + shared_measured,
-                         pplan.slice_offset(0) + slice_measured);
-  } else {
-    for (int lane = 0; lane < w; ++lane) {
-      WorkerCtx& ctx = worker_ctx(lane);
-      ctx.backend.rebind_thread();
-      ctx.crops.rebind_thread();
-      ctx.step_views.resize(static_cast<std::size_t>(num_steps_));
-      ctx.measured = 0;
-    }
-    pool->run_graph(pipeline_graph(w));
-    measured_ = pplan.shared_offset() + shared_measured;
-    for (int lane = 0; lane < w; ++lane) {
-      measured_ = std::max(
-          measured_, pplan.slice_offset(lane) +
-                         workers_[static_cast<std::size_t>(lane)]->measured);
-    }
-  }
-  run_stream_ = nullptr;
-  state.primed = true;
-  invoke_stats_hook();
-  return tail_memo_[static_cast<std::size_t>(g.output())];
-}
-
-nn::QTensor CompiledPatchQuantModel::run(const nn::Tensor& input,
-                                         nn::WorkerPool* pool) const {
-  if (pool == nullptr || pool->num_workers() == 1) return run(input);
-  const nn::Graph& g = *graph_;
-  const int input_layer = g.inputs().front();
-  QMCU_REQUIRE(input.shape() == g.shape(input_layer),
-               "input shape does not match graph input");
-  const int w = pool->num_workers();
-  const nn::ParallelArenaPlan& pplan = pipelined_plan(w);
-  nn::ArenaSlab::Lease lease;
-  const std::span<std::uint8_t> arena =
-      bind_run_arena(pplan.total_bytes(), lease);
-  nn::check_arena(arena, pplan.total_bytes(), 1);
-  std::int64_t shared_measured = 0;
-
-  // Stage this run's state for the cached graph's tasks. The quantized
-  // input is written once here, before dispatch, and only read by the
-  // branches; the assembled map and all tail views are bound up front too
-  // (dispatch publishes everything to every lane).
-  run_data_ = arena.data();
-  run_pplan_ = &pplan;
-  std::uint8_t* const shared_base = run_data_ + pplan.shared_offset();
-  run_qinput_ = bind_q_slot(
-      shared_base,
-      pplan.shared.slots[static_cast<std::size_t>(par_input_slot_)],
-      g.shape(input_layer), cfg_.params[static_cast<std::size_t>(input_layer)],
-      shared_measured);
-  nn::quantize_into(input, run_qinput_);
-  bind_tail(shared_base, pplan.shared.slots, 0, par_assembled_slot_,
-            shared_measured);
-
-  for (int lane = 0; lane < w; ++lane) {
-    WorkerCtx& ctx = worker_ctx(lane);
-    ctx.backend.rebind_thread();
-    ctx.crops.rebind_thread();
-    ctx.step_views.resize(static_cast<std::size_t>(num_steps_));
-    ctx.measured = 0;
-  }
-
-  pool->run_graph(pipeline_graph(w));
-
-  measured_ = pplan.shared_offset() + shared_measured;
-  for (int lane = 0; lane < w; ++lane) {
-    measured_ = std::max(
-        measured_, pplan.slice_offset(lane) +
-                       workers_[static_cast<std::size_t>(lane)]->measured);
-  }
-  invoke_stats_hook();
-  return tail_memo_[static_cast<std::size_t>(g.output())];
-}
-
-nn::QTensor CompiledPatchQuantModel::run_barrier(const nn::Tensor& input,
-                                                 nn::WorkerPool* pool) const {
-  if (pool == nullptr || pool->num_workers() == 1) return run(input);
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  const int input_layer = g.inputs().front();
-  QMCU_REQUIRE(input.shape() == g.shape(input_layer),
-               "input shape does not match graph input");
-  const int w = pool->num_workers();
-  const nn::ParallelArenaPlan& pplan = parallel_plan(w);
-  nn::ArenaSlab::Lease lease;
-  const std::span<std::uint8_t> arena =
-      bind_run_arena(pplan.total_bytes(), lease);
-  nn::check_arena(arena, pplan.total_bytes(), 1);
-  backend_.rebind_thread();
-  crops_.rebind_thread();
-  std::uint8_t* const shared_base = arena.data() + pplan.shared_offset();
-  std::int64_t shared_measured = 0;
-
-  // The quantized input is written once here, before dispatch, and only
-  // read by the branches (the dispatch barrier publishes it).
-  nn::QTensor qinput = bind_q_slot(
-      shared_base,
-      pplan.shared.slots[static_cast<std::size_t>(par_input_slot_)],
-      g.shape(input_layer), cfg_.params[static_cast<std::size_t>(input_layer)],
-      shared_measured);
-  nn::quantize_into(input, qinput);
-  nn::QTensor assembled = bind_q_slot(
-      shared_base,
-      pplan.shared.slots[static_cast<std::size_t>(par_assembled_slot_)],
-      g.shape(split), effective_[static_cast<std::size_t>(split)],
-      shared_measured);
-
-  for (int lane = 0; lane < w; ++lane) {
-    WorkerCtx& ctx = worker_ctx(lane);
-    ctx.backend.rebind_thread();
-    ctx.crops.rebind_thread();
-    ctx.step_views.resize(static_cast<std::size_t>(num_steps_));
-    ctx.measured = 0;
-  }
-
-  const auto chunks = weighted_chunks(
-      branch_costs_, plan_.spec.grid_rows * chunks_per_grid_row(plan_, w));
-  pool->parallel_ranges(
-      chunks, [&](std::int64_t b0, std::int64_t b1, int lane) {
-        WorkerCtx& ctx = *workers_[static_cast<std::size_t>(lane)];
-        std::uint8_t* base = arena.data() + pplan.slice_offset(lane);
-        for (std::int64_t b = b0; b < b1; ++b) {
-          exec_branch(static_cast<int>(b), qinput, base, pplan.slice.slots,
-                      ctx.backend, ctx.crops, ctx.step_views, ctx.measured,
-                      assembled);
-          if (branch_hook_) branch_hook_(static_cast<int>(b));
-        }
-      });
-
-  measured_ = pplan.shared_offset() + shared_measured;
-  for (int lane = 0; lane < w; ++lane) {
-    measured_ = std::max(
-        measured_, pplan.slice_offset(lane) +
-                       workers_[static_cast<std::size_t>(lane)]->measured);
-  }
-  std::int64_t tail_measured = 0;
-  nn::QTensor out = exec_tail(shared_base, pplan.shared.slots, 0,
-                              par_assembled_slot_, tail_measured);
-  measured_ = std::max(measured_, pplan.shared_offset() + tail_measured);
-  invoke_stats_hook();
-  return out;
+  return branch_step_params(branch, step,
+                            plan()
+                                .branches[static_cast<std::size_t>(branch)]
+                                .steps[static_cast<std::size_t>(step)]
+                                .layer_id);
 }
 
 }  // namespace qmcu::patch

@@ -1,8 +1,26 @@
 // compiled_patch_model.h — compile-once / run-many patch-based inference
 // against one static tensor arena, sequentially or across a worker pool.
 //
-// The patch executors walk every dataflow branch allocating a fresh region
-// tensor per step per run. A compiled patch model plans, once:
+// QuantMCU's runtime is one dataflow: patch branches compute disjoint tiles
+// of the cut-layer feature map, and a layer-based tail follows. Only the
+// numeric domain changes — float for calibration and the parity
+// references, int8/sub-byte for deployment — so there is one engine,
+// CompiledPatchEngine<Domain>, and two domains chosen by type:
+//
+//   * FloatDomain: nn::Tensor maps; branches crop the caller's float input.
+//   * QuantDomain: nn::QTensor maps; the input is quantized once into its
+//     own arena slot, and the domain carries the quantized parameters,
+//     mixed-mode per-branch step params and biases, AvgPool tables and the
+//     opt-in activation-stats hook.
+//
+// A domain supplies the tensor type, slot binding, input staging, the
+// windowed and pooling op bodies and the whole-layer tail runner;
+// planning, scheduling and streaming are written once in the engine.
+// Domain hooks are plain non-virtual member calls, resolved at compile
+// time. CompiledPatchModel and CompiledPatchQuantModel are the engine's
+// two instantiations with their public constructors.
+//
+// The engine plans, once:
 //
 //   * one arena slot per branch *step index*, sized to the largest region
 //     any branch computes at that step (branches share the slot layout —
@@ -24,8 +42,8 @@
 // interaction is the final merge into *disjoint* tiles of the assembled
 // map — so they become independent tasks (cost-weighted: cheap border
 // branches coalesce into one task, see patch::weighted_chunks). The tail
-// no longer waits for the full branch barrier: each early tail layer is
-// split into row-band tasks whose input-row intervals come from
+// does not wait for a full branch barrier: each early tail layer is split
+// into row-band tasks whose input-row intervals come from
 // patch::receptive_field, and a band depends only on the branch tasks (and
 // upstream bands) that produce those rows — so the tail starts on spare
 // workers while interior branches are still running. Tail layers that need
@@ -34,20 +52,18 @@
 //
 // The arena uses the nn::ParallelArenaPlan layout: one private branch-slot
 // slice per worker followed by one shared region (assembled map, tail
-// slots, quantized input). For the pipelined graph the shared region is
-// planned by ArenaPlanner::plan_pipelined, which widens the lifetimes of
-// everything live during the overlap window (assembled map, quantized
-// input, banded tail layers) so no tail band can recycle bytes a
-// still-running branch reads or writes. Each worker lane owns a WorkerCtx
-// (KernelBackend with its own scratch + panel cache, crop arena, step
-// views) handed to its thread at dispatch via the backend's
+// slots, quantized input), planned by ArenaPlanner::plan_pipelined, which
+// widens the lifetimes of everything live during the overlap window
+// (assembled map, quantized input, banded tail layers) so no tail band can
+// recycle bytes a still-running branch reads or writes. Each worker lane
+// owns a WorkerCtx (KernelBackend with its own scratch + panel cache, crop
+// arena, step views) handed to its thread at dispatch via the backend's
 // thread-affinity guard; the merge is the lock-free tiled merge of
 // region_pool.h, and the scheduler's dependency edges publish merged rows
 // to the bands that read them. Outputs are bit-identical to the sequential
 // path for every worker count and every readiness order (the kernels see
 // the same values; only which thread runs them, and when, changes); a
-// null/1-worker pool takes the sequential code path exactly, and
-// run_barrier keeps the PR-3 two-phase runtime for comparison.
+// null/1-worker pool takes the sequential code path exactly.
 //
 // Halo crop temporaries are scratch (a grow-only pool reused across steps),
 // not feature maps, and are accounted via scratch_bytes().
@@ -82,7 +98,7 @@ struct BranchQuantConfig {
 // output rows are split into `bands`; band j's tasks depend on whatever
 // produces its input rows (branch tasks for the first tail layer, upstream
 // bands after that). Computed once at compile time — see
-// CompiledPatchModel's pipeline planning.
+// CompiledPatchEngine's pipeline planning.
 struct PipelinedTailLayer {
   int layer_id = -1;
   std::vector<Interval> bands;  // output row intervals, in order
@@ -97,8 +113,7 @@ struct PipelinedTailLayer {
 // maximal run of tail layers after the cut that are row-splittable
 // (windowed, pooling, element-wise or concat ops), each split into
 // `bands_per_layer` row bands (clamped to the layer's height), with
-// dependencies resolved through patch::receptive_field. Shared by the
-// float and quantized compiled models.
+// dependencies resolved through patch::receptive_field.
 std::vector<PipelinedTailLayer> build_pipelined_tail(
     const nn::Graph& g, const PatchPlan& plan, int bands_per_layer);
 
@@ -190,45 +205,196 @@ struct StreamState {
   std::atomic<std::int64_t> bands_run{0};
 };
 
-// --- float -----------------------------------------------------------------
+// --- numeric domains -------------------------------------------------------
+//
+// The protected members are the engine's domain hooks. `bi`/`s` name a
+// branch and its step; bi < 0 means a tail layer (shared parameters).
 
-class CompiledPatchModel {
+class FloatDomain {
  public:
-  CompiledPatchModel(const nn::Graph& g, PatchPlan plan,
-                     nn::ops::KernelTier tier = nn::ops::KernelTier::Simd);
+  using Tensor = nn::Tensor;
 
-  [[nodiscard]] nn::Tensor run(const nn::Tensor& input) const;
+ protected:
+  using Elem = float;
+  static constexpr bool kQuantizedInput = false;
+
+  FloatDomain(const nn::Graph& /*g*/, const PatchPlan& /*plan*/) {}
+
+  static Tensor bind_layer(int layer_id, std::uint8_t* base,
+                           const nn::ArenaSlot& slot,
+                           const nn::TensorShape& shape,
+                           std::int64_t& measured);
+  static Tensor bind_step(const nn::Layer& layer, const PatchBranch& branch,
+                          int bi, int s, std::span<const Tensor> views,
+                          std::uint8_t* base, const nn::ArenaSlot& slot,
+                          const nn::TensorShape& shape,
+                          std::int64_t& measured);
+  // The caller's input is cropped in place: no arena slot.
+  void stage_input(const nn::Graph& g, const nn::Tensor& input,
+                   std::uint8_t* base, const nn::ArenaSlot* slot,
+                   std::int64_t& measured) const;
+  void input_into(nn::ops::KernelBackend& backend,
+                  nn::ops::ScratchArena& crops, const nn::Graph& g,
+                  const BranchStep& step, Tensor& out) const;
+  static void windowed_into(nn::ops::KernelBackend& backend,
+                            const nn::Graph& g, const Tensor& in,
+                            const nn::Layer& local, int layer_id, int bi,
+                            int s, Tensor& out);
+  static void pool_into(const Tensor& have, const Region& avail,
+                        const nn::Layer& l, const Region& out_region,
+                        const nn::TensorShape& full, Tensor& out);
+  static void run_layer(const nn::Graph& g, int id,
+                        std::span<const Tensor> memo,
+                        nn::ops::KernelBackend& backend, Tensor& out);
+  // Float convs pack their panel into arena scratch per call (there is no
+  // f32 panel cache), so a backend needs no preparation.
+  void adopt_kernels(nn::ops::KernelBackend& /*backend*/) const {}
+  void prepare_lane(nn::ops::KernelBackend& /*backend*/,
+                    const nn::Graph& /*g*/, const PatchPlan& /*plan*/) const {
+  }
+  void observe(std::span<const Tensor> /*memo*/, int /*split*/) const {}
+
+ private:
+  mutable const nn::Tensor* input_ = nullptr;  // staged per run
+};
+
+class QuantDomain {
+ public:
+  using Tensor = nn::QTensor;
+
+  [[nodiscard]] const std::shared_ptr<const nn::QuantizedParameters>&
+  shared_parameters() const {
+    return params_;
+  }
+  // Compile-time tables, exposed so the owning executor's legacy paths
+  // reuse them instead of rebuilding their own copies.
+  [[nodiscard]] const nn::ActivationQuantConfig& config() const {
+    return cfg_;
+  }
+  [[nodiscard]] std::span<const nn::QuantParams> effective_params() const {
+    return effective_;
+  }
+  [[nodiscard]] std::span<const BranchQuantConfig> branch_configs() const {
+    return branch_cfgs_;
+  }
+  [[nodiscard]] const std::vector<std::vector<std::vector<std::int32_t>>>&
+  branch_bias() const {
+    return branch_bias_;
+  }
+  // Opt-in activation statistics: called once per completed run on the
+  // calling thread, for the assembled cut layer and every tail layer, with
+  // the layer's output view (drift tracking — see
+  // nn::streaming::ActivationStatsTracker). Null clears it.
+  void set_stats_hook(
+      std::function<void(int, const nn::QTensor&)> hook) const {
+    stats_hook_ = std::move(hook);
+  }
+
+ protected:
+  using Elem = std::int8_t;
+  static constexpr bool kQuantizedInput = true;
+
+  // Uniform mode when `branch_cfgs` is empty. Null `params` builds the
+  // weight conversion; empty `branch_bias` derives it from the graph.
+  QuantDomain(const nn::Graph& g, const PatchPlan& plan,
+              nn::ActivationQuantConfig cfg,
+              std::vector<BranchQuantConfig> branch_cfgs,
+              std::shared_ptr<const nn::QuantizedParameters> params,
+              std::vector<std::vector<std::vector<std::int32_t>>> branch_bias,
+              std::shared_ptr<const nn::PrecompiledBundle> kernels);
+
+  // The mixed-mode per-step override when branch configs exist, otherwise
+  // the pool-propagated effective params of the step's layer.
+  [[nodiscard]] const nn::QuantParams& branch_step_params(int bi, int s,
+                                                          int layer_id) const;
+
+  Tensor bind_layer(int layer_id, std::uint8_t* base,
+                    const nn::ArenaSlot& slot, const nn::TensorShape& shape,
+                    std::int64_t& measured) const;
+  // Pools never requantize: their slot carries the producer's actual
+  // params, exactly as the legacy executor's region tensors do.
+  Tensor bind_step(const nn::Layer& layer, const PatchBranch& branch, int bi,
+                   int s, std::span<const Tensor> views, std::uint8_t* base,
+                   const nn::ArenaSlot& slot, const nn::TensorShape& shape,
+                   std::int64_t& measured) const;
+  // Quantizes the whole input once into its slot; branches crop it.
+  void stage_input(const nn::Graph& g, const nn::Tensor& input,
+                   std::uint8_t* base, const nn::ArenaSlot* slot,
+                   std::int64_t& measured) const;
+  void input_into(nn::ops::KernelBackend& backend,
+                  nn::ops::ScratchArena& crops, const nn::Graph& g,
+                  const BranchStep& step, Tensor& out) const;
+  void windowed_into(nn::ops::KernelBackend& backend, const nn::Graph& g,
+                     const Tensor& in, const nn::Layer& local, int layer_id,
+                     int bi, int s, Tensor& out) const;
+  void pool_into(const Tensor& have, const Region& avail, const nn::Layer& l,
+                 const Region& out_region, const nn::TensorShape& full,
+                 Tensor& out) const;
+  void run_layer(const nn::Graph& g, int id, std::span<const Tensor> memo,
+                 nn::ops::KernelBackend& backend, Tensor& out) const;
+  // Adopts the artifact's precomputed panels (no-op without an artifact).
+  void adopt_kernels(nn::ops::KernelBackend& backend) const;
+  // adopt_kernels, then pre-packs every conv/fc panel a lane may need so
+  // a lane's first run pays no packing cost.
+  void prepare_lane(nn::ops::KernelBackend& backend, const nn::Graph& g,
+                    const PatchPlan& plan) const;
+  // Feeds the stats hook layers [split, memo.size()).
+  void observe(std::span<const Tensor> memo, int split) const;
+
+ private:
+  [[nodiscard]] const nn::ops::AvgPoolMultipliers* pool_table(
+      const nn::Layer& l) const;
+
+  nn::ActivationQuantConfig cfg_;
+  std::vector<nn::QuantParams> effective_;
+  std::vector<BranchQuantConfig> branch_cfgs_;  // empty = uniform mode
+  std::vector<std::vector<std::vector<std::int32_t>>> branch_bias_;
+  std::shared_ptr<const nn::QuantizedParameters> params_;
+  // Artifact bundle adopted by every backend (keeps the panel/offset views
+  // registered with the backends alive).
+  std::shared_ptr<const nn::PrecompiledBundle> bundle_;
+  // AvgPool reciprocal tables keyed by window size. Filled at construction
+  // for every window the graph contains, then read-only — several workers
+  // share them concurrently during parallel runs, so no lazy inserts on the
+  // run path.
+  std::unordered_map<int, nn::ops::AvgPoolMultipliers> pool_tables_;
+  mutable std::function<void(int, const nn::QTensor&)> stats_hook_;
+  mutable nn::QTensor input_;  // the staged quantized input (arena view)
+};
+
+// --- the engine ------------------------------------------------------------
+
+template <class Domain>
+class CompiledPatchEngine : public Domain {
+ public:
+  using Tensor = typename Domain::Tensor;
+
+  [[nodiscard]] Tensor run(const nn::Tensor& input) const;
   // Pipelined dataflow run: stage-1 branch tasks and tail row-band tasks
   // scheduled as one dependency graph over `pool` (see the header
   // comment). Bit-identical to run() for every worker count and readiness
   // order. A null pool or a 1-worker pool takes the sequential path
   // exactly.
-  [[nodiscard]] nn::Tensor run(const nn::Tensor& input,
-                               nn::WorkerPool* pool) const;
-  // The PR-3 two-phase runtime: branch barrier, then the whole tail on the
-  // calling thread. Kept as the pipelined path's comparison baseline (and
-  // BM_ParallelPatchRun's subject). Bit-identical to run().
-  [[nodiscard]] nn::Tensor run_barrier(const nn::Tensor& input,
-                                       nn::WorkerPool* pool) const;
+  [[nodiscard]] Tensor run(const nn::Tensor& input,
+                           nn::WorkerPool* pool) const;
   // Temporal-reuse run over `state` (see StreamState): only branches with
   // state.branch_dirty set are recomputed — clean branches contribute
   // their retained assembled-map tiles for free — and tail row-bands whose
   // upstream grid rows merged no new bytes are skipped, as is the
   // non-banded rest of the tail when nothing changed at all. Bit-identical
   // to run() on the same frame for every worker count, provided the dirty
-  // mask is conservative (patch::dirty_branches exact mode). A null pool
-  // or 1-worker pool streams sequentially over the same retained layout.
-  [[nodiscard]] nn::Tensor run_streaming(const nn::Tensor& input,
-                                         nn::WorkerPool* pool,
-                                         StreamState& state) const;
+  // mask is conservative (patch::dirty_branches exact mode; the quantized
+  // domain's mask is computed on the float frames — quantization is
+  // deterministic per element). A null pool or 1-worker pool streams
+  // sequentially over the same retained layout.
+  [[nodiscard]] Tensor run_streaming(const nn::Tensor& input,
+                                     nn::WorkerPool* pool,
+                                     StreamState& state) const;
 
   [[nodiscard]] const nn::ArenaPlan& arena_plan() const { return aplan_; }
   [[nodiscard]] std::int64_t arena_bytes() const { return aplan_.peak_bytes; }
-  // The slice/shared layout a barrier-parallel run with `num_workers`
-  // binds (cached per worker count; also what tests assert non-overlap
-  // on), and the widened-lifetime layout the pipelined graph binds.
-  [[nodiscard]] const nn::ParallelArenaPlan& parallel_plan(
-      int num_workers) const;
+  // The slice/shared layout a pipelined run with `num_workers` binds
+  // (cached per worker count).
   [[nodiscard]] const nn::ParallelArenaPlan& pipelined_plan(
       int num_workers) const;
   // The retained streaming layout: shared lifetimes widened to the whole
@@ -265,46 +431,78 @@ class CompiledPatchModel {
   [[nodiscard]] const nn::Graph& graph() const { return *graph_; }
   // Shared with the owning executor's legacy (hooked) paths so only one
   // scratch arena + weight-panel cache exists per executor.
-  [[nodiscard]] nn::ops::KernelBackend& backend() const { return backend_; }
+  [[nodiscard]] nn::ops::KernelBackend& backend() const {
+    return self_.backend;
+  }
+
+ protected:
+  // `domain_args` follow (g, plan) into the Domain constructor. A
+  // non-empty `pipeline` (artifact path) skips the tail banding pass.
+  template <class... DomainArgs>
+  CompiledPatchEngine(const nn::Graph& g, PatchPlan plan,
+                      nn::ops::KernelTier tier,
+                      std::vector<PipelinedTailLayer> pipeline,
+                      DomainArgs&&... domain_args)
+      : Domain(g, plan, std::forward<DomainArgs>(domain_args)...),
+        graph_(&g),
+        plan_(std::move(plan)),
+        self_(tier) {
+    compile(std::move(pipeline));
+  }
 
  private:
-  // One worker lane's private execution state. The backend (scratch +
-  // panel cache) and crop arena are thread-affine; dispatch rebinds them to
-  // whichever pool thread runs the lane.
+  // One lane's private execution state. The backend (scratch + panel
+  // cache) and crop arena are thread-affine; dispatch rebinds them to
+  // whichever thread runs the lane.
   struct WorkerCtx {
     explicit WorkerCtx(nn::ops::KernelTier tier) : backend(tier) {}
+    // Hands the context to the calling thread for one run.
+    void begin_run(int steps) {
+      backend.rebind_thread();
+      crops.rebind_thread();
+      step_views.resize(static_cast<std::size_t>(steps));
+      measured = 0;
+    }
     nn::ops::KernelBackend backend;
     nn::ops::ScratchArena crops;
-    std::vector<nn::Tensor> step_views;
-    std::int64_t measured = 0;  // furthest byte written inside the slice
+    std::vector<Tensor> step_views;  // per step, rebound per branch
+    std::int64_t measured = 0;       // furthest byte written
   };
 
-  // Runs one branch's steps against the slot layout `slots` (indices equal
-  // step indices) at `base`, then merges the final tile into `assembled`.
-  // With `merge_changed` set the merge compares before writing and reports
-  // whether any assembled byte changed (streaming change propagation).
-  void exec_branch(const PatchBranch& branch, const nn::Tensor& input,
-                   std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
-                   nn::ops::KernelBackend& backend,
-                   nn::ops::ScratchArena& crops,
-                   std::span<nn::Tensor> step_views, std::int64_t& measured,
-                   nn::Tensor& assembled,
+  void compile(std::vector<PipelinedTailLayer> pipeline);
+  void check_input(const nn::Tensor& input) const;
+  // Binds every shared view of one run at `base`: the staged input, the
+  // assembled map and each tail layer. `slots` is indexed by timeline
+  // request index minus `first` (0 for the sequential plan, num_steps_
+  // for a parallel plan's shared region).
+  void stage(const nn::Tensor& input, std::uint8_t* base,
+             std::span<const nn::ArenaSlot> slots, int first,
+             std::int64_t& measured) const;
+  // Runs branch `bi`'s steps against the slot layout `slots` (indices
+  // equal step indices) at `base`, then merges the final tile into the
+  // assembled map. With `merge_changed` set the merge compares before
+  // writing and reports whether any assembled byte changed.
+  void exec_branch(int bi, std::uint8_t* base,
+                   std::span<const nn::ArenaSlot> slots, WorkerCtx& ctx,
                    bool* merge_changed = nullptr) const;
-  // Binds the assembled map + every tail layer's view into tail_memo_.
-  void bind_tail(std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
-                 int first_tail_slot, int assembled_slot,
-                 std::int64_t& measured) const;
-  // Layer-based tail against slots [first_tail_slot ..) of `slots`.
-  nn::Tensor exec_tail(std::uint8_t* base,
-                       std::span<const nn::ArenaSlot> slots,
-                       int first_tail_slot, int assembled_slot,
-                       std::int64_t& measured) const;
   // Computes output rows `rows` of banded tail layer `layer_id` from the
-  // pre-bound tail views on the given backend/crops (a row-band task body;
-  // sequential streaming drives it on the model's own context).
+  // pre-bound tail views.
   void exec_tail_band(int layer_id, const Interval& rows,
-                      nn::ops::KernelBackend& backend,
-                      nn::ops::ScratchArena& crops) const;
+                      WorkerCtx& ctx) const;
+  void run_tail_layers(int first_id, nn::ops::KernelBackend& backend) const;
+  // The three task bodies of the dataflow graph (sequential streaming
+  // drives them on the model's own context). Each consults run_stream_:
+  // streaming skips clean branches, unneeded bands and an unchanged rest.
+  void branch_task(std::int64_t b, WorkerCtx& ctx, std::uint8_t* slice,
+                   std::span<const nn::ArenaSlot> slots) const;
+  void band_task(std::size_t pi, std::size_t j, WorkerCtx& ctx) const;
+  void rest_task(WorkerCtx& ctx) const;
+  // Stages `input` into the parallel layout `pplan` at `data` and runs it:
+  // the cached graph over `pool`, or, for a 1-lane streaming layout, the
+  // task bodies in order on the calling thread.
+  void run_parallel(const nn::Tensor& input, nn::WorkerPool* pool,
+                    const nn::ParallelArenaPlan& pplan,
+                    std::uint8_t* data) const;
   WorkerCtx& worker_ctx(int lane) const;
   std::span<std::uint8_t> bind_run_arena(std::int64_t need,
                                          nn::ArenaSlab::Lease& lease) const;
@@ -321,7 +519,7 @@ class CompiledPatchModel {
   void stream_mark_band(StreamState& state, std::size_t pi,
                         std::size_t j) const;
   // The cached dataflow graph for `num_workers` lanes. Its task bodies
-  // capture only `this`: per-run state (input, arena base, plan) is
+  // capture only `this`: per-run state (arena base, plan, stream) is
   // staged in the run_* members before dispatch, so the graph — chunking,
   // band wiring, join — is built once per worker count, not per run.
   nn::TaskGraph& pipeline_graph(int num_workers) const;
@@ -330,19 +528,18 @@ class CompiledPatchModel {
   PatchPlan plan_;
   int num_steps_ = 0;       // steps per branch (identical across branches)
   int assembled_slot_ = 0;  // request index of the reassembled cut layer
+  int input_slot_ = -1;     // request index of the staged input, if any
   nn::ArenaPlan aplan_;
-  // Request lists feeding parallel_plan(): branch-step slots (per-worker
-  // slice) and tail + assembled slots (shared region).
+  // Request lists feeding the parallel layouts: branch-step slots
+  // (per-worker slice) and tail + assembled (+ input) slots (shared).
   std::vector<nn::ArenaRequest> slice_requests_;
   std::vector<nn::ArenaRequest> shared_requests_;
-  int par_assembled_slot_ = 0;  // index into the shared request list
   // Pipelined dataflow structure: banded tail prefix, branch pricing for
   // cost-weighted task chunking, and the timeline step of the last banded
   // layer (the lifetime-widening horizon of plan_pipelined).
   std::vector<PipelinedTailLayer> pipeline_;
   std::vector<std::int64_t> branch_costs_;
   int pipeline_horizon_ = 0;
-  mutable std::unordered_map<int, nn::ParallelArenaPlan> pplans_;
   mutable std::unordered_map<int, nn::ParallelArenaPlan> pipelined_pplans_;
   mutable std::unordered_map<int, nn::ParallelArenaPlan> streaming_pplans_;
   mutable std::unordered_map<int, nn::TaskGraph> pipeline_graphs_;
@@ -350,24 +547,30 @@ class CompiledPatchModel {
   // before dispatch (the dispatch barrier publishes it to every lane).
   // run_stream_ is non-null only while a streaming frame is in flight —
   // the cached graph serves both modes and checks it per task.
-  mutable const nn::Tensor* run_input_ = nullptr;
   mutable std::uint8_t* run_data_ = nullptr;
   mutable const nn::ParallelArenaPlan* run_pplan_ = nullptr;
   mutable StreamState* run_stream_ = nullptr;
   std::shared_ptr<nn::ArenaSlab> arena_source_;
   mutable std::function<void(int)> branch_hook_;
-  mutable nn::ops::KernelBackend backend_;
-  mutable nn::ops::ScratchArena crops_;  // halo crop temporaries
+  mutable WorkerCtx self_;  // the calling thread's context
   mutable std::vector<std::unique_ptr<WorkerCtx>> workers_;
   mutable std::vector<std::uint8_t> arena_;
-  mutable std::vector<nn::Tensor> step_views_;  // per step, rebound per branch
-  mutable std::vector<nn::Tensor> tail_memo_;   // per layer id (tail phase)
+  mutable std::vector<Tensor> tail_memo_;  // per layer id (tail phase)
   mutable std::int64_t measured_ = 0;
 };
 
-// --- quantized -------------------------------------------------------------
+extern template class CompiledPatchEngine<FloatDomain>;
+extern template class CompiledPatchEngine<QuantDomain>;
 
-class CompiledPatchQuantModel {
+// --- the two models --------------------------------------------------------
+
+class CompiledPatchModel : public CompiledPatchEngine<FloatDomain> {
+ public:
+  CompiledPatchModel(const nn::Graph& g, PatchPlan plan,
+                     nn::ops::KernelTier tier = nn::ops::KernelTier::Simd);
+};
+
+class CompiledPatchQuantModel : public CompiledPatchEngine<QuantDomain> {
  public:
   // Uniform mode: branch steps inherit the per-layer params of `cfg`;
   // mixed mode: `branch_cfgs[b].per_step[s]` overrides branch b's step s.
@@ -388,176 +591,11 @@ class CompiledPatchQuantModel {
       PrecompiledPatchParts parts,
       nn::ops::KernelTier tier = nn::ops::KernelTier::Simd);
 
-  [[nodiscard]] nn::QTensor run(const nn::Tensor& input) const;
-  // Pipelined dataflow run (see CompiledPatchModel::run(input, pool)).
-  [[nodiscard]] nn::QTensor run(const nn::Tensor& input,
-                                nn::WorkerPool* pool) const;
-  // The PR-3 two-phase runtime, kept as the comparison baseline.
-  [[nodiscard]] nn::QTensor run_barrier(const nn::Tensor& input,
-                                        nn::WorkerPool* pool) const;
-  // Temporal-reuse run (see CompiledPatchModel::run_streaming). The dirty
-  // mask is computed on the float frames: quantization is deterministic
-  // per element, so a byte-identical float crop quantizes to a
-  // byte-identical branch input.
-  [[nodiscard]] nn::QTensor run_streaming(const nn::Tensor& input,
-                                          nn::WorkerPool* pool,
-                                          StreamState& state) const;
-
-  [[nodiscard]] const nn::ArenaPlan& arena_plan() const { return aplan_; }
-  [[nodiscard]] std::int64_t arena_bytes() const { return aplan_.peak_bytes; }
-  [[nodiscard]] const nn::ParallelArenaPlan& parallel_plan(
-      int num_workers) const;
-  [[nodiscard]] const nn::ParallelArenaPlan& pipelined_plan(
-      int num_workers) const;
-  // Retained streaming layout (see CompiledPatchModel::streaming_plan).
-  [[nodiscard]] const nn::ParallelArenaPlan& streaming_plan(
-      int num_workers) const;
-  [[nodiscard]] std::span<const PipelinedTailLayer> pipelined_tail() const {
-    return pipeline_;
-  }
-  // Cached pipelined graph skeletons, one per worker count seen (see
-  // CompiledPatchModel::cached_pipeline_graphs).
-  [[nodiscard]] std::size_t cached_pipeline_graphs() const {
-    return pipeline_graphs_.size();
-  }
-  void set_arena_source(std::shared_ptr<nn::ArenaSlab> slab) {
-    arena_source_ = std::move(slab);
-  }
-  // Test-only readiness-order hook (see CompiledPatchModel).
-  void set_branch_completion_hook(std::function<void(int)> hook) const {
-    branch_hook_ = std::move(hook);
-  }
-  // Opt-in activation statistics: called once per completed run on the
-  // calling thread, for the assembled cut layer and every tail layer, with
-  // the layer's output view (drift tracking — see
-  // nn::streaming::ActivationStatsTracker). Null clears it.
-  void set_stats_hook(
-      std::function<void(int, const nn::QTensor&)> hook) const {
-    stats_hook_ = std::move(hook);
-  }
-  [[nodiscard]] std::int64_t measured_high_water() const { return measured_; }
-  [[nodiscard]] std::int64_t scratch_bytes() const;
-  [[nodiscard]] const PatchPlan& plan() const { return plan_; }
-  [[nodiscard]] const nn::Graph& graph() const { return *graph_; }
-  [[nodiscard]] const std::shared_ptr<const nn::QuantizedParameters>&
-  shared_parameters() const {
-    return params_;
-  }
-  // Compile-time tables, exposed so the owning executor's legacy paths
-  // reuse them instead of rebuilding their own copies.
-  [[nodiscard]] const nn::ActivationQuantConfig& config() const {
-    return cfg_;
-  }
-  [[nodiscard]] std::span<const nn::QuantParams> effective_params() const {
-    return effective_;
-  }
-  [[nodiscard]] std::span<const BranchQuantConfig> branch_configs() const {
-    return branch_cfgs_;
-  }
-  [[nodiscard]] const std::vector<std::vector<std::vector<std::int32_t>>>&
-  branch_bias() const {
-    return branch_bias_;
-  }
-  [[nodiscard]] nn::ops::KernelBackend& backend() const { return backend_; }
-  // Params resolution for branch step `step` of branch `branch`: the
-  // mixed-mode per-step override when branch configs exist, otherwise the
-  // pool-propagated effective params of the step's layer. Shared with the
-  // owning executor's legacy path so both resolve identically.
+  // Params resolution for branch step `step` of branch `branch` (see
+  // QuantDomain::branch_step_params). Shared with the owning executor's
+  // legacy path so both resolve identically.
   [[nodiscard]] const nn::QuantParams& step_params(int branch,
                                                    int step) const;
-
- private:
-  struct WorkerCtx {
-    explicit WorkerCtx(nn::ops::KernelTier tier) : backend(tier) {}
-    nn::ops::KernelBackend backend;
-    nn::ops::ScratchArena crops;
-    std::vector<nn::QTensor> step_views;
-    std::int64_t measured = 0;
-  };
-
-  void exec_branch(int branch_index, const nn::QTensor& qinput,
-                   std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
-                   nn::ops::KernelBackend& backend,
-                   nn::ops::ScratchArena& crops,
-                   std::span<nn::QTensor> step_views, std::int64_t& measured,
-                   nn::QTensor& assembled,
-                   bool* merge_changed = nullptr) const;
-  void bind_tail(std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
-                 int first_tail_slot, int assembled_slot,
-                 std::int64_t& measured) const;
-  nn::QTensor exec_tail(std::uint8_t* base,
-                        std::span<const nn::ArenaSlot> slots,
-                        int first_tail_slot, int assembled_slot,
-                        std::int64_t& measured) const;
-  void exec_tail_band(int layer_id, const Interval& rows,
-                      nn::ops::KernelBackend& backend,
-                      nn::ops::ScratchArena& crops) const;
-  [[nodiscard]] const nn::ops::AvgPoolMultipliers* pool_table(
-      const nn::Layer& l) const;
-  WorkerCtx& worker_ctx(int lane) const;
-  std::span<std::uint8_t> bind_run_arena(std::int64_t need,
-                                         nn::ArenaSlab::Lease& lease) const;
-  // Streaming internals (see CompiledPatchModel).
-  void prime_stream_state(StreamState& state, int workers) const;
-  std::span<std::uint8_t> bind_stream_arena(std::int64_t need,
-                                            StreamState& state) const;
-  bool stream_band_needed(const StreamState& state, std::size_t pi,
-                          std::size_t j) const;
-  void stream_mark_branch(StreamState& state, std::int64_t b,
-                          bool changed) const;
-  void stream_mark_band(StreamState& state, std::size_t pi,
-                        std::size_t j) const;
-  void invoke_stats_hook() const;
-  // Cached dataflow graph per worker count (see CompiledPatchModel).
-  nn::TaskGraph& pipeline_graph(int num_workers) const;
-
-  const nn::Graph* graph_;
-  PatchPlan plan_;
-  nn::ActivationQuantConfig cfg_;
-  std::vector<nn::QuantParams> effective_;
-  std::vector<BranchQuantConfig> branch_cfgs_;  // empty = uniform mode
-  std::vector<std::vector<std::vector<std::int32_t>>> branch_bias_;
-  std::shared_ptr<const nn::QuantizedParameters> params_;
-  // Artifact bundle adopted by backend_ and every worker lane (keeps the
-  // panel/offset views registered with the backends alive).
-  std::shared_ptr<const nn::PrecompiledBundle> bundle_;
-  int num_steps_ = 0;
-  int assembled_slot_ = 0;
-  int input_slot_ = 0;  // quantized full input
-  nn::ArenaPlan aplan_;
-  std::vector<nn::ArenaRequest> slice_requests_;
-  std::vector<nn::ArenaRequest> shared_requests_;
-  int par_assembled_slot_ = 0;
-  int par_input_slot_ = 0;
-  std::vector<PipelinedTailLayer> pipeline_;
-  std::vector<std::int64_t> branch_costs_;
-  int pipeline_horizon_ = 0;
-  std::shared_ptr<nn::ArenaSlab> arena_source_;
-  mutable std::function<void(int)> branch_hook_;
-  mutable std::function<void(int, const nn::QTensor&)> stats_hook_;
-  // AvgPool reciprocal tables keyed by window size. Filled at construction
-  // for every window the graph contains, then read-only — several workers
-  // share them concurrently during parallel runs, so no lazy inserts on the
-  // run path (that was the shared-mutable-state hazard the thread-affinity
-  // audit flagged).
-  std::unordered_map<int, nn::ops::AvgPoolMultipliers> pool_tables_;
-  mutable std::unordered_map<int, nn::ParallelArenaPlan> pplans_;
-  mutable std::unordered_map<int, nn::ParallelArenaPlan> pipelined_pplans_;
-  mutable std::unordered_map<int, nn::ParallelArenaPlan> streaming_pplans_;
-  mutable std::unordered_map<int, nn::TaskGraph> pipeline_graphs_;
-  // Per-run state read by the cached pipelined graph's tasks (see
-  // CompiledPatchModel); the quantized input is a bound arena view.
-  mutable nn::QTensor run_qinput_;
-  mutable std::uint8_t* run_data_ = nullptr;
-  mutable const nn::ParallelArenaPlan* run_pplan_ = nullptr;
-  mutable StreamState* run_stream_ = nullptr;
-  mutable nn::ops::KernelBackend backend_;
-  mutable nn::ops::ScratchArena crops_;
-  mutable std::vector<std::unique_ptr<WorkerCtx>> workers_;
-  mutable std::vector<std::uint8_t> arena_;
-  mutable std::vector<nn::QTensor> step_views_;
-  mutable std::vector<nn::QTensor> tail_memo_;
-  mutable std::int64_t measured_ = 0;
 };
 
 }  // namespace qmcu::patch

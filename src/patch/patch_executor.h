@@ -62,12 +62,6 @@ class PatchExecutor {
                                         nn::WorkerPool* pool) const {
     return compiled_.run(input, pool);
   }
-  // The PR-3 two-phase runtime (branch barrier, tail on the caller) —
-  // the pipelined path's comparison baseline. Bit-identical to run().
-  [[nodiscard]] nn::Tensor run_parallel_barrier(const nn::Tensor& input,
-                                                nn::WorkerPool* pool) const {
-    return compiled_.run_barrier(input, pool);
-  }
 
   // The reassembled cut-layer feature map (useful in tests/examples).
   [[nodiscard]] nn::Tensor run_stage_assembled(const nn::Tensor& input,

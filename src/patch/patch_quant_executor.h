@@ -56,11 +56,6 @@ class PatchQuantExecutor {
                                          nn::WorkerPool* pool) const {
     return compiled_.run(input, pool);
   }
-  // The PR-3 two-phase runtime, kept as the comparison baseline.
-  [[nodiscard]] nn::QTensor run_parallel_barrier(const nn::Tensor& input,
-                                                 nn::WorkerPool* pool) const {
-    return compiled_.run_barrier(input, pool);
-  }
 
   // The reassembled cut-layer feature map (tail params).
   [[nodiscard]] nn::QTensor run_stage_assembled(const nn::Tensor& input) const;

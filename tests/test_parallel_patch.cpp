@@ -253,41 +253,49 @@ TEST(ParallelPatch, ParallelPlanSlicesAndSharedAreDisjoint) {
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
   const patch::CompiledPatchQuantModel model(g, plan, cfg);
 
+  // Both layouts the runtime binds: the pipelined graph's and streaming's.
   for (const int workers : {1, 2, 4, 8}) {
-    const nn::ParallelArenaPlan& p = model.parallel_plan(workers);
-    EXPECT_EQ(p.num_workers, workers);
-    EXPECT_GE(p.slice_stride, p.slice.peak_bytes);
-    EXPECT_EQ(p.slice_stride % 16, 0);
-    // Slices precede the shared region; slots stay inside their slice.
-    EXPECT_EQ(p.shared_offset(), p.slice_stride * workers);
-    EXPECT_EQ(p.total_bytes(), p.shared_offset() + p.shared.peak_bytes);
-    for (const nn::ArenaSlot& s : p.slice.slots) {
-      EXPECT_LE(s.offset + s.size, p.slice_stride);
-    }
-    for (int w = 0; w + 1 < workers; ++w) {
-      EXPECT_LE(p.slice_offset(w) + p.slice.peak_bytes, p.slice_offset(w + 1));
-    }
-    // Lifetime-overlapping slots never overlap in bytes (both regions).
-    for (const nn::ArenaPlan* ap : {&p.slice, &p.shared}) {
-      for (std::size_t a = 0; a < ap->slots.size(); ++a) {
-        for (std::size_t b = a + 1; b < ap->slots.size(); ++b) {
-          if (ap->slots[a].overlaps_lifetime(ap->slots[b])) {
-            EXPECT_FALSE(ap->slots[a].overlaps_bytes(ap->slots[b]))
-                << "slots " << a << "/" << b;
+    for (const nn::ParallelArenaPlan* p :
+         {&model.pipelined_plan(workers), &model.streaming_plan(workers)}) {
+      EXPECT_EQ(p->num_workers, workers);
+      EXPECT_GE(p->slice_stride, p->slice.peak_bytes);
+      EXPECT_EQ(p->slice_stride % 16, 0);
+      // Slices precede the shared region; slots stay inside their slice.
+      EXPECT_EQ(p->shared_offset(), p->slice_stride * workers);
+      EXPECT_EQ(p->total_bytes(), p->shared_offset() + p->shared.peak_bytes);
+      for (const nn::ArenaSlot& s : p->slice.slots) {
+        EXPECT_LE(s.offset + s.size, p->slice_stride);
+      }
+      for (int w = 0; w + 1 < workers; ++w) {
+        EXPECT_LE(p->slice_offset(w) + p->slice.peak_bytes,
+                  p->slice_offset(w + 1));
+      }
+      // Lifetime-overlapping slots never overlap in bytes (both regions).
+      for (const nn::ArenaPlan* ap : {&p->slice, &p->shared}) {
+        for (std::size_t a = 0; a < ap->slots.size(); ++a) {
+          for (std::size_t b = a + 1; b < ap->slots.size(); ++b) {
+            if (ap->slots[a].overlaps_lifetime(ap->slots[b])) {
+              EXPECT_FALSE(ap->slots[a].overlaps_bytes(ap->slots[b]))
+                  << "slots " << a << "/" << b;
+            }
           }
         }
       }
     }
   }
-  // Parallel runs must never write past their planned arena — the barrier
-  // path binds parallel_plan, the pipelined path the widened-lifetime
-  // pipelined_plan.
+  // Runs must never write past the layout they bind.
   nn::WorkerPool pool(4);
-  (void)model.run_barrier(random_input(g.shape(0), 32), &pool);
-  EXPECT_LE(model.measured_high_water(), model.parallel_plan(4).total_bytes());
   (void)model.run(random_input(g.shape(0), 32), &pool);
   EXPECT_LE(model.measured_high_water(),
             model.pipelined_plan(4).total_bytes());
+  for (const int workers : {1, 4}) {
+    nn::WorkerPool stream_pool(workers);
+    patch::StreamState state;
+    (void)model.run_streaming(random_input(g.shape(0), 33), &stream_pool,
+                              state);
+    EXPECT_LE(model.measured_high_water(),
+              model.streaming_plan(workers).total_bytes());
+  }
 }
 
 // --- thread-affinity enforcement --------------------------------------------

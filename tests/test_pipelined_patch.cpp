@@ -1,11 +1,10 @@
 // Pipelined patch->tail dataflow execution (compiled_patch_model.h +
 // worker_pool.h run_graph): the dependency-driven run(input, pool) must be
-// bit-identical to the sequential compiled path — and to the PR-3 barrier
-// runtime — for every model, quant mode, grid shape, worker count and
-// branch readiness order; the row-band structure must wire its
-// dependencies to exactly the producers of its input rows; and the
-// widened-lifetime pipelined arena plan must keep everything live during
-// the overlap window byte-disjoint.
+// bit-identical to the sequential compiled path for every model, quant
+// mode, grid shape, worker count and branch readiness order; the row-band
+// structure must wire its dependencies to exactly the producers of its
+// input rows; and the widened-lifetime pipelined arena plan must keep
+// everything live during the overlap window byte-disjoint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -71,7 +70,7 @@ patch::PatchSpec grid_spec(const nn::Graph& g, int rows, int cols) {
   return spec;
 }
 
-// --- float parity across the zoo, pipelined vs sequential vs barrier --------
+// --- float parity across the zoo, pipelined vs sequential ------------------
 
 TEST(PipelinedPatch, FloatBitExactAcrossZooAndWorkerCounts) {
   for (const char* name : {"mobilenetv2", "mcunet", "mnasnet"}) {
@@ -85,7 +84,6 @@ TEST(PipelinedPatch, FloatBitExactAcrossZooAndWorkerCounts) {
       for (const int workers : {2, 3, 4, 8}) {
         nn::WorkerPool pool(workers);
         expect_f_identical(model.run(in, &pool), expect);
-        expect_f_identical(model.run_barrier(in, &pool), expect);
       }
     }
   }
@@ -109,7 +107,6 @@ TEST(PipelinedPatch, QuantBitExactAcrossBitwidths) {
       for (const int workers : {2, 4}) {
         nn::WorkerPool pool(workers);
         expect_q_identical(model.run(in, &pool), expect);
-        expect_q_identical(model.run_barrier(in, &pool), expect);
       }
     }
   }
@@ -176,7 +173,6 @@ TEST(PipelinedPatch, BorderHeavyUnevenGridMatches) {
   for (const int workers : {2, 3, 8}) {
     nn::WorkerPool pool(workers);
     expect_q_identical(model.run(in, &pool), expect);
-    expect_q_identical(model.run_barrier(in, &pool), expect);
   }
 }
 
@@ -281,11 +277,6 @@ TEST(PipelinedPatch, PipelinedPlanKeepsOverlapWindowDisjoint) {
 
   for (const int workers : {2, 4}) {
     const nn::ParallelArenaPlan& p = model.pipelined_plan(workers);
-    const nn::ParallelArenaPlan& barrier = model.parallel_plan(workers);
-    // The widened window can only grow the shared region, and the slices
-    // are untouched.
-    EXPECT_GE(p.shared.peak_bytes, barrier.shared.peak_bytes);
-    EXPECT_EQ(p.slice.peak_bytes, barrier.slice.peak_bytes);
     // Everything alive during the overlap (first_step == 0 after
     // widening: assembled map, quantized input, banded tail layers) must
     // be pairwise byte-disjoint.
@@ -317,7 +308,6 @@ TEST(PipelinedPatch, InterleavedModesReuseModelState) {
     const nn::Tensor in = random_input(g.shape(0), seed);
     const nn::Tensor expect = exec.run(in);
     expect_f_identical(exec.run_parallel(in, &pool), expect);
-    expect_f_identical(exec.run_parallel_barrier(in, &pool), expect);
     expect_f_identical(exec.run_parallel(in, &pool), expect);
   }
 }

@@ -253,6 +253,49 @@ TEST(ServingFrontend, PatchModelBitExactVsSequential) {
   EXPECT_EQ(frontend.slab()->outstanding_leases(), 0);
 }
 
+// Each open stream's retained arena is a lease on the lanes' shared slab,
+// so destroying a front-end whose streams were never closed must release
+// those leases before the slab goes away (clean under ASan).
+TEST(ServingFrontend, DestroyedWithOpenStreamsOnEveryLane) {
+  const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 1)});
+  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const patch::PatchPlan plan =
+      patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
+
+  ServingConfig scfg;
+  scfg.sessions = 2;
+  scfg.core_budget = 4;  // 2-worker slices: frames take the pooled path
+  using Frontend = ServingFrontend<patch::CompiledPatchQuantModel>;
+  static_assert(Frontend::kStreamable);
+  auto frontend = std::make_unique<Frontend>(
+      scfg, [&](int, const std::shared_ptr<nn::ArenaSlab>& slab) {
+        auto model =
+            std::make_unique<patch::CompiledPatchQuantModel>(g, plan, cfg);
+        model->set_arena_source(slab);
+        return model;
+      });
+  std::vector<std::uint64_t> streams;
+  for (int lane = 0; lane < scfg.sessions; ++lane) {
+    streams.push_back(frontend->open_stream());
+  }
+  std::vector<std::future<nn::QTensor>> frames;
+  for (std::uint64_t seed = 10; seed < 13; ++seed) {
+    for (const std::uint64_t id : streams) {
+      frames.push_back(
+          frontend->submit_stream(id, random_input(g.shape(0), seed)));
+    }
+  }
+  for (std::future<nn::QTensor>& f : frames) (void)f.get();
+
+  const std::weak_ptr<nn::ArenaSlab> slab = frontend->slab();
+  EXPECT_EQ(slab.lock()->outstanding_leases(),
+            static_cast<int>(streams.size()));
+  frontend.reset();
+  EXPECT_TRUE(slab.expired());
+}
+
 TEST(ServingFrontend, RejectsWhenAdmissionQueueIsFull) {
   auto gate = std::make_shared<Gate>();
   ServingConfig cfg;

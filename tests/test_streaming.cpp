@@ -329,6 +329,66 @@ TEST(Streaming, StatsHookObservesTailLayers) {
   EXPECT_GE(session.stats().drift_score, 0.0);
 }
 
+// The stats-hook contract, on every entry point: each completed run calls
+// the hook exactly once per layer id from the cut layer through the last
+// layer, with that layer's full output view — sequential, pipelined and
+// streaming alike (a clean streaming frame included).
+TEST(Streaming, StatsHookFiresOncePerLayerOnEveryEntryPoint) {
+  const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
+  data::DataConfig dc;
+  dc.resolution = 48;
+  const data::SyntheticDataset ds(dc);
+  const std::vector<nn::Tensor> calib = ds.batch(0, 2);
+  core::QuantMcuConfig qcfg;
+  qcfg.patch.grid = 2;
+  qcfg.patch.stage_downsample = 4;
+  const core::QuantMcuPlan plan = core::build_quantmcu_plan(
+      g, mcu::arduino_nano_33_ble_sense(), calib, qcfg);
+  const auto ranges = quant::calibrate_ranges(g, calib);
+  const patch::CompiledPatchQuantModel model(
+      g, plan.patch_plan, core::make_deployment_quant_config(g, plan, ranges),
+      core::make_branch_quant_configs(g, plan, ranges));
+  ASSERT_FALSE(model.branch_configs().empty()) << "needs a mixed-mode model";
+  const int split = plan.patch_plan.spec.split_layer;
+
+  std::vector<int> calls(static_cast<std::size_t>(g.size()), 0);
+  model.set_stats_hook([&](int id, const nn::QTensor& t) {
+    ASSERT_GE(id, 0);
+    ASSERT_LT(id, g.size());
+    EXPECT_EQ(t.shape(), g.shape(id)) << "layer " << id;
+    ++calls[static_cast<std::size_t>(id)];
+  });
+  const auto expect_once_per_layer = [&](const char* entry) {
+    for (int id = 0; id < g.size(); ++id) {
+      EXPECT_EQ(calls[static_cast<std::size_t>(id)], id >= split ? 1 : 0)
+          << entry << ", layer " << id;
+    }
+    std::fill(calls.begin(), calls.end(), 0);
+  };
+
+  const std::vector<nn::Tensor> stream = make_stream(g.shape(0), 3, 80);
+  (void)model.run(stream[0]);
+  expect_once_per_layer("run(in)");
+  for (const int workers : {2, 4}) {
+    nn::WorkerPool pool(workers);
+    (void)model.run(stream[0], &pool);
+    expect_once_per_layer("run(in, pool)");
+  }
+  for (const int workers : {1, 4}) {
+    nn::WorkerPool pool(workers);
+    patch::StreamState state;
+    // Priming frame, a changed frame, then an identical frame whose
+    // branches are all clean.
+    for (std::size_t f = 0; f < stream.size(); ++f) {
+      state.branch_dirty.assign(plan.patch_plan.branches.size(),
+                                f == 2 ? 0 : 1);
+      (void)model.run_streaming(stream[f], &pool, state);
+      expect_once_per_layer("run_streaming");
+    }
+  }
+  model.set_stats_hook(nullptr);
+}
+
 // Codes spread across the quantized range without touching the rails: the
 // healthy deployment baseline the drift cases below decay away from.
 nn::QTensor spread_codes(const nn::QuantParams& p) {

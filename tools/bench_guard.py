@@ -108,7 +108,7 @@ def main():
                         help="fresh artifact from this run (repeatable)")
     parser.add_argument(
         "--guard",
-        default=r"^BM_(RepeatedPatchRun|ParallelPatchRun|PipelinedPatchRun"
+        default=r"^BM_(RepeatedPatchRun|PipelinedPatchRun"
                 r"|Conv2dInt8Simd|PackedConvTierSweep|LutGemm"
                 r"|GemmTierSweep|FcTierSweep)\b"
                 r"|^serving/closed/.*req_per_s$"
