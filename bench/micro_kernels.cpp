@@ -381,6 +381,30 @@ void BM_AddInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_AddInt8);
 
+// The same add through KernelBackend::add_into into a preallocated output,
+// per tier: row 0 Reference (scalar add_row body), row 1 Simd (the table's
+// add_row, AVX2 / NEON). Row 1 vs row 0 is the vectorized-Add ratio.
+void BM_AddInt8Tier(benchmark::State& state) {
+  const int row = static_cast<int>(state.range(0));
+  const auto tier =
+      row == 0 ? nn::ops::KernelTier::Reference : nn::ops::KernelTier::Simd;
+  const nn::Tensor a = random_tensor({32, 32, 32}, 12);
+  const nn::Tensor b = random_tensor({32, 32, 32}, 13);
+  const nn::QTensor qa = nn::quantize(a, nn::choose_quant_params(-3.0f, 3.0f, 8));
+  const nn::QTensor qb = nn::quantize(b, nn::choose_quant_params(-2.0f, 4.0f, 8));
+  nn::QTensor out(qa.shape(), nn::choose_quant_params(-5.0f, 5.0f, 8));
+  nn::ops::KernelBackend backend(tier);
+  for (auto _ : state) {
+    backend.add_into(qa, qb, nn::Activation::None, out);
+    benchmark::DoNotOptimize(out.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * a.elements());
+  state.counters["tier"] = static_cast<double>(row);
+  state.counters["simd_active"] =
+      row == 1 && nn::ops::simd::available() ? 1 : 0;
+}
+BENCHMARK(BM_AddInt8Tier)->Arg(0)->Arg(1);
+
 // Fast float tier (im2col + tiled GEMM), vs the BM_Conv2dF32 reference.
 void BM_Conv2dF32Fast(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));

@@ -698,7 +698,7 @@ QTensor KernelBackend::add(const QTensor& lhs, const QTensor& rhs,
 void KernelBackend::add_into(const QTensor& lhs, const QTensor& rhs,
                              Activation act, QTensor& out) {
   guard();
-  add_q_into(lhs, rhs, act, out);
+  add_q_into(lhs, rhs, act, out, simd_);
 }
 
 QTensor KernelBackend::concat(std::span<const QTensor* const> inputs,
@@ -753,15 +753,9 @@ void KernelBackend::requantize_into(const QTensor& q, QTensor& out) {
     // requantize_q_into, lane-vectorized.
     QMCU_REQUIRE(out.shape() == q.shape(),
                  "requantize_q: destination shape mismatch");
-    const auto& p = q.params();
-    const QuantParams& target = out.params();
-    const ElementRequantizer r(static_cast<double>(p.scale) /
-                               static_cast<double>(target.scale));
-    simd_->requant_i8_row(q.data().data(),
-                          static_cast<std::int64_t>(q.data().size()),
-                          p.zero_point, r.left_shift(), r.multiplier(),
-                          target.zero_point, target.qmin(), target.qmax(),
-                          out.data().data());
+    simd::RowRequantizer(q.params(), out.params(), simd_)(
+        out.data().data(), q.data().data(),
+        static_cast<std::int64_t>(q.data().size()));
     return;
   }
   requantize_q_into(q, out);

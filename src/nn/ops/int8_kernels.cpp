@@ -8,6 +8,7 @@
 #include "nn/ops/float_kernels.h"
 #include "nn/ops/im2col.h"
 #include "nn/ops/requantize.h"
+#include "nn/ops/simd/simd_kernels.h"
 
 namespace qmcu::nn::ops {
 
@@ -373,7 +374,7 @@ QTensor global_avg_pool_q(const QTensor& in) {
 }
 
 void add_q_into(const QTensor& lhs, const QTensor& rhs, Activation act,
-                QTensor& out) {
+                QTensor& out, const simd::SimdKernels* simd) {
   QMCU_REQUIRE(lhs.shape() == rhs.shape(), "add operand shape mismatch");
   QMCU_REQUIRE(out.shape() == lhs.shape(),
                "add_q: destination shape mismatch");
@@ -384,31 +385,11 @@ void add_q_into(const QTensor& lhs, const QTensor& rhs, Activation act,
   // TFLite integer Add: both operands are rescaled onto a shared grid at
   // 2*max(scale) with 20 bits of shifted headroom, summed in int32, then
   // rescaled once into the output params. No per-element float math.
-  constexpr int kLeftShift = 20;
-  const double twice_max =
-      2.0 * std::max(static_cast<double>(lp.scale),
-                     static_cast<double>(rp.scale));
-  const FixedPointMultiplier ml =
-      quantize_multiplier(static_cast<double>(lp.scale) / twice_max);
-  const FixedPointMultiplier mr =
-      quantize_multiplier(static_cast<double>(rp.scale) / twice_max);
-  const FixedPointMultiplier mo = quantize_multiplier(
-      twice_max /
-      ((std::int64_t{1} << kLeftShift) * static_cast<double>(out_params.scale)));
-  const auto a = lhs.data();
-  const auto b = rhs.data();
-  auto y = out.data();
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    const std::int32_t av =
-        (static_cast<std::int32_t>(a[i]) - lp.zero_point) * (1 << kLeftShift);
-    const std::int32_t bv =
-        (static_cast<std::int32_t>(b[i]) - rp.zero_point) * (1 << kLeftShift);
-    const std::int32_t sum =
-        apply_multiplier(av, ml) + apply_multiplier(bv, mr);
-    const std::int32_t q =
-        apply_multiplier(sum, mo) + out_params.zero_point;
-    y[i] = static_cast<std::int8_t>(clamp_to(q, act_lo, act_hi));
-  }
+  simd::run_add_row(simd, lhs.data().data(), rhs.data().data(),
+                    static_cast<std::int64_t>(out.data().size()),
+                    lp.zero_point, rp.zero_point,
+                    add_multipliers(lp.scale, rp.scale, out_params.scale),
+                    out_params.zero_point, act_lo, act_hi, out.data().data());
 }
 
 QTensor add_q(const QTensor& lhs, const QTensor& rhs, Activation act,
@@ -495,14 +476,10 @@ void requantize_q_into(const QTensor& q, QTensor& out) {
   const auto& p = q.params();
   const ElementRequantizer r(static_cast<double>(p.scale) /
                              static_cast<double>(target.scale));
-  const std::int32_t qmin = target.qmin();
-  const std::int32_t qmax = target.qmax();
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    const std::int32_t v =
-        r.apply(static_cast<std::int32_t>(src[i]) - p.zero_point) +
-        target.zero_point;
-    dst[i] = static_cast<std::int8_t>(clamp_to(v, qmin, qmax));
-  }
+  requant_i8_row_scalar(src.data(), static_cast<std::int64_t>(src.size()),
+                        p.zero_point, r.left_shift(), r.multiplier(),
+                        target.zero_point, target.qmin(), target.qmax(),
+                        dst.data());
 }
 
 QTensor requantize_q(const QTensor& q, const QuantParams& target) {

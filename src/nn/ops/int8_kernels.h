@@ -28,6 +28,10 @@
 
 namespace qmcu::nn::ops {
 
+namespace simd {
+struct SimdKernels;
+}  // namespace simd
+
 // Quantized clamp range implementing a fused activation on top of the
 // output QuantParams (TFLite convention: ReLU clamps at the zero point).
 std::pair<std::int32_t, std::int32_t> activation_range(Activation act,
@@ -116,8 +120,10 @@ void global_avg_pool_q_into(const QTensor& in, std::span<std::int32_t> sums,
 
 QTensor add_q(const QTensor& lhs, const QTensor& rhs, Activation act,
               const QuantParams& out_params);
+// `simd` (optional) runs the rows through its add_row; a null table, or a
+// null entry, runs the scalar body. Bit-identical either way.
 void add_q_into(const QTensor& lhs, const QTensor& rhs, Activation act,
-                QTensor& out);
+                QTensor& out, const simd::SimdKernels* simd = nullptr);
 QTensor concat_q(std::span<const QTensor* const> inputs,
                  const QuantParams& out_params);
 void concat_q_into(std::span<const QTensor* const> inputs, QTensor& out);

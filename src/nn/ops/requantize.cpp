@@ -87,4 +87,45 @@ ElementRequantizer::ElementRequantizer(double real_multiplier,
   m_ = quantize_multiplier(std::ldexp(real_multiplier, -left_shift_));
 }
 
+AddMultipliers add_multipliers(float lhs_scale, float rhs_scale,
+                               float out_scale) {
+  const double twice_max = 2.0 * std::max(static_cast<double>(lhs_scale),
+                                          static_cast<double>(rhs_scale));
+  AddMultipliers m;
+  m.lhs = quantize_multiplier(static_cast<double>(lhs_scale) / twice_max);
+  m.rhs = quantize_multiplier(static_cast<double>(rhs_scale) / twice_max);
+  m.out = quantize_multiplier(
+      twice_max / ((std::int64_t{1} << AddMultipliers::kLeftShift) *
+                   static_cast<double>(out_scale)));
+  return m;
+}
+
+void requant_i8_row_scalar(const std::int8_t* src, std::int64_t n,
+                           std::int32_t in_zp, int left_shift,
+                           FixedPointMultiplier m, std::int32_t out_zp,
+                           std::int32_t lo, std::int32_t hi,
+                           std::int8_t* dst) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int32_t centered =
+        (static_cast<std::int32_t>(src[i]) - in_zp) * (1 << left_shift);
+    dst[i] = static_cast<std::int8_t>(
+        clamp_to(apply_multiplier(centered, m) + out_zp, lo, hi));
+  }
+}
+
+void add_row_scalar(const std::int8_t* a, const std::int8_t* b,
+                    std::int64_t n, std::int32_t a_zp, std::int32_t b_zp,
+                    const AddMultipliers& m, std::int32_t out_zp,
+                    std::int32_t lo, std::int32_t hi, std::int8_t* out) {
+  constexpr std::int32_t kScale = 1 << AddMultipliers::kLeftShift;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int32_t av = (static_cast<std::int32_t>(a[i]) - a_zp) * kScale;
+    const std::int32_t bv = (static_cast<std::int32_t>(b[i]) - b_zp) * kScale;
+    const std::int32_t sum =
+        apply_multiplier(av, m.lhs) + apply_multiplier(bv, m.rhs);
+    out[i] = static_cast<std::int8_t>(
+        clamp_to(apply_multiplier(sum, m.out) + out_zp, lo, hi));
+  }
+}
+
 }  // namespace qmcu::nn::ops

@@ -61,4 +61,33 @@ class ElementRequantizer {
   int left_shift_ = 0;
 };
 
+// The three multipliers of the TFLite integer Add: both operands are
+// shifted left by kLeftShift, rescaled onto a shared grid at
+// 2*max(scale), summed in int32, then rescaled once into the output.
+struct AddMultipliers {
+  static constexpr int kLeftShift = 20;
+  FixedPointMultiplier lhs;
+  FixedPointMultiplier rhs;
+  FixedPointMultiplier out;
+};
+AddMultipliers add_multipliers(float lhs_scale, float rhs_scale,
+                               float out_scale);
+
+// Scalar row bodies: the arithmetic contract of the element-wise row
+// kernels in nn/ops/simd/simd_kernels.h, and their fallback.
+//
+// dst[i] = clamp(apply_multiplier((src[i] - in_zp) << left_shift, m)
+//                + out_zp, lo, hi) for i in [0, n).
+void requant_i8_row_scalar(const std::int8_t* src, std::int64_t n,
+                           std::int32_t in_zp, int left_shift,
+                           FixedPointMultiplier m, std::int32_t out_zp,
+                           std::int32_t lo, std::int32_t hi, std::int8_t* dst);
+// out[i] = clamp(apply_multiplier(apply_multiplier((a[i] - a_zp) << 20,
+//                m.lhs) + apply_multiplier((b[i] - b_zp) << 20, m.rhs),
+//                m.out) + out_zp, lo, hi) for i in [0, n).
+void add_row_scalar(const std::int8_t* a, const std::int8_t* b,
+                    std::int64_t n, std::int32_t a_zp, std::int32_t b_zp,
+                    const AddMultipliers& m, std::int32_t out_zp,
+                    std::int32_t lo, std::int32_t hi, std::int8_t* out);
+
 }  // namespace qmcu::nn::ops

@@ -90,14 +90,31 @@ inline void store_16_i8(__m256i v0, __m256i v1, __m256i lo, __m256i hi,
   _mm_storeu_si128(reinterpret_cast<__m128i*>(out), p8);
 }
 
-inline std::int32_t scalar_apply(std::int32_t acc,
-                                 const FixedPointMultiplier& m) {
-  return apply_multiplier(acc, m);
+// The 8-lane step before a row's scalar tail: clamp one int32 vector and
+// store it as 8 consecutive int8.
+inline void store_8_i8(__m256i v, __m256i lo, __m256i hi, std::int8_t* out) {
+  v = _mm256_min_epi32(_mm256_max_epi32(v, lo), hi);
+  const __m128i p16 = _mm_packs_epi32(_mm256_castsi256_si128(v),
+                                      _mm256_extracti128_si256(v, 1));
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(out),
+                   _mm_packs_epi16(p16, p16));
 }
 
-inline std::int32_t scalar_clamp(std::int32_t v, std::int32_t lo,
-                                 std::int32_t hi) {
-  return v < lo ? lo : (v > hi ? hi : v);
+inline __m256i load_8_i8_as_i32(const std::int8_t* p) {
+  return _mm256_cvtepi8_epi32(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+}
+
+// Lanes [j, n) of requant_i32_row through apply_multiplier.
+void requant_i32_row_tail(const std::int32_t* acc, const std::int32_t* offset,
+                          int j, int n, const FixedPointMultiplier& m,
+                          std::int32_t out_zp, std::int32_t lo,
+                          std::int32_t hi, std::int8_t* out) {
+  for (; j < n; ++j) {
+    const std::int32_t total = acc[j] + (offset != nullptr ? offset[j] : 0);
+    out[j] = static_cast<std::int8_t>(
+        clamp_to(apply_multiplier(total, m) + out_zp, lo, hi));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -286,70 +303,108 @@ void gemm_block_i8_avx2(const std::int8_t* a, const std::int8_t* bt, int rows,
 void requant_i32_row_avx2(const std::int32_t* acc, const std::int32_t* offset,
                           int n, FixedPointMultiplier m, std::int32_t out_zp,
                           std::int32_t lo, std::int32_t hi, std::int8_t* out) {
-  int j = 0;
-  if (m.right_shift >= 0 && m.right_shift <= 31) {
-    const __m256i mant = _mm256_set1_epi32(m.mantissa);
-    const __m256i zp = _mm256_set1_epi32(out_zp);
-    const __m256i lov = _mm256_set1_epi32(lo);
-    const __m256i hiv = _mm256_set1_epi32(hi);
-    for (; j + 16 <= n; j += 16) {
-      __m256i v0 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(acc + j));
-      __m256i v1 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(acc + j + 8));
-      if (offset != nullptr) {
-        v0 = _mm256_add_epi32(v0, _mm256_loadu_si256(
-                                      reinterpret_cast<const __m256i*>(
-                                          offset + j)));
-        v1 = _mm256_add_epi32(v1, _mm256_loadu_si256(
-                                      reinterpret_cast<const __m256i*>(
-                                          offset + j + 8)));
-      }
-      v0 = rounding_rshift(srdhm_q31(v0, mant), m.right_shift);
-      v1 = rounding_rshift(srdhm_q31(v1, mant), m.right_shift);
-      store_16_i8(_mm256_add_epi32(v0, zp), _mm256_add_epi32(v1, zp), lov,
-                  hiv, out + j);
+  if (!vector_shift(m)) {
+    requant_i32_row_tail(acc, offset, 0, n, m, out_zp, lo, hi, out);
+    return;
+  }
+  const __m256i mant = _mm256_set1_epi32(m.mantissa);
+  const __m256i zp = _mm256_set1_epi32(out_zp);
+  const __m256i lov = _mm256_set1_epi32(lo);
+  const __m256i hiv = _mm256_set1_epi32(hi);
+  const auto lanes = [&](int j) {
+    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + j));
+    if (offset != nullptr) {
+      v = _mm256_add_epi32(
+          v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(offset + j)));
     }
+    return _mm256_add_epi32(rounding_rshift(srdhm_q31(v, mant), m.right_shift),
+                            zp);
+  };
+  int j = 0;
+  for (; j + 16 <= n; j += 16) {
+    store_16_i8(lanes(j), lanes(j + 8), lov, hiv, out + j);
   }
-  for (; j < n; ++j) {
-    const std::int32_t total = acc[j] + (offset != nullptr ? offset[j] : 0);
-    out[j] = static_cast<std::int8_t>(
-        scalar_clamp(scalar_apply(total, m) + out_zp, lo, hi));
+  if (j + 8 <= n) {
+    store_8_i8(lanes(j), lov, hiv, out + j);
+    j += 8;
   }
+  requant_i32_row_tail(acc, offset, j, n, m, out_zp, lo, hi, out);
 }
 
 void requant_i8_row_avx2(const std::int8_t* src, std::int64_t n,
                          std::int32_t in_zp, int left_shift,
                          FixedPointMultiplier m, std::int32_t out_zp,
                          std::int32_t lo, std::int32_t hi, std::int8_t* dst) {
+  if (!vector_shift(m)) {
+    requant_i8_row_scalar(src, n, in_zp, left_shift, m, out_zp, lo, hi, dst);
+    return;
+  }
+  const __m256i mant = _mm256_set1_epi32(m.mantissa);
+  const __m256i izp = _mm256_set1_epi32(in_zp);
+  const __m256i ozp = _mm256_set1_epi32(out_zp);
+  const __m256i lov = _mm256_set1_epi32(lo);
+  const __m256i hiv = _mm256_set1_epi32(hi);
+  // centered << left_shift == centered * (1 << left_shift): the
+  // requantizer chose the shift so the product cannot overflow int32.
+  const auto lanes = [&](std::int64_t i) {
+    const __m256i c = _mm256_slli_epi32(
+        _mm256_sub_epi32(load_8_i8_as_i32(src + i), izp), left_shift);
+    return _mm256_add_epi32(rounding_rshift(srdhm_q31(c, mant), m.right_shift),
+                            ozp);
+  };
   std::int64_t i = 0;
-  if (m.right_shift >= 0 && m.right_shift <= 31) {
-    const __m256i mant = _mm256_set1_epi32(m.mantissa);
-    const __m256i izp = _mm256_set1_epi32(in_zp);
-    const __m256i ozp = _mm256_set1_epi32(out_zp);
-    const __m256i lov = _mm256_set1_epi32(lo);
-    const __m256i hiv = _mm256_set1_epi32(hi);
-    for (; i + 16 <= n; i += 16) {
-      __m256i c0 = _mm256_cvtepi8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + i)));
-      __m256i c1 = _mm256_cvtepi8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + i + 8)));
-      // centered << left_shift == centered * (1 << left_shift): the
-      // requantizer chose the shift so the product cannot overflow int32.
-      c0 = _mm256_slli_epi32(_mm256_sub_epi32(c0, izp), left_shift);
-      c1 = _mm256_slli_epi32(_mm256_sub_epi32(c1, izp), left_shift);
-      c0 = rounding_rshift(srdhm_q31(c0, mant), m.right_shift);
-      c1 = rounding_rshift(srdhm_q31(c1, mant), m.right_shift);
-      store_16_i8(_mm256_add_epi32(c0, ozp), _mm256_add_epi32(c1, ozp), lov,
-                  hiv, dst + i);
-    }
+  for (; i + 16 <= n; i += 16) {
+    store_16_i8(lanes(i), lanes(i + 8), lov, hiv, dst + i);
   }
-  for (; i < n; ++i) {
-    const std::int32_t centered =
-        (static_cast<std::int32_t>(src[i]) - in_zp) * (1 << left_shift);
-    dst[i] = static_cast<std::int8_t>(
-        scalar_clamp(scalar_apply(centered, m) + out_zp, lo, hi));
+  if (i + 8 <= n) {
+    store_8_i8(lanes(i), lov, hiv, dst + i);
+    i += 8;
   }
+  requant_i8_row_scalar(src + i, n - i, in_zp, left_shift, m, out_zp, lo, hi,
+                        dst + i);
+}
+
+// Residual Add: each operand runs the i8 requantize lane sequence with its
+// own multiplier (left shift 20 — |a - zp| <= 255, so the shifted value
+// stays below 2^28), the int32 sum of two such terms cannot overflow, and
+// the sum takes one more SRDHM + rounding shift into the output params.
+void add_row_avx2(const std::int8_t* a, const std::int8_t* b, std::int64_t n,
+                  std::int32_t a_zp, std::int32_t b_zp,
+                  const AddMultipliers& m, std::int32_t out_zp,
+                  std::int32_t lo, std::int32_t hi, std::int8_t* out) {
+  if (!vector_shift(m.lhs) || !vector_shift(m.rhs) || !vector_shift(m.out)) {
+    add_row_scalar(a, b, n, a_zp, b_zp, m, out_zp, lo, hi, out);
+    return;
+  }
+  const __m256i mant_a = _mm256_set1_epi32(m.lhs.mantissa);
+  const __m256i mant_b = _mm256_set1_epi32(m.rhs.mantissa);
+  const __m256i mant_o = _mm256_set1_epi32(m.out.mantissa);
+  const __m256i azp = _mm256_set1_epi32(a_zp);
+  const __m256i bzp = _mm256_set1_epi32(b_zp);
+  const __m256i ozp = _mm256_set1_epi32(out_zp);
+  const __m256i lov = _mm256_set1_epi32(lo);
+  const __m256i hiv = _mm256_set1_epi32(hi);
+  constexpr int kShift = AddMultipliers::kLeftShift;
+  const auto lanes = [&](std::int64_t i) {
+    const __m256i av = _mm256_slli_epi32(
+        _mm256_sub_epi32(load_8_i8_as_i32(a + i), azp), kShift);
+    const __m256i bv = _mm256_slli_epi32(
+        _mm256_sub_epi32(load_8_i8_as_i32(b + i), bzp), kShift);
+    const __m256i sum = _mm256_add_epi32(
+        rounding_rshift(srdhm_q31(av, mant_a), m.lhs.right_shift),
+        rounding_rshift(srdhm_q31(bv, mant_b), m.rhs.right_shift));
+    return _mm256_add_epi32(
+        rounding_rshift(srdhm_q31(sum, mant_o), m.out.right_shift), ozp);
+  };
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    store_16_i8(lanes(i), lanes(i + 8), lov, hiv, out + i);
+  }
+  if (i + 8 <= n) {
+    store_8_i8(lanes(i), lov, hiv, out + i);
+    i += 8;
+  }
+  add_row_scalar(a + i, b + i, n - i, a_zp, b_zp, m, out_zp, lo, hi, out + i);
 }
 
 // ---------------------------------------------------------------------------
@@ -434,7 +489,7 @@ std::int64_t unpack_body_avx2(const std::uint8_t* bytes, std::int64_t nbytes,
 const SimdKernels kAvx2 = {
     "avx2",          &gemm_block_i8_avx2, &requant_i32_row_avx2,
     &dw_accumulate_avx2, &requant_i8_row_avx2, &unpack_body_avx2,
-    &lut::lut_gemm_block_avx2,
+    &lut::lut_gemm_block_avx2, &add_row_avx2,
 };
 
 }  // namespace

@@ -54,7 +54,7 @@ inline int32x4_t srdhm_q31_neon(int32x4_t x, int32x2_t mant) {
 
 // rounding_divide_by_pot: round half away from zero. `neg_exp` is the
 // negated exponent for vshlq's variable arithmetic right shift; `mask` =
-// 2^exp - 1 and `thr_base` = mask >> 1 are splatted by the caller.
+// 2^exp - 1 and `thr_base` = mask >> 1 (see RequantLanes).
 // exponent == 0 degenerates to the identity (mask 0 => no increment).
 inline int32x4_t rounding_rshift_neon(int32x4_t x, int32x4_t neg_exp,
                                       int32x4_t mask, int32x4_t thr_base) {
@@ -67,6 +67,29 @@ inline int32x4_t rounding_rshift_neon(int32x4_t x, int32x4_t neg_exp,
   return vsubq_s32(shifted,
                    vreinterpretq_s32_u32(vcgtq_s32(rem, thr)));
 }
+
+// One FixedPointMultiplier splatted across lanes: apply_multiplier's SRDHM
+// by the mantissa, then the rounding shift by right_shift. Only for
+// multipliers with vector_shift(m).
+struct RequantLanes {
+  explicit RequantLanes(const FixedPointMultiplier& m)
+      : mant(vdup_n_s32(m.mantissa)),
+        neg_exp(vdupq_n_s32(-m.right_shift)),
+        mask(vdupq_n_s32(
+            static_cast<std::int32_t>((1u << m.right_shift) - 1))),
+        thr_base(vdupq_n_s32(
+            static_cast<std::int32_t>(((1u << m.right_shift) - 1) >> 1))) {}
+
+  int32x4_t operator()(int32x4_t x) const {
+    return rounding_rshift_neon(srdhm_q31_neon(x, mant), neg_exp, mask,
+                                thr_base);
+  }
+
+  int32x2_t mant;
+  int32x4_t neg_exp;
+  int32x4_t mask;
+  int32x4_t thr_base;
+};
 
 // Clamps two int32x4 (already inside [-128, 127] after the clamp) and
 // stores 8 consecutive int8; the saturating narrows cannot engage.
@@ -82,14 +105,8 @@ void requant_i32_row_neon(const std::int32_t* acc, const std::int32_t* offset,
                           int n, FixedPointMultiplier m, std::int32_t out_zp,
                           std::int32_t lo, std::int32_t hi, std::int8_t* out) {
   int j = 0;
-  if (m.right_shift >= 0 && m.right_shift <= 31) {
-    const int32x2_t mant = vdup_n_s32(m.mantissa);
-    const int32x4_t neg_exp = vdupq_n_s32(-m.right_shift);
-    const std::uint32_t mask_bits = (1u << m.right_shift) - 1;
-    const int32x4_t mask =
-        vdupq_n_s32(static_cast<std::int32_t>(mask_bits));
-    const int32x4_t thr_base =
-        vdupq_n_s32(static_cast<std::int32_t>(mask_bits >> 1));
+  if (vector_shift(m)) {
+    const RequantLanes rq(m);
     const int32x4_t zp = vdupq_n_s32(out_zp);
     const int32x4_t lov = vdupq_n_s32(lo);
     const int32x4_t hiv = vdupq_n_s32(hi);
@@ -100,11 +117,8 @@ void requant_i32_row_neon(const std::int32_t* acc, const std::int32_t* offset,
         v0 = vaddq_s32(v0, vld1q_s32(offset + j));
         v1 = vaddq_s32(v1, vld1q_s32(offset + j + 4));
       }
-      v0 = rounding_rshift_neon(srdhm_q31_neon(v0, mant), neg_exp, mask,
-                                thr_base);
-      v1 = rounding_rshift_neon(srdhm_q31_neon(v1, mant), neg_exp, mask,
-                                thr_base);
-      store_8_i8(vaddq_s32(v0, zp), vaddq_s32(v1, zp), lov, hiv, out + j);
+      store_8_i8(vaddq_s32(rq(v0), zp), vaddq_s32(rq(v1), zp), lov, hiv,
+                 out + j);
     }
   }
   for (; j < n; ++j) {
@@ -119,14 +133,8 @@ void requant_i8_row_neon(const std::int8_t* src, std::int64_t n,
                          FixedPointMultiplier m, std::int32_t out_zp,
                          std::int32_t lo, std::int32_t hi, std::int8_t* dst) {
   std::int64_t i = 0;
-  if (m.right_shift >= 0 && m.right_shift <= 31) {
-    const int32x2_t mant = vdup_n_s32(m.mantissa);
-    const int32x4_t neg_exp = vdupq_n_s32(-m.right_shift);
-    const std::uint32_t mask_bits = (1u << m.right_shift) - 1;
-    const int32x4_t mask =
-        vdupq_n_s32(static_cast<std::int32_t>(mask_bits));
-    const int32x4_t thr_base =
-        vdupq_n_s32(static_cast<std::int32_t>(mask_bits >> 1));
+  if (vector_shift(m)) {
+    const RequantLanes rq(m);
     const int32x4_t izp = vdupq_n_s32(in_zp);
     const int32x4_t lshift = vdupq_n_s32(left_shift);
     const int32x4_t ozp = vdupq_n_s32(out_zp);
@@ -136,15 +144,12 @@ void requant_i8_row_neon(const std::int8_t* src, std::int64_t n,
       const int16x8_t w = vmovl_s8(vld1_s8(src + i));
       // centered << left_shift cannot overflow int32: the requantizer
       // chose the shift so the product fits.
-      int32x4_t c0 = vshlq_s32(
+      const int32x4_t c0 = vshlq_s32(
           vsubq_s32(vmovl_s16(vget_low_s16(w)), izp), lshift);
-      int32x4_t c1 = vshlq_s32(
+      const int32x4_t c1 = vshlq_s32(
           vsubq_s32(vmovl_s16(vget_high_s16(w)), izp), lshift);
-      c0 = rounding_rshift_neon(srdhm_q31_neon(c0, mant), neg_exp, mask,
-                                thr_base);
-      c1 = rounding_rshift_neon(srdhm_q31_neon(c1, mant), neg_exp, mask,
-                                thr_base);
-      store_8_i8(vaddq_s32(c0, ozp), vaddq_s32(c1, ozp), lov, hiv, dst + i);
+      store_8_i8(vaddq_s32(rq(c0), ozp), vaddq_s32(rq(c1), ozp), lov, hiv,
+                 dst + i);
     }
   }
   for (; i < n; ++i) {
@@ -153,6 +158,43 @@ void requant_i8_row_neon(const std::int8_t* src, std::int64_t n,
     dst[i] = static_cast<std::int8_t>(
         clamp_to(apply_multiplier(centered, m) + out_zp, lo, hi));
   }
+}
+
+// Residual Add (same lane derivation as the AVX2 body): each operand runs
+// the i8 requantize sequence with its own multiplier, the int32 sum takes
+// one more SRDHM + rounding shift into the output params.
+void add_row_neon(const std::int8_t* a, const std::int8_t* b, std::int64_t n,
+                  std::int32_t a_zp, std::int32_t b_zp,
+                  const AddMultipliers& m, std::int32_t out_zp,
+                  std::int32_t lo, std::int32_t hi, std::int8_t* out) {
+  if (!vector_shift(m.lhs) || !vector_shift(m.rhs) || !vector_shift(m.out)) {
+    add_row_scalar(a, b, n, a_zp, b_zp, m, out_zp, lo, hi, out);
+    return;
+  }
+  const RequantLanes ra(m.lhs);
+  const RequantLanes rb(m.rhs);
+  const RequantLanes ro(m.out);
+  const int32x4_t azp = vdupq_n_s32(a_zp);
+  const int32x4_t bzp = vdupq_n_s32(b_zp);
+  const int32x4_t ozp = vdupq_n_s32(out_zp);
+  const int32x4_t lov = vdupq_n_s32(lo);
+  const int32x4_t hiv = vdupq_n_s32(hi);
+  constexpr int kShift = AddMultipliers::kLeftShift;
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const int16x8_t wa = vmovl_s8(vld1_s8(a + i));
+    const int16x8_t wb = vmovl_s8(vld1_s8(b + i));
+    int32x4_t r[2];
+    for (int half = 0; half < 2; ++half) {
+      const int16x4_t ha = half == 0 ? vget_low_s16(wa) : vget_high_s16(wa);
+      const int16x4_t hb = half == 0 ? vget_low_s16(wb) : vget_high_s16(wb);
+      const int32x4_t av = vshlq_n_s32(vsubq_s32(vmovl_s16(ha), azp), kShift);
+      const int32x4_t bv = vshlq_n_s32(vsubq_s32(vmovl_s16(hb), bzp), kShift);
+      r[half] = vaddq_s32(ro(vaddq_s32(ra(av), rb(bv))), ozp);
+    }
+    store_8_i8(r[0], r[1], lov, hiv, out + i);
+  }
+  add_row_scalar(a + i, b + i, n - i, a_zp, b_zp, m, out_zp, lo, hi, out + i);
 }
 
 template <int ROWS>
@@ -293,6 +335,7 @@ const SimdKernels kNeon = {
 #else
     nullptr,  // vqtbl1q is AArch64-only; 32-bit ARM runs the scalar core
 #endif
+    &add_row_neon,
 };
 
 }  // namespace

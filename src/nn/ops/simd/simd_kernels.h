@@ -1,6 +1,6 @@
 // simd_kernels.h — the microkernel table behind KernelTier::Simd.
 //
-// Each entry is one of the four hot inner loops of the integer runtime,
+// Each entry is one of the hot inner loops of the integer runtime,
 // with the *same arithmetic contract as the scalar code it replaces* —
 // integer arithmetic is exact, so every function here must be bit-identical
 // to its scalar twin for all inputs, not merely close:
@@ -25,6 +25,16 @@
 //                     kLutTileM-lane index tile (vpshufb / vtbl), summed in
 //                     bounded int16 chunks then widened, matching
 //                     lut_gemm_block_scalar bit-for-bit.
+//   add_row         — the residual Add of add_q_into: both operands
+//                     centered and shifted left by 20, each rescaled by its
+//                     own Q31 multiplier onto the shared grid, summed,
+//                     rescaled into the output params -> zero point ->
+//                     clamp, i.e. add_row_scalar's three-multiplier chain
+//                     lane for lane.
+//
+// The requantize epilogues and add_row vectorize only when every
+// multiplier's right shift lies in [0, 31] (vector_shift below); other
+// multipliers take the scalar loop for the whole row.
 //
 // A table may leave entries null (the NEON table leaves lut_gemm_block
 // null on 32-bit ARM, where the 16-byte vqtbl1q lookup does not exist).
@@ -36,6 +46,7 @@
 #include <cstdint>
 
 #include "nn/ops/requantize.h"
+#include "nn/quant_params.h"
 
 namespace qmcu::nn::ops::simd {
 
@@ -86,6 +97,14 @@ struct SimdKernels {
                          int rows, int n, int groups,
                          std::int32_t* acc) = nullptr;
 
+  // out[i] = add_row_scalar's lane i (nn/ops/requantize.h) for i in
+  // [0, n).
+  void (*add_row)(const std::int8_t* a, const std::int8_t* b, std::int64_t n,
+                  std::int32_t a_zp, std::int32_t b_zp,
+                  const AddMultipliers& m, std::int32_t out_zp,
+                  std::int32_t lo, std::int32_t hi,
+                  std::int8_t* out) = nullptr;
+
   // Constant added to every activation lane inside gemm_block_i8 (see its
   // contract above): 128 for the AVX-VNNI generation, 0 everywhere else.
   std::int32_t gemm_a_bias = 0;
@@ -103,6 +122,71 @@ inline std::int32_t gemm_activation_bias(const SimdKernels* simd) {
   return (simd != nullptr && simd->gemm_block_i8 != nullptr)
              ? simd->gemm_a_bias
              : 0;
+}
+
+// Whether the vector requantize lanes cover `m`: their rounding shift
+// handles right_shift in [0, 31]; other multipliers take the scalar
+// apply_multiplier path.
+inline bool vector_shift(const FixedPointMultiplier& m) {
+  return m.right_shift >= 0 && m.right_shift <= 31;
+}
+
+// Row dispatch for callers that hold a table pointer: the table's entry
+// when there is one, the scalar body of requantize.h otherwise (a null
+// table included).
+inline void run_requant_i8_row(const SimdKernels* simd,
+                               const std::int8_t* src, std::int64_t n,
+                               std::int32_t in_zp, int left_shift,
+                               FixedPointMultiplier m, std::int32_t out_zp,
+                               std::int32_t lo, std::int32_t hi,
+                               std::int8_t* dst) {
+  if (simd != nullptr && simd->requant_i8_row != nullptr) {
+    simd->requant_i8_row(src, n, in_zp, left_shift, m, out_zp, lo, hi, dst);
+  } else {
+    requant_i8_row_scalar(src, n, in_zp, left_shift, m, out_zp, lo, hi, dst);
+  }
+}
+
+// Rescales int8 rows from `from` into `to` params: requantize_q_into's
+// ElementRequantizer chain and [qmin, qmax] clamp, through `simd`'s
+// requant_i8_row (the scalar body when null). Shared by the tile merges and
+// the quantized input tile so every row rescale rounds the same way.
+class RowRequantizer {
+ public:
+  RowRequantizer(const QuantParams& from, const QuantParams& to,
+                 const SimdKernels* simd)
+      : rq_(static_cast<double>(from.scale) / static_cast<double>(to.scale)),
+        in_zp_(from.zero_point),
+        out_zp_(to.zero_point),
+        lo_(to.qmin()),
+        hi_(to.qmax()),
+        simd_(simd) {}
+
+  void operator()(std::int8_t* dst, const std::int8_t* src,
+                  std::int64_t n) const {
+    run_requant_i8_row(simd_, src, n, in_zp_, rq_.left_shift(),
+                       rq_.multiplier(), out_zp_, lo_, hi_, dst);
+  }
+
+ private:
+  ElementRequantizer rq_;
+  std::int32_t in_zp_;
+  std::int32_t out_zp_;
+  std::int32_t lo_;
+  std::int32_t hi_;
+  const SimdKernels* simd_;
+};
+
+inline void run_add_row(const SimdKernels* simd, const std::int8_t* a,
+                        const std::int8_t* b, std::int64_t n,
+                        std::int32_t a_zp, std::int32_t b_zp,
+                        const AddMultipliers& m, std::int32_t out_zp,
+                        std::int32_t lo, std::int32_t hi, std::int8_t* out) {
+  if (simd != nullptr && simd->add_row != nullptr) {
+    simd->add_row(a, b, n, a_zp, b_zp, m, out_zp, lo, hi, out);
+  } else {
+    add_row_scalar(a, b, n, a_zp, b_zp, m, out_zp, lo, hi, out);
+  }
 }
 
 // The table for detected_isa(), or nullptr when scalar (Isa::None). When

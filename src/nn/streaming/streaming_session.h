@@ -12,8 +12,10 @@
 //   2. maps the diff to a per-branch dirty mask (patch::dirty_branches —
 //      exact, or tolerance-based when StreamingConfig::max_region_delta is
 //      set);
-//   3. hands the mask to Model::run_streaming, which recomputes only dirty
-//      branches and the tail bands their changes reach;
+//   3. hands the mask and the diff's changed row spans to
+//      Model::run_streaming, which re-quantizes only the changed input
+//      pixels and recomputes only dirty branches and the tail bands their
+//      changes reach;
 //   4. folds the frame's skip counters and drift score into
 //      StreamingStats.
 //
@@ -121,6 +123,7 @@ class StreamingSession {
               ? patch::dirty_branches(*prev_, frame, plan,
                                       cfg_.max_region_delta)
               : patch::dirty_branches(*prev_, frame, plan);
+      state_.changed_rows = diff.row_spans;
     }
 
     constexpr bool kHasStatsHook = requires(const Model& m) {

@@ -8,9 +8,11 @@
 #include "nn/ops/float_kernels.h"
 #include "nn/ops/lut/lut_kernels.h"
 #include "nn/ops/requantize.h"
+#include "nn/ops/simd/simd_kernels.h"
 #include "patch/patch_cost.h"
 #include "patch/patch_executor.h"
 #include "patch/patch_quant_executor.h"
+#include "patch/region_crop.h"
 #include "patch/region_pool.h"
 
 namespace qmcu::patch {
@@ -118,8 +120,8 @@ void concat_into(nn::ops::KernelBackend& backend,
   backend.concat_into(inputs, out);
 }
 
-void merge_tile(const nn::Tensor& tile, const Region& r, nn::Tensor& assembled,
-                bool* changed) {
+void merge_tile(nn::ops::KernelBackend& /*backend*/, const nn::Tensor& tile,
+                const Region& r, nn::Tensor& assembled, bool* changed) {
   if (changed == nullptr) {
     merge_region_f32(tile, r, assembled);
   } else {
@@ -128,14 +130,15 @@ void merge_tile(const nn::Tensor& tile, const Region& r, nn::Tensor& assembled,
 }
 
 // The quantized tile is requantized into the assembled map's params
-// (identity copy in uniform mode). Tiles are disjoint, so concurrent merges
-// from several workers commute.
-void merge_tile(const nn::QTensor& tile, const Region& r,
-                nn::QTensor& assembled, bool* changed) {
+// (identity row copy in uniform mode). Tiles are disjoint, so concurrent
+// merges from several workers commute.
+void merge_tile(nn::ops::KernelBackend& backend, const nn::QTensor& tile,
+                const Region& r, nn::QTensor& assembled, bool* changed) {
   if (changed == nullptr) {
-    merge_region_q(tile, r, assembled);
+    merge_region_q(tile, r, assembled, backend.simd_kernels());
   } else {
-    *changed = merge_region_q_changed(tile, r, assembled);
+    *changed =
+        merge_region_q_changed(tile, r, assembled, backend.simd_kernels());
   }
 }
 
@@ -191,6 +194,46 @@ nn::QTensor row_view(nn::QTensor& t, const Interval& rows) {
 
 constexpr bool rows_overlap(const Interval& a, const Interval& b) {
   return a.begin < b.end && b.begin < a.end;
+}
+
+// Whether `want` is a run of whole rows of a tensor covering `avail`: the
+// same x extent, rows inside. Producer regions are clamped to the map, so
+// such a window needs no padding.
+constexpr bool rows_within(const Region& avail, const Region& want) {
+  return want.x == avail.x && want.y.begin >= avail.y.begin &&
+         want.y.end <= avail.y.end;
+}
+
+template <class T>
+bool shares_bytes(const T& a, const T& b) {
+  const auto a0 = reinterpret_cast<std::uintptr_t>(a.data().data());
+  const auto b0 = reinterpret_cast<std::uintptr_t>(b.data().data());
+  return a0 < b0 + b.data().size_bytes() && b0 < a0 + a.data().size_bytes();
+}
+
+// A step's input window `want` of the map `have` holds (region `avail` of a
+// map with extent `full`). When the window is whole rows of `have` —
+// pointwise convs, same-region Add/Concat operands, in-bounds full-width
+// tail bands — the step borrows a view of the producer's bytes. Otherwise
+// it is a halo crop into `crops` with zero padding (0.0f, or the
+// producer's zero point — the quantized encoding of real 0). A borrowed
+// view must not share bytes with `out`, the step's output slot: a crop
+// would hide such an overlap, a view would not.
+template <class T>
+T step_input(T& have, const Region& avail, const Region& want,
+             const nn::TensorShape& full, const T& out,
+             nn::ops::ScratchArena& crops) {
+  if (rows_within(avail, want)) {
+    T view = row_view(have, {want.y.begin - avail.y.begin,
+                             want.y.end - avail.y.begin});
+    QMCU_ENSURE(!shares_bytes(view, out),
+                "borrowed step input overlaps the step's output slot");
+    return view;
+  }
+  T crop = borrow_like(
+      crops, nn::TensorShape{want.y.size(), want.x.size(), full.c}, have);
+  crop_into(have, avail, want, full, crop);
+  return crop;
 }
 
 // The streaming layout widens every shared slot's lifetime to the whole
@@ -437,12 +480,12 @@ nn::Tensor FloatDomain::bind_step(const nn::Layer& /*layer*/,
 void FloatDomain::stage_input(const nn::Graph& /*g*/, const nn::Tensor& input,
                               std::uint8_t* /*base*/,
                               const nn::ArenaSlot* /*slot*/,
+                              std::span<const Interval> /*rows*/,
                               std::int64_t& /*measured*/) const {
   input_ = &input;
 }
 
 void FloatDomain::input_into(nn::ops::KernelBackend& /*backend*/,
-                             nn::ops::ScratchArena& /*crops*/,
                              const nn::Graph& /*g*/, const BranchStep& step,
                              Tensor& out) const {
   crop_from_region_into(*input_, full_region(input_->shape()),
@@ -557,23 +600,51 @@ nn::QTensor QuantDomain::bind_step(const nn::Layer& layer,
 
 void QuantDomain::stage_input(const nn::Graph& g, const nn::Tensor& input,
                               std::uint8_t* base, const nn::ArenaSlot* slot,
+                              std::span<const Interval> rows,
                               std::int64_t& measured) const {
   const int id = g.inputs().front();
-  input_ = bind_q_slot(base, *slot, g.shape(id),
+  const nn::TensorShape& s = g.shape(id);
+  input_ = bind_q_slot(base, *slot, s,
                        cfg_.params[static_cast<std::size_t>(id)], measured);
-  nn::quantize_into(input, input_);
+  if (rows.empty()) {
+    nn::quantize_into(input, input_);
+    return;
+  }
+  // Element for element what quantize_into writes, over the listed spans.
+  const nn::QuantParams& p = input_.params();
+  const float* src = input.data().data();
+  std::int8_t* dst = input_.data().data();
+  for (int y = 0; y < s.h; ++y) {
+    const Interval& span = rows[static_cast<std::size_t>(y)];
+    const std::int64_t end = nn::flat_index(s, y, span.end, 0);
+    for (std::int64_t i = nn::flat_index(s, y, span.begin, 0); i < end; ++i) {
+      dst[i] = static_cast<std::int8_t>(p.quantize(src[i]));
+    }
+  }
 }
 
 void QuantDomain::input_into(nn::ops::KernelBackend& backend,
-                             nn::ops::ScratchArena& crops, const nn::Graph& g,
-                             const BranchStep& step, Tensor& out) const {
+                             const nn::Graph& g, const BranchStep& step,
+                             Tensor& out) const {
   // The input patch tile is quantized straight into the branch's params
-  // (mixed mode stores it sub-byte, uniform mode at int8).
+  // (mixed mode stores it sub-byte, uniform mode at int8): the in-bounds
+  // row spans of the staged input go through the slice requantizer, with
+  // no intermediate crop.
   const nn::TensorShape& full = g.shape(step.layer_id);
-  nn::QTensor crop = borrow_like(crops, out.shape(), input_);
-  crop_from_region_q_into(input_, full_region(full), step.out_region, full,
-                          crop);
-  backend.requantize_into(crop, out);
+  const nn::QuantParams& from = input_.params();
+  const nn::QuantParams& to = out.params();
+  if (from == to) {
+    crop_from_region_q_into(input_, full_region(full), step.out_region, full,
+                            out);
+    return;
+  }
+  // Padding is real 0 — the input zero point — requantized: centered 0
+  // rescales to 0, leaving the clamped target zero point.
+  const auto pad = static_cast<std::int8_t>(
+      nn::ops::clamp_to(to.zero_point, to.qmin(), to.qmax()));
+  crop_rows(input_.data().data(), full_region(full), step.out_region, full,
+            full.c, pad, out.data().data(),
+            nn::ops::simd::RowRequantizer(from, to, backend.simd_kernels()));
 }
 
 void QuantDomain::windowed_into(nn::ops::KernelBackend& backend,
@@ -794,8 +865,15 @@ void CompiledPatchEngine<Domain>::stage(const nn::Tensor& input,
   const auto slot = [&](int request) -> const nn::ArenaSlot& {
     return slots[static_cast<std::size_t>(request - first)];
   };
+  // A primed stream retains the previous frame's staged input, so only
+  // its changed spans need fresh codes.
+  const std::span<const Interval> rows =
+      run_stream_ != nullptr && run_stream_->primed
+          ? std::span<const Interval>(run_stream_->changed_rows)
+          : std::span<const Interval>{};
   this->stage_input(g, input, base,
-                    input_slot_ < 0 ? nullptr : &slot(input_slot_), measured);
+                    input_slot_ < 0 ? nullptr : &slot(input_slot_), rows,
+                    measured);
   tail_memo_.resize(static_cast<std::size_t>(g.size()));
   tail_memo_[static_cast<std::size_t>(split)] = this->bind_layer(
       split, base, slot(assembled_slot_), g.shape(split), measured);
@@ -821,29 +899,23 @@ void CompiledPatchEngine<Domain>::exec_branch(
         region_shape(step, g.shape(step.layer_id).c), ctx.measured);
     ctx.crops.reset();
 
-    const auto producer_crop = [&](int input_id, const Region& want) {
+    const auto producer_input = [&](int input_id, const Region& want) {
       const int p = branch.step_of(input_id);
       QMCU_ENSURE(p >= 0 && p < s, "producer step missing from branch");
-      const Tensor& have = views[static_cast<std::size_t>(p)];
-      Tensor crop = borrow_like(
-          ctx.crops,
-          nn::TensorShape{want.y.size(), want.x.size(), g.shape(input_id).c},
-          have);
-      crop_into(have, branch.steps[static_cast<std::size_t>(p)].out_region,
-                want, g.shape(input_id), crop);
-      return crop;
+      return step_input(views[static_cast<std::size_t>(p)],
+                        branch.steps[static_cast<std::size_t>(p)].out_region,
+                        want, g.shape(input_id), out, ctx.crops);
     };
 
     switch (layer.kind) {
       case nn::OpKind::Input:
-        this->input_into(ctx.backend, ctx.crops, g, step, out);
+        this->input_into(ctx.backend, g, step, out);
         break;
       case nn::OpKind::Conv2D:
       case nn::OpKind::DepthwiseConv2D: {
-        // Zero padding is exactly what the unclamped crop materialises
-        // (0.0f, or the producer's zero point — the quantized encoding of
-        // real 0), so run the kernel pad-free on the region tensor.
-        const Tensor padded = producer_crop(layer.inputs[0], step.in_region);
+        // Zero padding is exactly what the unclamped crop materialises,
+        // so run the kernel pad-free on the region tensor.
+        const Tensor padded = producer_input(layer.inputs[0], step.in_region);
         nn::Layer local = layer;
         local.pad_h = local.pad_w = 0;
         this->windowed_into(ctx.backend, g, padded, local, step.layer_id, bi,
@@ -861,8 +933,8 @@ void CompiledPatchEngine<Domain>::exec_branch(
         break;
       }
       case nn::OpKind::Add: {
-        const Tensor a = producer_crop(layer.inputs[0], step.out_region);
-        const Tensor b = producer_crop(layer.inputs[1], step.out_region);
+        const Tensor a = producer_input(layer.inputs[0], step.out_region);
+        const Tensor b = producer_input(layer.inputs[1], step.out_region);
         add_into(ctx.backend, a, b, layer.act, out);
         break;
       }
@@ -870,7 +942,7 @@ void CompiledPatchEngine<Domain>::exec_branch(
         std::vector<Tensor> cropped;
         cropped.reserve(layer.inputs.size());
         for (int in : layer.inputs) {
-          cropped.push_back(producer_crop(in, step.out_region));
+          cropped.push_back(producer_input(in, step.out_region));
         }
         std::vector<const Tensor*> ptrs;
         ptrs.reserve(cropped.size());
@@ -887,7 +959,8 @@ void CompiledPatchEngine<Domain>::exec_branch(
   const BranchStep& last = branch.steps.back();
   QMCU_ENSURE(last.layer_id == plan_.spec.split_layer,
               "branch must end at the cut layer");
-  merge_tile(views[static_cast<std::size_t>(num_steps_ - 1)], last.out_region,
+  merge_tile(ctx.backend, views[static_cast<std::size_t>(num_steps_ - 1)],
+             last.out_region,
              tail_memo_[static_cast<std::size_t>(plan_.spec.split_layer)],
              merge_changed);
 }
@@ -908,20 +981,17 @@ void CompiledPatchEngine<Domain>::exec_tail_band(int layer_id,
   switch (l.kind) {
     case nn::OpKind::Conv2D:
     case nn::OpKind::DepthwiseConv2D: {
-      // Same construction as the branch steps: materialise the (unclamped)
-      // input region with zero fill and run the kernel pad-free —
-      // bit-identical to the padded full-map call, proven by the
-      // patch/layer parity tests.
+      // Same construction as the branch steps: the (unclamped) input window
+      // with zero fill — a row view when it is in bounds and full width —
+      // and the kernel run pad-free, bit-identical to the padded full-map
+      // call, proven by the patch/layer parity tests.
       const nn::TensorShape& is = g.shape(l.inputs[0]);
-      const Tensor& in_full = memo(l.inputs[0]);
-      const Region want = required_input_region(l, is, out_region);
-      Tensor crop = borrow_like(
-          ctx.crops, nn::TensorShape{want.y.size(), want.x.size(), is.c},
-          in_full);
-      crop_into(in_full, full_region(is), want, is, crop);
+      const Tensor in = step_input(memo(l.inputs[0]), full_region(is),
+                                   required_input_region(l, is, out_region),
+                                   is, out, ctx.crops);
       nn::Layer local = l;
       local.pad_h = local.pad_w = 0;
-      this->windowed_into(ctx.backend, g, crop, local, layer_id, -1, -1, out);
+      this->windowed_into(ctx.backend, g, in, local, layer_id, -1, -1, out);
       break;
     }
     case nn::OpKind::MaxPool:
@@ -1212,6 +1282,15 @@ template <class Domain>
 typename Domain::Tensor CompiledPatchEngine<Domain>::run_streaming(
     const nn::Tensor& input, nn::WorkerPool* pool, StreamState& state) const {
   check_input(input);
+  if (!state.changed_rows.empty()) {
+    QMCU_REQUIRE(static_cast<int>(state.changed_rows.size()) ==
+                     input.shape().h,
+                 "changed_rows must hold one span per input row");
+    for (const Interval& span : state.changed_rows) {
+      QMCU_REQUIRE(span.begin >= 0 && span.end <= input.shape().w,
+                   "changed_rows span outside the input row");
+    }
+  }
   const int w = pool == nullptr ? 1 : pool->num_workers();
   prime_stream_state(state, w);
   const nn::ParallelArenaPlan& pplan = streaming_plan(w);
@@ -1226,12 +1305,14 @@ typename Domain::Tensor CompiledPatchEngine<Domain>::run_streaming(
   reset_stream_frame(state, plan_.spec.grid_rows, total_band_count(pipeline_),
                      !state.primed);
 
-  // The quantized domain requantizes the full frame every time (cheap, and
-  // dirty branches crop it); a byte-identical float crop quantizes to
-  // byte-identical codes, so clean branches stay clean through this write.
+  // The quantized domain re-quantizes the frame's changed spans (the whole
+  // frame when the caller gives none) into the retained input slot; a
+  // byte-identical float pixel quantizes to a byte-identical code, so
+  // clean branches stay clean through this write.
   run_stream_ = &state;
   run_parallel(input, pool, pplan, arena.data());
   run_stream_ = nullptr;
+  state.changed_rows.clear();
   state.primed = true;
   this->observe(tail_memo_, plan_.spec.split_layer);
   return tail_memo_[static_cast<std::size_t>(graph_->output())];

@@ -65,8 +65,18 @@
 // the same values; only which thread runs them, and when, changes); a
 // null/1-worker pool takes the sequential code path exactly.
 //
-// Halo crop temporaries are scratch (a grow-only pool reused across steps),
-// not feature maps, and are accounted via scratch_bytes().
+// Step inputs are read in place wherever they can be. When a step's input
+// window is whole rows of its producer's map — a pointwise conv's input, an
+// Add/Concat operand over the producer's own region, a tail band's
+// in-bounds full-width window — the step borrows a view of the producer's
+// arena bytes; the planner's lifetimes keep those bytes disjoint from the
+// step's output slot (checked on every borrow). Only windows that reach
+// into padding or cut columns off the producer's region are copied: a
+// row-wise halo crop (padding memset, in-bounds span memcpy) into a
+// grow-only scratch pool reused across steps. Crops are scratch, not
+// feature maps, and are accounted via scratch_bytes(). The quantized input
+// tile is requantized straight from the staged input, row span by row
+// span, with no crop at all.
 #pragma once
 
 #include <atomic>
@@ -162,6 +172,14 @@ struct StreamState {
   // runs until the state is primed. A recomputed branch whose merged tile
   // matches the retained bytes still leaves its grid row clean.
   std::vector<std::uint8_t> branch_dirty;
+  // Optional, caller-set with branch_dirty: per input row, a column span
+  // covering every pixel that differs from the previous frame run through
+  // this state (patch::FrameDiff::row_spans). A primed frame then
+  // re-quantizes only those spans of the retained input slot, which holds
+  // the previous frame's codes everywhere else; when empty, the whole input
+  // is quantized. Consumed by the frame: run_streaming clears it, so spans
+  // never carry over to a frame they were not computed for.
+  std::vector<Interval> changed_rows;
 
   // Stats for the frame just run (reset at each run_streaming entry).
   [[nodiscard]] std::int64_t frame_branches_run() const {
@@ -180,6 +198,7 @@ struct StreamState {
   // frame runs in full and may re-pin a new worker count.
   void reset() {
     branch_dirty.clear();
+    changed_rows.clear();
     lease.release();
     owned.clear();
     row_changed.reset();
@@ -232,9 +251,9 @@ class FloatDomain {
   // The caller's input is cropped in place: no arena slot.
   void stage_input(const nn::Graph& g, const nn::Tensor& input,
                    std::uint8_t* base, const nn::ArenaSlot* slot,
+                   std::span<const Interval> rows,
                    std::int64_t& measured) const;
-  void input_into(nn::ops::KernelBackend& backend,
-                  nn::ops::ScratchArena& crops, const nn::Graph& g,
+  void input_into(nn::ops::KernelBackend& backend, const nn::Graph& g,
                   const BranchStep& step, Tensor& out) const;
   static void windowed_into(nn::ops::KernelBackend& backend,
                             const nn::Graph& g, const Tensor& in,
@@ -317,12 +336,14 @@ class QuantDomain {
                    int s, std::span<const Tensor> views, std::uint8_t* base,
                    const nn::ArenaSlot& slot, const nn::TensorShape& shape,
                    std::int64_t& measured) const;
-  // Quantizes the whole input once into its slot; branches crop it.
+  // Quantizes the input once into its slot; branches crop it. `rows`
+  // limits the write to rows[y] of each input row y; empty means the whole
+  // input.
   void stage_input(const nn::Graph& g, const nn::Tensor& input,
                    std::uint8_t* base, const nn::ArenaSlot* slot,
+                   std::span<const Interval> rows,
                    std::int64_t& measured) const;
-  void input_into(nn::ops::KernelBackend& backend,
-                  nn::ops::ScratchArena& crops, const nn::Graph& g,
+  void input_into(nn::ops::KernelBackend& backend, const nn::Graph& g,
                   const BranchStep& step, Tensor& out) const;
   void windowed_into(nn::ops::KernelBackend& backend, const nn::Graph& g,
                      const Tensor& in, const nn::Layer& local, int layer_id,

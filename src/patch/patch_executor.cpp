@@ -1,8 +1,7 @@
 #include "patch/patch_executor.h"
 
-#include <cstring>
-
 #include "nn/ops/float_kernels.h"
+#include "patch/region_crop.h"
 #include "patch/region_pool.h"
 
 namespace qmcu::patch {
@@ -16,25 +15,8 @@ void crop_from_region_into(const nn::Tensor& have, const Region& avail,
   const int c = have.shape().c;
   QMCU_REQUIRE(out.shape() == nn::TensorShape(want.y.size(), want.x.size(), c),
                "crop destination shape mismatch");
-  // Zero-fill first: destinations may be reused scratch, and out-of-bounds
-  // positions must read as zero padding.
-  std::memset(out.data().data(), 0, out.data().size() * sizeof(float));
-  for (int gy = want.y.begin; gy < want.y.end; ++gy) {
-    for (int gx = want.x.begin; gx < want.x.end; ++gx) {
-      const int oy = gy - want.y.begin;
-      const int ox = gx - want.x.begin;
-      const bool in_bounds = gy >= 0 && gy < full.h && gx >= 0 && gx < full.w;
-      if (!in_bounds) continue;  // zero padding
-      QMCU_ENSURE(gy >= avail.y.begin && gy < avail.y.end &&
-                      gx >= avail.x.begin && gx < avail.x.end,
-                  "required element missing from available region");
-      const int sy = gy - avail.y.begin;
-      const int sx = gx - avail.x.begin;
-      for (int ch = 0; ch < c; ++ch) {
-        out.at(oy, ox, ch) = have.at(sy, sx, ch);
-      }
-    }
-  }
+  crop_rows(have.data().data(), avail, want, full, c, 0.0f, out.data().data(),
+            CopySpan{});
 }
 
 nn::Tensor crop_from_region(const nn::Tensor& have, const Region& avail,

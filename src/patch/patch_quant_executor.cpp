@@ -4,6 +4,7 @@
 
 #include "nn/ops/int8_kernels.h"
 #include "nn/ops/requantize.h"
+#include "patch/region_crop.h"
 #include "patch/region_pool.h"
 
 namespace qmcu::patch {
@@ -19,26 +20,9 @@ void crop_from_region_q_into(const nn::QTensor& have, const Region& avail,
                "crop destination shape mismatch");
   QMCU_REQUIRE(out.params() == have.params(),
                "crop destination must carry the source params");
-  const auto zp = static_cast<std::int8_t>(have.params().zero_point);
-  for (int gy = want.y.begin; gy < want.y.end; ++gy) {
-    for (int gx = want.x.begin; gx < want.x.end; ++gx) {
-      const int oy = gy - want.y.begin;
-      const int ox = gx - want.x.begin;
-      const bool in_bounds = gy >= 0 && gy < full.h && gx >= 0 && gx < full.w;
-      if (!in_bounds) {
-        for (int ch = 0; ch < c; ++ch) out.at(oy, ox, ch) = zp;
-        continue;
-      }
-      QMCU_ENSURE(gy >= avail.y.begin && gy < avail.y.end &&
-                      gx >= avail.x.begin && gx < avail.x.end,
-                  "required element missing from available region");
-      const int sy = gy - avail.y.begin;
-      const int sx = gx - avail.x.begin;
-      for (int ch = 0; ch < c; ++ch) {
-        out.at(oy, ox, ch) = have.at(sy, sx, ch);
-      }
-    }
-  }
+  crop_rows(have.data().data(), avail, want, full, c,
+            static_cast<std::int8_t>(have.params().zero_point),
+            out.data().data(), CopySpan{});
 }
 
 nn::QTensor crop_from_region_q(const nn::QTensor& have, const Region& avail,

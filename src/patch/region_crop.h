@@ -1,0 +1,63 @@
+// region_crop.h — the row-wise halo crop shared by every patch path.
+//
+// A crop materialises region `want` of a feature map with full extent
+// `full` from a tensor holding region `avail` of it. `want` may reach past
+// the map's edges (a convolution's zero padding); those positions take the
+// `pad` value. HWC rows are contiguous, so every output row is at most
+// three runs — left padding, one in-bounds span read from `have`, right
+// padding — and availability is checked once per row: every in-bounds
+// element of `want` must lie inside `avail`, or the crop throws rather
+// than fabricate data.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+
+#include "nn/check.h"
+#include "nn/shape.h"
+#include "patch/receptive_field.h"
+
+namespace qmcu::patch {
+
+// The plain span move: n elements copied as bytes.
+struct CopySpan {
+  template <class Elem>
+  void operator()(Elem* dst, const Elem* src, std::int64_t n) const {
+    std::memcpy(dst, src, static_cast<std::size_t>(n) * sizeof(Elem));
+  }
+};
+
+// `have` and `out` are dense HWC buffers of `c` channels covering `avail`
+// and `want`. `copy_span(dst, src, n)` moves each in-bounds span of n
+// elements (a plain copy, or a requantizing one).
+template <class Elem, class SpanFn>
+void crop_rows(const Elem* have, const Region& avail, const Region& want,
+               const nn::TensorShape& full, int c, Elem pad, Elem* out,
+               const SpanFn& copy_span) {
+  const int x0 = std::max(want.x.begin, 0);
+  const int x1 = std::min(want.x.end, full.w);
+  const std::int64_t row = static_cast<std::int64_t>(want.x.size()) * c;
+  const std::int64_t span =
+      x1 > x0 ? static_cast<std::int64_t>(x1 - x0) * c : 0;
+  const std::int64_t left =
+      span > 0 ? static_cast<std::int64_t>(x0 - want.x.begin) * c : row;
+  const std::int64_t have_row = static_cast<std::int64_t>(avail.x.size()) * c;
+  for (int gy = want.y.begin; gy < want.y.end; ++gy, out += row) {
+    if (span == 0 || gy < 0 || gy >= full.h) {
+      std::fill_n(out, row, pad);
+      continue;
+    }
+    QMCU_ENSURE(gy >= avail.y.begin && gy < avail.y.end &&
+                    x0 >= avail.x.begin && x1 <= avail.x.end,
+                "required element missing from available region");
+    std::fill_n(out, left, pad);
+    copy_span(out + left,
+              have + (gy - avail.y.begin) * have_row +
+                  static_cast<std::int64_t>(x0 - avail.x.begin) * c,
+              span);
+    std::fill_n(out + left + span, row - left - span, pad);
+  }
+}
+
+}  // namespace qmcu::patch

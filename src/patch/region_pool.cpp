@@ -8,6 +8,8 @@
 
 #include "nn/ops/int8_kernels.h"
 #include "nn/ops/requantize.h"
+#include "nn/ops/simd/simd_kernels.h"
+#include "patch/region_crop.h"
 
 namespace qmcu::patch {
 
@@ -146,146 +148,97 @@ nn::QTensor pool_region_q(const nn::QTensor& have, const Region& avail,
   return out;
 }
 
-void merge_region_f32(const nn::Tensor& tile, const Region& r,
-                      nn::Tensor& assembled) {
-  const int c = assembled.shape().c;
-  QMCU_REQUIRE(tile.shape() ==
-                   nn::TensorShape(r.y.size(), r.x.size(), c),
-               "merge_region_f32: tile does not cover its region");
+namespace {
+
+template <class T>
+void check_merge(const T& tile, const Region& r, const T& assembled) {
+  QMCU_REQUIRE(tile.shape() == nn::TensorShape(r.y.size(), r.x.size(),
+                                               assembled.shape().c),
+               "merge_region: tile does not cover its region");
   QMCU_REQUIRE(r.y.begin >= 0 && r.y.end <= assembled.shape().h &&
                    r.x.begin >= 0 && r.x.end <= assembled.shape().w,
-               "merge_region_f32: region exceeds the assembled map");
+               "merge_region: region exceeds the assembled map");
+}
+
+// Calls row_fn(dst, src, n) for each row of the tile: a region row is
+// contiguous (n elements) in both the tile and the assembled map.
+template <class T, class RowFn>
+void for_each_merge_row(const T& tile, const Region& r, T& assembled,
+                        const RowFn& row_fn) {
+  check_merge(tile, r, assembled);
+  const std::int64_t n =
+      static_cast<std::int64_t>(r.x.size()) * assembled.shape().c;
   for (int y = r.y.begin; y < r.y.end; ++y) {
-    for (int x = r.x.begin; x < r.x.end; ++x) {
-      std::memcpy(
-          assembled.data().data() + nn::flat_index(assembled.shape(), y, x, 0),
-          tile.data().data() +
-              nn::flat_index(tile.shape(), y - r.y.begin, x - r.x.begin, 0),
-          static_cast<std::size_t>(c) * sizeof(float));
-    }
+    row_fn(assembled.data().data() +
+               nn::flat_index(assembled.shape(), y, r.x.begin, 0),
+           tile.data().data() + (y - r.y.begin) * n, n);
   }
 }
 
+// Compare-before-write row copy, recording whether any byte changed.
+struct CopyIfChanged {
+  bool& changed;
+  template <class Elem>
+  void operator()(Elem* dst, const Elem* src, std::int64_t n) const {
+    const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(Elem);
+    if (std::memcmp(dst, src, bytes) == 0) return;
+    std::memcpy(dst, src, bytes);
+    changed = true;
+  }
+};
+
+}  // namespace
+
+void merge_region_f32(const nn::Tensor& tile, const Region& r,
+                      nn::Tensor& assembled) {
+  for_each_merge_row(tile, r, assembled, CopySpan{});
+}
+
 void merge_region_q(const nn::QTensor& tile, const Region& r,
-                    nn::QTensor& assembled) {
-  const nn::QuantParams& p = tile.params();
-  const nn::QuantParams& t = assembled.params();
-  const int c = assembled.shape().c;
-  QMCU_REQUIRE(tile.shape() ==
-                   nn::TensorShape(r.y.size(), r.x.size(), c),
-               "merge_region_q: tile does not cover its region");
-  QMCU_REQUIRE(r.y.begin >= 0 && r.y.end <= assembled.shape().h &&
-                   r.x.begin >= 0 && r.x.end <= assembled.shape().w,
-               "merge_region_q: region exceeds the assembled map");
-  if (p == t) {
-    for (int y = r.y.begin; y < r.y.end; ++y) {
-      for (int x = r.x.begin; x < r.x.end; ++x) {
-        std::memcpy(
-            assembled.data().data() +
-                nn::flat_index(assembled.shape(), y, x, 0),
-            tile.data().data() +
-                nn::flat_index(tile.shape(), y - r.y.begin, x - r.x.begin, 0),
-            static_cast<std::size_t>(c));
-      }
-    }
+                    nn::QTensor& assembled,
+                    const nn::ops::simd::SimdKernels* simd) {
+  if (tile.params() == assembled.params()) {
+    for_each_merge_row(tile, r, assembled, CopySpan{});
     return;
   }
-  // Mixed mode: rescale into the assembled map's params — the same values
-  // the legacy path produces via requantize_q + per-element scatter.
-  const nn::ops::ElementRequantizer rq(static_cast<double>(p.scale) /
-                                       static_cast<double>(t.scale));
-  const std::int32_t qmin = t.qmin();
-  const std::int32_t qmax = t.qmax();
-  for (int y = r.y.begin; y < r.y.end; ++y) {
-    for (int x = r.x.begin; x < r.x.end; ++x) {
-      for (int ch = 0; ch < c; ++ch) {
-        const std::int32_t v =
-            rq.apply(static_cast<std::int32_t>(
-                         tile.at(y - r.y.begin, x - r.x.begin, ch)) -
-                     p.zero_point) +
-            t.zero_point;
-        assembled.at(y, x, ch) =
-            static_cast<std::int8_t>(std::clamp(v, qmin, qmax));
-      }
-    }
-  }
+  // Mixed mode: the same values the legacy path produces via requantize_q
+  // + per-element scatter.
+  for_each_merge_row(tile, r, assembled,
+                     nn::ops::simd::RowRequantizer(tile.params(),
+                                                   assembled.params(), simd));
 }
 
 bool merge_region_f32_changed(const nn::Tensor& tile, const Region& r,
                               nn::Tensor& assembled) {
-  const int c = assembled.shape().c;
-  QMCU_REQUIRE(tile.shape() ==
-                   nn::TensorShape(r.y.size(), r.x.size(), c),
-               "merge_region_f32: tile does not cover its region");
-  QMCU_REQUIRE(r.y.begin >= 0 && r.y.end <= assembled.shape().h &&
-                   r.x.begin >= 0 && r.x.end <= assembled.shape().w,
-               "merge_region_f32: region exceeds the assembled map");
-  // A region row is contiguous in both the tile and the assembled map.
-  const std::size_t row_bytes = static_cast<std::size_t>(r.x.size()) *
-                                static_cast<std::size_t>(c) * sizeof(float);
   bool changed = false;
-  for (int y = r.y.begin; y < r.y.end; ++y) {
-    float* dst =
-        assembled.data().data() + nn::flat_index(assembled.shape(), y, r.x.begin, 0);
-    const float* src =
-        tile.data().data() + nn::flat_index(tile.shape(), y - r.y.begin, 0, 0);
-    if (std::memcmp(dst, src, row_bytes) != 0) {
-      std::memcpy(dst, src, row_bytes);
-      changed = true;
-    }
-  }
+  for_each_merge_row(tile, r, assembled, CopyIfChanged{changed});
   return changed;
 }
 
 bool merge_region_q_changed(const nn::QTensor& tile, const Region& r,
-                            nn::QTensor& assembled) {
-  const nn::QuantParams& p = tile.params();
-  const nn::QuantParams& t = assembled.params();
-  const int c = assembled.shape().c;
-  QMCU_REQUIRE(tile.shape() ==
-                   nn::TensorShape(r.y.size(), r.x.size(), c),
-               "merge_region_q: tile does not cover its region");
-  QMCU_REQUIRE(r.y.begin >= 0 && r.y.end <= assembled.shape().h &&
-                   r.x.begin >= 0 && r.x.end <= assembled.shape().w,
-               "merge_region_q: region exceeds the assembled map");
+                            nn::QTensor& assembled,
+                            const nn::ops::simd::SimdKernels* simd) {
   bool changed = false;
-  if (p == t) {
-    const std::size_t row_bytes =
-        static_cast<std::size_t>(r.x.size()) * static_cast<std::size_t>(c);
-    for (int y = r.y.begin; y < r.y.end; ++y) {
-      std::int8_t* dst = assembled.data().data() +
-                         nn::flat_index(assembled.shape(), y, r.x.begin, 0);
-      const std::int8_t* src =
-          tile.data().data() + nn::flat_index(tile.shape(), y - r.y.begin, 0, 0);
-      if (std::memcmp(dst, src, row_bytes) != 0) {
-        std::memcpy(dst, src, row_bytes);
-        changed = true;
-      }
-    }
+  const CopyIfChanged copy{changed};
+  if (tile.params() == assembled.params()) {
+    for_each_merge_row(tile, r, assembled, copy);
     return changed;
   }
-  const nn::ops::ElementRequantizer rq(static_cast<double>(p.scale) /
-                                       static_cast<double>(t.scale));
-  const std::int32_t qmin = t.qmin();
-  const std::int32_t qmax = t.qmax();
-  for (int y = r.y.begin; y < r.y.end; ++y) {
-    for (int x = r.x.begin; x < r.x.end; ++x) {
-      for (int ch = 0; ch < c; ++ch) {
-        const std::int32_t v =
-            rq.apply(static_cast<std::int32_t>(
-                         tile.at(y - r.y.begin, x - r.x.begin, ch)) -
-                     p.zero_point) +
-            t.zero_point;
-        const std::int8_t q =
-            static_cast<std::int8_t>(std::clamp(v, qmin, qmax));
-        std::int8_t& slot = assembled.at(y, x, ch);
-        if (slot != q) {
-          slot = q;
-          changed = true;
+  // Requantize a chunk of the row into a local buffer, then compare and
+  // copy it like the identity path.
+  const nn::ops::simd::RowRequantizer requant(tile.params(),
+                                              assembled.params(), simd);
+  for_each_merge_row(
+      tile, r, assembled,
+      [&](std::int8_t* dst, const std::int8_t* src, std::int64_t n) {
+        constexpr std::int64_t kChunk = 256;
+        std::int8_t buf[kChunk];
+        for (std::int64_t i = 0; i < n; i += kChunk) {
+          const std::int64_t len = std::min(kChunk, n - i);
+          requant(buf, src + i, len);
+          copy(dst + i, buf, len);
         }
-      }
-    }
-  }
+      });
   return changed;
 }
 

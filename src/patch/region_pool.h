@@ -14,6 +14,10 @@
 #include "nn/tensor.h"
 #include "patch/receptive_field.h"
 
+namespace qmcu::nn::ops::simd {
+struct SimdKernels;
+}  // namespace qmcu::nn::ops::simd
+
 namespace qmcu::patch {
 
 // Pools `out_region` of layer `l` (MaxPool or AvgPool) from the producer's
@@ -52,13 +56,15 @@ void pool_region_q_into(const nn::QTensor& have, const Region& avail,
 // merges commute: any completion order — sequential, shuffled, or
 // concurrent from several workers — produces the identical assembled map.
 // This is what lets the parallel patch runtime merge without locks and
-// still be bit-identical to the sequential path. The quantized form
-// rescales the tile into the assembled map's params (identity memcpy when
-// they already match — uniform mode).
+// still be bit-identical to the sequential path. Both copy whole tile
+// rows. The quantized form rescales the tile into the assembled map's
+// params (row memcpy when they already match — uniform mode) through
+// `simd`'s requant_i8_row, or the scalar body when it is null.
 void merge_region_f32(const nn::Tensor& tile, const Region& r,
                       nn::Tensor& assembled);
 void merge_region_q(const nn::QTensor& tile, const Region& r,
-                    nn::QTensor& assembled);
+                    nn::QTensor& assembled,
+                    const nn::ops::simd::SimdKernels* simd = nullptr);
 
 // Compare-before-write merge for the streaming runtime: identical to the
 // plain merge, but returns whether any assembled byte actually changed (a
@@ -69,6 +75,7 @@ void merge_region_q(const nn::QTensor& tile, const Region& r,
 bool merge_region_f32_changed(const nn::Tensor& tile, const Region& r,
                               nn::Tensor& assembled);
 bool merge_region_q_changed(const nn::QTensor& tile, const Region& r,
-                            nn::QTensor& assembled);
+                            nn::QTensor& assembled,
+                            const nn::ops::simd::SimdKernels* simd = nullptr);
 
 }  // namespace qmcu::patch

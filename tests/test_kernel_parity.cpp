@@ -754,6 +754,165 @@ TEST(KernelParity, FloatConvBitExact) {
   }
 }
 
+// --- Element-wise row kernels ----------------------------------------------
+// requant_i32_row, requant_i8_row and add_row run 16 lanes, then one 8-lane
+// step, then a scalar tail; every n in 1..40 covers each split. Multipliers
+// whose right shift falls outside [0, 31] take the scalar loop for the whole
+// row, so each suite also draws one. The table under test is the detected
+// one (null under QMCU_FORCE_SCALAR: the dispatchers then run the scalar
+// bodies, and the suites still check those against the Reference tier).
+
+struct RowCase {
+  QuantParams in_p;
+  QuantParams in2_p;
+  QuantParams out_p;
+  Activation act = Activation::None;
+};
+
+RowCase random_row_case(nn::Rng& rng, bool huge_multiplier) {
+  const Activation acts[] = {Activation::None, Activation::ReLU,
+                             Activation::ReLU6};
+  RowCase c;
+  c.in_p = {static_cast<float>(rng.uniform(0.005, 0.3)),
+            static_cast<std::int32_t>(rng.uniform(-30, 30)), 8};
+  c.in2_p = {static_cast<float>(rng.uniform(0.005, 0.3)),
+             static_cast<std::int32_t>(rng.uniform(-30, 30)), 8};
+  // An output scale far below the inputs' pushes the final multiplier
+  // above 1: a negative right shift.
+  c.out_p = {huge_multiplier ? 1e-9f
+                             : static_cast<float>(rng.uniform(0.005, 0.3)),
+             static_cast<std::int32_t>(rng.uniform(-30, 30)), 8};
+  c.act = acts[static_cast<int>(rng.uniform(0, 3))];
+  return c;
+}
+
+QTensor random_row(nn::Rng& rng, int n, const QuantParams& p) {
+  QTensor t(TensorShape{1, n, 1}, p);
+  for (std::int8_t& v : t.data()) {
+    v = static_cast<std::int8_t>(rng.uniform(-128, 128));
+  }
+  return t;
+}
+
+TEST(KernelParity, AddRowMatchesReferenceForEveryTail) {
+  nn::Rng rng(1212);
+  const simd::SimdKernels* table = simd::kernels();
+  for (int n = 1; n <= 40; ++n) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const RowCase c = random_row_case(rng, trial == 0);
+      const QTensor a = random_row(rng, n, c.in_p);
+      const QTensor b = random_row(rng, n, c.in2_p);
+      KernelBackend ref(KernelTier::Reference);
+      QTensor want(a.shape(), c.out_p);
+      ref.add_into(a, b, c.act, want);
+
+      const AddMultipliers m =
+          add_multipliers(c.in_p.scale, c.in2_p.scale, c.out_p.scale);
+      if (trial == 0) {
+        ASSERT_LT(m.out.right_shift, 0);
+      }
+      const auto [lo, hi] = activation_range(c.act, c.out_p);
+      QTensor got(a.shape(), c.out_p);
+      simd::run_add_row(table, a.data().data(), b.data().data(), n,
+                        c.in_p.zero_point, c.in2_p.zero_point, m,
+                        c.out_p.zero_point, lo, hi, got.data().data());
+      expect_q_identical(want, got, "add_row");
+      for (const KernelTier tier : kFastTiers) {
+        KernelBackend fast(tier);
+        QTensor via_backend(a.shape(), c.out_p);
+        fast.add_into(a, b, c.act, via_backend);
+        expect_q_identical(want, via_backend, "add_into");
+      }
+    }
+  }
+}
+
+TEST(KernelParity, RequantI32RowMatchesReferenceForEveryTail) {
+  nn::Rng rng(1313);
+  const simd::SimdKernels* table = simd::kernels();
+  if (table == nullptr || table->requant_i32_row == nullptr) {
+    GTEST_SKIP() << "no SIMD table (isa "
+                 << simd::isa_name(simd::detected_isa()) << ")";
+  }
+  for (int n = 1; n <= 40; ++n) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const RowCase c = random_row_case(rng, false);
+      // trial 0: a multiplier above 1 (negative right shift).
+      const FixedPointMultiplier m = quantize_multiplier(
+          trial == 0 ? rng.uniform(1.5, 6.0) : rng.uniform(1e-5, 0.9));
+      if (trial == 0) {
+        ASSERT_LT(m.right_shift, 0);
+      }
+      const auto [lo, hi] = activation_range(c.act, c.out_p);
+      std::vector<std::int32_t> acc(static_cast<std::size_t>(n));
+      std::vector<std::int32_t> offset(static_cast<std::size_t>(n));
+      for (std::size_t j = 0; j < acc.size(); ++j) {
+        acc[j] = static_cast<std::int32_t>(rng.uniform(-1 << 22, 1 << 22));
+        offset[j] = static_cast<std::int32_t>(rng.uniform(-5000, 5000));
+      }
+      const bool with_offset = trial % 2 == 1;
+      std::vector<std::int8_t> want(acc.size());
+      for (std::size_t j = 0; j < acc.size(); ++j) {
+        const std::int32_t total = acc[j] + (with_offset ? offset[j] : 0);
+        want[j] = static_cast<std::int8_t>(
+            clamp_to(apply_multiplier(total, m) + c.out_p.zero_point, lo, hi));
+      }
+      std::vector<std::int8_t> got(acc.size(), 99);
+      table->requant_i32_row(acc.data(), with_offset ? offset.data() : nullptr,
+                             n, m, c.out_p.zero_point, lo, hi, got.data());
+      for (int j = 0; j < n; ++j) {
+        ASSERT_EQ(static_cast<int>(want[static_cast<std::size_t>(j)]),
+                  static_cast<int>(got[static_cast<std::size_t>(j)]))
+            << "n " << n << " lane " << j << " shift " << m.right_shift
+            << " table " << table->name;
+      }
+    }
+  }
+}
+
+TEST(KernelParity, RequantI8RowMatchesReferenceForEveryTail) {
+  nn::Rng rng(1414);
+  const simd::SimdKernels* table = simd::kernels();
+  for (int n = 1; n <= 40; ++n) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const RowCase c = random_row_case(rng, false);
+      const QTensor in = random_row(rng, n, c.in_p);
+      const auto [lo, hi] = activation_range(c.act, c.out_p);
+      if (trial == 0) {
+        // The contract with an explicit multiplier above 1 (negative right
+        // shift) against the scalar body the Reference tier runs.
+        const FixedPointMultiplier m = quantize_multiplier(3.25);
+        ASSERT_LT(m.right_shift, 0);
+        std::vector<std::int8_t> want(static_cast<std::size_t>(n));
+        std::vector<std::int8_t> got(static_cast<std::size_t>(n), 99);
+        requant_i8_row_scalar(in.data().data(), n, c.in_p.zero_point, 2, m,
+                              c.out_p.zero_point, lo, hi, want.data());
+        simd::run_requant_i8_row(table, in.data().data(), n,
+                                 c.in_p.zero_point, 2, m, c.out_p.zero_point,
+                                 lo, hi, got.data());
+        ASSERT_EQ(want, got) << "n " << n;
+        continue;
+      }
+      // Random scales through the Reference tier's slice requantizer, with
+      // the activation clamp applied on top of the target's range.
+      const ElementRequantizer r(static_cast<double>(c.in_p.scale) /
+                                 static_cast<double>(c.out_p.scale));
+      KernelBackend ref(KernelTier::Reference);
+      const QTensor full = ref.requantize(in, c.out_p);
+      QTensor got(in.shape(), c.out_p);
+      simd::run_requant_i8_row(table, in.data().data(), n, c.in_p.zero_point,
+                               r.left_shift(), r.multiplier(),
+                               c.out_p.zero_point, lo, hi, got.data().data());
+      for (int j = 0; j < n; ++j) {
+        const int want = std::clamp<int>(
+            full.data()[static_cast<std::size_t>(j)], lo, hi);
+        ASSERT_EQ(want, static_cast<int>(got.data()[static_cast<std::size_t>(j)]))
+            << "n " << n << " lane " << j;
+      }
+    }
+  }
+}
+
 // Steady-state inference must not grow the arena: after one run the scratch
 // footprint is fixed.
 TEST(ScratchArena, FootprintStabilizesAcrossRuns) {

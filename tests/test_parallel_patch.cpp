@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -295,6 +296,107 @@ TEST(ParallelPatch, ParallelPlanSlicesAndSharedAreDisjoint) {
                               state);
     EXPECT_LE(model.measured_high_water(),
               model.streaming_plan(workers).total_bytes());
+  }
+}
+
+// --- borrowed step inputs ----------------------------------------------------
+//
+// Steps whose input window is whole rows of the producer's map read the
+// producer's arena bytes in place instead of a copy, so in every layout the
+// engine binds, each consuming step's output slot must be byte-disjoint
+// from every producer slot it reads. A copy used to hide an overlap; a
+// borrowed view would not.
+
+struct SlotPair {
+  std::size_t consumer;
+  std::size_t producer;
+};
+
+void expect_pairs_disjoint(const nn::ArenaPlan& ap, std::int64_t base,
+                           const std::vector<SlotPair>& pairs,
+                           const std::string& what) {
+  for (const SlotPair& pr : pairs) {
+    ASSERT_LT(pr.consumer, ap.slots.size()) << what;
+    ASSERT_LT(pr.producer, ap.slots.size()) << what;
+    nn::ArenaSlot out = ap.slots[pr.consumer];
+    nn::ArenaSlot in = ap.slots[pr.producer];
+    out.offset += base;
+    in.offset += base;
+    EXPECT_FALSE(out.overlaps_bytes(in))
+        << what << ": consumer slot " << pr.consumer << " overlaps producer "
+        << pr.producer;
+  }
+}
+
+template <class Model>
+void expect_producer_slots_disjoint(const nn::Graph& g,
+                                    const patch::PatchPlan& plan,
+                                    const Model& model,
+                                    const std::string& name) {
+  const patch::PatchBranch& proto = plan.branches.front();
+  const std::size_t steps = proto.steps.size();
+  const int split = plan.spec.split_layer;
+  // Branch steps: slot index = step index (sequential plan and slice).
+  std::vector<SlotPair> branch;
+  for (std::size_t s = 0; s < steps; ++s) {
+    for (const int in : g.layer(proto.steps[s].layer_id).inputs) {
+      const int p = proto.step_of(in);
+      ASSERT_GE(p, 0) << name;
+      branch.push_back({s, static_cast<std::size_t>(p)});
+    }
+  }
+  // Tail layers: shared index = id - split - 1; the assembled cut-layer map
+  // follows the last tail slot.
+  const auto tail_index = [&](int id) {
+    return static_cast<std::size_t>(id == split ? g.size() - split - 1
+                                                : id - split - 1);
+  };
+  std::vector<SlotPair> tail;
+  for (int id = split + 1; id < g.size(); ++id) {
+    for (const int in : g.layer(id).inputs) {
+      ASSERT_GE(in, split) << name << ": tail reads a pre-cut map";
+      tail.push_back({tail_index(id), tail_index(in)});
+    }
+  }
+  // The sequential plan: branch slots first, then the shared requests.
+  std::vector<SlotPair> seq_tail = tail;
+  for (SlotPair& pr : seq_tail) {
+    pr.consumer += steps;
+    pr.producer += steps;
+  }
+  expect_pairs_disjoint(model.arena_plan(), 0, branch, name + " sequential");
+  expect_pairs_disjoint(model.arena_plan(), 0, seq_tail,
+                        name + " sequential tail");
+  for (const int workers : {1, 4}) {
+    for (const auto& [kind, p] :
+         {std::pair<const char*, const nn::ParallelArenaPlan*>{
+              "pipelined", &model.pipelined_plan(workers)},
+          {"streaming", &model.streaming_plan(workers)}}) {
+      const std::string what =
+          name + " " + kind + " w=" + std::to_string(workers);
+      for (int lane = 0; lane < workers; ++lane) {
+        expect_pairs_disjoint(p->slice, p->slice_offset(lane), branch,
+                              what + " lane " + std::to_string(lane));
+      }
+      expect_pairs_disjoint(p->shared, p->shared_offset(), tail,
+                            what + " shared");
+    }
+  }
+}
+
+TEST(ParallelPatch, BorrowedInputsNeverAliasTheirOutputSlot) {
+  for (const std::string& name : models::model_names()) {
+    const nn::Graph g = models::make_model(name, small_cfg());
+    const patch::PatchPlan plan =
+        patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
+    const patch::CompiledPatchModel fmodel(g, plan);
+    expect_producer_slots_disjoint(g, plan, fmodel, name + " float");
+    const auto ranges = quant::calibrate_ranges(
+        g, std::vector<nn::Tensor>{random_input(g.shape(0), 34)});
+    const auto cfg =
+        quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+    const patch::CompiledPatchQuantModel qmodel(g, plan, cfg);
+    expect_producer_slots_disjoint(g, plan, qmodel, name + " int8");
   }
 }
 

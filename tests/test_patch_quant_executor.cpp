@@ -4,6 +4,9 @@
 // the float reference within quantization noise.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "core/quantmcu.h"
 #include "data/synthetic.h"
 #include "models/weights.h"
@@ -12,6 +15,7 @@
 #include "nn/memory_planner.h"
 #include "nn/rng.h"
 #include "patch/mcunetv2.h"
+#include "patch/patch_executor.h"
 #include "patch/patch_quant_executor.h"
 #include "quant/calibration.h"
 #include "quant/fake_quant.h"
@@ -212,6 +216,112 @@ TEST(CropFromRegionQ, FillsPaddingWithZeroPoint) {
       have, Region{{0, 2}, {0, 2}}, Region{{-1, 2}, {-1, 2}}, {2, 2, 1});
   EXPECT_EQ(out.at(0, 0, 0), static_cast<std::int8_t>(p.zero_point));
   EXPECT_EQ(out.at(1, 1, 0), 5);
+}
+
+TEST(CropFromRegionQ, FailsWhenRequiredDataMissing) {
+  const nn::QuantParams p = nn::choose_quant_params(-1.0f, 3.0f, 8);
+  nn::QTensor have(nn::TensorShape{2, 2, 1}, p);
+  // `have` covers rows 0..2 only; asking for row 3 (valid in an 8-row map)
+  // must fail loudly rather than fabricate data.
+  EXPECT_THROW(crop_from_region_q(have, Region{{0, 2}, {0, 2}},
+                                  Region{{1, 4}, {0, 2}}, {8, 8, 1}),
+               std::logic_error);
+}
+
+// --- crop edge matrix -------------------------------------------------------
+//
+// The row-wise crops of both domains against a naive per-element reference:
+// out-of-map positions take the pad value, in-map positions come from
+// `have`, and an in-map position outside `avail` makes the crop throw.
+// Covers each border, the four corners, rows wholly outside the map,
+// x-spans wholly outside it, and want == avail, for a full-map and a
+// partial `avail`.
+
+template <class T, class Elem>
+std::optional<std::vector<Elem>> naive_crop(const T& have, const Region& avail,
+                                            const Region& want,
+                                            const nn::TensorShape& full,
+                                            Elem pad) {
+  const int c = have.shape().c;
+  std::vector<Elem> out;
+  for (int gy = want.y.begin; gy < want.y.end; ++gy) {
+    for (int gx = want.x.begin; gx < want.x.end; ++gx) {
+      for (int ch = 0; ch < c; ++ch) {
+        if (gy < 0 || gy >= full.h || gx < 0 || gx >= full.w) {
+          out.push_back(pad);
+        } else if (gy < avail.y.begin || gy >= avail.y.end ||
+                   gx < avail.x.begin || gx >= avail.x.end) {
+          return std::nullopt;  // the crop must throw
+        } else {
+          out.push_back(have.at(gy - avail.y.begin, gx - avail.x.begin, ch));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<Region> edge_windows(const nn::TensorShape& f,
+                                 const Region& avail) {
+  return {
+      avail,                                  // want == avail
+      {{-1, 3}, {0, f.w}},                    // top border
+      {{f.h - 2, f.h + 1}, {0, f.w}},         // bottom border
+      {{0, f.h}, {-2, 3}},                    // left border
+      {{0, f.h}, {f.w - 2, f.w + 2}},         // right border
+      {{-1, 2}, {-1, 2}},                     // top-left corner
+      {{-1, 2}, {f.w - 2, f.w + 1}},          // top-right corner
+      {{f.h - 2, f.h + 1}, {-1, 2}},          // bottom-left corner
+      {{f.h - 2, f.h + 1}, {f.w - 2, f.w + 1}},  // bottom-right corner
+      {{-3, -1}, {0, f.w}},                   // rows wholly above
+      {{f.h, f.h + 2}, {1, 4}},               // rows wholly below
+      {{1, 3}, {-3, -1}},                     // x-span wholly left
+      {{1, 3}, {f.w, f.w + 2}},               // x-span wholly right
+      {{-2, f.h + 2}, {-2, f.w + 2}},         // the map plus a halo
+      {{avail.y.begin + 1, avail.y.end}, avail.x},  // rows inside avail
+      {avail.y, {avail.x.begin - 1, avail.x.end}},  // one column left of it
+  };
+}
+
+TEST(CropEdgeMatrix, BothDomainsMatchNaiveReference) {
+  const nn::TensorShape full{6, 7, 3};
+  const nn::QuantParams p{0.1f, -7, 8};
+  for (const Region& avail :
+       {full_region(full), Region{{1, 5}, {2, 6}}}) {
+    const nn::TensorShape hs{avail.y.size(), avail.x.size(), full.c};
+    nn::Tensor fhave(hs);
+    nn::QTensor qhave(hs, p);
+    for (std::size_t i = 0; i < fhave.data().size(); ++i) {
+      fhave.data()[i] = 1.0f + static_cast<float>(i);
+      qhave.data()[i] = static_cast<std::int8_t>(10 + i % 100);
+    }
+    for (const Region& want : edge_windows(full, avail)) {
+      const nn::TensorShape ws{want.y.size(), want.x.size(), full.c};
+      const auto fwant = naive_crop(fhave, avail, want, full, 0.0f);
+      const auto qwant = naive_crop(qhave, avail, want, full,
+                                    static_cast<std::int8_t>(p.zero_point));
+      // Scratch destinations start dirty: padding must be written, not
+      // assumed.
+      nn::Tensor fout(ws);
+      nn::QTensor qout(ws, p);
+      std::fill(fout.data().begin(), fout.data().end(), -99.0f);
+      std::fill(qout.data().begin(), qout.data().end(), std::int8_t{-99});
+      if (!fwant) {
+        EXPECT_THROW(crop_from_region_into(fhave, avail, want, full, fout),
+                     std::logic_error);
+        EXPECT_THROW(crop_from_region_q_into(qhave, avail, want, full, qout),
+                     std::logic_error);
+        continue;
+      }
+      crop_from_region_into(fhave, avail, want, full, fout);
+      crop_from_region_q_into(qhave, avail, want, full, qout);
+      ASSERT_EQ(fout.data().size(), fwant->size());
+      for (std::size_t i = 0; i < fwant->size(); ++i) {
+        ASSERT_EQ(fout.data()[i], (*fwant)[i]) << "float element " << i;
+        ASSERT_EQ(qout.data()[i], (*qwant)[i]) << "quant element " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 // Tests for bounds-aware region pooling (patch/region_pool.h) — padding
-// must be excluded from pool windows, exactly as in layer-based execution.
+// must be excluded from pool windows, exactly as in layer-based execution —
+// and for the row-wise tiled region merge.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "nn/ops/float_kernels.h"
 #include "nn/ops/int8_kernels.h"
+#include "nn/ops/requantize.h"
+#include "nn/ops/simd/simd_kernels.h"
 #include "nn/rng.h"
 #include "patch/region_pool.h"
 
@@ -136,6 +141,82 @@ TEST(RegionPool, RejectsNonPoolOps) {
   EXPECT_THROW(pool_region_f32(in, full_region(in.shape()), conv,
                                Region{{0, 1}, {0, 1}}, in.shape()),
                std::invalid_argument);
+}
+
+// The row merges against a per-element reference: identity copy when the
+// params match, ElementRequantizer rescale when they differ, through the
+// scalar body (null table) and the detected SIMD table. Rows of 5 x 61
+// lanes cover the 16-lane, 8-lane and scalar tails and the changed-merge's
+// chunking. The compare-before-write form writes the same bytes and
+// reports whether any changed.
+TEST(RegionMerge, RowMergesMatchPerElementReference) {
+  const nn::TensorShape map{9, 11, 61};
+  const Region r{{2, 7}, {3, 8}};
+  const nn::TensorShape ts{r.y.size(), r.x.size(), map.c};
+  nn::Rng rng(515);
+  const nn::QuantParams target{0.09f, 4, 8};
+  for (const nn::QuantParams& tp :
+       {target, nn::QuantParams{0.05f, -9, 8}, nn::QuantParams{0.3f, 1, 4}}) {
+    nn::QTensor tile(ts, tp);
+    for (std::int8_t& v : tile.data()) {
+      v = static_cast<std::int8_t>(rng.uniform(tp.qmin(), tp.qmax() + 1));
+    }
+    nn::QTensor want(map, target);
+    std::fill(want.data().begin(), want.data().end(), std::int8_t{7});
+    const nn::ops::ElementRequantizer rq(static_cast<double>(tp.scale) /
+                                         static_cast<double>(target.scale));
+    for (int y = r.y.begin; y < r.y.end; ++y) {
+      for (int x = r.x.begin; x < r.x.end; ++x) {
+        for (int c = 0; c < map.c; ++c) {
+          const std::int8_t v = tile.at(y - r.y.begin, x - r.x.begin, c);
+          want.at(y, x, c) =
+              tp == target
+                  ? v
+                  : static_cast<std::int8_t>(std::clamp(
+                        rq.apply(v - tp.zero_point) + target.zero_point,
+                        target.qmin(), target.qmax()));
+        }
+      }
+    }
+    for (const nn::ops::simd::SimdKernels* table :
+         {static_cast<const nn::ops::simd::SimdKernels*>(nullptr),
+          nn::ops::simd::kernels()}) {
+      nn::QTensor plain(map, target);
+      nn::QTensor changed(map, target);
+      std::fill(plain.data().begin(), plain.data().end(), std::int8_t{7});
+      std::fill(changed.data().begin(), changed.data().end(), std::int8_t{7});
+      merge_region_q(tile, r, plain, table);
+      EXPECT_TRUE(merge_region_q_changed(tile, r, changed, table));
+      EXPECT_FALSE(merge_region_q_changed(tile, r, changed, table));
+      for (std::size_t i = 0; i < want.data().size(); ++i) {
+        ASSERT_EQ(static_cast<int>(plain.data()[i]),
+                  static_cast<int>(want.data()[i]))
+            << "element " << i;
+        ASSERT_EQ(static_cast<int>(changed.data()[i]),
+                  static_cast<int>(want.data()[i]))
+            << "element " << i;
+      }
+    }
+  }
+
+  const nn::Tensor ftile = random_tensor(ts, 16);
+  nn::Tensor plain(map);
+  nn::Tensor changed(map);
+  merge_region_f32(ftile, r, plain);
+  EXPECT_TRUE(merge_region_f32_changed(ftile, r, changed));
+  EXPECT_FALSE(merge_region_f32_changed(ftile, r, changed));
+  for (int y = 0; y < map.h; ++y) {
+    for (int x = 0; x < map.w; ++x) {
+      const bool inside = y >= r.y.begin && y < r.y.end && x >= r.x.begin &&
+                          x < r.x.end;
+      for (int c = 0; c < map.c; ++c) {
+        const float v =
+            inside ? ftile.at(y - r.y.begin, x - r.x.begin, c) : 0.0f;
+        ASSERT_EQ(plain.at(y, x, c), v);
+        ASSERT_EQ(changed.at(y, x, c), v);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/quantmcu.h"
@@ -23,6 +24,7 @@
 #include "nn/streaming/streaming_session.h"
 #include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
+#include "patch/streaming_diff.h"
 #include "quant/calibration.h"
 
 namespace qmcu {
@@ -303,6 +305,58 @@ TEST(Streaming, WorkerCountIsPinnedPerState) {
   state.reset();
   (void)model.run_streaming(frame, &four, state);
   EXPECT_EQ(state.pinned_workers(), 4);
+}
+
+// A primed quant stream re-quantizes only StreamState::changed_rows: the
+// retained input slot keeps the previous frame's codes everywhere else.
+// Spans from diff_frames reproduce the full run; spans that omit a changed
+// pixel leave it stale (so the spans really limit the write); the frame
+// consumes its spans, so the next frame without any quantizes in full; a
+// span list of the wrong height is rejected.
+TEST(Streaming, ChangedRowsLimitTheInputRestage) {
+  const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 5)});
+  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const patch::PatchPlan plan =
+      patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
+  const patch::CompiledPatchQuantModel model(g, plan, cfg);
+  const std::vector<nn::Tensor> stream = make_stream(g.shape(0), 2, 61);
+  const patch::FrameDiff diff = patch::diff_frames(stream[0], stream[1]);
+  ASSERT_FALSE(diff.identical());
+
+  // Every branch scheduled, so only the input spans decide the output.
+  const auto next = [&](patch::StreamState& state,
+                        std::vector<patch::Interval> rows) {
+    state.branch_dirty.assign(plan.branches.size(), 1);
+    state.changed_rows = std::move(rows);
+    return model.run_streaming(stream[1], nullptr, state);
+  };
+  {
+    patch::StreamState state;
+    (void)model.run_streaming(stream[0], nullptr, state);
+    expect_q_identical(next(state, diff.row_spans), model.run(stream[1]));
+  }
+  {
+    patch::StreamState state;
+    (void)model.run_streaming(stream[0], nullptr, state);
+    const nn::QTensor stale =
+        next(state, std::vector<patch::Interval>(diff.row_spans.size()));
+    const nn::QTensor old = model.run(stream[0]);
+    EXPECT_EQ(std::memcmp(stale.data().data(), old.data().data(),
+                          old.data().size()),
+              0);
+    EXPECT_TRUE(state.changed_rows.empty());
+    state.branch_dirty.assign(plan.branches.size(), 1);
+    expect_q_identical(model.run_streaming(stream[1], nullptr, state),
+                       model.run(stream[1]));
+  }
+  {
+    patch::StreamState state;
+    (void)model.run_streaming(stream[0], nullptr, state);
+    EXPECT_THROW((void)next(state, std::vector<patch::Interval>(3)),
+                 std::invalid_argument);
+  }
 }
 
 // --- activation stats / drift ----------------------------------------------
