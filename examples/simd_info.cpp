@@ -43,10 +43,18 @@ int main() {
   std::printf("  gemm_block_i8:   %s\n", k->gemm_block_i8 ? "simd" : "scalar");
   std::printf("  requant_i32_row: %s\n",
               k->requant_i32_row ? "simd" : "scalar");
-  std::printf("  dw_accumulate:   %s\n", k->dw_accumulate ? "simd" : "scalar");
+  std::printf("  dw_accumulate:   %s\n",
+              k->dw_accumulate ? "simd"
+              : k->dw_conv_row ? "not used (dw_conv_row)"
+                               : "scalar");
   std::printf("  requant_i8_row:  %s\n",
               k->requant_i8_row ? "simd" : "scalar");
   std::printf("  unpack_body:     %s\n", k->unpack_body ? "simd" : "scalar");
   std::printf("  lut_gemm_block:  %s\n", k->lut_gemm_block ? "simd" : "scalar");
+  // The fused entries have no scalar twin: null runs the unfused pair.
+  std::printf("  gemm_requant_block: %s\n",
+              k->gemm_requant_block ? "fused" : "unfused");
+  std::printf("  dw_conv_row:        %s\n",
+              k->dw_conv_row ? "fused" : "unfused");
   return 0;
 }

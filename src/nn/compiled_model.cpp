@@ -71,7 +71,7 @@ void PrecompiledBundle::apply(ops::KernelBackend& backend) const {
     backend.adopt_lut_panel(l.key, l.bits, l.tables, l.wsum);
   }
   for (const OffsetEntry& o : offsets) {
-    backend.register_offset_row(o.key, o.a_zp, o.offset);
+    backend.register_offset_row(o.key, o.a_zp, o.bias, o.offset);
   }
 }
 

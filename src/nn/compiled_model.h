@@ -116,6 +116,7 @@ struct PrecompiledBundle {
   struct OffsetEntry {
     const std::int8_t* key = nullptr;
     std::int32_t a_zp = 0;  // activation zero point the row was baked for
+    const std::int32_t* bias = nullptr;  // bias array it was baked from
     std::span<const std::int32_t> offset;
   };
   std::vector<PanelEntry> panels;

@@ -99,7 +99,8 @@ void fast_conv2d_impl(ScratchArena& arena, const TensorShape& is,
                       std::span<const std::int32_t> qbias,
                       const PackRow& pack_row, QTensor& out,
                       const simd::SimdKernels* simd,
-                      std::span<const std::int32_t> pre_offset = {}) {
+                      std::span<const std::int32_t> pre_offset = {},
+                      const std::int8_t* pointwise_a = nullptr) {
   const TensorShape os = conv_output_shape(is, l, l.out_channels);
   const int n = l.out_channels;
   const int k = static_cast<int>(im2col_row_elements(is, l));
@@ -111,7 +112,7 @@ void fast_conv2d_impl(ScratchArena& arena, const TensorShape& is,
   // +128 (see SimdKernels::gemm_a_bias); treating the bias as part of the
   // zero point folds its -128*Σw correction into the same constant.
   // `pre_offset` (a registered artifact row validated by the caller against
-  // the live a_zp) skips the per-run recomputation.
+  // the live a_zp and the bias array) skips the per-run recomputation.
   std::span<const std::int32_t> offset = pre_offset;
   if (offset.empty()) {
     const std::int32_t a_zp =
@@ -125,7 +126,6 @@ void fast_conv2d_impl(ScratchArena& arena, const TensorShape& is,
     }
     offset = row;
   }
-  auto a = arena.i8(static_cast<std::size_t>(os.w) * k);
   auto acc = arena.i32(4 * static_cast<std::size_t>(n));
 
   GemmQuantPost post;
@@ -138,6 +138,15 @@ void fast_conv2d_impl(ScratchArena& arena, const TensorShape& is,
   post.act_hi = act_hi;
 
   std::int8_t* y = out.data().data();
+  if (pointwise_a != nullptr) {
+    // `pointwise_a` is the whole input map of a 1x1 / stride-1 / pad-0
+    // conv, already laid out as the (h*w) x k im2col matrix: one GEMM over
+    // every output pixel, no packing.
+    gemm_int8_requant(pointwise_a, bt.data(), os.h * os.w, n, k, post,
+                      acc.data(), y, simd);
+    return;
+  }
+  auto a = arena.i8(static_cast<std::size_t>(os.w) * k);
   for (int oy = 0; oy < os.h; ++oy) {
     pack_row(oy, a.data());
     gemm_int8_requant(a.data(), bt.data(), os.w, n, k, post, acc.data(),
@@ -227,13 +236,59 @@ void fast_depthwise_conv2d(ScratchArena& arena, const QTensor& in,
   const std::int8_t* w = qweights.data();
   std::int8_t* y = out.data().data();
 
-  arena.reset();
-  auto acc = arena.i32(static_cast<std::size_t>(c));
-
   const OutputInterior oy_int =
       output_interior(l.kernel_h, l.stride_h, l.pad_h, is.h, os.h);
   const OutputInterior ox_int =
       output_interior(l.kernel_w, l.stride_w, l.pad_w, is.w, os.w);
+
+  const auto conv_row = (simd != nullptr) ? simd->dw_conv_row : nullptr;
+  if (conv_row != nullptr && zp >= -128 && zp <= 127) {
+    // Fused rows: per output row, the border columns one pixel at a time
+    // with their clipped window, the interior columns as one run.
+    simd::DwConvRow p;
+    p.x_row = static_cast<std::int64_t>(is.w) * c;
+    p.x_step = static_cast<std::int64_t>(l.stride_w) * c;
+    p.w_row = l.kernel_w * c;
+    p.bias = qbias.empty() ? nullptr : qbias.data();
+    p.c = c;
+    p.zp = zp;
+    p.m = m;
+    p.out_zp = out_params.zero_point;
+    p.lo = act_lo;
+    p.hi = act_hi;
+    const int run_lo = std::clamp(ox_int.lo, 0, os.w);
+    const int run_hi = std::clamp(ox_int.hi, run_lo, os.w);
+    for (int oy = 0; oy < os.h; ++oy) {
+      const int iy0 = oy * l.stride_h - l.pad_h;
+      const KernelRange kyr = valid_kernel_range(iy0, l.kernel_h, is.h);
+      const auto run = [&](int ox0, int count, KernelRange kxr) {
+        const int ix0 = ox0 * l.stride_w - l.pad_w;
+        p.taps_h = kyr.count();
+        p.taps_w = kxr.count();
+        p.x = x;
+        p.w = w;
+        if (p.taps_h > 0 && p.taps_w > 0) {
+          p.x += flat_index(is, iy0 + kyr.lo, ix0 + kxr.lo, 0);
+          p.w += (static_cast<std::size_t>(kyr.lo) * l.kernel_w + kxr.lo) *
+                 static_cast<std::size_t>(c);
+        }
+        p.count = count;
+        p.y = y + static_cast<std::size_t>(flat_index(os, oy, ox0, 0));
+        conv_row(p);
+      };
+      const auto border = [&](int ox) {
+        run(ox, 1,
+            valid_kernel_range(ox * l.stride_w - l.pad_w, l.kernel_w, is.w));
+      };
+      for (int ox = 0; ox < run_lo; ++ox) border(ox);
+      if (run_hi > run_lo) run(run_lo, run_hi - run_lo, {0, l.kernel_w});
+      for (int ox = run_hi; ox < os.w; ++ox) border(ox);
+    }
+    return;
+  }
+
+  arena.reset();
+  auto acc = arena.i32(static_cast<std::size_t>(c));
 
   const auto accumulate =
       (simd != nullptr) ? simd->dw_accumulate : nullptr;
@@ -400,17 +455,20 @@ void KernelBackend::adopt_lut_panel(const std::int8_t* key, int bits,
 
 void KernelBackend::register_offset_row(const std::int8_t* key,
                                         std::int32_t a_zp,
+                                        const std::int32_t* bias,
                                         std::span<const std::int32_t> offset) {
   QMCU_REQUIRE(key != nullptr && !offset.empty(),
                "register_offset_row: empty row");
-  offset_rows_[key] = OffsetRow{a_zp, offset};
+  offset_rows_[key] = OffsetRow{a_zp, bias, offset};
 }
 
 std::span<const std::int32_t> KernelBackend::offset_row(
-    const std::int8_t* key, std::int32_t a_zp, int n) const {
+    const std::int8_t* key, std::int32_t a_zp,
+    std::span<const std::int32_t> bias, int n) const {
   if (offset_rows_.empty()) return {};
   const auto it = offset_rows_.find(key);
   if (it == offset_rows_.end() || it->second.a_zp != a_zp ||
+      it->second.bias != bias.data() ||
       static_cast<int>(it->second.offset.size()) != n) {
     return {};
   }
@@ -446,15 +504,21 @@ void KernelBackend::conv2d_into(const QTensor& in, const Layer& l,
     const LutView t = lut_panel(qweights, n, static_cast<int>(k), ip.bits);
     lut_conv2d_impl(arena_, is, ip, l, t.tables, t.wsum, wparams, qbias,
                     pack_row, out, simd_,
-                    offset_row(qweights.data(), ip.zero_point, n));
+                    offset_row(qweights.data(), ip.zero_point, qbias, n));
     return;
   }
   arena_.reset();
   const PanelView w = weight_panel(qweights, n, static_cast<int>(k));
+  // A 1x1, stride-1, unpadded conv reads each input pixel's channels as
+  // its im2col row: the NHWC map already is the GEMM's A matrix.
+  const bool pointwise = l.kernel_h == 1 && l.kernel_w == 1 &&
+                         l.stride_h == 1 && l.stride_w == 1 &&
+                         l.pad_h == 0 && l.pad_w == 0;
   fast_conv2d_impl(
       arena_, is, ip, l, w.bt, w.wsum, wparams, qbias, pack_row, out, simd_,
       offset_row(qweights.data(),
-                 ip.zero_point + simd::gemm_activation_bias(simd_), n));
+                 ip.zero_point + simd::gemm_activation_bias(simd_), qbias, n),
+      pointwise ? x.data() : nullptr);
 }
 
 QTensor KernelBackend::conv2d(const QTensor& in, const Layer& l,
@@ -507,7 +571,8 @@ QTensor KernelBackend::conv2d_packed(std::span<const std::uint8_t> packed,
     const LutView t = lut_panel(qweights, n, static_cast<int>(k), bits);
     lut_conv2d_impl(arena_, in_shape, in_params, l, t.tables, t.wsum, wparams,
                     qbias, pack_row, out, simd_,
-                    offset_row(qweights.data(), in_params.zero_point, n));
+                    offset_row(qweights.data(), in_params.zero_point, qbias,
+                               n));
     return out;
   }
   arena_.reset();
@@ -516,7 +581,8 @@ QTensor KernelBackend::conv2d_packed(std::span<const std::uint8_t> packed,
       arena_, in_shape, in_params, l, w.bt, w.wsum, wparams, qbias, pack_row,
       out, simd_,
       offset_row(qweights.data(),
-                 in_params.zero_point + simd::gemm_activation_bias(simd_), n));
+                 in_params.zero_point + simd::gemm_activation_bias(simd_),
+                 qbias, n));
   return out;
 }
 
@@ -571,7 +637,7 @@ void KernelBackend::fully_connected_into(const QTensor& in, const Layer& l,
     const LutView t = lut_panel(qweights, l.out_channels, kf_lut, ip.bits);
     const int n = l.out_channels;
     std::span<const std::int32_t> offset =
-        offset_row(qweights.data(), ip.zero_point, n);
+        offset_row(qweights.data(), ip.zero_point, qbias, n);
     if (offset.empty()) {
       auto row = arena_.i32(static_cast<std::size_t>(n));
       for (int j = 0; j < n; ++j) {
@@ -610,7 +676,8 @@ void KernelBackend::fully_connected_into(const QTensor& in, const Layer& l,
   const PanelView w = weight_panel(qweights, n, k);
   const std::int32_t a_zp =
       ip.zero_point + simd::gemm_activation_bias(simd_);
-  std::span<const std::int32_t> offset = offset_row(qweights.data(), a_zp, n);
+  std::span<const std::int32_t> offset =
+      offset_row(qweights.data(), a_zp, qbias, n);
   if (offset.empty()) {
     auto row = arena_.i32(static_cast<std::size_t>(n));
     for (int j = 0; j < n; ++j) {

@@ -173,11 +173,15 @@ class KernelBackend {
   // Installs a precomputed per-column constant row (bias − a_zp·Σw) for the
   // weight blob at `key`, valid only at the recorded activation zero point
   // `a_zp` (which folds in the dot generation's +128 activation bias, so
-  // the row is kernel-generation-dependent). Ops validate a_zp and length
-  // before use and silently fall back to the per-run scratch computation on
-  // mismatch — correctness never depends on the registration matching the
-  // live kernel generation.
+  // the row is kernel-generation-dependent) and for the bias array at
+  // `bias` (null for a layer without bias). Ops validate a_zp, the bias
+  // pointer they were handed and the length before use, and silently fall
+  // back to the per-run scratch computation on mismatch — a mixed-mode
+  // branch step whose rescaled bias differs from the deployment bias never
+  // reads the deployment's row, and correctness never depends on the
+  // registration matching the live kernel generation.
   void register_offset_row(const std::int8_t* key, std::int32_t a_zp,
+                           const std::int32_t* bias,
                            std::span<const std::int32_t> offset);
 
   // --- integer ops (contracts in int8_kernels.h) ---------------------------
@@ -295,13 +299,16 @@ class KernelBackend {
 
   struct OffsetRow {
     std::int32_t a_zp;
+    const std::int32_t* bias;  // the bias array the row was built from
     std::span<const std::int32_t> offset;
   };
 
-  // The registered offset row for `key` iff it was computed at `a_zp` with
-  // `n` columns; empty span otherwise (callers then compute into scratch).
+  // The registered offset row for `key` iff it was computed at `a_zp` from
+  // the same bias array (by address) with `n` columns; empty span otherwise
+  // (callers then compute into scratch).
   [[nodiscard]] std::span<const std::int32_t> offset_row(
-      const std::int8_t* key, std::int32_t a_zp, int n) const;
+      const std::int8_t* key, std::int32_t a_zp,
+      std::span<const std::int32_t> bias, int n) const;
 
   // Affinity assert shared by every op entry point.
   void guard() const { affinity_.check("KernelBackend"); }

@@ -161,36 +161,55 @@ void gemm_block_f32(const float* __restrict a, const float* __restrict bt,
   }
 }
 
+// One block of 1..4 A rows through the Simd table's fused GEMM + output
+// stage when it has one and the multiplier's shift suits the vector lanes;
+// otherwise the accumulator block (the table's, or the scalar one) writes
+// `acc` and each row is requantized on its own, exactly as before the fused
+// entry existed. Bit-identical either way.
+void run_gemm_requant_block(const simd::SimdKernels* simd,
+                            const std::int8_t* a, const std::int8_t* bt,
+                            int rows, int n, int k, const GemmQuantPost& post,
+                            std::int32_t* acc, std::int8_t* c) {
+  if (simd != nullptr && simd->gemm_requant_block != nullptr &&
+      simd::vector_shift(post.multiplier)) {
+    simd->gemm_requant_block(a, bt, rows, n, k, post.offset, post.multiplier,
+                             post.output_zp, post.act_lo, post.act_hi, c);
+    return;
+  }
+  const auto block = (simd != nullptr && simd->gemm_block_i8 != nullptr)
+                         ? simd->gemm_block_i8
+                         : &gemm_block_i8;
+  const auto requant_row =
+      (simd != nullptr) ? simd->requant_i32_row : nullptr;
+  block(a, bt, rows, n, k, acc);
+  for (int r = 0; r < rows; ++r) {
+    const std::int32_t* row = acc + static_cast<std::size_t>(r) * n;
+    std::int8_t* out = c + static_cast<std::size_t>(r) * n;
+    if (requant_row != nullptr) {
+      requant_row(row, post.offset, n, post.multiplier, post.output_zp,
+                  post.act_lo, post.act_hi, out);
+      continue;
+    }
+    for (int j = 0; j < n; ++j) {
+      const std::int32_t total = row[j] + post.offset[j];
+      const std::int32_t q =
+          clamp_to(apply_multiplier(total, post.multiplier) + post.output_zp,
+                   post.act_lo, post.act_hi);
+      out[j] = static_cast<std::int8_t>(q);
+    }
+  }
+}
+
 }  // namespace
 
 void gemm_int8_requant(const std::int8_t* a, const std::int8_t* bt, int m,
                        int n, int k, const GemmQuantPost& post,
                        std::int32_t* acc, std::int8_t* c,
                        const simd::SimdKernels* simd) {
-  const auto block = (simd != nullptr && simd->gemm_block_i8 != nullptr)
-                         ? simd->gemm_block_i8
-                         : &gemm_block_i8;
-  const auto requant_row =
-      (simd != nullptr) ? simd->requant_i32_row : nullptr;
   for (int m0 = 0; m0 < m; m0 += 4) {
-    const int rows = std::min(4, m - m0);
-    block(a + static_cast<std::size_t>(m0) * k, bt, rows, n, k, acc);
-    for (int r = 0; r < rows; ++r) {
-      const std::int32_t* row = acc + static_cast<std::size_t>(r) * n;
-      std::int8_t* out = c + static_cast<std::size_t>(m0 + r) * n;
-      if (requant_row != nullptr) {
-        requant_row(row, post.offset, n, post.multiplier, post.output_zp,
-                    post.act_lo, post.act_hi, out);
-        continue;
-      }
-      for (int j = 0; j < n; ++j) {
-        const std::int32_t total = row[j] + post.offset[j];
-        const std::int32_t q =
-            clamp_to(apply_multiplier(total, post.multiplier) + post.output_zp,
-                     post.act_lo, post.act_hi);
-        out[j] = static_cast<std::int8_t>(q);
-      }
-    }
+    run_gemm_requant_block(simd, a + static_cast<std::size_t>(m0) * k, bt,
+                           std::min(4, m - m0), n, k, post, acc,
+                           c + static_cast<std::size_t>(m0) * n);
   }
 }
 

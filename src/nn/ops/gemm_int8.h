@@ -54,9 +54,10 @@ struct GemmQuantPost {
 // `acc` is caller-provided scratch of at least min(4, m) * n int32 (the
 // block walks at most 4 A rows at a time; fc calls with m == 1 need only
 // one accumulator row). When `simd` is
-// non-null, the accumulator block and the fused requantize epilogue run on
-// its microkernels (per-entry scalar fallback; results are bit-identical
-// either way — that is the Simd tier's contract).
+// non-null, each 4-row block runs its fused gemm_requant_block entry, or,
+// where that entry is null, its accumulator block and requantize epilogue
+// (per-entry scalar fallback; results are bit-identical either way — that
+// is the Simd tier's contract).
 void gemm_int8_requant(const std::int8_t* a, const std::int8_t* bt, int m,
                        int n, int k, const GemmQuantPost& post,
                        std::int32_t* acc, std::int8_t* c,

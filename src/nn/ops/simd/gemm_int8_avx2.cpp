@@ -14,108 +14,11 @@
 #include <cstring>
 
 #include "nn/ops/lut/lut_simd_bodies.h"
+#include "nn/ops/simd/requant_lanes_avx2.h"
 
 namespace qmcu::nn::ops::simd {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Fixed-point requantization lanes.
-//
-// apply_multiplier() is SRDHM (saturating rounding doubling high multiply)
-// followed by a rounding right shift. The scalar SRDHM computes
-//   (a*b + nudge) / 2^31            nudge = ab >= 0 ? 2^30 : 1 - 2^30
-// with C++ *truncating* division, so the vector version adds 2^31 - 1 to
-// negative sums before the logical shift (floor + fix = trunc). The
-// saturation corner (a == b == INT32_MIN) cannot trigger here: the Q31
-// mantissa produced by quantize_multiplier is always positive. Taking only
-// the low 32 bits of each 64-bit lane after the shift is exact because the
-// true quotient fits in int32.
-
-inline __m256i srdhm_q31(__m256i x, __m256i mant) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i nudge_pos = _mm256_set1_epi64x(std::int64_t{1} << 30);
-  const __m256i nudge_neg = _mm256_set1_epi64x(1 - (std::int64_t{1} << 30));
-  const __m256i trunc_fix = _mm256_set1_epi64x((std::int64_t{1} << 31) - 1);
-
-  __m256i ev = _mm256_mul_epi32(x, mant);  // lanes 0,2,4,6 as i64 products
-  __m256i od = _mm256_mul_epi32(_mm256_srli_epi64(x, 32),
-                                _mm256_srli_epi64(mant, 32));  // lanes 1,3,5,7
-
-  ev = _mm256_add_epi64(
-      ev, _mm256_blendv_epi8(nudge_pos, nudge_neg,
-                             _mm256_cmpgt_epi64(zero, ev)));
-  od = _mm256_add_epi64(
-      od, _mm256_blendv_epi8(nudge_pos, nudge_neg,
-                             _mm256_cmpgt_epi64(zero, od)));
-  // Truncating divide by 2^31: floor-shift negative lanes up by 2^31 - 1.
-  ev = _mm256_add_epi64(
-      ev, _mm256_and_si256(_mm256_cmpgt_epi64(zero, ev), trunc_fix));
-  od = _mm256_add_epi64(
-      od, _mm256_and_si256(_mm256_cmpgt_epi64(zero, od), trunc_fix));
-  ev = _mm256_srli_epi64(ev, 31);
-  od = _mm256_slli_epi64(_mm256_srli_epi64(od, 31), 32);
-  // Even 32-bit lanes from ev (their high garbage sits in odd positions,
-  // masked out by the blend), odd lanes from od.
-  return _mm256_blend_epi32(ev, od, 0xAA);
-}
-
-// rounding_divide_by_pot: round half away from zero, exponent in [0, 31].
-// exponent == 0 degenerates to the identity exactly like the scalar
-// (mask = 0 => remainder 0 => no increment).
-inline __m256i rounding_rshift(__m256i x, int exponent) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i mask =
-      _mm256_set1_epi32(static_cast<std::int32_t>((1u << exponent) - 1));
-  const __m256i remainder = _mm256_and_si256(x, mask);
-  // threshold = mask >> 1, +1 for negative lanes (cmpgt mask is -1).
-  __m256i threshold = _mm256_srli_epi32(mask, 1);
-  threshold = _mm256_sub_epi32(threshold, _mm256_cmpgt_epi32(zero, x));
-  __m256i result = _mm256_srai_epi32(x, exponent);
-  return _mm256_sub_epi32(result,
-                          _mm256_cmpgt_epi32(remainder, threshold));
-}
-
-// Clamps two 8-lane int32 vectors (already in [-128, 127] by the clamp) and
-// stores them as 16 consecutive int8. packs saturation never engages.
-inline void store_16_i8(__m256i v0, __m256i v1, __m256i lo, __m256i hi,
-                        std::int8_t* out) {
-  v0 = _mm256_min_epi32(_mm256_max_epi32(v0, lo), hi);
-  v1 = _mm256_min_epi32(_mm256_max_epi32(v1, lo), hi);
-  __m256i p16 = _mm256_packs_epi32(v0, v1);
-  // packs interleaves per 128-bit half; 0xD8 restores sequential order.
-  p16 = _mm256_permute4x64_epi64(p16, 0xD8);
-  const __m128i p8 = _mm_packs_epi16(_mm256_castsi256_si128(p16),
-                                     _mm256_extracti128_si256(p16, 1));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), p8);
-}
-
-// The 8-lane step before a row's scalar tail: clamp one int32 vector and
-// store it as 8 consecutive int8.
-inline void store_8_i8(__m256i v, __m256i lo, __m256i hi, std::int8_t* out) {
-  v = _mm256_min_epi32(_mm256_max_epi32(v, lo), hi);
-  const __m128i p16 = _mm_packs_epi32(_mm256_castsi256_si128(v),
-                                      _mm256_extracti128_si256(v, 1));
-  _mm_storel_epi64(reinterpret_cast<__m128i*>(out),
-                   _mm_packs_epi16(p16, p16));
-}
-
-inline __m256i load_8_i8_as_i32(const std::int8_t* p) {
-  return _mm256_cvtepi8_epi32(
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
-}
-
-// Lanes [j, n) of requant_i32_row through apply_multiplier.
-void requant_i32_row_tail(const std::int32_t* acc, const std::int32_t* offset,
-                          int j, int n, const FixedPointMultiplier& m,
-                          std::int32_t out_zp, std::int32_t lo,
-                          std::int32_t hi, std::int8_t* out) {
-  for (; j < n; ++j) {
-    const std::int32_t total = acc[j] + (offset != nullptr ? offset[j] : 0);
-    out[j] = static_cast<std::int8_t>(
-        clamp_to(apply_multiplier(total, m) + out_zp, lo, hi));
-  }
-}
 
 // ---------------------------------------------------------------------------
 // GEMM microkernel: ROWS x 16 tile over the k-major panel.
@@ -129,11 +32,12 @@ void requant_i32_row_tail(const std::int32_t* acc, const std::int32_t* offset,
 //
 // unpacklo/hi interleave within 128-bit halves, so the two accumulators
 // hold column groups {0..3, 8..11} and {4..7, 12..15}; permute2x128 at
-// store time restores sequential order.
+// store time restores sequential order. `out` (AccRows or QuantRows of
+// requant_lanes_avx2.h) decides whether the rows leave as int32 or int8.
 
-template <int ROWS>
+template <int ROWS, class Out>
 void gemm_tile_16(const std::int8_t* a, const std::int8_t* bt, int n, int k,
-                  int j0, std::int32_t* acc) {
+                  int j0, const Out& out) {
   __m256i acc_lo[ROWS];
   __m256i acc_hi[ROWS];
   for (int r = 0; r < ROWS; ++r) {
@@ -178,20 +82,17 @@ void gemm_tile_16(const std::int8_t* a, const std::int8_t* bt, int n, int k,
     }
   }
   for (int r = 0; r < ROWS; ++r) {
-    std::int32_t* out = acc + static_cast<std::size_t>(r) * n + j0;
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
-                        _mm256_permute2x128_si256(acc_lo[r], acc_hi[r], 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8),
-                        _mm256_permute2x128_si256(acc_lo[r], acc_hi[r], 0x31));
+    out.row16(r, j0, _mm256_permute2x128_si256(acc_lo[r], acc_hi[r], 0x20),
+              _mm256_permute2x128_si256(acc_lo[r], acc_hi[r], 0x31));
   }
 }
 
 // 8-column tile for panel widths between 8 and 15: the same exact pair-madd
 // over 128-bit lanes (whose unpack order is already sequential, so no
 // permute is needed at store time).
-template <int ROWS>
+template <int ROWS, class Out>
 void gemm_tile_8(const std::int8_t* a, const std::int8_t* bt, int n, int k,
-                 int j0, std::int32_t* acc) {
+                 int j0, const Out& out) {
   __m128i acc_lo[ROWS];
   __m128i acc_hi[ROWS];
   for (int r = 0; r < ROWS; ++r) {
@@ -236,44 +137,43 @@ void gemm_tile_8(const std::int8_t* a, const std::int8_t* bt, int n, int k,
     }
   }
   for (int r = 0; r < ROWS; ++r) {
-    std::int32_t* out = acc + static_cast<std::size_t>(r) * n + j0;
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out), acc_lo[r]);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 4), acc_hi[r]);
+    out.row8(r, j0, _mm256_set_m128i(acc_hi[r], acc_lo[r]));
   }
 }
 
-void gemm_block_i8_avx2(const std::int8_t* a, const std::int8_t* bt, int rows,
-                        int n, int k, std::int32_t* acc) {
+template <class Out>
+void gemm_block(const std::int8_t* a, const std::int8_t* bt, int rows, int n,
+                int k, const Out& out) {
   int j0 = 0;
   for (; j0 + 16 <= n; j0 += 16) {
     switch (rows) {
       case 4:
-        gemm_tile_16<4>(a, bt, n, k, j0, acc);
+        gemm_tile_16<4>(a, bt, n, k, j0, out);
         break;
       case 3:
-        gemm_tile_16<3>(a, bt, n, k, j0, acc);
+        gemm_tile_16<3>(a, bt, n, k, j0, out);
         break;
       case 2:
-        gemm_tile_16<2>(a, bt, n, k, j0, acc);
+        gemm_tile_16<2>(a, bt, n, k, j0, out);
         break;
       default:
-        gemm_tile_16<1>(a, bt, n, k, j0, acc);
+        gemm_tile_16<1>(a, bt, n, k, j0, out);
         break;
     }
   }
   if (j0 + 8 <= n) {
     switch (rows) {
       case 4:
-        gemm_tile_8<4>(a, bt, n, k, j0, acc);
+        gemm_tile_8<4>(a, bt, n, k, j0, out);
         break;
       case 3:
-        gemm_tile_8<3>(a, bt, n, k, j0, acc);
+        gemm_tile_8<3>(a, bt, n, k, j0, out);
         break;
       case 2:
-        gemm_tile_8<2>(a, bt, n, k, j0, acc);
+        gemm_tile_8<2>(a, bt, n, k, j0, out);
         break;
       default:
-        gemm_tile_8<1>(a, bt, n, k, j0, acc);
+        gemm_tile_8<1>(a, bt, n, k, j0, out);
         break;
     }
     j0 += 8;
@@ -290,45 +190,50 @@ void gemm_block_i8_avx2(const std::int8_t* a, const std::int8_t* bt, int rows,
         const std::int32_t v = ar[kk];
         for (int j = 0; j < jn; ++j) t[j] += v * bp[j];
       }
-      for (int j = 0; j < jn; ++j) {
-        acc[static_cast<std::size_t>(r) * n + j0 + j] = t[j];
-      }
+      out.row_tail(r, j0, t, jn);
     }
   }
 }
 
+void gemm_block_i8_avx2(const std::int8_t* a, const std::int8_t* bt, int rows,
+                        int n, int k, std::int32_t* acc) {
+  gemm_block(a, bt, rows, n, k, AccRows{acc, n});
+}
+
+void gemm_requant_block_avx2(const std::int8_t* a, const std::int8_t* bt,
+                             int rows, int n, int k,
+                             const std::int32_t* offset,
+                             FixedPointMultiplier m, std::int32_t out_zp,
+                             std::int32_t lo, std::int32_t hi,
+                             std::int8_t* out) {
+  gemm_block(a, bt, rows, n, k,
+             QuantRows{offset, OutputStage(m, out_zp, lo, hi), out, n});
+}
+
 // ---------------------------------------------------------------------------
-// Requantize epilogues.
+// Requantize epilogues (lanes in requant_lanes_avx2.h).
 
 void requant_i32_row_avx2(const std::int32_t* acc, const std::int32_t* offset,
                           int n, FixedPointMultiplier m, std::int32_t out_zp,
                           std::int32_t lo, std::int32_t hi, std::int8_t* out) {
-  if (!vector_shift(m)) {
-    requant_i32_row_tail(acc, offset, 0, n, m, out_zp, lo, hi, out);
-    return;
-  }
-  const __m256i mant = _mm256_set1_epi32(m.mantissa);
-  const __m256i zp = _mm256_set1_epi32(out_zp);
-  const __m256i lov = _mm256_set1_epi32(lo);
-  const __m256i hiv = _mm256_set1_epi32(hi);
-  const auto lanes = [&](int j) {
+  const OutputStage stage(m, out_zp, lo, hi);
+  const auto total = [&](int j) {
     __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + j));
     if (offset != nullptr) {
       v = _mm256_add_epi32(
           v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(offset + j)));
     }
-    return _mm256_add_epi32(rounding_rshift(srdhm_q31(v, mant), m.right_shift),
-                            zp);
+    return v;
   };
   int j = 0;
-  for (; j + 16 <= n; j += 16) {
-    store_16_i8(lanes(j), lanes(j + 8), lov, hiv, out + j);
-  }
+  for (; j + 16 <= n; j += 16) stage.store16(total(j), total(j + 8), out + j);
   if (j + 8 <= n) {
-    store_8_i8(lanes(j), lov, hiv, out + j);
+    stage.store8(total(j), out + j);
     j += 8;
   }
-  requant_i32_row_tail(acc, offset, j, n, m, out_zp, lo, hi, out);
+  for (; j < n; ++j) {
+    out[j] = stage.scalar(acc[j] + (offset != nullptr ? offset[j] : 0));
+  }
 }
 
 void requant_i8_row_avx2(const std::int8_t* src, std::int64_t n,
@@ -339,25 +244,20 @@ void requant_i8_row_avx2(const std::int8_t* src, std::int64_t n,
     requant_i8_row_scalar(src, n, in_zp, left_shift, m, out_zp, lo, hi, dst);
     return;
   }
-  const __m256i mant = _mm256_set1_epi32(m.mantissa);
+  const OutputStage stage(m, out_zp, lo, hi);
   const __m256i izp = _mm256_set1_epi32(in_zp);
-  const __m256i ozp = _mm256_set1_epi32(out_zp);
-  const __m256i lov = _mm256_set1_epi32(lo);
-  const __m256i hiv = _mm256_set1_epi32(hi);
   // centered << left_shift == centered * (1 << left_shift): the
   // requantizer chose the shift so the product cannot overflow int32.
-  const auto lanes = [&](std::int64_t i) {
-    const __m256i c = _mm256_slli_epi32(
-        _mm256_sub_epi32(load_8_i8_as_i32(src + i), izp), left_shift);
-    return _mm256_add_epi32(rounding_rshift(srdhm_q31(c, mant), m.right_shift),
-                            ozp);
+  const auto centered = [&](std::int64_t i) {
+    return _mm256_slli_epi32(_mm256_sub_epi32(load_8_i8_as_i32(src + i), izp),
+                             left_shift);
   };
   std::int64_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    store_16_i8(lanes(i), lanes(i + 8), lov, hiv, dst + i);
+    stage.store16(centered(i), centered(i + 8), dst + i);
   }
   if (i + 8 <= n) {
-    store_8_i8(lanes(i), lov, hiv, dst + i);
+    stage.store8(centered(i), dst + i);
     i += 8;
   }
   requant_i8_row_scalar(src + i, n - i, in_zp, left_shift, m, out_zp, lo, hi,
@@ -376,56 +276,103 @@ void add_row_avx2(const std::int8_t* a, const std::int8_t* b, std::int64_t n,
     add_row_scalar(a, b, n, a_zp, b_zp, m, out_zp, lo, hi, out);
     return;
   }
-  const __m256i mant_a = _mm256_set1_epi32(m.lhs.mantissa);
-  const __m256i mant_b = _mm256_set1_epi32(m.rhs.mantissa);
-  const __m256i mant_o = _mm256_set1_epi32(m.out.mantissa);
+  const Rescale lhs(m.lhs);
+  const Rescale rhs(m.rhs);
+  const OutputStage stage(m.out, out_zp, lo, hi);
   const __m256i azp = _mm256_set1_epi32(a_zp);
   const __m256i bzp = _mm256_set1_epi32(b_zp);
-  const __m256i ozp = _mm256_set1_epi32(out_zp);
-  const __m256i lov = _mm256_set1_epi32(lo);
-  const __m256i hiv = _mm256_set1_epi32(hi);
   constexpr int kShift = AddMultipliers::kLeftShift;
-  const auto lanes = [&](std::int64_t i) {
+  const auto sum = [&](std::int64_t i) {
     const __m256i av = _mm256_slli_epi32(
         _mm256_sub_epi32(load_8_i8_as_i32(a + i), azp), kShift);
     const __m256i bv = _mm256_slli_epi32(
         _mm256_sub_epi32(load_8_i8_as_i32(b + i), bzp), kShift);
-    const __m256i sum = _mm256_add_epi32(
-        rounding_rshift(srdhm_q31(av, mant_a), m.lhs.right_shift),
-        rounding_rshift(srdhm_q31(bv, mant_b), m.rhs.right_shift));
-    return _mm256_add_epi32(
-        rounding_rshift(srdhm_q31(sum, mant_o), m.out.right_shift), ozp);
+    return _mm256_add_epi32(lhs(av), rhs(bv));
   };
   std::int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    store_16_i8(lanes(i), lanes(i + 8), lov, hiv, out + i);
-  }
+  for (; i + 16 <= n; i += 16) stage.store16(sum(i), sum(i + 8), out + i);
   if (i + 8 <= n) {
-    store_8_i8(lanes(i), lov, hiv, out + i);
+    stage.store8(sum(i), out + i);
     i += 8;
   }
   add_row_scalar(a + i, b + i, n - i, a_zp, b_zp, m, out_zp, lo, hi, out + i);
 }
 
 // ---------------------------------------------------------------------------
-// Depthwise channel MAC.
-
-void dw_accumulate_avx2(const std::int8_t* x, const std::int8_t* w, int c,
-                        std::int32_t zp, std::int32_t* acc) {
-  const __m256i zpv = _mm256_set1_epi32(zp);
-  int i = 0;
-  for (; i + 8 <= c; i += 8) {
-    const __m256i xv = _mm256_cvtepi8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(x + i)));
-    const __m256i wv = _mm256_cvtepi8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(w + i)));
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    a = _mm256_add_epi32(
-        a, _mm256_mullo_epi32(_mm256_sub_epi32(xv, zpv), wv));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), a);
-  }
-  for (; i < c; ++i) {
-    acc[i] += (static_cast<std::int32_t>(x[i]) - zp) * w[i];
+// Depthwise: one fused run. Per 16-channel block every tap is one exact int16
+// product: x - zp lies in [-255, 255] and w in [-128, 127], so
+// |(x - zp) * w| <= 32640 and vpmullw keeps all of it. The products widen
+// to two int32 accumulators that stay in registers across the window; the
+// block then takes the bias, the output stage and a 16-byte store. An
+// 8-channel block does the same on 128-bit lanes; the last c % 8 channels
+// run the scalar loop.
+void dw_conv_row_avx2(const DwConvRow& p) {
+  const OutputStage stage(p.m, p.out_zp, p.lo, p.hi);
+  const int c = p.c;
+  const __m256i zp16 = _mm256_set1_epi16(static_cast<std::int16_t>(p.zp));
+  const __m128i zp16x = _mm256_castsi256_si128(zp16);
+  const auto bias8 = [&](int ch) {
+    return p.bias != nullptr
+               ? _mm256_loadu_si256(
+                     reinterpret_cast<const __m256i*>(p.bias + ch))
+               : _mm256_setzero_si256();
+  };
+  for (int px = 0; px < p.count; ++px) {
+    const std::int8_t* x = p.x + static_cast<std::int64_t>(px) * p.x_step;
+    std::int8_t* y = p.y + static_cast<std::size_t>(px) * c;
+    int ch = 0;
+    for (; ch + 16 <= c; ch += 16) {
+      __m256i acc0 = bias8(ch);
+      __m256i acc1 = bias8(ch + 8);
+      for (int dy = 0; dy < p.taps_h; ++dy) {
+        const std::int8_t* xr = x + dy * p.x_row + ch;
+        const std::int8_t* wr = p.w + static_cast<std::size_t>(dy) * p.w_row + ch;
+        for (int dx = 0; dx < p.taps_w; ++dx, xr += c, wr += c) {
+          const __m256i xv = _mm256_sub_epi16(
+              _mm256_cvtepi8_epi16(
+                  _mm_loadu_si128(reinterpret_cast<const __m128i*>(xr))),
+              zp16);
+          const __m256i wv = _mm256_cvtepi8_epi16(
+              _mm_loadu_si128(reinterpret_cast<const __m128i*>(wr)));
+          const __m256i prod = _mm256_mullo_epi16(xv, wv);
+          acc0 = _mm256_add_epi32(
+              acc0, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod)));
+          acc1 = _mm256_add_epi32(
+              acc1, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(prod, 1)));
+        }
+      }
+      stage.store16(acc0, acc1, y + ch);
+    }
+    if (ch + 8 <= c) {
+      __m256i acc = bias8(ch);
+      for (int dy = 0; dy < p.taps_h; ++dy) {
+        const std::int8_t* xr = x + dy * p.x_row + ch;
+        const std::int8_t* wr = p.w + static_cast<std::size_t>(dy) * p.w_row + ch;
+        for (int dx = 0; dx < p.taps_w; ++dx, xr += c, wr += c) {
+          const __m128i xv = _mm_sub_epi16(
+              _mm_cvtepi8_epi16(
+                  _mm_loadl_epi64(reinterpret_cast<const __m128i*>(xr))),
+              zp16x);
+          const __m128i wv = _mm_cvtepi8_epi16(
+              _mm_loadl_epi64(reinterpret_cast<const __m128i*>(wr)));
+          acc = _mm256_add_epi32(
+              acc, _mm256_cvtepi16_epi32(_mm_mullo_epi16(xv, wv)));
+        }
+      }
+      stage.store8(acc, y + ch);
+      ch += 8;
+    }
+    for (; ch < c; ++ch) {
+      std::int32_t acc = p.bias != nullptr ? p.bias[ch] : 0;
+      for (int dy = 0; dy < p.taps_h; ++dy) {
+        const std::int8_t* xr = x + dy * p.x_row + ch;
+        const std::int8_t* wr = p.w + static_cast<std::size_t>(dy) * p.w_row + ch;
+        for (int dx = 0; dx < p.taps_w; ++dx, xr += c, wr += c) {
+          acc += (static_cast<std::int32_t>(*xr) - p.zp) * *wr;
+        }
+      }
+      y[ch] = stage.scalar(acc);
+    }
   }
 }
 
@@ -488,8 +435,9 @@ std::int64_t unpack_body_avx2(const std::uint8_t* bytes, std::int64_t nbytes,
 
 const SimdKernels kAvx2 = {
     "avx2",          &gemm_block_i8_avx2, &requant_i32_row_avx2,
-    &dw_accumulate_avx2, &requant_i8_row_avx2, &unpack_body_avx2,
-    &lut::lut_gemm_block_avx2, &add_row_avx2,
+    nullptr,  // dw_accumulate: every depthwise row runs dw_conv_row
+    &requant_i8_row_avx2, &unpack_body_avx2, &lut::lut_gemm_block_avx2,
+    &add_row_avx2, &gemm_requant_block_avx2, &dw_conv_row_avx2,
 };
 
 }  // namespace

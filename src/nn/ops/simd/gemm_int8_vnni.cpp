@@ -32,6 +32,8 @@
 
 #include <cstring>
 
+#include "nn/ops/simd/requant_lanes_avx2.h"
+
 namespace qmcu::nn::ops::simd {
 
 namespace {
@@ -72,9 +74,11 @@ inline void transpose_4x16(__m128i r0, __m128i r1, __m128i r2, __m128i r3,
   *w_hi = _mm256_set_m128i(u3, u2);
 }
 
-template <int ROWS>
+// `out` (AccRows or QuantRows of requant_lanes_avx2.h) decides whether the
+// finished rows leave as int32 or as requantized int8.
+template <int ROWS, class Out>
 void gemm_tile_16(const std::int8_t* a, const std::int8_t* bt, int n, int k,
-                  int j0, std::int32_t* acc) {
+                  int j0, const Out& out) {
   __m256i acc_lo[ROWS];
   __m256i acc_hi[ROWS];
   for (int r = 0; r < ROWS; ++r) {
@@ -119,18 +123,14 @@ void gemm_tile_16(const std::int8_t* a, const std::int8_t* bt, int n, int k,
       acc_hi[r] = _mm256_dpbusd_epi32(acc_hi[r], au, w_hi);
     }
   }
-  for (int r = 0; r < ROWS; ++r) {
-    std::int32_t* out = acc + static_cast<std::size_t>(r) * n + j0;
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), acc_lo[r]);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8), acc_hi[r]);
-  }
+  for (int r = 0; r < ROWS; ++r) out.row16(r, j0, acc_lo[r], acc_hi[r]);
 }
 
 // 8-column tile: the same transpose ladder on 8-byte row loads, one
 // vpdpbusd per activation row.
-template <int ROWS>
+template <int ROWS, class Out>
 void gemm_tile_8(const std::int8_t* a, const std::int8_t* bt, int n, int k,
-                 int j0, std::int32_t* acc) {
+                 int j0, const Out& out) {
   __m256i acc_v[ROWS];
   for (int r = 0; r < ROWS; ++r) acc_v[r] = _mm256_setzero_si256();
   const auto weights8 = [&](__m128i r0, __m128i r1, __m128i r2, __m128i r3) {
@@ -171,45 +171,42 @@ void gemm_tile_8(const std::int8_t* a, const std::int8_t* bt, int n, int k,
       acc_v[r] = _mm256_dpbusd_epi32(acc_v[r], au, w);
     }
   }
-  for (int r = 0; r < ROWS; ++r) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(acc + static_cast<std::size_t>(r) * n + j0),
-        acc_v[r]);
-  }
+  for (int r = 0; r < ROWS; ++r) out.row8(r, j0, acc_v[r]);
 }
 
-void gemm_block_i8_vnni(const std::int8_t* a, const std::int8_t* bt, int rows,
-                        int n, int k, std::int32_t* acc) {
+template <class Out>
+void gemm_block(const std::int8_t* a, const std::int8_t* bt, int rows, int n,
+                int k, const Out& out) {
   int j0 = 0;
   for (; j0 + 16 <= n; j0 += 16) {
     switch (rows) {
       case 4:
-        gemm_tile_16<4>(a, bt, n, k, j0, acc);
+        gemm_tile_16<4>(a, bt, n, k, j0, out);
         break;
       case 3:
-        gemm_tile_16<3>(a, bt, n, k, j0, acc);
+        gemm_tile_16<3>(a, bt, n, k, j0, out);
         break;
       case 2:
-        gemm_tile_16<2>(a, bt, n, k, j0, acc);
+        gemm_tile_16<2>(a, bt, n, k, j0, out);
         break;
       default:
-        gemm_tile_16<1>(a, bt, n, k, j0, acc);
+        gemm_tile_16<1>(a, bt, n, k, j0, out);
         break;
     }
   }
   if (j0 + 8 <= n) {
     switch (rows) {
       case 4:
-        gemm_tile_8<4>(a, bt, n, k, j0, acc);
+        gemm_tile_8<4>(a, bt, n, k, j0, out);
         break;
       case 3:
-        gemm_tile_8<3>(a, bt, n, k, j0, acc);
+        gemm_tile_8<3>(a, bt, n, k, j0, out);
         break;
       case 2:
-        gemm_tile_8<2>(a, bt, n, k, j0, acc);
+        gemm_tile_8<2>(a, bt, n, k, j0, out);
         break;
       default:
-        gemm_tile_8<1>(a, bt, n, k, j0, acc);
+        gemm_tile_8<1>(a, bt, n, k, j0, out);
         break;
     }
     j0 += 8;
@@ -226,11 +223,24 @@ void gemm_block_i8_vnni(const std::int8_t* a, const std::int8_t* bt, int rows,
         const std::int32_t v = static_cast<std::int32_t>(ar[kk]) + 128;
         for (int j = 0; j < jn; ++j) t[j] += v * bp[j];
       }
-      for (int j = 0; j < jn; ++j) {
-        acc[static_cast<std::size_t>(r) * n + j0 + j] = t[j];
-      }
+      out.row_tail(r, j0, t, jn);
     }
   }
+}
+
+void gemm_block_i8_vnni(const std::int8_t* a, const std::int8_t* bt, int rows,
+                        int n, int k, std::int32_t* acc) {
+  gemm_block(a, bt, rows, n, k, AccRows{acc, n});
+}
+
+void gemm_requant_block_vnni(const std::int8_t* a, const std::int8_t* bt,
+                             int rows, int n, int k,
+                             const std::int32_t* offset,
+                             FixedPointMultiplier m, std::int32_t out_zp,
+                             std::int32_t lo, std::int32_t hi,
+                             std::int8_t* out) {
+  gemm_block(a, bt, rows, n, k,
+             QuantRows{offset, OutputStage(m, out_zp, lo, hi), out, n});
 }
 
 }  // namespace
@@ -239,11 +249,13 @@ const SimdKernels* avx2_vnni_kernels() {
   static const SimdKernels* table = []() -> const SimdKernels* {
     const SimdKernels* base = avx2_kernels();
     if (base == nullptr) return nullptr;
-    // The generation shares every non-GEMM entry with the base AVX2 table.
+    // The generation shares every non-GEMM entry with the base AVX2 table;
+    // both GEMM entries carry the +128 activation bias.
     static SimdKernels t;
     t = *base;
     t.name = "avx2+vnni";
     t.gemm_block_i8 = &gemm_block_i8_vnni;
+    t.gemm_requant_block = &gemm_requant_block_vnni;
     t.gemm_a_bias = 128;
     t.gemm_dot = true;
     return &t;

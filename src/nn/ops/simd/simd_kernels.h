@@ -13,7 +13,8 @@
 //                     trunc-division rounding -> rounding shift -> zero
 //                     point -> clamp -> int8, exactly apply_multiplier's
 //                     rounding sequence.
-//   dw_accumulate   — the depthwise channel MAC: acc[i] += (x[i]-zp)*w[i].
+//   dw_accumulate   — the depthwise channel MAC: acc[i] += (x[i]-zp)*w[i]
+//                     (NEON; the AVX2 tables run dw_conv_row instead).
 //   requant_i8_row  — the ElementRequantizer slice loop of requantize_q:
 //                     (src-zp) << left_shift -> fixed-point rescale -> zp
 //                     -> clamp.
@@ -31,16 +32,44 @@
 //                     rescaled into the output params -> zero point ->
 //                     clamp, i.e. add_row_scalar's three-multiplier chain
 //                     lane for lane.
+//   gemm_requant_block
+//                   — gemm_block_i8 and requant_i32_row fused: the tile's
+//                     accumulators take the offset row, the requantize
+//                     lanes and the int8 store while still in registers,
+//                     so no int32 row is written and no per-row call is
+//                     made. Same gemm_a_bias as the table's gemm_block_i8.
+//   dw_conv_row     — a run of depthwise output pixels sharing one clipped
+//                     kernel window: every tap accumulated in registers as
+//                     the exact int16 product (x - zp) * w (|.| <= 255*128),
+//                     widened to int32, then bias -> requantize -> int8.
+//                     Interior runs and single border pixels use the same
+//                     body; it replaces the per-tap dw_accumulate calls.
 //
 // The requantize epilogues and add_row vectorize only when every
 // multiplier's right shift lies in [0, 31] (vector_shift below); other
-// multipliers take the scalar loop for the whole row.
+// multipliers take the scalar loop for the whole row. The two fused
+// entries are exact for every multiplier too (their out-of-range lanes
+// spill to apply_multiplier), but their callers send such multipliers down
+// the unfused path instead.
 //
-// A table may leave entries null (the NEON table leaves lut_gemm_block
-// null on 32-bit ARM, where the 16-byte vqtbl1q lookup does not exist).
-// Callers must check each pointer, falling back to the scalar
-// implementation — which is also what the whole table being null (no
-// usable ISA, or QMCU_FORCE_SCALAR) means.
+// The vector SRDHM. For the positive Q31 mantissas quantize_multiplier
+// produces, saturating_rounding_doubling_high_mul(x, m) equals the low 32
+// bits of (x*m + 2^30) >> 31 for every x. The scalar adds the nudge 2^30
+// to non-negative products and 1 - 2^30 to negative ones, then divides by
+// 2^31 truncating. A non-negative sum truncates like a floor. A negative
+// sum s truncates to floor((s + 2^31 - 1) / 2^31), and
+// (1 - 2^30) + (2^31 - 1) = 2^30: the same floor of the same sum. So the
+// lanes need no sign compare and no blendv, only two 32x32->64 multiplies,
+// two adds, two shifts and a blend.
+//
+// A table may leave entries null: the NEON tables leave both fused entries
+// null, and lut_gemm_block is null on 32-bit ARM, where the 16-byte
+// vqtbl1q lookup does not exist. Callers must check each pointer, falling
+// back to the scalar implementation — which is also what the whole table
+// being null (no usable ISA, or QMCU_FORCE_SCALAR) means. A null
+// gemm_requant_block runs gemm_block_i8 then requant_i32_row per row
+// (run_gemm_requant_block in gemm_int8.cpp); a null dw_conv_row runs the
+// per-pixel dw_accumulate loop.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +78,35 @@
 #include "nn/quant_params.h"
 
 namespace qmcu::nn::ops::simd {
+
+// A run of `count` depthwise output pixels that share one kernel window
+// clipped to kernel rows [ky_lo, ky_lo + taps_h) and columns
+// [kx_lo, kx_lo + taps_w). For pixel p and channel ch in [0, c):
+//   y[p*c + ch] = clamp(apply_multiplier(bias[ch] + sum over dy < taps_h,
+//                 dx < taps_w of (x[p*x_step + dy*x_row + dx*c + ch] - zp)
+//                 * w[dy*w_row + dx*c + ch], m) + out_zp, lo, hi)
+// with bias[ch] read as 0 when `bias` is null. x points at the first
+// pixel's tap (ky_lo, kx_lo) in the NHWC input, w at the same tap of the
+// [kh][kw][c] weights. zp must lie in [-128, 127], which keeps every
+// (x - zp) * w product inside int16.
+struct DwConvRow {
+  const std::int8_t* x = nullptr;
+  std::int64_t x_row = 0;   // int8 elements between input rows
+  std::int64_t x_step = 0;  // int8 elements between neighbouring pixels
+  const std::int8_t* w = nullptr;
+  int w_row = 0;            // int8 elements between kernel rows
+  int taps_h = 0;
+  int taps_w = 0;
+  const std::int32_t* bias = nullptr;
+  int c = 0;
+  int count = 0;
+  std::int32_t zp = 0;
+  FixedPointMultiplier m;
+  std::int32_t out_zp = 0;
+  std::int32_t lo = -128;
+  std::int32_t hi = 127;
+  std::int8_t* y = nullptr;
+};
 
 struct SimdKernels {
   const char* name = "none";
@@ -104,6 +162,20 @@ struct SimdKernels {
                   const AddMultipliers& m, std::int32_t out_zp,
                   std::int32_t lo, std::int32_t hi,
                   std::int8_t* out) = nullptr;
+
+  // out[r*n + j] = clamp(apply_multiplier(sum_k (a[r*k + kk] + gemm_a_bias)
+  //                 * bt[kk*n + j] + offset[j], m) + out_zp, lo, hi) as
+  // int8, rows in 1..4: gemm_block_i8 followed by requant_i32_row on each
+  // of its rows, without the int32 round trip. `offset` is non-null.
+  void (*gemm_requant_block)(const std::int8_t* a, const std::int8_t* bt,
+                             int rows, int n, int k,
+                             const std::int32_t* offset,
+                             FixedPointMultiplier m, std::int32_t out_zp,
+                             std::int32_t lo, std::int32_t hi,
+                             std::int8_t* out) = nullptr;
+
+  // Computes one DwConvRow (below).
+  void (*dw_conv_row)(const DwConvRow& row) = nullptr;
 
   // Constant added to every activation lane inside gemm_block_i8 (see its
   // contract above): 128 for the AVX-VNNI generation, 0 everywhere else.

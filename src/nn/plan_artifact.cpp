@@ -586,7 +586,7 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
           offr_off, static_cast<std::uint64_t>(n) * 4, alignof(std::int32_t)));
       if (a_zp_now == baked_a_zp) {
         bundle->offsets.push_back(
-            {qw, baked_a_zp,
+            {qw, baked_a_zp, params->bias[i].data(),
              std::span<const std::int32_t>(offr,
                                            static_cast<std::size_t>(n))});
       } else {
@@ -603,7 +603,7 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
         }
         art->rederived_offsets_.push_back(std::move(row));
         bundle->offsets.push_back(
-            {qw, a_zp_now,
+            {qw, a_zp_now, params->bias[i].data(),
              std::span<const std::int32_t>(art->rederived_offsets_.back())});
       }
 

@@ -122,7 +122,7 @@ class StreamingSession {
           cfg_.max_region_delta > 0.0f
               ? patch::dirty_branches(*prev_, frame, plan,
                                       cfg_.max_region_delta)
-              : patch::dirty_branches(*prev_, frame, plan);
+              : patch::dirty_branches(diff, plan, frame.shape());
       state_.changed_rows = diff.row_spans;
     }
 

@@ -92,12 +92,17 @@ std::vector<int> affected_branches(const PatchPlan& plan, const Region& rect,
 std::vector<std::uint8_t> dirty_branches(const nn::Tensor& prev,
                                          const nn::Tensor& cur,
                                          const PatchPlan& plan) {
-  const FrameDiff d = diff_frames(prev, cur);
+  return dirty_branches(diff_frames(prev, cur), plan, cur.shape());
+}
+
+std::vector<std::uint8_t> dirty_branches(const FrameDiff& d,
+                                         const PatchPlan& plan,
+                                         const nn::TensorShape& input_shape) {
   std::vector<std::uint8_t> dirty(plan.branches.size(), 0);
   if (d.identical()) return dirty;
   for (std::size_t b = 0; b < plan.branches.size(); ++b) {
     const Region r =
-        branch_input_region(plan, static_cast<int>(b), cur.shape());
+        branch_input_region(plan, static_cast<int>(b), input_shape);
     for (int y = std::max(r.y.begin, d.bounds.y.begin);
          y < std::min(r.y.end, d.bounds.y.end); ++y) {
       const Interval& span = d.row_spans[static_cast<std::size_t>(y)];

@@ -77,6 +77,12 @@ std::vector<int> affected_branches(const PatchPlan& plan, const Region& rect,
 std::vector<std::uint8_t> dirty_branches(const nn::Tensor& prev,
                                          const nn::Tensor& cur,
                                          const PatchPlan& plan);
+// The same mask from an already computed diff_frames of two frames of
+// `input_shape` — what a caller that needs the diff anyway passes, so the
+// frames are compared once.
+std::vector<std::uint8_t> dirty_branches(const FrameDiff& diff,
+                                         const PatchPlan& plan,
+                                         const nn::TensorShape& input_shape);
 
 // Tolerance mode: a branch overlapping the diff is still clean when the
 // mean absolute delta over its clamped crop is <= max_region_delta

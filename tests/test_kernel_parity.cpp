@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -910,6 +911,343 @@ TEST(KernelParity, RequantI8RowMatchesReferenceForEveryTail) {
             << "n " << n << " lane " << j;
       }
     }
+  }
+}
+
+// --- Fused output stages ---------------------------------------------------
+// gemm_requant_block and dw_conv_row keep their accumulators in registers
+// through the requantize lanes. Each is checked, for every table this host
+// can run, against its unfused twin: gemm_block_i8 plus the scalar
+// requantize, and the scalar per-pixel depthwise loop.
+
+// The base and dot tables the running CPU can execute; empty under
+// QMCU_FORCE_SCALAR or on hosts without a usable ISA.
+std::vector<const simd::SimdKernels*> host_tables() {
+  std::vector<const simd::SimdKernels*> tables;
+  const auto add = [&](const simd::SimdKernels* t) {
+    if (t != nullptr) tables.push_back(t);
+  };
+  switch (simd::detected_isa()) {
+    case simd::Isa::Avx2:
+      add(simd::avx2_kernels());
+      break;
+    case simd::Isa::Neon:
+      add(simd::neon_kernels());
+      break;
+    case simd::Isa::None:
+      break;
+  }
+  switch (simd::detected_dot_isa()) {
+    case simd::DotIsa::AvxVnni:
+      add(simd::avx2_vnni_kernels());
+      break;
+    case simd::DotIsa::NeonDot:
+      add(simd::neon_dot_kernels());
+      break;
+    case simd::DotIsa::None:
+      break;
+  }
+  return tables;
+}
+
+std::int8_t requant_scalar(std::int32_t acc, const FixedPointMultiplier& m,
+                           std::int32_t zp, std::int32_t lo, std::int32_t hi) {
+  return static_cast<std::int8_t>(
+      clamp_to(apply_multiplier(acc, m) + zp, lo, hi));
+}
+
+TEST(KernelParity, SrdhmLanesMatchScalarOnEdgeValues) {
+  const auto tables = host_tables();
+  if (tables.empty()) GTEST_SKIP() << "no SIMD table on this host";
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  const std::int32_t xs[] = {kMin, -(1 << 30) - 1, -(1 << 30) + 1, -1, 0, 1,
+                             kMax};
+  const std::int32_t mantissas[] = {1 << 30, (1 << 30) + 1, kMax};
+  for (const simd::SimdKernels* t : tables) {
+    for (const std::int32_t x : xs) {
+      for (const std::int32_t mant : mantissas) {
+        // Shift 0 makes requant_i32_row's lane exactly SRDHM + out_zp. With
+        // out_zp = -SRDHM(x, m) the clamped int8 output is 0 iff the lane
+        // reproduced the scalar product; 16 copies of x cover both the even
+        // and the odd 64-bit lane halves.
+        const std::int32_t want = saturating_rounding_doubling_high_mul(x, mant);
+        std::vector<std::int32_t> acc(16, x);
+        std::vector<std::int8_t> out(16, 99);
+        t->requant_i32_row(acc.data(), nullptr, 16,
+                           FixedPointMultiplier{mant, 0}, -want, -128, 127,
+                           out.data());
+        for (int j = 0; j < 16; ++j) {
+          ASSERT_EQ(static_cast<int>(out[static_cast<std::size_t>(j)]), 0)
+              << t->name << " x " << x << " mantissa " << mant << " lane "
+              << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParity, GemmRequantBlockMatchesUnfusedBlock) {
+  const auto tables = host_tables();
+  if (tables.empty()) GTEST_SKIP() << "no SIMD table on this host";
+  std::vector<int> ns;
+  for (int n = 1; n <= 40; ++n) ns.push_back(n);
+  ns.push_back(48);
+  ns.push_back(96);
+  std::vector<int> ks;
+  for (int k = 1; k <= 20; ++k) ks.push_back(k);
+  ks.push_back(27);
+  ks.push_back(64);
+  const Activation acts[] = {Activation::None, Activation::ReLU,
+                             Activation::ReLU6};
+  nn::Rng rng(1515);
+  for (const simd::SimdKernels* t : tables) {
+    if (t->gemm_requant_block == nullptr) continue;  // NEON: unfused only
+    int trial = 0;
+    for (const int n : ns) {
+      for (const int k : ks) {
+        for (int rows = 1; rows <= 4; ++rows, ++trial) {
+          std::vector<std::int8_t> a(static_cast<std::size_t>(rows) * k);
+          std::vector<std::int8_t> w(static_cast<std::size_t>(n) * k);
+          for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform(-128, 128));
+          for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform(-128, 128));
+          std::vector<std::int8_t> bt(w.size());
+          pack_weights_kmajor(w, n, k, bt.data());
+          std::vector<std::int32_t> offset(static_cast<std::size_t>(n));
+          for (auto& v : offset) {
+            v = static_cast<std::int32_t>(rng.uniform(-40000, 40000));
+          }
+          // Every 5th trial: a multiplier above 1 (negative right shift).
+          const FixedPointMultiplier m = quantize_multiplier(
+              trial % 5 == 0 ? rng.uniform(1.5, 6.0) : rng.uniform(1e-4, 0.05));
+          const QuantParams out_p{0.05f,
+                                  static_cast<std::int32_t>(rng.uniform(-20, 20)),
+                                  8};
+          const auto [lo, hi] = activation_range(acts[trial % 3], out_p);
+
+          std::vector<std::int32_t> acc(static_cast<std::size_t>(rows) * n);
+          t->gemm_block_i8(a.data(), bt.data(), rows, n, k, acc.data());
+          std::vector<std::int8_t> want(acc.size());
+          for (std::size_t i = 0; i < acc.size(); ++i) {
+            want[i] = requant_scalar(acc[i] + offset[i % static_cast<std::size_t>(n)],
+                                     m, out_p.zero_point, lo, hi);
+          }
+          std::vector<std::int8_t> got(acc.size(), 99);
+          t->gemm_requant_block(a.data(), bt.data(), rows, n, k, offset.data(),
+                                m, out_p.zero_point, lo, hi, got.data());
+          ASSERT_EQ(want, got) << t->name << " rows " << rows << " n " << n
+                               << " k " << k << " shift " << m.right_shift;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParity, DwConvRowMatchesScalarPixelLoop) {
+  const auto tables = host_tables();
+  if (tables.empty()) GTEST_SKIP() << "no SIMD table on this host";
+  const Activation acts[] = {Activation::None, Activation::ReLU,
+                             Activation::ReLU6};
+  const std::int32_t zps[] = {-128, 0, 127};
+  nn::Rng rng(1616);
+  for (const simd::SimdKernels* t : tables) {
+    if (t->dw_conv_row == nullptr) continue;  // NEON: per-pixel loop only
+    int trial = 0;
+    for (const int kernel : {1, 3, 5}) {
+      for (int c = 1; c <= 40; ++c) {
+        for (const int stride : {1, 2}) {
+          for (const std::int32_t zp : zps) {
+            for (const bool with_bias : {false, true}) {
+              ++trial;
+              // A clipped window: kernel rows [ky_lo, ky_hi) and columns
+              // [kx_lo, kx_hi), occasionally empty (bias only).
+              const int ky_lo = static_cast<int>(rng.uniform(0, kernel));
+              const int ky_hi =
+                  ky_lo + static_cast<int>(rng.uniform(0, kernel - ky_lo + 1));
+              const int kx_lo = static_cast<int>(rng.uniform(0, kernel));
+              const int kx_hi =
+                  kx_lo + static_cast<int>(rng.uniform(0, kernel - kx_lo + 1));
+              const int count = 1 + static_cast<int>(rng.uniform(0, 4));
+              const int in_w = kernel + stride * (count - 1);
+              std::vector<std::int8_t> x(
+                  static_cast<std::size_t>(kernel) * in_w * c);
+              std::vector<std::int8_t> w(
+                  static_cast<std::size_t>(kernel) * kernel * c);
+              for (auto& v : x) {
+                v = static_cast<std::int8_t>(rng.uniform(-128, 128));
+              }
+              for (auto& v : w) {
+                v = static_cast<std::int8_t>(rng.uniform(-128, 128));
+              }
+              if (trial % 7 == 0) {
+                // Extreme products: |x - zp| = 255 against w = -128.
+                for (auto& v : x) v = zp < 0 ? 127 : -128;
+                for (auto& v : w) v = -128;
+              }
+              std::vector<std::int32_t> bias(static_cast<std::size_t>(c));
+              for (auto& v : bias) {
+                v = static_cast<std::int32_t>(rng.uniform(-30000, 30000));
+              }
+              const FixedPointMultiplier m = quantize_multiplier(
+                  trial % 11 == 0 ? rng.uniform(1.5, 6.0)
+                                  : rng.uniform(1e-4, 0.05));
+              const QuantParams out_p{
+                  0.05f, static_cast<std::int32_t>(rng.uniform(-20, 20)), 8};
+              const auto [lo, hi] = activation_range(acts[trial % 3], out_p);
+
+              std::vector<std::int8_t> want(static_cast<std::size_t>(count) *
+                                            c);
+              for (int p = 0; p < count; ++p) {
+                for (int ch = 0; ch < c; ++ch) {
+                  std::int32_t acc =
+                      with_bias ? bias[static_cast<std::size_t>(ch)] : 0;
+                  for (int ky = ky_lo; ky < ky_hi; ++ky) {
+                    for (int kx = kx_lo; kx < kx_hi; ++kx) {
+                      const std::size_t xi =
+                          (static_cast<std::size_t>(ky) * in_w +
+                           static_cast<std::size_t>(p) * stride + kx) *
+                              c +
+                          ch;
+                      const std::size_t wi =
+                          (static_cast<std::size_t>(ky) * kernel + kx) * c + ch;
+                      acc += (static_cast<std::int32_t>(x[xi]) - zp) * w[wi];
+                    }
+                  }
+                  want[static_cast<std::size_t>(p) * c + ch] =
+                      requant_scalar(acc, m, out_p.zero_point, lo, hi);
+                }
+              }
+
+              std::vector<std::int8_t> got(want.size(), 99);
+              simd::DwConvRow row;
+              row.x_row = static_cast<std::int64_t>(in_w) * c;
+              row.x_step = static_cast<std::int64_t>(stride) * c;
+              row.w_row = kernel * c;
+              row.taps_h = ky_hi - ky_lo;
+              row.taps_w = kx_hi - kx_lo;
+              row.x = x.data() + (static_cast<std::size_t>(ky_lo) * in_w +
+                                  kx_lo) *
+                                     c;
+              row.w = w.data() +
+                      (static_cast<std::size_t>(ky_lo) * kernel + kx_lo) * c;
+              row.bias = with_bias ? bias.data() : nullptr;
+              row.c = c;
+              row.count = count;
+              row.zp = zp;
+              row.m = m;
+              row.out_zp = out_p.zero_point;
+              row.lo = lo;
+              row.hi = hi;
+              row.y = got.data();
+              t->dw_conv_row(row);
+              ASSERT_EQ(want, got)
+                  << t->name << " kernel " << kernel << " c " << c
+                  << " stride " << stride << " zp " << zp << " taps "
+                  << row.taps_h << "x" << row.taps_w << " count " << count;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// A 1x1, stride-1, unpadded conv runs one GEMM over the whole input map
+// (no im2col); h*w % 4 in {0, 1, 2, 3} covers every tail of its 4-row
+// blocks. A multiplier above 1 sends the blocks down the unfused
+// gemm_block_i8 + requant_i32_row path, any other down the fused one.
+TEST(KernelParity, PointwiseConvSkipsIm2colBitExact) {
+  nn::Rng rng(1717);
+  const TensorShape shapes[] = {{2, 2, 5}, {1, 5, 16}, {3, 2, 9},
+                                {7, 1, 3}, {4, 4, 24}, {3, 3, 17},
+                                {5, 2, 8}, {3, 5, 1}};
+  for (const TensorShape& s : shapes) {
+    for (const bool huge_multiplier : {false, true}) {
+      Layer l;
+      l.kind = OpKind::Conv2D;
+      l.out_channels = 1 + static_cast<int>(rng.uniform(0, 40));
+      l.act = huge_multiplier ? Activation::None : Activation::ReLU6;
+      const QuantParams in_p{0.05f,
+                             static_cast<std::int32_t>(rng.uniform(-20, 20)), 8};
+      const QuantParams w_p{0.02f, 0, 8};
+      const QuantParams out_p{huge_multiplier ? 1e-5f : 0.08f,
+                              static_cast<std::int32_t>(rng.uniform(-20, 20)),
+                              8};
+      QTensor in(s, in_p);
+      for (auto& v : in.data()) {
+        v = static_cast<std::int8_t>(rng.uniform(-128, 128));
+      }
+      std::vector<std::int8_t> wq(static_cast<std::size_t>(l.out_channels) *
+                                  s.c);
+      for (auto& v : wq) v = static_cast<std::int8_t>(rng.uniform(-128, 128));
+      std::vector<std::int32_t> bias(static_cast<std::size_t>(l.out_channels));
+      for (auto& v : bias) {
+        v = static_cast<std::int32_t>(rng.uniform(-3000, 3000));
+      }
+      if (huge_multiplier) {
+        ASSERT_LT(quantize_multiplier(static_cast<double>(in_p.scale) *
+                                      w_p.scale / out_p.scale)
+                      .right_shift,
+                  0);
+      }
+      KernelBackend ref(KernelTier::Reference);
+      const QTensor want = ref.conv2d(in, l, wq, w_p, bias, out_p);
+      for (const KernelTier tier : kFastTiers) {
+        KernelBackend fast(tier);
+        const QTensor got = fast.conv2d(in, l, wq, w_p, bias, out_p);
+        expect_q_identical(want, got, tier == KernelTier::Simd
+                                          ? "pointwise-simd"
+                                          : "pointwise-fast");
+      }
+    }
+  }
+}
+
+// A registered offset row (bias - a_zp * Σw) is valid only for the bias it
+// was built from. A conv over the same weights at the same zero point but
+// with another bias array — a mixed-mode branch step's rescaled bias —
+// must recompute its row, not read the registered one.
+TEST(KernelParity, OffsetRowIsKeyedByBias) {
+  nn::Rng rng(1818);
+  Layer l;
+  l.kind = OpKind::Conv2D;
+  l.kernel_h = l.kernel_w = 3;
+  l.pad_h = l.pad_w = 1;
+  l.out_channels = 12;
+  const TensorShape s{6, 6, 8};
+  const QuantParams in_p{0.05f, 9, 8};
+  const QuantParams w_p{0.02f, 0, 8};
+  const QuantParams out_p{0.08f, -3, 8};
+  QTensor in(s, in_p);
+  for (auto& v : in.data()) v = static_cast<std::int8_t>(rng.uniform(-128, 128));
+  const int k = 3 * 3 * s.c;
+  std::vector<std::int8_t> wq(static_cast<std::size_t>(l.out_channels) * k);
+  for (auto& v : wq) v = static_cast<std::int8_t>(rng.uniform(-128, 128));
+  std::vector<std::int32_t> deploy_bias(static_cast<std::size_t>(l.out_channels));
+  std::vector<std::int32_t> branch_bias(deploy_bias.size());
+  for (std::size_t j = 0; j < deploy_bias.size(); ++j) {
+    deploy_bias[j] = static_cast<std::int32_t>(rng.uniform(-3000, 3000));
+    branch_bias[j] = deploy_bias[j] * 3 + 500;
+  }
+  std::vector<std::int32_t> wsum(deploy_bias.size());
+  weight_column_sums(wq, l.out_channels, k, wsum.data());
+
+  KernelBackend ref(KernelTier::Reference);
+  for (const KernelTier tier : kFastTiers) {
+    KernelBackend fast(tier);
+    const std::int32_t a_zp =
+        in_p.zero_point + simd::gemm_activation_bias(fast.simd_kernels());
+    std::vector<std::int32_t> row(deploy_bias.size());
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      row[j] = deploy_bias[j] - a_zp * wsum[j];
+    }
+    fast.register_offset_row(wq.data(), a_zp, deploy_bias.data(), row);
+    expect_q_identical(ref.conv2d(in, l, wq, w_p, branch_bias, out_p),
+                       fast.conv2d(in, l, wq, w_p, branch_bias, out_p),
+                       "other bias");
+    expect_q_identical(ref.conv2d(in, l, wq, w_p, deploy_bias, out_p),
+                       fast.conv2d(in, l, wq, w_p, deploy_bias, out_p),
+                       "registered bias");
   }
 }
 

@@ -235,6 +235,10 @@ TEST(StreamingDiff, ExactMaskIsConservativeSuperset) {
       }
       const std::vector<std::uint8_t> mask =
           patch::dirty_branches(prev, cur, plan);
+      // The session's form, from the diff it already computed.
+      ASSERT_EQ(patch::dirty_branches(patch::diff_frames(prev, cur), plan,
+                                      in_shape),
+                mask);
       const std::vector<std::uint8_t> truth =
           exact_ground_truth(prev, cur, plan);
       ASSERT_EQ(mask.size(), truth.size());

@@ -8,12 +8,18 @@
 // against an EXISTING artifact — that is the cross-generation /
 // cross-architecture CI step: bake on one host, re-derive the reference
 // on another (the synthetic zoo is bit-identical across toolchains) and
-// require equality. --inspect prints the header and section table.
+// require equality. Quantized kinds must also equal a Reference-tier load
+// of the same file. --inspect prints the header and section table.
+//
+// --kind mixed bakes the paper's deployment: calibrate, build_quantmcu_plan
+// (VDPC + VDQS over a MinPeak patch plan for the Arduino Nano 33), then the
+// searched per-branch configs — the mixed-precision patch artifact path.
 //
 //   qmcu_pack --model mobilenetv2 --kind quant --bits 8 \
 //             --out mbv2_int8.qmcp --verify
 //   qmcu_pack --model mobilenetv2 --kind quant --bits 8 \
 //             --check mbv2_int8.qmcp          # no write, just compare
+//   qmcu_pack --model mobilenetv2 --kind mixed --out mbv2_mixed.qmcp --verify
 //   qmcu_pack --inspect mbv2_int8.qmcp
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "core/quantmcu.h"
+#include "mcu/device.h"
 #include "models/zoo.h"
 #include "nn/compiled_model.h"
 #include "nn/plan_artifact.h"
@@ -39,7 +47,7 @@ using namespace qmcu;
 struct Options {
   std::string model;          // zoo registry name
   std::string graph_path;     // or a saved .qmcu graph
-  std::string kind = "quant"; // float | quant | patch
+  std::string kind = "quant"; // float | quant | patch | mixed
   int bits = 8;
   int grid = 2;
   int calib = 2;
@@ -56,7 +64,7 @@ struct Options {
   std::fprintf(
       stderr,
       "usage: %s --model NAME | --graph FILE.qmcu\n"
-      "          [--kind float|quant|patch] [--bits N] [--grid G]\n"
+      "          [--kind float|quant|patch|mixed] [--bits N] [--grid G]\n"
       "          [--calib N] [--resolution N] [--width W] [--classes N]\n"
       "          --out FILE.qmcp [--verify]\n"
       "       %s --model NAME ... --check FILE.qmcp\n"
@@ -170,45 +178,86 @@ int inspect(const std::string& path) {
   return 0;
 }
 
+std::vector<nn::Tensor> calibration_inputs(const nn::Graph& g,
+                                           const Options& o) {
+  std::vector<nn::Tensor> calib;
+  for (int i = 0; i < o.calib; ++i) {
+    calib.push_back(random_input(g.shape(0), 100 + static_cast<unsigned>(i)));
+  }
+  return calib;
+}
+
+nn::ActivationQuantConfig uniform_config(const nn::Graph& g,
+                                         const Options& o) {
+  const auto ranges = quant::calibrate_ranges(g, calibration_inputs(g, o));
+  return quant::make_quant_config(g, ranges, nn::uniform_bits(g, o.bits));
+}
+
+// The paper's mixed deployment: searched plan plus materialised configs.
+struct MixedDeployment {
+  core::QuantMcuPlan plan;
+  nn::ActivationQuantConfig cfg;
+  std::vector<patch::BranchQuantConfig> branch_cfgs;
+};
+
+MixedDeployment plan_mixed(const nn::Graph& g, const Options& o) {
+  const std::vector<nn::Tensor> calib = calibration_inputs(g, o);
+  core::QuantMcuConfig qcfg;
+  qcfg.planner = core::PatchPlannerKind::MinPeak;
+  MixedDeployment d;
+  d.plan = core::build_quantmcu_plan(g, mcu::arduino_nano_33_ble_sense(),
+                                     calib, qcfg);
+  const auto ranges = quant::calibrate_ranges(g, calib);
+  d.cfg = core::make_deployment_quant_config(g, d.plan, ranges);
+  d.branch_cfgs = core::make_branch_quant_configs(g, d.plan, ranges);
+  return d;
+}
+
+int fail(const char* what) {
+  std::fprintf(stderr, "FAIL: artifact inference differs from %s\n", what);
+  return 1;
+}
+
 // Verifies `path` against a reference compiled in-memory from `g`:
 // bit-identical outputs on deterministic inputs, for the artifact's kind.
+// Quantized kinds must also match a Reference-tier load of the same file,
+// which recomputes every offset row and runs no microkernel.
 int verify_artifact(const std::string& path, const nn::Graph& g,
                     const Options& o) {
   const nn::Tensor in = random_input(g.shape(0), 7);
+  const auto ref_tier = nn::ops::KernelTier::Reference;
   if (o.kind == "float") {
     const nn::LoadedModel loaded = nn::load_compiled(path);
     const nn::CompiledModel ref(g);
     if (!f_equal(loaded.float_model->run(in), ref.run(in))) {
-      std::fprintf(stderr, "FAIL: artifact inference differs from in-memory "
-                           "compilation\n");
-      return 1;
+      return fail("in-memory compilation");
+    }
+  } else if (o.kind == "quant") {
+    const nn::LoadedModel loaded = nn::load_compiled(path);
+    const nn::QTensor got = loaded.model->run(in);
+    if (!q_equal(got, nn::CompiledQuantModel(g, uniform_config(g, o)).run(in))) {
+      return fail("in-memory compilation");
+    }
+    if (!q_equal(got, nn::load_compiled(path, ref_tier).model->run(in))) {
+      return fail("a Reference-tier load");
     }
   } else {
-    std::vector<nn::Tensor> calib;
-    for (int i = 0; i < o.calib; ++i) {
-      calib.push_back(random_input(g.shape(0), 100 + static_cast<unsigned>(i)));
-    }
-    const auto ranges = quant::calibrate_ranges(g, calib);
-    const auto cfg =
-        quant::make_quant_config(g, ranges, nn::uniform_bits(g, o.bits));
-    if (o.kind == "quant") {
-      const nn::LoadedModel loaded = nn::load_compiled(path);
-      const nn::CompiledQuantModel ref(g, cfg);
-      if (!q_equal(loaded.model->run(in), ref.run(in))) {
-        std::fprintf(stderr, "FAIL: artifact inference differs from "
-                             "in-memory compilation\n");
-        return 1;
-      }
+    const patch::LoadedPatchModel loaded = patch::load_compiled_patch(path);
+    const nn::QTensor got = loaded.model->run(in);
+    if (o.kind == "mixed") {
+      const MixedDeployment d = plan_mixed(g, o);
+      const patch::CompiledPatchQuantModel ref(g, d.plan.patch_plan, d.cfg,
+                                               d.branch_cfgs);
+      if (!q_equal(got, ref.run(in))) return fail("in-memory compilation");
     } else {
       const patch::PatchSpec spec = patch::plan_mcunetv2(g, {o.grid, o.grid});
-      const patch::LoadedPatchModel loaded = patch::load_compiled_patch(path);
       const patch::CompiledPatchQuantModel ref(
-          g, patch::build_patch_plan(g, spec), cfg);
-      if (!q_equal(loaded.model->run(in), ref.run(in))) {
-        std::fprintf(stderr, "FAIL: artifact inference differs from "
-                             "in-memory compilation\n");
-        return 1;
-      }
+          g, patch::build_patch_plan(g, spec), uniform_config(g, o));
+      if (!q_equal(got, ref.run(in))) return fail("in-memory compilation");
+    }
+    if (!q_equal(got,
+                 patch::load_compiled_patch(path, ref_tier).model->run(in))) {
+      return fail("a Reference-tier load");
     }
   }
   const auto art = nn::PlanArtifact::map(path);
@@ -237,25 +286,18 @@ int main(int argc, char** argv) {
 
     if (o.kind == "float") {
       nn::compile_to_artifact(g, o.out);
+    } else if (o.kind == "quant") {
+      nn::compile_to_artifact(g, uniform_config(g, o), o.out);
+    } else if (o.kind == "patch") {
+      const patch::PatchSpec spec = patch::plan_mcunetv2(g, {o.grid, o.grid});
+      patch::compile_to_artifact(g, spec, uniform_config(g, o), {}, o.out);
+    } else if (o.kind == "mixed") {
+      const MixedDeployment d = plan_mixed(g, o);
+      patch::compile_to_artifact(g, d.plan.patch_plan.spec, d.cfg,
+                                 d.branch_cfgs, o.out);
     } else {
-      std::vector<nn::Tensor> calib;
-      for (int i = 0; i < o.calib; ++i) {
-        calib.push_back(
-            random_input(g.shape(0), 100 + static_cast<unsigned>(i)));
-      }
-      const auto ranges = quant::calibrate_ranges(g, calib);
-      const auto cfg =
-          quant::make_quant_config(g, ranges, nn::uniform_bits(g, o.bits));
-      if (o.kind == "quant") {
-        nn::compile_to_artifact(g, cfg, o.out);
-      } else if (o.kind == "patch") {
-        const patch::PatchSpec spec =
-            patch::plan_mcunetv2(g, {o.grid, o.grid});
-        patch::compile_to_artifact(g, spec, cfg, {}, o.out);
-      } else {
-        std::fprintf(stderr, "unknown --kind: %s\n", o.kind.c_str());
-        return 2;
-      }
+      std::fprintf(stderr, "unknown --kind: %s\n", o.kind.c_str());
+      return 2;
     }
     std::printf("wrote %s\n", o.out.c_str());
     if (o.verify) return verify_artifact(o.out, g, o);
