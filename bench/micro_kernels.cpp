@@ -600,9 +600,9 @@ void BM_PipelinedPatchRun(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   const PatchRunSetup s = patch_run_setup();
   nn::WorkerPool pool(workers);
-  (void)s.pexec->run_parallel(s.in, &pool);
+  (void)s.pexec->compiled().run(s.in, &pool);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(s.pexec->run_parallel(s.in, &pool));
+    benchmark::DoNotOptimize(s.pexec->compiled().run(s.in, &pool));
   }
   state.SetItemsProcessed(state.iterations() * s.stage_macs);
   state.counters["workers"] = workers;

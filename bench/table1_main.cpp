@@ -13,8 +13,9 @@
 // the deployment configs are materialised, QuantizedParameters are built
 // once and shared between the outlier-class (uniform int8) and mixed
 // executors, and both compiled arena runtimes process an eval image —
-// printing the static arena each would pin in SRAM. Results are mirrored
-// to BENCH_table1_main.json (see bench_common.h).
+// printing the static arena each would pin in SRAM (the mixed one stores
+// its sub-byte branch maps packed) next to the analytic QuantMCU peak.
+// Results are mirrored to BENCH_table1_main.json (see bench_common.h).
 #include "bench_common.h"
 
 #include <chrono>
@@ -51,9 +52,11 @@ void report_row(bench::JsonReport& report, const std::string& platform,
 // Executes the searched deployment on the host: one shared weight
 // conversion, two compiled patch runtimes (outlier-class uniform int8 and
 // the mixed-precision assignment) over one static arena each.
+// `analytic_peak_kb` is the QuantMCU cell's cost-model peak.
 void run_deployment(const nn::Graph& g, const core::QuantMcuPlan& plan,
                     std::span<const nn::Tensor> calib,
-                    const nn::Tensor& image, const std::string& platform,
+                    const nn::Tensor& image, double analytic_peak_kb,
+                    const std::string& platform,
                     bench::JsonReport& report) {
   const auto ranges = quant::calibrate_ranges(g, calib);
   const nn::ActivationQuantConfig deploy_cfg =
@@ -94,6 +97,17 @@ void run_deployment(const nn::Graph& g, const core::QuantMcuPlan& plan,
       "  (executed: uniform %.1f ms / %.0f KB arena, mixed %.1f ms / %.0f "
       "KB arena, shared weight conversion)\n",
       uniform_ms, uniform_arena_kb, mixed_ms, mixed_arena_kb);
+  // Where the executed arena exceeds the cost model: it stages the whole
+  // input at int8 for the branch phase (every branch crops it) and keeps
+  // the assembled cut-layer map at int8, while the model charges the input
+  // tiles and the cut map at their searched (packed) widths.
+  const double staged_input_kb =
+      static_cast<double>(g.shape(g.inputs().front()).elements()) / 1024;
+  std::printf(
+      "  (executed mixed arena %.1f KB vs analytic QuantMCU peak %.1f KB: "
+      "the arena stages the input at int8, %.1f KB, and the cut map at "
+      "int8)\n",
+      mixed_arena_kb, analytic_peak_kb, staged_input_kb);
   report.add("table1/" + platform + "/executed/uniform_host_ms", uniform_ms,
              "ms");
   report.add("table1/" + platform + "/executed/mixed_host_ms", mixed_ms,
@@ -102,6 +116,8 @@ void run_deployment(const nn::Graph& g, const core::QuantMcuPlan& plan,
              uniform_arena_kb, "KB");
   report.add("table1/" + platform + "/executed/mixed_arena_kb",
              mixed_arena_kb, "KB");
+  report.add("table1/" + platform + "/executed/staged_input_kb",
+             staged_input_kb, "KB");
 }
 
 void run_platform(const char* platform_name, const std::string& slug,
@@ -190,7 +206,7 @@ void run_platform(const char* platform_name, const std::string& slug,
     std::printf("  (outlier-class patches: %.0f%%; VDQS search %.2fs)\n",
                 100.0 * ev.outlier_patch_fraction, plan.search_seconds);
     if (execute_deployment) {
-      run_deployment(g, plan, calib, eval.front(), slug, report);
+      run_deployment(g, plan, calib, eval.front(), c.peak_kb, slug, report);
     }
   }
 }

@@ -77,11 +77,11 @@ int main() {
   const nn::QTensor sequential = pexec.run(input);
   for (const int workers : {1, 2, 4}) {
     nn::WorkerPool pool(workers);
-    (void)pexec.run_parallel(input, &pool);  // warm worker contexts
+    (void)pexec.compiled().run(input, &pool);  // warm worker contexts
     constexpr int kReps = 5;
     const auto t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < kReps; ++r) {
-      const nn::QTensor out = pexec.run_parallel(input, &pool);
+      const nn::QTensor out = pexec.compiled().run(input, &pool);
       if (!std::equal(out.data().begin(), out.data().end(),
                       sequential.data().begin())) {
         std::printf("  !! worker count %d diverged from sequential\n",

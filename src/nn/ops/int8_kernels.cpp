@@ -32,9 +32,8 @@ QuantizedWeights quantize_weights(std::span<const float> w) {
   QuantizedWeights out;
   out.params = choose_symmetric_quant_params(absmax, 8);
   out.data.resize(w.size());
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    out.data[i] = static_cast<std::int8_t>(out.params.quantize(w[i]));
-  }
+  quantize_row(w.data(), static_cast<std::int64_t>(w.size()), out.params,
+               out.data.data());
   return out;
 }
 

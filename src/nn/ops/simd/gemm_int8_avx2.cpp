@@ -378,55 +378,49 @@ void dw_conv_row_avx2(const DwConvRow& p) {
 
 // ---------------------------------------------------------------------------
 // Sub-byte unpack (quant/bitpack.h wire layout: little-endian fields,
-// two's-complement sign in the field width). 16 packed bytes per step.
+// two's-complement sign in the field width). Each step expands 16 packed
+// bytes at 4 bits, 8 at 2 bits, into 32 int8 lanes.
 
 std::int64_t unpack_body_avx2(const std::uint8_t* bytes, std::int64_t nbytes,
                               int bits, std::int8_t* dst) {
+  // Each byte is widened into its own 16-bit (4-bit fields) or 32-bit
+  // (2-bit fields) lane, the fields are shifted into the lane's bytes in
+  // little-endian order — element 0 in the low byte — and sign-extended
+  // bytewise as (v ^ s) - s. No cross-lane shuffles.
   std::int64_t consumed = 0;
   if (bits == 4) {
-    const __m128i mask = _mm_set1_epi8(0x0F);
-    const __m128i sign = _mm_set1_epi8(0x08);
+    const __m256i lo = _mm256_set1_epi16(0x000F);
+    const __m256i hi = _mm256_set1_epi16(0x0F00);
+    const __m256i sign = _mm256_set1_epi8(0x08);
     for (; consumed + 16 <= nbytes; consumed += 16) {
-      const __m128i b = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(bytes + consumed));
-      const __m128i lo = _mm_and_si128(b, mask);
-      const __m128i hi = _mm_and_si128(_mm_srli_epi16(b, 4), mask);
-      // Field 0 is the low nibble: interleave low-first.
-      __m128i e0 = _mm_unpacklo_epi8(lo, hi);
-      __m128i e1 = _mm_unpackhi_epi8(lo, hi);
-      // Sign-extend the 4-bit field: (v ^ 8) - 8.
-      e0 = _mm_sub_epi8(_mm_xor_si128(e0, sign), sign);
-      e1 = _mm_sub_epi8(_mm_xor_si128(e1, sign), sign);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), e0);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16), e1);
+      const __m256i w = _mm256_cvtepu8_epi16(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + consumed)));
+      __m256i e =
+          _mm256_or_si256(_mm256_and_si256(w, lo),
+                          _mm256_and_si256(_mm256_slli_epi16(w, 4), hi));
+      e = _mm256_sub_epi8(_mm256_xor_si256(e, sign), sign);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), e);
       dst += 32;
     }
     return consumed;
   }
   if (bits == 2) {
-    const __m128i mask = _mm_set1_epi8(0x03);
-    const __m128i sign = _mm_set1_epi8(0x02);
-    for (; consumed + 16 <= nbytes; consumed += 16) {
-      const __m128i b = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(bytes + consumed));
-      const __m128i v0 = _mm_and_si128(b, mask);
-      const __m128i v1 = _mm_and_si128(_mm_srli_epi16(b, 2), mask);
-      const __m128i v2 = _mm_and_si128(_mm_srli_epi16(b, 4), mask);
-      const __m128i v3 = _mm_and_si128(_mm_srli_epi16(b, 6), mask);
-      const __m128i t01lo = _mm_unpacklo_epi8(v0, v1);
-      const __m128i t01hi = _mm_unpackhi_epi8(v0, v1);
-      const __m128i t23lo = _mm_unpacklo_epi8(v2, v3);
-      const __m128i t23hi = _mm_unpackhi_epi8(v2, v3);
-      __m128i e[4];
-      e[0] = _mm_unpacklo_epi16(t01lo, t23lo);
-      e[1] = _mm_unpackhi_epi16(t01lo, t23lo);
-      e[2] = _mm_unpacklo_epi16(t01hi, t23hi);
-      e[3] = _mm_unpackhi_epi16(t01hi, t23hi);
-      for (auto& v : e) {
-        v = _mm_sub_epi8(_mm_xor_si128(v, sign), sign);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), v);
-        dst += 16;
-      }
+    const __m256i f0 = _mm256_set1_epi32(0x00000003);
+    const __m256i f1 = _mm256_set1_epi32(0x00000300);
+    const __m256i f2 = _mm256_set1_epi32(0x00030000);
+    const __m256i f3 = _mm256_set1_epi32(0x03000000);
+    const __m256i sign = _mm256_set1_epi8(0x02);
+    for (; consumed + 8 <= nbytes; consumed += 8) {
+      const __m256i w = _mm256_cvtepu8_epi32(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(bytes + consumed)));
+      __m256i e = _mm256_or_si256(
+          _mm256_or_si256(_mm256_and_si256(w, f0),
+                          _mm256_and_si256(_mm256_slli_epi32(w, 6), f1)),
+          _mm256_or_si256(_mm256_and_si256(_mm256_slli_epi32(w, 12), f2),
+                          _mm256_and_si256(_mm256_slli_epi32(w, 18), f3)));
+      e = _mm256_sub_epi8(_mm256_xor_si256(e, sign), sign);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), e);
+      dst += 32;
     }
     return consumed;
   }

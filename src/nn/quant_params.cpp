@@ -7,6 +7,7 @@ namespace qmcu::nn {
 
 std::int32_t QuantParams::quantize(float real) const {
   QMCU_ENSURE(scale > 0.0f, "quantization scale must be positive");
+  QMCU_REQUIRE(!std::isnan(real), "cannot quantize NaN");
   const float q = std::nearbyint(real / scale) + static_cast<float>(zero_point);
   const float clamped = std::clamp(q, static_cast<float>(qmin()),
                                    static_cast<float>(qmax()));

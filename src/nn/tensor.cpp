@@ -1,6 +1,7 @@
 #include "nn/tensor.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace qmcu::nn {
 
@@ -12,12 +13,29 @@ QTensor quantize(const Tensor& t, const QuantParams& params) {
 
 void quantize_into(const Tensor& t, QTensor& out) {
   QMCU_REQUIRE(out.shape() == t.shape(), "quantize destination shape mismatch");
-  const auto src = t.data();
-  auto dst = out.data();
-  const QuantParams& params = out.params();
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    dst[i] = static_cast<std::int8_t>(params.quantize(src[i]));
+  quantize_row(t.data().data(), t.elements(), out.params(),
+               out.data().data());
+}
+
+void quantize_row(const float* __restrict src, std::int64_t n,
+                  const QuantParams& p, std::int8_t* __restrict dst) {
+  QMCU_ENSURE(p.scale > 0.0f, "quantization scale must be positive");
+  const float scale = p.scale;
+  const auto zp = static_cast<float>(p.zero_point);
+  const auto lo = static_cast<float>(p.qmin());
+  const auto hi = static_cast<float>(p.qmax());
+  // QuantParams::quantize lane for lane. The clamp is spelled so that NaN
+  // lands on `lo` instead of reaching the int conversion (undefined
+  // behaviour); the flag then rejects the row.
+  int nan = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    float q = std::nearbyint(src[i] / scale) + zp;
+    nan |= static_cast<int>(q != q);
+    q = q >= lo ? q : lo;
+    q = q <= hi ? q : hi;
+    dst[i] = static_cast<std::int8_t>(static_cast<std::int32_t>(q));
   }
+  QMCU_REQUIRE(nan == 0, "cannot quantize NaN: the input holds a NaN value");
 }
 
 Tensor dequantize(const QTensor& q) {

@@ -2,12 +2,15 @@
 //
 // Two concrete tensor types keep the hot kernel loops monomorphic:
 //   Tensor   — float reference data (calibration, golden outputs)
-//   QTensor  — quantized data held *unpacked* in int8 storage together with
+//   QTensor  — quantized data held unpacked in int8 storage together with
 //              its QuantParams. For sub-byte params (bits < 8) the storage
 //              is still one int8 per element — exactly the form CMix-NN
-//              kernels compute on after unpacking — while the *accounted*
-//              footprint (storage_bytes) reflects the packed size. The
-//              packed wire format itself lives in quant/bitpack.h.
+//              kernels compute on after unpacking — and storage_bytes()
+//              reports the packed size. Where a sub-byte map lives in an
+//              arena between layers it is stored packed instead: the
+//              compiled patch engine binds sub-byte branch-step maps as
+//              patch::PackedMap (quant/bitpack.h wire format) and unpacks a
+//              row band at a time into QTensor scratch for the kernels.
 //
 // Both types either own their storage (the default) or *borrow* it from a
 // caller-provided span — the form the compiled arena executors use to bind
@@ -192,11 +195,19 @@ class QTensor {
   std::span<std::int8_t> view_;
 };
 
-// Quantizes every element of `t` with `params` (saturating).
+// Quantizes every element of `t` with `params` (saturating). A NaN element
+// has no code: these throw std::invalid_argument.
 QTensor quantize(const Tensor& t, const QuantParams& params);
 
 // Same, writing into a pre-shaped destination (its params are the target).
 void quantize_into(const Tensor& t, QTensor& out);
+
+// The row routine behind both: dst[i] = p.quantize(src[i]) for i in
+// [0, n) — a true divide, round half to even, + zero point, clamp — in one
+// vectorizable pass. Throws std::invalid_argument if any src[i] is NaN
+// (dst is then partly written).
+void quantize_row(const float* src, std::int64_t n, const QuantParams& p,
+                  std::int8_t* dst);
 
 // Dequantizes `q` back to float.
 Tensor dequantize(const QTensor& q);

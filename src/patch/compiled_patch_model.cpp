@@ -30,21 +30,34 @@ struct PatchTimeline {
   int assembled_index = 0;  // request index of the reassembled cut layer
 };
 
+nn::TensorShape region_shape(const BranchStep& step, int channels) {
+  return {step.out_region.y.size(), step.out_region.x.size(), channels};
+}
+
+// Tail, assembled-map (and staged-input) slots hold `elem_bytes` per
+// element; `step_bytes(b, s, shape)` sizes branch b's step-s map, which
+// the quantized domain stores packed when it is sub-byte.
+template <class StepBytes>
 PatchTimeline build_timeline(const nn::Graph& g, const PatchPlan& plan,
-                             std::int64_t elem_bytes) {
+                             std::int64_t elem_bytes,
+                             const StepBytes& step_bytes) {
   PatchTimeline t;
   const PatchBranch& proto = plan.branches.front();
   t.num_steps = static_cast<int>(proto.steps.size());
   const int split = plan.spec.split_layer;
   const int tail_count = g.size() - split - 1;
 
-  // Branch slots: the largest region any branch computes at each step.
+  // Branch slots: the largest map any branch stores at each step. Branches
+  // differ in region and, in mixed mode, in bits, so the maximum is taken
+  // over stored bytes.
   for (int s = 0; s < t.num_steps; ++s) {
     std::int64_t size = 0;
-    for (const PatchBranch& b : plan.branches) {
-      const BranchStep& step = b.steps[static_cast<std::size_t>(s)];
-      const std::int64_t c = g.shape(step.layer_id).c;
-      size = std::max(size, step.out_region.area() * c * elem_bytes);
+    for (std::size_t b = 0; b < plan.branches.size(); ++b) {
+      const BranchStep& step =
+          plan.branches[b].steps[static_cast<std::size_t>(s)];
+      const nn::TensorShape shape =
+          region_shape(step, g.shape(step.layer_id).c);
+      size = std::max(size, step_bytes(static_cast<int>(b), s, shape));
     }
     t.requests.push_back({size, s, branch_last_use(g, proto, s)});
   }
@@ -66,23 +79,51 @@ PatchTimeline build_timeline(const nn::Graph& g, const PatchPlan& plan,
   return t;
 }
 
-nn::TensorShape region_shape(const BranchStep& step, int channels) {
-  return {step.out_region.y.size(), step.out_region.x.size(), channels};
-}
+// The scratch a branch-step band draws from: the crop arena, or for a band
+// that touches a packed map one block of it reserved for all the band's
+// buffers. The arena's footprint is the sum, over allocation slots, of the
+// largest buffer each slot ever held, so carving a band's operand windows
+// and output rows from one block keeps it inside the slot the halo crops
+// (and, on worker lanes, the tail bands' crops) already size.
+class BandScratch {
+ public:
+  explicit BandScratch(nn::ops::ScratchArena& arena) : arena_(arena) {}
+  void reserve_i8(std::int64_t n) {
+    block_ = arena_.i8(static_cast<std::size_t>(n));
+  }
+  std::span<std::int8_t> i8(std::size_t n) {
+    if (n > block_.size()) return arena_.i8(n);
+    const auto taken = block_.first(n);
+    block_ = block_.subspan(n);
+    return taken;
+  }
+  std::span<float> f32(std::size_t n) { return arena_.f32(n); }
+
+ private:
+  nn::ops::ScratchArena& arena_;
+  std::span<std::int8_t> block_;
+};
 
 // A crop temporary from `a` shaped `s`, in the domain (and, quantized,
 // with the params) of `like`.
-nn::Tensor borrow_like(nn::ops::ScratchArena& a, const nn::TensorShape& s,
+template <class Scratch>
+nn::Tensor borrow_like(Scratch& a, const nn::TensorShape& s,
                        const nn::Tensor& /*like*/) {
   auto buf = a.f32(static_cast<std::size_t>(s.elements()));
   return nn::Tensor(s, std::span<float>(buf.data(), buf.size()));
 }
 
-nn::QTensor borrow_like(nn::ops::ScratchArena& a, const nn::TensorShape& s,
-                        const nn::QTensor& like) {
+template <class Scratch>
+nn::QTensor scratch_q(Scratch& a, const nn::TensorShape& s,
+                      const nn::QuantParams& p) {
   auto buf = a.i8(static_cast<std::size_t>(s.elements()));
-  return nn::QTensor(s, like.params(),
-                     std::span<std::int8_t>(buf.data(), buf.size()));
+  return nn::QTensor(s, p, std::span<std::int8_t>(buf.data(), buf.size()));
+}
+
+template <class Scratch>
+nn::QTensor borrow_like(Scratch& a, const nn::TensorShape& s,
+                        const nn::QTensor& like) {
+  return scratch_q(a, s, like.params());
 }
 
 // Region crop (zero padding: 0.0f, or the producer's zero point), the
@@ -130,15 +171,23 @@ void merge_tile(nn::ops::KernelBackend& /*backend*/, const nn::Tensor& tile,
 }
 
 // The quantized tile is requantized into the assembled map's params
-// (identity row copy in uniform mode). Tiles are disjoint, so concurrent
-// merges from several workers commute.
-void merge_tile(nn::ops::KernelBackend& backend, const nn::QTensor& tile,
+// (identity row copy in uniform mode), unpacked a row chunk at a time when
+// it is stored packed. Tiles are disjoint, so concurrent merges from
+// several workers commute.
+void merge_tile(nn::ops::KernelBackend& backend, const PackedMap& tile,
                 const Region& r, nn::QTensor& assembled, bool* changed) {
-  if (changed == nullptr) {
-    merge_region_q(tile, r, assembled, backend.simd_kernels());
+  const auto* simd = backend.simd_kernels();
+  const auto merge = [&](const auto& t) {
+    if (changed == nullptr) {
+      merge_region_q(t, r, assembled, simd);
+    } else {
+      *changed = merge_region_q_changed(t, r, assembled, simd);
+    }
+  };
+  if (tile.packed()) {
+    merge(tile);
   } else {
-    *changed =
-        merge_region_q_changed(tile, r, assembled, backend.simd_kernels());
+    merge(tile.dense());
   }
 }
 
@@ -204,11 +253,25 @@ constexpr bool rows_within(const Region& avail, const Region& want) {
          want.y.end <= avail.y.end;
 }
 
+// The arena bytes a view covers, for the borrow overlap check.
+struct ByteRange {
+  std::uintptr_t begin = 0;
+  std::uintptr_t end = 0;
+};
+
 template <class T>
-bool shares_bytes(const T& a, const T& b) {
-  const auto a0 = reinterpret_cast<std::uintptr_t>(a.data().data());
-  const auto b0 = reinterpret_cast<std::uintptr_t>(b.data().data());
-  return a0 < b0 + b.data().size_bytes() && b0 < a0 + a.data().size_bytes();
+ByteRange byte_range(const T& t) {
+  const auto b = reinterpret_cast<std::uintptr_t>(t.data().data());
+  return {b, b + t.data().size_bytes()};
+}
+
+ByteRange byte_range(const PackedMap& m) {
+  const auto b = reinterpret_cast<std::uintptr_t>(m.data);
+  return {b, b + static_cast<std::uintptr_t>(m.bytes())};
+}
+
+constexpr bool overlaps(const ByteRange& a, const ByteRange& b) {
+  return a.begin < b.end && b.begin < a.end;
 }
 
 // A step's input window `want` of the map `have` holds (region `avail` of a
@@ -219,14 +282,14 @@ bool shares_bytes(const T& a, const T& b) {
 // producer's zero point — the quantized encoding of real 0). A borrowed
 // view must not share bytes with `out`, the step's output slot: a crop
 // would hide such an overlap, a view would not.
-template <class T>
+template <class T, class Scratch>
 T step_input(T& have, const Region& avail, const Region& want,
-             const nn::TensorShape& full, const T& out,
-             nn::ops::ScratchArena& crops) {
+             const nn::TensorShape& full, const ByteRange& out,
+             Scratch& crops) {
   if (rows_within(avail, want)) {
     T view = row_view(have, {want.y.begin - avail.y.begin,
                              want.y.end - avail.y.begin});
-    QMCU_ENSURE(!shares_bytes(view, out),
+    QMCU_ENSURE(!overlaps(byte_range(view), out),
                 "borrowed step input overlaps the step's output slot");
     return view;
   }
@@ -234,6 +297,135 @@ T step_input(T& have, const Region& avail, const Region& want,
       crops, nn::TensorShape{want.y.size(), want.x.size(), full.c}, have);
   crop_into(have, avail, want, full, crop);
   return crop;
+}
+
+// --- branch-step maps: dense views (float, int8) and packed maps -----------
+//
+// The overloads below let the engine spell a branch step once. A float or
+// int8 step is one band that reads its operands in place (or halo-cropped)
+// and writes straight into its slot; a step touching a packed map runs in
+// row bands, each unpacking its operand rows into scratch and packing the
+// rows it produced.
+
+bool is_packed(const nn::Tensor& /*t*/) { return false; }
+bool is_packed(const PackedMap& m) { return m.packed(); }
+
+// A step's input window `want` of a branch-step map. Packed maps are
+// unpacked (with zero-point padding) into scratch, a row band at a time.
+nn::Tensor step_input(nn::Tensor& have, const Region& avail,
+                      const Region& want, const nn::TensorShape& full,
+                      const nn::Tensor& out, BandScratch& crops,
+                      const nn::ops::simd::SimdKernels* /*simd*/) {
+  return step_input(have, avail, want, full, byte_range(out), crops);
+}
+
+nn::QTensor step_input(const PackedMap& have, const Region& avail,
+                       const Region& want, const nn::TensorShape& full,
+                       const PackedMap& out, BandScratch& crops,
+                       const nn::ops::simd::SimdKernels* simd) {
+  if (!have.packed()) {
+    nn::QTensor dense = have.dense();
+    return step_input(dense, avail, want, full, byte_range(out), crops);
+  }
+  nn::QTensor crop = scratch_q(
+      crops, nn::TensorShape{want.y.size(), want.x.size(), full.c},
+      have.params);
+  crop_packed_into(have, avail, want, full, crop, simd);
+  return crop;
+}
+
+// A pooling step's source for output band `band`: the producer map itself
+// when it is dense, or (packed) the rows `need` of it unpacked into
+// scratch. Returns the tensor and the region of the map it covers.
+std::pair<nn::Tensor, Region> pool_input(nn::Tensor& have,
+                                         const Region& avail,
+                                         const Interval& /*need*/,
+                                         const nn::TensorShape& /*full*/,
+                                         BandScratch& /*crops*/,
+                                         const nn::ops::simd::SimdKernels*) {
+  return {row_view(have, {0, have.shape().h}), avail};
+}
+
+std::pair<nn::QTensor, Region> pool_input(
+    const PackedMap& have, const Region& avail, const Interval& need,
+    const nn::TensorShape& full, BandScratch& crops,
+    const nn::ops::simd::SimdKernels* simd) {
+  if (!have.packed()) return {have.dense(), avail};
+  const Region rows{need, avail.x};
+  nn::QTensor band = scratch_q(
+      crops, nn::TensorShape{rows.y.size(), rows.x.size(), full.c},
+      have.params);
+  crop_packed_into(have, avail, rows, full, band, simd);
+  return {std::move(band), rows};
+}
+
+// The dense destination of output rows [y0, y0 + rows) of a step map
+// (local coordinates): a view of the slot, or scratch for a packed map.
+nn::Tensor band_target(nn::Tensor& out, int y0, int rows,
+                       BandScratch& /*crops*/) {
+  return row_view(out, {y0, y0 + rows});
+}
+
+nn::QTensor band_target(const PackedMap& out, int y0, int rows,
+                        BandScratch& crops) {
+  const nn::TensorShape s{rows, out.shape.w, out.shape.c};
+  if (out.packed()) return scratch_q(crops, s, out.params);
+  nn::QTensor dense = out.dense();
+  return row_view(dense, {y0, y0 + rows});
+}
+
+// Lands a computed band in its map: packs it when the map is packed (dense
+// targets were written in place).
+void store_band(const nn::Tensor& /*out*/, int /*y0*/,
+                const nn::Tensor& /*band*/) {}
+
+void store_band(const PackedMap& out, int y0, const nn::QTensor& band) {
+  if (out.packed()) out.store_rows(y0, band);
+}
+
+// Scratch a packed step's row band may hold: its dense output rows plus
+// every unpacked operand window. The scratch of a packed map stays
+// proportional to one band, never to the whole map.
+constexpr std::int64_t kBandBytes = 16 * 1024;
+
+// Whether `layer`, as a step of `branch` writing `out`, reads or writes a
+// packed map.
+template <class View>
+bool touches_packed(const nn::Layer& layer, const PatchBranch& branch,
+                    std::span<const View> views, const View& out) {
+  if (is_packed(out)) return true;
+  for (const int in : layer.inputs) {
+    const int p = branch.step_of(in);  // < 0: the staged input
+    if (p >= 0 && is_packed(views[static_cast<std::size_t>(p)])) return true;
+  }
+  return false;
+}
+
+// Output rows per band of branch step `s` (output `out`, shaped `shape`):
+// the whole region unless the step reads or writes a packed map; then as
+// many rows as keep the dense output band and the unpacked operand rows
+// it reads (stride rows per output row) within kBandBytes, at least one.
+template <class View>
+int band_rows(const nn::Graph& g, const PatchBranch& branch, int s,
+              std::span<const View> views, const View& out,
+              const nn::TensorShape& shape) {
+  const nn::Layer& layer =
+      g.layer(branch.steps[static_cast<std::size_t>(s)].layer_id);
+  if (!touches_packed(layer, branch, views, out)) return shape.h;
+  std::int64_t row_bytes = static_cast<std::int64_t>(shape.w) * shape.c;
+  for (const int in : layer.inputs) {
+    const int p = branch.step_of(in);
+    if (p < 0) continue;
+    const bool elementwise =
+        layer.kind == nn::OpKind::Add || layer.kind == nn::OpKind::Concat;
+    row_bytes += (elementwise ? 1 : layer.stride_h) *
+                 static_cast<std::int64_t>(
+                     branch.steps[static_cast<std::size_t>(p)]
+                         .out_region.x.size()) *
+                 g.shape(in).c;
+  }
+  return static_cast<int>(
+      std::clamp<std::int64_t>(kBandBytes / row_bytes, 1, shape.h));
 }
 
 // The streaming layout widens every shared slot's lifetime to the whole
@@ -468,10 +660,10 @@ nn::Tensor FloatDomain::bind_layer(int /*layer_id*/, std::uint8_t* base,
   return bind_f32_slot(base, slot, shape, measured);
 }
 
-nn::Tensor FloatDomain::bind_step(const nn::Layer& /*layer*/,
+nn::Tensor FloatDomain::bind_step(const nn::Graph& /*g*/,
                                   const PatchBranch& /*branch*/, int /*bi*/,
-                                  int /*s*/, std::span<const Tensor> /*views*/,
-                                  std::uint8_t* base, const nn::ArenaSlot& slot,
+                                  int /*s*/, std::uint8_t* base,
+                                  const nn::ArenaSlot& slot,
                                   const nn::TensorShape& shape,
                                   std::int64_t& measured) {
   return bind_f32_slot(base, slot, shape, measured);
@@ -486,10 +678,9 @@ void FloatDomain::stage_input(const nn::Graph& /*g*/, const nn::Tensor& input,
 }
 
 void FloatDomain::input_into(nn::ops::KernelBackend& /*backend*/,
-                             const nn::Graph& /*g*/, const BranchStep& step,
-                             Tensor& out) const {
-  crop_from_region_into(*input_, full_region(input_->shape()),
-                        step.out_region, input_->shape(), out);
+                             const Region& want, Tensor& out) const {
+  crop_from_region_into(*input_, full_region(input_->shape()), want,
+                        input_->shape(), out);
 }
 
 void FloatDomain::windowed_into(nn::ops::KernelBackend& backend,
@@ -578,24 +769,38 @@ nn::QTensor QuantDomain::bind_layer(int layer_id, std::uint8_t* base,
                      measured);
 }
 
-nn::QTensor QuantDomain::bind_step(const nn::Layer& layer,
-                                   const PatchBranch& branch, int bi, int s,
-                                   std::span<const Tensor> views,
-                                   std::uint8_t* base,
-                                   const nn::ArenaSlot& slot,
-                                   const nn::TensorShape& shape,
-                                   std::int64_t& measured) const {
-  if (layer.kind == nn::OpKind::MaxPool || layer.kind == nn::OpKind::AvgPool) {
-    const int p = branch.step_of(layer.inputs[0]);
+const nn::QuantParams& QuantDomain::step_storage_params(
+    const nn::Graph& g, const PatchBranch& branch, int bi, int s) const {
+  for (;;) {
+    const nn::Layer& l =
+        g.layer(branch.steps[static_cast<std::size_t>(s)].layer_id);
+    if (l.kind != nn::OpKind::MaxPool && l.kind != nn::OpKind::AvgPool) break;
+    const int p = branch.step_of(l.inputs[0]);
     QMCU_ENSURE(p >= 0 && p < s, "producer step missing from branch");
-    return bind_q_slot(base, slot, shape,
-                       views[static_cast<std::size_t>(p)].params(), measured);
+    s = p;
   }
-  return bind_q_slot(
-      base, slot, shape,
-      branch_step_params(bi, s,
-                         branch.steps[static_cast<std::size_t>(s)].layer_id),
-      measured);
+  return branch_step_params(
+      bi, s, branch.steps[static_cast<std::size_t>(s)].layer_id);
+}
+
+std::int64_t QuantDomain::step_slot_bytes(const nn::Graph& g,
+                                          const PatchBranch& branch, int bi,
+                                          int s,
+                                          const nn::TensorShape& shape) const {
+  return PackedMap::storage_bytes(shape,
+                                  step_storage_params(g, branch, bi, s).bits);
+}
+
+PackedMap QuantDomain::bind_step(const nn::Graph& g, const PatchBranch& branch,
+                                 int bi, int s, std::uint8_t* base,
+                                 const nn::ArenaSlot& slot,
+                                 const nn::TensorShape& shape,
+                                 std::int64_t& measured) const {
+  const PackedMap map = bind_packed_map(
+      base + slot.offset, shape, step_storage_params(g, branch, bi, s));
+  QMCU_ENSURE(map.bytes() <= slot.size, "bound map exceeds its arena slot");
+  measured = std::max(measured, slot.offset + map.bytes());
+  return map;
 }
 
 void QuantDomain::stage_input(const nn::Graph& g, const nn::Tensor& input,
@@ -606,44 +811,40 @@ void QuantDomain::stage_input(const nn::Graph& g, const nn::Tensor& input,
   const nn::TensorShape& s = g.shape(id);
   input_ = bind_q_slot(base, *slot, s,
                        cfg_.params[static_cast<std::size_t>(id)], measured);
-  if (rows.empty()) {
-    nn::quantize_into(input, input_);
-    return;
-  }
-  // Element for element what quantize_into writes, over the listed spans.
   const nn::QuantParams& p = input_.params();
   const float* src = input.data().data();
   std::int8_t* dst = input_.data().data();
+  if (rows.empty()) {
+    nn::quantize_row(src, s.elements(), p, dst);
+    return;
+  }
   for (int y = 0; y < s.h; ++y) {
     const Interval& span = rows[static_cast<std::size_t>(y)];
-    const std::int64_t end = nn::flat_index(s, y, span.end, 0);
-    for (std::int64_t i = nn::flat_index(s, y, span.begin, 0); i < end; ++i) {
-      dst[i] = static_cast<std::int8_t>(p.quantize(src[i]));
-    }
+    const std::int64_t first = nn::flat_index(s, y, span.begin, 0);
+    nn::quantize_row(src + first, nn::flat_index(s, y, span.end, 0) - first,
+                     p, dst + first);
   }
 }
 
 void QuantDomain::input_into(nn::ops::KernelBackend& backend,
-                             const nn::Graph& g, const BranchStep& step,
-                             Tensor& out) const {
+                             const Region& want, Tensor& out) const {
   // The input patch tile is quantized straight into the branch's params
   // (mixed mode stores it sub-byte, uniform mode at int8): the in-bounds
   // row spans of the staged input go through the slice requantizer, with
   // no intermediate crop.
-  const nn::TensorShape& full = g.shape(step.layer_id);
+  const nn::TensorShape& full = input_.shape();
   const nn::QuantParams& from = input_.params();
   const nn::QuantParams& to = out.params();
   if (from == to) {
-    crop_from_region_q_into(input_, full_region(full), step.out_region, full,
-                            out);
+    crop_from_region_q_into(input_, full_region(full), want, full, out);
     return;
   }
   // Padding is real 0 — the input zero point — requantized: centered 0
   // rescales to 0, leaving the clamped target zero point.
   const auto pad = static_cast<std::int8_t>(
       nn::ops::clamp_to(to.zero_point, to.qmin(), to.qmax()));
-  crop_rows(input_.data().data(), full_region(full), step.out_region, full,
-            full.c, pad, out.data().data(),
+  crop_rows(input_.data().data(), full_region(full), want, full, full.c, pad,
+            out.data().data(),
             nn::ops::simd::RowRequantizer(from, to, backend.simd_kernels()));
 }
 
@@ -753,7 +954,11 @@ void CompiledPatchEngine<Domain>::compile(
   QMCU_REQUIRE(!plan_.branches.empty(), "plan has no branches");
   this->adopt_kernels(self_.backend);
   PatchTimeline t = build_timeline(
-      g, plan_, static_cast<std::int64_t>(sizeof(typename Domain::Elem)));
+      g, plan_, static_cast<std::int64_t>(sizeof(typename Domain::Elem)),
+      [&](int bi, int s, const nn::TensorShape& shape) {
+        return this->step_slot_bytes(
+            g, plan_.branches[static_cast<std::size_t>(bi)], bi, s, shape);
+      });
   num_steps_ = t.num_steps;
   assembled_slot_ = t.assembled_index;
   if constexpr (Domain::kQuantizedInput) {
@@ -890,69 +1095,23 @@ void CompiledPatchEngine<Domain>::exec_branch(
     WorkerCtx& ctx, bool* merge_changed) const {
   const nn::Graph& g = *graph_;
   const PatchBranch& branch = plan_.branches[static_cast<std::size_t>(bi)];
-  const std::span<Tensor> views(ctx.step_views);
+  const std::span<StepView> views(ctx.step_views);
   for (int s = 0; s < num_steps_; ++s) {
     const BranchStep& step = branch.steps[static_cast<std::size_t>(s)];
-    const nn::Layer& layer = g.layer(step.layer_id);
-    Tensor out = this->bind_step(
-        layer, branch, bi, s, views, base, slots[static_cast<std::size_t>(s)],
-        region_shape(step, g.shape(step.layer_id).c), ctx.measured);
-    ctx.crops.reset();
-
-    const auto producer_input = [&](int input_id, const Region& want) {
-      const int p = branch.step_of(input_id);
-      QMCU_ENSURE(p >= 0 && p < s, "producer step missing from branch");
-      return step_input(views[static_cast<std::size_t>(p)],
-                        branch.steps[static_cast<std::size_t>(p)].out_region,
-                        want, g.shape(input_id), out, ctx.crops);
-    };
-
-    switch (layer.kind) {
-      case nn::OpKind::Input:
-        this->input_into(ctx.backend, g, step, out);
-        break;
-      case nn::OpKind::Conv2D:
-      case nn::OpKind::DepthwiseConv2D: {
-        // Zero padding is exactly what the unclamped crop materialises,
-        // so run the kernel pad-free on the region tensor.
-        const Tensor padded = producer_input(layer.inputs[0], step.in_region);
-        nn::Layer local = layer;
-        local.pad_h = local.pad_w = 0;
-        this->windowed_into(ctx.backend, g, padded, local, step.layer_id, bi,
-                            s, out);
-        break;
-      }
-      case nn::OpKind::MaxPool:
-      case nn::OpKind::AvgPool: {
-        const int p = branch.step_of(layer.inputs[0]);
-        QMCU_ENSURE(p >= 0, "producer step missing from branch");
-        this->pool_into(views[static_cast<std::size_t>(p)],
-                        branch.steps[static_cast<std::size_t>(p)].out_region,
-                        layer, step.out_region, g.shape(layer.inputs[0]),
-                        out);
-        break;
-      }
-      case nn::OpKind::Add: {
-        const Tensor a = producer_input(layer.inputs[0], step.out_region);
-        const Tensor b = producer_input(layer.inputs[1], step.out_region);
-        add_into(ctx.backend, a, b, layer.act, out);
-        break;
-      }
-      case nn::OpKind::Concat: {
-        std::vector<Tensor> cropped;
-        cropped.reserve(layer.inputs.size());
-        for (int in : layer.inputs) {
-          cropped.push_back(producer_input(in, step.out_region));
-        }
-        std::vector<const Tensor*> ptrs;
-        ptrs.reserve(cropped.size());
-        for (const Tensor& t : cropped) ptrs.push_back(&t);
-        concat_into(ctx.backend, ptrs, out);
-        break;
-      }
-      default:
-        QMCU_REQUIRE(false, "op kind not supported inside a patch stage: " +
-                                std::string(nn::to_string(layer.kind)));
+    const nn::TensorShape shape =
+        region_shape(step, g.shape(step.layer_id).c);
+    StepView out =
+        this->bind_step(g, branch, bi, s, base,
+                        slots[static_cast<std::size_t>(s)], shape,
+                        ctx.measured);
+    const int rows = band_rows(g, branch, s, std::span<const StepView>(views),
+                               out, shape);
+    for (int y = step.out_region.y.begin; y < step.out_region.y.end;
+         y += rows) {
+      exec_step_band(bi, s,
+                     {{y, std::min(y + rows, step.out_region.y.end)},
+                      step.out_region.x},
+                     views, out, ctx);
     }
     views[static_cast<std::size_t>(s)] = std::move(out);
   }
@@ -963,6 +1122,122 @@ void CompiledPatchEngine<Domain>::exec_branch(
              last.out_region,
              tail_memo_[static_cast<std::size_t>(plan_.spec.split_layer)],
              merge_changed);
+}
+
+template <class Domain>
+void CompiledPatchEngine<Domain>::exec_step_band(int bi, int s,
+                                                 const Region& band,
+                                                 std::span<StepView> views,
+                                                 StepView& out,
+                                                 WorkerCtx& ctx) const {
+  const nn::Graph& g = *graph_;
+  const PatchBranch& branch = plan_.branches[static_cast<std::size_t>(bi)];
+  const BranchStep& step = branch.steps[static_cast<std::size_t>(s)];
+  const nn::Layer& layer = g.layer(step.layer_id);
+  const auto* simd = ctx.backend.simd_kernels();
+  const int y0 = band.y.begin - step.out_region.y.begin;
+
+  const auto producer = [&](int input_id) -> int {
+    const int p = branch.step_of(input_id);
+    QMCU_ENSURE(p >= 0 && p < s, "producer step missing from branch");
+    return p;
+  };
+  const auto producer_region = [&](int input_id) -> const Region& {
+    return branch.steps[static_cast<std::size_t>(producer(input_id))]
+        .out_region;
+  };
+  // The window of operand `input_id` the band reads: unclamped for windowed
+  // ops (the crop materialises their zero padding, so the kernel runs
+  // pad-free; a whole-region band reads step.in_region), the in-bounds rows
+  // for pools, the band itself otherwise.
+  const auto window = [&](int input_id) -> Region {
+    const nn::TensorShape& full = g.shape(input_id);
+    switch (layer.kind) {
+      case nn::OpKind::Conv2D:
+      case nn::OpKind::DepthwiseConv2D:
+        return required_input_region(layer, full, band);
+      case nn::OpKind::MaxPool:
+      case nn::OpKind::AvgPool:
+        return {clamp(required_input_region(layer, full, band).y, 0, full.h),
+                producer_region(input_id).x};
+      default:
+        return band;
+    }
+  };
+
+  ctx.crops.reset();
+  BandScratch scratch(ctx.crops);
+  if (touches_packed(layer, branch, std::span<const StepView>(views), out)) {
+    std::int64_t bytes =
+        is_packed(out) ? band.area() * g.shape(step.layer_id).c : 0;
+    for (const int in : layer.inputs) {
+      if (branch.step_of(in) >= 0) bytes += window(in).area() * g.shape(in).c;
+    }
+    scratch.reserve_i8(bytes);
+  }
+  const auto producer_input = [&](int input_id) {
+    return step_input(views[static_cast<std::size_t>(producer(input_id))],
+                      producer_region(input_id), window(input_id),
+                      g.shape(input_id), out, scratch, simd);
+  };
+  const auto target = [&] {
+    return band_target(out, y0, band.y.size(), scratch);
+  };
+
+  switch (layer.kind) {
+    case nn::OpKind::Input: {
+      Tensor o = target();
+      this->input_into(ctx.backend, band, o);
+      store_band(out, y0, o);
+      break;
+    }
+    case nn::OpKind::Conv2D:
+    case nn::OpKind::DepthwiseConv2D: {
+      const Tensor padded = producer_input(layer.inputs[0]);
+      Tensor o = target();
+      nn::Layer local = layer;
+      local.pad_h = local.pad_w = 0;
+      this->windowed_into(ctx.backend, g, padded, local, step.layer_id, bi, s,
+                          o);
+      store_band(out, y0, o);
+      break;
+    }
+    case nn::OpKind::MaxPool:
+    case nn::OpKind::AvgPool: {
+      const int in = layer.inputs[0];
+      const auto [have, avail] =
+          pool_input(views[static_cast<std::size_t>(producer(in))],
+                     producer_region(in), window(in).y, g.shape(in), scratch,
+                     simd);
+      Tensor o = target();
+      this->pool_into(have, avail, layer, band, g.shape(in), o);
+      store_band(out, y0, o);
+      break;
+    }
+    case nn::OpKind::Add: {
+      const Tensor a = producer_input(layer.inputs[0]);
+      const Tensor b = producer_input(layer.inputs[1]);
+      Tensor o = target();
+      add_into(ctx.backend, a, b, layer.act, o);
+      store_band(out, y0, o);
+      break;
+    }
+    case nn::OpKind::Concat: {
+      std::vector<Tensor> cropped;
+      cropped.reserve(layer.inputs.size());
+      for (int in : layer.inputs) cropped.push_back(producer_input(in));
+      std::vector<const Tensor*> ptrs;
+      ptrs.reserve(cropped.size());
+      for (const Tensor& t : cropped) ptrs.push_back(&t);
+      Tensor o = target();
+      concat_into(ctx.backend, ptrs, o);
+      store_band(out, y0, o);
+      break;
+    }
+    default:
+      QMCU_REQUIRE(false, "op kind not supported inside a patch stage: " +
+                              std::string(nn::to_string(layer.kind)));
+  }
 }
 
 template <class Domain>
@@ -988,7 +1263,7 @@ void CompiledPatchEngine<Domain>::exec_tail_band(int layer_id,
       const nn::TensorShape& is = g.shape(l.inputs[0]);
       const Tensor in = step_input(memo(l.inputs[0]), full_region(is),
                                    required_input_region(l, is, out_region),
-                                   is, out, ctx.crops);
+                                   is, byte_range(out), ctx.crops);
       nn::Layer local = l;
       local.pad_h = local.pad_w = 0;
       this->windowed_into(ctx.backend, g, in, local, layer_id, -1, -1, out);
@@ -1310,7 +1585,16 @@ typename Domain::Tensor CompiledPatchEngine<Domain>::run_streaming(
   // byte-identical float pixel quantizes to a byte-identical code, so
   // clean branches stay clean through this write.
   run_stream_ = &state;
-  run_parallel(input, pool, pplan, arena.data());
+  try {
+    run_parallel(input, pool, pplan, arena.data());
+  } catch (...) {
+    // A failed frame (say, a NaN pixel rejected while staging) may have
+    // overwritten part of the retained bytes: forget them, so the next
+    // frame runs in full.
+    run_stream_ = nullptr;
+    state.reset();
+    throw;
+  }
   run_stream_ = nullptr;
   state.changed_rows.clear();
   state.primed = true;
@@ -1352,6 +1636,13 @@ const nn::QuantParams& CompiledPatchQuantModel::step_params(int branch,
                                 .branches[static_cast<std::size_t>(branch)]
                                 .steps[static_cast<std::size_t>(step)]
                                 .layer_id);
+}
+
+const nn::QuantParams& CompiledPatchQuantModel::stored_params(int branch,
+                                                              int step) const {
+  return step_storage_params(graph(),
+                             plan().branches[static_cast<std::size_t>(branch)],
+                             branch, step);
 }
 
 }  // namespace qmcu::patch

@@ -22,15 +22,20 @@
 //
 // The engine plans, once:
 //
-//   * one arena slot per branch *step index*, sized to the largest region
-//     any branch computes at that step (branches share the slot layout —
-//     they have identical step structure, only their region extents
-//     differ);
+//   * one arena slot per branch *step index*, sized to the largest map any
+//     branch stores at that step (branches share the slot layout — they
+//     have identical step structure; their region extents and, in mixed
+//     mode, their bit widths differ). A quantized sub-byte map is stored
+//     bit-packed (patch/packed_map.h): packed rows padded to 32 elements,
+//     so a 4-bit map takes about half the bytes of its int8 twin. Int8 and
+//     float maps are dense;
 //   * one slot for the reassembled cut-layer feature map, live from the
 //     first branch through its last tail consumer;
 //   * one slot per tail layer, placed over layer-based lifetimes;
 //   * (quantized) one slot for the quantized full input, live across the
 //     whole branch phase.
+//
+// The staged input, the assembled map and the tail stay int8 (float).
 //
 // Sequential run(): all slots come from one nn::ArenaPlanner pass over a
 // unified timeline (branch steps first, tail steps after), so branch
@@ -77,6 +82,14 @@
 // feature maps, and are accounted via scratch_bytes(). The quantized input
 // tile is requantized straight from the staged input, row span by row
 // span, with no crop at all.
+//
+// A step that reads or writes a packed map runs in row bands instead: each
+// band unpacks the operand rows it needs (the halo crop from a packed map
+// may start mid-byte) into scratch, runs the same pad-free kernel into a
+// dense scratch band and packs that band into its slot. Bands are sized so
+// a band's scratch stays within 16 KiB (one row at least), so packing does
+// not move the map into scratch; every kernel sees the values it saw
+// unbanded, so outputs are bit-identical. The merge unpacks a tile a row chunk at a time.
 #pragma once
 
 #include <atomic>
@@ -95,6 +108,7 @@
 #include "nn/runtime/arena_slab.h"
 #include "nn/runtime/worker_pool.h"
 #include "nn/tensor.h"
+#include "patch/packed_map.h"
 #include "patch/patch_plan.h"
 
 namespace qmcu::patch {
@@ -235,26 +249,35 @@ class FloatDomain {
 
  protected:
   using Elem = float;
+  using StepView = nn::Tensor;
   static constexpr bool kQuantizedInput = false;
 
   FloatDomain(const nn::Graph& /*g*/, const PatchPlan& /*plan*/) {}
 
+  static std::int64_t step_slot_bytes(const nn::Graph& /*g*/,
+                                      const PatchBranch& /*branch*/,
+                                      int /*bi*/, int /*s*/,
+                                      const nn::TensorShape& shape) {
+    return shape.elements() * static_cast<std::int64_t>(sizeof(float));
+  }
   static Tensor bind_layer(int layer_id, std::uint8_t* base,
                            const nn::ArenaSlot& slot,
                            const nn::TensorShape& shape,
                            std::int64_t& measured);
-  static Tensor bind_step(const nn::Layer& layer, const PatchBranch& branch,
-                          int bi, int s, std::span<const Tensor> views,
-                          std::uint8_t* base, const nn::ArenaSlot& slot,
-                          const nn::TensorShape& shape,
-                          std::int64_t& measured);
+  static StepView bind_step(const nn::Graph& g, const PatchBranch& branch,
+                            int bi, int s, std::uint8_t* base,
+                            const nn::ArenaSlot& slot,
+                            const nn::TensorShape& shape,
+                            std::int64_t& measured);
   // The caller's input is cropped in place: no arena slot.
   void stage_input(const nn::Graph& g, const nn::Tensor& input,
                    std::uint8_t* base, const nn::ArenaSlot* slot,
                    std::span<const Interval> rows,
                    std::int64_t& measured) const;
-  void input_into(nn::ops::KernelBackend& backend, const nn::Graph& g,
-                  const BranchStep& step, Tensor& out) const;
+  // Writes region `want` of the input into `out` (a band of the branch's
+  // input tile).
+  void input_into(nn::ops::KernelBackend& backend, const Region& want,
+                  Tensor& out) const;
   static void windowed_into(nn::ops::KernelBackend& backend,
                             const nn::Graph& g, const Tensor& in,
                             const nn::Layer& local, int layer_id, int bi,
@@ -311,6 +334,8 @@ class QuantDomain {
 
  protected:
   using Elem = std::int8_t;
+  // Branch-step maps: bit-packed when sub-byte, dense int8 otherwise.
+  using StepView = PackedMap;
   static constexpr bool kQuantizedInput = true;
 
   // Uniform mode when `branch_cfgs` is empty. Null `params` builds the
@@ -326,16 +351,24 @@ class QuantDomain {
   // the pool-propagated effective params of the step's layer.
   [[nodiscard]] const nn::QuantParams& branch_step_params(int bi, int s,
                                                           int layer_id) const;
+  // The params branch `bi` stores step `s`'s map at. Pools never
+  // requantize: they carry their producer's params, exactly as the legacy
+  // executor's region tensors do.
+  [[nodiscard]] const nn::QuantParams& step_storage_params(
+      const nn::Graph& g, const PatchBranch& branch, int bi, int s) const;
+  // Arena bytes of step `s`'s map shaped `shape`: packed rows at sub-byte
+  // widths (PackedMap::storage_bytes), one byte per element at int8.
+  [[nodiscard]] std::int64_t step_slot_bytes(
+      const nn::Graph& g, const PatchBranch& branch, int bi, int s,
+      const nn::TensorShape& shape) const;
 
   Tensor bind_layer(int layer_id, std::uint8_t* base,
                     const nn::ArenaSlot& slot, const nn::TensorShape& shape,
                     std::int64_t& measured) const;
-  // Pools never requantize: their slot carries the producer's actual
-  // params, exactly as the legacy executor's region tensors do.
-  Tensor bind_step(const nn::Layer& layer, const PatchBranch& branch, int bi,
-                   int s, std::span<const Tensor> views, std::uint8_t* base,
-                   const nn::ArenaSlot& slot, const nn::TensorShape& shape,
-                   std::int64_t& measured) const;
+  StepView bind_step(const nn::Graph& g, const PatchBranch& branch, int bi,
+                     int s, std::uint8_t* base, const nn::ArenaSlot& slot,
+                     const nn::TensorShape& shape,
+                     std::int64_t& measured) const;
   // Quantizes the input once into its slot; branches crop it. `rows`
   // limits the write to rows[y] of each input row y; empty means the whole
   // input.
@@ -343,8 +376,10 @@ class QuantDomain {
                    std::uint8_t* base, const nn::ArenaSlot* slot,
                    std::span<const Interval> rows,
                    std::int64_t& measured) const;
-  void input_into(nn::ops::KernelBackend& backend, const nn::Graph& g,
-                  const BranchStep& step, Tensor& out) const;
+  // Requantizes region `want` of the staged input into `out` (a band of
+  // the branch's input tile, in the tile's params).
+  void input_into(nn::ops::KernelBackend& backend, const Region& want,
+                  Tensor& out) const;
   void windowed_into(nn::ops::KernelBackend& backend, const nn::Graph& g,
                      const Tensor& in, const nn::Layer& local, int layer_id,
                      int bi, int s, Tensor& out) const;
@@ -472,6 +507,8 @@ class CompiledPatchEngine : public Domain {
   }
 
  private:
+  using StepView = typename Domain::StepView;
+
   // One lane's private execution state. The backend (scratch + panel
   // cache) and crop arena are thread-affine; dispatch rebinds them to
   // whichever thread runs the lane.
@@ -486,7 +523,7 @@ class CompiledPatchEngine : public Domain {
     }
     nn::ops::KernelBackend backend;
     nn::ops::ScratchArena crops;
-    std::vector<Tensor> step_views;  // per step, rebound per branch
+    std::vector<StepView> step_views;  // per step, rebound per branch
     std::int64_t measured = 0;       // furthest byte written
   };
 
@@ -506,6 +543,13 @@ class CompiledPatchEngine : public Domain {
   void exec_branch(int bi, std::uint8_t* base,
                    std::span<const nn::ArenaSlot> slots, WorkerCtx& ctx,
                    bool* merge_changed = nullptr) const;
+  // Computes rows `band` (global coordinates, the step's x extent) of
+  // branch `bi`'s step `s` into `out`. A step runs as one band unless it
+  // reads or writes a packed map; then each band unpacks only the operand
+  // rows it needs and packs the rows it produced.
+  void exec_step_band(int bi, int s, const Region& band,
+                      std::span<StepView> views, StepView& out,
+                      WorkerCtx& ctx) const;
   // Computes output rows `rows` of banded tail layer `layer_id` from the
   // pre-bound tail views.
   void exec_tail_band(int layer_id, const Interval& rows,
@@ -617,6 +661,10 @@ class CompiledPatchQuantModel : public CompiledPatchEngine<QuantDomain> {
   // legacy path so both resolve identically.
   [[nodiscard]] const nn::QuantParams& step_params(int branch,
                                                    int step) const;
+  // The params branch `branch` stores step `step`'s map at (a pool keeps
+  // its producer's); sub-byte maps are stored packed.
+  [[nodiscard]] const nn::QuantParams& stored_params(int branch,
+                                                     int step) const;
 };
 
 }  // namespace qmcu::patch

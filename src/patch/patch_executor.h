@@ -55,14 +55,6 @@ class PatchExecutor {
   [[nodiscard]] nn::Tensor run(const nn::Tensor& input,
                                const StepHook& hook = {}) const;
 
-  // Hook-free pipelined inference over `pool`: branch tasks, tail row
-  // bands and the join scheduled as one dependency graph (per-worker arena
-  // slices + work stealing); bit-identical to run().
-  [[nodiscard]] nn::Tensor run_parallel(const nn::Tensor& input,
-                                        nn::WorkerPool* pool) const {
-    return compiled_.run(input, pool);
-  }
-
   // The reassembled cut-layer feature map (useful in tests/examples).
   [[nodiscard]] nn::Tensor run_stage_assembled(const nn::Tensor& input,
                                                const StepHook& hook = {}) const;

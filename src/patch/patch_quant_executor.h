@@ -49,14 +49,6 @@ class PatchQuantExecutor {
   // Compiled arena path (bit-identical to the legacy per-step-tensor path).
   [[nodiscard]] nn::QTensor run(const nn::Tensor& input) const;
 
-  // Pipelined dataflow inference over `pool` (branch tasks, tail row
-  // bands, join); bit-identical to run() for every worker count and
-  // readiness order.
-  [[nodiscard]] nn::QTensor run_parallel(const nn::Tensor& input,
-                                         nn::WorkerPool* pool) const {
-    return compiled_.run(input, pool);
-  }
-
   // The reassembled cut-layer feature map (tail params).
   [[nodiscard]] nn::QTensor run_stage_assembled(const nn::Tensor& input) const;
 

@@ -7,7 +7,8 @@
 // three runs — left padding, one in-bounds span read from `have`, right
 // padding — and availability is checked once per row: every in-bounds
 // element of `want` must lie inside `avail`, or the crop throws rather
-// than fabricate data.
+// than fabricate data. The source may be a dense map or a bit-packed one
+// (patch/packed_map.h), whose span can start mid-byte.
 #pragma once
 
 #include <algorithm>
@@ -28,13 +29,14 @@ struct CopySpan {
   }
 };
 
-// `have` and `out` are dense HWC buffers of `c` channels covering `avail`
-// and `want`. `copy_span(dst, src, n)` moves each in-bounds span of n
-// elements (a plain copy, or a requantizing one).
-template <class Elem, class SpanFn>
-void crop_rows(const Elem* have, const Region& avail, const Region& want,
-               const nn::TensorShape& full, int c, Elem pad, Elem* out,
-               const SpanFn& copy_span) {
+// Writes region `want` (c channels, dense HWC) into `out`. `read(dst, row,
+// first, n)` moves n elements of the source's row `row` (relative to
+// avail.y.begin), starting at element `first` of that row, into dst — a
+// dense row copy, a requantizing one, or an unpack from a packed map.
+template <class Elem, class ReadFn>
+void crop_rows_with(const Region& avail, const Region& want,
+                    const nn::TensorShape& full, int c, Elem pad, Elem* out,
+                    const ReadFn& read) {
   const int x0 = std::max(want.x.begin, 0);
   const int x1 = std::min(want.x.end, full.w);
   const std::int64_t row = static_cast<std::int64_t>(want.x.size()) * c;
@@ -42,7 +44,6 @@ void crop_rows(const Elem* have, const Region& avail, const Region& want,
       x1 > x0 ? static_cast<std::int64_t>(x1 - x0) * c : 0;
   const std::int64_t left =
       span > 0 ? static_cast<std::int64_t>(x0 - want.x.begin) * c : row;
-  const std::int64_t have_row = static_cast<std::int64_t>(avail.x.size()) * c;
   for (int gy = want.y.begin; gy < want.y.end; ++gy, out += row) {
     if (span == 0 || gy < 0 || gy >= full.h) {
       std::fill_n(out, row, pad);
@@ -52,12 +53,24 @@ void crop_rows(const Elem* have, const Region& avail, const Region& want,
                     x0 >= avail.x.begin && x1 <= avail.x.end,
                 "required element missing from available region");
     std::fill_n(out, left, pad);
-    copy_span(out + left,
-              have + (gy - avail.y.begin) * have_row +
-                  static_cast<std::int64_t>(x0 - avail.x.begin) * c,
-              span);
+    read(out + left, gy - avail.y.begin,
+         static_cast<std::int64_t>(x0 - avail.x.begin) * c, span);
     std::fill_n(out + left + span, row - left - span, pad);
   }
+}
+
+// `have` and `out` are dense HWC buffers of `c` channels covering `avail`
+// and `want`. `copy_span(dst, src, n)` moves each in-bounds span of n
+// elements (a plain copy, or a requantizing one).
+template <class Elem, class SpanFn>
+void crop_rows(const Elem* have, const Region& avail, const Region& want,
+               const nn::TensorShape& full, int c, Elem pad, Elem* out,
+               const SpanFn& copy_span) {
+  const std::int64_t have_row = static_cast<std::int64_t>(avail.x.size()) * c;
+  crop_rows_with(avail, want, full, c, pad, out,
+                 [&](Elem* dst, int y, std::int64_t first, std::int64_t n) {
+                   copy_span(dst, have + y * have_row + first, n);
+                 });
 }
 
 }  // namespace qmcu::patch

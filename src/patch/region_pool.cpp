@@ -9,6 +9,7 @@
 #include "nn/ops/int8_kernels.h"
 #include "nn/ops/requantize.h"
 #include "nn/ops/simd/simd_kernels.h"
+#include "patch/packed_map.h"
 #include "patch/region_crop.h"
 
 namespace qmcu::patch {
@@ -175,6 +176,35 @@ void for_each_merge_row(const T& tile, const Region& r, T& assembled,
   }
 }
 
+// Rows are rescaled through a stack buffer this many elements at a time.
+constexpr std::int64_t kChunk = 256;
+
+// for_each_merge_row for a packed tile: row_fn(dst, src, n) over each tile
+// row a chunk at a time, `src` unpacked into a stack buffer.
+template <class RowFn>
+void for_each_packed_merge_chunk(const PackedMap& tile, const Region& r,
+                                 nn::QTensor& assembled,
+                                 const nn::ops::simd::SimdKernels* simd,
+                                 const RowFn& row_fn) {
+  const nn::TensorShape& as = assembled.shape();
+  QMCU_REQUIRE(tile.shape == nn::TensorShape(r.y.size(), r.x.size(), as.c),
+               "merge_region: tile does not cover its region");
+  QMCU_REQUIRE(r.y.begin >= 0 && r.y.end <= as.h && r.x.begin >= 0 &&
+                   r.x.end <= as.w,
+               "merge_region: region exceeds the assembled map");
+  std::int8_t buf[kChunk];
+  const std::int64_t n = tile.row_elements();
+  for (int y = r.y.begin; y < r.y.end; ++y) {
+    std::int8_t* dst =
+        assembled.data().data() + nn::flat_index(as, y, r.x.begin, 0);
+    for (std::int64_t i = 0; i < n; i += kChunk) {
+      const std::int64_t len = std::min(kChunk, n - i);
+      tile.unpack(y - r.y.begin, i, len, buf, simd);
+      row_fn(dst + i, buf, len);
+    }
+  }
+}
+
 // Compare-before-write row copy, recording whether any byte changed.
 struct CopyIfChanged {
   bool& changed;
@@ -231,13 +261,45 @@ bool merge_region_q_changed(const nn::QTensor& tile, const Region& r,
   for_each_merge_row(
       tile, r, assembled,
       [&](std::int8_t* dst, const std::int8_t* src, std::int64_t n) {
-        constexpr std::int64_t kChunk = 256;
         std::int8_t buf[kChunk];
         for (std::int64_t i = 0; i < n; i += kChunk) {
           const std::int64_t len = std::min(kChunk, n - i);
           requant(buf, src + i, len);
           copy(dst + i, buf, len);
         }
+      });
+  return changed;
+}
+
+void merge_region_q(const PackedMap& tile, const Region& r,
+                    nn::QTensor& assembled,
+                    const nn::ops::simd::SimdKernels* simd) {
+  if (tile.params == assembled.params()) {
+    for_each_packed_merge_chunk(tile, r, assembled, simd, CopySpan{});
+    return;
+  }
+  for_each_packed_merge_chunk(
+      tile, r, assembled, simd,
+      nn::ops::simd::RowRequantizer(tile.params, assembled.params(), simd));
+}
+
+bool merge_region_q_changed(const PackedMap& tile, const Region& r,
+                            nn::QTensor& assembled,
+                            const nn::ops::simd::SimdKernels* simd) {
+  bool changed = false;
+  const CopyIfChanged copy{changed};
+  if (tile.params == assembled.params()) {
+    for_each_packed_merge_chunk(tile, r, assembled, simd, copy);
+    return changed;
+  }
+  const nn::ops::simd::RowRequantizer requant(tile.params, assembled.params(),
+                                              simd);
+  for_each_packed_merge_chunk(
+      tile, r, assembled, simd,
+      [&](std::int8_t* dst, const std::int8_t* src, std::int64_t n) {
+        std::int8_t buf[kChunk];
+        requant(buf, src, n);
+        copy(dst, buf, n);
       });
   return changed;
 }

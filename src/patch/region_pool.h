@@ -20,6 +20,8 @@ struct SimdKernels;
 
 namespace qmcu::patch {
 
+struct PackedMap;
+
 // Pools `out_region` of layer `l` (MaxPool or AvgPool) from the producer's
 // region tensor `have` covering `avail` of a map with full extent `full`.
 // The `_into` forms write into a caller-bound destination sized
@@ -75,6 +77,16 @@ void merge_region_q(const nn::QTensor& tile, const Region& r,
 bool merge_region_f32_changed(const nn::Tensor& tile, const Region& r,
                               nn::Tensor& assembled);
 bool merge_region_q_changed(const nn::QTensor& tile, const Region& r,
+                            nn::QTensor& assembled,
+                            const nn::ops::simd::SimdKernels* simd = nullptr);
+
+// Both quantized merges for a tile stored bit-packed (patch/packed_map.h):
+// its rows are unpacked a chunk at a time, then copied or rescaled exactly
+// as above.
+void merge_region_q(const PackedMap& tile, const Region& r,
+                    nn::QTensor& assembled,
+                    const nn::ops::simd::SimdKernels* simd = nullptr);
+bool merge_region_q_changed(const PackedMap& tile, const Region& r,
                             nn::QTensor& assembled,
                             const nn::ops::simd::SimdKernels* simd = nullptr);
 

@@ -217,6 +217,23 @@ Tensor random_input(TensorShape s, std::uint64_t seed) {
   return t;
 }
 
+// Per-branch per-step params at seeded widths from {2, 4, 8}.
+std::vector<patch::BranchQuantConfig> mixed_branch_configs(
+    const patch::PatchPlan& plan, std::span<const quant::LayerRange> ranges,
+    std::uint64_t seed) {
+  Rng rng(seed);
+  constexpr int kWidths[] = {2, 4, 8};
+  std::vector<patch::BranchQuantConfig> cfgs(plan.branches.size());
+  for (std::size_t b = 0; b < plan.branches.size(); ++b) {
+    for (const patch::BranchStep& step : plan.branches[b].steps) {
+      const auto& r = ranges[static_cast<std::size_t>(step.layer_id)];
+      cfgs[b].per_step.push_back(choose_quant_params(
+          r.min_v, r.max_v, kWidths[static_cast<int>(rng.uniform() * 3) % 3]));
+    }
+  }
+  return cfgs;
+}
+
 TEST(CompiledArena, MeasuredHighWaterEqualsPlannedPeakOnZooModels) {
   for (const char* name : {"mobilenetv2", "mcunet", "resnet18",
                            "squeezenet"}) {
@@ -235,6 +252,17 @@ TEST(CompiledArena, MeasuredHighWaterEqualsPlannedPeakOnZooModels) {
     (void)qmodel.run(in);
     EXPECT_EQ(qmodel.measured_high_water(), qmodel.arena_bytes()) << name;
     expect_no_live_overlap(qmodel.arena_plan());
+
+    // Mixed patch deployment: seeded 2/4/8-bit branch steps, so the sub-byte
+    // maps are stored packed. The engine must write exactly the packed
+    // bytes it planned — an unpacked write would overshoot the peak.
+    const patch::PatchPlan plan =
+        patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
+    const patch::CompiledPatchQuantModel mixed(
+        g, plan, cfg, mixed_branch_configs(plan, ranges, 5));
+    (void)mixed.run(in);
+    EXPECT_EQ(mixed.measured_high_water(), mixed.arena_bytes()) << name;
+    expect_no_live_overlap(mixed.arena_plan());
   }
 }
 

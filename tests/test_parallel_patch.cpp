@@ -144,12 +144,12 @@ TEST(ParallelPatch, ExecutorEntryPointsMatch) {
   nn::WorkerPool pool(4);
 
   const patch::PatchExecutor pexec(g, plan);
-  expect_f_identical(pexec.run_parallel(in, &pool), pexec.run(in));
+  expect_f_identical(pexec.compiled().run(in, &pool), pexec.run(in));
 
   const auto ranges = quant::calibrate_ranges(g, std::vector<nn::Tensor>{in});
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const patch::PatchQuantExecutor qexec(g, plan, cfg);
-  expect_q_identical(qexec.run_parallel(in, &pool), qexec.run(in));
+  expect_q_identical(qexec.compiled().run(in, &pool), qexec.run(in));
 }
 
 // --- region-merge determinism under shuffled completion order ---------------

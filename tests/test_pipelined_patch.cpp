@@ -307,8 +307,8 @@ TEST(PipelinedPatch, InterleavedModesReuseModelState) {
   for (std::uint64_t seed = 50; seed < 53; ++seed) {
     const nn::Tensor in = random_input(g.shape(0), seed);
     const nn::Tensor expect = exec.run(in);
-    expect_f_identical(exec.run_parallel(in, &pool), expect);
-    expect_f_identical(exec.run_parallel(in, &pool), expect);
+    expect_f_identical(exec.compiled().run(in, &pool), expect);
+    expect_f_identical(exec.compiled().run(in, &pool), expect);
   }
 }
 

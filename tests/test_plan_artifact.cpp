@@ -320,42 +320,74 @@ TEST(PlanArtifact, PatchMixedModeRoundTripBitExact) {
 }
 
 // The paper's Table I deployment (MobileNetV2 w0.35 @ 144, MinPeak plan,
-// Arduino Nano 33) calibrated on ImageNet-like seed 7. Some of its mixed
-// branch steps see an input zero point equal to the deployment one while
-// their bias is rescaled to the branch's input scale: the artifact's
-// offset row (built from the deployment bias) must not serve them. The
-// loaded Simd model must equal a Reference-tier load byte for byte.
-TEST(PlanArtifact, PatchMixedBranchBiasesMatchReferenceTier) {
+// Arduino Nano 33) calibrated on ImageNet-like seed 7.
+struct TableIDeployment {
+  nn::Graph g;
+  data::SyntheticDataset ds;
+  core::QuantMcuPlan plan;
+  nn::ActivationQuantConfig deploy_cfg;
+  std::vector<patch::BranchQuantConfig> branch_cfgs;
+};
+
+TableIDeployment table1_deployment() {
   models::ModelConfig mc;
   mc.width_multiplier = 0.35f;
   mc.resolution = 144;
   mc.num_classes = 1000;
-  const nn::Graph g = models::make_mobilenet_v2(mc);
   data::DataConfig dc;
   dc.kind = data::DatasetKind::ImageNetLike;
   dc.resolution = 144;
   dc.seed = 7;
-  const data::SyntheticDataset ds(dc);
-  const std::vector<nn::Tensor> calib = ds.batch(0, 2);
-
+  TableIDeployment d{models::make_mobilenet_v2(mc),
+                     data::SyntheticDataset(dc),
+                     {},
+                     {},
+                     {}};
+  const std::vector<nn::Tensor> calib = d.ds.batch(0, 2);
   core::QuantMcuConfig qcfg;
   qcfg.planner = core::PatchPlannerKind::MinPeak;
-  const core::QuantMcuPlan plan = core::build_quantmcu_plan(
-      g, mcu::arduino_nano_33_ble_sense(), calib, qcfg);
-  const auto ranges = quant::calibrate_ranges(g, calib);
-  const auto branch_cfgs = core::make_branch_quant_configs(g, plan, ranges);
-  const auto deploy_cfg = core::make_deployment_quant_config(g, plan, ranges);
+  d.plan = core::build_quantmcu_plan(d.g, mcu::arduino_nano_33_ble_sense(),
+                                     calib, qcfg);
+  const auto ranges = quant::calibrate_ranges(d.g, calib);
+  d.branch_cfgs = core::make_branch_quant_configs(d.g, d.plan, ranges);
+  d.deploy_cfg = core::make_deployment_quant_config(d.g, d.plan, ranges);
+  return d;
+}
+
+// Some of the Table I deployment's mixed branch steps see an input zero
+// point equal to the deployment one while their bias is rescaled to the
+// branch's input scale: the artifact's offset row (built from the
+// deployment bias) must not serve them. The loaded Simd model must equal a
+// Reference-tier load byte for byte.
+TEST(PlanArtifact, PatchMixedBranchBiasesMatchReferenceTier) {
+  const TableIDeployment d = table1_deployment();
   const std::string path = artifact_path("patch_mixed_seed7");
-  patch::compile_to_artifact(g, plan.patch_plan.spec, deploy_cfg, branch_cfgs,
-                             path);
+  patch::compile_to_artifact(d.g, d.plan.patch_plan.spec, d.deploy_cfg,
+                             d.branch_cfgs, path);
 
   const patch::LoadedPatchModel simd = patch::load_compiled_patch(path);
   const patch::LoadedPatchModel ref =
       patch::load_compiled_patch(path, nn::ops::KernelTier::Reference);
   for (int i = 0; i < 4; ++i) {
-    const nn::Tensor in = ds.image(100 + i);
+    const nn::Tensor in = d.ds.image(100 + i);
     expect_q_identical(simd.model->run(in), ref.model->run(in));
   }
+}
+
+// The searched plan stores its sub-byte branch maps packed, so the loaded
+// deployment binds a smaller arena than its uniform-int8 twin on the same
+// patch plan — and writes exactly the bytes it planned.
+TEST(PlanArtifact, TableIMixedArenaIsBelowItsInt8Twin) {
+  const TableIDeployment d = table1_deployment();
+  const std::string path = artifact_path("patch_mixed_arena");
+  patch::compile_to_artifact(d.g, d.plan.patch_plan.spec, d.deploy_cfg,
+                             d.branch_cfgs, path);
+  const patch::LoadedPatchModel mixed = patch::load_compiled_patch(path);
+  const patch::CompiledPatchQuantModel int8(d.g, d.plan.patch_plan,
+                                            d.deploy_cfg);
+  EXPECT_LT(mixed.model->arena_bytes(), int8.arena_bytes());
+  (void)mixed.model->run(d.ds.image(100));
+  EXPECT_EQ(mixed.model->measured_high_water(), mixed.model->arena_bytes());
 }
 
 // --- serving fleet ---------------------------------------------------------

@@ -10,12 +10,15 @@
 // bit-exactness contract.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -251,6 +254,52 @@ TEST(ServingFrontend, PatchModelBitExactVsSequential) {
   EXPECT_EQ(stats.rejected, 0u);
   EXPECT_EQ(stats.expired, 0u);
   EXPECT_EQ(frontend.slab()->outstanding_leases(), 0);
+}
+
+// A request whose input holds a NaN has no quantized code: staging rejects
+// it with a typed error, its future carries that error, and the lane then
+// serves the next request (and stream frame) bit-exactly.
+TEST(ServingFrontend, NanRequestFailsItsFutureAndTheLaneServesOn) {
+  const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 1)});
+  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const patch::PatchPlan plan =
+      patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
+  const patch::CompiledPatchQuantModel reference(g, plan, cfg);
+
+  ServingConfig scfg;
+  scfg.sessions = 1;
+  using Frontend = ServingFrontend<patch::CompiledPatchQuantModel>;
+  Frontend frontend(scfg, [&](int, const std::shared_ptr<nn::ArenaSlab>&) {
+    return std::make_unique<patch::CompiledPatchQuantModel>(g, plan, cfg);
+  });
+  nn::Tensor bad = random_input(g.shape(0), 2);
+  bad.data()[bad.data().size() / 2] = std::numeric_limits<float>::quiet_NaN();
+  const nn::Tensor good = random_input(g.shape(0), 3);
+  // The same frame with its last pixel changed: a primed stream would
+  // re-quantize only that pixel.
+  nn::Tensor nudged = good;
+  nudged.data().back() += 1.0f;
+  const auto same = [&](const nn::QTensor& got, const nn::Tensor& in) {
+    const nn::QTensor expect = reference.run(in);
+    ASSERT_EQ(got.shape(), expect.shape());
+    for (std::size_t j = 0; j < got.data().size(); ++j) {
+      ASSERT_EQ(got.data()[j], expect.data()[j]) << "element " << j;
+    }
+  };
+
+  auto failed = frontend.submit(bad);
+  EXPECT_THROW((void)failed.get(), std::invalid_argument);
+  same(frontend.submit(good).get(), good);
+
+  // The failed frame wrote part of the stream's retained input before the
+  // NaN row; the stream must not trust those bytes afterwards.
+  const std::uint64_t stream = frontend.open_stream();
+  same(frontend.submit_stream(stream, good).get(), good);
+  auto failed_frame = frontend.submit_stream(stream, bad);
+  EXPECT_THROW((void)failed_frame.get(), std::invalid_argument);
+  same(frontend.submit_stream(stream, nudged).get(), nudged);
 }
 
 // Each open stream's retained arena is a lease on the lanes' shared slab,

@@ -1,6 +1,11 @@
 // Unit tests for Tensor / QTensor (nn/tensor.h).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "nn/rng.h"
 #include "nn/tensor.h"
 
 namespace qmcu::nn {
@@ -87,6 +92,67 @@ TEST(TensorMinMax, FindsExtremes) {
   const auto [lo, hi] = tensor_min_max(t);
   EXPECT_FLOAT_EQ(lo, -7.0f);
   EXPECT_FLOAT_EQ(hi, 3.0f);
+}
+
+// quantize_row is the vectorized row routine behind quantize_into and the
+// patch engine's input staging: it must equal QuantParams::quantize on
+// every float, the awkward ones included.
+TEST(QuantizeRow, MatchesScalarQuantizeOnEdgeValues) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> values{0.0f,  -0.0f, kInf, -kInf,
+                            std::numeric_limits<float>::max(),
+                            std::numeric_limits<float>::lowest(),
+                            1e30f, -1e30f, 3e9f, -3e9f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            1e-40f, -1e-40f,
+                            std::numeric_limits<float>::min()};
+  // Exact ties at every half step the tested scales can produce.
+  for (int k = -300; k <= 300; ++k) values.push_back(0.5f * k + 0.25f);
+  Rng rng(4);
+  for (int i = 0; i < 333; ++i) {
+    values.push_back(static_cast<float>(rng.normal(0.0, 40.0)));
+  }
+  for (const int bits : {2, 4, 8}) {
+    for (const float scale : {0.5f, 0.25f, 1.0f, 0.037f}) {
+      // Near-ties of a non-dyadic scale and their float neighbours, where
+      // multiplying by 1/scale would round differently from the divide.
+      std::vector<float> row = values;
+      for (int k = -200; k <= 200; ++k) {
+        const float tie = (static_cast<float>(k) + 0.5f) * scale;
+        row.push_back(tie);
+        row.push_back(std::nextafter(tie, kInf));
+        row.push_back(std::nextafter(tie, -kInf));
+      }
+      for (const std::int32_t zp : {-3, 0, 1}) {
+        QuantParams p;
+        p.scale = scale;
+        p.zero_point = zp;
+        p.bits = bits;
+        std::vector<std::int8_t> got(row.size());
+        quantize_row(row.data(), static_cast<std::int64_t>(row.size()), p,
+                     got.data());
+        for (std::size_t i = 0; i < row.size(); ++i) {
+          ASSERT_EQ(static_cast<int>(got[i]), p.quantize(row[i]))
+              << "value " << row[i] << " bits " << bits << " scale "
+              << scale << " zp " << zp;
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantizeRow, RejectsNaN) {
+  QuantParams p;
+  p.scale = 0.1f;
+  std::vector<float> row(37, 1.0f);
+  row[29] = std::numeric_limits<float>::quiet_NaN();
+  std::vector<std::int8_t> out(row.size());
+  EXPECT_THROW(quantize_row(row.data(), 37, p, out.data()),
+               std::invalid_argument);
+  EXPECT_THROW((void)p.quantize(row[29]), std::invalid_argument);
+  Tensor t(TensorShape{1, 37, 1}, row);
+  EXPECT_THROW((void)quantize(t, p), std::invalid_argument);
 }
 
 }  // namespace

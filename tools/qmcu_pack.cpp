@@ -9,7 +9,9 @@
 // cross-architecture CI step: bake on one host, re-derive the reference
 // on another (the synthetic zoo is bit-identical across toolchains) and
 // require equality. Quantized kinds must also equal a Reference-tier load
-// of the same file. --inspect prints the header and section table.
+// of the same file. --inspect prints the header and section table; for a
+// patch artifact it also loads the model and prints the arena it binds,
+// with each branch step's slot bytes and stored bit widths.
 //
 // --kind mixed bakes the paper's deployment: calibrate, build_quantmcu_plan
 // (VDPC + VDQS over a MinPeak patch plan for the Arduino Nano 33), then the
@@ -21,6 +23,7 @@
 //             --check mbv2_int8.qmcp          # no write, just compare
 //   qmcu_pack --model mobilenetv2 --kind mixed --out mbv2_mixed.qmcp --verify
 //   qmcu_pack --inspect mbv2_int8.qmcp
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -157,10 +160,43 @@ int inspect(const std::string& path) {
               art->fingerprint_matches()
                   ? ""
                   : "  [differs from this host: offset rows re-derived]");
-  std::printf("  graph: %d layers, arena peak %lld bytes (%zu slots)\n",
-              art->graph().size(),
-              static_cast<long long>(art->arena_plan().peak_bytes),
-              art->arena_plan().slots.size());
+  if (art->kind() == nn::ArtifactModelKind::PatchQuant) {
+    // The PLAN section holds a layer-based plan the patch loader never
+    // binds: a patch model re-plans its arena at load, so report that one.
+    const patch::LoadedPatchModel loaded = patch::load_compiled_patch(path);
+    const patch::CompiledPatchQuantModel& m = *loaded.model;
+    const patch::PatchPlan& plan = m.plan();
+    std::printf("  graph: %d layers; patch model: %zu branches x %zu steps, "
+                "cut at layer %d, arena %lld bytes (%zu slots, as loaded)\n",
+                art->graph().size(), plan.branches.size(),
+                plan.branches.front().steps.size(), plan.spec.split_layer,
+                static_cast<long long>(m.arena_bytes()),
+                m.arena_plan().slots.size());
+    // Branch-step slots are the first requests of the arena plan; a
+    // sub-byte map is stored packed.
+    for (std::size_t s = 0; s < plan.branches.front().steps.size(); ++s) {
+      int lo = 8;
+      int hi = 0;
+      for (std::size_t b = 0; b < plan.branches.size(); ++b) {
+        const int bits = m.stored_params(static_cast<int>(b),
+                                         static_cast<int>(s)).bits;
+        lo = std::min(lo, bits);
+        hi = std::max(hi, bits);
+      }
+      const int id = plan.branches.front().steps[s].layer_id;
+      std::printf("    step %2zu  layer %3d %-16s slot %7lld bytes  bits %d",
+                  s, id, std::string(nn::to_string(art->graph().layer(id).kind))
+                             .c_str(),
+                  static_cast<long long>(m.arena_plan().slots[s].size), lo);
+      if (hi != lo) std::printf("..%d", hi);
+      std::printf("\n");
+    }
+  } else {
+    std::printf("  graph: %d layers, arena peak %lld bytes (%zu slots)\n",
+                art->graph().size(),
+                static_cast<long long>(art->arena_plan().peak_bytes),
+                art->arena_plan().slots.size());
+  }
   for (const std::uint32_t tag :
        {nn::artifact_tag('G', 'R', 'P', 'H'), nn::artifact_tag('Q', 'C', 'F', 'G'),
         nn::artifact_tag('L', 'I', 'D', 'X'), nn::artifact_tag('P', 'L', 'A', 'N'),
