@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives: float/int8
-// convolution kernels (Reference vs Fast tier), sub-byte packing, entropy
+// convolution kernels (Reference vs Simd tier), sub-byte packing, entropy
 // estimation, the VDQS search itself, and patch-plan construction. These
 // bound the cost of the host-side tooling (the paper's Table II "Time"
 // column is dominated by entropy profiling + vdqs_search) and track the
@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 
 #include "bench/bench_common.h"
 #include "core/vdqs.h"
@@ -27,6 +28,7 @@
 #include "patch/patch_plan.h"
 #include "quant/bitpack.h"
 #include "quant/entropy.h"
+#include "tests/scoped_env.h"
 
 namespace {
 
@@ -64,6 +66,37 @@ void BM_Conv2dF32(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dF32)->Arg(8)->Arg(16)->Arg(32);
 
+// A backend built while `force` (a QMCU_FORCE_* variable, or null) is
+// pinned: the backend snapshots its kernel table at construction, and the
+// variable gets its prior value back afterwards.
+nn::ops::KernelBackend backend_under(nn::ops::KernelTier tier,
+                                     const char* force) {
+  std::optional<test::ScopedEnv> pin;
+  if (force != nullptr) pin.emplace(force, "1");
+  return nn::ops::KernelBackend(tier);
+}
+
+// 1 when `backend` runs a vector microkernel table (null is the scalar
+// fallbacks); tools/bench_guard.py skips vector rows where this is 0.
+int simd_active(const nn::ops::KernelBackend& backend) {
+  return backend.simd_kernels() != nullptr ? 1 : 0;
+}
+
+// 1 when `backend` runs a dot-product GEMM generation.
+int dot_active(const nn::ops::KernelBackend& backend) {
+  const nn::ops::simd::SimdKernels* k = backend.simd_kernels();
+  return k != nullptr && k->gemm_dot ? 1 : 0;
+}
+
+// The backend of tier-sweep row `row` (see BM_GemmTierSweep).
+nn::ops::KernelBackend sweep_backend(int row) {
+  return backend_under(
+      row == 0 ? nn::ops::KernelTier::Reference : nn::ops::KernelTier::Simd,
+      row == 1   ? "QMCU_FORCE_SCALAR"
+      : row == 2 ? "QMCU_FORCE_NO_DOT"
+                 : nullptr);
+}
+
 struct QuantConvSetup {
   nn::Layer l;
   nn::QTensor qin;
@@ -85,11 +118,14 @@ QuantConvSetup quant_conv_setup(int c) {
   return s;
 }
 
-// The deployed path: Fast tier (im2col + tiled GEMM) through the backend.
+// The Simd tier on its scalar fallbacks (im2col + tiled GEMM, no
+// microkernel table; QMCU_FORCE_SCALAR pins it at construction): what
+// hosts without AVX2/NEON run. BM_Conv2dInt8Simd is the deployed path.
 void BM_Conv2dInt8(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
   const QuantConvSetup s = quant_conv_setup(c);
-  nn::ops::KernelBackend backend(nn::ops::KernelTier::Fast);
+  nn::ops::KernelBackend backend =
+      backend_under(nn::ops::KernelTier::Simd, "QMCU_FORCE_SCALAR");
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         backend.conv2d(s.qin, s.l, s.qw.data, s.qw.params, {}, s.out_p));
@@ -111,36 +147,31 @@ void BM_Conv2dInt8Simd(benchmark::State& state) {
         backend.conv2d(s.qin, s.l, s.qw.data, s.qw.params, {}, s.out_p));
   }
   state.SetItemsProcessed(state.iterations() * 32 * 32 * c * 9 * c);
-  state.counters["simd_active"] = nn::ops::simd::available() ? 1 : 0;
+  state.counters["simd_active"] = simd_active(backend);
 }
 BENCHMARK(BM_Conv2dInt8Simd)->Arg(8)->Arg(16)->Arg(32);
 
-// One row per tier over the same conv (c = 32): the tier speedup table the
-// README quotes. Arg 0 = row: 0 Reference, 1 Fast, 2 Simd pinned to the
-// pair-madd generation (QMCU_FORCE_NO_DOT wraps backend construction, where
-// the kernel table is snapshotted), 3 Simd default dispatch — the
-// dot-product generation (AVX-VNNI / NEON sdot) where the host has one,
-// identical to row 2 elsewhere. `dot_active` records whether row 3 really
-// ran a dot table, so tools/bench_guard.py can skip it on pair-madd hosts.
+// One row per kernel table over the same conv (c = 32): the tier speedup
+// table the README quotes. Arg 0 = row: 0 Reference, 1 Simd on the scalar
+// fallbacks (QMCU_FORCE_SCALAR), 2 Simd pinned to the pair-madd generation
+// (QMCU_FORCE_NO_DOT), 3 Simd default dispatch — the dot-product generation
+// (AVX-VNNI / NEON sdot) where the host has one, identical to row 2
+// elsewhere. Each pin wraps backend construction, where the kernel table is
+// snapshotted. `simd_active`/`dot_active` record what the row's backend
+// really ran, so tools/bench_guard.py can skip vector rows on scalar hosts
+// and row 3 on pair-madd hosts.
 void BM_GemmTierSweep(benchmark::State& state) {
   const int row = static_cast<int>(state.range(0));
-  const auto tier = row == 0   ? nn::ops::KernelTier::Reference
-                    : row == 1 ? nn::ops::KernelTier::Fast
-                               : nn::ops::KernelTier::Simd;
   const QuantConvSetup s = quant_conv_setup(32);
-  if (row == 2) ::setenv("QMCU_FORCE_NO_DOT", "1", 1);
-  nn::ops::KernelBackend backend(tier);
-  if (row == 2) ::unsetenv("QMCU_FORCE_NO_DOT");
+  nn::ops::KernelBackend backend = sweep_backend(row);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         backend.conv2d(s.qin, s.l, s.qw.data, s.qw.params, {}, s.out_p));
   }
   state.SetItemsProcessed(state.iterations() * 32 * 32 * 32 * 9 * 32);
   state.counters["tier"] = static_cast<double>(row);
-  state.counters["simd_active"] =
-      tier == nn::ops::KernelTier::Simd && nn::ops::simd::available() ? 1 : 0;
-  state.counters["dot_active"] =
-      row == 3 && nn::ops::simd::dot_available() ? 1 : 0;
+  state.counters["simd_active"] = simd_active(backend);
+  state.counters["dot_active"] = dot_active(backend);
 }
 BENCHMARK(BM_GemmTierSweep)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
@@ -173,12 +204,7 @@ void BM_FcTierSweep(benchmark::State& state) {
   for (std::int32_t& b : bias) {
     b = static_cast<std::int32_t>(rng.uniform(-3000, 3000));
   }
-  const auto tier = row == 0   ? nn::ops::KernelTier::Reference
-                    : row == 1 ? nn::ops::KernelTier::Fast
-                               : nn::ops::KernelTier::Simd;
-  if (row == 2) ::setenv("QMCU_FORCE_NO_DOT", "1", 1);
-  nn::ops::KernelBackend backend(tier);
-  if (row == 2) ::unsetenv("QMCU_FORCE_NO_DOT");
+  nn::ops::KernelBackend backend = sweep_backend(row);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         backend.fully_connected(qin, l, w, wp, bias, out_p));
@@ -187,10 +213,8 @@ void BM_FcTierSweep(benchmark::State& state) {
                           static_cast<std::int64_t>(k) * kOut);
   state.counters["tier"] = static_cast<double>(row);
   state.counters["k"] = static_cast<double>(k);
-  state.counters["simd_active"] =
-      tier == nn::ops::KernelTier::Simd && nn::ops::simd::available() ? 1 : 0;
-  state.counters["dot_active"] =
-      row == 3 && nn::ops::simd::dot_available() ? 1 : 0;
+  state.counters["simd_active"] = simd_active(backend);
+  state.counters["dot_active"] = dot_active(backend);
 }
 BENCHMARK(BM_FcTierSweep)
     ->Args({0, 64})
@@ -218,7 +242,8 @@ void BM_Conv2dInt8Ref(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dInt8Ref)->Arg(8)->Arg(16)->Arg(32);
 
-// Fused sub-byte path: 4-bit packed activations expanded inside im2col.
+// Fused sub-byte path: 4-bit packed activations expanded inside im2col, on
+// the scalar fallbacks.
 void BM_Conv2dInt8Packed4(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
   QuantConvSetup s = quant_conv_setup(c);
@@ -227,7 +252,8 @@ void BM_Conv2dInt8Packed4(benchmark::State& state) {
   p4.bits = 4;
   const nn::QTensor q4 = nn::quantize(nn::dequantize(s.qin), p4);
   const std::vector<std::uint8_t> packed = quant::pack(q4.data(), 4);
-  nn::ops::KernelBackend backend(nn::ops::KernelTier::Fast);
+  nn::ops::KernelBackend backend =
+      backend_under(nn::ops::KernelTier::Simd, "QMCU_FORCE_SCALAR");
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         backend.conv2d_packed(packed, q4.shape(), q4.params(), s.l, s.qw.data,
@@ -239,8 +265,9 @@ BENCHMARK(BM_Conv2dInt8Packed4)->Arg(8)->Arg(16)->Arg(32);
 
 // Packed sub-byte conv across all four ways to compute it, same conv
 // (c = 32, 3x3, 32x32 input): arg 0 = activation bits (2/4), arg 1 = tier
-// row — 0 Reference, 1 Fast, 2 Simd (both pinned to the unpack + GEMM path
-// via QMCU_NO_LUT), 3 LUT (Simd backend with QMCU_FORCE_LUT). The README's
+// row — 0 Reference, 1 Simd on the scalar fallbacks (QMCU_FORCE_SCALAR),
+// 2 Simd (both pinned to the unpack + GEMM path via QMCU_NO_LUT), 3 LUT
+// (Simd backend with QMCU_FORCE_LUT). The README's
 // packed-conv tier table and the LUT acceptance criterion (4-bit LUT >=
 // int8 Simd, 2-bit LUT ~ 2x) come from this family. `simd_active` reports
 // whether the row's vector body (GEMM or LUT) actually ran, so
@@ -263,24 +290,23 @@ void BM_PackedConvTierSweep(benchmark::State& state) {
   const std::vector<std::uint8_t> packed = quant::pack(q.data(), bits);
 
   const bool lut_row = row == 3;
-  ::setenv(lut_row ? "QMCU_FORCE_LUT" : "QMCU_NO_LUT", "1", 1);
-  const auto tier = row == 0   ? nn::ops::KernelTier::Reference
-                    : row == 1 ? nn::ops::KernelTier::Fast
-                               : nn::ops::KernelTier::Simd;
-  nn::ops::KernelBackend backend(tier);
+  // The LUT variables are read per call, so this pin spans the runs.
+  const test::ScopedEnv lut(lut_row ? "QMCU_FORCE_LUT" : "QMCU_NO_LUT", "1");
+  nn::ops::KernelBackend backend = backend_under(
+      row == 0 ? nn::ops::KernelTier::Reference : nn::ops::KernelTier::Simd,
+      row == 1 ? "QMCU_FORCE_SCALAR" : nullptr);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         backend.conv2d_packed(packed, q.shape(), q.params(), l, qw.data,
                               qw.params, {}, out_p));
   }
-  ::unsetenv(lut_row ? "QMCU_FORCE_LUT" : "QMCU_NO_LUT");
   state.SetItemsProcessed(state.iterations() * 32 * 32 * kC * 9 * kC);
   state.counters["bits"] = bits;
   state.counters["tier"] = row;
-  const nn::ops::simd::SimdKernels* table = nn::ops::simd::kernels();
+  const nn::ops::simd::SimdKernels* table = backend.simd_kernels();
   state.counters["simd_active"] =
       lut_row ? (table != nullptr && table->lut_gemm_block != nullptr ? 1 : 0)
-              : (row == 2 && nn::ops::simd::available() ? 1 : 0);
+              : simd_active(backend);
 }
 BENCHMARK(BM_PackedConvTierSweep)
     ->Args({4, 0})
@@ -331,10 +357,11 @@ void BM_LutGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_LutGemm)->Arg(4)->Arg(2);
 
-// Arg 1 selects the tier: 0 = Reference, 1 = Fast, 2 = Simd.
+// Arg 1 selects the row: 0 = Reference, 1 = Simd on the scalar fallbacks
+// (QMCU_FORCE_SCALAR), 2 = Simd.
 void BM_DepthwiseInt8(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
-  const auto tier = static_cast<nn::ops::KernelTier>(state.range(1));
+  const int row = static_cast<int>(state.range(1));
   const nn::Tensor in = random_tensor({32, 32, c}, 8);
   nn::Layer l;
   l.kind = nn::OpKind::DepthwiseConv2D;
@@ -349,14 +376,15 @@ void BM_DepthwiseInt8(benchmark::State& state) {
   const nn::QTensor qin = nn::quantize(in, nn::choose_quant_params(lo, hi, 8));
   const nn::ops::QuantizedWeights qw = nn::ops::quantize_weights(w);
   const nn::QuantParams out_p = nn::choose_quant_params(0.0f, 6.0f, 8);
-  nn::ops::KernelBackend backend(tier);
+  nn::ops::KernelBackend backend = backend_under(
+      row == 0 ? nn::ops::KernelTier::Reference : nn::ops::KernelTier::Simd,
+      row == 1 ? "QMCU_FORCE_SCALAR" : nullptr);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         backend.depthwise_conv2d(qin, l, qw.data, qw.params, {}, out_p));
   }
   state.SetItemsProcessed(state.iterations() * 32 * 32 * c * 9);
-  state.counters["simd_active"] =
-      tier == nn::ops::KernelTier::Simd && nn::ops::simd::available() ? 1 : 0;
+  state.counters["simd_active"] = simd_active(backend);
 }
 BENCHMARK(BM_DepthwiseInt8)
     ->Args({32, 0})
@@ -400,12 +428,12 @@ void BM_AddInt8Tier(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * a.elements());
   state.counters["tier"] = static_cast<double>(row);
-  state.counters["simd_active"] =
-      row == 1 && nn::ops::simd::available() ? 1 : 0;
+  state.counters["simd_active"] = simd_active(backend);
 }
 BENCHMARK(BM_AddInt8Tier)->Arg(0)->Arg(1);
 
-// Fast float tier (im2col + tiled GEMM), vs the BM_Conv2dF32 reference.
+// Simd-tier float conv (im2col + tiled GEMM; float ops never read the
+// microkernel table), vs the BM_Conv2dF32 reference.
 void BM_Conv2dF32Fast(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
   const nn::Tensor in = random_tensor({32, 32, c}, 1);
@@ -413,7 +441,7 @@ void BM_Conv2dF32Fast(benchmark::State& state) {
   std::vector<float> w(static_cast<std::size_t>(c * 3 * 3 * c));
   nn::Rng rng(2);
   for (float& v : w) v = static_cast<float>(rng.normal(0.0, 0.1));
-  nn::ops::KernelBackend backend(nn::ops::KernelTier::Fast);
+  nn::ops::KernelBackend backend(nn::ops::KernelTier::Simd);
   for (auto _ : state) {
     benchmark::DoNotOptimize(backend.conv2d_f32(in, l, w, {}));
   }
@@ -459,7 +487,7 @@ void BM_BitUnpack(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(values.size()));
-  state.counters["simd_active"] = nn::ops::simd::available() ? 1 : 0;
+  state.counters["simd_active"] = table != nullptr ? 1 : 0;
 }
 BENCHMARK(BM_BitUnpack)->Arg(2)->Arg(4);
 
@@ -627,9 +655,13 @@ void BM_SessionPoolThroughput(benchmark::State& state) {
   const auto ranges = quant::calibrate_ranges(g, std::vector<nn::Tensor>{in});
   const auto qcfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const auto params = nn::QuantizedParameters::build_shared(g, qcfg);
+  // Sessions run the scalar fallbacks, as this bench's baselines do. The
+  // pin outlives the pool, so no serving thread reads the environment
+  // while it changes.
+  const test::ScopedEnv scalar("QMCU_FORCE_SCALAR", "1");
   nn::SessionPool<nn::CompiledQuantModel> pool(sessions, [&] {
     return std::make_unique<nn::CompiledQuantModel>(
-        g, qcfg, nn::ops::KernelTier::Fast, params);
+        g, qcfg, nn::ops::KernelTier::Simd, params);
   });
   constexpr int kBacklog = 16;
   // Warm-up batch: sessions size their arenas lazily on first run, and a
@@ -667,9 +699,11 @@ void BM_SessionPoolBatchThroughput(benchmark::State& state) {
   const auto ranges = quant::calibrate_ranges(g, std::vector<nn::Tensor>{in});
   const auto qcfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const auto params = nn::QuantizedParameters::build_shared(g, qcfg);
+  // Scalar fallbacks, pinned as in BM_SessionPoolThroughput.
+  const test::ScopedEnv scalar("QMCU_FORCE_SCALAR", "1");
   nn::SessionPool<nn::CompiledQuantModel> pool(2, [&] {
     return std::make_unique<nn::CompiledQuantModel>(
-        g, qcfg, nn::ops::KernelTier::Fast, params);
+        g, qcfg, nn::ops::KernelTier::Simd, params);
   });
   constexpr int kBacklog = 16;
   {

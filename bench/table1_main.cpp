@@ -66,10 +66,10 @@ void run_deployment(const nn::Graph& g, const core::QuantMcuPlan& plan,
   // One weight conversion feeds both executors (and any sweep variants).
   const auto params = nn::QuantizedParameters::build_shared(g, deploy_cfg);
   const patch::PatchQuantExecutor uniform(g, plan.patch_plan, deploy_cfg,
-                                          nn::ops::KernelTier::Fast, params);
+                                          nn::ops::KernelTier::Simd, params);
   const patch::PatchQuantExecutor mixed(g, plan.patch_plan, deploy_cfg,
                                         branch_cfgs,
-                                        nn::ops::KernelTier::Fast, params);
+                                        nn::ops::KernelTier::Simd, params);
 
   // Best of several warm runs: a single wall-clock sample on a shared
   // runner is too jittery for a trajectory artifact.
@@ -147,7 +147,7 @@ void run_platform(const char* platform_name, const std::string& slug,
     c.latency_ms = cm.graph_latency_ms(g, bits8);
     print_row("Layer-Based", c);
     report_row(report, slug, "layer_based", c);
-    // The honest single-arena figure: feature maps + the Fast backend's
+    // The honest single-arena figure: feature maps + the kernel backend's
     // im2col/GEMM scratch high-water (satellite of the arena planner).
     const nn::MemoryPlan mp = nn::plan_layer_based(g, bits8);
     report.add("table1/" + slug + "/layer_based/peak_with_scratch_kb",

@@ -66,7 +66,7 @@ int main() {
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {3, 4}));
   const patch::PatchQuantExecutor pexec(g, plan, qcfg,
-                                        nn::ops::KernelTier::Fast, params);
+                                        nn::ops::KernelTier::Simd, params);
   std::printf("parallel patch stage: %d branches, cut layer %d\n",
               static_cast<int>(plan.branches.size()),
               plan.spec.split_layer);
@@ -115,7 +115,7 @@ int main() {
   constexpr int kRequestsPerClient = 6;
   nn::SessionPool<nn::CompiledQuantModel> sessions(kSessions, [&] {
     return std::make_unique<nn::CompiledQuantModel>(
-        g, qcfg, nn::ops::KernelTier::Fast, params);
+        g, qcfg, nn::ops::KernelTier::Simd, params);
   });
   std::printf("session pool: %d sessions, %d clients x %d requests\n",
               sessions.num_sessions(), kClients, kRequestsPerClient);

@@ -33,7 +33,7 @@ int main() {
               lut_force_name(qmcu::nn::ops::lut::lut_force()));
   const SimdKernels* k = kernels();
   if (k == nullptr) {
-    std::printf("Simd tier: scalar fallback (Fast code paths)\n");
+    std::printf("Simd tier: scalar fallbacks (no microkernel table)\n");
     return 0;
   }
   std::printf("Simd tier table: %s\n", k->name);

@@ -29,7 +29,7 @@ namespace qmcu::nn {
 // tensors (memo is indexed by layer id; only the layer's inputs are read).
 // Shared by the layer-based executor and the patch executor's tail phase.
 // Kernels dispatch through `backend`; the overload without one uses a
-// shared thread-local Fast backend. The `_into` form writes into a
+// shared thread-local Simd backend. The `_into` form writes into a
 // caller-bound destination (shape = g.shape(id); for quantized pools its
 // params must equal the producer's) — the compiled arena executors' path.
 Tensor run_layer_f32(const Graph& g, int id, std::span<const Tensor> memo,
@@ -74,7 +74,7 @@ class Executor {
 // Executes one non-Input layer in the quantized domain. `memo` holds the
 // producers' quantized feature maps; `out_params` is the layer's output
 // quantization (from the ActivationQuantConfig). The overload without a
-// backend uses a shared thread-local Fast backend.
+// backend uses a shared thread-local Simd backend.
 QTensor run_layer_q(const Graph& g, int id, std::span<const QTensor> memo,
                     const QuantizedParameters& params,
                     const QuantParams& out_params,

@@ -9,7 +9,7 @@
 //   its output are live simultaneously. The peak over all steps is the
 //   "Peak Memory" column of the paper's Table I (layer-based row;
 //   patch-based peaks come from patch/patch_plan.h). The plan also prices
-//   the Fast kernel backend's transient scratch (im2col strips, GEMM
+//   the Simd kernel backend's transient scratch (im2col strips, GEMM
 //   accumulators — see fast_scratch_bytes) so the reported SRAM peak covers
 //   what the runtime actually touches, not just the feature maps.
 //
@@ -37,7 +37,7 @@ struct MemoryPlan {
   int peak_step = -1;                    // layer id at which the peak occurs
   std::vector<std::int64_t> step_bytes;  // live bytes while each layer runs
 
-  // Fast-backend transient scratch while each layer runs (im2col strip,
+  // Simd-backend transient scratch while each layer runs (im2col strip,
   // weight panel, GEMM accumulators — the ScratchArena high-water of the
   // uncached-panel mode; with panel caching enabled the panels are resident
   // instead, see panel_bytes).
@@ -63,7 +63,7 @@ std::vector<int> uniform_bits(const Graph& g, int bits);
 // Step of the last consumer of layer `id` (its own step if unconsumed).
 int last_use_step(const Graph& g, int id);
 
-// Transient Fast-tier scratch bytes layer `id` needs while it runs
+// Transient Simd-tier scratch bytes layer `id` needs while it runs
 // (uncached-panel mode: im2col strip + packed panel + accumulators for
 // conv, per-channel accumulators for depthwise, the float detour for
 // softmax). Zero for ops that run without scratch.

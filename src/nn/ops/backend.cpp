@@ -62,7 +62,7 @@ std::size_t ScratchArena::footprint_bytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// Fast integer tier.
+// Simd integer tier.
 
 namespace {
 
@@ -89,7 +89,7 @@ OutputInterior output_interior(int kernel, int stride, int pad, int extent,
 // KernelBackend::weight_panel; the arena must already be reset by the
 // caller (the panel may live in it). Writes into the caller-bound `out`.
 // `simd` routes the GEMM block + epilogue through the Simd tier's
-// microkernels (null = Fast scalar; outputs identical either way).
+// microkernels (null = scalar fallbacks; outputs identical either way).
 template <typename PackRow>
 void fast_conv2d_impl(ScratchArena& arena, const TensorShape& is,
                       const QuantParams& ip, const Layer& l,

@@ -1,21 +1,20 @@
 // backend.h — kernel tier dispatch and the per-executor scratch arena.
 //
-// Three implementation tiers share one arithmetic contract:
+// Two implementation tiers share one arithmetic contract:
 //   Reference — the plain loop nests of int8_kernels.h / float_kernels.h;
 //               they define the bit pattern of every op.
-//   Fast      — im2col + register-tiled GEMM for conv/fc, interior/border
-//               split kernels for depthwise and pooling. Bit-identical to
-//               Reference (integer arithmetic is order-independent; the
-//               float GEMM preserves the reference accumulation order).
-//   Simd      — the Fast structure with the hottest integer inner loops
-//               (GEMM microkernel, depthwise MAC, fused requantize
-//               epilogues, sub-byte unpack, LUT-GEMM tile) routed through
-//               the runtime-detected microkernel table of
-//               nn/ops/simd/simd_kernels.h (AVX2 / NEON). Integer
-//               arithmetic is exact, so Simd is bit-identical to both
-//               other tiers; on hosts without a usable ISA (or with
-//               QMCU_FORCE_SCALAR set) every entry falls back to the Fast
-//               scalar code, making Simd a safe default everywhere.
+//   Simd      — im2col + register-tiled GEMM for conv/fc, interior/border
+//               split kernels for depthwise and pooling, with the hottest
+//               integer inner loops (GEMM microkernel, depthwise MAC, fused
+//               requantize epilogues, sub-byte unpack, LUT-GEMM tile)
+//               routed through the microkernel table of
+//               nn/ops/simd/simd_kernels.h (AVX2 / NEON), resolved at
+//               construction. On hosts without a usable ISA, or with
+//               QMCU_FORCE_SCALAR set when the backend is built, the table
+//               is null and every entry runs its scalar fallback. Integer
+//               arithmetic is order-independent and the float GEMM keeps
+//               the reference accumulation order, so both tables are
+//               bit-identical to Reference and Simd is a safe default.
 //
 // Orthogonally to the tier, 2/4-bit conv and fc inputs can take the LUT
 // path (nn/ops/lut/lut_kernels.h): per-layer the backend consults
@@ -51,7 +50,7 @@ namespace simd {
 struct SimdKernels;
 }  // namespace simd
 
-enum class KernelTier { Reference, Fast, Simd };
+enum class KernelTier { Reference, Simd };
 
 // Thread-affinity guard for the backend's shared mutable state (the scratch
 // arena, the lazily-filled weight-panel and AvgPool-table caches). None of
@@ -130,7 +129,8 @@ class KernelBackend {
 
   [[nodiscard]] KernelTier tier() const { return tier_; }
   // The microkernel table the Simd tier resolved at construction: null for
-  // the other tiers and on hosts without a usable ISA (then Simd == Fast).
+  // Reference, on hosts without a usable ISA and under QMCU_FORCE_SCALAR
+  // (then every op runs its scalar fallback).
   [[nodiscard]] const simd::SimdKernels* simd_kernels() const {
     return simd_;
   }
@@ -238,7 +238,7 @@ class KernelBackend {
   void requantize_into(const QTensor& q, QTensor& out);
 
   // Sub-byte activations: convolution over a 2/4-bit packed input
-  // (quant/bitpack.h layout covering in_shape.elements() fields). The Fast
+  // (quant/bitpack.h layout covering in_shape.elements() fields). The Simd
   // tier expands packed rows directly into the im2col scratch; the
   // Reference tier unpacks to a QTensor first. Bit-identical to conv2d on
   // the unpacked equivalent.

@@ -1,6 +1,6 @@
 // gemm_int8.h — register-tiled integer GEMM with fused requantization.
 //
-// The Fast conv/fc tier computes C = A · Bᵀ where A is the im2col matrix
+// The Simd conv/fc tier computes C = A · Bᵀ where A is the im2col matrix
 // (M output pixels × K window elements) and B the weight matrix
 // (N output channels × K, the Graph's native [oc][kh][kw][ic] layout).
 // Weights are first repacked k-major (Bt[k][n]) so the inner loop walks

@@ -1,4 +1,4 @@
-// im2col.h — receptive-field packing for the Fast kernel tier.
+// im2col.h — receptive-field packing for the Simd kernel tier.
 //
 // Convolution lowers onto GEMM by materializing, per output pixel, the
 // kernel_h * kernel_w * in_channels window it reads (one K-element row of
@@ -28,7 +28,7 @@ TensorShape conv_output_shape(const TensorShape& in, const Layer& l,
 
 // Valid (in-bounds) kernel index range along one axis for a window anchored
 // at input position `i0`: the ky with 0 <= i0 + ky < extent. Shared by the
-// reference loop nests and the Fast tier's border handling.
+// reference loop nests and the Simd tier's border handling.
 struct KernelRange {
   int lo;
   int hi;  // exclusive

@@ -91,9 +91,9 @@ void lut_gemm_requant(const std::int8_t* a, const std::int8_t* tables, int m,
 
 enum class LutForce { Auto, On, Off };
 
-// Reads QMCU_FORCE_LUT / QMCU_NO_LUT afresh on every call — unlike
-// QMCU_FORCE_SCALAR, which is latched at first ISA detection — so tests
-// and benches can flip the mode mid-process. FORCE wins when both are set.
+// Reads QMCU_FORCE_LUT / QMCU_NO_LUT afresh on every call, like the other
+// QMCU_FORCE_* variables, so tests and benches can flip the mode
+// mid-process. FORCE wins when both are set.
 LutForce lut_force();
 
 // Per-layer dispatch heuristic shared by KernelBackend and the memory

@@ -22,7 +22,6 @@ bool env_truthy(const char* name) {
 bool force_scalar() { return env_truthy("QMCU_FORCE_SCALAR"); }
 
 Isa detect() {
-  if (force_scalar()) return Isa::None;
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
   if (__builtin_cpu_supports("avx2")) return Isa::Avx2;
 #elif defined(__ARM_NEON) || defined(__ARM_NEON__)
@@ -34,9 +33,9 @@ Isa detect() {
 }
 
 DotIsa detect_dot() {
-  switch (detected_isa()) {
+  switch (detect()) {
     case Isa::None:
-      return DotIsa::None;  // includes QMCU_FORCE_SCALAR
+      return DotIsa::None;
     case Isa::Avx2:
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__) && \
     (defined(__clang__) ? __clang_major__ >= 12 : __GNUC__ >= 11)
@@ -61,9 +60,10 @@ DotIsa detect_dot() {
 
 }  // namespace
 
+// Only the hardware probes are latched; QMCU_FORCE_SCALAR is read live.
 Isa detected_isa() {
   static const Isa isa = detect();
-  return isa;
+  return force_scalar() ? Isa::None : isa;
 }
 
 const char* isa_name(Isa isa) {
@@ -82,7 +82,7 @@ bool available() { return detected_isa() != Isa::None; }
 
 DotIsa detected_dot_isa() {
   static const DotIsa isa = detect_dot();
-  return isa;
+  return force_scalar() ? DotIsa::None : isa;
 }
 
 const char* dot_isa_name(DotIsa isa) {

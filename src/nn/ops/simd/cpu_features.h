@@ -1,26 +1,25 @@
 // cpu_features.h — runtime ISA detection for the Simd kernel tier.
 //
-// Detection runs once per process and is the single source of truth for
-// which microkernel table simd::kernels() hands out. The environment
-// variable QMCU_FORCE_SCALAR (any value other than "0" or empty) forces
-// Isa::None — the escape hatch the CI scalar matrix leg and the tier
-// parity tests use to run the Simd code paths on their scalar fallbacks.
+// The hardware probe runs once per process. The force variables (any
+// value other than "0" or empty counts as set) are read on every call, so
+// a test or bench can pin one around a single backend's construction,
+// where the backend snapshots its table. QMCU_FORCE_SCALAR reports
+// Isa::None, so kernels() hands out no table and every entry runs its
+// scalar fallback: the CI scalar leg and the parity tests' scalar side.
 //
 // Layered on top of the base ISA is the dot-product *generation*: CPUs
 // that fuse the 4-element int8 multiply-reduce into one instruction
 // (AVX-VNNI's vpdpbusd, AArch64 dotprod's sdot) get a table whose
 // gemm_block_i8 retires 4 k-elements per lane instead of the pair-madd
 // kernels' 2. QMCU_FORCE_NO_DOT demotes the dispatch to the base
-// pair-madd table; unlike QMCU_FORCE_SCALAR it is read live (like the
-// LUT force variables), so a single process can compare both generations.
+// pair-madd table, so a single process can compare both generations.
 #pragma once
 
 namespace qmcu::nn::ops::simd {
 
 enum class Isa { None, Avx2, Neon };
 
-// The ISA the running CPU supports (cached after the first call; honors
-// QMCU_FORCE_SCALAR read at that first call).
+// The ISA the running CPU supports, or Isa::None under QMCU_FORCE_SCALAR.
 Isa detected_isa();
 
 // "none" / "avx2" / "neon" — what CI logs as the detected ISA.
@@ -32,15 +31,14 @@ bool available();
 // Dot-product instruction generation layered on the base ISA.
 enum class DotIsa { None, AvxVnni, NeonDot };
 
-// The dot-product generation the running CPU supports (cached after the
-// first call; Isa::None — including forced scalar — implies DotIsa::None).
+// The dot-product generation the running CPU supports, or DotIsa::None
+// under QMCU_FORCE_SCALAR (Isa::None implies DotIsa::None).
 DotIsa detected_dot_isa();
 
 // "none" / "avx-vnni" / "neon-dot" — what CI logs for the dot probe.
 const char* dot_isa_name(DotIsa isa);
 
-// True when QMCU_FORCE_NO_DOT demotes the dispatch to the pair-madd
-// table. Read live on every call, so tests can flip it mid-process.
+// True when QMCU_FORCE_NO_DOT demotes the dispatch to the pair-madd table.
 bool dot_forced_off();
 
 // True when kernels() hands out a dot-product generation right now:

@@ -19,8 +19,8 @@ const SimdKernels* base_table() {
 }
 
 // The dot-generation table for the detected probe, independent of the
-// live QMCU_FORCE_NO_DOT state; null when the CPU lacks the instructions
-// or the generation's TU was compiled out of this binary.
+// live QMCU_FORCE_NO_DOT state; null under QMCU_FORCE_SCALAR, when the CPU
+// lacks the instructions, or when the generation's TU was compiled out.
 const SimdKernels* dot_table() {
   switch (detected_dot_isa()) {
     case DotIsa::AvxVnni:
@@ -36,8 +36,7 @@ const SimdKernels* dot_table() {
 }  // namespace
 
 const SimdKernels* kernels() {
-  // Base dispatch latches with detected_isa(); only the no-dot demotion is
-  // re-read per call (see cpu_features.h).
+  // Every force variable is re-read per call (see cpu_features.h).
   const SimdKernels* dot = dot_table();
   if (dot != nullptr && !dot_forced_off()) return dot;
   return base_table();

@@ -261,11 +261,11 @@ inline void run_add_row(const SimdKernels* simd, const std::int8_t* a,
   }
 }
 
-// The table for detected_isa(), or nullptr when scalar (Isa::None). When
-// the CPU has a dot-product generation (detected_dot_isa()) and
+// The table for detected_isa(), or nullptr when scalar (Isa::None; also
+// under QMCU_FORCE_SCALAR). When the CPU has a dot-product generation and
 // QMCU_FORCE_NO_DOT is unset, the matching dot table is returned instead
-// of the base pair-madd table. The force variable is read live on every
-// call, so backends constructed after a setenv() see the change.
+// of the base pair-madd table. Both variables are read on every call, so
+// backends constructed after a setenv() see the change.
 const SimdKernels* kernels();
 
 // Per-ISA tables (null when this binary was not built for that ISA).

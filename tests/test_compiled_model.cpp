@@ -17,6 +17,7 @@
 #include "patch/patch_executor.h"
 #include "patch/patch_quant_executor.h"
 #include "quant/calibration.h"
+#include "scoped_env.h"
 
 namespace qmcu {
 namespace {
@@ -110,7 +111,7 @@ TEST(CompiledModel, MatchesMemoExecutorBitExact) {
 
   // Both kernel tiers, directly on the compiled model.
   for (const auto tier :
-       {nn::ops::KernelTier::Fast, nn::ops::KernelTier::Reference}) {
+       {nn::ops::KernelTier::Simd, nn::ops::KernelTier::Reference}) {
     const nn::CompiledModel model(g, tier);
     const nn::Executor ref(g, tier);
     expect_f_identical(model.run(in), ref.run_all(in).back());
@@ -177,9 +178,15 @@ TEST(CompiledQuantModel, ReferenceTierParity) {
       g, std::vector<nn::Tensor>{random_input(g.shape(0), 9)});
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const nn::Tensor in = random_input(g.shape(0), 10);
-  const nn::CompiledQuantModel fast(g, cfg, nn::ops::KernelTier::Fast);
   const nn::CompiledQuantModel ref(g, cfg, nn::ops::KernelTier::Reference);
-  expect_q_identical(fast.run(in), ref.run(in));
+  const nn::QTensor want = ref.run(in);
+  const nn::CompiledQuantModel simd(g, cfg, nn::ops::KernelTier::Simd);
+  expect_q_identical(simd.run(in), want);
+  // The scalar fallbacks, pinned in process so every CI leg checks them.
+  const test::ScopedEnv scalar("QMCU_FORCE_SCALAR", "1");
+  const nn::CompiledQuantModel fallback(g, cfg, nn::ops::KernelTier::Simd);
+  ASSERT_EQ(fallback.backend().simd_kernels(), nullptr);
+  expect_q_identical(fallback.run(in), want);
 }
 
 TEST(CompiledQuantModel, CallerProvidedArenaMatchesOwned) {
@@ -201,8 +208,8 @@ TEST(CompiledQuantModel, SharedParametersAcrossExecutors) {
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const auto params = nn::QuantizedParameters::build_shared(g, cfg);
 
-  const nn::QuantExecutor a(g, cfg, nn::ops::KernelTier::Fast, params);
-  const nn::QuantExecutor b(g, cfg, nn::ops::KernelTier::Fast, params);
+  const nn::QuantExecutor a(g, cfg, nn::ops::KernelTier::Simd, params);
+  const nn::QuantExecutor b(g, cfg, nn::ops::KernelTier::Simd, params);
   EXPECT_EQ(a.shared_parameters().get(), params.get());
   EXPECT_EQ(b.shared_parameters().get(), params.get());
   const nn::QuantExecutor fresh(g, cfg);  // builds its own
@@ -289,8 +296,8 @@ TEST(CompiledPatchQuantModel, SharedParametersAcrossPatchExecutors) {
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
   const patch::PatchQuantExecutor a(g, plan, cfg,
-                                    nn::ops::KernelTier::Fast, params);
-  const nn::QuantExecutor layer(g, cfg, nn::ops::KernelTier::Fast, params);
+                                    nn::ops::KernelTier::Simd, params);
+  const nn::QuantExecutor layer(g, cfg, nn::ops::KernelTier::Simd, params);
   EXPECT_EQ(a.shared_parameters().get(), params.get());
   const nn::Tensor in = random_input(g.shape(0), 21);
   expect_q_identical(a.run(in), layer.run(in));

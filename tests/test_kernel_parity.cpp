@@ -1,12 +1,12 @@
-// Kernel backend tier parity: the Fast tier (im2col + tiled GEMM,
-// interior/border split kernels, fused sub-byte unpack) and the Simd tier
-// (the same structure over the runtime-dispatched AVX2/NEON microkernels)
-// must be bit-identical to the Reference loop nests over randomized
-// geometries, activations, and 2/4/8-bit weight/activation ranges. Integer
-// arithmetic makes this an exact contract, not a tolerance; the float fast
-// conv preserves the reference accumulation order, so it is exact too. On
-// hosts without a usable ISA (or under QMCU_FORCE_SCALAR) the Simd tier
-// runs its scalar fallbacks, so these suites stay meaningful everywhere.
+// Kernel backend tier parity: the Simd tier (im2col + tiled GEMM,
+// interior/border split kernels, fused sub-byte unpack, over the
+// runtime-dispatched AVX2/NEON microkernels) must be bit-identical to the
+// Reference loop nests over randomized geometries, activations, and
+// 2/4/8-bit weight/activation ranges — both on the table this process
+// dispatches and on the scalar fallbacks, which each suite pins in process
+// with QMCU_FORCE_SCALAR. Integer arithmetic makes this an exact contract,
+// not a tolerance; the float GEMM conv preserves the reference
+// accumulation order, so it is exact too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,6 +33,7 @@
 #include "patch/patch_quant_executor.h"
 #include "quant/bitpack.h"
 #include "quant/calibration.h"
+#include "scoped_env.h"
 
 namespace qmcu::nn::ops {
 namespace {
@@ -118,8 +119,32 @@ void expect_q_identical(const QTensor& a, const QTensor& b,
   }
 }
 
-// The non-reference tiers every suite below checks against Reference.
-constexpr KernelTier kFastTiers[] = {KernelTier::Fast, KernelTier::Simd};
+// The two Simd-tier tables every suite below checks against Reference: the
+// table this process dispatches, and the scalar fallbacks, pinned in
+// process with QMCU_FORCE_SCALAR so every CI leg keeps a scalar reference.
+// Dispatched goes first, so the binary's first ISA probe is unpinned.
+enum class Table { Dispatched, Scalar };
+constexpr Table kTables[] = {Table::Dispatched, Table::Scalar};
+
+// Holds QMCU_FORCE_SCALAR for its lifetime when `t` is Table::Scalar.
+struct TablePin {
+  explicit TablePin(Table t) {
+    if (t == Table::Scalar) env.emplace("QMCU_FORCE_SCALAR", "1");
+  }
+  std::optional<test::ScopedEnv> env;
+};
+
+// A Simd-tier backend on `t`'s table. The base order builds the pin first,
+// and the pin lives as long as the backend.
+class TableBackend : private TablePin, public KernelBackend {
+ public:
+  explicit TableBackend(Table t)
+      : TablePin(t), KernelBackend(KernelTier::Simd) {
+    if (t == Table::Scalar) {
+      EXPECT_EQ(simd_kernels(), nullptr) << "QMCU_FORCE_SCALAR was not live";
+    }
+  }
+};
 
 TEST(KernelParity, Conv2dRandomizedBitExact) {
   nn::Rng rng(101);
@@ -131,12 +156,12 @@ TEST(KernelParity, Conv2dRandomizedBitExact) {
     KernelBackend ref(KernelTier::Reference);
     const QTensor a = ref.conv2d(c.qin, c.layer, c.qweights, c.wparams,
                                  c.qbias, c.out_params);
-    for (const KernelTier tier : kFastTiers) {
-      KernelBackend fast(tier);
-      const QTensor b = fast.conv2d(c.qin, c.layer, c.qweights, c.wparams,
+    for (const Table t : kTables) {
+      TableBackend backend(t);
+      const QTensor b = backend.conv2d(c.qin, c.layer, c.qweights, c.wparams,
                                     c.qbias, c.out_params);
-      expect_q_identical(a, b, tier == KernelTier::Simd ? "conv2d-simd"
-                                                        : "conv2d-fast");
+      expect_q_identical(a, b,
+                         t == Table::Scalar ? "conv2d-scalar" : "conv2d-simd");
     }
   }
 }
@@ -151,13 +176,13 @@ TEST(KernelParity, DepthwiseRandomizedBitExact) {
     KernelBackend ref(KernelTier::Reference);
     const QTensor a = ref.depthwise_conv2d(c.qin, c.layer, c.qweights,
                                            c.wparams, c.qbias, c.out_params);
-    for (const KernelTier tier : kFastTiers) {
-      KernelBackend fast(tier);
+    for (const Table t : kTables) {
+      TableBackend backend(t);
       expect_q_identical(
           a,
-          fast.depthwise_conv2d(c.qin, c.layer, c.qweights, c.wparams,
+          backend.depthwise_conv2d(c.qin, c.layer, c.qweights, c.wparams,
                                 c.qbias, c.out_params),
-          tier == KernelTier::Simd ? "depthwise-simd" : "depthwise-fast");
+          t == Table::Scalar ? "depthwise-scalar" : "depthwise-simd");
     }
   }
 }
@@ -187,9 +212,9 @@ TEST(KernelParity, FullyConnectedRandomizedBitExact) {
     }
     KernelBackend ref(KernelTier::Reference);
     const QTensor a = ref.fully_connected(qin, l, w, wp, bias, out_p);
-    for (const KernelTier tier : kFastTiers) {
-      KernelBackend fast(tier);
-      expect_q_identical(a, fast.fully_connected(qin, l, w, wp, bias, out_p),
+    for (const Table t : kTables) {
+      TableBackend backend(t);
+      expect_q_identical(a, backend.fully_connected(qin, l, w, wp, bias, out_p),
                          "fc");
     }
   }
@@ -200,14 +225,14 @@ TEST(KernelParity, PoolsRandomizedBitExact) {
   for (int trial = 0; trial < 30; ++trial) {
     const RandomCase c = random_case(rng, OpKind::MaxPool, 8, 8);
     KernelBackend ref(KernelTier::Reference);
-    for (const KernelTier tier : kFastTiers) {
-      KernelBackend fast(tier);
+    for (const Table t : kTables) {
+      TableBackend backend(t);
       expect_q_identical(ref.max_pool(c.qin, c.layer),
-                         fast.max_pool(c.qin, c.layer), "max_pool");
+                         backend.max_pool(c.qin, c.layer), "max_pool");
       expect_q_identical(ref.avg_pool(c.qin, c.layer),
-                         fast.avg_pool(c.qin, c.layer), "avg_pool");
+                         backend.avg_pool(c.qin, c.layer), "avg_pool");
       expect_q_identical(ref.global_avg_pool(c.qin),
-                         fast.global_avg_pool(c.qin), "global_avg_pool");
+                         backend.global_avg_pool(c.qin), "global_avg_pool");
     }
   }
 }
@@ -229,13 +254,13 @@ TEST(KernelParity, PackedConvMatchesUnpacked) {
         ref.conv2d_packed(packed, c.in_shape, c.in_params, c.layer,
                           c.qweights, c.wparams, c.qbias, c.out_params),
         "packed-ref");
-    for (const KernelTier tier : kFastTiers) {
-      KernelBackend fast(tier);
+    for (const Table t : kTables) {
+      TableBackend backend(t);
       expect_q_identical(
           base,
-          fast.conv2d_packed(packed, c.in_shape, c.in_params, c.layer,
+          backend.conv2d_packed(packed, c.in_shape, c.in_params, c.layer,
                              c.qweights, c.wparams, c.qbias, c.out_params),
-          tier == KernelTier::Simd ? "packed-simd" : "packed-fast");
+          t == Table::Scalar ? "packed-scalar" : "packed-simd");
     }
   }
 }
@@ -245,17 +270,7 @@ TEST(KernelParity, PackedConvMatchesUnpacked) {
 // exact same integers: weight-side tables indexed by sub-byte activation
 // codes. Every suite here pins it bit-identically to the Reference loop
 // nests and to the GEMM tiers it replaces. QMCU_FORCE_LUT/QMCU_NO_LUT are
-// read live per call, so an RAII guard flips them in-process.
-
-struct EnvGuard {
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() { ::unsetenv(name_); }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-  const char* name_;
-};
+// read live per call, so a test::ScopedEnv flips them in-process.
 
 // --- Dot-product GEMM generation -------------------------------------------
 // The AVX-VNNI / NEON sdot gemm_block_i8 bodies retire 4 k-elements per
@@ -326,8 +341,8 @@ TEST(KernelParity, DotGemmBlockMatchesContract) {
 
 // fc shape ladder through the m == 1 panel microkernel: k below one dot
 // group (k < 4), below the 16-wide panel, odd k, and past the panel width,
-// across every weight/activation bit mode with and without bias — Fast and
-// Simd against Reference, once with the dot generation active and once
+// across every weight/activation bit mode with and without bias — both
+// tables against Reference, once with the dot generation active and once
 // demoted to pair-madd (the backend snapshots the table at construction, so
 // the guard wraps construction).
 TEST(KernelParity, FullyConnectedLadderBitExact) {
@@ -335,7 +350,7 @@ TEST(KernelParity, FullyConnectedLadderBitExact) {
   const int ks[] = {1, 2, 3, 5, 7, 12, 15, 16, 17, 31, 33, 64, 127};
   const int bit_options[] = {2, 4, 8};
   for (int pass = 0; pass < 2; ++pass) {
-    std::optional<EnvGuard> no_dot;
+    std::optional<test::ScopedEnv> no_dot;
     if (pass == 1) no_dot.emplace("QMCU_FORCE_NO_DOT", "1");
     int trial = 0;
     for (const int k : ks) {
@@ -370,10 +385,10 @@ TEST(KernelParity, FullyConnectedLadderBitExact) {
       }
       KernelBackend ref(KernelTier::Reference);
       const QTensor want = ref.fully_connected(qin, l, w, wp, bias, out_p);
-      for (const KernelTier tier : kFastTiers) {
-        KernelBackend fast(tier);
+      for (const Table t : kTables) {
+        TableBackend backend(t);
         expect_q_identical(want,
-                           fast.fully_connected(qin, l, w, wp, bias, out_p),
+                           backend.fully_connected(qin, l, w, wp, bias, out_p),
                            pass == 1 ? "fc-ladder-nodot" : "fc-ladder");
       }
     }
@@ -388,7 +403,7 @@ TEST(KernelParity, DotGenerationZeroPointBitExact) {
   nn::Rng rng(2525);
   const std::int32_t zps[] = {-128, -100, -8, -1, 0, 1, 7, 100, 127};
   for (int pass = 0; pass < 2; ++pass) {
-    std::optional<EnvGuard> no_dot;
+    std::optional<test::ScopedEnv> no_dot;
     if (pass == 1) no_dot.emplace("QMCU_FORCE_NO_DOT", "1");
     for (const std::int32_t zp : zps) {
       // fc: saturating activations/weights on even trials.
@@ -413,10 +428,10 @@ TEST(KernelParity, DotGenerationZeroPointBitExact) {
       }
       KernelBackend ref(KernelTier::Reference);
       const QTensor want = ref.fully_connected(qin, l, w, wp, {}, out_p);
-      for (const KernelTier tier : kFastTiers) {
-        KernelBackend fast(tier);
+      for (const Table t : kTables) {
+        TableBackend backend(t);
         expect_q_identical(want,
-                           fast.fully_connected(qin, l, w, wp, {}, out_p),
+                           backend.fully_connected(qin, l, w, wp, {}, out_p),
                            "fc-zp");
       }
 
@@ -427,10 +442,10 @@ TEST(KernelParity, DotGenerationZeroPointBitExact) {
       std::copy(c.qin.data().begin(), c.qin.data().end(), cin.data().begin());
       const QTensor cwant = ref.conv2d(cin, c.layer, c.qweights, c.wparams,
                                        c.qbias, c.out_params);
-      for (const KernelTier tier : kFastTiers) {
-        KernelBackend fast(tier);
+      for (const Table t : kTables) {
+        TableBackend backend(t);
         expect_q_identical(cwant,
-                           fast.conv2d(cin, c.layer, c.qweights, c.wparams,
+                           backend.conv2d(cin, c.layer, c.qweights, c.wparams,
                                        c.qbias, c.out_params),
                            "conv-zp");
       }
@@ -551,16 +566,16 @@ TEST(LutParity, Conv2dForcedBitExact) {
     const QTensor want = ref.conv2d(c.qin, c.layer, c.qweights, c.wparams,
                                     c.qbias, c.out_params);
     for (const char* env : {"QMCU_FORCE_LUT", "QMCU_NO_LUT"}) {
-      const EnvGuard guard(env, "1");
-      for (const KernelTier tier : kFastTiers) {
-        KernelBackend fast(tier);
+      const test::ScopedEnv guard(env, "1");
+      for (const Table t : kTables) {
+        TableBackend backend(t);
         expect_q_identical(want,
-                           fast.conv2d(c.qin, c.layer, c.qweights, c.wparams,
+                           backend.conv2d(c.qin, c.layer, c.qweights, c.wparams,
                                        c.qbias, c.out_params),
                            env);
         expect_q_identical(
             want,
-            fast.conv2d_packed(packed, c.in_shape, c.in_params, c.layer,
+            backend.conv2d_packed(packed, c.in_shape, c.in_params, c.layer,
                                c.qweights, c.wparams, c.qbias, c.out_params),
             env);
       }
@@ -601,11 +616,11 @@ TEST(LutParity, FullyConnectedForcedBitExact) {
     }
     KernelBackend ref(KernelTier::Reference);
     const QTensor want = ref.fully_connected(qin, l, w, wp, bias, out_p);
-    const EnvGuard guard("QMCU_FORCE_LUT", "1");
-    for (const KernelTier tier : kFastTiers) {
-      KernelBackend fast(tier);
-      expect_q_identical(want, fast.fully_connected(qin, l, w, wp, bias, out_p),
-                         "fc-lut");
+    const test::ScopedEnv guard("QMCU_FORCE_LUT", "1");
+    for (const Table t : kTables) {
+      TableBackend backend(t);
+      expect_q_identical(
+          want, backend.fully_connected(qin, l, w, wp, bias, out_p), "fc-lut");
     }
   }
 }
@@ -635,11 +650,11 @@ TEST(KernelParity, RequantizeRandomizedBitExact) {
     }
     KernelBackend ref(KernelTier::Reference);
     const QTensor a = ref.requantize(qin, out_p);
-    for (const KernelTier tier : kFastTiers) {
-      KernelBackend fast(tier);
-      expect_q_identical(a, fast.requantize(qin, out_p),
-                         tier == KernelTier::Simd ? "requantize-simd"
-                                                  : "requantize-fast");
+    for (const Table t : kTables) {
+      TableBackend backend(t);
+      expect_q_identical(a, backend.requantize(qin, out_p),
+                         t == Table::Scalar ? "requantize-scalar"
+                                            : "requantize-simd");
     }
   }
 }
@@ -745,9 +760,9 @@ TEST(KernelParity, FloatConvBitExact) {
     std::vector<float> bias(static_cast<std::size_t>(out_c));
     for (float& v : bias) v = static_cast<float>(rng.uniform(-0.3, 0.3));
 
-    KernelBackend fast(KernelTier::Fast);
+    KernelBackend simd(KernelTier::Simd);
     const Tensor ref = conv2d_f32(in, l, weights, bias);
-    const Tensor got = fast.conv2d_f32(in, l, weights, bias);
+    const Tensor got = simd.conv2d_f32(in, l, weights, bias);
     ASSERT_EQ(ref.shape(), got.shape());
     for (std::size_t i = 0; i < ref.data().size(); ++i) {
       ASSERT_EQ(ref.data()[i], got.data()[i]) << "element " << i;
@@ -818,10 +833,10 @@ TEST(KernelParity, AddRowMatchesReferenceForEveryTail) {
                         c.in_p.zero_point, c.in2_p.zero_point, m,
                         c.out_p.zero_point, lo, hi, got.data().data());
       expect_q_identical(want, got, "add_row");
-      for (const KernelTier tier : kFastTiers) {
-        KernelBackend fast(tier);
+      for (const Table t : kTables) {
+        TableBackend backend(t);
         QTensor via_backend(a.shape(), c.out_p);
-        fast.add_into(a, b, c.act, via_backend);
+        backend.add_into(a, b, c.act, via_backend);
         expect_q_identical(want, via_backend, "add_into");
       }
     }
@@ -1192,12 +1207,12 @@ TEST(KernelParity, PointwiseConvSkipsIm2colBitExact) {
       }
       KernelBackend ref(KernelTier::Reference);
       const QTensor want = ref.conv2d(in, l, wq, w_p, bias, out_p);
-      for (const KernelTier tier : kFastTiers) {
-        KernelBackend fast(tier);
-        const QTensor got = fast.conv2d(in, l, wq, w_p, bias, out_p);
-        expect_q_identical(want, got, tier == KernelTier::Simd
-                                          ? "pointwise-simd"
-                                          : "pointwise-fast");
+      for (const Table t : kTables) {
+        TableBackend backend(t);
+        const QTensor got = backend.conv2d(in, l, wq, w_p, bias, out_p);
+        expect_q_identical(want, got,
+                           t == Table::Scalar ? "pointwise-scalar"
+                                              : "pointwise-simd");
       }
     }
   }
@@ -1233,20 +1248,20 @@ TEST(KernelParity, OffsetRowIsKeyedByBias) {
   weight_column_sums(wq, l.out_channels, k, wsum.data());
 
   KernelBackend ref(KernelTier::Reference);
-  for (const KernelTier tier : kFastTiers) {
-    KernelBackend fast(tier);
+  for (const Table t : kTables) {
+    TableBackend backend(t);
     const std::int32_t a_zp =
-        in_p.zero_point + simd::gemm_activation_bias(fast.simd_kernels());
+        in_p.zero_point + simd::gemm_activation_bias(backend.simd_kernels());
     std::vector<std::int32_t> row(deploy_bias.size());
     for (std::size_t j = 0; j < row.size(); ++j) {
       row[j] = deploy_bias[j] - a_zp * wsum[j];
     }
-    fast.register_offset_row(wq.data(), a_zp, deploy_bias.data(), row);
+    backend.register_offset_row(wq.data(), a_zp, deploy_bias.data(), row);
     expect_q_identical(ref.conv2d(in, l, wq, w_p, branch_bias, out_p),
-                       fast.conv2d(in, l, wq, w_p, branch_bias, out_p),
+                       backend.conv2d(in, l, wq, w_p, branch_bias, out_p),
                        "other bias");
     expect_q_identical(ref.conv2d(in, l, wq, w_p, deploy_bias, out_p),
-                       fast.conv2d(in, l, wq, w_p, deploy_bias, out_p),
+                       backend.conv2d(in, l, wq, w_p, deploy_bias, out_p),
                        "registered bias");
   }
 }
@@ -1256,16 +1271,30 @@ TEST(KernelParity, OffsetRowIsKeyedByBias) {
 TEST(ScratchArena, FootprintStabilizesAcrossRuns) {
   nn::Rng rng(707);
   const RandomCase c = random_case(rng, OpKind::Conv2D, 8, 8);
-  KernelBackend fast(KernelTier::Fast);
-  (void)fast.conv2d(c.qin, c.layer, c.qweights, c.wparams, c.qbias,
-                    c.out_params);
-  const std::size_t after_first = fast.arena().footprint_bytes();
+  KernelBackend backend;
+  (void)backend.conv2d(c.qin, c.layer, c.qweights, c.wparams, c.qbias,
+                       c.out_params);
+  const std::size_t after_first = backend.arena().footprint_bytes();
   EXPECT_GT(after_first, 0u);
   for (int i = 0; i < 5; ++i) {
-    (void)fast.conv2d(c.qin, c.layer, c.qweights, c.wparams, c.qbias,
-                      c.out_params);
+    (void)backend.conv2d(c.qin, c.layer, c.qweights, c.wparams, c.qbias,
+                         c.out_params);
   }
-  EXPECT_EQ(fast.arena().footprint_bytes(), after_first);
+  EXPECT_EQ(backend.arena().footprint_bytes(), after_first);
+}
+
+// A forced CI leg sets a force variable for the whole test binary. A test
+// that pins the same variable must hand the leg's value back, or every
+// later test in the binary silently leaves the leg.
+TEST(ScopedEnv, AmbientForceVariableSurvivesAGuard) {
+  // Stands in for the release-scalar leg's QMCU_FORCE_SCALAR=1.
+  const test::ScopedEnv leg("QMCU_FORCE_SCALAR", "1");
+  {
+    const TableBackend scalar(Table::Scalar);  // pins the variable itself
+    const test::ScopedEnv off("QMCU_FORCE_SCALAR", "0");
+  }
+  EXPECT_STREQ(std::getenv("QMCU_FORCE_SCALAR"), "1");
+  EXPECT_EQ(KernelBackend(KernelTier::Simd).simd_kernels(), nullptr);
 }
 
 }  // namespace
@@ -1307,12 +1336,14 @@ TEST(BackendRegression, QuantExecutorTierInvariant) {
   const auto ranges = quant::calibrate_ranges(g, calib);
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const nn::QuantExecutor ref(g, cfg, nn::ops::KernelTier::Reference);
-  const nn::QuantExecutor fast(g, cfg, nn::ops::KernelTier::Fast);
   const nn::QuantExecutor simd(g, cfg, nn::ops::KernelTier::Simd);
   const nn::Tensor in = random_input(g.shape(0), 22);
   const nn::QTensor want = ref.run(in);
-  expect_q_identical(want, fast.run(in));
   expect_q_identical(want, simd.run(in));
+  const test::ScopedEnv scalar("QMCU_FORCE_SCALAR", "1");
+  const nn::QuantExecutor fallback(g, cfg, nn::ops::KernelTier::Simd);
+  ASSERT_EQ(fallback.compiled().backend().simd_kernels(), nullptr);
+  expect_q_identical(want, fallback.run(in));
 }
 
 TEST(BackendRegression, PatchQuantExecutorMixedModeTierInvariant) {
@@ -1333,21 +1364,23 @@ TEST(BackendRegression, PatchQuantExecutorMixedModeTierInvariant) {
 
   const PatchQuantExecutor ref(g, plan.patch_plan, deploy_cfg, branch_cfgs,
                                nn::ops::KernelTier::Reference);
-  const PatchQuantExecutor fast(g, plan.patch_plan, deploy_cfg, branch_cfgs,
-                                nn::ops::KernelTier::Fast);
   const PatchQuantExecutor simd(g, plan.patch_plan, deploy_cfg, branch_cfgs,
                                 nn::ops::KernelTier::Simd);
   const nn::Tensor in = ds.image(11);
   const nn::QTensor want = ref.run(in);
-  expect_q_identical(want, fast.run(in));
   expect_q_identical(want, simd.run(in));
+  const test::ScopedEnv scalar("QMCU_FORCE_SCALAR", "1");
+  const PatchQuantExecutor fallback(g, plan.patch_plan, deploy_cfg,
+                                    branch_cfgs, nn::ops::KernelTier::Simd);
+  ASSERT_EQ(fallback.compiled().backend().simd_kernels(), nullptr);
+  expect_q_identical(want, fallback.run(in));
 }
 
 // Same executors with the LUT tier forced on for every eligible layer:
 // whole-model outputs must not move, including the mixed-precision patch
 // runtime whose sub-byte branch stages actually take the LUT path.
 TEST(BackendRegression, ExecutorsTierInvariantUnderForcedLut) {
-  ::setenv("QMCU_FORCE_LUT", "1", 1);
+  const test::ScopedEnv lut("QMCU_FORCE_LUT", "1");
   const nn::Graph g = small_mbv2();
   data::DataConfig dc;
   dc.resolution = 48;
@@ -1373,15 +1406,16 @@ TEST(BackendRegression, ExecutorsTierInvariantUnderForcedLut) {
   const auto deploy_cfg = core::make_deployment_quant_config(g, plan, ranges);
   const PatchQuantExecutor ref(g, plan.patch_plan, deploy_cfg, branch_cfgs,
                                nn::ops::KernelTier::Reference);
-  const PatchQuantExecutor fast(g, plan.patch_plan, deploy_cfg, branch_cfgs,
-                                nn::ops::KernelTier::Fast);
   const PatchQuantExecutor simd(g, plan.patch_plan, deploy_cfg, branch_cfgs,
                                 nn::ops::KernelTier::Simd);
   const nn::Tensor in = ds.image(13);
   const nn::QTensor want = ref.run(in);
-  expect_q_identical(want, fast.run(in));
   expect_q_identical(want, simd.run(in));
-  ::unsetenv("QMCU_FORCE_LUT");
+  const test::ScopedEnv scalar("QMCU_FORCE_SCALAR", "1");
+  const PatchQuantExecutor fallback(g, plan.patch_plan, deploy_cfg,
+                                    branch_cfgs, nn::ops::KernelTier::Simd);
+  ASSERT_EQ(fallback.compiled().backend().simd_kernels(), nullptr);
+  expect_q_identical(want, fallback.run(in));
 }
 
 // Demoting the dot-product GEMM generation must not change any executor
@@ -1395,11 +1429,13 @@ TEST(BackendRegression, QuantExecutorDotGenerationInvariant) {
   const auto ranges = quant::calibrate_ranges(g, calib);
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const nn::QuantExecutor dot(g, cfg, nn::ops::KernelTier::Simd);
-  ::setenv("QMCU_FORCE_NO_DOT", "1", 1);
-  const nn::QuantExecutor nodot(g, cfg, nn::ops::KernelTier::Simd);
   const nn::Tensor in = random_input(g.shape(0), 42);
-  const nn::QTensor want = nodot.run(in);
-  ::unsetenv("QMCU_FORCE_NO_DOT");
+  nn::QTensor want;
+  {
+    const test::ScopedEnv no_dot("QMCU_FORCE_NO_DOT", "1");
+    const nn::QuantExecutor nodot(g, cfg, nn::ops::KernelTier::Simd);
+    want = nodot.run(in);
+  }
   expect_q_identical(want, dot.run(in));
 }
 
@@ -1410,14 +1446,12 @@ TEST(BackendRegression, PatchExecutorFloatTierInvariant) {
                           nn::ops::KernelTier::Reference);
   const nn::Tensor in = random_input(g.shape(0), 23);
   const nn::Tensor a = ref.run(in);
-  for (const nn::ops::KernelTier tier :
-       {nn::ops::KernelTier::Fast, nn::ops::KernelTier::Simd}) {
-    const PatchExecutor fast(g, build_patch_plan(g, spec), tier);
-    const nn::Tensor b = fast.run(in);
-    ASSERT_EQ(a.shape(), b.shape());
-    for (std::size_t i = 0; i < a.data().size(); ++i) {
-      ASSERT_EQ(a.data()[i], b.data()[i]) << "element " << i;
-    }
+  const PatchExecutor simd(g, build_patch_plan(g, spec),
+                           nn::ops::KernelTier::Simd);
+  const nn::Tensor b = simd.run(in);
+  ASSERT_EQ(a.shape(), b.shape());
+  for (std::size_t i = 0; i < a.data().size(); ++i) {
+    ASSERT_EQ(a.data()[i], b.data()[i]) << "element " << i;
   }
 }
 

@@ -403,7 +403,7 @@ TEST(ParallelPatch, BorrowedInputsNeverAliasTheirOutputSlot) {
 // --- thread-affinity enforcement --------------------------------------------
 
 TEST(ThreadAffinity, CatchesBackendSharedAcrossThreads) {
-  nn::ops::KernelBackend backend(nn::ops::KernelTier::Fast);
+  nn::ops::KernelBackend backend;
   const nn::Tensor a = random_input({4, 4, 8}, 41);
   const nn::Tensor b = random_input({4, 4, 8}, 42);
   const nn::QuantParams p = nn::choose_quant_params(-3.0f, 3.0f, 8);

@@ -25,6 +25,7 @@
 #include "nn/serving/serving_frontend.h"
 #include "patch/patch_artifact.h"
 #include "quant/calibration.h"
+#include "scoped_env.h"
 
 namespace qmcu {
 namespace {
@@ -79,18 +80,6 @@ void expect_q_identical(const nn::QTensor& a, const nn::QTensor& b) {
 std::string artifact_path(const char* name) {
   return ::testing::TempDir() + "/" + name + ".qmcp";
 }
-
-// QMCU_FORCE_* are read live by the dispatch tables, so an RAII guard
-// flips kernel generations in-process (see test_kernel_parity.cpp).
-struct EnvGuard {
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() { ::unsetenv(name_); }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-  const char* name_;
-};
 
 std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
@@ -232,8 +221,14 @@ TEST(PlanArtifact, LoadsBitExactUnderForcedGenerations) {
     nn::compile_to_artifact(g, cfg, path);
     const nn::KernelFingerprint baked = nn::KernelFingerprint::current();
 
-    const auto check_under = [&](const char* env) {
-      EnvGuard guard(env, "1");
+    // QMCU_FORCE_* are read live by the dispatch tables, so a guard flips
+    // the kernel generation in-process; `max_generation` checks it did.
+    const auto check_under = [&](const char* env,
+                                 std::uint32_t max_generation) {
+      const test::ScopedEnv guard(env, "1");
+      ASSERT_LE(nn::KernelFingerprint::current().gemm_generation,
+                max_generation)
+          << env;
       // The reference is built AFTER the flip: both sides now run the
       // forced generation, and outputs must agree with the mapped panels.
       const nn::LoadedModel loaded = nn::load_compiled(path);
@@ -243,8 +238,8 @@ TEST(PlanArtifact, LoadsBitExactUnderForcedGenerations) {
       EXPECT_EQ(loaded.artifact->fingerprint_matches(),
                 nn::KernelFingerprint::current() == baked);
     };
-    check_under("QMCU_FORCE_NO_DOT");
-    check_under("QMCU_FORCE_SCALAR");
+    check_under("QMCU_FORCE_NO_DOT", 1);
+    check_under("QMCU_FORCE_SCALAR", 0);
   }
 }
 
@@ -257,10 +252,12 @@ TEST(PlanArtifact, ScalarBakedArtifactLoadsUnderNativeGeneration) {
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const std::string path = artifact_path("crossgen_scalar_baked");
   {
-    EnvGuard guard("QMCU_FORCE_SCALAR", "1");
+    const test::ScopedEnv guard("QMCU_FORCE_SCALAR", "1");
+    ASSERT_EQ(nn::KernelFingerprint::current().gemm_generation, 0u);
     nn::compile_to_artifact(g, cfg, path);
   }
   const nn::LoadedModel loaded = nn::load_compiled(path);
+  EXPECT_EQ(loaded.artifact->fingerprint().gemm_generation, 0u);
   const nn::CompiledQuantModel ref(g, cfg);
   const nn::Tensor in = random_input(g.shape(0), 16);
   expect_q_identical(loaded.model->run(in), ref.run(in));

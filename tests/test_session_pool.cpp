@@ -54,12 +54,12 @@ TEST(SessionPool, ServesQuantModelBitExact) {
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   // One weight conversion shared by every session in the pool.
   const auto params = nn::QuantizedParameters::build_shared(g, cfg);
-  const nn::CompiledQuantModel reference(g, cfg, nn::ops::KernelTier::Fast,
+  const nn::CompiledQuantModel reference(g, cfg, nn::ops::KernelTier::Simd,
                                          params);
 
   nn::SessionPool<nn::CompiledQuantModel> pool(3, [&] {
     return std::make_unique<nn::CompiledQuantModel>(
-        g, cfg, nn::ops::KernelTier::Fast, params);
+        g, cfg, nn::ops::KernelTier::Simd, params);
   });
   EXPECT_EQ(pool.num_sessions(), 3);
 
@@ -83,7 +83,7 @@ TEST(SessionPool, StressConcurrentSubmitters) {
       g, std::vector<nn::Tensor>{random_input(g.shape(0), 10)});
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const auto params = nn::QuantizedParameters::build_shared(g, cfg);
-  const nn::CompiledQuantModel reference(g, cfg, nn::ops::KernelTier::Fast,
+  const nn::CompiledQuantModel reference(g, cfg, nn::ops::KernelTier::Simd,
                                          params);
 
   // Two distinct inputs with known outputs; submitters interleave them.
@@ -97,7 +97,7 @@ TEST(SessionPool, StressConcurrentSubmitters) {
   constexpr int kPerSubmitter = 8;
   nn::SessionPool<nn::CompiledQuantModel> pool(kSessions, [&] {
     return std::make_unique<nn::CompiledQuantModel>(
-        g, cfg, nn::ops::KernelTier::Fast, params);
+        g, cfg, nn::ops::KernelTier::Simd, params);
   });
 
   std::atomic<int> mismatches{0};
@@ -171,11 +171,11 @@ TEST(SessionPool, SubmitBatchMatchesSingleSubmits) {
       g, std::vector<nn::Tensor>{random_input(g.shape(0), 71)});
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const auto params = nn::QuantizedParameters::build_shared(g, cfg);
-  const nn::CompiledQuantModel reference(g, cfg, nn::ops::KernelTier::Fast,
+  const nn::CompiledQuantModel reference(g, cfg, nn::ops::KernelTier::Simd,
                                          params);
   nn::SessionPool<nn::CompiledQuantModel> pool(2, [&] {
     return std::make_unique<nn::CompiledQuantModel>(
-        g, cfg, nn::ops::KernelTier::Fast, params);
+        g, cfg, nn::ops::KernelTier::Simd, params);
   });
 
   std::vector<nn::Tensor> batch;
@@ -213,11 +213,11 @@ TEST(SessionPool, SubmitBatchFailsOnlyTheBadItem) {
       g, std::vector<nn::Tensor>{random_input(g.shape(0), 81)});
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const auto params = nn::QuantizedParameters::build_shared(g, cfg);
-  const nn::CompiledQuantModel reference(g, cfg, nn::ops::KernelTier::Fast,
+  const nn::CompiledQuantModel reference(g, cfg, nn::ops::KernelTier::Simd,
                                          params);
   nn::SessionPool<nn::CompiledQuantModel> pool(1, [&] {
     return std::make_unique<nn::CompiledQuantModel>(
-        g, cfg, nn::ops::KernelTier::Fast, params);
+        g, cfg, nn::ops::KernelTier::Simd, params);
   });
 
   const nn::Tensor good = random_input(g.shape(0), 82);
@@ -276,7 +276,7 @@ TEST(SessionPool, LayerBasedModelsLeaseFromSharedSlab) {
       g, std::vector<nn::Tensor>{random_input(g.shape(0), 95)});
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const auto params = nn::QuantizedParameters::build_shared(g, cfg);
-  const nn::CompiledQuantModel qreference(g, cfg, nn::ops::KernelTier::Fast,
+  const nn::CompiledQuantModel qreference(g, cfg, nn::ops::KernelTier::Simd,
                                           params);
   const nn::CompiledModel freference(g);
   const nn::Tensor in = random_input(g.shape(0), 96);
@@ -288,7 +288,7 @@ TEST(SessionPool, LayerBasedModelsLeaseFromSharedSlab) {
       2,
       [&](const std::shared_ptr<nn::ArenaSlab>& s) {
         auto model = std::make_unique<nn::CompiledQuantModel>(
-            g, cfg, nn::ops::KernelTier::Fast, params);
+            g, cfg, nn::ops::KernelTier::Simd, params);
         model->set_arena_source(s);
         return model;
       },
