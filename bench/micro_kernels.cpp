@@ -22,8 +22,8 @@
 #include "nn/ops/simd/cpu_features.h"
 #include "nn/ops/simd/simd_kernels.h"
 #include "nn/rng.h"
-#include "nn/runtime/session_pool.h"
 #include "nn/runtime/worker_pool.h"
+#include "nn/serving/serving_frontend.h"
 #include "patch/mcunetv2.h"
 #include "patch/patch_plan.h"
 #include "quant/bitpack.h"
@@ -641,9 +641,28 @@ void BM_PipelinedPatchRun(benchmark::State& state) {
 BENCHMARK(BM_PipelinedPatchRun)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// The serving front-ends both throughput benches drive: `sessions` lanes
+// of the shared-weight int8 model, unpinned and with an unbounded queue so
+// every request of the backlog is admitted.
+using QuantFrontend = nn::serving::ServingFrontend<nn::CompiledQuantModel>;
+
+std::unique_ptr<QuantFrontend> make_quant_frontend(
+    int sessions, const nn::Graph& g, const nn::ActivationQuantConfig& qcfg,
+    const std::shared_ptr<const nn::QuantizedParameters>& params) {
+  nn::serving::ServingConfig cfg;
+  cfg.sessions = sessions;
+  cfg.pin_lanes = false;
+  cfg.max_queue_depth = 0;
+  return std::make_unique<QuantFrontend>(
+      cfg, [&](int, const std::shared_ptr<nn::ArenaSlab>&) {
+        return std::make_unique<nn::CompiledQuantModel>(
+            g, qcfg, nn::ops::KernelTier::Simd, params);
+      });
+}
+
 // Throughput under concurrency for the serving front-end: `sessions`
-// (arg 0) pre-compiled sessions serve a backlog of requests submitted from
-// the bench thread; items/s is end-to-end requests drained per second.
+// (arg 0) lanes serve a backlog of requests submitted from the bench
+// thread; items/s is end-to-end requests drained per second.
 void BM_SessionPoolThroughput(benchmark::State& state) {
   const int sessions = static_cast<int>(state.range(0));
   models::ModelConfig cfg;
@@ -655,27 +674,24 @@ void BM_SessionPoolThroughput(benchmark::State& state) {
   const auto ranges = quant::calibrate_ranges(g, std::vector<nn::Tensor>{in});
   const auto qcfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const auto params = nn::QuantizedParameters::build_shared(g, qcfg);
-  // Sessions run the scalar fallbacks, as this bench's baselines do. The
-  // pin outlives the pool, so no serving thread reads the environment
+  // Lanes run the scalar fallbacks, as this bench's baselines do. The pin
+  // outlives the front-end, so no serving thread reads the environment
   // while it changes.
   const test::ScopedEnv scalar("QMCU_FORCE_SCALAR", "1");
-  nn::SessionPool<nn::CompiledQuantModel> pool(sessions, [&] {
-    return std::make_unique<nn::CompiledQuantModel>(
-        g, qcfg, nn::ops::KernelTier::Simd, params);
-  });
+  const auto frontend = make_quant_frontend(sessions, g, qcfg, params);
   constexpr int kBacklog = 16;
-  // Warm-up batch: sessions size their arenas lazily on first run, and a
-  // full backlog spreads requests across (almost surely) every session so
+  // Warm-up batch: lanes size their arenas lazily on first run, and a
+  // full backlog spreads requests across (almost surely) every lane so
   // the timed iterations measure steady-state serving, not allocation.
   {
     std::vector<std::future<nn::QTensor>> warm;
-    for (int i = 0; i < kBacklog; ++i) warm.push_back(pool.submit(in));
+    for (int i = 0; i < kBacklog; ++i) warm.push_back(frontend->submit(in));
     for (auto& f : warm) (void)f.get();
   }
   for (auto _ : state) {
     std::vector<std::future<nn::QTensor>> futures;
     futures.reserve(kBacklog);
-    for (int i = 0; i < kBacklog; ++i) futures.push_back(pool.submit(in));
+    for (int i = 0; i < kBacklog; ++i) futures.push_back(frontend->submit(in));
     for (auto& f : futures) benchmark::DoNotOptimize(f.get());
   }
   state.SetItemsProcessed(state.iterations() * kBacklog);
@@ -685,9 +701,10 @@ BENCHMARK(BM_SessionPoolThroughput)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Batched submission: the same backlog lands as `batch`-sized
-// submit_batch calls (arg 0 = batch size; 1 = the per-item baseline).
-// Larger batches amortise queue wakeups and keep a session looping on its
-// bound arena — the ROADMAP "batched submission" win, measured.
+// submit_batch calls (arg 0 = batch size; 1 = the per-item baseline) on
+// two lanes. submit_batch spreads each batch across the lanes (one queue
+// entry per contiguous chunk), so larger batches trade per-item queue
+// wakeups for chunk-sized runs on each lane's bound arena.
 void BM_SessionPoolBatchThroughput(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   models::ModelConfig cfg;
@@ -701,14 +718,11 @@ void BM_SessionPoolBatchThroughput(benchmark::State& state) {
   const auto params = nn::QuantizedParameters::build_shared(g, qcfg);
   // Scalar fallbacks, pinned as in BM_SessionPoolThroughput.
   const test::ScopedEnv scalar("QMCU_FORCE_SCALAR", "1");
-  nn::SessionPool<nn::CompiledQuantModel> pool(2, [&] {
-    return std::make_unique<nn::CompiledQuantModel>(
-        g, qcfg, nn::ops::KernelTier::Simd, params);
-  });
+  const auto frontend = make_quant_frontend(2, g, qcfg, params);
   constexpr int kBacklog = 16;
   {
     std::vector<std::future<nn::QTensor>> warm;
-    for (int i = 0; i < kBacklog; ++i) warm.push_back(pool.submit(in));
+    for (int i = 0; i < kBacklog; ++i) warm.push_back(frontend->submit(in));
     for (auto& f : warm) (void)f.get();
   }
   for (auto _ : state) {
@@ -717,7 +731,7 @@ void BM_SessionPoolBatchThroughput(benchmark::State& state) {
     for (int sent = 0; sent < kBacklog; sent += batch) {
       std::vector<nn::Tensor> inputs(
           static_cast<std::size_t>(std::min(batch, kBacklog - sent)), in);
-      auto fs = pool.submit_batch(std::move(inputs));
+      auto fs = frontend->submit_batch(std::move(inputs));
       for (auto& f : fs) futures.push_back(std::move(f));
     }
     for (auto& f : futures) benchmark::DoNotOptimize(f.get());

@@ -135,7 +135,7 @@ Tensor CompiledModel::run(const Tensor& input,
   QMCU_REQUIRE(input.shape() == g.shape(g.inputs().front()),
                "input shape does not match graph input");
   check_arena(arena, plan_.peak_bytes, alignof(float));
-  // Compiled runs are per-run thread-affine: a session pool may serve this
+  // Compiled runs are per-run thread-affine: a serving lane may run this
   // model from a different thread than the one that compiled it.
   backend_.rebind_thread();
 

@@ -161,7 +161,7 @@ class CompiledModel {
   [[nodiscard]] ops::KernelBackend& backend() const { return backend_; }
   // Serving integration (same contract as the patch models): when set,
   // run() leases its arena from `slab` per run instead of growing an owned
-  // buffer, so a SessionPool fleet of layer-based models is capped at
+  // buffer, so a ServingFrontend fleet of layer-based models is capped at
   // max arena x busy lanes rather than the per-model sum.
   void set_arena_source(std::shared_ptr<ArenaSlab> slab) {
     arena_source_ = std::move(slab);

@@ -1,10 +1,10 @@
 // arena_slab.h — a shared pool of run-arena blocks leased across models.
 //
 // Every compiled model owns (or leases) one arena sized to its own plan.
-// When a serving deployment holds many compiled models — a SessionPool per
-// model family, A/B variants, per-resolution builds — the per-model sum is
-// wasted memory: at most one request runs per serving lane at a time, so
-// only as many arenas are ever live as there are lanes. An ArenaSlab makes
+// When a serving deployment holds many compiled models — a ServingFrontend
+// per model family, A/B variants, per-resolution builds — the per-model
+// sum is wasted memory: at most one request runs per serving lane at a
+// time, so only as many arenas are ever live as there are lanes. An ArenaSlab makes
 // that sharing concrete: models acquire a lease for the duration of one
 // run and release it on return, so the slab's high water is
 //

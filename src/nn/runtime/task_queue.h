@@ -1,11 +1,11 @@
 // task_queue.h — blocking MPMC queue of serving-lane tasks.
 //
-// The non-template half of SessionPool: producers (any thread calling
-// submit) push closures, consumers (the pool's serving threads) block in
-// pop until a task or shutdown arrives. Each task receives the index of
+// The non-template half of ServingFrontend: producers (any thread calling
+// submit) push closures, consumers (the front-end's serving threads) block
+// in pop until a task or shutdown arrives. Each task receives the index of
 // the serving lane that runs it — that is how a queued request gets bound
-// to whichever pre-compiled session frees up first without ever sharing a
-// session between threads. shutdown() lets consumers drain what is already
+// to whichever pre-compiled lane model frees up first without ever sharing
+// a model between threads. shutdown() lets consumers drain what is already
 // queued, then releases them.
 //
 // Two task classes share the queue in FIFO order:
@@ -14,10 +14,10 @@
 //     serving thread frees up first takes the oldest one. try_push bounds
 //     THIS class only: control tasks never consume admission budget.
 //   * control tasks (push_to) — addressed to ONE lane; other lanes skip
-//     over them. The model hot-swap rebinds a lane's session through this:
+//     over them. The model hot-swap rebinds a lane's model through this:
 //     the rebind runs on the lane's own serving thread, between requests,
 //     after every request queued ahead of it has been taken — exclusive
-//     session execution is preserved by construction.
+//     model execution is preserved by construction.
 #pragma once
 
 #include <condition_variable>

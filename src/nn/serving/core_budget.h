@@ -2,7 +2,7 @@
 //
 // The runtime has two independent parallel axes: intra-request
 // (WorkerPool pipelined task graphs, PR 3/4) and inter-request
-// (SessionPool lanes). Stacked naively they multiply: S sessions each
+// (ServingFrontend lanes). Stacked naively they multiply: S sessions each
 // driving a hardware_workers()-wide pool puts S x C threads on C cores —
 // context-switch churn, arenas bouncing between private caches, and worse
 // throughput than either layer alone. CoreBudget is the arbitration rule:

@@ -1,16 +1,30 @@
-// serving_frontend.h — the fleet-scale serving front-end.
+// serving_frontend.h — the serving front-end.
 //
-// ServingFrontend composes the repo's two parallelism layers under one
-// CoreBudget (core_budget.h):
+// Every compiled model in this repo is compile-once / run-many but
+// single-flight: one arena, one scratch arena, one weight-panel cache, all
+// rebound per run. Serving concurrent traffic therefore needs N pre-built
+// models, not per-request compilation. ServingFrontend owns N lanes, each
+// one model plus one serving thread, and composes the repo's two
+// parallelism layers under one CoreBudget (core_budget.h):
 //
-//   * Inter-request: a SessionPool of pre-compiled sessions, one serving
-//     thread per lane.
+//   * Inter-request: one blocking request queue (runtime::TaskQueue);
+//     whichever serving thread frees up first pops the oldest request and
+//     runs it on *its own* lane model, so a model is only ever driven by
+//     one thread (the backend's thread-affinity guard holds by
+//     construction).
 //   * Intra-request: each lane owns a WorkerPool slice of
 //     workers_per_session lanes (the serving thread is worker 0), so a
 //     pool-runnable model (CompiledPatchModel / CompiledPatchQuantModel
 //     run(input, WorkerPool*)) pipelines one request inside its slice
 //     while other lanes serve other requests. Plain run(input) models
 //     simply ignore the slice machinery.
+//
+// Construction runs the factory once per lane on the calling thread
+// (compilation and weight prepack happen before any traffic); destruction
+// drains already-queued requests, then joins the serving threads. Lane
+// models may lease their run arenas from one ArenaSlab (pass one in to
+// share it across front-ends, or let the front-end create its own), so
+// fleet arena memory is capped by busy lanes, not by the number of models.
 //
 // Lanes are pinned to disjoint CPU slices (best-effort): a lane's
 // per-worker arenas, scratch and weight-panel caches stay resident in its
@@ -43,33 +57,36 @@
 //
 // Streams (models with run_streaming, i.e. the patch models): open_stream
 // pins a StreamingSession to a lane round-robin; submit_stream routes each
-// frame to that lane IN FIFO ORDER (SessionPool::submit_raw_to), so the
-// stream's retained arena and diff baseline stay coherent — and frames see
-// the previous frame's work. Stream frames deliberately bypass admission
-// control (bounded queue, deadlines, downgrade): dropping or reordering a
-// frame would force a full recompute and cost more than running it, and a
-// degraded (different worker count) run is incompatible with the stream's
-// pinned arena layout. Back-pressure for streams belongs at the source
-// (skip capture frames, not queued ones).
+// frame to that lane IN FIFO ORDER (a lane-addressed task, task_queue.h),
+// so the stream's retained arena and diff baseline stay coherent — and
+// frames see the previous frame's work. Stream frames deliberately bypass
+// admission control (bounded queue, deadlines, downgrade): dropping or
+// reordering a frame would force a full recompute and cost more than
+// running it, and a degraded (different worker count) run is incompatible
+// with the stream's pinned arena layout. Back-pressure for streams belongs
+// at the source (skip capture frames, not queued ones).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include <map>
-
 #include "nn/check.h"
+#include "nn/runtime/arena_slab.h"
 #include "nn/runtime/cpu_affinity.h"
-#include "nn/runtime/session_pool.h"
+#include "nn/runtime/task_queue.h"
 #include "nn/runtime/worker_pool.h"
+#include "nn/tensor.h"
 #include "nn/serving/core_budget.h"
 #include "nn/streaming/streaming_session.h"
 
@@ -110,10 +127,11 @@ struct ServingStats {
 template <class Model>
 class ServingFrontend {
  public:
-  using Output = typename InferenceSession<Model>::Output;
+  using Output =
+      decltype(std::declval<const Model&>().run(std::declval<const Tensor&>()));
   using Clock = std::chrono::steady_clock;
   using TimePoint = Clock::time_point;
-  // Builds lane `lane`'s model; `slab` is the pool's shared arena slab
+  // Builds lane `lane`'s model; `slab` is the lanes' shared arena slab
   // (wire it via model->set_arena_source(slab) to cap fleet arena memory).
   using Factory = std::function<std::unique_ptr<Model>(
       int lane, const std::shared_ptr<ArenaSlab>&)>;
@@ -138,7 +156,8 @@ class ServingFrontend {
   explicit ServingFrontend(const ServingConfig& cfg, const Factory& factory,
                            std::shared_ptr<ArenaSlab> slab = nullptr)
       : cfg_(cfg),
-        budget_(CoreBudget::partition(cfg.sessions, cfg.core_budget)) {
+        budget_(CoreBudget::partition(cfg.sessions, cfg.core_budget)),
+        slab_(slab ? std::move(slab) : std::make_shared<ArenaSlab>()) {
     QMCU_REQUIRE(cfg.policy != ShedPolicy::Downgrade ||
                      cfg.max_queue_depth == 0 ||
                      cfg.shed_queue_depth <= cfg.max_queue_depth,
@@ -161,26 +180,26 @@ class ServingFrontend {
         }
       }
     }
-    // The wrapped SessionPool: its factory builds lane models in lane
-    // order on this thread; its lane-start hook pins each serving thread
-    // (worker 0 of the lane's slice) to the lane's CPUs.
-    int next_lane = 0;
-    pool_ = std::make_unique<SessionPool<Model>>(
-        cfg.sessions,
-        typename SessionPool<Model>::SlabFactory(
-            [&factory, &next_lane](const std::shared_ptr<ArenaSlab>& s) {
-              return factory(next_lane++, s);
-            }),
-        std::move(slab), [this](std::size_t lane) {
-          if (!cfg_.pin_lanes) return;
-          const std::vector<int> cpus =
-              budget_.lane_cpus(static_cast<int>(lane));
-          if (runtime::pin_current_thread(cpus)) {
-            pinned_lanes_.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-    slab_ = pool_->slab();
+    // Lane models in lane order, on this thread, before any serving
+    // thread exists.
+    lanes_.resize(static_cast<std::size_t>(cfg.sessions));
+    for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
+      lanes_[lane].model = factory(static_cast<int>(lane), slab_);
+      QMCU_REQUIRE(lanes_[lane].model != nullptr,
+                   "serving factory returned no model");
+    }
+    threads_.reserve(lanes_.size());
+    try {
+      for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
+        threads_.emplace_back([this, lane] { serve(lane); });
+      }
+    } catch (...) {
+      stop_serving();  // no destructor runs for a throwing constructor
+      throw;
+    }
   }
+
+  ~ServingFrontend() { stop_serving(); }
 
   ServingFrontend(const ServingFrontend&) = delete;
   ServingFrontend& operator=(const ServingFrontend&) = delete;
@@ -206,10 +225,10 @@ class ServingFrontend {
 
   // Batch spreading: `inputs` is split into min(size, sessions)
   // contiguous chunks, each one queue entry, so idle lanes run chunks
-  // concurrently instead of one lane serializing the whole batch (the
-  // SessionPool::submit_batch behaviour, which optimizes wakeups, not
-  // spread). Futures are in input order; admission (and the deadline) is
-  // per chunk, so an oversubscribed queue sheds trailing chunks whole.
+  // concurrently instead of one lane serializing the whole batch. Futures
+  // are in input order; an item that throws fails only its own future.
+  // Admission (and the deadline) is per chunk, so an oversubscribed queue
+  // sheds trailing chunks whole.
   std::vector<std::future<Output>> submit_batch(std::vector<Tensor> inputs) {
     return submit_batch(std::move(inputs), default_deadline());
   }
@@ -258,25 +277,40 @@ class ServingFrontend {
   // Synchronous convenience: submit + wait.
   Output run(const Tensor& input) { return submit(input).get(); }
 
-  // Hot-swaps the fleet's model under live traffic, one lane at a time:
-  // lane i's replacement is built on THIS thread (compilation, prepack or
-  // artifact-bundle adoption never stall a serving thread), then installed
-  // by lane i's own serving thread between two requests (the drain →
-  // rebind → resume contract of SessionPool::swap_session), before lane
-  // i+1 starts. Requests admitted before the call complete on whichever
-  // model generation their lane runs when they are claimed; requests
-  // admitted after it run on the new model once their lane has swapped.
-  // Nothing is dropped either way. With `factory` closing over a mapped
-  // plan artifact (nn::load_compiled / PlanArtifact::make_quant_model)
-  // this is the fleet's zero-downtime deploy: N lanes rebind to one new
-  // shared mapping while the old mapping drains away with its last lane.
+  // Hot-swaps the fleet's model under live traffic. Every lane's
+  // replacement is built first, on THIS thread (compilation, prepack or
+  // artifact-bundle adoption never stall a serving thread), so a factory
+  // that throws leaves every lane on the old model. For that moment N
+  // replacements are live next to the old models; artifact-backed
+  // replacements are views into one mapping, so this costs little. Then,
+  // one lane at a time, lane i's own serving thread installs its
+  // replacement between two requests — a lane-addressed task (FIFO: it
+  // runs after every request admitted before it has been claimed), so the
+  // lane drains, rebinds and resumes — before lane i+1 starts. Requests
+  // admitted before the call complete on whichever model generation their
+  // lane runs when they are claimed; requests admitted after it run on the
+  // new model once their lane has swapped. Nothing is dropped either way.
+  // With `factory` closing over a mapped plan artifact (nn::load_compiled /
+  // PlanArtifact::make_quant_model) this is the fleet's zero-downtime
+  // deploy: N lanes rebind to one new shared mapping while the old mapping
+  // drains away with its last lane.
   void swap_model(const Factory& factory) {
+    auto fresh = std::make_shared<std::vector<std::unique_ptr<Model>>>();
+    fresh->reserve(lanes_.size());
     for (int lane = 0; lane < num_sessions(); ++lane) {
-      pool_->swap_session(
-          static_cast<std::size_t>(lane),
-          [&factory, lane](const std::shared_ptr<ArenaSlab>& s) {
-            return factory(lane, s);
-          });
+      fresh->push_back(factory(lane, slab_));
+      QMCU_REQUIRE(fresh->back() != nullptr, "swap factory returned no model");
+    }
+    for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
+      auto rebound = std::make_shared<std::promise<void>>();
+      std::future<void> done = rebound->get_future();
+      // The old model is destroyed here, on its own lane, after its last
+      // request finished.
+      queue_.push_to(lane, [this, fresh, rebound](std::size_t si) {
+        lanes_[si].model = std::move((*fresh)[si]);
+        rebound->set_value();
+      });
+      done.get();
       swapped_lanes_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -310,14 +344,13 @@ class ServingFrontend {
     StreamEntry entry = stream_entry(id);
     auto promise = std::make_shared<std::promise<Output>>();
     std::future<Output> result = promise->get_future();
-    pool_->submit_raw_to(
+    queue_.push_to(
         entry.lane, [this, session = entry.session, promise,
                      frame = std::move(frame)](std::size_t lane) {
           try {
             WorkerPool* pool =
                 pools_.empty() ? nullptr : pools_[lane].get();
-            Output out = session->next(pool_->session(lane).model(), frame,
-                                       pool);
+            Output out = session->next(*lanes_[lane].model, frame, pool);
             stream_frames_.fetch_add(1, std::memory_order_relaxed);
             promise->set_value(std::move(out));
           } catch (...) {
@@ -337,10 +370,10 @@ class ServingFrontend {
     auto promise =
         std::make_shared<std::promise<streaming::StreamingStats>>();
     std::future<streaming::StreamingStats> result = promise->get_future();
-    pool_->submit_raw_to(entry.lane,
-                         [session = entry.session, promise](std::size_t) {
-                           promise->set_value(session->stats());
-                         });
+    queue_.push_to(entry.lane,
+                   [session = entry.session, promise](std::size_t) {
+                     promise->set_value(session->stats());
+                   });
     return result;
   }
 
@@ -362,21 +395,27 @@ class ServingFrontend {
     s.swapped_lanes = swapped_lanes_.load(std::memory_order_relaxed);
     s.streams = opened_streams_.load(std::memory_order_relaxed);
     s.stream_frames = stream_frames_.load(std::memory_order_relaxed);
-    s.pending = pool_->pending();
-    s.idle_sessions = pool_->idle_sessions();
+    s.pending = queue_.depth();
+    s.idle_sessions =
+        std::max(0, num_sessions() - busy_.load(std::memory_order_relaxed));
     s.pinned_lanes = pinned_lanes_.load(std::memory_order_relaxed);
     return s;
   }
 
   [[nodiscard]] const CoreBudget& budget() const { return budget_; }
   [[nodiscard]] const ServingConfig& config() const { return cfg_; }
-  [[nodiscard]] int num_sessions() const { return pool_->num_sessions(); }
+  [[nodiscard]] int num_sessions() const {
+    return static_cast<int>(lanes_.size());
+  }
   [[nodiscard]] const std::shared_ptr<ArenaSlab>& slab() const {
     return slab_;
   }
   // Per-lane request counts (read when no traffic is in flight).
   [[nodiscard]] std::vector<std::uint64_t> per_session_requests() const {
-    return pool_->per_session_requests();
+    std::vector<std::uint64_t> counts;
+    counts.reserve(lanes_.size());
+    for (const Lane& l : lanes_) counts.push_back(l.requests);
+    return counts;
   }
 
   // Opt-in queue-to-completion latency sampling (for harnesses computing
@@ -395,12 +434,35 @@ class ServingFrontend {
     return Clock::now() + cfg_.default_deadline;
   }
 
+  // Drains queued requests, then joins the serving threads — before any
+  // member (streams, lane pools, models, slab) is destroyed.
+  void stop_serving() {
+    queue_.shutdown();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  // Runs on lane `lane`'s serving thread: pin to the lane's CPU slice
+  // (worker 0 of the slice), then serve until shutdown drains the queue.
+  void serve(std::size_t lane) {
+    if (cfg_.pin_lanes &&
+        runtime::pin_current_thread(
+            budget_.lane_cpus(static_cast<int>(lane)))) {
+      pinned_lanes_.fetch_add(1, std::memory_order_relaxed);
+    }
+    runtime::TaskQueue::Task task;
+    while (queue_.pop(lane, task)) {
+      busy_.fetch_add(1, std::memory_order_relaxed);
+      task(lane);
+      busy_.fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
+
   [[nodiscard]] bool enqueue(runtime::TaskQueue::Task task) {
     if (cfg_.max_queue_depth == 0) {
-      pool_->submit_raw(std::move(task));
+      queue_.push(std::move(task));
       return true;
     }
-    return pool_->try_submit_raw(std::move(task), cfg_.max_queue_depth);
+    return queue_.try_push(std::move(task), cfg_.max_queue_depth);
   }
 
   void reject(std::promise<Output>& promise) {
@@ -428,18 +490,19 @@ class ServingFrontend {
   }
 
   Output execute(std::size_t lane, const Tensor& input) {
-    InferenceSession<Model>& session = pool_->session(lane);
+    Lane& l = lanes_[lane];
+    ++l.requests;
     if constexpr (kPoolRunnable) {
       if (!pools_.empty() && !should_degrade()) {
-        return session.run(input, pools_[lane].get());
+        return l.model->run(input, pools_[lane].get());
       }
     }
-    return session.run(input);
+    return l.model->run(input);
   }
 
   [[nodiscard]] bool should_degrade() {
     if (cfg_.policy != ShedPolicy::Downgrade) return false;
-    if (pool_->pending() < cfg_.shed_queue_depth) return false;
+    if (queue_.depth() < cfg_.shed_queue_depth) return false;
     degraded_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -464,14 +527,23 @@ class ServingFrontend {
     return streams_.at(id);
   }
 
+  // One serving lane: its model (touched only by the lane's serving
+  // thread once serving starts) and its request count. Cache-line
+  // aligned so lanes never write to a line another lane reads.
+  struct alignas(64) Lane {
+    std::unique_ptr<Model> model;
+    std::uint64_t requests = 0;
+  };
+
   ServingConfig cfg_;
   CoreBudget budget_;
   // Lane -> WorkerPool slice (empty when the model has no pool-run entry
   // point or the budget gives each lane a single worker).
   std::vector<std::unique_ptr<WorkerPool>> pools_;
-  // The lanes' arena slab, co-owned here so it outlives streams_: each
-  // open stream's retained arena is a lease on it.
+  // The lanes' arena slab, declared before streams_ and lanes_ so it
+  // outlives them: open streams' retained arenas are leases on it.
   std::shared_ptr<ArenaSlab> slab_;
+  std::vector<Lane> lanes_;
   std::mutex stream_mu_;
   std::map<std::uint64_t, StreamEntry> streams_;
   std::uint64_t next_stream_id_ = 1;
@@ -487,9 +559,9 @@ class ServingFrontend {
   std::mutex latency_mu_;
   std::atomic<bool> record_latency_{false};
   std::vector<double> latencies_ms_;
-  // Declared last: destroyed first, so serving threads drain and join
-  // while the lane pools above are still alive.
-  std::unique_ptr<SessionPool<Model>> pool_;
+  std::atomic<int> busy_{0};  // lanes running a task right now
+  runtime::TaskQueue queue_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace qmcu::nn::serving

@@ -130,17 +130,24 @@ class StreamingSession {
       m.set_stats_hook(
           std::function<void(int, const nn::QTensor&)>{});
     };
-    if constexpr (kHasStatsHook) {
-      if (cfg_.track_stats) {
-        model.set_stats_hook([this](int id, const nn::QTensor& t) {
-          tracker_.observe(id, t);
-        });
+    Output out = [&] {
+      if constexpr (kHasStatsHook) {
+        if (cfg_.track_stats) {
+          model.set_stats_hook([this](int id, const nn::QTensor& t) {
+            tracker_.observe(id, t);
+          });
+          // Unhooked on every exit, a throwing frame included: a hook left
+          // on the lane's shared model would feed this stream's tracker
+          // from other requests, and dangle once the session is gone.
+          struct Unhook {
+            const Model& m;
+            ~Unhook() { m.set_stats_hook(nullptr); }
+          } unhook{model};
+          return model.run_streaming(frame, pool, state_);
+        }
       }
-    }
-    Output out = model.run_streaming(frame, pool, state_);
-    if constexpr (kHasStatsHook) {
-      if (cfg_.track_stats) model.set_stats_hook(nullptr);
-    }
+      return model.run_streaming(frame, pool, state_);
+    }();
 
     ++stats_.frames;
     const std::int64_t ran = state_.frame_branches_run();

@@ -1,16 +1,16 @@
 // ServingFrontend (nn/serving/serving_frontend.h) + CoreBudget: the
-// fleet-scale serving front-end must (a) partition the core budget so
-// sessions x workers never oversubscribe it, (b) serve results
-// bit-identical to a lone sequential model through every path (pool-run,
-// degraded, batch-spread), and (c) shed load explicitly — queue-full
+// serving front-end must (a) partition the core budget so sessions x
+// workers never oversubscribe it, (b) serve results bit-identical to a
+// lone sequential model through every path (pool-run, degraded,
+// batch-spread) and for every model kind, with model exceptions failing
+// only their own future, (c) shed load explicitly — queue-full
 // submissions are rejected at admission, expired requests get a distinct
 // error and are never started, and Downgrade trades intra-request
-// parallelism before anything else. Fake models with gates/latches make
-// the shed paths deterministic; a real compiled patch model covers the
-// bit-exactness contract.
+// parallelism before anything else — and (d) keep lane models and arena
+// leases coherent across hot swaps, shared slabs and slab exhaustion.
+// Fake models with gates/latches make the shed paths deterministic; real
+// compiled models cover the bit-exactness contract.
 #include <gtest/gtest.h>
-
-#include <limits>
 
 #include <algorithm>
 #include <array>
@@ -24,10 +24,12 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "models/zoo.h"
+#include "nn/compiled_model.h"
 #include "nn/rng.h"
 #include "nn/runtime/cpu_affinity.h"
 #include "nn/serving/serving_frontend.h"
@@ -66,6 +68,23 @@ models::ModelConfig small_cfg() {
   cfg.resolution = 48;
   cfg.num_classes = 10;
   return cfg;
+}
+
+void expect_identical(const nn::QTensor& got, const nn::QTensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  ASSERT_EQ(got.params(), want.params());
+  for (std::size_t i = 0; i < got.data().size(); ++i) {
+    ASSERT_EQ(static_cast<int>(got.data()[i]),
+              static_cast<int>(want.data()[i]))
+        << "element " << i;
+  }
+}
+
+void expect_identical(const nn::Tensor& got, const nn::Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  for (std::size_t i = 0; i < got.data().size(); ++i) {
+    ASSERT_EQ(got.data()[i], want.data()[i]) << "element " << i;
+  }
 }
 
 // A manually-released barrier; serving threads block in wait(), the test
@@ -200,11 +219,52 @@ TEST(CoreBudget, LaneCpusAreDisjointAndCoverTheBudget) {
   }
 }
 
-// The bit-exactness contract end to end: a front-end with intra-request
-// slices (forced core budget 4 over 2 lanes -> 2-worker pools even on a
-// 1-core host), pinning on, slab-leased arenas — every completed result
-// identical to the lone sequential model.
-TEST(ServingFrontend, PatchModelBitExactVsSequential) {
+// Serves `inputs` as concurrent single requests, then as one spread batch
+// with a wrong-shape input spliced in at index 1; every completed result
+// must equal `expected` element for element. The bad item fails only its
+// own future (the rest of its chunk still runs), and the accounting adds
+// up: completed, per-lane request counts, returned slab leases.
+template <class Model>
+void expect_serves_bit_exact(
+    ServingFrontend<Model>& frontend, const std::vector<nn::Tensor>& inputs,
+    const std::vector<typename ServingFrontend<Model>::Output>& expected) {
+  using Output = typename ServingFrontend<Model>::Output;
+  std::vector<std::future<Output>> futures;
+  for (const nn::Tensor& in : inputs) futures.push_back(frontend.submit(in));
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    expect_identical(futures[i].get(), expected[i]);
+  }
+
+  std::vector<nn::Tensor> batch = inputs;
+  batch.insert(batch.begin() + 1, random_input({4, 4, 3}, 99));
+  auto results = frontend.submit_batch(std::move(batch));
+  ASSERT_EQ(results.size(), inputs.size() + 1);
+  EXPECT_THROW((void)results[1].get(), std::invalid_argument);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE("batch item " + std::to_string(i));
+    expect_identical(results[i == 0 ? 0 : i + 1].get(), expected[i]);
+  }
+
+  const auto stats = frontend.stats();
+  EXPECT_EQ(stats.completed, 2 * inputs.size());
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.expired, 0u);
+  EXPECT_EQ(stats.pending, 0u);
+  // Every request ran on exactly one lane (the failed one included).
+  const auto per_lane = frontend.per_session_requests();
+  EXPECT_EQ(std::accumulate(per_lane.begin(), per_lane.end(),
+                            std::uint64_t{0}),
+            2 * inputs.size() + 1);
+  EXPECT_EQ(frontend.slab()->outstanding_leases(), 0);
+}
+
+// The bit-exactness contract end to end, for every model kind the
+// front-end serves: a layer-based quant model over three lanes, a float
+// patch model on single-worker lanes, and a quant patch model with
+// intra-request slices (forced core budget 4 over 2 lanes -> 2-worker
+// pools even on a 1-core host), pinning on, slab-leased arenas.
+TEST(ServingFrontend, EveryModelKindBitExactVsSequential) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
   const auto ranges = quant::calibrate_ranges(
       g, std::vector<nn::Tensor>{random_input(g.shape(0), 1)});
@@ -212,48 +272,66 @@ TEST(ServingFrontend, PatchModelBitExactVsSequential) {
   const auto params = nn::QuantizedParameters::build_shared(g, cfg);
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::CompiledPatchQuantModel reference(g, plan, cfg, {},
-                                                 nn::ops::KernelTier::Simd,
-                                                 params);
-
-  ServingConfig scfg;
-  scfg.sessions = 2;
-  scfg.core_budget = 4;  // forces 2-worker slices regardless of host
-  scfg.pin_lanes = true;
-  using Frontend = ServingFrontend<patch::CompiledPatchQuantModel>;
-  static_assert(Frontend::kPoolRunnable);
-  Frontend frontend(
-      scfg, [&](int, const std::shared_ptr<nn::ArenaSlab>& slab) {
-        auto model = std::make_unique<patch::CompiledPatchQuantModel>(
-            g, plan, cfg, std::vector<patch::BranchQuantConfig>{},
-            nn::ops::KernelTier::Simd, params);
-        model->set_arena_source(slab);
-        return model;
-      });
-  EXPECT_EQ(frontend.budget().workers_per_session, 2);
-
   std::vector<nn::Tensor> inputs;
-  std::vector<nn::QTensor> expected;
   for (std::uint64_t seed = 2; seed < 8; ++seed) {
     inputs.push_back(random_input(g.shape(0), seed));
-    expected.push_back(reference.run(inputs.back()));
   }
-  std::vector<std::future<nn::QTensor>> futures;
-  for (const nn::Tensor& in : inputs) futures.push_back(frontend.submit(in));
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    const nn::QTensor got = futures[i].get();
-    ASSERT_EQ(got.shape(), expected[i].shape());
-    for (std::size_t j = 0; j < got.data().size(); ++j) {
-      ASSERT_EQ(static_cast<int>(got.data()[j]),
-                static_cast<int>(expected[i].data()[j]))
-          << "request " << i << " element " << j;
-    }
+
+  {
+    SCOPED_TRACE("CompiledQuantModel, 3 lanes");
+    const nn::CompiledQuantModel reference(g, cfg, nn::ops::KernelTier::Simd,
+                                           params);
+    std::vector<nn::QTensor> expected;
+    for (const nn::Tensor& in : inputs) expected.push_back(reference.run(in));
+    ServingConfig scfg;
+    scfg.sessions = 3;
+    using Frontend = ServingFrontend<nn::CompiledQuantModel>;
+    static_assert(!Frontend::kPoolRunnable);
+    Frontend frontend(scfg, [&](int, const std::shared_ptr<nn::ArenaSlab>&) {
+      return std::make_unique<nn::CompiledQuantModel>(
+          g, cfg, nn::ops::KernelTier::Simd, params);
+    });
+    EXPECT_EQ(frontend.num_sessions(), 3);
+    expect_serves_bit_exact(frontend, inputs, expected);
   }
-  const auto stats = frontend.stats();
-  EXPECT_EQ(stats.completed, inputs.size());
-  EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.expired, 0u);
-  EXPECT_EQ(frontend.slab()->outstanding_leases(), 0);
+  {
+    SCOPED_TRACE("CompiledPatchModel, 2 single-worker lanes");
+    const patch::CompiledPatchModel reference(g, plan);
+    std::vector<nn::Tensor> expected;
+    for (const nn::Tensor& in : inputs) expected.push_back(reference.run(in));
+    ServingConfig scfg;
+    scfg.sessions = 2;
+    scfg.core_budget = 2;
+    ServingFrontend<patch::CompiledPatchModel> frontend(
+        scfg, [&](int, const std::shared_ptr<nn::ArenaSlab>&) {
+          return std::make_unique<patch::CompiledPatchModel>(g, plan);
+        });
+    EXPECT_EQ(frontend.budget().workers_per_session, 1);
+    expect_serves_bit_exact(frontend, inputs, expected);
+  }
+  {
+    SCOPED_TRACE("CompiledPatchQuantModel, 2 lanes x 2 workers");
+    const patch::CompiledPatchQuantModel reference(
+        g, plan, cfg, {}, nn::ops::KernelTier::Simd, params);
+    std::vector<nn::QTensor> expected;
+    for (const nn::Tensor& in : inputs) expected.push_back(reference.run(in));
+    ServingConfig scfg;
+    scfg.sessions = 2;
+    scfg.core_budget = 4;  // forces 2-worker slices regardless of host
+    scfg.pin_lanes = true;
+    using Frontend = ServingFrontend<patch::CompiledPatchQuantModel>;
+    static_assert(Frontend::kPoolRunnable);
+    Frontend frontend(
+        scfg, [&](int, const std::shared_ptr<nn::ArenaSlab>& slab) {
+          auto model = std::make_unique<patch::CompiledPatchQuantModel>(
+              g, plan, cfg, std::vector<patch::BranchQuantConfig>{},
+              nn::ops::KernelTier::Simd, params);
+          model->set_arena_source(slab);
+          return model;
+        });
+    EXPECT_EQ(frontend.budget().workers_per_session, 2);
+    expect_serves_bit_exact(frontend, inputs, expected);
+  }
 }
 
 // A request whose input holds a NaN has no quantized code: staging rejects
@@ -343,6 +421,204 @@ TEST(ServingFrontend, DestroyedWithOpenStreamsOnEveryLane) {
             static_cast<int>(streams.size()));
   frontend.reset();
   EXPECT_TRUE(slab.expired());
+}
+
+// Front-ends over one shared slab hold the largest arena, not the sum:
+// sequential traffic to two patch front-ends reuses one max-sized block.
+TEST(ServingFrontend, PatchFrontendsSharingASlabReuseOneBlock) {
+  const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
+  const patch::PatchPlan plan =
+      patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
+  const patch::CompiledPatchModel reference(g, plan);
+  const nn::Tensor in = random_input(g.shape(0), 91);
+  const nn::Tensor expect = reference.run(in);
+
+  auto slab = std::make_shared<nn::ArenaSlab>();
+  ServingConfig scfg;
+  scfg.sessions = 1;
+  scfg.core_budget = 1;  // sequential runs: the unified arena
+  const auto factory = [&](int, const std::shared_ptr<nn::ArenaSlab>& s) {
+    auto model = std::make_unique<patch::CompiledPatchModel>(g, plan);
+    model->set_arena_source(s);
+    return model;
+  };
+  ServingFrontend<patch::CompiledPatchModel> frontend_a(scfg, factory, slab);
+  ServingFrontend<patch::CompiledPatchModel> frontend_b(scfg, factory, slab);
+  EXPECT_EQ(frontend_a.slab(), slab);
+  EXPECT_EQ(frontend_b.slab(), slab);
+
+  expect_identical(frontend_a.run(in), expect);
+  expect_identical(frontend_b.run(in), expect);
+  EXPECT_EQ(slab->outstanding_leases(), 0);
+  EXPECT_EQ(slab->footprint_bytes(), reference.arena_bytes());
+}
+
+// Layer-based compiled models lease run arenas the same way: a quant
+// front-end (2 lanes) and a float front-end over one slab, sequential
+// traffic, outputs bit-identical to owned-arena runs, and the slab holds
+// max-sized blocks instead of one arena per model.
+TEST(ServingFrontend, LayerBasedFrontendsLeaseFromSharedSlab) {
+  const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 95)});
+  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const auto params = nn::QuantizedParameters::build_shared(g, cfg);
+  const nn::CompiledQuantModel qreference(g, cfg, nn::ops::KernelTier::Simd,
+                                          params);
+  const nn::CompiledModel freference(g);
+  const nn::Tensor in = random_input(g.shape(0), 96);
+  const nn::QTensor qexpect = qreference.run(in);
+  const nn::Tensor fexpect = freference.run(in);
+
+  auto slab = std::make_shared<nn::ArenaSlab>();
+  ServingConfig qcfg;
+  qcfg.sessions = 2;
+  ServingFrontend<nn::CompiledQuantModel> qfrontend(
+      qcfg,
+      [&](int, const std::shared_ptr<nn::ArenaSlab>& s) {
+        auto model = std::make_unique<nn::CompiledQuantModel>(
+            g, cfg, nn::ops::KernelTier::Simd, params);
+        model->set_arena_source(s);
+        return model;
+      },
+      slab);
+  ServingConfig fcfg;
+  fcfg.sessions = 1;
+  ServingFrontend<nn::CompiledModel> ffrontend(
+      fcfg,
+      [&](int, const std::shared_ptr<nn::ArenaSlab>& s) {
+        auto model = std::make_unique<nn::CompiledModel>(g);
+        model->set_arena_source(s);
+        return model;
+      },
+      slab);
+
+  for (int rep = 0; rep < 3; ++rep) {
+    expect_identical(qfrontend.run(in), qexpect);
+    expect_identical(ffrontend.run(in), fexpect);
+  }
+  // Every lease returned, and sequential traffic never held more than one
+  // block at a time.
+  EXPECT_EQ(slab->outstanding_leases(), 0);
+  EXPECT_EQ(slab->high_water_bytes(),
+            std::max(qreference.arena_bytes(), freference.arena_bytes()));
+  // Two block sizes bound the footprint, strictly below the three-model
+  // sum an unshared fleet would hold.
+  EXPECT_LE(slab->footprint_bytes(),
+            qreference.arena_bytes() + freference.arena_bytes());
+}
+
+// A slab budget spent by an open stream's retained arena: a plain request
+// on the lane fails with ArenaSlabExhausted (its future carries it), the
+// lane keeps serving the stream, and once the stream is closed and
+// drained the same request completes bit-exactly with every lease
+// returned.
+TEST(ServingFrontend, SlabExhaustedByAStreamShedsRequestsUntilItCloses) {
+  const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 1)});
+  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const patch::PatchPlan plan =
+      patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
+  const patch::CompiledPatchQuantModel reference(g, plan, cfg);
+  const nn::Tensor in = random_input(g.shape(0), 97);
+  const nn::Tensor frame = random_input(g.shape(0), 98);
+
+  // The budget: exactly one stream's retained arena.
+  std::int64_t budget = 0;
+  {
+    auto probe_slab = std::make_shared<nn::ArenaSlab>();
+    patch::CompiledPatchQuantModel probe(g, plan, cfg);
+    probe.set_arena_source(probe_slab);
+    nn::streaming::StreamingSession<patch::CompiledPatchQuantModel> session;
+    (void)session.next(probe, frame);
+    ASSERT_EQ(probe_slab->outstanding_leases(), 1);
+    budget = probe_slab->footprint_bytes();
+  }
+  ASSERT_GE(budget, reference.arena_bytes());
+
+  auto slab = std::make_shared<nn::ArenaSlab>(budget);
+  ServingConfig scfg;
+  scfg.sessions = 1;
+  scfg.core_budget = 1;  // sequential frames, as in the probe
+  ServingFrontend<patch::CompiledPatchQuantModel> frontend(
+      scfg,
+      [&](int, const std::shared_ptr<nn::ArenaSlab>& s) {
+        auto model =
+            std::make_unique<patch::CompiledPatchQuantModel>(g, plan, cfg);
+        model->set_arena_source(s);
+        return model;
+      },
+      slab);
+  const std::uint64_t stream = frontend.open_stream();
+  expect_identical(frontend.submit_stream(stream, frame).get(),
+                   reference.run(frame));
+  EXPECT_EQ(slab->footprint_bytes(), budget);
+
+  auto shed = frontend.submit(in);
+  EXPECT_THROW((void)shed.get(), nn::ArenaSlabExhausted);
+  // The lane survived the throw: the stream's next frame still runs on its
+  // retained arena.
+  expect_identical(frontend.submit_stream(stream, in).get(),
+                   reference.run(in));
+
+  frontend.close_stream(stream);
+  expect_identical(frontend.run(in), reference.run(in));
+  EXPECT_EQ(slab->outstanding_leases(), 0);
+  EXPECT_EQ(slab->footprint_bytes(), budget);
+  const auto stats = frontend.stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.stream_frames, 2u);
+}
+
+// Echoes its input with element 0 replaced by the model's generation, so
+// a probe can tell which model a lane is bound to.
+struct GenerationModel {
+  std::shared_ptr<Gate> gate;
+  float generation = 0.0f;
+  nn::Tensor run(const nn::Tensor& in) const {
+    if (gate) gate->wait();
+    nn::Tensor out = in;
+    out.data()[0] = generation;
+    return out;
+  }
+};
+
+// swap_model builds every replacement before it rebinds any lane, so a
+// factory that throws midway leaves the whole fleet on the old model.
+TEST(ServingFrontend, SwapWithThrowingFactoryLeavesEveryLaneOnTheOldModel) {
+  constexpr int kSessions = 3;
+  auto gate = std::make_shared<Gate>();
+  ServingConfig cfg;
+  cfg.sessions = kSessions;
+  cfg.core_budget = kSessions;
+  cfg.pin_lanes = false;
+  ServingFrontend<GenerationModel> frontend(
+      cfg, [&](int, const std::shared_ptr<nn::ArenaSlab>&) {
+        return std::make_unique<GenerationModel>(GenerationModel{gate, 1.0f});
+      });
+
+  EXPECT_THROW(frontend.swap_model(
+                   [&](int lane, const std::shared_ptr<nn::ArenaSlab>&) {
+                     if (lane == 1) throw std::runtime_error("bad artifact");
+                     return std::make_unique<GenerationModel>(
+                         GenerationModel{gate, 2.0f});
+                   }),
+               std::runtime_error);
+  EXPECT_EQ(frontend.stats().swapped_lanes, 0u);
+
+  // One probe per lane: each lane parks on the gate with its request, so
+  // all three are in flight on distinct lanes before any returns.
+  std::vector<std::future<nn::Tensor>> probes;
+  for (int i = 0; i < kSessions; ++i) {
+    probes.push_back(frontend.submit(tagged_input(0.0f)));
+  }
+  EXPECT_TRUE(gate->await_waiters(kSessions));
+  gate->release();
+  for (auto& f : probes) EXPECT_EQ(f.get().data()[0], 1.0f);
+  for (const std::uint64_t n : frontend.per_session_requests()) {
+    EXPECT_EQ(n, 1u);
+  }
 }
 
 TEST(ServingFrontend, RejectsWhenAdmissionQueueIsFull) {
@@ -462,8 +738,8 @@ TEST(ServingFrontend, BatchSpreadsAcrossIdleSessions) {
 
   // 8 inputs -> 4 chunks of 2; every chunk must land on its own lane for
   // the rendezvous to open (RendezvousModel throws after 10 s otherwise —
-  // a SessionPool-style single-entry batch would deadlock here, which is
-  // exactly the serialization this API removes).
+  // a batch queued as one entry would deadlock here, which is exactly the
+  // serialization this API removes).
   std::vector<nn::Tensor> batch;
   for (int i = 0; i < 8; ++i) batch.push_back(tagged_input(i));
   auto futures = frontend.submit_batch(std::move(batch));
@@ -557,13 +833,18 @@ TEST(ServingFrontend, AccountingBalancesUnderConcurrentSubmitters) {
   constexpr int kPerSubmitter = 32;
   std::atomic<int> completed{0};
   std::atomic<int> rejected{0};
+  std::atomic<int> mismatches{0};
   std::vector<std::thread> submitters;
   for (int t = 0; t < kSubmitters; ++t) {
     submitters.emplace_back([&, t] {
       for (int i = 0; i < kPerSubmitter; ++i) {
-        auto f = frontend.submit(tagged_input(t * 100 + i));
+        const float tag = static_cast<float>(t * 100 + i);
         try {
-          (void)f.get();
+          // Synchronous run() from many threads at once: each caller gets
+          // its own request's result back.
+          if (frontend.run(tagged_input(tag)).data()[0] != tag) {
+            mismatches.fetch_add(1);
+          }
           completed.fetch_add(1);
         } catch (const RejectedError&) {
           rejected.fetch_add(1);
@@ -573,11 +854,17 @@ TEST(ServingFrontend, AccountingBalancesUnderConcurrentSubmitters) {
   }
   for (std::thread& t : submitters) t.join();
 
+  EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(completed.load() + rejected.load(), kSubmitters * kPerSubmitter);
   const auto stats = frontend.stats();
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(completed.load()));
   EXPECT_EQ(stats.rejected, static_cast<std::uint64_t>(rejected.load()));
   EXPECT_EQ(stats.pending, 0u);
+  // Every completed request ran on exactly one lane.
+  const auto per_lane = frontend.per_session_requests();
+  EXPECT_EQ(std::accumulate(per_lane.begin(), per_lane.end(),
+                            std::uint64_t{0}),
+            stats.completed);
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "core/quantmcu.h"
@@ -381,6 +383,30 @@ TEST(Streaming, StatsHookObservesTailLayers) {
   // In-distribution input: no drift alarm.
   EXPECT_FALSE(session.stats().needs_recalibration);
   EXPECT_GE(session.stats().drift_score, 0.0);
+}
+
+// A frame that throws (a NaN pixel fails input staging) must still unhook
+// the tracker: a hook left on the model would feed this stream's tracker
+// from every later request, and dangle once the session is destroyed.
+TEST(Streaming, FailedFrameLeavesNoStatsHook) {
+  const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 5)});
+  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const patch::PatchPlan plan =
+      patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
+  const patch::CompiledPatchQuantModel model(g, plan, cfg);
+
+  nn::streaming::StreamingConfig scfg;
+  scfg.track_stats = true;
+  nn::streaming::StreamingSession<patch::CompiledPatchQuantModel> session(
+      scfg);
+  nn::Tensor bad = random_input(g.shape(0), 61);
+  bad.data()[bad.data().size() / 2] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW((void)session.next(model, bad), std::invalid_argument);
+  const std::int64_t seen = session.tracker().observations();
+  (void)model.run(random_input(g.shape(0), 62));
+  EXPECT_EQ(session.tracker().observations(), seen);
 }
 
 // The stats-hook contract, on every entry point: each completed run calls
