@@ -12,7 +12,10 @@
 #include <optional>
 
 #include "bench/bench_common.h"
+#include "core/quantmcu.h"
 #include "core/vdqs.h"
+#include "data/synthetic.h"
+#include "mcu/device.h"
 #include "models/zoo.h"
 #include "nn/ops/backend.h"
 #include "nn/ops/float_kernels.h"
@@ -27,6 +30,7 @@
 #include "patch/mcunetv2.h"
 #include "patch/patch_plan.h"
 #include "quant/bitpack.h"
+#include "quant/calibration.h"
 #include "quant/entropy.h"
 #include "tests/scoped_env.h"
 
@@ -448,6 +452,50 @@ void BM_Conv2dF32Fast(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 32 * 32 * c * 9 * c);
 }
 BENCHMARK(BM_Conv2dF32Fast)->Arg(8)->Arg(16)->Arg(32);
+
+// Float depthwise 3x3 (stride 1, pad 1, ReLU6) on a 36x36x48 map, the
+// stride-1 depthwise shape of MobileNetV2 w0.35 at 144 px. Row 0 is the
+// Reference loop nest, row 1 the Simd tier's channels-innermost body.
+void BM_FloatDepthwiseTierSweep(benchmark::State& state) {
+  const int row = static_cast<int>(state.range(0));
+  const nn::Tensor in = random_tensor({36, 36, 48}, 8);
+  nn::Layer l = conv_layer(48, 3, 1, 1);
+  l.kind = nn::OpKind::DepthwiseConv2D;
+  std::vector<float> w(3 * 3 * 48);
+  std::vector<float> bias(48);
+  nn::Rng rng(9);
+  for (float& v : w) v = static_cast<float>(rng.normal(0.0, 0.3));
+  for (float& v : bias) v = static_cast<float>(rng.normal(0.0, 0.1));
+  nn::ops::KernelBackend backend(row == 0 ? nn::ops::KernelTier::Reference
+                                          : nn::ops::KernelTier::Simd);
+  nn::Tensor out(in.shape());
+  for (auto _ : state) {
+    backend.depthwise_conv2d_f32_into(in, l, w, bias, out);
+    benchmark::DoNotOptimize(out.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 36 * 36 * 48 * 9);
+  state.counters["tier"] = static_cast<double>(row);
+}
+BENCHMARK(BM_FloatDepthwiseTierSweep)->Arg(0)->Arg(1);
+
+// One deployment plan of the Table I headline model (Arduino / ImageNet:
+// MobileNetV2 w0.35 @ 144, MinPeak patch plan): calibrate_ranges, then
+// build_quantmcu_plan (float passes, entropy profiles, VDPC, VDQS) over a
+// two-image calibration batch.
+void BM_PlanQuantMcu(benchmark::State& state) {
+  const nn::Graph g = models::make_mobilenet_v2(bench::nano_imagenet_scale());
+  const std::vector<nn::Tensor> calib =
+      bench::dataset_for(data::DatasetKind::ImageNetLike, 144).batch(0, 2);
+  const mcu::Device dev = mcu::arduino_nano_33_ble_sense();
+  core::QuantMcuConfig cfg;
+  cfg.planner = core::PatchPlannerKind::MinPeak;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(quant::calibrate_ranges(g, calib));
+    benchmark::DoNotOptimize(core::build_quantmcu_plan(g, dev, calib, cfg));
+  }
+}
+BENCHMARK(BM_PlanQuantMcu)->Unit(benchmark::kMillisecond);
 
 void BM_BitPack(benchmark::State& state) {
   const int bits = static_cast<int>(state.range(0));

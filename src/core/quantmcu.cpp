@@ -27,6 +27,16 @@ int last_entropy_layer(const nn::Graph& g) {
   return id;
 }
 
+// Adds one calibration image's H(float) and H(b) of `fm` to `p`.
+void add_profile(const nn::Tensor& fm, int k, FeatureMapProfile& p) {
+  const quant::EntropyProfile e =
+      quant::entropy_profile(fm, kVdqsCandidateBits, k);
+  p.entropy_float += e.entropy_float;
+  for (std::size_t j = 0; j < kVdqsCandidateBits.size(); ++j) {
+    p.entropy_at_bits[j] += e.entropy_at_bits[j];
+  }
+}
+
 }  // namespace
 
 QuantMcuPlan build_quantmcu_plan(const nn::Graph& g, const mcu::Device& dev,
@@ -35,6 +45,7 @@ QuantMcuPlan build_quantmcu_plan(const nn::Graph& g, const mcu::Device& dev,
   QMCU_REQUIRE(!calibration.empty(), "calibration batch must not be empty");
   QMCU_REQUIRE(cfg.lambda >= 0.0 && cfg.lambda <= 1.0,
                "lambda must be in [0, 1]");
+  quant::require_finite_calibration(calibration);
 
   QuantMcuPlan plan;
   if (cfg.planner == PatchPlannerKind::MinPeak) {
@@ -66,13 +77,8 @@ QuantMcuPlan build_quantmcu_plan(const nn::Graph& g, const mcu::Device& dev,
         for (int id = split + 1; id < g.size(); ++id) {
           FeatureMapProfile& p =
               tail_profile[static_cast<std::size_t>(id - split - 1)];
-          const nn::Tensor& fm = fms[static_cast<std::size_t>(id)];
-          p.entropy_float +=
-              quant::activation_entropy(fm, cfg.histogram_bins);
-          for (std::size_t j = 0; j < kVdqsCandidateBits.size(); ++j) {
-            p.entropy_at_bits[j] += quant::quantized_activation_entropy(
-                fm, kVdqsCandidateBits[j], cfg.histogram_bins);
-          }
+          add_profile(fms[static_cast<std::size_t>(id)], cfg.histogram_bins,
+                      p);
         }
       }
     }
@@ -110,14 +116,9 @@ QuantMcuPlan build_quantmcu_plan(const nn::Graph& g, const mcu::Device& dev,
       const auto& steps =
           plan.patch_plan.branches[static_cast<std::size_t>(b)].steps;
       for (std::size_t s = 0; s < steps.size(); ++s) {
-        const nn::Tensor& fm = stage[static_cast<std::size_t>(b)][s];
-        FeatureMapProfile& p = profiles[static_cast<std::size_t>(b)][s];
-        p.entropy_float +=
-            quant::activation_entropy(fm, cfg.histogram_bins);
-        for (std::size_t j = 0; j < kVdqsCandidateBits.size(); ++j) {
-          p.entropy_at_bits[j] += quant::quantized_activation_entropy(
-              fm, kVdqsCandidateBits[j], cfg.histogram_bins);
-        }
+        add_profile(stage[static_cast<std::size_t>(b)][s],
+                    cfg.histogram_bins,
+                    profiles[static_cast<std::size_t>(b)][s]);
       }
     }
   }

@@ -65,9 +65,10 @@ class Executor {
  private:
   const Graph* graph_;  // non-owning; graph must outlive the executor
   // All paths dispatch through the compiled model's backend (one scratch
-  // arena + weight-panel cache per executor); its state is mutated during
-  // const runs, so a single executor instance must not run concurrently
-  // from multiple threads — use one executor per thread instead.
+  // arena per executor; the float conv repacks its weight panel into that
+  // arena on every call, only the integer ops cache panels); its state is
+  // mutated during const runs, so a single executor instance must not run
+  // concurrently from multiple threads — use one executor per thread.
   CompiledModel compiled_;
 };
 

@@ -850,12 +850,18 @@ void KernelBackend::conv2d_f32_into(const Tensor& in, const Layer& l,
   arena_.reset();
   auto bt = arena_.f32(static_cast<std::size_t>(n) * k);
   pack_weights_kmajor_f32(weights, n, k, bt.data());
-  auto a = arena_.f32(static_cast<std::size_t>(os.w) * k);
-  auto acc = arena_.f32(4 * static_cast<std::size_t>(n));
   float* y = out.data().data();
+  // As in conv2d_into: a 1x1, stride-1, unpadded conv's NHWC input already
+  // is the GEMM's A matrix, so the whole map is one GEMM with no im2col.
+  if (l.kernel_h == 1 && l.kernel_w == 1 && l.stride_h == 1 &&
+      l.stride_w == 1 && l.pad_h == 0 && l.pad_w == 0) {
+    gemm_f32(in.data().data(), bt.data(), os.h * os.w, n, k, bias, l.act, y);
+    return;
+  }
+  auto a = arena_.f32(static_cast<std::size_t>(os.w) * k);
   for (int oy = 0; oy < os.h; ++oy) {
     im2col_pack_row_f32(in.data(), is, l, oy, os.w, a.data());
-    gemm_f32(a.data(), bt.data(), os.w, n, k, bias, l.act, acc.data(),
+    gemm_f32(a.data(), bt.data(), os.w, n, k, bias, l.act,
              y + static_cast<std::size_t>(oy) * os.w * n);
   }
 }
@@ -873,7 +879,9 @@ Tensor KernelBackend::depthwise_conv2d_f32(const Tensor& in, const Layer& l,
                                            std::span<const float> weights,
                                            std::span<const float> bias) {
   guard();
-  return ops::depthwise_conv2d_f32(in, l, weights, bias);
+  Tensor out(conv_output_shape(in.shape(), l, in.shape().c));
+  depthwise_conv2d_f32_into(in, l, weights, bias, out);
+  return out;
 }
 
 void KernelBackend::depthwise_conv2d_f32_into(const Tensor& in, const Layer& l,
@@ -881,14 +889,20 @@ void KernelBackend::depthwise_conv2d_f32_into(const Tensor& in, const Layer& l,
                                               std::span<const float> bias,
                                               Tensor& out) {
   guard();
-  ops::depthwise_conv2d_f32_into(in, l, weights, bias, out);
+  if (tier_ == KernelTier::Reference) {
+    ops::depthwise_conv2d_f32_into(in, l, weights, bias, out);
+    return;
+  }
+  depthwise_conv2d_f32_rows_into(in, l, weights, bias, out);
 }
 
 Tensor KernelBackend::fully_connected_f32(const Tensor& in, const Layer& l,
                                           std::span<const float> weights,
                                           std::span<const float> bias) {
   guard();
-  return ops::fully_connected_f32(in, l, weights, bias);
+  Tensor out(TensorShape{1, 1, l.out_channels});
+  fully_connected_f32_into(in, l, weights, bias, out);
+  return out;
 }
 
 void KernelBackend::fully_connected_f32_into(const Tensor& in, const Layer& l,
@@ -896,7 +910,11 @@ void KernelBackend::fully_connected_f32_into(const Tensor& in, const Layer& l,
                                              std::span<const float> bias,
                                              Tensor& out) {
   guard();
-  ops::fully_connected_f32_into(in, l, weights, bias, out);
+  if (tier_ == KernelTier::Reference) {
+    ops::fully_connected_f32_into(in, l, weights, bias, out);
+    return;
+  }
+  fully_connected_f32_interleaved_into(in, l, weights, bias, out);
 }
 
 }  // namespace qmcu::nn::ops

@@ -12,9 +12,16 @@
 //               construction. On hosts without a usable ISA, or with
 //               QMCU_FORCE_SCALAR set when the backend is built, the table
 //               is null and every entry runs its scalar fallback. Integer
-//               arithmetic is order-independent and the float GEMM keeps
-//               the reference accumulation order, so both tables are
+//               arithmetic is order-independent, so both tables are
 //               bit-identical to Reference and Simd is a safe default.
+//               The float ops never read the table. They reorder loops,
+//               never a single output's sum: the conv GEMM (register tiles
+//               seeded with the bias, ascending k; 1x1 stride-1 unpadded
+//               convs skip im2col), the depthwise (channels innermost, each
+//               pixel's row seeded with the bias, in-bounds taps added in
+//               ascending (ky, kx) order) and the fully-connected (eight
+//               outputs per pass over the input, each adding in ascending
+//               input order) are all bit-identical to Reference.
 //
 // Orthogonally to the tier, 2/4-bit conv and fc inputs can take the LUT
 // path (nn/ops/lut/lut_kernels.h): per-layer the backend consults

@@ -4,20 +4,25 @@
 #include <cmath>
 #include <limits>
 
+#include "nn/ops/im2col.h"
+
 namespace qmcu::nn::ops {
 
-float activate(float v, Activation act) {
+void apply_activation_row(float* v, std::size_t n, Activation act) {
   switch (act) {
-    case Activation::None: return v;
-    case Activation::ReLU: return v > 0.0f ? v : 0.0f;
-    case Activation::ReLU6: return std::clamp(v, 0.0f, 6.0f);
+    case Activation::None:
+      return;
+    case Activation::ReLU:
+      for (std::size_t i = 0; i < n; ++i) {
+        v[i] = activate(v[i], Activation::ReLU);
+      }
+      return;
+    case Activation::ReLU6:
+      for (std::size_t i = 0; i < n; ++i) {
+        v[i] = activate(v[i], Activation::ReLU6);
+      }
+      return;
   }
-  return v;
-}
-
-void apply_activation_f32(Tensor& t, Activation act) {
-  if (act == Activation::None) return;
-  for (float& v : t.data()) v = activate(v, act);
 }
 
 namespace {
@@ -27,6 +32,12 @@ TensorShape windowed_shape(const TensorShape& in, const Layer& l,
   const int oh = (in.h + 2 * l.pad_h - l.kernel_h) / l.stride_h + 1;
   const int ow = (in.w + 2 * l.pad_w - l.kernel_w) / l.stride_w + 1;
   return {oh, ow, out_channels};
+}
+
+// dst[i] += a[i] * b[i]: one multiply and one add per lane, in that order.
+void add_products(float* __restrict dst, const float* __restrict a,
+                  const float* __restrict b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] += a[i] * b[i];
 }
 
 void require_out_shape(const Tensor& out, const TensorShape& expect,
@@ -134,6 +145,43 @@ void depthwise_conv2d_f32_into(const Tensor& in, const Layer& l,
   }
 }
 
+void depthwise_conv2d_f32_rows_into(const Tensor& in, const Layer& l,
+                                    std::span<const float> weights,
+                                    std::span<const float> bias, Tensor& out) {
+  const TensorShape& is = in.shape();
+  const TensorShape os = windowed_shape(is, l, is.c);
+  QMCU_REQUIRE(static_cast<std::int64_t>(weights.size()) ==
+                   static_cast<std::int64_t>(l.kernel_h) * l.kernel_w * is.c,
+               "dwconv weight count mismatch");
+  require_out_shape(out, os, "depthwise_conv2d_f32");
+  const auto c = static_cast<std::size_t>(is.c);
+  const float* x = in.data().data();
+  const float* w = weights.data();
+  float* y = out.data().data();
+  for (int oy = 0; oy < os.h; ++oy) {
+    const int iy0 = oy * l.stride_h - l.pad_h;
+    const KernelRange kys = valid_kernel_range(iy0, l.kernel_h, is.h);
+    for (int ox = 0; ox < os.w; ++ox) {
+      const int ix0 = ox * l.stride_w - l.pad_w;
+      const KernelRange kxs = valid_kernel_range(ix0, l.kernel_w, is.w);
+      float* row = y + static_cast<std::size_t>(flat_index(os, oy, ox, 0));
+      if (bias.empty()) {
+        std::fill_n(row, c, 0.0f);
+      } else {
+        std::copy_n(bias.data(), c, row);
+      }
+      for (int ky = kys.lo; ky < kys.hi; ++ky) {
+        for (int kx = kxs.lo; kx < kxs.hi; ++kx) {
+          add_products(
+              row, x + flat_index(is, iy0 + ky, ix0 + kx, 0),
+              w + (static_cast<std::size_t>(ky) * l.kernel_w + kx) * c, c);
+        }
+      }
+      apply_activation_row(row, c, l.act);
+    }
+  }
+}
+
 Tensor depthwise_conv2d_f32(const Tensor& in, const Layer& l,
                             std::span<const float> weights,
                             std::span<const float> bias) {
@@ -162,6 +210,42 @@ void fully_connected_f32_into(const Tensor& in, const Layer& l,
              weights[wbase + static_cast<std::size_t>(i)];
     }
     y[static_cast<std::size_t>(o)] = activate(acc, l.act);
+  }
+}
+
+void fully_connected_f32_interleaved_into(const Tensor& in, const Layer& l,
+                                          std::span<const float> weights,
+                                          std::span<const float> bias,
+                                          Tensor& out) {
+  const std::int64_t in_features = in.elements();
+  QMCU_REQUIRE(static_cast<std::int64_t>(weights.size()) ==
+                   in_features * l.out_channels,
+               "fc weight count mismatch");
+  require_out_shape(out, TensorShape{1, 1, l.out_channels},
+                    "fully_connected_f32");
+  constexpr int kLanes = 8;
+  const auto k = static_cast<std::size_t>(in_features);
+  const float* x = in.data().data();
+  float* y = out.data().data();
+  const auto seed = [&](int o) {
+    return bias.empty() ? 0.0f : bias[static_cast<std::size_t>(o)];
+  };
+  int o = 0;
+  for (; o + kLanes <= l.out_channels; o += kLanes) {
+    const float* w = weights.data() + static_cast<std::size_t>(o) * k;
+    float acc[kLanes];
+    for (int j = 0; j < kLanes; ++j) acc[j] = seed(o + j);
+    for (std::size_t i = 0; i < k; ++i) {
+      const float v = x[i];
+      for (int j = 0; j < kLanes; ++j) acc[j] += v * w[j * k + i];
+    }
+    for (int j = 0; j < kLanes; ++j) y[o + j] = activate(acc[j], l.act);
+  }
+  for (; o < l.out_channels; ++o) {
+    const float* w = weights.data() + static_cast<std::size_t>(o) * k;
+    float acc = seed(o);
+    for (std::size_t i = 0; i < k; ++i) acc += x[i] * w[i];
+    y[o] = activate(acc, l.act);
   }
 }
 

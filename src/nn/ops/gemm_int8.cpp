@@ -1,6 +1,7 @@
 #include "nn/ops/gemm_int8.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "nn/ops/float_kernels.h"
 #include "nn/ops/simd/simd_kernels.h"
@@ -115,17 +116,73 @@ void gemm_block_i8(const std::int8_t* __restrict a,
   }
 }
 
+// Eight float lanes in a GCC/Clang vector type, lowered to whatever vector
+// unit the target has (one AVX register, two SSE or NEON registers).
+// Lane-wise `c += a * w` is one multiply and one add per lane, in that
+// order, as in the scalar loop: this TU is built with -ffp-contract=off.
+using F32x8 = float __attribute__((vector_size(32)));
+constexpr int kF32Lanes = static_cast<int>(sizeof(F32x8) / sizeof(float));
+
+F32x8 load_f32x8(const float* p) {
+  F32x8 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+void store_f32x8(float* p, F32x8 v) { std::memcpy(p, &v, sizeof(v)); }
+
+// Four A rows against `V` vectors of columns starting at j: 4·V
+// accumulators stay in registers for the whole k loop, so each weight
+// vector loaded serves four rows and no accumulator goes through memory
+// per k step.
+template <int V>
+void gemm_tile_f32(const float* __restrict a, const float* __restrict bt,
+                   int n, int k, int j, float* __restrict acc) {
+  F32x8 c[4][V];
+  for (int r = 0; r < 4; ++r) {
+    for (int v = 0; v < V; ++v) {
+      c[r][v] = load_f32x8(acc + static_cast<std::size_t>(r) * n + j +
+                           v * kF32Lanes);
+    }
+  }
+  const float* a_rows[4] = {a, a + k, a + 2 * static_cast<std::size_t>(k),
+                            a + 3 * static_cast<std::size_t>(k)};
+  for (int kk = 0; kk < k; ++kk) {
+    const float* bp = bt + static_cast<std::size_t>(kk) * n + j;
+    F32x8 w[V];
+    for (int v = 0; v < V; ++v) w[v] = load_f32x8(bp + v * kF32Lanes);
+    for (int r = 0; r < 4; ++r) {
+      const float x = a_rows[r][kk];
+      for (int v = 0; v < V; ++v) c[r][v] += x * w[v];
+    }
+  }
+  for (int r = 0; r < 4; ++r) {
+    for (int v = 0; v < V; ++v) {
+      store_f32x8(acc + static_cast<std::size_t>(r) * n + j + v * kF32Lanes,
+                  c[r][v]);
+    }
+  }
+}
+
 // Unlike the integer block, `acc` arrives pre-seeded with the bias so the
 // per-output accumulation order (bias first, then ascending k) matches the
-// reference float kernels bit-for-bit. Float keeps the pointer-row form
-// (the loop vectorizer handles it directly; fixed-size tiles would only be
-// SLP candidates, which gcc declines for FP accumulator groups). The
-// __restrict parameters make the four accumulator rows provably disjoint
-// from the operands, so no versioned aliasing checks survive. Row
-// regrouping never reorders a single output's own sum.
+// reference float kernels bit-for-bit. Full four-row blocks run register
+// tiles of 16 and then 8 columns; the remaining columns and short row
+// blocks keep the pointer-row loops. The __restrict parameters make the
+// accumulator rows provably disjoint from the operands, so no versioned
+// aliasing checks survive. Column tiling and row regrouping never reorder
+// a single output's own sum.
 void gemm_block_f32(const float* __restrict a, const float* __restrict bt,
                     int rows, int n, int k, float* __restrict acc) {
   if (rows == 4) {
+    int j = 0;
+    for (; j + 2 * kF32Lanes <= n; j += 2 * kF32Lanes) {
+      gemm_tile_f32<2>(a, bt, n, k, j, acc);
+    }
+    for (; j + kF32Lanes <= n; j += kF32Lanes) {
+      gemm_tile_f32<1>(a, bt, n, k, j, acc);
+    }
+    if (j == n) return;
     const float* a0 = a;
     const float* a1 = a + k;
     const float* a2 = a + 2 * static_cast<std::size_t>(k);
@@ -140,12 +197,12 @@ void gemm_block_f32(const float* __restrict a, const float* __restrict bt,
       const float v2 = a2[kk];
       const float v3 = a3[kk];
       const float* bp = bt + static_cast<std::size_t>(kk) * n;
-      for (int j = 0; j < n; ++j) {
-        const float w = bp[j];
-        c0[j] += v0 * w;
-        c1[j] += v1 * w;
-        c2[j] += v2 * w;
-        c3[j] += v3 * w;
+      for (int jj = j; jj < n; ++jj) {
+        const float w = bp[jj];
+        c0[jj] += v0 * w;
+        c1[jj] += v1 * w;
+        c2[jj] += v2 * w;
+        c3[jj] += v3 * w;
       }
     }
     return;
@@ -214,26 +271,21 @@ void gemm_int8_requant(const std::int8_t* a, const std::int8_t* bt, int m,
 }
 
 void gemm_f32(const float* a, const float* bt, int m, int n, int k,
-              std::span<const float> bias, Activation act, float* acc,
-              float* c) {
+              std::span<const float> bias, Activation act, float* c) {
   for (int m0 = 0; m0 < m; m0 += 4) {
     const int rows = std::min(4, m - m0);
+    float* block = c + static_cast<std::size_t>(m0) * n;
     for (int r = 0; r < rows; ++r) {
-      float* row = acc + static_cast<std::size_t>(r) * n;
+      float* row = block + static_cast<std::size_t>(r) * n;
       if (bias.empty()) {
         std::fill_n(row, n, 0.0f);
       } else {
         std::copy(bias.begin(), bias.end(), row);
       }
     }
-    gemm_block_f32(a + static_cast<std::size_t>(m0) * k, bt, rows, n, k, acc);
-    for (int r = 0; r < rows; ++r) {
-      const float* row = acc + static_cast<std::size_t>(r) * n;
-      float* out = c + static_cast<std::size_t>(m0 + r) * n;
-      for (int j = 0; j < n; ++j) {
-        out[j] = activate(row[j], act);
-      }
-    }
+    gemm_block_f32(a + static_cast<std::size_t>(m0) * k, bt, rows, n, k,
+                   block);
+    apply_activation_row(block, static_cast<std::size_t>(rows) * n, act);
   }
 }
 

@@ -65,10 +65,9 @@ void gemm_int8_requant(const std::int8_t* a, const std::int8_t* bt, int m,
 
 // Float flavour: C[m][n] = act(A·Bt + bias[n]). Accumulation order over k is
 // ascending with one scalar accumulator per output, bit-identical to the
-// reference kernels (zero-padded lanes contribute exact +0.0f).
-// `acc` is caller-provided scratch of at least 4 * n floats.
+// reference kernels (zero-padded lanes contribute exact +0.0f). C itself
+// holds the accumulators, so the call needs no scratch.
 void gemm_f32(const float* a, const float* bt, int m, int n, int k,
-              std::span<const float> bias, Activation act, float* acc,
-              float* c);
+              std::span<const float> bias, Activation act, float* c);
 
 }  // namespace qmcu::nn::ops

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace qmcu::nn {
 
@@ -68,8 +69,35 @@ Tensor fake_quantize(const Tensor& t, const QuantParams& params) {
 MinMax tensor_min_max(const Tensor& t) {
   const auto d = t.data();
   if (d.empty()) return {};
-  const auto [lo, hi] = std::minmax_element(d.begin(), d.end());
-  return {*lo, *hi};
+  // Eight running lanes in a GCC/Clang vector type: the vectorizer leaves
+  // float min/max reductions scalar, since their order decides which of
+  // +0 and -0 wins.
+  using Lanes = float __attribute__((vector_size(32)));
+  constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(float);
+  Lanes lo;
+  Lanes hi;
+  for (std::size_t j = 0; j < kLanes; ++j) lo[j] = hi[j] = d[0];
+  std::size_t i = 0;
+  for (; i + kLanes <= d.size(); i += kLanes) {
+    Lanes v;
+    std::memcpy(&v, d.data() + i, sizeof(v));
+    lo = v < lo ? v : lo;
+    hi = v > hi ? v : hi;
+  }
+  MinMax r{d[0], d[0]};
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    r.min_v = lo[j] < r.min_v ? lo[j] : r.min_v;
+    r.max_v = hi[j] > r.max_v ? hi[j] : r.max_v;
+  }
+  for (; i < d.size(); ++i) {
+    r.min_v = d[i] < r.min_v ? d[i] : r.min_v;
+    r.max_v = d[i] > r.max_v ? d[i] : r.max_v;
+  }
+  // Lanes may settle on either zero; minmax_element keeps the first
+  // minimal and the last maximal element.
+  if (r.min_v == 0.0f) r.min_v = *std::find(d.begin(), d.end(), 0.0f);
+  if (r.max_v == 0.0f) r.max_v = *std::find(d.rbegin(), d.rend(), 0.0f);
+  return r;
 }
 
 }  // namespace qmcu::nn

@@ -217,7 +217,11 @@ void dequantize_into(const QTensor& q, Tensor& out);
 // effectively compute on. Used by the entropy/accuracy analyses.
 Tensor fake_quantize(const Tensor& t, const QuantParams& params);
 
-// Min / max over the tensor data (returns {0, 0} for empty tensors).
+// Min / max over the tensor data (returns {0, 0} for empty tensors): for
+// NaN-free data the first minimal and the last maximal element, as
+// std::minmax_element picks them (so the sign of a zero bound matches it
+// too), in one vectorized pass. A NaN element is skipped unless it comes
+// first, which makes the result NaN.
 struct MinMax {
   float min_v = 0.0f;
   float max_v = 0.0f;

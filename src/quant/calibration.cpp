@@ -1,6 +1,8 @@
 #include "quant/calibration.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 namespace qmcu::quant {
 
@@ -22,9 +24,21 @@ void RangeObserver::observe(std::span<const nn::Tensor> feature_maps) {
   }
 }
 
+void require_finite_calibration(std::span<const nn::Tensor> inputs) {
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const auto d = inputs[i].data();
+    const bool finite = std::all_of(d.begin(), d.end(), [](float v) {
+      return std::isfinite(v);
+    });
+    QMCU_REQUIRE(finite, "calibration image " + std::to_string(i) +
+                             " holds a NaN or an infinity");
+  }
+}
+
 std::vector<LayerRange> calibrate_ranges(const nn::Graph& g,
                                          std::span<const nn::Tensor> inputs) {
   QMCU_REQUIRE(!inputs.empty(), "calibration needs at least one input");
+  require_finite_calibration(inputs);
   const nn::Executor exec(g);
   RangeObserver observer(g);
   for (const nn::Tensor& in : inputs) {

@@ -37,7 +37,14 @@ class RangeObserver {
   std::vector<LayerRange> ranges_;
 };
 
+// Throws std::invalid_argument naming the first image of `inputs` that
+// holds a NaN or an infinity. Ranges and entropies of such a batch are
+// meaningless (a NaN range, an infinite histogram grid), so every
+// calibration entry point checks its batch before the first forward pass.
+void require_finite_calibration(std::span<const nn::Tensor> inputs);
+
 // Runs `inputs` through the float executor and returns per-layer ranges.
+// Rejects a non-finite batch (require_finite_calibration).
 std::vector<LayerRange> calibrate_ranges(const nn::Graph& g,
                                          std::span<const nn::Tensor> inputs);
 

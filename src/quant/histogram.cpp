@@ -1,20 +1,18 @@
 #include "quant/histogram.h"
 
-#include <algorithm>
-
 namespace qmcu::quant {
 
 Histogram::Histogram(float lo, float hi, int k) : lo_(lo), hi_(hi) {
   QMCU_REQUIRE(k >= 1, "histogram needs at least one bin");
   QMCU_REQUIRE(lo < hi, "histogram range must be non-degenerate");
   inv_width_ = static_cast<float>(k) / (hi - lo);
+  top_ = static_cast<float>(k - 1);
   counts_.assign(static_cast<std::size_t>(k), 0);
 }
 
 void Histogram::add(float value) {
-  int bin = static_cast<int>((value - lo_) * inv_width_);
-  bin = std::clamp(bin, 0, bins() - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
+  QMCU_REQUIRE(value == value, "cannot histogram NaN");
+  ++counts_[static_cast<std::size_t>(bin_of(value))];
   ++total_;
 }
 
@@ -30,16 +28,6 @@ std::vector<double> Histogram::probabilities() const {
     p[i] = static_cast<double>(counts_[i]) * inv;
   }
   return p;
-}
-
-Histogram histogram_of(const nn::Tensor& t, int k) {
-  const auto [lo, hi] = nn::tensor_min_max(t);
-  // Degenerate (constant) tensors get a token range so the histogram is
-  // well-formed; all mass lands in one bin and the entropy is 0 as expected.
-  const float span = hi - lo;
-  Histogram h(lo, span > 0.0f ? hi : lo + 1.0f, k);
-  h.add_all(t.data());
-  return h;
 }
 
 }  // namespace qmcu::quant

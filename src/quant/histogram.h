@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "nn/check.h"
-#include "nn/tensor.h"
 
 namespace qmcu::quant {
 
@@ -20,6 +19,17 @@ class Histogram {
   // Range [lo, hi] with k uniform bins; requires lo < hi, k >= 1.
   Histogram(float lo, float hi, int k);
 
+  // Bin of `value`: floor((value - lo) * k / (hi - lo)), clamped into
+  // [0, k-1] before the integer conversion, so infinities land in the edge
+  // bins. Branch-free; NaN has no bin and maps to bin 0 (add() rejects it).
+  [[nodiscard]] int bin_of(float value) const {
+    float pos = (value - lo_) * inv_width_;
+    pos = pos >= 0.0f ? pos : 0.0f;
+    pos = pos <= top_ ? pos : top_;
+    return static_cast<int>(pos);
+  }
+
+  // Throws std::invalid_argument for NaN.
   void add(float value);
   void add_all(std::span<const float> values);
 
@@ -38,11 +48,9 @@ class Histogram {
   float lo_;
   float hi_;
   float inv_width_;
+  float top_;  // k - 1, the last bin as a float
   std::vector<std::int64_t> counts_;
   std::int64_t total_ = 0;
 };
-
-// Histogram of a tensor over its own [min, max] range.
-Histogram histogram_of(const nn::Tensor& t, int k);
 
 }  // namespace qmcu::quant

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "nn/executor.h"
 #include "nn/memory_planner.h"
@@ -197,6 +199,26 @@ TEST(Calibration, MultipleImagesWidenRanges) {
               r1[static_cast<std::size_t>(i)].min_v + 1e-6f);
     EXPECT_GE(r2[static_cast<std::size_t>(i)].max_v,
               r1[static_cast<std::size_t>(i)].max_v - 1e-6f);
+  }
+}
+
+// A NaN range would reach every QuantParams built from it. The batch is
+// checked before any forward pass, and the error names the bad image.
+TEST(Calibration, RejectsNonFiniteImage) {
+  const Graph g = small_net();
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    std::vector<Tensor> calib{random_input(g.shape(0), 14),
+                              random_input(g.shape(0), 15)};
+    calib[1].at(3, 5, 1) = bad;
+    try {
+      (void)quant::calibrate_ranges(g, calib);
+      ADD_FAILURE() << "calibrate_ranges accepted an image holding " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("calibration image 1"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

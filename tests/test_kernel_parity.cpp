@@ -5,14 +5,16 @@
 // 2/4/8-bit weight/activation ranges — both on the table this process
 // dispatches and on the scalar fallbacks, which each suite pins in process
 // with QMCU_FORCE_SCALAR. Integer arithmetic makes this an exact contract,
-// not a tolerance; the float GEMM conv preserves the reference
-// accumulation order, so it is exact too.
+// not a tolerance; the float conv, depthwise and fully-connected bodies
+// keep every output's reference accumulation order, so they are exact too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "nn/ops/gemm_int8.h"
@@ -738,9 +740,38 @@ TEST(KernelParity, BlockedWeightPackIdenticalPanels) {
   }
 }
 
+// Float outputs compared as bit patterns: == would let +0/-0 differ.
+void expect_bits_identical(const Tensor& want, const Tensor& got,
+                           const std::string& what) {
+  ASSERT_EQ(want.shape(), got.shape()) << what;
+  for (std::size_t i = 0; i < want.data().size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(want.data()[i]),
+              std::bit_cast<std::uint32_t>(got.data()[i]))
+        << what << " element " << i << ": " << want.data()[i] << " vs "
+        << got.data()[i];
+  }
+}
+
+Tensor random_f32(nn::Rng& rng, TensorShape s) {
+  Tensor t(s);
+  for (float& v : t.data()) v = static_cast<float>(rng.normal(0.0, 1.0));
+  return t;
+}
+
+std::vector<float> random_f32s(nn::Rng& rng, std::size_t n, double sd) {
+  std::vector<float> v(n);
+  for (float& x : v) x = static_cast<float>(rng.normal(0.0, sd));
+  return v;
+}
+
+constexpr Activation kActs[] = {Activation::None, Activation::ReLU,
+                                Activation::ReLU6};
+
+// Every third trial is a 1x1, stride-1, unpadded conv: the whole map is
+// then one GEMM without im2col.
 TEST(KernelParity, FloatConvBitExact) {
   nn::Rng rng(606);
-  for (int trial = 0; trial < 25; ++trial) {
+  for (int trial = 0; trial < 36; ++trial) {
     const int h = 4 + static_cast<int>(rng.uniform(0, 10));
     const int w = 4 + static_cast<int>(rng.uniform(0, 10));
     const int ch = 1 + static_cast<int>(rng.uniform(0, 15));
@@ -750,22 +781,130 @@ TEST(KernelParity, FloatConvBitExact) {
     l.kernel_h = l.kernel_w = 1 + 2 * static_cast<int>(rng.uniform(0, 2));
     l.stride_h = l.stride_w = 1 + static_cast<int>(rng.uniform(0, 2));
     l.pad_h = l.pad_w = static_cast<int>(rng.uniform(0, l.kernel_h));
+    if (trial % 3 == 0) {
+      l.kernel_h = l.kernel_w = l.stride_h = l.stride_w = 1;
+      l.pad_h = l.pad_w = 0;
+    }
     l.out_channels = out_c;
-    l.act = Activation::ReLU;
-    Tensor in(TensorShape{h, w, ch});
-    for (float& v : in.data()) v = static_cast<float>(rng.normal(0.0, 1.0));
-    std::vector<float> weights(static_cast<std::size_t>(out_c) * l.kernel_h *
-                               l.kernel_w * ch);
-    for (float& v : weights) v = static_cast<float>(rng.normal(0.0, 0.2));
-    std::vector<float> bias(static_cast<std::size_t>(out_c));
+    l.act = kActs[trial % 3 == 0 ? (trial / 3) % 3 : 1];
+    const Tensor in = random_f32(rng, TensorShape{h, w, ch});
+    const std::vector<float> weights = random_f32s(
+        rng, static_cast<std::size_t>(out_c) * l.kernel_h * l.kernel_w * ch,
+        0.2);
+    std::vector<float> bias(trial % 4 == 3 ? 0
+                                           : static_cast<std::size_t>(out_c));
     for (float& v : bias) v = static_cast<float>(rng.uniform(-0.3, 0.3));
 
     KernelBackend simd(KernelTier::Simd);
-    const Tensor ref = conv2d_f32(in, l, weights, bias);
-    const Tensor got = simd.conv2d_f32(in, l, weights, bias);
-    ASSERT_EQ(ref.shape(), got.shape());
-    for (std::size_t i = 0; i < ref.data().size(); ++i) {
-      ASSERT_EQ(ref.data()[i], got.data()[i]) << "element " << i;
+    expect_bits_identical(conv2d_f32(in, l, weights, bias),
+                          simd.conv2d_f32(in, l, weights, bias),
+                          "conv trial " + std::to_string(trial));
+  }
+}
+
+// The Simd depthwise walks channels innermost, seeding each pixel's row
+// with the bias and adding the in-bounds taps in (ky, kx) order. Channel
+// counts below, at and above one vector; both strides; padding that
+// differs per axis, and windows clipped on every border.
+TEST(KernelParity, FloatDepthwiseBitExact) {
+  nn::Rng rng(1919);
+  struct Geometry {
+    int kh, kw, sh, sw, ph, pw;
+  };
+  const Geometry geometries[] = {{3, 3, 1, 1, 1, 1}, {3, 3, 2, 2, 1, 1},
+                                 {3, 3, 1, 2, 1, 0}, {5, 5, 2, 1, 2, 1},
+                                 {3, 5, 1, 1, 0, 2}, {1, 1, 1, 1, 0, 0},
+                                 {7, 7, 2, 2, 3, 3}};
+  int trial = 0;
+  for (const int ch : {1, 3, 8, 17}) {
+    for (const Geometry& geo : geometries) {
+      for (const Activation act : kActs) {
+        for (const bool with_bias : {true, false}) {
+          Layer l;
+          l.kind = OpKind::DepthwiseConv2D;
+          l.kernel_h = geo.kh;
+          l.kernel_w = geo.kw;
+          l.stride_h = geo.sh;
+          l.stride_w = geo.sw;
+          l.pad_h = geo.ph;
+          l.pad_w = geo.pw;
+          l.act = act;
+          l.out_channels = ch;
+          const int h = 5 + static_cast<int>(rng.uniform(0, 6));
+          const int w = 5 + static_cast<int>(rng.uniform(0, 6));
+          const Tensor in = random_f32(rng, TensorShape{h, w, ch});
+          const std::vector<float> weights = random_f32s(
+              rng, static_cast<std::size_t>(geo.kh) * geo.kw * ch, 0.4);
+          const std::vector<float> bias =
+              with_bias ? random_f32s(rng, static_cast<std::size_t>(ch), 0.3)
+                        : std::vector<float>{};
+          KernelBackend simd(KernelTier::Simd);
+          const Tensor want = depthwise_conv2d_f32(in, l, weights, bias);
+          const std::string what = "dw trial " + std::to_string(trial++);
+          expect_bits_identical(
+              want, simd.depthwise_conv2d_f32(in, l, weights, bias), what);
+          Tensor into(want.shape());
+          simd.depthwise_conv2d_f32_into(in, l, weights, bias, into);
+          expect_bits_identical(want, into, what + " (into)");
+        }
+      }
+    }
+  }
+}
+
+// The Simd fully-connected runs eight outputs per pass over the input;
+// output counts off that interleave leave a one-at-a-time tail.
+TEST(KernelParity, FloatFullyConnectedBitExact) {
+  nn::Rng rng(2020);
+  int trial = 0;
+  for (const int out_c : {1, 7, 8, 9, 13, 16, 17, 31}) {
+    for (const int in_features : {1, 5, 64, 203}) {
+      for (const Activation act : kActs) {
+        Layer l;
+        l.kind = OpKind::FullyConnected;
+        l.out_channels = out_c;
+        l.act = act;
+        const Tensor in = random_f32(rng, TensorShape{1, 1, in_features});
+        const std::vector<float> weights = random_f32s(
+            rng, static_cast<std::size_t>(out_c) * in_features, 0.1);
+        const std::vector<float> bias =
+            trial % 2 == 0
+                ? random_f32s(rng, static_cast<std::size_t>(out_c), 0.3)
+                : std::vector<float>{};
+        KernelBackend simd(KernelTier::Simd);
+        const Tensor want = fully_connected_f32(in, l, weights, bias);
+        const std::string what = "fc trial " + std::to_string(trial++);
+        expect_bits_identical(want,
+                              simd.fully_connected_f32(in, l, weights, bias),
+                              what);
+        Tensor into(want.shape());
+        simd.fully_connected_f32_into(in, l, weights, bias, into);
+        expect_bits_identical(want, into, what + " (into)");
+      }
+    }
+  }
+}
+
+// Every feature map of every zoo model, Simd against Reference, as bit
+// patterns. Calibration and the planner's entropy profiles read these maps
+// from the Simd tier.
+TEST(Executor, SimdRunAllEqualsReferenceOnZooModels) {
+  models::ModelConfig cfg;
+  cfg.width_multiplier = 0.25f;
+  cfg.resolution = 64;
+  cfg.num_classes = 10;
+  nn::Rng rng(2121);
+  for (const std::string& name : models::model_names()) {
+    const Graph g = models::make_model(name, cfg);
+    const Tensor in = random_f32(rng, g.shape(0));
+    const std::vector<Tensor> want =
+        Executor(g, KernelTier::Reference).run_all(in);
+    const std::vector<Tensor> got = Executor(g, KernelTier::Simd).run_all(in);
+    ASSERT_EQ(want.size(), got.size()) << name;
+    for (std::size_t id = 0; id < want.size(); ++id) {
+      expect_bits_identical(want[id], got[id],
+                            name + " layer " + std::to_string(id) + " (" +
+                                g.layer(static_cast<int>(id)).name + ")");
     }
   }
 }

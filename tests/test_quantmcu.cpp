@@ -3,6 +3,9 @@
 // orderings the paper reports.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/quantmcu.h"
 #include "data/synthetic.h"
 #include "mcu/bitops.h"
@@ -170,6 +173,26 @@ TEST(QuantMcuPlan, RejectsEmptyCalibration) {
   EXPECT_THROW(
       build_quantmcu_plan(f.g, f.dev, {}, f.config()),
       std::invalid_argument);
+}
+
+// build_quantmcu_plan takes the calibration batch on its own, so it checks
+// it like calibrate_ranges: a NaN or an infinity is named by image index
+// before any forward pass (an infinite map used to give entropy 0).
+TEST(QuantMcu, RejectsNonFiniteCalibration) {
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    Fixture f;
+    f.calib[1].at(7, 2, 0) = bad;
+    try {
+      (void)build_quantmcu_plan(f.g, f.dev, f.calib, f.config());
+      ADD_FAILURE() << "build_quantmcu_plan accepted an image holding "
+                    << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("calibration image 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

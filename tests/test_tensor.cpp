@@ -1,7 +1,10 @@
 // Unit tests for Tensor / QTensor (nn/tensor.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -92,6 +95,36 @@ TEST(TensorMinMax, FindsExtremes) {
   const auto [lo, hi] = tensor_min_max(t);
   EXPECT_FLOAT_EQ(lo, -7.0f);
   EXPECT_FLOAT_EQ(hi, 3.0f);
+}
+
+// The lane-wise pass returns the same bits as std::minmax_element (first
+// minimum, last maximum) for every length's lane tail, including which
+// zero a bound of 0 carries when both signs occur.
+TEST(TensorMinMax, MatchesMinmaxElementBitForBit) {
+  Rng rng(95);
+  for (int n = 1; n <= 40; ++n) {
+    for (int trial = 0; trial < 4; ++trial) {
+      Tensor t(TensorShape{1, 1, n});
+      // Trial 0 draws both signs; 1 only negatives, so the max is a zero;
+      // 2 and 3 only positives, so the min is a zero.
+      for (float& v : t.data()) {
+        const double u = rng.uniform();
+        const double x = trial == 0   ? rng.normal(0.0, 1.0)
+                         : trial == 1 ? -rng.uniform(0.1, 2.0)
+                                      : rng.uniform(0.1, 2.0);
+        v = u < 0.3 ? 0.0f : u < 0.6 ? -0.0f : static_cast<float>(x);
+      }
+      const auto d = t.data();
+      const auto [lo, hi] = std::minmax_element(d.begin(), d.end());
+      const MinMax got = tensor_min_max(t);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got.min_v),
+                std::bit_cast<std::uint32_t>(*lo))
+          << "n=" << n << " trial=" << trial;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got.max_v),
+                std::bit_cast<std::uint32_t>(*hi))
+          << "n=" << n << " trial=" << trial;
+    }
+  }
 }
 
 // quantize_row is the vectorized row routine behind quantize_into and the
