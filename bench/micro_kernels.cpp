@@ -29,6 +29,7 @@
 #include "nn/serving/serving_frontend.h"
 #include "patch/mcunetv2.h"
 #include "patch/patch_plan.h"
+#include "patch/patch_quant_executor.h"
 #include "quant/bitpack.h"
 #include "quant/calibration.h"
 #include "quant/entropy.h"

@@ -22,6 +22,7 @@
 #include <limits>
 
 #include "models/weights.h"
+#include "patch/patch_quant_executor.h"
 #include "patch/restructuring.h"
 #include "patch/rnnpool.h"
 #include "quant/calibration.h"

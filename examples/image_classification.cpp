@@ -49,8 +49,8 @@ int main() {
   // --- 2. patch-based inference is bit-exact --------------------------------
   const patch::PatchPlan plan =
       patch::build_patch_plan(net, patch::plan_mcunetv2(net, {3, 4}));
-  const patch::PatchExecutor pexec(net, plan);
-  const nn::Tensor patch_out = pexec.run(image);
+  const patch::CompiledPatchModel patch_model(net, plan);
+  const nn::Tensor patch_out = patch_model.run(image);
   bool identical = true;
   for (std::size_t i = 0; i < ref_out.data().size(); ++i) {
     identical = identical && ref_out.data()[i] == patch_out.data()[i];

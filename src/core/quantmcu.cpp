@@ -6,6 +6,7 @@
 
 #include "mcu/bitops.h"
 #include "nn/executor.h"
+#include "patch/region_crop.h"
 #include "quant/entropy.h"
 
 namespace qmcu::core {
@@ -37,6 +38,17 @@ void add_profile(const nn::Tensor& fm, int k, FeatureMapProfile& p) {
   }
 }
 
+// Branch step `step`'s feature map. Patch inference is halo-exact, so it
+// is the layer-based map `fms[step.layer_id]` cropped to the step's output
+// region (zero-filled where that region reaches into padding).
+nn::Tensor step_map(const nn::Graph& g, std::span<const nn::Tensor> fms,
+                    const patch::BranchStep& step) {
+  const nn::TensorShape& shape = g.shape(step.layer_id);
+  return patch::crop_from_region(fms[static_cast<std::size_t>(step.layer_id)],
+                                 patch::full_region(shape), step.out_region,
+                                 shape);
+}
+
 }  // namespace
 
 QuantMcuPlan build_quantmcu_plan(const nn::Graph& g, const mcu::Device& dev,
@@ -59,33 +71,6 @@ QuantMcuPlan build_quantmcu_plan(const nn::Graph& g, const mcu::Device& dev,
   plan.full_precision_bitops = mcu::full_precision_bitops(g);
   plan.tail_bits = std::vector<int>(static_cast<std::size_t>(g.size()), 8);
 
-  // ---- whole-model float calibration pass --------------------------------
-  // Needed for H(N, b_last) and, when the tail is quantized, for the tail
-  // branch's entropy profile.
-  const nn::Executor exec(g);
-  const int last_id = last_entropy_layer(g);
-  const int split = plan.patch_plan.spec.split_layer;
-  std::vector<FeatureMapProfile> tail_profile(
-      static_cast<std::size_t>(g.size() - split - 1));
-  {
-    double h_sum = 0.0;
-    for (const nn::Tensor& img : calibration) {
-      const std::vector<nn::Tensor> fms = exec.run_all(img);
-      h_sum += quant::quantized_activation_entropy(
-          fms[static_cast<std::size_t>(last_id)], 8, cfg.histogram_bins);
-      if (cfg.quantize_tail) {
-        for (int id = split + 1; id < g.size(); ++id) {
-          FeatureMapProfile& p =
-              tail_profile[static_cast<std::size_t>(id - split - 1)];
-          add_profile(fms[static_cast<std::size_t>(id)], cfg.histogram_bins,
-                      p);
-        }
-      }
-    }
-    plan.last_output_entropy =
-        std::max(1e-6, h_sum / static_cast<double>(calibration.size()));
-  }
-
   // ---- VDPC statistics on the calibration set ----------------------------
   {
     double frac = 0.0;
@@ -98,10 +83,17 @@ QuantMcuPlan build_quantmcu_plan(const nn::Graph& g, const mcu::Device& dev,
   }
 
   // ---- VDQS: profile + search (timed — Table II "Time") ------------------
+  // One whole-model float pass per calibration image feeds every profile:
+  // H(N, b_last), the tail branch's feature maps (when the tail is
+  // quantized) and every branch step's map, cropped from the layer-based
+  // map it tiles.
   const auto t0 = Clock::now();
-  const patch::PatchExecutor pexec(g, plan.patch_plan);
+  const nn::Executor exec(g);
+  const int last_id = last_entropy_layer(g);
+  const int split = plan.patch_plan.spec.split_layer;
   const int num_branches = static_cast<int>(plan.patch_plan.branches.size());
-
+  std::vector<FeatureMapProfile> tail_profile(
+      static_cast<std::size_t>(g.size() - split - 1));
   // Accumulated entropy profiles per branch/step.
   std::vector<std::vector<FeatureMapProfile>> profiles(
       static_cast<std::size_t>(num_branches));
@@ -110,18 +102,30 @@ QuantMcuPlan build_quantmcu_plan(const nn::Graph& g, const mcu::Device& dev,
         plan.patch_plan.branches[static_cast<std::size_t>(b)].steps.size());
   }
 
+  double h_sum = 0.0;
   for (const nn::Tensor& img : calibration) {
-    const auto stage = pexec.run_stage(img);
+    const std::vector<nn::Tensor> fms = exec.run_all(img);
+    h_sum += quant::quantized_activation_entropy(
+        fms[static_cast<std::size_t>(last_id)], 8, cfg.histogram_bins);
+    if (cfg.quantize_tail) {
+      for (int id = split + 1; id < g.size(); ++id) {
+        FeatureMapProfile& p =
+            tail_profile[static_cast<std::size_t>(id - split - 1)];
+        add_profile(fms[static_cast<std::size_t>(id)], cfg.histogram_bins, p);
+      }
+    }
     for (int b = 0; b < num_branches; ++b) {
       const auto& steps =
           plan.patch_plan.branches[static_cast<std::size_t>(b)].steps;
       for (std::size_t s = 0; s < steps.size(); ++s) {
-        add_profile(stage[static_cast<std::size_t>(b)][s],
-                    cfg.histogram_bins,
+        add_profile(step_map(g, fms, steps[s]), cfg.histogram_bins,
                     profiles[static_cast<std::size_t>(b)][s]);
       }
     }
   }
+  plan.last_output_entropy =
+      std::max(1e-6, h_sum / static_cast<double>(calibration.size()));
+
   const double inv_n = 1.0 / static_cast<double>(calibration.size());
   for (int b = 0; b < num_branches; ++b) {
     const patch::PatchBranch& branch =
@@ -164,13 +168,12 @@ QuantMcuPlan build_quantmcu_plan(const nn::Graph& g, const mcu::Device& dev,
 
   // ---- tail branch: the shared post-merge feature maps -------------------
   if (cfg.quantize_tail && !tail_profile.empty()) {
-    const double inv = 1.0 / static_cast<double>(calibration.size());
     std::int64_t tail_macs = 0;
     for (int id = split + 1; id < g.size(); ++id) {
       FeatureMapProfile& p =
           tail_profile[static_cast<std::size_t>(id - split - 1)];
-      p.entropy_float *= inv;
-      for (double& h : p.entropy_at_bits) h *= inv;
+      p.entropy_float *= inv_n;
+      for (double& h : p.entropy_at_bits) h *= inv_n;
       p.elements = g.shape(id).elements();
       for (int c : g.consumers(id)) {
         if (nn::is_mac_op(g.layer(c).kind) && g.layer(c).inputs[0] == id) {
@@ -233,21 +236,23 @@ void accumulate_tail_noise(const nn::Graph& g, int split,
   }
 }
 
-void accumulate_branch_noise(const patch::PatchPlan& pplan,
-                             const std::vector<std::vector<nn::Tensor>>& stage,
+void accumulate_branch_noise(const nn::Graph& g,
+                             const patch::PatchPlan& pplan,
+                             std::span<const nn::Tensor> fms,
                              std::span<const patch::BranchBits> realized,
                              const nn::Tensor& input, double z_ref,
                              NoiseAccumulator& acc) {
   // Accuracy-relevant outliers are defined on the input feature map.
   const GaussianFit fit = fit_gaussian(input.data());
   const double tau = z_ref * fit.stddev;
+  const auto [lo, hi] = nn::tensor_min_max(input);
 
   for (std::size_t b = 0; b < pplan.branches.size(); ++b) {
     const patch::PatchBranch& branch = pplan.branches[b];
     const patch::BranchBits& bits = realized[b];
     int min_bits = 8;
     for (std::size_t s = 0; s < branch.steps.size(); ++s) {
-      const nn::Tensor& fm = stage[b][s];
+      const nn::Tensor fm = step_map(g, fms, branch.steps[s]);
       const int fm_bits = bits.bits[s];
       min_bits = std::min(min_bits, fm_bits);
       const double var = quant::tensor_variance(fm);
@@ -261,7 +266,6 @@ void accumulate_branch_noise(const patch::PatchPlan& pplan,
     // Outlier crush on this patch's input tile.
     const patch::Region tile =
         pplan.input_tile(branch.row, branch.col, input.shape());
-    const auto [lo, hi] = nn::tensor_min_max(input);
     const nn::QuantParams qp = nn::choose_quant_params(lo, hi, min_bits);
     const double band = std::max(1e-12, tau);
     for (int y = tile.y.begin; y < tile.y.end; ++y) {
@@ -308,7 +312,6 @@ QuantMcuEvaluation evaluate_quantmcu(const nn::Graph& g,
                                      const QuantMcuConfig& cfg,
                                      const AccuracyModel& acc_model) {
   QMCU_REQUIRE(!eval_images.empty(), "evaluation batch must not be empty");
-  const patch::PatchExecutor pexec(g, plan.patch_plan);
   const nn::Executor exec(g);
   const int split = plan.patch_plan.spec.split_layer;
   bool tail_quantized = false;
@@ -344,11 +347,11 @@ QuantMcuEvaluation evaluate_quantmcu(const nn::Graph& g,
     ev.mean_latency_ms += cost.latency_ms;
     ev.mean_peak_bytes += static_cast<double>(cost.peak_bytes);
 
-    const auto stage = pexec.run_stage(img);
-    accumulate_branch_noise(plan.patch_plan, stage, realized, img,
+    // One float pass feeds both noise measurements.
+    const std::vector<nn::Tensor> fms = exec.run_all(img);
+    accumulate_branch_noise(g, plan.patch_plan, fms, realized, img,
                             acc_model.z_ref, acc);
     if (tail_quantized) {
-      const std::vector<nn::Tensor> fms = exec.run_all(img);
       accumulate_tail_noise(g, split, fms, plan.tail_bits, acc);
     }
   }
@@ -409,27 +412,23 @@ QuantMcuEvaluation evaluate_uniform_patch(
     const mcu::CostModel& cost_model, std::span<const nn::Tensor> eval_images,
     const AccuracyModel& acc_model) {
   QMCU_REQUIRE(!eval_images.empty(), "evaluation batch must not be empty");
-  const patch::PatchExecutor pexec(g, patch_plan);
+  const nn::Executor exec(g);
   const std::vector<patch::BranchBits> bits8 =
       patch::uniform_branch_bits(patch_plan, 8);
-  std::vector<int> tail8(static_cast<std::size_t>(g.size()), 8);
+  const std::vector<int> tail8(static_cast<std::size_t>(g.size()), 8);
 
+  // Every image runs the same uniform schedule, so it has one cost.
+  const patch::PatchCost cost =
+      patch::evaluate_patch_cost(g, patch_plan, bits8, tail8, cost_model);
   QuantMcuEvaluation ev;
+  ev.mean_bitops = static_cast<double>(cost.bitops);
+  ev.mean_latency_ms = cost.latency_ms;
+  ev.mean_peak_bytes = static_cast<double>(cost.peak_bytes);
   NoiseAccumulator acc;
   for (const nn::Tensor& img : eval_images) {
-    const patch::PatchCost cost =
-        patch::evaluate_patch_cost(g, patch_plan, bits8, tail8, cost_model);
-    ev.mean_bitops += static_cast<double>(cost.bitops);
-    ev.mean_latency_ms += cost.latency_ms;
-    ev.mean_peak_bytes += static_cast<double>(cost.peak_bytes);
-    const auto stage = pexec.run_stage(img);
-    accumulate_branch_noise(patch_plan, stage, bits8, img,
-                            AccuracyModel{}.z_ref, acc);
+    accumulate_branch_noise(g, patch_plan, exec.run_all(img), bits8, img,
+                            acc_model.z_ref, acc);
   }
-  const double inv = 1.0 / static_cast<double>(eval_images.size());
-  ev.mean_bitops *= inv;
-  ev.mean_latency_ms *= inv;
-  ev.mean_peak_bytes *= inv;
   return finalize(acc, acc_model, ev);
 }
 

@@ -9,11 +9,17 @@
 //      Eq. 7 memory repair (Algorithm 1). The measured wall-clock of
 //      profiling + search is the paper's Table II "Time" column.
 //
+// Profiling makes one layer-based float pass (nn::Executor::run_all) per
+// calibration image. Patch inference is halo-exact, so each branch step's
+// feature map is that pass's map cropped to the step's out_region; no
+// patch model is built.
+//
 // Online (evaluate_quantmcu): per input image, classify patches (Eq. 1);
 // outlier-class branches execute uniformly at 8-bit, non-outlier branches
 // at their searched mixed-precision assignment. The evaluator prices
 // BitOPs / latency / peak SRAM of every image's realised schedule and
-// aggregates the quantization-noise measurements that feed AccuracyModel.
+// aggregates the quantization-noise measurements that feed AccuracyModel,
+// again from one run_all pass per image (branch maps as crops).
 #pragma once
 
 #include <cstdint>
@@ -27,10 +33,10 @@
 #include "mcu/device.h"
 #include "nn/graph.h"
 #include "nn/tensor.h"
+#include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
 #include "patch/patch_cost.h"
-#include "patch/patch_executor.h"
-#include "patch/patch_quant_executor.h"
+#include "patch/patch_plan.h"
 #include "patch/restructuring.h"
 #include "quant/calibration.h"
 
@@ -71,6 +77,8 @@ struct QuantMcuPlan {
   std::vector<patch::BranchBits> mixed_bits;  // non-outlier branch config
   std::vector<VdqsResult> searches;           // per branch
   std::vector<int> tail_bits;                 // per layer after the cut
+  // Wall-clock of VDQS: the per-image float pass and entropy profiles of
+  // every branch step and tail map, plus the searches.
   double search_seconds = 0.0;
   double calib_outlier_fraction = 0.0;  // VDPC statistics on calibration set
   double last_output_entropy = 0.0;     // H(N, b_last)
@@ -109,9 +117,9 @@ QuantMcuEvaluation evaluate_uniform_patch(
 
 // --- materialising the plan into a runnable quantized deployment ----------
 // Turns the searched bitwidths into concrete QuantParams over calibrated
-// ranges, ready for patch::PatchQuantExecutor: per-branch step params (the
-// non-outlier mixed-precision path) and the tail/whole-graph config (which
-// also covers the outlier-class 8-bit path).
+// ranges, ready for patch::CompiledPatchQuantModel: per-branch step params
+// (the non-outlier mixed-precision path) and the tail/whole-graph config
+// (which also covers the outlier-class 8-bit path).
 std::vector<patch::BranchQuantConfig> make_branch_quant_configs(
     const nn::Graph& g, const QuantMcuPlan& plan,
     std::span<const quant::LayerRange> ranges);

@@ -27,7 +27,7 @@ namespace qmcu::nn {
 
 // Executes one non-Input layer of `g` against already-computed producer
 // tensors (memo is indexed by layer id; only the layer's inputs are read).
-// Shared by the layer-based executor and the patch executor's tail phase.
+// Shared by the layer-based executor and the patch engine's tail phase.
 // Kernels dispatch through `backend`; the overload without one uses a
 // shared thread-local Simd backend. The `_into` form writes into a
 // caller-bound destination (shape = g.shape(id); for quantized pools its

@@ -1,7 +1,7 @@
 // float_kernels.h — float32 reference kernels, NHWC, batch 1.
 //
 // These are the golden-path implementations: every quantized kernel and the
-// patch executor are validated against them. Geometry (kernel, stride,
+// compiled patch model are validated against them. Geometry (kernel, stride,
 // symmetric zero padding, fused activation) comes from the Layer spec so the
 // kernels stay in lock-step with graph shape inference.
 //

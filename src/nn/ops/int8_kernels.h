@@ -50,7 +50,7 @@ std::vector<std::int32_t> quantize_bias(std::span<const float> bias,
 
 // Integer mean of a pool window: precomputed fixed-point reciprocals for
 // every valid-count a kernel window can produce, shared by the layer
-// kernels, the region pooling used by patch executors, and the Simd tier so
+// kernels, the region pooling used by the patch engine, and the Simd tier so
 // all of them round identically (half away from zero, within 1 LSB of the
 // exact rational mean for non-power-of-two counts).
 class AvgPoolMultipliers {

@@ -10,8 +10,6 @@
 #include "nn/ops/requantize.h"
 #include "nn/ops/simd/simd_kernels.h"
 #include "patch/patch_cost.h"
-#include "patch/patch_executor.h"
-#include "patch/patch_quant_executor.h"
 #include "patch/region_crop.h"
 #include "patch/region_pool.h"
 

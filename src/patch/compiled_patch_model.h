@@ -3,9 +3,9 @@
 //
 // QuantMCU's runtime is one dataflow: patch branches compute disjoint tiles
 // of the cut-layer feature map, and a layer-based tail follows. Only the
-// numeric domain changes — float for calibration and the parity
-// references, int8/sub-byte for deployment — so there is one engine,
-// CompiledPatchEngine<Domain>, and two domains chosen by type:
+// numeric domain changes — float for the parity references, int8/sub-byte
+// for deployment — so there is one engine, CompiledPatchEngine<Domain>,
+// and two domains chosen by type:
 //
 //   * FloatDomain: nn::Tensor maps; branches crop the caller's float input.
 //   * QuantDomain: nn::QTensor maps; the input is quantized once into its
@@ -485,7 +485,7 @@ class CompiledPatchEngine : public Domain {
   [[nodiscard]] std::int64_t scratch_bytes() const;
   [[nodiscard]] const PatchPlan& plan() const { return plan_; }
   [[nodiscard]] const nn::Graph& graph() const { return *graph_; }
-  // Shared with the owning executor's legacy (hooked) paths so only one
+  // Shared with PatchQuantExecutor's per-step reference path so only one
   // scratch arena + weight-panel cache exists per executor.
   [[nodiscard]] nn::ops::KernelBackend& backend() const {
     return self_.backend;

@@ -9,32 +9,6 @@
 
 namespace qmcu::patch {
 
-void crop_from_region_q_into(const nn::QTensor& have, const Region& avail,
-                             const Region& want, const nn::TensorShape& full,
-                             nn::QTensor& out) {
-  QMCU_REQUIRE(have.shape().h == avail.y.size() &&
-                   have.shape().w == avail.x.size(),
-               "tensor extents must match its declared region");
-  const int c = have.shape().c;
-  QMCU_REQUIRE(out.shape() == nn::TensorShape(want.y.size(), want.x.size(), c),
-               "crop destination shape mismatch");
-  QMCU_REQUIRE(out.params() == have.params(),
-               "crop destination must carry the source params");
-  crop_rows(have.data().data(), avail, want, full, c,
-            static_cast<std::int8_t>(have.params().zero_point),
-            out.data().data(), CopySpan{});
-}
-
-nn::QTensor crop_from_region_q(const nn::QTensor& have, const Region& avail,
-                               const Region& want,
-                               const nn::TensorShape& full) {
-  nn::QTensor out(nn::TensorShape{want.y.size(), want.x.size(),
-                                  have.shape().c},
-                  have.params());
-  crop_from_region_q_into(have, avail, want, full, out);
-  return out;
-}
-
 PatchQuantExecutor::PatchQuantExecutor(
     const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
     nn::ops::KernelTier tier,

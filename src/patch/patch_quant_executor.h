@@ -73,15 +73,4 @@ class PatchQuantExecutor {
   CompiledPatchQuantModel compiled_;
 };
 
-// Crops region `want` (unclamped; out-of-bounds positions are filled with
-// the tensor's zero point, the quantized encoding of real 0) from `have`
-// covering `avail` of a feature map with full extent `full`. The `_into`
-// form writes into a caller-bound destination carrying `have`'s params.
-nn::QTensor crop_from_region_q(const nn::QTensor& have, const Region& avail,
-                               const Region& want,
-                               const nn::TensorShape& full);
-void crop_from_region_q_into(const nn::QTensor& have, const Region& avail,
-                             const Region& want, const nn::TensorShape& full,
-                             nn::QTensor& out);
-
 }  // namespace qmcu::patch

@@ -17,6 +17,7 @@
 
 #include "nn/check.h"
 #include "nn/shape.h"
+#include "nn/tensor.h"
 #include "patch/receptive_field.h"
 
 namespace qmcu::patch {
@@ -72,5 +73,22 @@ void crop_rows(const Elem* have, const Region& avail, const Region& want,
                    copy_span(dst, have + y * have_row + first, n);
                  });
 }
+
+// The tensor-level crops: region `want` of a feature map with full shape
+// `full`, from `have` holding region `avail` of it. Padding is 0.0f for a
+// float map and the zero point (the quantized encoding of real 0) for a
+// quantized one. The `_into` forms write into a caller-bound destination
+// (a quantized one carries `have`'s params).
+nn::Tensor crop_from_region(const nn::Tensor& have, const Region& avail,
+                            const Region& want, const nn::TensorShape& full);
+void crop_from_region_into(const nn::Tensor& have, const Region& avail,
+                           const Region& want, const nn::TensorShape& full,
+                           nn::Tensor& out);
+nn::QTensor crop_from_region_q(const nn::QTensor& have, const Region& avail,
+                               const Region& want,
+                               const nn::TensorShape& full);
+void crop_from_region_q_into(const nn::QTensor& have, const Region& avail,
+                             const Region& want, const nn::TensorShape& full,
+                             nn::QTensor& out);
 
 }  // namespace qmcu::patch

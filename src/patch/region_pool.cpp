@@ -73,15 +73,6 @@ void pool_region_f32_into(const nn::Tensor& have, const Region& avail,
   }
 }
 
-nn::Tensor pool_region_f32(const nn::Tensor& have, const Region& avail,
-                           const nn::Layer& l, const Region& out_region,
-                           const nn::TensorShape& full) {
-  nn::Tensor out(nn::TensorShape{out_region.y.size(), out_region.x.size(),
-                                 have.shape().c});
-  pool_region_f32_into(have, avail, l, out_region, full, out);
-  return out;
-}
-
 void pool_region_q_into(const nn::QTensor& have, const Region& avail,
                         const nn::Layer& l, const Region& out_region,
                         const nn::TensorShape& full, nn::QTensor& out) {

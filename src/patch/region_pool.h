@@ -6,7 +6,8 @@
 // count only. A zero-filled crop would silently change both (e.g. the max
 // of an all-negative window). These helpers evaluate pool windows in the
 // feature map's global coordinate space, skipping positions outside the
-// map, and are the pooling path of both patch executors.
+// map, and are the pooling path of the compiled patch engine and of the
+// quantized reference reconstruction (PatchQuantExecutor).
 #pragma once
 
 #include "nn/graph.h"
@@ -24,12 +25,10 @@ struct PackedMap;
 
 // Pools `out_region` of layer `l` (MaxPool or AvgPool) from the producer's
 // region tensor `have` covering `avail` of a map with full extent `full`.
-// The `_into` forms write into a caller-bound destination sized
-// out_region x channels (quantized destinations carry the producer's
-// params) — the compiled patch executor's allocation-free path.
-nn::Tensor pool_region_f32(const nn::Tensor& have, const Region& avail,
-                           const nn::Layer& l, const Region& out_region,
-                           const nn::TensorShape& full);
+// The `_into` forms (the only float form) write into a caller-bound
+// destination sized out_region x channels (quantized destinations carry
+// the producer's params) — the compiled patch engine's allocation-free
+// path.
 void pool_region_f32_into(const nn::Tensor& have, const Region& avail,
                           const nn::Layer& l, const Region& out_region,
                           const nn::TensorShape& full, nn::Tensor& out);

@@ -1,7 +1,9 @@
 // Compiled arena execution (nn/compiled_model.h, patch/compiled_patch_model.h)
-// must be bit-identical to the heap-per-layer legacy paths across float,
-// int8 and mixed sub-byte patch modes, for owned and caller-provided
-// arenas, and must share prebuilt QuantizedParameters across executors.
+// must be bit-identical to the heap-per-layer legacy paths across float and
+// int8 layer-based models and int8 and mixed sub-byte patch modes, for owned
+// and caller-provided arenas, and must share prebuilt QuantizedParameters
+// across executors. Float patch models are checked against nn::Executor in
+// test_patch_executor.cpp.
 #include <gtest/gtest.h>
 
 #include "core/quantmcu.h"
@@ -14,7 +16,6 @@
 #include "nn/rng.h"
 #include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_executor.h"
 #include "patch/patch_quant_executor.h"
 #include "quant/calibration.h"
 #include "scoped_env.h"
@@ -219,17 +220,6 @@ TEST(CompiledQuantModel, SharedParametersAcrossExecutors) {
 }
 
 // --- patch parity ------------------------------------------------------------
-
-TEST(CompiledPatchModel, MatchesLegacyHookedPath) {
-  const nn::Graph g = mbv2_net();
-  const patch::PatchPlan plan =
-      patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::PatchExecutor pexec(g, plan);
-  const nn::Tensor in = random_input(g.shape(0), 15);
-  // A no-op hook forces the legacy per-step-tensor path.
-  const patch::PatchExecutor::StepHook noop = [](int, int, nn::Tensor&) {};
-  expect_f_identical(pexec.run(in), pexec.run(in, noop));
-}
 
 TEST(CompiledPatchQuantModel, UniformMatchesLegacyReconstruction) {
   const nn::Graph g = mbv2_net();

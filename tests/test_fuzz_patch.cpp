@@ -7,13 +7,15 @@
 // seeded random graphs cover the rest.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "models/weights.h"
 #include "nn/executor.h"
 #include "nn/memory_planner.h"
 #include "nn/rng.h"
-#include "patch/patch_executor.h"
+#include "patch/compiled_patch_model.h"
 #include "patch/patch_quant_executor.h"
 #include "quant/calibration.h"
 
@@ -89,14 +91,16 @@ TEST_P(FuzzedTopology, FloatPatchInferenceBitExact) {
   PatchSpec spec;
   spec.split_layer = cut;
   spec.grid_rows = spec.grid_cols = 2;
-  const PatchExecutor pexec(g, build_patch_plan(g, spec));
+  const CompiledPatchModel model(g, build_patch_plan(g, spec));
   const nn::Executor exec(g);
   const nn::Tensor in = random_input(g.shape(0), seed + 1);
-  const nn::Tensor a = pexec.run(in);
+  const nn::Tensor a = model.run(in);
   const nn::Tensor b = exec.run(in);
   ASSERT_EQ(a.shape(), b.shape());
   for (std::size_t i = 0; i < a.data().size(); ++i) {
-    ASSERT_FLOAT_EQ(a.data()[i], b.data()[i]) << "seed " << seed;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a.data()[i]),
+              std::bit_cast<std::uint32_t>(b.data()[i]))
+        << "seed " << seed << " element " << i;
   }
 }
 

@@ -16,6 +16,7 @@
 #include "patch/compiled_patch_model.h"
 #include "patch/packed_map.h"
 #include "patch/patch_quant_executor.h"
+#include "patch/region_crop.h"
 #include "patch/region_pool.h"
 #include "quant/bitpack.h"
 #include "quant/calibration.h"

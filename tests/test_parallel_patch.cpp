@@ -24,7 +24,6 @@
 #include "nn/runtime/worker_pool.h"
 #include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_executor.h"
 #include "patch/patch_quant_executor.h"
 #include "patch/region_pool.h"
 #include "quant/calibration.h"
@@ -143,8 +142,8 @@ TEST(ParallelPatch, ExecutorEntryPointsMatch) {
   const nn::Tensor in = random_input(g.shape(0), 23);
   nn::WorkerPool pool(4);
 
-  const patch::PatchExecutor pexec(g, plan);
-  expect_f_identical(pexec.compiled().run(in, &pool), pexec.run(in));
+  const patch::CompiledPatchModel model(g, plan);
+  expect_f_identical(model.run(in, &pool), model.run(in));
 
   const auto ranges = quant::calibrate_ranges(g, std::vector<nn::Tensor>{in});
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));

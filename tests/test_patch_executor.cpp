@@ -1,14 +1,20 @@
-// The core correctness invariant of patch-based inference: the patch
-// executor must reproduce layer-based results bit for bit (paper Fig. 1a —
-// halos exist precisely so that no receptive field is truncated).
+// The core correctness invariant of patch-based inference: the compiled
+// float patch model must reproduce layer-based results bit for bit (paper
+// Fig. 1a — halos exist precisely so that no receptive field is truncated).
+// The VDQS planner relies on it: it profiles each branch step's map as a
+// crop of the layer-based map.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 
 #include "models/weights.h"
 #include "models/zoo.h"
 #include "nn/executor.h"
 #include "nn/rng.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_executor.h"
+#include "patch/compiled_patch_model.h"
+#include "patch/region_crop.h"
 
 namespace qmcu::patch {
 namespace {
@@ -20,10 +26,13 @@ nn::Tensor random_input(nn::TensorShape s, std::uint64_t seed) {
   return t;
 }
 
+// Bit for bit: compares the float encodings, not the values within ULPs.
 void expect_identical(const nn::Tensor& a, const nn::Tensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
   for (std::size_t i = 0; i < a.data().size(); ++i) {
-    ASSERT_FLOAT_EQ(a.data()[i], b.data()[i]) << "element " << i;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a.data()[i]),
+              std::bit_cast<std::uint32_t>(b.data()[i]))
+        << "element " << i;
   }
 }
 
@@ -54,10 +63,10 @@ TEST_P(PatchEquivalence, MatchesLayerBasedBitForBit) {
   PatchSpec spec;
   spec.split_layer = split;
   spec.grid_rows = spec.grid_cols = grid;
-  const PatchExecutor pexec(g, build_patch_plan(g, spec));
+  const CompiledPatchModel model(g, build_patch_plan(g, spec));
   const nn::Executor exec(g);
   const nn::Tensor in = random_input(g.shape(0), 7);
-  expect_identical(pexec.run(in), exec.run(in));
+  expect_identical(model.run(in), exec.run(in));
 }
 
 INSTANTIATE_TEST_SUITE_P(SplitsAndGrids, PatchEquivalence,
@@ -66,78 +75,30 @@ INSTANTIATE_TEST_SUITE_P(SplitsAndGrids, PatchEquivalence,
                                            GridCase{4, 2}, GridCase{4, 4},
                                            GridCase{5, 3}));
 
-TEST(PatchExecutor, AssembledStageMatchesLayerBasedFeatureMap) {
-  const nn::Graph g = stage_net();
-  PatchSpec spec;
-  spec.split_layer = 4;  // the depthwise
-  spec.grid_rows = spec.grid_cols = 3;
-  const PatchExecutor pexec(g, build_patch_plan(g, spec));
-  const nn::Executor exec(g);
-  const nn::Tensor in = random_input(g.shape(0), 8);
-  const auto fms = exec.run_all(in);
-  expect_identical(pexec.run_stage_assembled(in), fms[4]);
-}
-
-TEST(PatchExecutor, MobileNetV2PatchInferenceExact) {
+TEST(CompiledPatchFloat, MobileNetV2PatchInferenceExact) {
   models::ModelConfig cfg;
   cfg.width_multiplier = 0.25f;
   cfg.resolution = 48;
   cfg.num_classes = 10;
   const nn::Graph g = models::make_mobilenet_v2(cfg);
   const PatchSpec spec = plan_mcunetv2(g, {/*grid=*/2, /*downsample=*/4});
-  const PatchExecutor pexec(g, build_patch_plan(g, spec));
+  const CompiledPatchModel model(g, build_patch_plan(g, spec));
   const nn::Executor exec(g);
   const nn::Tensor in = random_input(g.shape(0), 9);
-  expect_identical(pexec.run(in), exec.run(in));
+  expect_identical(model.run(in), exec.run(in));
 }
 
-TEST(PatchExecutor, SqueezeNetConcatStageExact) {
+TEST(CompiledPatchFloat, SqueezeNetConcatStageExact) {
   models::ModelConfig cfg;
   cfg.width_multiplier = 0.5f;
   cfg.resolution = 48;
   cfg.num_classes = 10;
   const nn::Graph g = models::make_squeezenet(cfg);
   const PatchSpec spec = plan_mcunetv2(g, {/*grid=*/2, /*downsample=*/4});
-  const PatchExecutor pexec(g, build_patch_plan(g, spec));
+  const CompiledPatchModel model(g, build_patch_plan(g, spec));
   const nn::Executor exec(g);
   const nn::Tensor in = random_input(g.shape(0), 10);
-  expect_identical(pexec.run(in), exec.run(in));
-}
-
-TEST(PatchExecutor, StepHookSeesEveryStep) {
-  const nn::Graph g = stage_net();
-  PatchSpec spec;
-  spec.split_layer = 3;
-  spec.grid_rows = spec.grid_cols = 2;
-  const PatchPlan plan = build_patch_plan(g, spec);
-  const PatchExecutor pexec(g, plan);
-  int calls = 0;
-  (void)pexec.run_stage(random_input(g.shape(0), 11),
-                        [&calls](int, int, nn::Tensor&) { ++calls; });
-  int expected = 0;
-  for (const PatchBranch& b : plan.branches) {
-    expected += static_cast<int>(b.steps.size());
-  }
-  EXPECT_EQ(calls, expected);
-}
-
-TEST(PatchExecutor, HookCanPerturbStageResults) {
-  const nn::Graph g = stage_net();
-  PatchSpec spec;
-  spec.split_layer = 3;
-  spec.grid_rows = spec.grid_cols = 2;
-  const PatchExecutor pexec(g, build_patch_plan(g, spec));
-  const nn::Tensor in = random_input(g.shape(0), 12);
-  const nn::Tensor clean = pexec.run(in);
-  const nn::Tensor dirty =
-      pexec.run(in, [](int, int, nn::Tensor& t) {
-        for (float& v : t.data()) v *= 1.01f;
-      });
-  double diff = 0.0;
-  for (std::size_t i = 0; i < clean.data().size(); ++i) {
-    diff += std::abs(clean.data()[i] - dirty.data()[i]);
-  }
-  EXPECT_GT(diff, 0.0);
+  expect_identical(model.run(in), exec.run(in));
 }
 
 TEST(CropFromRegion, ZeroFillsOutOfBounds) {
@@ -185,17 +146,13 @@ TEST_P(ZooWidePatchEquivalence, BitExactAcrossTheZoo) {
   cfg.num_classes = 10;
   const nn::Graph g = models::make_model(GetParam(), cfg);
   const PatchSpec spec = plan_mcunetv2(g, {2, 4});
-  const PatchExecutor pexec(g, build_patch_plan(g, spec));
+  const CompiledPatchModel model(g, build_patch_plan(g, spec));
   const nn::Executor exec(g);
   nn::Tensor in(g.shape(0));
   nn::Rng rng(21);
   for (float& v : in.data()) v = static_cast<float>(rng.normal(0.0, 1.0));
-  const nn::Tensor a = pexec.run(in);
-  const nn::Tensor b = exec.run(in);
-  ASSERT_EQ(a.shape(), b.shape());
-  for (std::size_t i = 0; i < a.data().size(); ++i) {
-    ASSERT_FLOAT_EQ(a.data()[i], b.data()[i]) << GetParam();
-  }
+  SCOPED_TRACE(GetParam());
+  expect_identical(model.run(in), exec.run(in));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ZooWidePatchEquivalence,

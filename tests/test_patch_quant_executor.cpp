@@ -15,8 +15,8 @@
 #include "nn/memory_planner.h"
 #include "nn/rng.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_executor.h"
 #include "patch/patch_quant_executor.h"
+#include "patch/region_crop.h"
 #include "quant/calibration.h"
 #include "quant/fake_quant.h"
 
@@ -110,7 +110,7 @@ TEST(QuantPatchEquivalence, MobileNetV2UniformInt8Exact) {
   expect_q_identical(pexec.run(in), qexec.run(in));
 }
 
-TEST(QuantPatchExecutor, AssembledStageMatchesLayerBasedInt8) {
+TEST(PatchQuantExecutor, AssembledStageMatchesLayerBasedInt8) {
   const nn::Graph g = pooled_net();
   const std::vector<nn::Tensor> calib{random_input(g.shape(0), 6)};
   const auto ranges = quant::calibrate_ranges(g, calib);
@@ -126,7 +126,7 @@ TEST(QuantPatchExecutor, AssembledStageMatchesLayerBasedInt8) {
   expect_q_identical(pexec.run_stage_assembled(in), memo[4]);
 }
 
-TEST(QuantPatchExecutor, MixedPrecisionFromQuantMcuPlanRuns) {
+TEST(PatchQuantExecutor, MixedPrecisionFromQuantMcuPlanRuns) {
   const nn::Graph g = mbv2_net();
   data::DataConfig dc;
   dc.resolution = 48;
@@ -160,7 +160,7 @@ TEST(QuantPatchExecutor, MixedPrecisionFromQuantMcuPlanRuns) {
   EXPECT_LT(quant::output_mse(deq, ref_out), 0.05);
 }
 
-TEST(QuantPatchExecutor, MixedPrecisionNoisierThanUniformInt8) {
+TEST(PatchQuantExecutor, MixedPrecisionNoisierThanUniformInt8) {
   const nn::Graph g = mbv2_net();
   data::DataConfig dc;
   dc.resolution = 48;
@@ -194,7 +194,7 @@ TEST(QuantPatchExecutor, MixedPrecisionNoisierThanUniformInt8) {
   EXPECT_LE(err_uniform, err_mixed + 1e-9);
 }
 
-TEST(QuantPatchExecutor, ValidatesBranchConfigShapes) {
+TEST(PatchQuantExecutor, ValidatesBranchConfigShapes) {
   const nn::Graph g = pooled_net();
   const std::vector<nn::Tensor> calib{random_input(g.shape(0), 8)};
   const auto ranges = quant::calibrate_ranges(g, calib);

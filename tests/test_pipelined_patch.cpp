@@ -24,7 +24,6 @@
 #include "nn/runtime/worker_pool.h"
 #include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_executor.h"
 #include "patch/patch_quant_executor.h"
 #include "quant/calibration.h"
 
@@ -302,13 +301,13 @@ TEST(PipelinedPatch, InterleavedModesReuseModelState) {
   const nn::Graph g = models::make_model("mcunet", small_cfg());
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::PatchExecutor exec(g, plan);
+  const patch::CompiledPatchModel model(g, plan);
   nn::WorkerPool pool(3);
   for (std::uint64_t seed = 50; seed < 53; ++seed) {
     const nn::Tensor in = random_input(g.shape(0), seed);
-    const nn::Tensor expect = exec.run(in);
-    expect_f_identical(exec.compiled().run(in, &pool), expect);
-    expect_f_identical(exec.compiled().run(in, &pool), expect);
+    const nn::Tensor expect = model.run(in);
+    expect_f_identical(model.run(in, &pool), expect);
+    expect_f_identical(model.run(in, &pool), expect);
   }
 }
 

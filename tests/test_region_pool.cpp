@@ -24,6 +24,16 @@ nn::Layer pool(nn::OpKind kind, int k, int s, int p) {
   return l;
 }
 
+// Pools `out_region` into a fresh tensor through the allocation-free form.
+nn::Tensor pool_f32(const nn::Tensor& have, const Region& avail,
+                    const nn::Layer& l, const Region& out_region,
+                    const nn::TensorShape& full) {
+  nn::Tensor out(nn::TensorShape{out_region.y.size(), out_region.x.size(),
+                                 have.shape().c});
+  pool_region_f32_into(have, avail, l, out_region, full, out);
+  return out;
+}
+
 nn::Tensor random_tensor(nn::TensorShape s, std::uint64_t seed) {
   nn::Tensor t(s);
   nn::Rng rng(seed);
@@ -37,7 +47,7 @@ TEST(RegionPool, FullRegionMatchesLayerKernelMax) {
   const nn::Tensor ref = nn::ops::max_pool_f32(in, l);
   const Region out_region = full_region(ref.shape());
   const nn::Tensor got =
-      pool_region_f32(in, full_region(in.shape()), l, out_region, in.shape());
+      pool_f32(in, full_region(in.shape()), l, out_region, in.shape());
   ASSERT_EQ(got.shape(), ref.shape());
   for (std::size_t i = 0; i < ref.data().size(); ++i) {
     ASSERT_FLOAT_EQ(got.data()[i], ref.data()[i]);
@@ -48,8 +58,8 @@ TEST(RegionPool, FullRegionMatchesLayerKernelAvg) {
   const nn::Tensor in = random_tensor({6, 6, 2}, 2);
   const nn::Layer l = pool(nn::OpKind::AvgPool, 2, 1, 1);
   const nn::Tensor ref = nn::ops::avg_pool_f32(in, l);
-  const nn::Tensor got = pool_region_f32(in, full_region(in.shape()), l,
-                                         full_region(ref.shape()), in.shape());
+  const nn::Tensor got = pool_f32(in, full_region(in.shape()), l,
+                                  full_region(ref.shape()), in.shape());
   for (std::size_t i = 0; i < ref.data().size(); ++i) {
     ASSERT_FLOAT_EQ(got.data()[i], ref.data()[i]);
   }
@@ -61,8 +71,8 @@ TEST(RegionPool, AllNegativeWindowKeepsNegativeMax) {
   nn::Tensor in(nn::TensorShape{2, 2, 1});
   for (float& v : in.data()) v = -3.0f;
   const nn::Layer l = pool(nn::OpKind::MaxPool, 3, 1, 1);
-  const nn::Tensor got = pool_region_f32(in, full_region(in.shape()), l,
-                                         Region{{0, 1}, {0, 1}}, in.shape());
+  const nn::Tensor got = pool_f32(in, full_region(in.shape()), l,
+                                  Region{{0, 1}, {0, 1}}, in.shape());
   EXPECT_FLOAT_EQ(got.at(0, 0, 0), -3.0f);
 }
 
@@ -74,8 +84,8 @@ TEST(RegionPool, AvgDividesByValidCountOnly) {
   in.at(1, 1, 0) = 4.0f;
   const nn::Layer l = pool(nn::OpKind::AvgPool, 2, 1, 1);
   // Corner window covers one valid element; mean must be 4, not 1.
-  const nn::Tensor got = pool_region_f32(in, full_region(in.shape()), l,
-                                         Region{{0, 1}, {0, 1}}, in.shape());
+  const nn::Tensor got = pool_f32(in, full_region(in.shape()), l,
+                                  Region{{0, 1}, {0, 1}}, in.shape());
   EXPECT_FLOAT_EQ(got.at(0, 0, 0), 4.0f);
 }
 
@@ -91,8 +101,7 @@ TEST(RegionPool, SubRegionReadsFromRegionTensorOffsets) {
     for (int x = 0; x < 6; ++x) region.at(y, x, 0) = full.at(y + 2, x + 2, 0);
   }
   const Region out_region{{1, 4}, {1, 4}};
-  const nn::Tensor got =
-      pool_region_f32(region, avail, l, out_region, full.shape());
+  const nn::Tensor got = pool_f32(region, avail, l, out_region, full.shape());
   for (int y = 0; y < 3; ++y) {
     for (int x = 0; x < 3; ++x) {
       ASSERT_FLOAT_EQ(got.at(y, x, 0), ref.at(y + 1, x + 1, 0));
@@ -105,8 +114,8 @@ TEST(RegionPool, FailsWhenWindowDataMissing) {
   const nn::Layer l = pool(nn::OpKind::MaxPool, 3, 1, 1);
   // Producer region covers only rows 0..2 but output row 2 needs row 3.
   nn::Tensor region(nn::TensorShape{2, 4, 1});
-  EXPECT_THROW(pool_region_f32(region, Region{{0, 2}, {0, 4}}, l,
-                               Region{{2, 3}, {0, 4}}, in.shape()),
+  EXPECT_THROW(pool_f32(region, Region{{0, 2}, {0, 4}}, l,
+                        Region{{2, 3}, {0, 4}}, in.shape()),
                std::logic_error);
 }
 
@@ -138,8 +147,8 @@ TEST(RegionPool, RejectsNonPoolOps) {
   const nn::Tensor in = random_tensor({4, 4, 1}, 6);
   nn::Layer conv;
   conv.kind = nn::OpKind::Conv2D;
-  EXPECT_THROW(pool_region_f32(in, full_region(in.shape()), conv,
-                               Region{{0, 1}, {0, 1}}, in.shape()),
+  EXPECT_THROW(pool_f32(in, full_region(in.shape()), conv,
+                        Region{{0, 1}, {0, 1}}, in.shape()),
                std::invalid_argument);
 }
 
