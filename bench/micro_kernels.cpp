@@ -19,9 +19,7 @@
 #include "models/zoo.h"
 #include "nn/ops/backend.h"
 #include "nn/ops/float_kernels.h"
-#include "nn/ops/gemm_int8.h"
 #include "nn/ops/int8_kernels.h"
-#include "nn/ops/lut/lut_kernels.h"
 #include "nn/ops/simd/cpu_features.h"
 #include "nn/ops/simd/simd_kernels.h"
 #include "nn/rng.h"
@@ -268,14 +266,12 @@ void BM_Conv2dInt8Packed4(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dInt8Packed4)->Arg(8)->Arg(16)->Arg(32);
 
-// Packed sub-byte conv across all four ways to compute it, same conv
+// Packed sub-byte conv across the three ways to compute it, same conv
 // (c = 32, 3x3, 32x32 input): arg 0 = activation bits (2/4), arg 1 = tier
 // row — 0 Reference, 1 Simd on the scalar fallbacks (QMCU_FORCE_SCALAR),
-// 2 Simd (both pinned to the unpack + GEMM path via QMCU_NO_LUT), 3 LUT
-// (Simd backend with QMCU_FORCE_LUT). The README's
-// packed-conv tier table and the LUT acceptance criterion (4-bit LUT >=
-// int8 Simd, 2-bit LUT ~ 2x) come from this family. `simd_active` reports
-// whether the row's vector body (GEMM or LUT) actually ran, so
+// 2 Simd (unpack into the im2col strip + the host's GEMM generation). The
+// README's packed-conv tier table comes from this family. `simd_active`
+// reports whether the row's vector body actually ran, so
 // tools/bench_guard.py can skip vector rows on scalar hosts.
 void BM_PackedConvTierSweep(benchmark::State& state) {
   const int bits = static_cast<int>(state.range(0));
@@ -288,15 +284,10 @@ void BM_PackedConvTierSweep(benchmark::State& state) {
   for (float& v : w) v = static_cast<float>(rng.normal(0.0, 0.1));
   const nn::ops::QuantizedWeights qw = nn::ops::quantize_weights(w);
   const nn::QuantParams out_p = nn::choose_quant_params(-4.0f, 4.0f, 8);
-  // Sub-byte params chosen at `bits` so the zero point is representable —
-  // the LUT eligibility precondition.
   const auto [lo, hi] = nn::tensor_min_max(in);
   const nn::QTensor q = nn::quantize(in, nn::choose_quant_params(lo, hi, bits));
   const std::vector<std::uint8_t> packed = quant::pack(q.data(), bits);
 
-  const bool lut_row = row == 3;
-  // The LUT variables are read per call, so this pin spans the runs.
-  const test::ScopedEnv lut(lut_row ? "QMCU_FORCE_LUT" : "QMCU_NO_LUT", "1");
   nn::ops::KernelBackend backend = backend_under(
       row == 0 ? nn::ops::KernelTier::Reference : nn::ops::KernelTier::Simd,
       row == 1 ? "QMCU_FORCE_SCALAR" : nullptr);
@@ -308,59 +299,15 @@ void BM_PackedConvTierSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 32 * 32 * kC * 9 * kC);
   state.counters["bits"] = bits;
   state.counters["tier"] = row;
-  const nn::ops::simd::SimdKernels* table = backend.simd_kernels();
-  state.counters["simd_active"] =
-      lut_row ? (table != nullptr && table->lut_gemm_block != nullptr ? 1 : 0)
-              : simd_active(backend);
+  state.counters["simd_active"] = simd_active(backend);
 }
 BENCHMARK(BM_PackedConvTierSweep)
     ->Args({4, 0})
     ->Args({4, 1})
     ->Args({4, 2})
-    ->Args({4, 3})
     ->Args({2, 0})
     ->Args({2, 1})
-    ->Args({2, 2})
-    ->Args({2, 3});
-
-// The LUT-GEMM primitive itself (table build amortized away): m x n x k
-// tile through lut_gemm_requant — index tiles, table lookups, chunked
-// int16 sums, fused requantize. Arg 0 = activation bits.
-void BM_LutGemm(benchmark::State& state) {
-  const int bits = static_cast<int>(state.range(0));
-  constexpr int kM = 1024, kN = 32, kK = 288;
-  nn::Rng rng(6);
-  std::vector<std::int8_t> a(static_cast<std::size_t>(kM) * kK);
-  const int lo = -(1 << (bits - 1));
-  const int hi = (1 << (bits - 1)) - 1;
-  for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform(lo, hi + 1));
-  std::vector<std::int8_t> w(static_cast<std::size_t>(kN) * kK);
-  for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform(-128, 128));
-  std::vector<std::int8_t> tables(
-      static_cast<std::size_t>(nn::ops::lut::lut_table_bytes(kN, kK, bits)));
-  nn::ops::lut::pack_weights_lut(w, kN, kK, bits, tables.data());
-  const int groups = nn::ops::lut::lut_groups(kK, bits);
-  std::vector<std::uint8_t> idx(static_cast<std::size_t>(groups) *
-                                nn::ops::lut::kLutTileM);
-  std::vector<std::int32_t> acc(
-      static_cast<std::size_t>(nn::ops::lut::kLutTileM) * kN);
-  std::vector<std::int8_t> out(static_cast<std::size_t>(kM) * kN);
-  nn::ops::GemmQuantPost post;
-  post.multiplier = nn::ops::quantize_multiplier(0.02);
-  const nn::ops::simd::SimdKernels* table = nn::ops::simd::kernels();
-  for (auto _ : state) {
-    nn::ops::lut::lut_gemm_requant(a.data(), tables.data(), kM, kN, kK, bits,
-                                   post, idx.data(), acc.data(), out.data(),
-                                   table);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kM) *
-                          kN * kK);
-  state.counters["bits"] = bits;
-  state.counters["simd_active"] =
-      table != nullptr && table->lut_gemm_block != nullptr ? 1 : 0;
-}
-BENCHMARK(BM_LutGemm)->Arg(4)->Arg(2);
+    ->Args({2, 2});
 
 // Arg 1 selects the row: 0 = Reference, 1 = Simd on the scalar fallbacks
 // (QMCU_FORCE_SCALAR), 2 = Simd.

@@ -1,7 +1,7 @@
 # Cross toolchain for the qemu-aarch64 CI leg: builds the whole tree with
 # the Debian/Ubuntu aarch64 cross compiler and registers qemu-user as the
-# test-run emulator, so `ctest` executes the NEON kernel tables (vtbl LUT
-# body, Q31 requantize epilogues, the sdot GEMM generation) that x86 legs
+# test-run emulator, so `ctest` executes the NEON kernel tables (sub-byte
+# unpack, Q31 requantize epilogues, the sdot GEMM generation) that x86 legs
 # can never reach. qemu's default CPU model ("max") exposes the dotprod
 # hwcap, so cpu_features' getauxval probe selects the sdot table at runtime.
 set(CMAKE_SYSTEM_NAME Linux)

@@ -4,23 +4,8 @@
 // QMCU_FORCE_SCALAR pinned it to the scalar fallback).
 #include <cstdio>
 
-#include "nn/ops/lut/lut_kernels.h"
 #include "nn/ops/simd/cpu_features.h"
 #include "nn/ops/simd/simd_kernels.h"
-
-namespace {
-
-const char* lut_force_name(qmcu::nn::ops::lut::LutForce f) {
-  using qmcu::nn::ops::lut::LutForce;
-  switch (f) {
-    case LutForce::On: return "forced on (QMCU_FORCE_LUT)";
-    case LutForce::Off: return "forced off (QMCU_NO_LUT)";
-    case LutForce::Auto: return "auto (per-layer heuristic)";
-  }
-  return "?";
-}
-
-}  // namespace
 
 int main() {
   using namespace qmcu::nn::ops::simd;
@@ -29,8 +14,6 @@ int main() {
   const DotIsa dot = detected_dot_isa();
   std::printf("detected dot ISA: %s%s\n", dot_isa_name(dot),
               dot_forced_off() ? " (demoted: QMCU_FORCE_NO_DOT)" : "");
-  std::printf("LUT tier: %s\n",
-              lut_force_name(qmcu::nn::ops::lut::lut_force()));
   const SimdKernels* k = kernels();
   if (k == nullptr) {
     std::printf("Simd tier: scalar fallbacks (no microkernel table)\n");
@@ -50,7 +33,6 @@ int main() {
   std::printf("  requant_i8_row:  %s\n",
               k->requant_i8_row ? "simd" : "scalar");
   std::printf("  unpack_body:     %s\n", k->unpack_body ? "simd" : "scalar");
-  std::printf("  lut_gemm_block:  %s\n", k->lut_gemm_block ? "simd" : "scalar");
   // The fused entries have no scalar twin: null runs the unfused pair.
   std::printf("  gemm_requant_block: %s\n",
               k->gemm_requant_block ? "fused" : "unfused");

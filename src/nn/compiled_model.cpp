@@ -4,7 +4,6 @@
 
 #include "nn/executor.h"
 #include "nn/ops/im2col.h"
-#include "nn/ops/lut/lut_kernels.h"
 
 namespace qmcu::nn {
 
@@ -22,7 +21,6 @@ ArenaPlan plan_execution_arena(const Graph& g, std::int64_t elem_bytes) {
 namespace {
 
 void prepack_conv_panels(const Graph& g, const QuantizedParameters& params,
-                         std::span<const QuantParams> effective,
                          ops::KernelBackend& backend) {
   // Every non-Reference tier runs the im2col + panel GEMM path. Gate on
   // the quantized params (not the graph): the artifact path loads a
@@ -37,26 +35,12 @@ void prepack_conv_panels(const Graph& g, const QuantizedParameters& params,
           ops::im2col_row_elements(g.shape(l.inputs[0]), l));
       const auto& w = params.weights[static_cast<std::size_t>(id)];
       backend.prepack(w.data, l.out_channels, k);
-      // Sub-byte inputs may take the LUT path: bake its weight recode too,
-      // so the first inference pays no table construction either. Only
-      // tables the current force mode can actually run are baked — 4-bit
-      // tables cost 32*n*k bytes and only run under QMCU_FORCE_LUT.
-      const int in_bits =
-          effective[static_cast<std::size_t>(l.inputs[0])].bits;
-      if (ops::lut::lut_planned(in_bits)) {
-        backend.prepack_lut(w.data, l.out_channels, k, in_bits);
-      }
     } else if (l.kind == OpKind::FullyConnected) {
       const auto& w = params.weights[static_cast<std::size_t>(id)];
       const int k = static_cast<int>(g.shape(l.inputs[0]).elements());
       // fc runs the same k-major panel GEMM as conv since the microkernel
       // rewrite; bake its panel so the first inference pays no repack.
       backend.prepack(w.data, l.out_channels, k);
-      const int in_bits =
-          effective[static_cast<std::size_t>(l.inputs[0])].bits;
-      if (ops::lut::lut_planned(in_bits)) {
-        backend.prepack_lut(w.data, l.out_channels, k, in_bits);
-      }
     }
   }
 }
@@ -66,9 +50,6 @@ void prepack_conv_panels(const Graph& g, const QuantizedParameters& params,
 void PrecompiledBundle::apply(ops::KernelBackend& backend) const {
   for (const PanelEntry& p : panels) {
     backend.adopt_panel(p.key, p.bt, p.wsum);
-  }
-  for (const LutEntry& l : luts) {
-    backend.adopt_lut_panel(l.key, l.bits, l.tables, l.wsum);
   }
   for (const OffsetEntry& o : offsets) {
     backend.register_offset_row(o.key, o.a_zp, o.bias, o.offset);
@@ -175,7 +156,7 @@ CompiledQuantModel::CompiledQuantModel(
       plan_(plan_execution_arena(g, 1)),
       backend_(tier) {
   QMCU_REQUIRE(g.inputs().size() == 1, "compiled model expects one input");
-  prepack_conv_panels(g, *params_, effective_, backend_);
+  prepack_conv_panels(g, *params_, backend_);
 }
 
 CompiledQuantModel::CompiledQuantModel(
@@ -195,9 +176,8 @@ CompiledQuantModel::CompiledQuantModel(
                "arena plan does not cover every layer");
   if (bundle_ != nullptr) bundle_->apply(backend_);
   // With an adopted bundle every panel the model needs is already resident;
-  // this only builds tables the artifact's kernel generation did not bake
-  // (e.g. a LUT width that only the current force mode enables).
-  prepack_conv_panels(g, *params_, effective_, backend_);
+  // this only builds panels the artifact did not bake.
+  prepack_conv_panels(g, *params_, backend_);
 }
 
 QTensor CompiledQuantModel::run(const Tensor& input) const {

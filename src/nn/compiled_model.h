@@ -96,7 +96,7 @@ std::vector<QuantParams> effective_output_params(
 ArenaPlan plan_execution_arena(const Graph& g, std::int64_t elem_bytes);
 
 // Construction-time kernel state precomputed by the plan-artifact writer:
-// k-major weight panels, LUT recode tables and bias/zero-point offset rows,
+// k-major weight panels and bias/zero-point offset rows,
 // each a span view into the read-only artifact mapping (keyed by the layer's
 // quantized-weight pointer, also a mapping view). apply() hands them to a
 // backend, which then skips its own packing for those weights — the first
@@ -107,12 +107,6 @@ struct PrecompiledBundle {
     std::span<const std::int8_t> bt;   // k-major [K][N] panel
     std::span<const std::int32_t> wsum;
   };
-  struct LutEntry {
-    const std::int8_t* key = nullptr;
-    int bits = 0;  // activation width the tables decode (2 or 4)
-    std::span<const std::int8_t> tables;
-    std::span<const std::int32_t> wsum;
-  };
   struct OffsetEntry {
     const std::int8_t* key = nullptr;
     std::int32_t a_zp = 0;  // activation zero point the row was baked for
@@ -120,7 +114,6 @@ struct PrecompiledBundle {
     std::span<const std::int32_t> offset;
   };
   std::vector<PanelEntry> panels;
-  std::vector<LutEntry> luts;
   std::vector<OffsetEntry> offsets;
 
   void apply(ops::KernelBackend& backend) const;
@@ -191,7 +184,7 @@ class CompiledQuantModel {
                      std::shared_ptr<const QuantizedParameters> params = {});
   // Artifact path: everything the default constructor computes arrives
   // precomputed — params view into the mapping, the baked arena plan, and
-  // the panel/LUT/offset bundle adopted by the backend before prepack (so
+  // the panel/offset bundle adopted by the backend before prepack (so
   // prepack sees every panel already resident and does no packing work).
   CompiledQuantModel(const Graph& g, ActivationQuantConfig cfg,
                      std::shared_ptr<const QuantizedParameters> params,

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "nn/ops/im2col.h"
-#include "nn/ops/lut/lut_kernels.h"
 
 namespace qmcu::nn {
 
@@ -15,59 +14,27 @@ int last_use_step(const Graph& g, int id) {
 }
 
 std::int64_t fast_scratch_bytes(const Graph& g, int id) {
-  return fast_scratch_bytes(g, id, 8);
-}
-
-std::int64_t fast_scratch_bytes(const Graph& g, int id, int in_act_bits) {
   const Layer& l = g.layer(id);
-  const bool sub_byte = in_act_bits == 2 || in_act_bits == 4;
   switch (l.kind) {
     case OpKind::Conv2D: {
       // Mirrors KernelBackend::conv2d in uncached-panel mode: k-major
       // panel (n*k i8) + column sums (n i32) + per-column offsets (n i32)
       // + one output row of im2col strip (out_w * k i8) + GEMM accumulator
-      // tile (4n i32).
+      // tile (4n i32). Sub-byte inputs unpack into the same int8 strip, so
+      // the input bitwidth does not change the price.
       const TensorShape& is = g.shape(l.inputs[0]);
       const std::int64_t k = ops::im2col_row_elements(is, l);
       const std::int64_t n = l.out_channels;
       const std::int64_t out_w = g.shape(id).w;
-      const std::int64_t gemm = n * k + out_w * k + (n + n + 4 * n) * 4;
-      if (!sub_byte || !ops::lut::lut_planned(in_act_bits)) return gemm;
-      // Sub-byte inputs the current force mode can LUT may dispatch to
-      // lut_conv2d_impl instead: lookup tables (n*groups*32 i8) + column
-      // sums (n i32) + offsets (n i32) + im2col strip (out_w*k i8) +
-      // index tile (groups*kLutTileM i8) + accumulator tile
-      // (min(kLutTileM, out_w)*n i32). The tables alone dwarf the GEMM
-      // panel, but max() keeps the bound honest for degenerate shapes.
-      const std::int64_t groups =
-          ops::lut::lut_groups(static_cast<int>(k), in_act_bits);
-      const std::int64_t acc_rows =
-          std::min<std::int64_t>(ops::lut::kLutTileM, out_w);
-      const std::int64_t lut =
-          ops::lut::lut_table_bytes(static_cast<int>(n), static_cast<int>(k),
-                                    in_act_bits) +
-          out_w * k + groups * ops::lut::kLutTileM +
-          (n + n + acc_rows * n) * 4;
-      return std::max(gemm, lut);
+      return n * k + out_w * k + (n + n + 4 * n) * 4;
     }
     case OpKind::FullyConnected: {
-      // Int8 inputs run the m == 1 panel GEMM microkernel: in uncached-panel
-      // mode a k-major panel (n*k i8) + column sums (n i32), plus per-column
-      // offsets (n i32) + one accumulator row (n i32). Sub-byte inputs the
-      // force mode can LUT may take the table path instead (tables + offsets
-      // + index tile + one accumulator row, matching fully_connected_into);
-      // max() bounds whichever dispatch wins.
+      // The m == 1 panel GEMM microkernel: in uncached-panel mode a k-major
+      // panel (n*k i8) + column sums (n i32), plus per-column offsets
+      // (n i32) + one accumulator row (n i32).
       const std::int64_t k = g.shape(l.inputs[0]).elements();
       const std::int64_t n = l.out_channels;
-      const std::int64_t gemm = n * k + (n + n + n) * 4;
-      if (!sub_byte || !ops::lut::lut_planned(in_act_bits)) return gemm;
-      const std::int64_t groups =
-          ops::lut::lut_groups(static_cast<int>(k), in_act_bits);
-      const std::int64_t lut =
-          ops::lut::lut_table_bytes(static_cast<int>(n), static_cast<int>(k),
-                                    in_act_bits) +
-          groups * ops::lut::kLutTileM + (n + n + n) * 4;
-      return std::max(gemm, lut);
+      return n * k + (n + n + n) * 4;
     }
     case OpKind::DepthwiseConv2D:
       // Per-channel int32 accumulators.
@@ -84,32 +51,16 @@ std::int64_t fast_scratch_bytes(const Graph& g, int id, int in_act_bits) {
 }
 
 std::int64_t fast_panel_bytes(const Graph& g, int id) {
-  return fast_panel_bytes(g, id, 8);
-}
-
-std::int64_t fast_panel_bytes(const Graph& g, int id, int in_act_bits) {
   const Layer& l = g.layer(id);
-  // LUT table panel + column sums, resident exactly when prepack bakes the
-  // recode (lut_planned — the prepack_conv_panels policy).
-  const auto lut_panel = [&](std::int64_t k) {
-    const std::int64_t n = l.out_channels;
-    return ops::lut::lut_table_bytes(static_cast<int>(n), static_cast<int>(k),
-                                     in_act_bits) +
-           n * 4;
-  };
+  std::int64_t k = 0;
   if (l.kind == OpKind::FullyConnected) {
-    // fc shares the conv panel GEMM: bt panel + wsum always resident once
-    // prepacked, plus the LUT recode when the force mode can run it.
-    const std::int64_t k = g.shape(l.inputs[0]).elements();
-    const std::int64_t gemm = l.out_channels * k + l.out_channels * 4;
-    return ops::lut::lut_planned(in_act_bits) ? gemm + lut_panel(k) : gemm;
+    k = g.shape(l.inputs[0]).elements();
+  } else if (l.kind == OpKind::Conv2D) {
+    k = ops::im2col_row_elements(g.shape(l.inputs[0]), l);
+  } else {
+    return 0;
   }
-  if (l.kind != OpKind::Conv2D) return 0;
-  const std::int64_t k = ops::im2col_row_elements(g.shape(l.inputs[0]), l);
-  const std::int64_t n = l.out_channels;
-  const std::int64_t gemm = n * k + n * 4;  // bt panel + wsum
-  if (!ops::lut::lut_planned(in_act_bits)) return gemm;
-  return gemm + lut_panel(k);
+  return l.out_channels * k + l.out_channels * 4;  // bt panel + wsum
 }
 
 MemoryPlan plan_layer_based(const Graph& g, std::span<const int> act_bits) {
@@ -134,19 +85,14 @@ MemoryPlan plan_layer_based(const Graph& g, std::span<const int> act_bits) {
       plan.peak_bytes = live;
       plan.peak_step = step;
     }
-    const Layer& sl = g.layer(step);
-    const int in_bits =
-        sl.inputs.empty()
-            ? 8
-            : act_bits[static_cast<std::size_t>(sl.inputs[0])];
-    const std::int64_t scratch = fast_scratch_bytes(g, step, in_bits);
+    const std::int64_t scratch = fast_scratch_bytes(g, step);
     plan.step_scratch_bytes[static_cast<std::size_t>(step)] = scratch;
     plan.scratch_peak_bytes = std::max(plan.scratch_peak_bytes, scratch);
     if (live + scratch > plan.total_peak_bytes) {
       plan.total_peak_bytes = live + scratch;
       plan.total_peak_step = step;
     }
-    plan.panel_bytes += fast_panel_bytes(g, step, in_bits);
+    plan.panel_bytes += fast_panel_bytes(g, step);
   }
   return plan;
 }

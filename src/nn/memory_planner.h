@@ -66,23 +66,15 @@ int last_use_step(const Graph& g, int id);
 // Transient Simd-tier scratch bytes layer `id` needs while it runs
 // (uncached-panel mode: im2col strip + packed panel + accumulators for
 // conv, per-channel accumulators for depthwise, the float detour for
-// softmax). Zero for ops that run without scratch.
-//
-// `in_act_bits` is the storage bitwidth of the layer's *input* feature map:
-// sub-byte inputs (2/4-bit) may dispatch to the LUT-GEMM tier, whose
-// uncached scratch (lookup tables + index tile + m-tile accumulators)
-// dominates the plain GEMM path's, so the bits-aware overload prices
-// max(gemm, lut) for conv and the LUT sequence for fully-connected. The
-// 2-argument form assumes int8 inputs (no LUT eligibility).
+// softmax). Zero for ops that run without scratch. Independent of the
+// input's bitwidth: 2/4-bit inputs unpack into the same int8 im2col strip,
+// and the price does not depend on the host's kernel table.
 std::int64_t fast_scratch_bytes(const Graph& g, int id);
-std::int64_t fast_scratch_bytes(const Graph& g, int id, int in_act_bits);
 
 // Resident bytes of layer `id`'s cached k-major weight panel + column sums
-// (0 for non-Conv2D layers; depthwise and FC never repack). The bits-aware
-// overload adds the LUT table panel that prepack bakes for sub-byte inputs
-// (conv at 2/4-bit; fc at 2-bit, matching the prepack policy).
+// (0 for layers other than Conv2D and FullyConnected; depthwise never
+// repacks).
 std::int64_t fast_panel_bytes(const Graph& g, int id);
-std::int64_t fast_panel_bytes(const Graph& g, int id, int in_act_bits);
 
 // Flash footprint: every MAC layer's weights at `weight_bits` plus int32
 // biases (the model resides in flash on the MCU).

@@ -7,7 +7,6 @@
 #include "nn/ops/float_kernels.h"
 #include "nn/ops/gemm_int8.h"
 #include "nn/ops/im2col.h"
-#include "nn/ops/lut/lut_kernels.h"
 #include "nn/ops/simd/simd_kernels.h"
 #include "quant/bitpack.h"
 
@@ -151,64 +150,6 @@ void fast_conv2d_impl(ScratchArena& arena, const TensorShape& is,
     pack_row(oy, a.data());
     gemm_int8_requant(a.data(), bt.data(), os.w, n, k, post, acc.data(),
                       y + static_cast<std::size_t>(oy) * os.w * n, simd);
-  }
-}
-
-// LUT twin of fast_conv2d_impl: same zero-point folding and epilogue, but
-// the inner product runs over the prepacked lookup tables instead of the
-// k-major panel. `tables`/`wsum` come from KernelBackend::lut_panel; the
-// arena must already be reset by the caller (the tables may live in it).
-template <typename PackRow>
-void lut_conv2d_impl(ScratchArena& arena, const TensorShape& is,
-                     const QuantParams& ip, const Layer& l,
-                     std::span<const std::int8_t> tables,
-                     std::span<const std::int32_t> wsum,
-                     const QuantParams& wparams,
-                     std::span<const std::int32_t> qbias,
-                     const PackRow& pack_row, QTensor& out,
-                     const simd::SimdKernels* simd,
-                     std::span<const std::int32_t> pre_offset = {}) {
-  const TensorShape os = conv_output_shape(is, l, l.out_channels);
-  const int n = l.out_channels;
-  const int k = static_cast<int>(im2col_row_elements(is, l));
-  const int groups = lut::lut_groups(k, ip.bits);
-  QMCU_REQUIRE(out.shape() == os, "conv2d: destination shape mismatch");
-  const QuantParams& out_params = out.params();
-
-  // The LUT path has no activation bias, so its registered rows are keyed
-  // at a_zp == ip.zero_point exactly.
-  std::span<const std::int32_t> offset = pre_offset;
-  if (offset.empty()) {
-    auto row = arena.i32(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      const std::int32_t bias =
-          qbias.empty() ? 0 : qbias[static_cast<std::size_t>(j)];
-      row[static_cast<std::size_t>(j)] =
-          bias - ip.zero_point * wsum[static_cast<std::size_t>(j)];
-    }
-    offset = row;
-  }
-  auto a = arena.i8(static_cast<std::size_t>(os.w) * k);
-  auto idx = arena.i8(static_cast<std::size_t>(groups) * lut::kLutTileM);
-  auto acc = arena.i32(
-      static_cast<std::size_t>(std::min(lut::kLutTileM, os.w)) * n);
-
-  GemmQuantPost post;
-  post.offset = offset.data();
-  post.multiplier = quantize_multiplier(
-      static_cast<double>(ip.scale) * wparams.scale / out_params.scale);
-  post.output_zp = out_params.zero_point;
-  const auto [act_lo, act_hi] = activation_range(l.act, out_params);
-  post.act_lo = act_lo;
-  post.act_hi = act_hi;
-
-  std::int8_t* y = out.data().data();
-  for (int oy = 0; oy < os.h; ++oy) {
-    pack_row(oy, a.data());
-    lut::lut_gemm_requant(a.data(), tables.data(), os.w, n, k, ip.bits, post,
-                          reinterpret_cast<std::uint8_t*>(idx.data()),
-                          acc.data(),
-                          y + static_cast<std::size_t>(oy) * os.w * n, simd);
   }
 }
 
@@ -400,57 +341,12 @@ void KernelBackend::prepack(std::span<const std::int8_t> qweights, int n,
   (void)weight_panel(qweights, n, k);
 }
 
-KernelBackend::LutView KernelBackend::lut_panel(
-    std::span<const std::int8_t> qweights, int n, int k, int bits) {
-  const std::int64_t bytes = lut::lut_table_bytes(n, k, bits);
-  const auto& adopted = adopted_lut_[bits == 4 ? 1 : 0];
-  if (!adopted.empty()) {
-    const auto it = adopted.find(qweights.data());
-    if (it != adopted.end() &&
-        static_cast<int>(it->second.wsum.size()) == n &&
-        static_cast<std::int64_t>(it->second.tables.size()) == bytes) {
-      return it->second;
-    }
-  }
-  if (cache_weight_panels_) {
-    LutPanel& p = lut_panels_[bits == 4 ? 1 : 0][qweights.data()];
-    if (static_cast<int>(p.wsum.size()) != n ||
-        static_cast<std::int64_t>(p.tables.size()) != bytes) {
-      p.tables.resize(static_cast<std::size_t>(bytes));
-      lut::pack_weights_lut(qweights, n, k, bits, p.tables.data());
-      p.wsum.resize(static_cast<std::size_t>(n));
-      weight_column_sums(qweights, n, k, p.wsum.data());
-    }
-    return {p.tables, p.wsum};
-  }
-  auto tables = arena_.i8(static_cast<std::size_t>(bytes));
-  lut::pack_weights_lut(qweights, n, k, bits, tables.data());
-  auto wsum = arena_.i32(static_cast<std::size_t>(n));
-  weight_column_sums(qweights, n, k, wsum.data());
-  return {tables, wsum};
-}
-
-void KernelBackend::prepack_lut(std::span<const std::int8_t> qweights, int n,
-                                int k, int bits) {
-  if (!cache_weight_panels_) return;
-  (void)lut_panel(qweights, n, k, bits);
-}
-
 void KernelBackend::adopt_panel(const std::int8_t* key,
                                 std::span<const std::int8_t> bt,
                                 std::span<const std::int32_t> wsum) {
   QMCU_REQUIRE(key != nullptr && !bt.empty() && !wsum.empty(),
                "adopt_panel: empty panel");
   adopted_panels_[key] = PanelView{bt, wsum};
-}
-
-void KernelBackend::adopt_lut_panel(const std::int8_t* key, int bits,
-                                    std::span<const std::int8_t> tables,
-                                    std::span<const std::int32_t> wsum) {
-  QMCU_REQUIRE(key != nullptr && (bits == 2 || bits == 4) &&
-                   !tables.empty() && !wsum.empty(),
-               "adopt_lut_panel: empty table blob");
-  adopted_lut_[bits == 4 ? 1 : 0][key] = LutView{tables, wsum};
 }
 
 void KernelBackend::register_offset_row(const std::int8_t* key,
@@ -497,16 +393,6 @@ void KernelBackend::conv2d_into(const QTensor& in, const Layer& l,
     im2col_pack_row(x, is, l, oy,
                     conv_output_shape(is, l, l.out_channels).w, pad, dst);
   };
-  if (lut::lut_use(ip.bits, ip.zero_point, n, static_cast<int>(k),
-                   conv_output_shape(is, l, n).w, /*fc=*/false,
-                   cache_weight_panels_, simd_)) {
-    arena_.reset();
-    const LutView t = lut_panel(qweights, n, static_cast<int>(k), ip.bits);
-    lut_conv2d_impl(arena_, is, ip, l, t.tables, t.wsum, wparams, qbias,
-                    pack_row, out, simd_,
-                    offset_row(qweights.data(), ip.zero_point, qbias, n));
-    return;
-  }
   arena_.reset();
   const PanelView w = weight_panel(qweights, n, static_cast<int>(k));
   // A 1x1, stride-1, unpadded conv reads each input pixel's channels as
@@ -564,17 +450,6 @@ QTensor KernelBackend::conv2d_packed(std::span<const std::uint8_t> packed,
         packed, bits, in_shape, l, oy,
         conv_output_shape(in_shape, l, l.out_channels).w, pad, dst, simd_);
   };
-  if (lut::lut_use(bits, in_params.zero_point, n, static_cast<int>(k),
-                   conv_output_shape(in_shape, l, n).w, /*fc=*/false,
-                   cache_weight_panels_, simd_)) {
-    arena_.reset();
-    const LutView t = lut_panel(qweights, n, static_cast<int>(k), bits);
-    lut_conv2d_impl(arena_, in_shape, in_params, l, t.tables, t.wsum, wparams,
-                    qbias, pack_row, out, simd_,
-                    offset_row(qweights.data(), in_params.zero_point, qbias,
-                               n));
-    return out;
-  }
   arena_.reset();
   const PanelView w = weight_panel(qweights, n, static_cast<int>(k));
   fast_conv2d_impl(
@@ -620,8 +495,6 @@ void KernelBackend::fully_connected_into(const QTensor& in, const Layer& l,
     fully_connected_q_into(in, l, qweights, wparams, qbias, out);
     return;
   }
-  // M == 1 GEMM: four output channels at a time against the flat input so
-  // each loaded activation feeds four weight rows; no repacking needed.
   const std::int64_t in_features = in.elements();
   QMCU_REQUIRE(static_cast<std::int64_t>(qweights.size()) ==
                    in_features * l.out_channels,
@@ -630,41 +503,6 @@ void KernelBackend::fully_connected_into(const QTensor& in, const Layer& l,
                "fully_connected: destination shape mismatch");
   const QuantParams& out_params = out.params();
   const auto& ip = in.params();
-  const int kf_lut = static_cast<int>(in_features);
-  if (lut::lut_use(ip.bits, ip.zero_point, l.out_channels, kf_lut, /*m=*/1,
-                   /*fc=*/true, cache_weight_panels_, simd_)) {
-    arena_.reset();
-    const LutView t = lut_panel(qweights, l.out_channels, kf_lut, ip.bits);
-    const int n = l.out_channels;
-    std::span<const std::int32_t> offset =
-        offset_row(qweights.data(), ip.zero_point, qbias, n);
-    if (offset.empty()) {
-      auto row = arena_.i32(static_cast<std::size_t>(n));
-      for (int j = 0; j < n; ++j) {
-        const std::int32_t bias =
-            qbias.empty() ? 0 : qbias[static_cast<std::size_t>(j)];
-        row[static_cast<std::size_t>(j)] =
-            bias - ip.zero_point * t.wsum[static_cast<std::size_t>(j)];
-      }
-      offset = row;
-    }
-    const int groups = lut::lut_groups(kf_lut, ip.bits);
-    auto idx = arena_.i8(static_cast<std::size_t>(groups) * lut::kLutTileM);
-    auto acc = arena_.i32(static_cast<std::size_t>(n));
-    GemmQuantPost post;
-    post.offset = offset.data();
-    post.multiplier = quantize_multiplier(
-        static_cast<double>(ip.scale) * wparams.scale / out_params.scale);
-    post.output_zp = out_params.zero_point;
-    const auto [lut_lo, lut_hi] = activation_range(l.act, out_params);
-    post.act_lo = lut_lo;
-    post.act_hi = lut_hi;
-    lut::lut_gemm_requant(in.data().data(), t.tables.data(), 1, n, kf_lut,
-                          ip.bits, post,
-                          reinterpret_cast<std::uint8_t*>(idx.data()),
-                          acc.data(), out.data().data(), simd_);
-    return;
-  }
   // m == 1 GEMM over the k-major weight panel: the same accumulator tile
   // (and Simd microkernel — pair-madd or dot-product generation) as conv,
   // with CMSIS-NN zero-point folding in place of the per-lane subtraction.

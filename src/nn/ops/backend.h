@@ -6,8 +6,7 @@
 //   Simd      — im2col + register-tiled GEMM for conv/fc, interior/border
 //               split kernels for depthwise and pooling, with the hottest
 //               integer inner loops (GEMM microkernel, depthwise MAC, fused
-//               requantize epilogues, sub-byte unpack, LUT-GEMM tile)
-//               routed through the microkernel table of
+//               requantize epilogues, sub-byte unpack) routed through the microkernel table of
 //               nn/ops/simd/simd_kernels.h (AVX2 / NEON), resolved at
 //               construction. On hosts without a usable ISA, or with
 //               QMCU_FORCE_SCALAR set when the backend is built, the table
@@ -23,12 +22,9 @@
 //               outputs per pass over the input, each adding in ascending
 //               input order) are all bit-identical to Reference.
 //
-// Orthogonally to the tier, 2/4-bit conv and fc inputs can take the LUT
-// path (nn/ops/lut/lut_kernels.h): per-layer the backend consults
-// lut_use() — bits, zero-point range, shape thresholds, QMCU_FORCE_LUT /
-// QMCU_NO_LUT — and swaps the unpack+GEMM inner product for table lookups
-// over prepacked weight tables. Bit-identical to the GEMM path, so tier
-// invariance holds with the LUT forced on, off, or auto.
+// 2/4-bit conv and fc inputs run the same GEMM as int8 ones: the Simd tier
+// unpacks packed rows straight into the im2col strip, then runs the int8
+// MAC against the k-major weight panel.
 //
 // Each executor owns one KernelBackend. Its ScratchArena is a grow-only
 // pool of typed blocks reused across every op the executor runs, so
@@ -158,14 +154,6 @@ class KernelBackend {
   // packing cost. No-op unless panel caching is enabled.
   void prepack(std::span<const std::int8_t> qweights, int n, int k);
 
-  // Export-time weight recode for the LUT tier: bakes (and caches) the
-  // pack_weights_lut table blob + column sums of a weight blob for one
-  // sub-byte activation width (bits = 2 or 4; the 2- and 4-bit recodes of
-  // the same blob are cached independently). Like prepack(), construction
-  // time and a no-op unless panel caching is enabled.
-  void prepack_lut(std::span<const std::int8_t> qweights, int n, int k,
-                   int bits);
-
   // --- zero-copy panel adoption (plan-artifact loader) ---------------------
   // Installs an externally prepacked k-major panel + column sums for the
   // weight blob at `key` — typically span views straight into a read-only
@@ -174,9 +162,6 @@ class KernelBackend {
   // no private copies. The caller guarantees the spans outlive the backend.
   void adopt_panel(const std::int8_t* key, std::span<const std::int8_t> bt,
                    std::span<const std::int32_t> wsum);
-  void adopt_lut_panel(const std::int8_t* key, int bits,
-                       std::span<const std::int8_t> tables,
-                       std::span<const std::int32_t> wsum);
   // Installs a precomputed per-column constant row (bias − a_zp·Σw) for the
   // weight blob at `key`, valid only at the recorded activation zero point
   // `a_zp` (which folds in the dot generation's +128 activation bias, so
@@ -290,20 +275,6 @@ class KernelBackend {
   // Returns the k-major panel for `qweights` (cached or arena-backed).
   PanelView weight_panel(std::span<const std::int8_t> qweights, int n, int k);
 
-  struct LutPanel {
-    std::vector<std::int8_t> tables;  // [n][groups][2][16] lookup blob
-    std::vector<std::int32_t> wsum;   // per-channel weight sums
-  };
-  struct LutView {
-    std::span<const std::int8_t> tables;
-    std::span<const std::int32_t> wsum;
-  };
-
-  // Returns the LUT table blob for `qweights` at the given activation bit
-  // width (cached or arena-backed, mirroring weight_panel).
-  LutView lut_panel(std::span<const std::int8_t> qweights, int n, int k,
-                    int bits);
-
   struct OffsetRow {
     std::int32_t a_zp;
     const std::int32_t* bias;  // the bias array the row was built from
@@ -326,14 +297,9 @@ class KernelBackend {
   ScratchArena arena_;
   ThreadAffinity affinity_;
   std::unordered_map<const std::int8_t*, WeightPanel> panels_;
-  // LUT table blobs keyed by weight blob address, one map per activation
-  // bit width (index 0: 2-bit, index 1: 4-bit) — a mixed-precision model
-  // can hit the same weights at both widths.
-  std::unordered_map<const std::int8_t*, LutPanel> lut_panels_[2];
   // Externally owned (artifact-mapped) panels and precomputed offset rows;
   // consulted before the build-on-miss caches.
   std::unordered_map<const std::int8_t*, PanelView> adopted_panels_;
-  std::unordered_map<const std::int8_t*, LutView> adopted_lut_[2];
   std::unordered_map<const std::int8_t*, OffsetRow> offset_rows_;
   // AvgPool reciprocal tables keyed by window size, reused across runs.
   std::unordered_map<int, AvgPoolMultipliers> avg_pool_tables_;

@@ -13,7 +13,6 @@
 
 #include <cstring>
 
-#include "nn/ops/lut/lut_simd_bodies.h"
 #include "nn/ops/simd/requant_lanes_avx2.h"
 
 namespace qmcu::nn::ops::simd {
@@ -430,7 +429,7 @@ std::int64_t unpack_body_avx2(const std::uint8_t* bytes, std::int64_t nbytes,
 const SimdKernels kAvx2 = {
     "avx2",          &gemm_block_i8_avx2, &requant_i32_row_avx2,
     nullptr,  // dw_accumulate: every depthwise row runs dw_conv_row
-    &requant_i8_row_avx2, &unpack_body_avx2, &lut::lut_gemm_block_avx2,
+    &requant_i8_row_avx2, &unpack_body_avx2,
     &add_row_avx2, &gemm_requant_block_avx2, &dw_conv_row_avx2,
 };
 

@@ -16,8 +16,6 @@
 
 #include <arm_neon.h>
 
-#include "nn/ops/lut/lut_simd_bodies.h"
-
 namespace qmcu::nn::ops::simd {
 
 namespace {
@@ -330,11 +328,6 @@ std::int64_t unpack_body_neon(const std::uint8_t* bytes, std::int64_t nbytes,
 const SimdKernels kNeon = {
     "neon",    &gemm_block_i8_neon, &requant_i32_row_neon,
     &dw_accumulate_neon, &requant_i8_row_neon, &unpack_body_neon,
-#if defined(__aarch64__)
-    &lut::lut_gemm_block_neon,
-#else
-    nullptr,  // vqtbl1q is AArch64-only; 32-bit ARM runs the scalar core
-#endif
     &add_row_neon,
 };
 

@@ -21,11 +21,6 @@
 //   unpack_body     — the whole-byte body of quant::unpack_into for 2/4-bit
 //                     packed activations (little-endian fields, sign
 //                     extension), feeding the fused sub-byte im2col path.
-//   lut_gemm_block  — the LUT-GEMM m-tile of nn/ops/lut/lut_kernels.h:
-//                     per (channel, group) 16-entry table lookups over the
-//                     kLutTileM-lane index tile (vpshufb / vtbl), summed in
-//                     bounded int16 chunks then widened, matching
-//                     lut_gemm_block_scalar bit-for-bit.
 //   add_row         — the residual Add of add_q_into: both operands
 //                     centered and shifted left by 20, each rescaled by its
 //                     own Q31 multiplier onto the shared grid, summed,
@@ -63,10 +58,9 @@
 // two adds, two shifts and a blend.
 //
 // A table may leave entries null: the NEON tables leave both fused entries
-// null, and lut_gemm_block is null on 32-bit ARM, where the 16-byte
-// vqtbl1q lookup does not exist. Callers must check each pointer, falling
-// back to the scalar implementation — which is also what the whole table
-// being null (no usable ISA, or QMCU_FORCE_SCALAR) means. A null
+// null. Callers must check each pointer, falling back to the scalar
+// implementation — which is also what the whole table being null (no
+// usable ISA, or QMCU_FORCE_SCALAR) means. A null
 // gemm_requant_block runs gemm_block_i8 then requant_i32_row per row
 // (run_gemm_requant_block in gemm_int8.cpp); a null dw_conv_row runs the
 // per-pixel dw_accumulate loop.
@@ -147,14 +141,6 @@ struct SimdKernels {
   std::int64_t (*unpack_body)(const std::uint8_t* bytes, std::int64_t nbytes,
                               int bits, std::int8_t* dst) = nullptr;
 
-  // acc[r*n + j] = sum over g of the int16 table entry tables[j][g]
-  // selected by idx_t[g*kLutTileM + r] (lut_kernels.h layout: 16 low then
-  // 16 high bytes per group). rows in 1..kLutTileM; idx lanes beyond
-  // `rows` are zeroed by the caller. Writes rows*n int32 lanes.
-  void (*lut_gemm_block)(const std::uint8_t* idx_t, const std::int8_t* tables,
-                         int rows, int n, int groups,
-                         std::int32_t* acc) = nullptr;
-
   // out[i] = add_row_scalar's lane i (nn/ops/requantize.h) for i in
   // [0, n).
   void (*add_row)(const std::int8_t* a, const std::int8_t* b, std::int64_t n,
@@ -182,7 +168,8 @@ struct SimdKernels {
   std::int32_t gemm_a_bias = 0;
 
   // True when gemm_block_i8 is a dot-product generation (vpdpbusd / sdot)
-  // — what the LUT break-even heuristic and the dot bench counters key on.
+  // — what the artifact's kernel fingerprint and the dot bench counters
+  // key on.
   bool gemm_dot = false;
 };
 

@@ -13,7 +13,6 @@
 #include "nn/checksum.h"
 #include "nn/ops/gemm_int8.h"
 #include "nn/ops/im2col.h"
-#include "nn/ops/lut/lut_kernels.h"
 #include "nn/ops/simd/simd_kernels.h"
 #include "nn/serialize.h"
 
@@ -65,7 +64,7 @@ using artifact_detail::ByteWriter;
 namespace {
 
 constexpr char kArtifactMagic[4] = {'Q', 'M', 'C', 'P'};
-constexpr std::uint32_t kArtifactVersion = 1;
+constexpr std::uint32_t kArtifactVersion = 2;
 constexpr std::uint32_t kEndianSentinel = 0x01020304u;
 constexpr std::size_t kHeaderBytes = 64;
 constexpr std::size_t kSectionEntryBytes = 32;
@@ -80,8 +79,6 @@ constexpr std::uint32_t kTagBlob = artifact_tag('B', 'L', 'O', 'B');
 
 // Per-MAC-layer LIDX record flags.
 constexpr std::uint32_t kLayerHasPanel = 1u << 0;  // Conv2D / FullyConnected
-constexpr std::uint32_t kLayerHasLut2 = 1u << 1;
-constexpr std::uint32_t kLayerHasLut4 = 1u << 2;
 
 // Bulk-data region under construction: every blob 64-aligned so mapped
 // pointers carry the alignment of the page-aligned mmap base. Offsets are
@@ -148,7 +145,7 @@ void write_artifact_file(const std::string& path, ArtifactModelKind kind,
   write_u32_at(file, 12, static_cast<std::uint32_t>(kind));
   write_u32_at(file, 16, fp.gemm_generation);
   write_u32_at(file, 20, static_cast<std::uint32_t>(fp.gemm_a_bias));
-  write_u32_at(file, 24, fp.lut_mask);
+  // Byte 24 is reserved (zero): the string-initialised header already is.
   write_u32_at(file, 28, static_cast<std::uint32_t>(sections.size()));
   write_u64_at(file, 32, file.size());
   for (std::size_t i = 0; i < sections.size(); ++i) {
@@ -217,8 +214,6 @@ KernelFingerprint KernelFingerprint::current() {
                            ? 0u
                            : (k->gemm_dot ? 2u : 1u);
   fp.gemm_a_bias = ops::simd::gemm_activation_bias(k);
-  fp.lut_mask = (ops::lut::lut_planned(2) ? 1u : 0u) |
-                (ops::lut::lut_planned(4) ? 2u : 0u);
   return fp;
 }
 
@@ -277,7 +272,6 @@ void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
     if (!is_mac_op(l.kind) || params.weights[i].data.empty()) continue;
     const std::span<const std::int8_t> qw = params.weights[i].data;
     const std::span<const std::int32_t> bias = params.bias[i];
-    const int in_bits = effective[static_cast<std::size_t>(l.inputs[0])].bits;
 
     std::uint32_t flags = 0;
     int n = 0;
@@ -286,7 +280,6 @@ void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
     std::vector<std::int8_t> bt;
     std::vector<std::int32_t> wsum;
     std::vector<std::int32_t> offr;
-    std::vector<std::int8_t> lut2, lut4;
     if (l.kind != OpKind::DepthwiseConv2D) {
       flags |= kLayerHasPanel;
       n = l.out_channels;
@@ -312,16 +305,6 @@ void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
         offr[static_cast<std::size_t>(j)] =
             bj - a_zp * wsum[static_cast<std::size_t>(j)];
       }
-      // LUT recode tables for the widths the writer's dispatch mode plans
-      // (mirrors prepack_conv_panels): generation-independent weight data.
-      if (ops::lut::lut_planned(in_bits)) {
-        auto& dst = in_bits == 4 ? lut4 : lut2;
-        dst.resize(static_cast<std::size_t>(
-            ops::lut::lut_table_bytes(n, static_cast<int>(k), in_bits)));
-        ops::lut::pack_weights_lut(qw, n, static_cast<int>(k), in_bits,
-                                   dst.data());
-        flags |= in_bits == 4 ? kLayerHasLut4 : kLayerHasLut2;
-      }
     }
 
     lidx.i32(id);
@@ -339,10 +322,6 @@ void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
                           : blob.add(wsum.data(), wsum.size() * 4));
     lidx.u64(offr.empty() ? 0
                           : blob.add(offr.data(), offr.size() * 4));
-    lidx.u64(lut2.empty() ? 0 : blob.add(lut2.data(), lut2.size()));
-    lidx.u64(lut2.size());
-    lidx.u64(lut4.empty() ? 0 : blob.add(lut4.data(), lut4.size()));
-    lidx.u64(lut4.size());
     ++records;
   }
   ByteWriter head;
@@ -425,7 +404,7 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
   art->kind_ = static_cast<ArtifactModelKind>(kind);
   art->fingerprint_.gemm_generation = hdr.u32();
   art->fingerprint_.gemm_a_bias = hdr.i32();
-  art->fingerprint_.lut_mask = hdr.u32();
+  QMCU_REQUIRE(hdr.u32() == 0, "reserved artifact header word is not zero");
   const std::uint32_t nsections = hdr.u32();
   QMCU_REQUIRE(nsections <= 64, "implausible artifact section count");
   QMCU_REQUIRE(hdr.u64() == size,
@@ -470,11 +449,13 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
   art->plan_ = parse_plan_section(section_of(kTagArenaPlan, "PLAN"));
 
   const std::span<const std::uint8_t> blob = art->section(kTagBlob);
-  const auto blob_bytes = [&](std::uint64_t off, std::uint64_t len,
-                              std::size_t align) -> const std::uint8_t* {
-    QMCU_REQUIRE(off <= blob.size() && len <= blob.size() - off,
+  // `count` elements of `elem` bytes each at `off`, aligned to `elem`. The
+  // bound divides instead of multiplying, so a hostile count cannot wrap.
+  const auto blob_bytes = [&](std::uint64_t off, std::uint64_t count,
+                              std::size_t elem) -> const std::uint8_t* {
+    QMCU_REQUIRE(off <= blob.size() && count <= (blob.size() - off) / elem,
                  "artifact blob reference outside the data section");
-    QMCU_REQUIRE(off % align == 0, "misaligned artifact blob");
+    QMCU_REQUIRE(off % elem == 0, "misaligned artifact blob");
     return blob.data() + off;
   };
 
@@ -489,9 +470,9 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
       const std::uint64_t b_off = r.u64();
       const std::uint64_t b_count = r.u64();
       const auto* w = reinterpret_cast<const float*>(
-          blob_bytes(w_off, w_count * 4, alignof(float)));
+          blob_bytes(w_off, w_count, sizeof(float)));
       const auto* b = reinterpret_cast<const float*>(
-          blob_bytes(b_off, b_count * 4, alignof(float)));
+          blob_bytes(b_off, b_count, sizeof(float)));
       // set_parameter_views revalidates counts against layer geometry.
       art->graph_->set_parameter_views(
           id, std::span<const float>(w, static_cast<std::size_t>(w_count)),
@@ -501,7 +482,7 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
     return art;
   }
 
-  // Quant kinds: parameters, panels, LUT tables and offset rows are all
+  // Quant kinds: parameters, panels and offset rows are all
   // span views into the mapping (zero copy). Offset rows are the one
   // generation-dependent table; on a fingerprint mismatch they are
   // re-derived here into private memory — everything else loads as-is.
@@ -532,6 +513,8 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
     const Layer& l = g.layer(id);
     QMCU_REQUIRE(is_mac_op(l.kind), "artifact parameters on a non-MAC layer");
     const std::uint32_t flags = r.u32();
+    QMCU_REQUIRE((flags & ~kLayerHasPanel) == 0,
+                 "unknown flags in artifact layer record");
     const std::int32_t n = r.i32();
     const std::int64_t k = r.i64();
     const std::int32_t baked_a_zp = r.i32();
@@ -544,13 +527,14 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
     const std::uint64_t panel_off = r.u64();
     const std::uint64_t wsum_off = r.u64();
     const std::uint64_t offr_off = r.u64();
-    const std::uint64_t lut2_off = r.u64();
-    const std::uint64_t lut2_size = r.u64();
-    const std::uint64_t lut4_off = r.u64();
-    const std::uint64_t lut4_size = r.u64();
 
     QMCU_REQUIRE(static_cast<std::int64_t>(qw_count) == g.weight_count(id),
                  "artifact weight count does not match layer geometry");
+    // Kernels read qbias[j] for every output channel j, so a bias blob is
+    // either absent or exactly one int32 per channel.
+    QMCU_REQUIRE(bias_count == 0 ||
+                     bias_count == static_cast<std::uint64_t>(g.shape(id).c),
+                 "artifact bias count does not match the layer's channels");
     const auto* qw = reinterpret_cast<const std::int8_t*>(
         blob_bytes(qw_off, qw_count, 1));
     const auto i = static_cast<std::size_t>(id);
@@ -559,31 +543,35 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
         QuantParams{wscale, 0, 8}};
     if (bias_count != 0) {
       const auto* bias = reinterpret_cast<const std::int32_t*>(
-          blob_bytes(bias_off, bias_count * 4, alignof(std::int32_t)));
+          blob_bytes(bias_off, bias_count, sizeof(std::int32_t)));
       params->bias[i] = std::span<const std::int32_t>(
           bias, static_cast<std::size_t>(bias_count));
     }
 
     if ((flags & kLayerHasPanel) != 0) {
-      QMCU_REQUIRE(n == l.out_channels && k > 0 &&
-                       k * n == static_cast<std::int64_t>(qw_count),
+      // k is checked by division: a hostile k must not overflow k * n.
+      QMCU_REQUIRE(n == l.out_channels && n > 0 && k > 0 &&
+                       qw_count % static_cast<std::uint64_t>(n) == 0 &&
+                       static_cast<std::uint64_t>(k) ==
+                           qw_count / static_cast<std::uint64_t>(n),
                    "artifact panel geometry does not match the layer");
       const auto* bt = reinterpret_cast<const std::int8_t*>(
-          blob_bytes(panel_off, static_cast<std::uint64_t>(k * n), 1));
+          blob_bytes(panel_off, qw_count, 1));
       const auto* wsum = reinterpret_cast<const std::int32_t*>(blob_bytes(
-          wsum_off, static_cast<std::uint64_t>(n) * 4, alignof(std::int32_t)));
+          wsum_off, static_cast<std::uint64_t>(n), sizeof(std::int32_t)));
       const std::span<const std::int32_t> wsum_span(
           wsum, static_cast<std::size_t>(n));
       bundle->panels.push_back(
           {qw,
-           std::span<const std::int8_t>(bt, static_cast<std::size_t>(k * n)),
+           std::span<const std::int8_t>(bt,
+                                        static_cast<std::size_t>(qw_count)),
            wsum_span});
 
       const std::int32_t a_zp_now =
           effective[static_cast<std::size_t>(l.inputs[0])].zero_point +
           a_bias_now;
       const auto* offr = reinterpret_cast<const std::int32_t*>(blob_bytes(
-          offr_off, static_cast<std::uint64_t>(n) * 4, alignof(std::int32_t)));
+          offr_off, static_cast<std::uint64_t>(n), sizeof(std::int32_t)));
       if (a_zp_now == baked_a_zp) {
         bundle->offsets.push_back(
             {qw, baked_a_zp, params->bias[i].data(),
@@ -606,23 +594,6 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
             {qw, a_zp_now, params->bias[i].data(),
              std::span<const std::int32_t>(art->rederived_offsets_.back())});
       }
-
-      const auto adopt_lut = [&](int bits, std::uint64_t off,
-                                 std::uint64_t len) {
-        QMCU_REQUIRE(static_cast<std::int64_t>(len) ==
-                         ops::lut::lut_table_bytes(n, static_cast<int>(k),
-                                                   bits),
-                     "artifact LUT table size does not match the layer");
-        const auto* tables =
-            reinterpret_cast<const std::int8_t*>(blob_bytes(off, len, 1));
-        bundle->luts.push_back(
-            {qw, bits,
-             std::span<const std::int8_t>(tables,
-                                          static_cast<std::size_t>(len)),
-             wsum_span});
-      };
-      if ((flags & kLayerHasLut2) != 0) adopt_lut(2, lut2_off, lut2_size);
-      if ((flags & kLayerHasLut4) != 0) adopt_lut(4, lut4_off, lut4_size);
     }
   }
   QMCU_REQUIRE(r.done(), "trailing bytes in artifact layer index");

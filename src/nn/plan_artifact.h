@@ -1,42 +1,46 @@
 // plan_artifact.h — ahead-of-time compiled plan artifacts ("QMCP").
 //
 // A CompiledQuantModel performs real work at construction: weight
-// quantization, bias rescaling, k-major panel packing, LUT recode tables,
-// zero-point offset rows, and the arena placement pass. compile_to_artifact
-// runs all of it once, offline, and serializes the results into a single
-// binary file; load_compiled mmaps that file read-only (MAP_SHARED) and
-// constructs a model whose weight, panel and table storage is *span views
-// into the mapping* — no deserialization copy, and every process that maps
-// the same artifact shares one physical copy of the weights, so a serving
-// fleet's RSS grows by ~one model, not N.
+// quantization, bias rescaling, k-major panel packing, zero-point offset
+// rows, and the arena placement pass. compile_to_artifact runs all of it
+// once, offline, and serializes the results into a single binary file;
+// load_compiled mmaps that file read-only (MAP_SHARED) and constructs a
+// model whose weight, panel and offset-row storage is *span views into the
+// mapping* — no deserialization copy, and every process that maps the same
+// artifact shares one physical copy of the weights, so a serving fleet's
+// RSS grows by ~one model, not N.
 //
 // Layout (all integers little-endian; sections 64-byte aligned):
 //
-//   header      "QMCP" | version | endian sentinel | model kind |
-//               kernel fingerprint | section count | file size
+//   header      "QMCP" | version (2) | endian sentinel | model kind |
+//               kernel fingerprint (generation, activation bias) |
+//               reserved u32 (byte 24, must be 0) | section count |
+//               file size. Version-1 files (whose layer records carried
+//               lookup-table blobs) are rejected.
 //   section     { tag, offset, size, crc32 } per section
 //   table
 //   sections    GRPH  framed topology-only graph stream (serialize.h v2)
 //               QCFG  framed ActivationQuantConfig stream (quant kinds)
-//               LIDX  per-MAC-layer index: geometry + blob offsets
+//               LIDX  per-MAC-layer index: geometry + blob offsets; the
+//                     loader checks every count against the layer before
+//                     it builds a view
 //               PLAN  the construction-time ArenaPlan
 //               FIDX  float parameter index (Float kind)
 //               BLOB  all bulk data: quantized weights, int32 biases,
-//                     k-major panels, column sums, offset rows, LUT
-//                     tables, float parameters — each blob 64-aligned
+//                     k-major panels, column sums, offset rows, float
+//                     parameters — each blob 64-aligned
 //               (+ caller sections, e.g. the patch artifact's PTCH/BBIA)
 //
 // Every section carries a CRC32 verified at map time before any byte is
 // interpreted, so truncated or bit-flipped artifacts fail loudly.
 //
 // The header records the *kernel generation* the artifact was baked under
-// (scalar / pair-madd / dot-product GEMM and which LUT widths were
-// planned). Panels, column sums and LUT tables are generation-independent
-// (pure weight recodes); only the per-column offset rows depend on the
-// activation zero-point bias of the dot-product generations. On a
-// fingerprint mismatch the loader re-derives just those rows into private
-// memory — an artifact baked on an AVX-VNNI host loads bit-exactly under
-// QMCU_FORCE_NO_DOT, on NEON, or on plain AVX2.
+// (scalar / pair-madd / dot-product GEMM). Panels and column sums are
+// generation-independent (pure weight recodes); only the per-column offset
+// rows depend on the activation zero-point bias of the dot-product
+// generations. On a fingerprint mismatch the loader re-derives just those
+// rows into private memory — an artifact baked on an AVX-VNNI host loads
+// bit-exactly under QMCU_FORCE_NO_DOT, on NEON, or on plain AVX2.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +65,6 @@ enum class ArtifactModelKind : std::uint32_t {
 struct KernelFingerprint {
   std::uint32_t gemm_generation = 0;  // 0 scalar, 1 pair-madd, 2 dot-product
   std::int32_t gemm_a_bias = 0;       // activation bias of gemm_block_i8
-  std::uint32_t lut_mask = 0;         // bit0: 2-bit planned, bit1: 4-bit
 
   // The generation the current process would dispatch (honours the live
   // QMCU_FORCE_* environment).

@@ -6,7 +6,6 @@
 
 #include "nn/executor.h"
 #include "nn/ops/float_kernels.h"
-#include "nn/ops/lut/lut_kernels.h"
 #include "nn/ops/requantize.h"
 #include "nn/ops/simd/simd_kernels.h"
 #include "patch/patch_cost.h"
@@ -897,25 +896,14 @@ void QuantDomain::prepare_lane(nn::ops::KernelBackend& backend,
     const nn::Layer& l = g.layer(layer_id);
     const auto& w = params_->weights[static_cast<std::size_t>(layer_id)];
     if (w.data.empty()) return;
-    const int in_bits = effective_[static_cast<std::size_t>(l.inputs[0])].bits;
     if (l.kind == nn::OpKind::Conv2D) {
       const int n = l.out_channels;
       const int k = static_cast<int>(w.data.size()) / n;
       backend.prepack(w.data, n, k);
-      // Sub-byte stages may take the LUT path: bake the recode up front so
-      // a lane's first patch pays no table construction. Only tables the
-      // current force mode can actually run are baked — 4-bit tables cost
-      // 32*n*k bytes and only run under QMCU_FORCE_LUT.
-      if (nn::ops::lut::lut_planned(in_bits)) {
-        backend.prepack_lut(w.data, n, k, in_bits);
-      }
     } else if (l.kind == nn::OpKind::FullyConnected) {
       const int k = static_cast<int>(g.shape(l.inputs[0]).elements());
       // fc shares the conv panel GEMM since the microkernel rewrite.
       backend.prepack(w.data, l.out_channels, k);
-      if (nn::ops::lut::lut_planned(in_bits)) {
-        backend.prepack_lut(w.data, l.out_channels, k, in_bits);
-      }
     }
   };
   for (const BranchStep& step : plan.branches.front().steps) {

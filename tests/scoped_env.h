@@ -1,11 +1,11 @@
 // scoped_env.h — scoped environment overrides for tests and benches.
 //
-// The kernel dispatch reads QMCU_FORCE_SCALAR, QMCU_FORCE_NO_DOT,
-// QMCU_FORCE_LUT and QMCU_NO_LUT live, and a backend snapshots its kernel
-// table when it is built. So a test pins one of them around the objects it
-// builds. The guard restores the value the variable had before, so a
-// forced CI leg (say QMCU_FORCE_LUT=1 for the whole run) stays forced for
-// every later test in the binary, and a body that throws still restores.
+// The kernel dispatch reads QMCU_FORCE_SCALAR and QMCU_FORCE_NO_DOT live,
+// and a backend snapshots its kernel table when it is built. So a test pins
+// one of them around the objects it builds. The guard restores the value
+// the variable had before, so a forced CI leg (say QMCU_FORCE_NO_DOT=1 for
+// the whole run) stays forced for every later test in the binary, and a
+// body that throws still restores.
 #pragma once
 
 #include <cstdlib>

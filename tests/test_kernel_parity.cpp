@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "nn/ops/gemm_int8.h"
-#include "nn/ops/lut/lut_kernels.h"
 #include "nn/ops/simd/cpu_features.h"
 #include "nn/ops/simd/simd_kernels.h"
 
@@ -267,13 +266,6 @@ TEST(KernelParity, PackedConvMatchesUnpacked) {
   }
 }
 
-// --- LUT tier --------------------------------------------------------------
-// The table-lookup GEMM path (nn/ops/lut) is a third way to compute the
-// exact same integers: weight-side tables indexed by sub-byte activation
-// codes. Every suite here pins it bit-identically to the Reference loop
-// nests and to the GEMM tiers it replaces. QMCU_FORCE_LUT/QMCU_NO_LUT are
-// read live per call, so a test::ScopedEnv flips them in-process.
-
 // --- Dot-product GEMM generation -------------------------------------------
 // The AVX-VNNI / NEON sdot gemm_block_i8 bodies retire 4 k-elements per
 // int32 lane. VNNI's vpdpbusd is u8×s8, so that table biases activations by
@@ -451,178 +443,6 @@ TEST(KernelParity, DotGenerationZeroPointBitExact) {
                                        c.qbias, c.out_params),
                            "conv-zp");
       }
-    }
-  }
-}
-
-// A conv/fc case whose input zero point is representable at `act_bits` —
-// the LUT eligibility precondition (im2col pads with the zero point, which
-// must survive the sub-byte encode for table indexing to be exact).
-RandomCase lut_case(nn::Rng& rng, OpKind kind, int act_bits) {
-  RandomCase c = random_case(rng, kind, 8, act_bits);
-  c.in_params.zero_point = static_cast<std::int32_t>(
-      rng.uniform(c.in_params.qmin(), c.in_params.qmax() + 1));
-  QTensor q(c.in_shape, c.in_params);
-  std::copy(c.qin.data().begin(), c.qin.data().end(), q.data().begin());
-  c.qin = q;
-  return c;
-}
-
-// pack_weights_lut + lut_build_index_tile + lut_gemm_block_scalar against
-// the plain dot product, over ragged rows/n/k (odd k exercises the 2-bit
-// padded tail group; > kLutChunkGroups groups exercises chunk splitting).
-TEST(LutParity, ScalarBlockMatchesDotProduct) {
-  nn::Rng rng(1111);
-  for (int trial = 0; trial < 60; ++trial) {
-    const int bits = trial % 2 == 0 ? 4 : 2;
-    const int n = 1 + static_cast<int>(rng.uniform(0, 40));
-    const int k = 1 + static_cast<int>(rng.uniform(0, 80));
-    const int rows = 1 + static_cast<int>(rng.uniform(0, lut::kLutTileM));
-    const int lo = -(1 << (bits - 1));
-    const int hi = (1 << (bits - 1)) - 1;
-    std::vector<std::int8_t> a(static_cast<std::size_t>(rows) * k);
-    for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform(lo, hi + 1));
-    std::vector<std::int8_t> w(static_cast<std::size_t>(n) * k);
-    for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform(-128, 128));
-
-    const int groups = lut::lut_groups(k, bits);
-    std::vector<std::int8_t> tables(
-        static_cast<std::size_t>(lut::lut_table_bytes(n, k, bits)));
-    lut::pack_weights_lut(w, n, k, bits, tables.data());
-    std::vector<std::uint8_t> idx(static_cast<std::size_t>(groups) *
-                                  lut::kLutTileM);
-    lut::lut_build_index_tile(a.data(), rows, k, bits, idx.data());
-    std::vector<std::int32_t> acc(static_cast<std::size_t>(rows) * n, -7);
-    lut::lut_gemm_block_scalar(idx.data(), tables.data(), rows, n, groups,
-                               acc.data());
-    for (int r = 0; r < rows; ++r) {
-      for (int j = 0; j < n; ++j) {
-        std::int32_t want = 0;
-        for (int kk = 0; kk < k; ++kk) {
-          want += static_cast<std::int32_t>(a[static_cast<std::size_t>(r) * k +
-                                              kk]) *
-                  w[static_cast<std::size_t>(j) * k + kk];
-        }
-        ASSERT_EQ(acc[static_cast<std::size_t>(r) * n + j], want)
-            << "bits=" << bits << " r=" << r << " j=" << j << " k=" << k;
-      }
-    }
-  }
-}
-
-// The dispatched vector body (vpshufb / vqtbl1q) against the scalar core on
-// the same tiles — the SimdKernels bit-exactness contract. Skipped (by
-// running scalar-vs-scalar) on hosts whose table has no LUT entry.
-TEST(LutParity, VectorBlockMatchesScalar) {
-  const simd::SimdKernels* table = simd::kernels();
-  const auto vector_block =
-      table != nullptr ? table->lut_gemm_block : nullptr;
-  if (vector_block == nullptr) {
-    GTEST_SKIP() << "no vector LUT body on this host (isa "
-                 << simd::isa_name(simd::detected_isa()) << ")";
-  }
-  nn::Rng rng(1212);
-  for (int trial = 0; trial < 60; ++trial) {
-    const int bits = trial % 2 == 0 ? 4 : 2;
-    const int n = 1 + static_cast<int>(rng.uniform(0, 40));
-    const int k = 1 + static_cast<int>(rng.uniform(0, 100));
-    const int rows = 1 + static_cast<int>(rng.uniform(0, lut::kLutTileM));
-    std::vector<std::int8_t> w(static_cast<std::size_t>(n) * k);
-    for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform(-128, 128));
-    const int groups = lut::lut_groups(k, bits);
-    std::vector<std::int8_t> tables(
-        static_cast<std::size_t>(lut::lut_table_bytes(n, k, bits)));
-    lut::pack_weights_lut(w, n, k, bits, tables.data());
-    std::vector<std::uint8_t> idx(static_cast<std::size_t>(groups) *
-                                  lut::kLutTileM);
-    for (auto& v : idx) v = static_cast<std::uint8_t>(rng.uniform(0, 16));
-    // Lanes beyond `rows` are zero by the index-tile contract.
-    for (int g = 0; g < groups; ++g) {
-      for (int r = rows; r < lut::kLutTileM; ++r) {
-        idx[static_cast<std::size_t>(g) * lut::kLutTileM + r] = 0;
-      }
-    }
-    std::vector<std::int32_t> want(static_cast<std::size_t>(rows) * n, 0);
-    std::vector<std::int32_t> got(want.size(), 0);
-    lut::lut_gemm_block_scalar(idx.data(), tables.data(), rows, n, groups,
-                               want.data());
-    vector_block(idx.data(), tables.data(), rows, n, groups, got.data());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(got[i], want[i])
-          << "bits=" << bits << " n=" << n << " k=" << k << " rows=" << rows
-          << " lane " << i;
-    }
-  }
-}
-
-// Forced-on LUT conv (unpacked and packed inputs) against Reference across
-// 2/4-bit activations, randomized geometries (odd k tails, channel/group
-// sweeps), on both non-reference tiers — and forced-off must match too.
-TEST(LutParity, Conv2dForcedBitExact) {
-  nn::Rng rng(1313);
-  for (int trial = 0; trial < 40; ++trial) {
-    const int bits = trial % 2 == 0 ? 4 : 2;
-    const RandomCase c = lut_case(rng, OpKind::Conv2D, bits);
-    const std::vector<std::uint8_t> packed = quant::pack(c.qin.data(), bits);
-    KernelBackend ref(KernelTier::Reference);
-    const QTensor want = ref.conv2d(c.qin, c.layer, c.qweights, c.wparams,
-                                    c.qbias, c.out_params);
-    for (const char* env : {"QMCU_FORCE_LUT", "QMCU_NO_LUT"}) {
-      const test::ScopedEnv guard(env, "1");
-      for (const Table t : kTables) {
-        TableBackend backend(t);
-        expect_q_identical(want,
-                           backend.conv2d(c.qin, c.layer, c.qweights, c.wparams,
-                                       c.qbias, c.out_params),
-                           env);
-        expect_q_identical(
-            want,
-            backend.conv2d_packed(packed, c.in_shape, c.in_params, c.layer,
-                               c.qweights, c.wparams, c.qbias, c.out_params),
-            env);
-      }
-    }
-  }
-}
-
-// Forced-on LUT fully-connected against Reference: 2-bit (the Auto
-// heuristic's fc mode) and 4-bit (reachable only when forced), k below and
-// above the k >= 64 threshold, odd k.
-TEST(LutParity, FullyConnectedForcedBitExact) {
-  nn::Rng rng(1414);
-  for (int trial = 0; trial < 40; ++trial) {
-    const int bits = trial % 2 == 0 ? 4 : 2;
-    const int features = 3 + static_cast<int>(rng.uniform(0, 160));
-    const int out_c = 1 + static_cast<int>(rng.uniform(0, 22));
-    Layer l;
-    l.kind = OpKind::FullyConnected;
-    l.out_channels = out_c;
-    const QuantParams in_p{
-        0.04f,
-        static_cast<std::int32_t>(rng.uniform(-(1 << (bits - 1)),
-                                              1 << (bits - 1))),
-        bits};
-    const QuantParams out_p{0.1f, -2, 8};
-    const QuantParams wp{0.015f, 0, 8};
-    QTensor qin(TensorShape{1, 1, features}, in_p);
-    for (std::int8_t& v : qin.data()) {
-      v = static_cast<std::int8_t>(rng.uniform(in_p.qmin(), in_p.qmax() + 1));
-    }
-    std::vector<std::int8_t> w(static_cast<std::size_t>(features) * out_c);
-    for (std::int8_t& v : w) {
-      v = static_cast<std::int8_t>(rng.uniform(-128, 128));
-    }
-    std::vector<std::int32_t> bias(static_cast<std::size_t>(out_c));
-    for (std::int32_t& b : bias) {
-      b = static_cast<std::int32_t>(rng.uniform(-3000, 3000));
-    }
-    KernelBackend ref(KernelTier::Reference);
-    const QTensor want = ref.fully_connected(qin, l, w, wp, bias, out_p);
-    const test::ScopedEnv guard("QMCU_FORCE_LUT", "1");
-    for (const Table t : kTables) {
-      TableBackend backend(t);
-      expect_q_identical(
-          want, backend.fully_connected(qin, l, w, wp, bias, out_p), "fc-lut");
     }
   }
 }
@@ -1506,48 +1326,6 @@ TEST(BackendRegression, PatchQuantExecutorMixedModeTierInvariant) {
   const PatchQuantExecutor simd(g, plan.patch_plan, deploy_cfg, branch_cfgs,
                                 nn::ops::KernelTier::Simd);
   const nn::Tensor in = ds.image(11);
-  const nn::QTensor want = ref.run(in);
-  expect_q_identical(want, simd.run(in));
-  const test::ScopedEnv scalar("QMCU_FORCE_SCALAR", "1");
-  const PatchQuantExecutor fallback(g, plan.patch_plan, deploy_cfg,
-                                    branch_cfgs, nn::ops::KernelTier::Simd);
-  ASSERT_EQ(fallback.compiled().backend().simd_kernels(), nullptr);
-  expect_q_identical(want, fallback.run(in));
-}
-
-// Same executors with the LUT tier forced on for every eligible layer:
-// whole-model outputs must not move, including the mixed-precision patch
-// runtime whose sub-byte branch stages actually take the LUT path.
-TEST(BackendRegression, ExecutorsTierInvariantUnderForcedLut) {
-  const test::ScopedEnv lut("QMCU_FORCE_LUT", "1");
-  const nn::Graph g = small_mbv2();
-  data::DataConfig dc;
-  dc.resolution = 48;
-  const data::SyntheticDataset ds(dc);
-  const std::vector<nn::Tensor> calib = ds.batch(0, 2);
-
-  // Uniform int8 executor: LUT never fires (8-bit inputs), but forcing the
-  // env must stay inert.
-  const auto ranges = quant::calibrate_ranges(g, calib);
-  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
-  const nn::QuantExecutor qref(g, cfg, nn::ops::KernelTier::Reference);
-  const nn::QuantExecutor qsimd(g, cfg, nn::ops::KernelTier::Simd);
-  const nn::Tensor qin = random_input(g.shape(0), 31);
-  expect_q_identical(qref.run(qin), qsimd.run(qin));
-
-  // Mixed-precision patch runtime: sub-byte branches dispatch to LUT.
-  core::QuantMcuConfig qcfg;
-  qcfg.patch.grid = 2;
-  qcfg.patch.stage_downsample = 4;
-  const core::QuantMcuPlan plan = core::build_quantmcu_plan(
-      g, mcu::arduino_nano_33_ble_sense(), calib, qcfg);
-  const auto branch_cfgs = core::make_branch_quant_configs(g, plan, ranges);
-  const auto deploy_cfg = core::make_deployment_quant_config(g, plan, ranges);
-  const PatchQuantExecutor ref(g, plan.patch_plan, deploy_cfg, branch_cfgs,
-                               nn::ops::KernelTier::Reference);
-  const PatchQuantExecutor simd(g, plan.patch_plan, deploy_cfg, branch_cfgs,
-                                nn::ops::KernelTier::Simd);
-  const nn::Tensor in = ds.image(13);
   const nn::QTensor want = ref.run(in);
   expect_q_identical(want, simd.run(in));
   const test::ScopedEnv scalar("QMCU_FORCE_SCALAR", "1");

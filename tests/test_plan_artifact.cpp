@@ -16,6 +16,7 @@
 #include "data/synthetic.h"
 #include "models/weights.h"
 #include "models/zoo.h"
+#include "nn/checksum.h"
 #include "nn/compiled_model.h"
 #include "nn/plan_artifact.h"
 #include "nn/rng.h"
@@ -133,7 +134,7 @@ TEST(PlanArtifact, QuantRoundTripBitExactAcrossBitwidths) {
   const nn::Tensor in = random_input(g.shape(0), 8);
 
   // Uniform 8/4/2-bit plus a mixed per-layer assignment — exercises the
-  // plain panel path, both LUT widths and the width-per-layer case.
+  // plain panel path, both sub-byte widths and the width-per-layer case.
   std::vector<std::vector<int>> assignments{
       nn::uniform_bits(g, 8), nn::uniform_bits(g, 4), nn::uniform_bits(g, 2)};
   std::vector<int> mixed = nn::uniform_bits(g, 8);
@@ -202,7 +203,7 @@ TEST(PlanArtifact, SharedMappingAcrossModels) {
 
 // --- cross-generation load -------------------------------------------------
 // An artifact is baked under one kernel generation but must load and run
-// bit-exactly under any other: panels, column sums and LUT tables are
+// bit-exactly under any other: panels and column sums are
 // generation-independent, and the loader re-derives offset rows when the
 // baked activation zero-point bias differs from the running one.
 
@@ -512,12 +513,12 @@ TEST(PlanArtifact, RejectsBitFlipsAnywhere) {
   const std::string bytes = read_file(path);
 
   const std::string broken = artifact_path("flip_broken");
-  // Validated header fields (magic, version, sentinel, kind, section count,
-  // file size — the fingerprint is deliberately NOT an integrity field: a
-  // different generation is a valid artifact) plus payload samples. The
-  // file ends inside the BLOB payload, so positions near the end land on
-  // CRC-covered weight/panel bytes.
-  std::vector<std::size_t> positions{0, 2, 4, 8, 12, 28, 32};
+  // Validated header fields (magic, version, sentinel, kind, the reserved
+  // zero word, section count, file size — the fingerprint is deliberately
+  // NOT an integrity field: a different generation is a valid artifact)
+  // plus payload samples. The file ends inside the BLOB payload, so
+  // positions near the end land on CRC-covered weight/panel bytes.
+  std::vector<std::size_t> positions{0, 2, 4, 8, 12, 24, 28, 32};
   for (int q = 1; q <= 8; ++q) {
     positions.push_back(bytes.size() - 1 - static_cast<std::size_t>(q) *
                                                (bytes.size() / 32));
@@ -529,6 +530,82 @@ TEST(PlanArtifact, RejectsBitFlipsAnywhere) {
     EXPECT_THROW((void)nn::PlanArtifact::map(broken), std::invalid_argument)
         << "flipped bit at byte " << pos;
   }
+  // A version-1 header (the format whose layer records carried lookup-table
+  // blobs) is refused, not misread under the version-2 record layout.
+  std::string v1 = bytes;
+  ASSERT_EQ(v1[4], '\x02');
+  v1[4] = '\x01';
+  write_file(broken, v1);
+  EXPECT_THROW((void)nn::PlanArtifact::map(broken), std::invalid_argument);
+}
+
+// A layer record whose CRC is valid but whose counts disagree with the
+// layer must be rejected before any view is built: kernels read qbias[j]
+// for every output channel, and a hostile k must not overflow k * n on the
+// way to the panel-geometry check.
+TEST(PlanArtifact, RejectsInconsistentLayerRecordWithValidCrc) {
+  const nn::Graph g = small_net();
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 23)});
+  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const std::string path = artifact_path("hostile_src");
+  nn::compile_to_artifact(g, cfg, path);
+  const std::string bytes = read_file(path);
+
+  const auto get = [](const std::string& b, std::size_t pos, int width) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < width; ++i) {
+      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(
+               b[pos + static_cast<std::size_t>(i)]))
+           << (8 * i);
+    }
+    return v;
+  };
+  const auto put = [](std::string& b, std::size_t pos, int width,
+                      std::uint64_t v) {
+    for (int i = 0; i < width; ++i) {
+      b[pos + static_cast<std::size_t>(i)] =
+          static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+  };
+
+  // Section table: 32-byte entries after the 64-byte header, each
+  // { tag u32, pad u32, offset u64, size u64, crc u32 }.
+  const std::uint64_t nsections = get(bytes, 28, 4);
+  std::size_t entry = 0;
+  for (std::uint64_t i = 0; i < nsections; ++i) {
+    const std::size_t e = 64 + static_cast<std::size_t>(i) * 32;
+    if (get(bytes, e, 4) == nn::artifact_tag('L', 'I', 'D', 'X')) entry = e;
+  }
+  ASSERT_NE(entry, 0u);
+  const auto lidx = static_cast<std::size_t>(get(bytes, entry + 8, 8));
+  const auto lidx_size = static_cast<std::size_t>(get(bytes, entry + 16, 8));
+
+  // The first record (after the u32 record count) is the 8-channel stem:
+  // id @0, flags @4, n @8, k (i64) @12, a_zp @20, wscale @24, weights
+  // offset @28 and count @36, bias offset @44 and count @52.
+  const std::size_t rec = lidx + 4;
+  ASSERT_EQ(get(bytes, rec + 8, 4), 8u);
+  const std::uint64_t k = get(bytes, rec + 12, 8);
+  ASSERT_EQ(get(bytes, rec + 52, 8), 8u);
+
+  const std::string broken = artifact_path("hostile_broken");
+  const auto rewrite = [&](std::size_t field, std::uint64_t value) {
+    std::string corrupt = bytes;
+    put(corrupt, rec + field, 8, value);
+    put(corrupt, entry + 24, 4, nn::crc32(corrupt.data() + lidx, lidx_size));
+    write_file(broken, corrupt);
+  };
+  // Rewriting a field to its own value keeps a loadable artifact: the CRC
+  // recomputation is sound, so the throws below come from the record check.
+  rewrite(52, 8);
+  EXPECT_NO_THROW((void)nn::PlanArtifact::map(broken));
+
+  rewrite(52, 1);  // one bias for eight output channels
+  EXPECT_THROW((void)nn::PlanArtifact::map(broken), std::invalid_argument);
+  // k + 2^61: k * 8 wraps back to the true weight count in 64 bits.
+  rewrite(12, k + (std::uint64_t{1} << 61));
+  EXPECT_THROW((void)nn::PlanArtifact::map(broken), std::invalid_argument);
 }
 
 TEST(PlanArtifact, RejectsMissingFile) {

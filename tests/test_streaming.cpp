@@ -2,7 +2,7 @@
 // StreamingConfig), a StreamingSession fed any frame sequence produces
 // bit-identical outputs to running the model in full on every frame — for
 // every worker count, every quant mode (float, int8, 4-bit, mixed
-// per-branch) and every kernel tier (the force-scalar/LUT CI legs re-run
+// per-branch) and every kernel tier (the force-scalar/no-dot CI legs re-run
 // this binary). On top of that: skip accounting must prove reuse actually
 // happened, tolerance mode must skip more than exact mode, the activation
 // stats tracker must flag synthetic distribution drift, and StreamState

@@ -109,7 +109,7 @@ def main():
     parser.add_argument(
         "--guard",
         default=r"^BM_(RepeatedPatchRun|PipelinedPatchRun"
-                r"|Conv2dInt8Simd|PackedConvTierSweep|LutGemm"
+                r"|Conv2dInt8Simd|PackedConvTierSweep"
                 r"|GemmTierSweep|FcTierSweep)\b"
                 r"|^serving/closed/.*req_per_s$"
                 r"|^cold_start/speedup_x$"
@@ -189,8 +189,8 @@ def main():
             continue
         # Vector-tier entries are only comparable when the host actually
         # ran a vector body. The baseline records which entries had one
-        # (simd_active=1: Simd GEMM rows, LUT rows with a vpshufb/vtbl
-        # body); if the current host reports the scalar fallback
+        # (simd_active=1: Simd rows with a vector table); if the current
+        # host reports the scalar fallback
         # (simd_active=0, e.g. no usable ISA or QMCU_FORCE_SCALAR), the
         # comparison is meaningless, not a regression.
         if base_entry.get("simd_active") and \

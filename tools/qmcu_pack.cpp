@@ -155,8 +155,8 @@ int inspect(const std::string& path) {
   const nn::KernelFingerprint& fp = art->fingerprint();
   std::printf("%s: %zu bytes, kind %s\n", path.c_str(), art->mapped_bytes(),
               kind);
-  std::printf("  baked kernel generation: %u (a_bias %d, lut_mask 0x%x)%s\n",
-              fp.gemm_generation, fp.gemm_a_bias, fp.lut_mask,
+  std::printf("  baked kernel generation: %u (a_bias %d)%s\n",
+              fp.gemm_generation, fp.gemm_a_bias,
               art->fingerprint_matches()
                   ? ""
                   : "  [differs from this host: offset rows re-derived]");
