@@ -3,8 +3,9 @@
 //
 // Demonstrates the full execution stack rather than just the planner:
 //   * float reference inference (layer-based);
-//   * bit-exact patch-based inference (the Fig. 1a dataflow);
 //   * integer (TFLite-Micro contract) inference from calibrated ranges;
+//   * uniform-int8 patch-based inference (the Fig. 1a dataflow),
+//     bit-identical to the layer-based integer executor;
 // and then compares the deployment options a practitioner would weigh.
 #include <algorithm>
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include "models/zoo.h"
 #include "nn/executor.h"
 #include "nn/memory_planner.h"
+#include "patch/compiled_patch_model.h"
 #include "quant/calibration.h"
 
 namespace {
@@ -46,22 +48,7 @@ int main() {
   std::printf("float reference:    class %3d (p = %.3f)\n", argmax(ref_out),
               ref_out.data()[static_cast<std::size_t>(argmax(ref_out))]);
 
-  // --- 2. patch-based inference is bit-exact --------------------------------
-  const patch::PatchPlan plan =
-      patch::build_patch_plan(net, patch::plan_mcunetv2(net, {3, 4}));
-  const patch::CompiledPatchModel patch_model(net, plan);
-  const nn::Tensor patch_out = patch_model.run(image);
-  bool identical = true;
-  for (std::size_t i = 0; i < ref_out.data().size(); ++i) {
-    identical = identical && ref_out.data()[i] == patch_out.data()[i];
-  }
-  std::printf("patch-based:        class %3d — %s\n", argmax(patch_out),
-              identical ? "bit-identical to layer-based"
-                        : "MISMATCH (bug!)");
-  std::printf("  %zu branches, %.1f%% redundant MACs in the patch stage\n",
-              plan.branches.size(), 100.0 * plan.redundancy_ratio());
-
-  // --- 3. integer inference --------------------------------------------------
+  // --- 2. integer inference --------------------------------------------------
   const auto ranges = quant::calibrate_ranges(net, calibration);
   const auto qcfg8 =
       quant::make_quant_config(net, ranges, nn::uniform_bits(net, 8));
@@ -70,6 +57,24 @@ int main() {
   const nn::Tensor q_deq = nn::dequantize(q_out);
   std::printf("int8 (TFLM-style):  class %3d (p = %.3f)\n", argmax(q_deq),
               q_deq.data()[static_cast<std::size_t>(argmax(q_deq))]);
+
+  // --- 3. patch-based int8 inference is bit-exact ----------------------------
+  const patch::PatchPlan plan =
+      patch::build_patch_plan(net, patch::plan_mcunetv2(net, {3, 4}));
+  const patch::CompiledPatchQuantModel patch_model(net, plan, qcfg8);
+  const nn::QTensor patch_out = patch_model.run(image);
+  const bool identical =
+      patch_out.params() == q_out.params() &&
+      std::equal(q_out.data().begin(), q_out.data().end(),
+                 patch_out.data().begin(), patch_out.data().end());
+  std::printf("patch-based int8:   class %3d — %s\n",
+              argmax(nn::dequantize(patch_out)),
+              identical ? "bit-identical to layer-based int8"
+                        : "MISMATCH (bug!)");
+  std::printf("  %zu branches, %.1f%% redundant MACs in the patch stage, "
+              "%lld KB arena\n",
+              plan.branches.size(), 100.0 * plan.redundancy_ratio(),
+              static_cast<long long>(patch_model.arena_bytes() / 1024));
 
   // --- 4. deployment choices -------------------------------------------------
   const mcu::Device device = mcu::arduino_nano_33_ble_sense();

@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
   nn::serving::ServingConfig cfg;
   cfg.sessions = std::min(4, std::max(2, nn::runtime::usable_cpus()));
   cfg.max_queue_depth = static_cast<std::size_t>(8 * cfg.sessions);
-  cfg.policy = nn::serving::ShedPolicy::Reject;
   Frontend frontend(cfg,
                     [&](int, const std::shared_ptr<nn::ArenaSlab>& slab) {
                       auto model =

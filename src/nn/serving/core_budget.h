@@ -50,19 +50,6 @@ struct CoreBudget {
   [[nodiscard]] std::vector<int> lane_cpus(int lane) const;
 };
 
-// Which requests give way when the pool is saturated.
-enum class ShedPolicy {
-  // Queue at max_queue_depth: new submissions are rejected immediately
-  // (future carries RejectedError). Bounded latency for admitted traffic.
-  Reject,
-  // Same bound, but once the backlog crosses shed_queue_depth, requests
-  // execute sequentially (1 worker) instead of on the lane's full pool:
-  // intra-request parallelism is the first thing to give back under
-  // pressure, because at high load it only adds scheduling overhead —
-  // cores are already saturated by request-level concurrency.
-  Downgrade,
-};
-
 struct ServingConfig {
   // Lanes (pre-compiled sessions + serving threads).
   int sessions = 2;
@@ -74,10 +61,6 @@ struct ServingConfig {
   // Bounded admission: submissions beyond this queue depth are rejected.
   // 0 = unbounded (no rejection).
   std::size_t max_queue_depth = 64;
-  // Backlog depth at which ShedPolicy::Downgrade starts degrading
-  // intra-request parallelism.
-  std::size_t shed_queue_depth = 16;
-  ShedPolicy policy = ShedPolicy::Reject;
   // Deadline granted to submit() calls that don't pass their own; measured
   // from submission. zero() = no deadline.
   std::chrono::microseconds default_deadline{0};

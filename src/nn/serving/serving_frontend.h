@@ -14,8 +14,8 @@
 //     construction).
 //   * Intra-request: each lane owns a WorkerPool slice of
 //     workers_per_session lanes (the serving thread is worker 0), so a
-//     pool-runnable model (CompiledPatchModel / CompiledPatchQuantModel
-//     run(input, WorkerPool*)) pipelines one request inside its slice
+//     pool-runnable model (CompiledPatchQuantModel run(input,
+//     WorkerPool*)) pipelines one request inside its slice
 //     while other lanes serve other requests. Plain run(input) models
 //     simply ignore the slice machinery.
 //
@@ -31,19 +31,16 @@
 // slice's private caches instead of migrating, and one lane's work cannot
 // be scheduled on top of another's. Results are bit-identical to
 // sequential single-model runs in every configuration — pinning, worker
-// count, degradation and batch spreading only change *where and when* a
-// request runs, never its arithmetic (the PR-3/4 parallel bit-exactness
-// contract).
+// count and batch spreading only change *where and when* a request runs,
+// never its arithmetic (the parallel bit-exactness contract of
+// patch/compiled_patch_model.h).
 //
 // Admission control is explicit and all-or-nothing per request:
 //   * bounded queue — submissions beyond max_queue_depth fail immediately
 //     with RejectedError (the future carries it; nothing was queued);
 //   * per-request deadlines — a request still queued when its deadline
 //     passes is never started: its future carries DeadlineExceededError,
-//     by construction there is no partial result;
-//   * load shedding — ShedPolicy::Downgrade trades intra-request
-//     parallelism for throughput once the backlog crosses
-//     shed_queue_depth (a degraded request runs sequentially on its lane).
+//     by construction there is no partial result.
 //
 // submit_batch spreads a large batch across lanes (contiguous chunks, one
 // queue entry each) instead of serializing the whole batch on whichever
@@ -55,16 +52,15 @@
 // a mapped plan artifact (nn/plan_artifact.h) for zero-downtime deploys
 // where every lane views one shared weight mapping.
 //
-// Streams (models with run_streaming, i.e. the patch models): open_stream
+// Streams (models with run_streaming, i.e. the patch model): open_stream
 // pins a StreamingSession to a lane round-robin; submit_stream routes each
 // frame to that lane IN FIFO ORDER (a lane-addressed task, task_queue.h),
 // so the stream's retained arena and diff baseline stay coherent — and
 // frames see the previous frame's work. Stream frames deliberately bypass
-// admission control (bounded queue, deadlines, downgrade): dropping or
-// reordering a frame would force a full recompute and cost more than
-// running it, and a degraded (different worker count) run is incompatible
-// with the stream's pinned arena layout. Back-pressure for streams belongs
-// at the source (skip capture frames, not queued ones).
+// admission control (bounded queue, deadlines): dropping or reordering a
+// frame would force a full recompute and cost more than running it.
+// Back-pressure for streams belongs at the source (skip capture frames,
+// not queued ones).
 #pragma once
 
 #include <algorithm>
@@ -112,10 +108,9 @@ class DeadlineExceededError : public std::runtime_error {
 // rejected + expired equals the number of submitted requests once traffic
 // has drained.
 struct ServingStats {
-  std::uint64_t completed = 0;  // ran to completion (incl. degraded)
+  std::uint64_t completed = 0;  // ran to completion
   std::uint64_t rejected = 0;   // shed at admission (queue full)
   std::uint64_t expired = 0;    // shed at pop (deadline passed)
-  std::uint64_t degraded = 0;   // completed sequentially under Downgrade
   std::uint64_t swapped_lanes = 0;  // lane rebinds completed by swap_model
   std::uint64_t streams = 0;        // streams opened (lifetime total)
   std::uint64_t stream_frames = 0;  // stream frames completed
@@ -142,7 +137,7 @@ class ServingFrontend {
         m.run(t, p);
       };
 
-  // True when Model supports temporal patch reuse (the patch models'
+  // True when Model supports temporal patch reuse (the patch model's
   // run_streaming); gates the stream API below.
   static constexpr bool kStreamable =
       requires(const Model& m, const Tensor& t, WorkerPool* p,
@@ -158,11 +153,6 @@ class ServingFrontend {
       : cfg_(cfg),
         budget_(CoreBudget::partition(cfg.sessions, cfg.core_budget)),
         slab_(slab ? std::move(slab) : std::make_shared<ArenaSlab>()) {
-    QMCU_REQUIRE(cfg.policy != ShedPolicy::Downgrade ||
-                     cfg.max_queue_depth == 0 ||
-                     cfg.shed_queue_depth <= cfg.max_queue_depth,
-                 "Downgrade needs shed threshold <= queue bound, or it "
-                 "could never trigger");
     // Intra-request slices first: each lane's WorkerPool spawns its
     // (workers_per_session - 1) parked threads and pins them to the
     // lane's CPU slice before any traffic exists. A 1-worker slice needs
@@ -391,7 +381,6 @@ class ServingFrontend {
     s.completed = completed_.load(std::memory_order_relaxed);
     s.rejected = rejected_.load(std::memory_order_relaxed);
     s.expired = expired_.load(std::memory_order_relaxed);
-    s.degraded = degraded_.load(std::memory_order_relaxed);
     s.swapped_lanes = swapped_lanes_.load(std::memory_order_relaxed);
     s.streams = opened_streams_.load(std::memory_order_relaxed);
     s.stream_frames = stream_frames_.load(std::memory_order_relaxed);
@@ -493,18 +482,11 @@ class ServingFrontend {
     Lane& l = lanes_[lane];
     ++l.requests;
     if constexpr (kPoolRunnable) {
-      if (!pools_.empty() && !should_degrade()) {
+      if (!pools_.empty()) {
         return l.model->run(input, pools_[lane].get());
       }
     }
     return l.model->run(input);
-  }
-
-  [[nodiscard]] bool should_degrade() {
-    if (cfg_.policy != ShedPolicy::Downgrade) return false;
-    if (queue_.depth() < cfg_.shed_queue_depth) return false;
-    degraded_.fetch_add(1, std::memory_order_relaxed);
-    return true;
   }
 
   void record(TimePoint enqueued) {
@@ -553,7 +535,6 @@ class ServingFrontend {
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> expired_{0};
-  std::atomic<std::uint64_t> degraded_{0};
   std::atomic<std::uint64_t> swapped_lanes_{0};
   std::atomic<int> pinned_lanes_{0};
   std::mutex latency_mu_;

@@ -1,10 +1,10 @@
-// streaming_session.h — per-stream front-end over the patch models'
+// streaming_session.h — per-stream front-end over the patch model's
 // temporal-reuse runtime.
 //
 // A StreamingSession owns everything one frame stream needs: the previous
 // frame (diff baseline), the model's StreamState (retained arena + dirty
 // mask), the last output, and an optional ActivationStatsTracker fed from
-// the quant model's stats hook. Per frame it
+// the model's stats hook. Per frame it
 //
 //   1. diffs the new frame against the previous one (patch::diff_frames);
 //      a byte-identical frame returns the cached output without touching
@@ -48,8 +48,8 @@ struct StreamingConfig {
   // output); > 0 = a branch whose mean absolute crop delta is below this
   // still counts as clean (approximate output, more skips).
   float max_region_delta = 0.0f;
-  // Feed an ActivationStatsTracker from the model's stats hook (quant
-  // models only; ignored by float models, which have no hook).
+  // Feed an ActivationStatsTracker from the model's stats hook (ignored by
+  // models without one).
   bool track_stats = false;
   ActivationStatsConfig stats;
 };
@@ -79,7 +79,7 @@ struct StreamingStats {
   }
 };
 
-// Model is patch::CompiledPatchModel or patch::CompiledPatchQuantModel —
+// Model is patch::CompiledPatchQuantModel or a wrapper around one —
 // anything exposing plan()/pipelined_tail()/run_streaming().
 template <class Model>
 class StreamingSession {

@@ -1,11 +1,9 @@
 #include "patch/compiled_patch_model.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "nn/executor.h"
-#include "nn/ops/float_kernels.h"
 #include "nn/ops/requantize.h"
 #include "nn/ops/simd/simd_kernels.h"
 #include "patch/patch_cost.h"
@@ -31,12 +29,11 @@ nn::TensorShape region_shape(const BranchStep& step, int channels) {
   return {step.out_region.y.size(), step.out_region.x.size(), channels};
 }
 
-// Tail, assembled-map (and staged-input) slots hold `elem_bytes` per
-// element; `step_bytes(b, s, shape)` sizes branch b's step-s map, which
-// the quantized domain stores packed when it is sub-byte.
+// Tail and assembled-map slots hold one byte per element;
+// `step_bytes(b, s, shape)` sizes branch b's step-s map, which is stored
+// packed when it is sub-byte.
 template <class StepBytes>
 PatchTimeline build_timeline(const nn::Graph& g, const PatchPlan& plan,
-                             std::int64_t elem_bytes,
                              const StepBytes& step_bytes) {
   PatchTimeline t;
   const PatchBranch& proto = plan.branches.front();
@@ -60,7 +57,7 @@ PatchTimeline build_timeline(const nn::Graph& g, const PatchPlan& plan,
   }
   // Tail slots over layer-based lifetimes, shifted onto the timeline.
   for (int id = split + 1; id < g.size(); ++id) {
-    t.requests.push_back({g.shape(id).elements() * elem_bytes,
+    t.requests.push_back({g.shape(id).elements(),
                           t.num_steps + (id - split - 1),
                           t.num_steps + (nn::last_use_step(g, id) - split - 1)});
   }
@@ -71,8 +68,7 @@ PatchTimeline build_timeline(const nn::Graph& g, const PatchPlan& plan,
                                  ? t.num_steps + (last_use - split - 1)
                                  : std::max(t.num_steps - 1, 0);
   t.assembled_index = t.num_steps + tail_count;
-  t.requests.push_back(
-      {g.shape(split).elements() * elem_bytes, 0, assembled_last});
+  t.requests.push_back({g.shape(split).elements(), 0, assembled_last});
   return t;
 }
 
@@ -94,83 +90,24 @@ class BandScratch {
     block_ = block_.subspan(n);
     return taken;
   }
-  std::span<float> f32(std::size_t n) { return arena_.f32(n); }
 
  private:
   nn::ops::ScratchArena& arena_;
   std::span<std::int8_t> block_;
 };
 
-// A crop temporary from `a` shaped `s`, in the domain (and, quantized,
-// with the params) of `like`.
-template <class Scratch>
-nn::Tensor borrow_like(Scratch& a, const nn::TensorShape& s,
-                       const nn::Tensor& /*like*/) {
-  auto buf = a.f32(static_cast<std::size_t>(s.elements()));
-  return nn::Tensor(s, std::span<float>(buf.data(), buf.size()));
-}
-
-template <class Scratch>
-nn::QTensor scratch_q(Scratch& a, const nn::TensorShape& s,
+// A crop temporary from `a` shaped `s` with params `p`.
+nn::QTensor scratch_q(BandScratch& a, const nn::TensorShape& s,
                       const nn::QuantParams& p) {
   auto buf = a.i8(static_cast<std::size_t>(s.elements()));
   return nn::QTensor(s, p, std::span<std::int8_t>(buf.data(), buf.size()));
 }
 
-template <class Scratch>
-nn::QTensor borrow_like(Scratch& a, const nn::TensorShape& s,
-                        const nn::QTensor& like) {
-  return scratch_q(a, s, like.params());
-}
-
-// Region crop (zero padding: 0.0f, or the producer's zero point), the
-// element-wise ops and the tile merge (plain, or compare-before-write when
-// `changed` is set), overloaded per domain so the engine spells each once.
-void crop_into(const nn::Tensor& have, const Region& avail, const Region& want,
-               const nn::TensorShape& full, nn::Tensor& out) {
-  crop_from_region_into(have, avail, want, full, out);
-}
-
-void crop_into(const nn::QTensor& have, const Region& avail,
-               const Region& want, const nn::TensorShape& full,
-               nn::QTensor& out) {
-  crop_from_region_q_into(have, avail, want, full, out);
-}
-
-void add_into(nn::ops::KernelBackend& /*backend*/, const nn::Tensor& a,
-              const nn::Tensor& b, nn::Activation act, nn::Tensor& out) {
-  nn::ops::add_f32_into(a, b, act, out);
-}
-
-void add_into(nn::ops::KernelBackend& backend, const nn::QTensor& a,
-              const nn::QTensor& b, nn::Activation act, nn::QTensor& out) {
-  backend.add_into(a, b, act, out);
-}
-
-void concat_into(nn::ops::KernelBackend& /*backend*/,
-                 std::span<const nn::Tensor* const> inputs, nn::Tensor& out) {
-  nn::ops::concat_f32_into(inputs, out);
-}
-
-void concat_into(nn::ops::KernelBackend& backend,
-                 std::span<const nn::QTensor* const> inputs,
-                 nn::QTensor& out) {
-  backend.concat_into(inputs, out);
-}
-
-void merge_tile(nn::ops::KernelBackend& /*backend*/, const nn::Tensor& tile,
-                const Region& r, nn::Tensor& assembled, bool* changed) {
-  if (changed == nullptr) {
-    merge_region_f32(tile, r, assembled);
-  } else {
-    *changed = merge_region_f32_changed(tile, r, assembled);
-  }
-}
-
-// The quantized tile is requantized into the assembled map's params
-// (identity row copy in uniform mode), unpacked a row chunk at a time when
-// it is stored packed. Tiles are disjoint, so concurrent merges from
-// several workers commute.
+// Merges a finished tile into the assembled map (plain, or
+// compare-before-write when `changed` is set). The tile is requantized
+// into the assembled map's params (identity row copy in uniform mode),
+// unpacked a row chunk at a time when it is stored packed. Tiles are
+// disjoint, so concurrent merges from several workers commute.
 void merge_tile(nn::ops::KernelBackend& backend, const PackedMap& tile,
                 const Region& r, nn::QTensor& assembled, bool* changed) {
   const auto* simd = backend.simd_kernels();
@@ -188,22 +125,10 @@ void merge_tile(nn::ops::KernelBackend& backend, const PackedMap& tile,
   }
 }
 
-// Binds a float view onto its planned slot at `base`. `measured` tracks the
+// Binds a view onto its planned slot at `base`. `measured` tracks the
 // furthest byte actually written through bound views (base-relative), not
 // the planned slot size: the high-water is a measurement, and it reaches
 // the planned peak because the largest branch fully exercises its slot.
-nn::Tensor bind_f32_slot(std::uint8_t* base, const nn::ArenaSlot& slot,
-                         const nn::TensorShape& shape,
-                         std::int64_t& measured) {
-  const std::int64_t bytes =
-      shape.elements() * static_cast<std::int64_t>(sizeof(float));
-  QMCU_ENSURE(bytes <= slot.size, "bound view exceeds its arena slot");
-  measured = std::max(measured, slot.offset + bytes);
-  auto* data = reinterpret_cast<float*>(base + slot.offset);
-  return nn::Tensor(
-      shape, std::span<float>(data, static_cast<std::size_t>(shape.elements())));
-}
-
 nn::QTensor bind_q_slot(std::uint8_t* base, const nn::ArenaSlot& slot,
                         const nn::TensorShape& shape, const nn::QuantParams& p,
                         std::int64_t& measured) {
@@ -220,15 +145,6 @@ nn::QTensor bind_q_slot(std::uint8_t* base, const nn::ArenaSlot& slot,
 // A zero-copy view of rows [rows.begin, rows.end) of a full feature map —
 // rows are contiguous in HWC layout, so a tail band writes (and element-wise
 // bands read) straight through the bound arena view.
-nn::Tensor row_view(nn::Tensor& t, const Interval& rows) {
-  const nn::TensorShape& s = t.shape();
-  const std::int64_t stride = static_cast<std::int64_t>(s.w) * s.c;
-  return nn::Tensor(
-      nn::TensorShape{rows.size(), s.w, s.c},
-      t.data().subspan(static_cast<std::size_t>(rows.begin * stride),
-                       static_cast<std::size_t>(rows.size() * stride)));
-}
-
 nn::QTensor row_view(nn::QTensor& t, const Interval& rows) {
   const nn::TensorShape& s = t.shape();
   const std::int64_t stride = static_cast<std::int64_t>(s.w) * s.c;
@@ -256,8 +172,7 @@ struct ByteRange {
   std::uintptr_t end = 0;
 };
 
-template <class T>
-ByteRange byte_range(const T& t) {
+ByteRange byte_range(const nn::QTensor& t) {
   const auto b = reinterpret_cast<std::uintptr_t>(t.data().data());
   return {b, b + t.data().size_bytes()};
 }
@@ -275,47 +190,36 @@ constexpr bool overlaps(const ByteRange& a, const ByteRange& b) {
 // map with extent `full`). When the window is whole rows of `have` —
 // pointwise convs, same-region Add/Concat operands, in-bounds full-width
 // tail bands — the step borrows a view of the producer's bytes. Otherwise
-// it is a halo crop into `crops` with zero padding (0.0f, or the
-// producer's zero point — the quantized encoding of real 0). A borrowed
-// view must not share bytes with `out`, the step's output slot: a crop
-// would hide such an overlap, a view would not.
-template <class T, class Scratch>
-T step_input(T& have, const Region& avail, const Region& want,
-             const nn::TensorShape& full, const ByteRange& out,
-             Scratch& crops) {
+// it is a halo crop into `crops` with zero padding (the producer's zero
+// point — the quantized encoding of real 0). A borrowed view must not
+// share bytes with `out`, the step's output slot: a crop would hide such
+// an overlap, a view would not.
+nn::QTensor step_input(nn::QTensor& have, const Region& avail,
+                       const Region& want, const nn::TensorShape& full,
+                       const ByteRange& out, BandScratch& crops) {
   if (rows_within(avail, want)) {
-    T view = row_view(have, {want.y.begin - avail.y.begin,
-                             want.y.end - avail.y.begin});
+    nn::QTensor view = row_view(have, {want.y.begin - avail.y.begin,
+                                       want.y.end - avail.y.begin});
     QMCU_ENSURE(!overlaps(byte_range(view), out),
                 "borrowed step input overlaps the step's output slot");
     return view;
   }
-  T crop = borrow_like(
-      crops, nn::TensorShape{want.y.size(), want.x.size(), full.c}, have);
-  crop_into(have, avail, want, full, crop);
+  nn::QTensor crop = scratch_q(
+      crops, nn::TensorShape{want.y.size(), want.x.size(), full.c},
+      have.params());
+  crop_from_region_q_into(have, avail, want, full, crop);
   return crop;
 }
 
-// --- branch-step maps: dense views (float, int8) and packed maps -----------
+// --- branch-step maps: dense int8 and packed maps --------------------------
 //
-// The overloads below let the engine spell a branch step once. A float or
-// int8 step is one band that reads its operands in place (or halo-cropped)
-// and writes straight into its slot; a step touching a packed map runs in
-// row bands, each unpacking its operand rows into scratch and packing the
-// rows it produced.
-
-bool is_packed(const nn::Tensor& /*t*/) { return false; }
-bool is_packed(const PackedMap& m) { return m.packed(); }
+// An int8 step is one band that reads its operands in place (or
+// halo-cropped) and writes straight into its slot; a step touching a
+// packed map runs in row bands, each unpacking its operand rows into
+// scratch and packing the rows it produced.
 
 // A step's input window `want` of a branch-step map. Packed maps are
 // unpacked (with zero-point padding) into scratch, a row band at a time.
-nn::Tensor step_input(nn::Tensor& have, const Region& avail,
-                      const Region& want, const nn::TensorShape& full,
-                      const nn::Tensor& out, BandScratch& crops,
-                      const nn::ops::simd::SimdKernels* /*simd*/) {
-  return step_input(have, avail, want, full, byte_range(out), crops);
-}
-
 nn::QTensor step_input(const PackedMap& have, const Region& avail,
                        const Region& want, const nn::TensorShape& full,
                        const PackedMap& out, BandScratch& crops,
@@ -334,15 +238,6 @@ nn::QTensor step_input(const PackedMap& have, const Region& avail,
 // A pooling step's source for output band `band`: the producer map itself
 // when it is dense, or (packed) the rows `need` of it unpacked into
 // scratch. Returns the tensor and the region of the map it covers.
-std::pair<nn::Tensor, Region> pool_input(nn::Tensor& have,
-                                         const Region& avail,
-                                         const Interval& /*need*/,
-                                         const nn::TensorShape& /*full*/,
-                                         BandScratch& /*crops*/,
-                                         const nn::ops::simd::SimdKernels*) {
-  return {row_view(have, {0, have.shape().h}), avail};
-}
-
 std::pair<nn::QTensor, Region> pool_input(
     const PackedMap& have, const Region& avail, const Interval& need,
     const nn::TensorShape& full, BandScratch& crops,
@@ -358,11 +253,6 @@ std::pair<nn::QTensor, Region> pool_input(
 
 // The dense destination of output rows [y0, y0 + rows) of a step map
 // (local coordinates): a view of the slot, or scratch for a packed map.
-nn::Tensor band_target(nn::Tensor& out, int y0, int rows,
-                       BandScratch& /*crops*/) {
-  return row_view(out, {y0, y0 + rows});
-}
-
 nn::QTensor band_target(const PackedMap& out, int y0, int rows,
                         BandScratch& crops) {
   const nn::TensorShape s{rows, out.shape.w, out.shape.c};
@@ -373,9 +263,6 @@ nn::QTensor band_target(const PackedMap& out, int y0, int rows,
 
 // Lands a computed band in its map: packs it when the map is packed (dense
 // targets were written in place).
-void store_band(const nn::Tensor& /*out*/, int /*y0*/,
-                const nn::Tensor& /*band*/) {}
-
 void store_band(const PackedMap& out, int y0, const nn::QTensor& band) {
   if (out.packed()) out.store_rows(y0, band);
 }
@@ -387,13 +274,12 @@ constexpr std::int64_t kBandBytes = 16 * 1024;
 
 // Whether `layer`, as a step of `branch` writing `out`, reads or writes a
 // packed map.
-template <class View>
 bool touches_packed(const nn::Layer& layer, const PatchBranch& branch,
-                    std::span<const View> views, const View& out) {
-  if (is_packed(out)) return true;
+                    std::span<const PackedMap> views, const PackedMap& out) {
+  if (out.packed()) return true;
   for (const int in : layer.inputs) {
     const int p = branch.step_of(in);  // < 0: the staged input
-    if (p >= 0 && is_packed(views[static_cast<std::size_t>(p)])) return true;
+    if (p >= 0 && views[static_cast<std::size_t>(p)].packed()) return true;
   }
   return false;
 }
@@ -402,9 +288,8 @@ bool touches_packed(const nn::Layer& layer, const PatchBranch& branch,
 // the whole region unless the step reads or writes a packed map; then as
 // many rows as keep the dense output band and the unpacked operand rows
 // it reads (stride rows per output row) within kBandBytes, at least one.
-template <class View>
 int band_rows(const nn::Graph& g, const PatchBranch& branch, int s,
-              std::span<const View> views, const View& out,
+              std::span<const PackedMap> views, const PackedMap& out,
               const nn::TensorShape& shape) {
   const nn::Layer& layer =
       g.layer(branch.steps[static_cast<std::size_t>(s)].layer_id);
@@ -535,8 +420,11 @@ int total_band_count(std::span<const PipelinedTailLayer> pipeline) {
   return total;
 }
 
-}  // namespace
-
+// Builds the row-banded pipeline prefix for the tail of `plan`: the
+// maximal run of tail layers after the cut that are row-splittable
+// (windowed, pooling, element-wise or concat ops), each split into
+// `bands_per_layer` row bands (clamped to the layer's height), with
+// dependencies resolved through patch::receptive_field.
 std::vector<PipelinedTailLayer> build_pipelined_tail(
     const nn::Graph& g, const PatchPlan& plan, int bands_per_layer) {
   QMCU_REQUIRE(bands_per_layer >= 1, "need at least one band per layer");
@@ -624,6 +512,8 @@ std::vector<PipelinedTailLayer> build_pipelined_tail(
   return prefix;
 }
 
+}  // namespace
+
 std::vector<std::vector<std::vector<std::int32_t>>> build_branch_bias(
     const nn::Graph& g, const PatchPlan& plan,
     std::span<const BranchQuantConfig> branch_cfgs,
@@ -648,94 +538,68 @@ std::vector<std::vector<std::vector<std::int32_t>>> build_branch_bias(
   return branch_bias;
 }
 
-// --- float domain ---------------------------------------------------------
+// --- construction --------------------------------------------------------
 
-nn::Tensor FloatDomain::bind_layer(int /*layer_id*/, std::uint8_t* base,
-                                   const nn::ArenaSlot& slot,
-                                   const nn::TensorShape& shape,
-                                   std::int64_t& measured) {
-  return bind_f32_slot(base, slot, shape, measured);
-}
+CompiledPatchQuantModel::CompiledPatchQuantModel(
+    const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
+    std::vector<BranchQuantConfig> branch_cfgs, nn::ops::KernelTier tier,
+    std::shared_ptr<const nn::QuantizedParameters> params)
+    : CompiledPatchQuantModel(g, std::move(plan), std::move(cfg),
+                              std::move(branch_cfgs), std::move(params),
+                              PrecompiledPatchParts{}, tier) {}
 
-nn::Tensor FloatDomain::bind_step(const nn::Graph& /*g*/,
-                                  const PatchBranch& /*branch*/, int /*bi*/,
-                                  int /*s*/, std::uint8_t* base,
-                                  const nn::ArenaSlot& slot,
-                                  const nn::TensorShape& shape,
-                                  std::int64_t& measured) {
-  return bind_f32_slot(base, slot, shape, measured);
-}
-
-void FloatDomain::stage_input(const nn::Graph& /*g*/, const nn::Tensor& input,
-                              std::uint8_t* /*base*/,
-                              const nn::ArenaSlot* /*slot*/,
-                              std::span<const Interval> /*rows*/,
-                              std::int64_t& /*measured*/) const {
-  input_ = &input;
-}
-
-void FloatDomain::input_into(nn::ops::KernelBackend& /*backend*/,
-                             const Region& want, Tensor& out) const {
-  crop_from_region_into(*input_, full_region(input_->shape()), want,
-                        input_->shape(), out);
-}
-
-void FloatDomain::windowed_into(nn::ops::KernelBackend& backend,
-                                const nn::Graph& g, const Tensor& in,
-                                const nn::Layer& local, int layer_id,
-                                int /*bi*/, int /*s*/, Tensor& out) {
-  if (local.kind == nn::OpKind::Conv2D) {
-    backend.conv2d_f32_into(in, local, g.weights(layer_id), g.bias(layer_id),
-                            out);
-  } else {
-    backend.depthwise_conv2d_f32_into(in, local, g.weights(layer_id),
-                                      g.bias(layer_id), out);
-  }
-}
-
-void FloatDomain::pool_into(const Tensor& have, const Region& avail,
-                            const nn::Layer& l, const Region& out_region,
-                            const nn::TensorShape& full, Tensor& out) {
-  pool_region_f32_into(have, avail, l, out_region, full, out);
-}
-
-void FloatDomain::run_layer(const nn::Graph& g, int id,
-                            std::span<const Tensor> memo,
-                            nn::ops::KernelBackend& backend, Tensor& out) {
-  nn::run_layer_f32_into(g, id, memo, backend, out);
-}
-
-// --- quantized domain -----------------------------------------------------
-
-QuantDomain::QuantDomain(
-    const nn::Graph& g, const PatchPlan& plan, nn::ActivationQuantConfig cfg,
+CompiledPatchQuantModel::CompiledPatchQuantModel(
+    const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
     std::vector<BranchQuantConfig> branch_cfgs,
     std::shared_ptr<const nn::QuantizedParameters> params,
-    std::vector<std::vector<std::vector<std::int32_t>>> branch_bias,
-    std::shared_ptr<const nn::PrecompiledBundle> kernels)
-    : cfg_(std::move(cfg)),
+    PrecompiledPatchParts parts, nn::ops::KernelTier tier)
+    : graph_(&g),
+      plan_(std::move(plan)),
+      cfg_(std::move(cfg)),
       effective_(nn::effective_output_params(g, cfg_)),
       branch_cfgs_(std::move(branch_cfgs)),
       params_(params ? std::move(params)
                      : nn::QuantizedParameters::build_shared(g, cfg_)),
-      bundle_(std::move(kernels)) {
-  QMCU_REQUIRE(!plan.branches.empty(), "plan has no branches");
+      bundle_(std::move(parts.kernels)),
+      self_(tier) {
+  compile(g, std::move(parts.branch_bias));
+}
+
+void CompiledPatchQuantModel::compile(
+    const nn::Graph& g,
+    std::vector<std::vector<std::vector<std::int32_t>>> bias) {
+  QMCU_REQUIRE(!plan_.branches.empty(), "plan has no branches");
   if (!branch_cfgs_.empty()) {
-    QMCU_REQUIRE(branch_cfgs_.size() == plan.branches.size(),
+    QMCU_REQUIRE(branch_cfgs_.size() == plan_.branches.size(),
                  "branch configs must cover every branch");
     for (std::size_t b = 0; b < branch_cfgs_.size(); ++b) {
       QMCU_REQUIRE(branch_cfgs_[b].per_step.size() ==
-                       plan.branches[b].steps.size(),
+                       plan_.branches[b].steps.size(),
                    "branch config must cover every step");
     }
-    if (branch_bias.empty()) {
-      branch_bias_ = build_branch_bias(g, plan, branch_cfgs_, *params_);
+    if (bias.empty()) {
+      branch_bias_ = build_branch_bias(g, plan_, branch_cfgs_, *params_);
     } else {
       // Artifact-supplied biases (the graph may be topology-only, so the
       // float-bias rescale that build_branch_bias runs is not available).
-      QMCU_REQUIRE(branch_bias.size() == plan.branches.size(),
+      // The kernels read a step's bias for every output channel, so each
+      // must be as long as the shared bias of its layer (0 or channels).
+      QMCU_REQUIRE(bias.size() == plan_.branches.size(),
                    "precomputed branch bias must cover every branch");
-      branch_bias_ = std::move(branch_bias);
+      for (std::size_t b = 0; b < bias.size(); ++b) {
+        const PatchBranch& branch = plan_.branches[b];
+        QMCU_REQUIRE(bias[b].size() == branch.steps.size(),
+                     "precomputed branch bias must cover every step");
+        for (std::size_t s = 0; s < bias[b].size(); ++s) {
+          QMCU_REQUIRE(
+              bias[b][s].size() ==
+                  params_->bias[static_cast<std::size_t>(
+                                    branch.steps[s].layer_id)]
+                      .size(),
+              "precomputed branch bias length does not match its layer");
+        }
+      }
+      branch_bias_ = std::move(bias);
     }
   }
   // AvgPool reciprocal tables for every window size the graph uses —
@@ -746,152 +610,84 @@ QuantDomain::QuantDomain(
     const int count = l.kernel_h * l.kernel_w;
     pool_tables_.emplace(count, nn::ops::AvgPoolMultipliers(count));
   }
+
+  if (bundle_ != nullptr) bundle_->apply(self_.backend);
+  // A branch step's slot holds its map as stored: packed rows at sub-byte
+  // widths (PackedMap::storage_bytes), one byte per element at int8.
+  PatchTimeline t = build_timeline(
+      g, plan_, [&](int bi, int s, const nn::TensorShape& shape) {
+        return PackedMap::storage_bytes(shape, stored_params(bi, s).bits);
+      });
+  num_steps_ = t.num_steps;
+  assembled_slot_ = t.assembled_index;
+  // Quantized full input, cropped by every branch: live across the whole
+  // branch phase.
+  input_slot_ = static_cast<int>(t.requests.size());
+  t.requests.push_back({g.shape(g.inputs().front()).elements(), 0,
+                        std::max(num_steps_ - 1, 0)});
+  aplan_ = nn::ArenaPlanner().plan(t.requests);
+  // Parallel layout inputs: branch-step slots become the per-worker slice,
+  // everything else the shared region.
+  slice_requests_.assign(t.requests.begin(),
+                         t.requests.begin() + num_steps_);
+  shared_requests_.assign(t.requests.begin() + num_steps_, t.requests.end());
+  // Pipelined dataflow structure: row-banded tail prefix (band count tied
+  // to the patch grid's row granularity), branch pricing for cost-weighted
+  // task chunking, and the widening horizon for plan_pipelined.
+  pipeline_ =
+      build_pipelined_tail(g, plan_, std::max(2, plan_.spec.grid_rows));
+  branch_costs_ = branch_costs(plan_);
+  pipeline_horizon_ = num_steps_ + static_cast<int>(pipeline_.size()) - 1;
 }
 
-const nn::QuantParams& QuantDomain::branch_step_params(int bi, int s,
-                                                       int layer_id) const {
+// --- quantization tables ---------------------------------------------------
+
+const nn::QuantParams& CompiledPatchQuantModel::step_params(int branch,
+                                                            int step) const {
   if (!branch_cfgs_.empty()) {
-    return branch_cfgs_[static_cast<std::size_t>(bi)]
-        .per_step[static_cast<std::size_t>(s)];
+    return branch_cfgs_[static_cast<std::size_t>(branch)]
+        .per_step[static_cast<std::size_t>(step)];
   }
-  return effective_[static_cast<std::size_t>(layer_id)];
+  return effective_[static_cast<std::size_t>(
+      plan_.branches[static_cast<std::size_t>(branch)]
+          .steps[static_cast<std::size_t>(step)]
+          .layer_id)];
 }
 
-nn::QTensor QuantDomain::bind_layer(int layer_id, std::uint8_t* base,
-                                    const nn::ArenaSlot& slot,
-                                    const nn::TensorShape& shape,
-                                    std::int64_t& measured) const {
-  return bind_q_slot(base, slot, shape,
-                     effective_[static_cast<std::size_t>(layer_id)],
-                     measured);
-}
-
-const nn::QuantParams& QuantDomain::step_storage_params(
-    const nn::Graph& g, const PatchBranch& branch, int bi, int s) const {
+const nn::QuantParams& CompiledPatchQuantModel::stored_params(int branch,
+                                                              int step) const {
+  const PatchBranch& b = plan_.branches[static_cast<std::size_t>(branch)];
   for (;;) {
     const nn::Layer& l =
-        g.layer(branch.steps[static_cast<std::size_t>(s)].layer_id);
+        graph_->layer(b.steps[static_cast<std::size_t>(step)].layer_id);
     if (l.kind != nn::OpKind::MaxPool && l.kind != nn::OpKind::AvgPool) break;
-    const int p = branch.step_of(l.inputs[0]);
-    QMCU_ENSURE(p >= 0 && p < s, "producer step missing from branch");
-    s = p;
+    const int p = b.step_of(l.inputs[0]);
+    QMCU_ENSURE(p >= 0 && p < step, "producer step missing from branch");
+    step = p;
   }
-  return branch_step_params(
-      bi, s, branch.steps[static_cast<std::size_t>(s)].layer_id);
+  return step_params(branch, step);
 }
 
-std::int64_t QuantDomain::step_slot_bytes(const nn::Graph& g,
-                                          const PatchBranch& branch, int bi,
-                                          int s,
-                                          const nn::TensorShape& shape) const {
-  return PackedMap::storage_bytes(shape,
-                                  step_storage_params(g, branch, bi, s).bits);
+const nn::ops::AvgPoolMultipliers* CompiledPatchQuantModel::pool_table(
+    const nn::Layer& l) const {
+  if (l.kind != nn::OpKind::AvgPool) return nullptr;
+  const auto it = pool_tables_.find(l.kernel_h * l.kernel_w);
+  QMCU_ENSURE(it != pool_tables_.end(),
+              "AvgPool window missing from the precomputed tables");
+  return &it->second;
 }
 
-PackedMap QuantDomain::bind_step(const nn::Graph& g, const PatchBranch& branch,
-                                 int bi, int s, std::uint8_t* base,
-                                 const nn::ArenaSlot& slot,
-                                 const nn::TensorShape& shape,
-                                 std::int64_t& measured) const {
-  const PackedMap map = bind_packed_map(
-      base + slot.offset, shape, step_storage_params(g, branch, bi, s));
-  QMCU_ENSURE(map.bytes() <= slot.size, "bound map exceeds its arena slot");
-  measured = std::max(measured, slot.offset + map.bytes());
-  return map;
-}
-
-void QuantDomain::stage_input(const nn::Graph& g, const nn::Tensor& input,
-                              std::uint8_t* base, const nn::ArenaSlot* slot,
-                              std::span<const Interval> rows,
-                              std::int64_t& measured) const {
-  const int id = g.inputs().front();
-  const nn::TensorShape& s = g.shape(id);
-  input_ = bind_q_slot(base, *slot, s,
-                       cfg_.params[static_cast<std::size_t>(id)], measured);
-  const nn::QuantParams& p = input_.params();
-  const float* src = input.data().data();
-  std::int8_t* dst = input_.data().data();
-  if (rows.empty()) {
-    nn::quantize_row(src, s.elements(), p, dst);
-    return;
-  }
-  for (int y = 0; y < s.h; ++y) {
-    const Interval& span = rows[static_cast<std::size_t>(y)];
-    const std::int64_t first = nn::flat_index(s, y, span.begin, 0);
-    nn::quantize_row(src + first, nn::flat_index(s, y, span.end, 0) - first,
-                     p, dst + first);
-  }
-}
-
-void QuantDomain::input_into(nn::ops::KernelBackend& backend,
-                             const Region& want, Tensor& out) const {
-  // The input patch tile is quantized straight into the branch's params
-  // (mixed mode stores it sub-byte, uniform mode at int8): the in-bounds
-  // row spans of the staged input go through the slice requantizer, with
-  // no intermediate crop.
-  const nn::TensorShape& full = input_.shape();
-  const nn::QuantParams& from = input_.params();
-  const nn::QuantParams& to = out.params();
-  if (from == to) {
-    crop_from_region_q_into(input_, full_region(full), want, full, out);
-    return;
-  }
-  // Padding is real 0 — the input zero point — requantized: centered 0
-  // rescales to 0, leaving the clamped target zero point.
-  const auto pad = static_cast<std::int8_t>(
-      nn::ops::clamp_to(to.zero_point, to.qmin(), to.qmax()));
-  crop_rows(input_.data().data(), full_region(full), want, full, full.c, pad,
-            out.data().data(),
-            nn::ops::simd::RowRequantizer(from, to, backend.simd_kernels()));
-}
-
-void QuantDomain::windowed_into(nn::ops::KernelBackend& backend,
-                                const nn::Graph& /*g*/, const Tensor& in,
-                                const nn::Layer& local, int layer_id, int bi,
-                                int s, Tensor& out) const {
-  const std::span<const std::int32_t> bias =
-      bi >= 0 && !branch_cfgs_.empty()
-          ? std::span<const std::int32_t>(
-                branch_bias_[static_cast<std::size_t>(bi)]
-                            [static_cast<std::size_t>(s)])
-          : std::span<const std::int32_t>(
-                params_->bias[static_cast<std::size_t>(layer_id)]);
-  const auto& w = params_->weights[static_cast<std::size_t>(layer_id)];
-  if (local.kind == nn::OpKind::Conv2D) {
-    backend.conv2d_into(in, local, w.data, w.params, bias, out);
-  } else {
-    backend.depthwise_conv2d_into(in, local, w.data, w.params, bias, out);
-  }
-}
-
-void QuantDomain::pool_into(const Tensor& have, const Region& avail,
-                            const nn::Layer& l, const Region& out_region,
-                            const nn::TensorShape& full, Tensor& out) const {
-  pool_region_q_into(have, avail, l, out_region, full, pool_table(l), out);
-}
-
-void QuantDomain::run_layer(const nn::Graph& g, int id,
-                            std::span<const Tensor> memo,
-                            nn::ops::KernelBackend& backend,
-                            Tensor& out) const {
-  nn::run_layer_q_into(g, id, memo, *params_, backend, out);
-}
-
-void QuantDomain::adopt_kernels(nn::ops::KernelBackend& backend) const {
-  if (bundle_ != nullptr) bundle_->apply(backend);
-}
-
-void QuantDomain::prepare_lane(nn::ops::KernelBackend& backend,
-                               const nn::Graph& g,
-                               const PatchPlan& plan) const {
+void CompiledPatchQuantModel::prepare_lane(
+    nn::ops::KernelBackend& backend) const {
   // Artifact path: adopt the precomputed panels first, so the prepack
   // pass below is a no-op for everything the artifact baked.
-  adopt_kernels(backend);
+  if (bundle_ != nullptr) bundle_->apply(backend);
   // Pre-pack the conv panels any task on this lane may need — stage convs
   // for branch tasks, tail convs for row bands and the join — so a lane's
   // first run pays no packing cost (construction-time work, exempt from
   // the affinity guard). Gated on the quantized params, not the graph: the
   // artifact path loads a topology-only graph.
+  const nn::Graph& g = *graph_;
   const auto prepack = [&](int layer_id) {
     const nn::Layer& l = g.layer(layer_id);
     const auto& w = params_->weights[static_cast<std::size_t>(layer_id)];
@@ -906,73 +702,25 @@ void QuantDomain::prepare_lane(nn::ops::KernelBackend& backend,
       backend.prepack(w.data, l.out_channels, k);
     }
   };
-  for (const BranchStep& step : plan.branches.front().steps) {
+  for (const BranchStep& step : plan_.branches.front().steps) {
     prepack(step.layer_id);
   }
-  for (int id = plan.spec.split_layer + 1; id < g.size(); ++id) {
+  for (int id = plan_.spec.split_layer + 1; id < g.size(); ++id) {
     prepack(id);
   }
 }
 
-void QuantDomain::observe(std::span<const Tensor> memo, int split) const {
+void CompiledPatchQuantModel::observe() const {
   if (!stats_hook_) return;
-  for (std::size_t id = static_cast<std::size_t>(split); id < memo.size();
-       ++id) {
-    stats_hook_(static_cast<int>(id), memo[id]);
+  for (std::size_t id = static_cast<std::size_t>(plan_.spec.split_layer);
+       id < tail_memo_.size(); ++id) {
+    stats_hook_(static_cast<int>(id), tail_memo_[id]);
   }
 }
 
-const nn::ops::AvgPoolMultipliers* QuantDomain::pool_table(
-    const nn::Layer& l) const {
-  if (l.kind != nn::OpKind::AvgPool) return nullptr;
-  const auto it = pool_tables_.find(l.kernel_h * l.kernel_w);
-  QMCU_ENSURE(it != pool_tables_.end(),
-              "AvgPool window missing from the precomputed tables");
-  return &it->second;
-}
+// --- arenas and lanes ------------------------------------------------------
 
-// --- the engine -----------------------------------------------------------
-
-template <class Domain>
-void CompiledPatchEngine<Domain>::compile(
-    std::vector<PipelinedTailLayer> pipeline) {
-  const nn::Graph& g = *graph_;
-  QMCU_REQUIRE(!plan_.branches.empty(), "plan has no branches");
-  this->adopt_kernels(self_.backend);
-  PatchTimeline t = build_timeline(
-      g, plan_, static_cast<std::int64_t>(sizeof(typename Domain::Elem)),
-      [&](int bi, int s, const nn::TensorShape& shape) {
-        return this->step_slot_bytes(
-            g, plan_.branches[static_cast<std::size_t>(bi)], bi, s, shape);
-      });
-  num_steps_ = t.num_steps;
-  assembled_slot_ = t.assembled_index;
-  if constexpr (Domain::kQuantizedInput) {
-    // Quantized full input, cropped by every branch: live across the whole
-    // branch phase.
-    input_slot_ = static_cast<int>(t.requests.size());
-    t.requests.push_back({g.shape(g.inputs().front()).elements(), 0,
-                          std::max(num_steps_ - 1, 0)});
-  }
-  aplan_ = nn::ArenaPlanner().plan(t.requests);
-  // Parallel layout inputs: branch-step slots become the per-worker slice,
-  // everything else the shared region.
-  slice_requests_.assign(t.requests.begin(),
-                         t.requests.begin() + num_steps_);
-  shared_requests_.assign(t.requests.begin() + num_steps_, t.requests.end());
-  // Pipelined dataflow structure: row-banded tail prefix (band count tied
-  // to the patch grid's row granularity), branch pricing for cost-weighted
-  // task chunking, and the widening horizon for plan_pipelined.
-  pipeline_ =
-      pipeline.empty()
-          ? build_pipelined_tail(g, plan_, std::max(2, plan_.spec.grid_rows))
-          : std::move(pipeline);
-  branch_costs_ = branch_costs(plan_);
-  pipeline_horizon_ = num_steps_ + static_cast<int>(pipeline_.size()) - 1;
-}
-
-template <class Domain>
-const nn::ParallelArenaPlan& CompiledPatchEngine<Domain>::pipelined_plan(
+const nn::ParallelArenaPlan& CompiledPatchQuantModel::pipelined_plan(
     int num_workers) const {
   auto it = pipelined_pplans_.find(num_workers);
   if (it == pipelined_pplans_.end()) {
@@ -985,8 +733,7 @@ const nn::ParallelArenaPlan& CompiledPatchEngine<Domain>::pipelined_plan(
   return it->second;
 }
 
-template <class Domain>
-const nn::ParallelArenaPlan& CompiledPatchEngine<Domain>::streaming_plan(
+const nn::ParallelArenaPlan& CompiledPatchQuantModel::streaming_plan(
     int num_workers) const {
   auto it = streaming_pplans_.find(num_workers);
   if (it == streaming_pplans_.end()) {
@@ -1000,8 +747,7 @@ const nn::ParallelArenaPlan& CompiledPatchEngine<Domain>::streaming_plan(
   return it->second;
 }
 
-template <class Domain>
-std::span<std::uint8_t> CompiledPatchEngine<Domain>::bind_run_arena(
+std::span<std::uint8_t> CompiledPatchQuantModel::bind_run_arena(
     std::int64_t need, nn::ArenaSlab::Lease& lease) const {
   std::span<std::uint8_t> arena;
   if (arena_source_ != nullptr) {
@@ -1013,23 +759,21 @@ std::span<std::uint8_t> CompiledPatchEngine<Domain>::bind_run_arena(
     }
     arena = {arena_.data(), arena_.size()};
   }
-  nn::check_arena(arena, need, alignof(typename Domain::Elem));
+  nn::check_arena(arena, need, alignof(std::int8_t));
   return arena;
 }
 
-template <class Domain>
-typename CompiledPatchEngine<Domain>::WorkerCtx&
-CompiledPatchEngine<Domain>::worker_ctx(int lane) const {
+CompiledPatchQuantModel::WorkerCtx& CompiledPatchQuantModel::worker_ctx(
+    int lane) const {
   while (static_cast<int>(workers_.size()) <= lane) {
     auto ctx = std::make_unique<WorkerCtx>(self_.backend.tier());
-    this->prepare_lane(ctx->backend, *graph_, plan_);
+    prepare_lane(ctx->backend);
     workers_.push_back(std::move(ctx));
   }
   return *workers_[static_cast<std::size_t>(lane)];
 }
 
-template <class Domain>
-std::int64_t CompiledPatchEngine<Domain>::scratch_bytes() const {
+std::int64_t CompiledPatchQuantModel::scratch_bytes() const {
   std::int64_t total = static_cast<std::int64_t>(
       self_.crops.footprint_bytes() + self_.backend.arena().footprint_bytes());
   for (const auto& w : workers_) {
@@ -1039,58 +783,75 @@ std::int64_t CompiledPatchEngine<Domain>::scratch_bytes() const {
   return total;
 }
 
-template <class Domain>
-void CompiledPatchEngine<Domain>::check_input(const nn::Tensor& input) const {
+void CompiledPatchQuantModel::check_input(const nn::Tensor& input) const {
   QMCU_REQUIRE(input.shape() == graph_->shape(graph_->inputs().front()),
                "input shape does not match graph input");
 }
 
-template <class Domain>
-void CompiledPatchEngine<Domain>::stage(const nn::Tensor& input,
-                                        std::uint8_t* base,
-                                        std::span<const nn::ArenaSlot> slots,
-                                        int first,
-                                        std::int64_t& measured) const {
+// --- one run ---------------------------------------------------------------
+
+void CompiledPatchQuantModel::stage(const nn::Tensor& input,
+                                    std::uint8_t* base,
+                                    std::span<const nn::ArenaSlot> slots,
+                                    int first, std::int64_t& measured) const {
   const nn::Graph& g = *graph_;
   const int split = plan_.spec.split_layer;
   const auto slot = [&](int request) -> const nn::ArenaSlot& {
     return slots[static_cast<std::size_t>(request - first)];
   };
-  // A primed stream retains the previous frame's staged input, so only
-  // its changed spans need fresh codes.
-  const std::span<const Interval> rows =
-      run_stream_ != nullptr && run_stream_->primed
-          ? std::span<const Interval>(run_stream_->changed_rows)
-          : std::span<const Interval>{};
-  this->stage_input(g, input, base,
-                    input_slot_ < 0 ? nullptr : &slot(input_slot_), rows,
-                    measured);
+  const auto bind_layer = [&](int id, int request) {
+    return bind_q_slot(base, slot(request), g.shape(id),
+                       effective_[static_cast<std::size_t>(id)], measured);
+  };
+
+  // Quantize the input once into its slot; branches crop it. A primed
+  // stream retains the previous frame's codes, so only its changed spans
+  // need fresh ones.
+  const int in_id = g.inputs().front();
+  const nn::TensorShape& s = g.shape(in_id);
+  input_ = bind_q_slot(base, slot(input_slot_), s,
+                       cfg_.params[static_cast<std::size_t>(in_id)], measured);
+  const nn::QuantParams& p = input_.params();
+  const float* src = input.data().data();
+  std::int8_t* dst = input_.data().data();
+  if (run_stream_ != nullptr && run_stream_->primed &&
+      !run_stream_->changed_rows.empty()) {
+    for (int y = 0; y < s.h; ++y) {
+      const Interval& span =
+          run_stream_->changed_rows[static_cast<std::size_t>(y)];
+      const std::int64_t at = nn::flat_index(s, y, span.begin, 0);
+      nn::quantize_row(src + at, nn::flat_index(s, y, span.end, 0) - at, p,
+                       dst + at);
+    }
+  } else {
+    nn::quantize_row(src, s.elements(), p, dst);
+  }
+
   tail_memo_.resize(static_cast<std::size_t>(g.size()));
-  tail_memo_[static_cast<std::size_t>(split)] = this->bind_layer(
-      split, base, slot(assembled_slot_), g.shape(split), measured);
+  tail_memo_[static_cast<std::size_t>(split)] =
+      bind_layer(split, assembled_slot_);
   for (int id = split + 1; id < g.size(); ++id) {
     tail_memo_[static_cast<std::size_t>(id)] =
-        this->bind_layer(id, base, slot(num_steps_ + (id - split - 1)),
-                         g.shape(id), measured);
+        bind_layer(id, num_steps_ + (id - split - 1));
   }
 }
 
-template <class Domain>
-void CompiledPatchEngine<Domain>::exec_branch(
+void CompiledPatchQuantModel::exec_branch(
     int bi, std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
     WorkerCtx& ctx, bool* merge_changed) const {
   const nn::Graph& g = *graph_;
   const PatchBranch& branch = plan_.branches[static_cast<std::size_t>(bi)];
-  const std::span<StepView> views(ctx.step_views);
+  const std::span<PackedMap> views(ctx.step_views);
   for (int s = 0; s < num_steps_; ++s) {
     const BranchStep& step = branch.steps[static_cast<std::size_t>(s)];
     const nn::TensorShape shape =
         region_shape(step, g.shape(step.layer_id).c);
-    StepView out =
-        this->bind_step(g, branch, bi, s, base,
-                        slots[static_cast<std::size_t>(s)], shape,
-                        ctx.measured);
-    const int rows = band_rows(g, branch, s, std::span<const StepView>(views),
+    const nn::ArenaSlot& slot = slots[static_cast<std::size_t>(s)];
+    const PackedMap out =
+        bind_packed_map(base + slot.offset, shape, stored_params(bi, s));
+    QMCU_ENSURE(out.bytes() <= slot.size, "bound map exceeds its arena slot");
+    ctx.measured = std::max(ctx.measured, slot.offset + out.bytes());
+    const int rows = band_rows(g, branch, s, std::span<const PackedMap>(views),
                                out, shape);
     for (int y = step.out_region.y.begin; y < step.out_region.y.end;
          y += rows) {
@@ -1099,7 +860,7 @@ void CompiledPatchEngine<Domain>::exec_branch(
                       step.out_region.x},
                      views, out, ctx);
     }
-    views[static_cast<std::size_t>(s)] = std::move(out);
+    views[static_cast<std::size_t>(s)] = out;
   }
   const BranchStep& last = branch.steps.back();
   QMCU_ENSURE(last.layer_id == plan_.spec.split_layer,
@@ -1110,12 +871,11 @@ void CompiledPatchEngine<Domain>::exec_branch(
              merge_changed);
 }
 
-template <class Domain>
-void CompiledPatchEngine<Domain>::exec_step_band(int bi, int s,
-                                                 const Region& band,
-                                                 std::span<StepView> views,
-                                                 StepView& out,
-                                                 WorkerCtx& ctx) const {
+void CompiledPatchQuantModel::exec_step_band(int bi, int s,
+                                             const Region& band,
+                                             std::span<PackedMap> views,
+                                             const PackedMap& out,
+                                             WorkerCtx& ctx) const {
   const nn::Graph& g = *graph_;
   const PatchBranch& branch = plan_.branches[static_cast<std::size_t>(bi)];
   const BranchStep& step = branch.steps[static_cast<std::size_t>(s)];
@@ -1153,9 +913,9 @@ void CompiledPatchEngine<Domain>::exec_step_band(int bi, int s,
 
   ctx.crops.reset();
   BandScratch scratch(ctx.crops);
-  if (touches_packed(layer, branch, std::span<const StepView>(views), out)) {
+  if (touches_packed(layer, branch, std::span<const PackedMap>(views), out)) {
     std::int64_t bytes =
-        is_packed(out) ? band.area() * g.shape(step.layer_id).c : 0;
+        out.packed() ? band.area() * g.shape(step.layer_id).c : 0;
     for (const int in : layer.inputs) {
       if (branch.step_of(in) >= 0) bytes += window(in).area() * g.shape(in).c;
     }
@@ -1166,26 +926,18 @@ void CompiledPatchEngine<Domain>::exec_step_band(int bi, int s,
                       producer_region(input_id), window(input_id),
                       g.shape(input_id), out, scratch, simd);
   };
-  const auto target = [&] {
-    return band_target(out, y0, band.y.size(), scratch);
-  };
+  nn::QTensor o = band_target(out, y0, band.y.size(), scratch);
 
   switch (layer.kind) {
-    case nn::OpKind::Input: {
-      Tensor o = target();
-      this->input_into(ctx.backend, band, o);
-      store_band(out, y0, o);
+    case nn::OpKind::Input:
+      input_into(ctx.backend, band, o);
       break;
-    }
     case nn::OpKind::Conv2D:
     case nn::OpKind::DepthwiseConv2D: {
-      const Tensor padded = producer_input(layer.inputs[0]);
-      Tensor o = target();
+      const nn::QTensor padded = producer_input(layer.inputs[0]);
       nn::Layer local = layer;
       local.pad_h = local.pad_w = 0;
-      this->windowed_into(ctx.backend, g, padded, local, step.layer_id, bi, s,
-                          o);
-      store_band(out, y0, o);
+      windowed_into(ctx.backend, padded, local, step.layer_id, bi, s, o);
       break;
     }
     case nn::OpKind::MaxPool:
@@ -1195,49 +947,87 @@ void CompiledPatchEngine<Domain>::exec_step_band(int bi, int s,
           pool_input(views[static_cast<std::size_t>(producer(in))],
                      producer_region(in), window(in).y, g.shape(in), scratch,
                      simd);
-      Tensor o = target();
-      this->pool_into(have, avail, layer, band, g.shape(in), o);
-      store_band(out, y0, o);
+      pool_region_q_into(have, avail, layer, band, g.shape(in),
+                         pool_table(layer), o);
       break;
     }
     case nn::OpKind::Add: {
-      const Tensor a = producer_input(layer.inputs[0]);
-      const Tensor b = producer_input(layer.inputs[1]);
-      Tensor o = target();
-      add_into(ctx.backend, a, b, layer.act, o);
-      store_band(out, y0, o);
+      const nn::QTensor a = producer_input(layer.inputs[0]);
+      const nn::QTensor b = producer_input(layer.inputs[1]);
+      ctx.backend.add_into(a, b, layer.act, o);
       break;
     }
     case nn::OpKind::Concat: {
-      std::vector<Tensor> cropped;
+      std::vector<nn::QTensor> cropped;
       cropped.reserve(layer.inputs.size());
       for (int in : layer.inputs) cropped.push_back(producer_input(in));
-      std::vector<const Tensor*> ptrs;
+      std::vector<const nn::QTensor*> ptrs;
       ptrs.reserve(cropped.size());
-      for (const Tensor& t : cropped) ptrs.push_back(&t);
-      Tensor o = target();
-      concat_into(ctx.backend, ptrs, o);
-      store_band(out, y0, o);
+      for (const nn::QTensor& t : cropped) ptrs.push_back(&t);
+      ctx.backend.concat_into(ptrs, o);
       break;
     }
     default:
       QMCU_REQUIRE(false, "op kind not supported inside a patch stage: " +
                               std::string(nn::to_string(layer.kind)));
   }
+  store_band(out, y0, o);
 }
 
-template <class Domain>
-void CompiledPatchEngine<Domain>::exec_tail_band(int layer_id,
-                                                 const Interval& rows,
-                                                 WorkerCtx& ctx) const {
+void CompiledPatchQuantModel::input_into(nn::ops::KernelBackend& backend,
+                                         const Region& want,
+                                         nn::QTensor& out) const {
+  // The input patch tile is quantized straight into the branch's params
+  // (mixed mode stores it sub-byte, uniform mode at int8): the in-bounds
+  // row spans of the staged input go through the slice requantizer, with
+  // no intermediate crop.
+  const nn::TensorShape& full = input_.shape();
+  const nn::QuantParams& from = input_.params();
+  const nn::QuantParams& to = out.params();
+  if (from == to) {
+    crop_from_region_q_into(input_, full_region(full), want, full, out);
+    return;
+  }
+  // Padding is real 0 — the input zero point — requantized: centered 0
+  // rescales to 0, leaving the clamped target zero point.
+  const auto pad = static_cast<std::int8_t>(
+      nn::ops::clamp_to(to.zero_point, to.qmin(), to.qmax()));
+  crop_rows(input_.data().data(), full_region(full), want, full, full.c, pad,
+            out.data().data(),
+            nn::ops::simd::RowRequantizer(from, to, backend.simd_kernels()));
+}
+
+void CompiledPatchQuantModel::windowed_into(nn::ops::KernelBackend& backend,
+                                            const nn::QTensor& in,
+                                            const nn::Layer& local,
+                                            int layer_id, int bi, int s,
+                                            nn::QTensor& out) const {
+  const std::span<const std::int32_t> bias =
+      bi >= 0 && !branch_cfgs_.empty()
+          ? std::span<const std::int32_t>(
+                branch_bias_[static_cast<std::size_t>(bi)]
+                            [static_cast<std::size_t>(s)])
+          : std::span<const std::int32_t>(
+                params_->bias[static_cast<std::size_t>(layer_id)]);
+  const auto& w = params_->weights[static_cast<std::size_t>(layer_id)];
+  if (local.kind == nn::OpKind::Conv2D) {
+    backend.conv2d_into(in, local, w.data, w.params, bias, out);
+  } else {
+    backend.depthwise_conv2d_into(in, local, w.data, w.params, bias, out);
+  }
+}
+
+void CompiledPatchQuantModel::exec_tail_band(int layer_id,
+                                             const Interval& rows,
+                                             WorkerCtx& ctx) const {
   const nn::Graph& g = *graph_;
   const nn::Layer& l = g.layer(layer_id);
   const nn::TensorShape& os = g.shape(layer_id);
   const Region out_region{rows, {0, os.w}};
-  const auto memo = [&](int id) -> Tensor& {
+  const auto memo = [&](int id) -> nn::QTensor& {
     return tail_memo_[static_cast<std::size_t>(id)];
   };
-  Tensor out = row_view(memo(layer_id), rows);
+  nn::QTensor out = row_view(memo(layer_id), rows);
   ctx.crops.reset();
   switch (l.kind) {
     case nn::OpKind::Conv2D:
@@ -1247,37 +1037,39 @@ void CompiledPatchEngine<Domain>::exec_tail_band(int layer_id,
       // and the kernel run pad-free, bit-identical to the padded full-map
       // call, proven by the patch/layer parity tests.
       const nn::TensorShape& is = g.shape(l.inputs[0]);
-      const Tensor in = step_input(memo(l.inputs[0]), full_region(is),
-                                   required_input_region(l, is, out_region),
-                                   is, byte_range(out), ctx.crops);
+      BandScratch crops(ctx.crops);
+      const nn::QTensor in = step_input(
+          memo(l.inputs[0]), full_region(is),
+          required_input_region(l, is, out_region), is, byte_range(out),
+          crops);
       nn::Layer local = l;
       local.pad_h = local.pad_w = 0;
-      this->windowed_into(ctx.backend, g, in, local, layer_id, -1, -1, out);
+      windowed_into(ctx.backend, in, local, layer_id, -1, -1, out);
       break;
     }
     case nn::OpKind::MaxPool:
     case nn::OpKind::AvgPool: {
       const nn::TensorShape& is = g.shape(l.inputs[0]);
-      this->pool_into(memo(l.inputs[0]), full_region(is), l, out_region, is,
-                      out);
+      pool_region_q_into(memo(l.inputs[0]), full_region(is), l, out_region,
+                         is, pool_table(l), out);
       break;
     }
     case nn::OpKind::Add: {
       // Element-wise: the band reads exactly its own rows of both inputs —
       // pure views, no copy.
-      const Tensor a = row_view(memo(l.inputs[0]), rows);
-      const Tensor b = row_view(memo(l.inputs[1]), rows);
-      add_into(ctx.backend, a, b, l.act, out);
+      const nn::QTensor a = row_view(memo(l.inputs[0]), rows);
+      const nn::QTensor b = row_view(memo(l.inputs[1]), rows);
+      ctx.backend.add_into(a, b, l.act, out);
       break;
     }
     case nn::OpKind::Concat: {
-      std::vector<Tensor> views;
+      std::vector<nn::QTensor> views;
       views.reserve(l.inputs.size());
       for (const int in : l.inputs) views.push_back(row_view(memo(in), rows));
-      std::vector<const Tensor*> ptrs;
+      std::vector<const nn::QTensor*> ptrs;
       ptrs.reserve(views.size());
-      for (const Tensor& t : views) ptrs.push_back(&t);
-      concat_into(ctx.backend, ptrs, out);
+      for (const nn::QTensor& t : views) ptrs.push_back(&t);
+      ctx.backend.concat_into(ptrs, out);
       break;
     }
     default:
@@ -1286,18 +1078,15 @@ void CompiledPatchEngine<Domain>::exec_tail_band(int layer_id,
   }
 }
 
-template <class Domain>
-void CompiledPatchEngine<Domain>::run_tail_layers(
+void CompiledPatchQuantModel::run_tail_layers(
     int first_id, nn::ops::KernelBackend& backend) const {
   for (int id = first_id; id < graph_->size(); ++id) {
-    this->run_layer(*graph_, id, tail_memo_, backend,
-                    tail_memo_[static_cast<std::size_t>(id)]);
+    nn::run_layer_q_into(*graph_, id, tail_memo_, *params_, backend,
+                         tail_memo_[static_cast<std::size_t>(id)]);
   }
 }
 
-template <class Domain>
-typename Domain::Tensor CompiledPatchEngine<Domain>::run(
-    const nn::Tensor& input) const {
+nn::QTensor CompiledPatchQuantModel::run(const nn::Tensor& input) const {
   check_input(input);
   nn::ArenaSlab::Lease lease;
   const std::span<std::uint8_t> arena =
@@ -1313,12 +1102,13 @@ typename Domain::Tensor CompiledPatchEngine<Domain>::run(
   }
   run_tail_layers(plan_.spec.split_layer + 1, self_.backend);
   measured_ = self_.measured;
-  this->observe(tail_memo_, plan_.spec.split_layer);
+  observe();
   return tail_memo_[static_cast<std::size_t>(graph_->output())];
 }
 
-template <class Domain>
-void CompiledPatchEngine<Domain>::branch_task(
+// --- the dataflow graph ----------------------------------------------------
+
+void CompiledPatchQuantModel::branch_task(
     std::int64_t b, WorkerCtx& ctx, std::uint8_t* slice,
     std::span<const nn::ArenaSlot> slots) const {
   // Streaming frames route through the same code: clean branches return
@@ -1335,25 +1125,22 @@ void CompiledPatchEngine<Domain>::branch_task(
   if (branch_hook_) branch_hook_(static_cast<int>(b));
 }
 
-template <class Domain>
-void CompiledPatchEngine<Domain>::band_task(std::size_t pi, std::size_t j,
-                                            WorkerCtx& ctx) const {
+void CompiledPatchQuantModel::band_task(std::size_t pi, std::size_t j,
+                                        WorkerCtx& ctx) const {
   StreamState* stream = run_stream_;
   if (stream != nullptr && !stream_band_needed(*stream, pi, j)) return;
   exec_tail_band(pipeline_[pi].layer_id, pipeline_[pi].bands[j], ctx);
   if (stream != nullptr) stream_mark_band(*stream, pi, j);
 }
 
-template <class Domain>
-void CompiledPatchEngine<Domain>::rest_task(WorkerCtx& ctx) const {
+void CompiledPatchQuantModel::rest_task(WorkerCtx& ctx) const {
   if (run_stream_ != nullptr && !run_stream_->frame_changed_output()) return;
   run_tail_layers(
       plan_.spec.split_layer + 1 + static_cast<int>(pipeline_.size()),
       ctx.backend);
 }
 
-template <class Domain>
-nn::TaskGraph& CompiledPatchEngine<Domain>::pipeline_graph(
+nn::TaskGraph& CompiledPatchQuantModel::pipeline_graph(
     int num_workers) const {
   auto it = pipeline_graphs_.find(num_workers);
   if (it != pipeline_graphs_.end()) return it->second;
@@ -1376,10 +1163,10 @@ nn::TaskGraph& CompiledPatchEngine<Domain>::pipeline_graph(
       .first->second;
 }
 
-template <class Domain>
-void CompiledPatchEngine<Domain>::run_parallel(
-    const nn::Tensor& input, nn::WorkerPool* pool,
-    const nn::ParallelArenaPlan& pplan, std::uint8_t* data) const {
+void CompiledPatchQuantModel::run_parallel(const nn::Tensor& input,
+                                           nn::WorkerPool* pool,
+                                           const nn::ParallelArenaPlan& pplan,
+                                           std::uint8_t* data) const {
   const int w = pplan.num_workers;
   std::int64_t shared_measured = 0;
   // Stage this run's state for the cached graph's tasks: arena base and
@@ -1411,8 +1198,8 @@ void CompiledPatchEngine<Domain>::run_parallel(
         // sequential tail does (bit-identical; the bands exist for
         // multi-worker pipelining, not for single-lane execution).
         const int id = pipeline_[pi].layer_id;
-        this->run_layer(*graph_, id, tail_memo_, self_.backend,
-                        tail_memo_[static_cast<std::size_t>(id)]);
+        nn::run_layer_q_into(*graph_, id, tail_memo_, *params_, self_.backend,
+                             tail_memo_[static_cast<std::size_t>(id)]);
         for (std::size_t j = 0; j < nb; ++j) {
           stream_mark_band(*run_stream_, pi, j);
         }
@@ -1433,9 +1220,8 @@ void CompiledPatchEngine<Domain>::run_parallel(
   }
 }
 
-template <class Domain>
-typename Domain::Tensor CompiledPatchEngine<Domain>::run(
-    const nn::Tensor& input, nn::WorkerPool* pool) const {
+nn::QTensor CompiledPatchQuantModel::run(const nn::Tensor& input,
+                                         nn::WorkerPool* pool) const {
   if (pool == nullptr || pool->num_workers() == 1) return run(input);
   check_input(input);
   const nn::ParallelArenaPlan& pplan = pipelined_plan(pool->num_workers());
@@ -1443,15 +1229,14 @@ typename Domain::Tensor CompiledPatchEngine<Domain>::run(
   const std::span<std::uint8_t> arena =
       bind_run_arena(pplan.total_bytes(), lease);
   run_parallel(input, pool, pplan, arena.data());
-  this->observe(tail_memo_, plan_.spec.split_layer);
+  observe();
   return tail_memo_[static_cast<std::size_t>(graph_->output())];
 }
 
 // --- streaming ------------------------------------------------------------
 
-template <class Domain>
-void CompiledPatchEngine<Domain>::prime_stream_state(StreamState& state,
-                                                     int workers) const {
+void CompiledPatchQuantModel::prime_stream_state(StreamState& state,
+                                                 int workers) const {
   QMCU_REQUIRE(workers >= 1, "streaming needs at least one lane");
   if (state.workers != 0) {
     QMCU_REQUIRE(state.workers == workers,
@@ -1473,8 +1258,7 @@ void CompiledPatchEngine<Domain>::prime_stream_state(StreamState& state,
   }
 }
 
-template <class Domain>
-std::span<std::uint8_t> CompiledPatchEngine<Domain>::bind_stream_arena(
+std::span<std::uint8_t> CompiledPatchQuantModel::bind_stream_arena(
     std::int64_t need, StreamState& state) const {
   std::span<std::uint8_t> arena;
   if (arena_source_ != nullptr) {
@@ -1492,14 +1276,13 @@ std::span<std::uint8_t> CompiledPatchEngine<Domain>::bind_stream_arena(
     }
     arena = {state.owned.data(), state.owned.size()};
   }
-  nn::check_arena(arena, need, alignof(typename Domain::Elem));
+  nn::check_arena(arena, need, alignof(std::int8_t));
   return arena;
 }
 
-template <class Domain>
-bool CompiledPatchEngine<Domain>::stream_band_needed(const StreamState& state,
-                                                     std::size_t pi,
-                                                     std::size_t j) const {
+bool CompiledPatchQuantModel::stream_band_needed(const StreamState& state,
+                                                 std::size_t pi,
+                                                 std::size_t j) const {
   const PipelinedTailLayer& pl = pipeline_[pi];
   for (const int r : pl.grid_row_deps[j]) {
     if (state.row_changed[static_cast<std::size_t>(r)].load(
@@ -1518,10 +1301,9 @@ bool CompiledPatchEngine<Domain>::stream_band_needed(const StreamState& state,
   return false;
 }
 
-template <class Domain>
-void CompiledPatchEngine<Domain>::stream_mark_branch(StreamState& state,
-                                                     std::int64_t b,
-                                                     bool changed) const {
+void CompiledPatchQuantModel::stream_mark_branch(StreamState& state,
+                                                 std::int64_t b,
+                                                 bool changed) const {
   state.branches_run.fetch_add(1, std::memory_order_relaxed);
   if (!changed) return;
   state.row_changed[static_cast<std::size_t>(b / plan_.spec.grid_cols)].store(
@@ -1529,19 +1311,18 @@ void CompiledPatchEngine<Domain>::stream_mark_branch(StreamState& state,
   state.any_changed.store(1, std::memory_order_relaxed);
 }
 
-template <class Domain>
-void CompiledPatchEngine<Domain>::stream_mark_band(StreamState& state,
-                                                   std::size_t pi,
-                                                   std::size_t j) const {
+void CompiledPatchQuantModel::stream_mark_band(StreamState& state,
+                                               std::size_t pi,
+                                               std::size_t j) const {
   state.bands_run.fetch_add(1, std::memory_order_relaxed);
   state
       .band_changed[static_cast<std::size_t>(state.band_offset[pi]) + j]
       .store(1, std::memory_order_relaxed);
 }
 
-template <class Domain>
-typename Domain::Tensor CompiledPatchEngine<Domain>::run_streaming(
-    const nn::Tensor& input, nn::WorkerPool* pool, StreamState& state) const {
+nn::QTensor CompiledPatchQuantModel::run_streaming(const nn::Tensor& input,
+                                                   nn::WorkerPool* pool,
+                                                   StreamState& state) const {
   check_input(input);
   if (!state.changed_rows.empty()) {
     QMCU_REQUIRE(static_cast<int>(state.changed_rows.size()) ==
@@ -1566,10 +1347,10 @@ typename Domain::Tensor CompiledPatchEngine<Domain>::run_streaming(
   reset_stream_frame(state, plan_.spec.grid_rows, total_band_count(pipeline_),
                      !state.primed);
 
-  // The quantized domain re-quantizes the frame's changed spans (the whole
-  // frame when the caller gives none) into the retained input slot; a
-  // byte-identical float pixel quantizes to a byte-identical code, so
-  // clean branches stay clean through this write.
+  // Staging re-quantizes the frame's changed spans (the whole frame when
+  // the caller gives none) into the retained input slot; a byte-identical
+  // float pixel quantizes to a byte-identical code, so clean branches stay
+  // clean through this write.
   run_stream_ = &state;
   try {
     run_parallel(input, pool, pplan, arena.data());
@@ -1584,51 +1365,8 @@ typename Domain::Tensor CompiledPatchEngine<Domain>::run_streaming(
   run_stream_ = nullptr;
   state.changed_rows.clear();
   state.primed = true;
-  this->observe(tail_memo_, plan_.spec.split_layer);
+  observe();
   return tail_memo_[static_cast<std::size_t>(graph_->output())];
-}
-
-template class CompiledPatchEngine<FloatDomain>;
-template class CompiledPatchEngine<QuantDomain>;
-
-// --- the two models -------------------------------------------------------
-
-CompiledPatchModel::CompiledPatchModel(const nn::Graph& g, PatchPlan plan,
-                                       nn::ops::KernelTier tier)
-    : CompiledPatchEngine(g, std::move(plan), tier, {}) {}
-
-CompiledPatchQuantModel::CompiledPatchQuantModel(
-    const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
-    std::vector<BranchQuantConfig> branch_cfgs, nn::ops::KernelTier tier,
-    std::shared_ptr<const nn::QuantizedParameters> params)
-    : CompiledPatchQuantModel(g, std::move(plan), std::move(cfg),
-                              std::move(branch_cfgs), std::move(params),
-                              PrecompiledPatchParts{}, tier) {}
-
-CompiledPatchQuantModel::CompiledPatchQuantModel(
-    const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
-    std::vector<BranchQuantConfig> branch_cfgs,
-    std::shared_ptr<const nn::QuantizedParameters> params,
-    PrecompiledPatchParts parts, nn::ops::KernelTier tier)
-    : CompiledPatchEngine(g, std::move(plan), tier, std::move(parts.pipeline),
-                          std::move(cfg), std::move(branch_cfgs),
-                          std::move(params), std::move(parts.branch_bias),
-                          std::move(parts.kernels)) {}
-
-const nn::QuantParams& CompiledPatchQuantModel::step_params(int branch,
-                                                            int step) const {
-  return branch_step_params(branch, step,
-                            plan()
-                                .branches[static_cast<std::size_t>(branch)]
-                                .steps[static_cast<std::size_t>(step)]
-                                .layer_id);
-}
-
-const nn::QuantParams& CompiledPatchQuantModel::stored_params(int branch,
-                                                              int step) const {
-  return step_storage_params(graph(),
-                             plan().branches[static_cast<std::size_t>(branch)],
-                             branch, step);
 }
 
 }  // namespace qmcu::patch

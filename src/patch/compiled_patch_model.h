@@ -1,41 +1,29 @@
 // compiled_patch_model.h — compile-once / run-many patch-based inference
 // against one static tensor arena, sequentially or across a worker pool.
 //
-// QuantMCU's runtime is one dataflow: patch branches compute disjoint tiles
-// of the cut-layer feature map, and a layer-based tail follows. Only the
-// numeric domain changes — float for the parity references, int8/sub-byte
-// for deployment — so there is one engine, CompiledPatchEngine<Domain>,
-// and two domains chosen by type:
+// QuantMCU's runtime is one integer dataflow: the input is quantized once
+// into its own arena slot, patch branches compute disjoint tiles of the
+// cut-layer feature map at their own bit widths (uniform int8, or the
+// mixed-mode per-branch step params and rescaled biases VDQS chose), and a
+// layer-based int8 tail follows. Float inference is the host reference
+// (nn::Executor); CompiledPatchQuantModel is the deployment engine.
 //
-//   * FloatDomain: nn::Tensor maps; branches crop the caller's float input.
-//   * QuantDomain: nn::QTensor maps; the input is quantized once into its
-//     own arena slot, and the domain carries the quantized parameters,
-//     mixed-mode per-branch step params and biases, AvgPool tables and the
-//     opt-in activation-stats hook.
-//
-// A domain supplies the tensor type, slot binding, input staging, the
-// windowed and pooling op bodies and the whole-layer tail runner;
-// planning, scheduling and streaming are written once in the engine.
-// Domain hooks are plain non-virtual member calls, resolved at compile
-// time. CompiledPatchModel and CompiledPatchQuantModel are the engine's
-// two instantiations with their public constructors.
-//
-// The engine plans, once:
+// The model plans, once:
 //
 //   * one arena slot per branch *step index*, sized to the largest map any
 //     branch stores at that step (branches share the slot layout — they
 //     have identical step structure; their region extents and, in mixed
-//     mode, their bit widths differ). A quantized sub-byte map is stored
-//     bit-packed (patch/packed_map.h): packed rows padded to 32 elements,
-//     so a 4-bit map takes about half the bytes of its int8 twin. Int8 and
-//     float maps are dense;
+//     mode, their bit widths differ). A sub-byte map is stored bit-packed
+//     (patch/packed_map.h): packed rows padded to 32 elements, so a 4-bit
+//     map takes about half the bytes of its int8 twin. Int8 maps are
+//     dense;
 //   * one slot for the reassembled cut-layer feature map, live from the
 //     first branch through its last tail consumer;
 //   * one slot per tail layer, placed over layer-based lifetimes;
-//   * (quantized) one slot for the quantized full input, live across the
-//     whole branch phase.
+//   * one slot for the quantized full input, live across the whole branch
+//     phase.
 //
-// The staged input, the assembled map and the tail stay int8 (float).
+// The staged input, the assembled map and the tail stay int8.
 //
 // Sequential run(): all slots come from one nn::ArenaPlanner pass over a
 // unified timeline (branch steps first, tail steps after), so branch
@@ -79,7 +67,7 @@
 // into padding or cut columns off the producer's region are copied: a
 // row-wise halo crop (padding memset, in-bounds span memcpy) into a
 // grow-only scratch pool reused across steps. Crops are scratch, not
-// feature maps, and are accounted via scratch_bytes(). The quantized input
+// feature maps, and are accounted via scratch_bytes(). A branch's input
 // tile is requantized straight from the staged input, row span by row
 // span, with no crop at all.
 //
@@ -89,7 +77,8 @@
 // dense scratch band and packs that band into its slot. Bands are sized so
 // a band's scratch stays within 16 KiB (one row at least), so packing does
 // not move the map into scratch; every kernel sees the values it saw
-// unbanded, so outputs are bit-identical. The merge unpacks a tile a row chunk at a time.
+// unbanded, so outputs are bit-identical. The merge unpacks a tile a row
+// chunk at a time.
 #pragma once
 
 #include <atomic>
@@ -121,8 +110,7 @@ struct BranchQuantConfig {
 // One row-banded tail layer of the pipelined dataflow graph: the layer's
 // output rows are split into `bands`; band j's tasks depend on whatever
 // produces its input rows (branch tasks for the first tail layer, upstream
-// bands after that). Computed once at compile time — see
-// CompiledPatchEngine's pipeline planning.
+// bands after that). Derived once at construction from the plan.
 struct PipelinedTailLayer {
   int layer_id = -1;
   std::vector<Interval> bands;  // output row intervals, in order
@@ -133,32 +121,23 @@ struct PipelinedTailLayer {
   std::vector<std::vector<std::pair<int, int>>> band_deps;
 };
 
-// Builds the row-banded pipeline prefix for the tail of `plan`: the
-// maximal run of tail layers after the cut that are row-splittable
-// (windowed, pooling, element-wise or concat ops), each split into
-// `bands_per_layer` row bands (clamped to the layer's height), with
-// dependencies resolved through patch::receptive_field.
-std::vector<PipelinedTailLayer> build_pipelined_tail(
-    const nn::Graph& g, const PatchPlan& plan, int bands_per_layer);
-
 // Mixed mode: per-branch per-step int32 biases rescaled to the branch's
 // actual input scales (empty vectors for non-MAC steps). The branch's step
 // parameters set the real input scale of each MAC step, so biases must be
 // rescaled per branch (the shared QuantizedParameters bias table is built
-// against the deployment config). Shared by the legacy executor and the
-// compiled model.
+// against the deployment config). Shared by the model and the artifact
+// writer.
 std::vector<std::vector<std::vector<std::int32_t>>> build_branch_bias(
     const nn::Graph& g, const PatchPlan& plan,
     std::span<const BranchQuantConfig> branch_cfgs,
     const nn::QuantizedParameters& params);
 
 // Construction-time products precomputed by the plan-artifact loader:
-// mixed-mode branch biases, the row-banded pipeline structure, and the
-// panel/offset bundle every lane backend adopts (see nn::PrecompiledBundle).
-// Empty members fall back to in-constructor computation.
+// mixed-mode branch biases and the panel/offset bundle every lane backend
+// adopts (see nn::PrecompiledBundle). Empty members fall back to
+// in-constructor computation.
 struct PrecompiledPatchParts {
   std::vector<std::vector<std::vector<std::int32_t>>> branch_bias;
-  std::vector<PipelinedTailLayer> pipeline;
   std::shared_ptr<const nn::PrecompiledBundle> kernels;
 };
 
@@ -238,214 +217,51 @@ struct StreamState {
   std::atomic<std::int64_t> bands_run{0};
 };
 
-// --- numeric domains -------------------------------------------------------
-//
-// The protected members are the engine's domain hooks. `bi`/`s` name a
-// branch and its step; bi < 0 means a tail layer (shared parameters).
+// --- the model -------------------------------------------------------------
 
-class FloatDomain {
+class CompiledPatchQuantModel {
  public:
-  using Tensor = nn::Tensor;
+  // Uniform mode: branch steps inherit the per-layer params of `cfg`;
+  // mixed mode: `branch_cfgs[b].per_step[s]` overrides branch b's step s.
+  // Prebuilt shared parameters (QuantizedParameters::build_shared) skip the
+  // per-model weight conversion.
+  CompiledPatchQuantModel(
+      const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
+      std::vector<BranchQuantConfig> branch_cfgs = {},
+      nn::ops::KernelTier tier = nn::ops::KernelTier::Simd,
+      std::shared_ptr<const nn::QuantizedParameters> params = {});
+  // Artifact path: precomputed branch biases / kernel bundle skip the
+  // corresponding construction-time work (the bundle's panels are adopted
+  // by the model backend and every worker lane). Supplied biases must
+  // match the plan's branches and steps and the shared bias lengths.
+  CompiledPatchQuantModel(
+      const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
+      std::vector<BranchQuantConfig> branch_cfgs,
+      std::shared_ptr<const nn::QuantizedParameters> params,
+      PrecompiledPatchParts parts,
+      nn::ops::KernelTier tier = nn::ops::KernelTier::Simd);
 
- protected:
-  using Elem = float;
-  using StepView = nn::Tensor;
-  static constexpr bool kQuantizedInput = false;
-
-  FloatDomain(const nn::Graph& /*g*/, const PatchPlan& /*plan*/) {}
-
-  static std::int64_t step_slot_bytes(const nn::Graph& /*g*/,
-                                      const PatchBranch& /*branch*/,
-                                      int /*bi*/, int /*s*/,
-                                      const nn::TensorShape& shape) {
-    return shape.elements() * static_cast<std::int64_t>(sizeof(float));
-  }
-  static Tensor bind_layer(int layer_id, std::uint8_t* base,
-                           const nn::ArenaSlot& slot,
-                           const nn::TensorShape& shape,
-                           std::int64_t& measured);
-  static StepView bind_step(const nn::Graph& g, const PatchBranch& branch,
-                            int bi, int s, std::uint8_t* base,
-                            const nn::ArenaSlot& slot,
-                            const nn::TensorShape& shape,
-                            std::int64_t& measured);
-  // The caller's input is cropped in place: no arena slot.
-  void stage_input(const nn::Graph& g, const nn::Tensor& input,
-                   std::uint8_t* base, const nn::ArenaSlot* slot,
-                   std::span<const Interval> rows,
-                   std::int64_t& measured) const;
-  // Writes region `want` of the input into `out` (a band of the branch's
-  // input tile).
-  void input_into(nn::ops::KernelBackend& backend, const Region& want,
-                  Tensor& out) const;
-  static void windowed_into(nn::ops::KernelBackend& backend,
-                            const nn::Graph& g, const Tensor& in,
-                            const nn::Layer& local, int layer_id, int bi,
-                            int s, Tensor& out);
-  static void pool_into(const Tensor& have, const Region& avail,
-                        const nn::Layer& l, const Region& out_region,
-                        const nn::TensorShape& full, Tensor& out);
-  static void run_layer(const nn::Graph& g, int id,
-                        std::span<const Tensor> memo,
-                        nn::ops::KernelBackend& backend, Tensor& out);
-  // Float convs pack their panel into arena scratch per call (there is no
-  // f32 panel cache), so a backend needs no preparation.
-  void adopt_kernels(nn::ops::KernelBackend& /*backend*/) const {}
-  void prepare_lane(nn::ops::KernelBackend& /*backend*/,
-                    const nn::Graph& /*g*/, const PatchPlan& /*plan*/) const {
-  }
-  void observe(std::span<const Tensor> /*memo*/, int /*split*/) const {}
-
- private:
-  mutable const nn::Tensor* input_ = nullptr;  // staged per run
-};
-
-class QuantDomain {
- public:
-  using Tensor = nn::QTensor;
-
-  [[nodiscard]] const std::shared_ptr<const nn::QuantizedParameters>&
-  shared_parameters() const {
-    return params_;
-  }
-  // Compile-time tables, exposed so the owning executor's legacy paths
-  // reuse them instead of rebuilding their own copies.
-  [[nodiscard]] const nn::ActivationQuantConfig& config() const {
-    return cfg_;
-  }
-  [[nodiscard]] std::span<const nn::QuantParams> effective_params() const {
-    return effective_;
-  }
-  [[nodiscard]] std::span<const BranchQuantConfig> branch_configs() const {
-    return branch_cfgs_;
-  }
-  [[nodiscard]] const std::vector<std::vector<std::vector<std::int32_t>>>&
-  branch_bias() const {
-    return branch_bias_;
-  }
-  // Opt-in activation statistics: called once per completed run on the
-  // calling thread, for the assembled cut layer and every tail layer, with
-  // the layer's output view (drift tracking — see
-  // nn::streaming::ActivationStatsTracker). Null clears it.
-  void set_stats_hook(
-      std::function<void(int, const nn::QTensor&)> hook) const {
-    stats_hook_ = std::move(hook);
-  }
-
- protected:
-  using Elem = std::int8_t;
-  // Branch-step maps: bit-packed when sub-byte, dense int8 otherwise.
-  using StepView = PackedMap;
-  static constexpr bool kQuantizedInput = true;
-
-  // Uniform mode when `branch_cfgs` is empty. Null `params` builds the
-  // weight conversion; empty `branch_bias` derives it from the graph.
-  QuantDomain(const nn::Graph& g, const PatchPlan& plan,
-              nn::ActivationQuantConfig cfg,
-              std::vector<BranchQuantConfig> branch_cfgs,
-              std::shared_ptr<const nn::QuantizedParameters> params,
-              std::vector<std::vector<std::vector<std::int32_t>>> branch_bias,
-              std::shared_ptr<const nn::PrecompiledBundle> kernels);
-
-  // The mixed-mode per-step override when branch configs exist, otherwise
-  // the pool-propagated effective params of the step's layer.
-  [[nodiscard]] const nn::QuantParams& branch_step_params(int bi, int s,
-                                                          int layer_id) const;
-  // The params branch `bi` stores step `s`'s map at. Pools never
-  // requantize: they carry their producer's params, exactly as the legacy
-  // executor's region tensors do.
-  [[nodiscard]] const nn::QuantParams& step_storage_params(
-      const nn::Graph& g, const PatchBranch& branch, int bi, int s) const;
-  // Arena bytes of step `s`'s map shaped `shape`: packed rows at sub-byte
-  // widths (PackedMap::storage_bytes), one byte per element at int8.
-  [[nodiscard]] std::int64_t step_slot_bytes(
-      const nn::Graph& g, const PatchBranch& branch, int bi, int s,
-      const nn::TensorShape& shape) const;
-
-  Tensor bind_layer(int layer_id, std::uint8_t* base,
-                    const nn::ArenaSlot& slot, const nn::TensorShape& shape,
-                    std::int64_t& measured) const;
-  StepView bind_step(const nn::Graph& g, const PatchBranch& branch, int bi,
-                     int s, std::uint8_t* base, const nn::ArenaSlot& slot,
-                     const nn::TensorShape& shape,
-                     std::int64_t& measured) const;
-  // Quantizes the input once into its slot; branches crop it. `rows`
-  // limits the write to rows[y] of each input row y; empty means the whole
-  // input.
-  void stage_input(const nn::Graph& g, const nn::Tensor& input,
-                   std::uint8_t* base, const nn::ArenaSlot* slot,
-                   std::span<const Interval> rows,
-                   std::int64_t& measured) const;
-  // Requantizes region `want` of the staged input into `out` (a band of
-  // the branch's input tile, in the tile's params).
-  void input_into(nn::ops::KernelBackend& backend, const Region& want,
-                  Tensor& out) const;
-  void windowed_into(nn::ops::KernelBackend& backend, const nn::Graph& g,
-                     const Tensor& in, const nn::Layer& local, int layer_id,
-                     int bi, int s, Tensor& out) const;
-  void pool_into(const Tensor& have, const Region& avail, const nn::Layer& l,
-                 const Region& out_region, const nn::TensorShape& full,
-                 Tensor& out) const;
-  void run_layer(const nn::Graph& g, int id, std::span<const Tensor> memo,
-                 nn::ops::KernelBackend& backend, Tensor& out) const;
-  // Adopts the artifact's precomputed panels (no-op without an artifact).
-  void adopt_kernels(nn::ops::KernelBackend& backend) const;
-  // adopt_kernels, then pre-packs every conv/fc panel a lane may need so
-  // a lane's first run pays no packing cost.
-  void prepare_lane(nn::ops::KernelBackend& backend, const nn::Graph& g,
-                    const PatchPlan& plan) const;
-  // Feeds the stats hook layers [split, memo.size()).
-  void observe(std::span<const Tensor> memo, int split) const;
-
- private:
-  [[nodiscard]] const nn::ops::AvgPoolMultipliers* pool_table(
-      const nn::Layer& l) const;
-
-  nn::ActivationQuantConfig cfg_;
-  std::vector<nn::QuantParams> effective_;
-  std::vector<BranchQuantConfig> branch_cfgs_;  // empty = uniform mode
-  std::vector<std::vector<std::vector<std::int32_t>>> branch_bias_;
-  std::shared_ptr<const nn::QuantizedParameters> params_;
-  // Artifact bundle adopted by every backend (keeps the panel/offset views
-  // registered with the backends alive).
-  std::shared_ptr<const nn::PrecompiledBundle> bundle_;
-  // AvgPool reciprocal tables keyed by window size. Filled at construction
-  // for every window the graph contains, then read-only — several workers
-  // share them concurrently during parallel runs, so no lazy inserts on the
-  // run path.
-  std::unordered_map<int, nn::ops::AvgPoolMultipliers> pool_tables_;
-  mutable std::function<void(int, const nn::QTensor&)> stats_hook_;
-  mutable nn::QTensor input_;  // the staged quantized input (arena view)
-};
-
-// --- the engine ------------------------------------------------------------
-
-template <class Domain>
-class CompiledPatchEngine : public Domain {
- public:
-  using Tensor = typename Domain::Tensor;
-
-  [[nodiscard]] Tensor run(const nn::Tensor& input) const;
+  [[nodiscard]] nn::QTensor run(const nn::Tensor& input) const;
   // Pipelined dataflow run: stage-1 branch tasks and tail row-band tasks
   // scheduled as one dependency graph over `pool` (see the header
   // comment). Bit-identical to run() for every worker count and readiness
   // order. A null pool or a 1-worker pool takes the sequential path
   // exactly.
-  [[nodiscard]] Tensor run(const nn::Tensor& input,
-                           nn::WorkerPool* pool) const;
+  [[nodiscard]] nn::QTensor run(const nn::Tensor& input,
+                                nn::WorkerPool* pool) const;
   // Temporal-reuse run over `state` (see StreamState): only branches with
   // state.branch_dirty set are recomputed — clean branches contribute
   // their retained assembled-map tiles for free — and tail row-bands whose
   // upstream grid rows merged no new bytes are skipped, as is the
   // non-banded rest of the tail when nothing changed at all. Bit-identical
   // to run() on the same frame for every worker count, provided the dirty
-  // mask is conservative (patch::dirty_branches exact mode; the quantized
-  // domain's mask is computed on the float frames — quantization is
-  // deterministic per element). A null pool or 1-worker pool streams
-  // sequentially over the same retained layout.
-  [[nodiscard]] Tensor run_streaming(const nn::Tensor& input,
-                                     nn::WorkerPool* pool,
-                                     StreamState& state) const;
+  // mask is conservative (patch::dirty_branches exact mode, computed on
+  // the float frames — quantization is deterministic per element). A null
+  // pool or 1-worker pool streams sequentially over the same retained
+  // layout.
+  [[nodiscard]] nn::QTensor run_streaming(const nn::Tensor& input,
+                                          nn::WorkerPool* pool,
+                                          StreamState& state) const;
 
   [[nodiscard]] const nn::ArenaPlan& arena_plan() const { return aplan_; }
   [[nodiscard]] std::int64_t arena_bytes() const { return aplan_.peak_bytes; }
@@ -479,6 +295,14 @@ class CompiledPatchEngine : public Domain {
   void set_branch_completion_hook(std::function<void(int)> hook) const {
     branch_hook_ = std::move(hook);
   }
+  // Opt-in activation statistics: called once per completed run on the
+  // calling thread, for the assembled cut layer and every tail layer, with
+  // the layer's output view (drift tracking — see
+  // nn::streaming::ActivationStatsTracker). Null clears it.
+  void set_stats_hook(
+      std::function<void(int, const nn::QTensor&)> hook) const {
+    stats_hook_ = std::move(hook);
+  }
   [[nodiscard]] std::int64_t measured_high_water() const { return measured_; }
   // Crop-temporary + backend scratch held after the last run, including
   // every worker context's share.
@@ -491,24 +315,38 @@ class CompiledPatchEngine : public Domain {
     return self_.backend;
   }
 
- protected:
-  // `domain_args` follow (g, plan) into the Domain constructor. A
-  // non-empty `pipeline` (artifact path) skips the tail banding pass.
-  template <class... DomainArgs>
-  CompiledPatchEngine(const nn::Graph& g, PatchPlan plan,
-                      nn::ops::KernelTier tier,
-                      std::vector<PipelinedTailLayer> pipeline,
-                      DomainArgs&&... domain_args)
-      : Domain(g, plan, std::forward<DomainArgs>(domain_args)...),
-        graph_(&g),
-        plan_(std::move(plan)),
-        self_(tier) {
-    compile(std::move(pipeline));
+  // Compile-time tables, exposed so the owning executor's legacy paths
+  // reuse them instead of rebuilding their own copies.
+  [[nodiscard]] const std::shared_ptr<const nn::QuantizedParameters>&
+  shared_parameters() const {
+    return params_;
   }
+  [[nodiscard]] const nn::ActivationQuantConfig& config() const {
+    return cfg_;
+  }
+  [[nodiscard]] std::span<const nn::QuantParams> effective_params() const {
+    return effective_;
+  }
+  [[nodiscard]] std::span<const BranchQuantConfig> branch_configs() const {
+    return branch_cfgs_;
+  }
+  [[nodiscard]] const std::vector<std::vector<std::vector<std::int32_t>>>&
+  branch_bias() const {
+    return branch_bias_;
+  }
+  // The params branch step `step` of branch `branch` computes at: the
+  // mixed-mode per-step override when branch configs exist, otherwise the
+  // pool-propagated effective params of the step's layer. Shared with the
+  // owning executor's legacy path so both resolve identically.
+  [[nodiscard]] const nn::QuantParams& step_params(int branch,
+                                                   int step) const;
+  // The params branch `branch` stores step `step`'s map at. Pools never
+  // requantize: they carry their producer's params, exactly as the legacy
+  // executor's region tensors do. Sub-byte maps are stored packed.
+  [[nodiscard]] const nn::QuantParams& stored_params(int branch,
+                                                     int step) const;
 
  private:
-  using StepView = typename Domain::StepView;
-
   // One lane's private execution state. The backend (scratch + panel
   // cache) and crop arena are thread-affine; dispatch rebinds them to
   // whichever thread runs the lane.
@@ -523,16 +361,20 @@ class CompiledPatchEngine : public Domain {
     }
     nn::ops::KernelBackend backend;
     nn::ops::ScratchArena crops;
-    std::vector<StepView> step_views;  // per step, rebound per branch
-    std::int64_t measured = 0;       // furthest byte written
+    std::vector<PackedMap> step_views;  // per step, rebound per branch
+    std::int64_t measured = 0;          // furthest byte written
   };
 
-  void compile(std::vector<PipelinedTailLayer> pipeline);
+  // Validates the branch configs and supplied biases, then plans the
+  // arena, the pipelined tail and the branch pricing.
+  void compile(const nn::Graph& g,
+               std::vector<std::vector<std::vector<std::int32_t>>> bias);
   void check_input(const nn::Tensor& input) const;
-  // Binds every shared view of one run at `base`: the staged input, the
-  // assembled map and each tail layer. `slots` is indexed by timeline
-  // request index minus `first` (0 for the sequential plan, num_steps_
-  // for a parallel plan's shared region).
+  // Binds every shared view of one run at `base` — the assembled map and
+  // each tail layer — and quantizes the input into its slot (only the
+  // changed spans of a primed stream). `slots` is indexed by timeline
+  // request index minus `first` (0 for the sequential plan, num_steps_ for
+  // a parallel plan's shared region).
   void stage(const nn::Tensor& input, std::uint8_t* base,
              std::span<const nn::ArenaSlot> slots, int first,
              std::int64_t& measured) const;
@@ -548,13 +390,30 @@ class CompiledPatchEngine : public Domain {
   // reads or writes a packed map; then each band unpacks only the operand
   // rows it needs and packs the rows it produced.
   void exec_step_band(int bi, int s, const Region& band,
-                      std::span<StepView> views, StepView& out,
+                      std::span<PackedMap> views, const PackedMap& out,
                       WorkerCtx& ctx) const;
+  // Requantizes region `want` of the staged input into `out` (a band of
+  // the branch's input tile, in the tile's params).
+  void input_into(nn::ops::KernelBackend& backend, const Region& want,
+                  nn::QTensor& out) const;
+  // A windowed op (conv / depthwise) with the branch's bias in mixed mode;
+  // bi < 0 means a tail layer (shared parameters).
+  void windowed_into(nn::ops::KernelBackend& backend, const nn::QTensor& in,
+                     const nn::Layer& local, int layer_id, int bi, int s,
+                     nn::QTensor& out) const;
+  [[nodiscard]] const nn::ops::AvgPoolMultipliers* pool_table(
+      const nn::Layer& l) const;
   // Computes output rows `rows` of banded tail layer `layer_id` from the
   // pre-bound tail views.
   void exec_tail_band(int layer_id, const Interval& rows,
                       WorkerCtx& ctx) const;
   void run_tail_layers(int first_id, nn::ops::KernelBackend& backend) const;
+  // Feeds the stats hook the cut layer and every tail layer.
+  void observe() const;
+  // Adopts the artifact's precomputed panels, then pre-packs every
+  // conv/fc panel a lane may need so a lane's first run pays no packing
+  // cost.
+  void prepare_lane(nn::ops::KernelBackend& backend) const;
   // The three task bodies of the dataflow graph (sequential streaming
   // drives them on the model's own context). Each consults run_stream_:
   // streaming skips clean branches, unneeded bands and an unchanged rest.
@@ -591,12 +450,28 @@ class CompiledPatchEngine : public Domain {
 
   const nn::Graph* graph_;
   PatchPlan plan_;
+  // Quantization: the deployment config, its pool-propagated effective
+  // params, the mixed-mode per-branch step params and rescaled biases
+  // (both empty in uniform mode) and the shared weight conversion.
+  nn::ActivationQuantConfig cfg_;
+  std::vector<nn::QuantParams> effective_;
+  std::vector<BranchQuantConfig> branch_cfgs_;
+  std::vector<std::vector<std::vector<std::int32_t>>> branch_bias_;
+  std::shared_ptr<const nn::QuantizedParameters> params_;
+  // Artifact bundle adopted by every backend (keeps the panel/offset views
+  // registered with the backends alive).
+  std::shared_ptr<const nn::PrecompiledBundle> bundle_;
+  // AvgPool reciprocal tables keyed by window size. Filled at construction
+  // for every window the graph contains, then read-only — several workers
+  // share them concurrently during parallel runs, so no lazy inserts on the
+  // run path.
+  std::unordered_map<int, nn::ops::AvgPoolMultipliers> pool_tables_;
   int num_steps_ = 0;       // steps per branch (identical across branches)
   int assembled_slot_ = 0;  // request index of the reassembled cut layer
-  int input_slot_ = -1;     // request index of the staged input, if any
+  int input_slot_ = 0;      // request index of the staged input
   nn::ArenaPlan aplan_;
   // Request lists feeding the parallel layouts: branch-step slots
-  // (per-worker slice) and tail + assembled (+ input) slots (shared).
+  // (per-worker slice) and tail + assembled + input slots (shared).
   std::vector<nn::ArenaRequest> slice_requests_;
   std::vector<nn::ArenaRequest> shared_requests_;
   // Pipelined dataflow structure: banded tail prefix, branch pricing for
@@ -617,54 +492,13 @@ class CompiledPatchEngine : public Domain {
   mutable StreamState* run_stream_ = nullptr;
   std::shared_ptr<nn::ArenaSlab> arena_source_;
   mutable std::function<void(int)> branch_hook_;
+  mutable std::function<void(int, const nn::QTensor&)> stats_hook_;
   mutable WorkerCtx self_;  // the calling thread's context
   mutable std::vector<std::unique_ptr<WorkerCtx>> workers_;
   mutable std::vector<std::uint8_t> arena_;
-  mutable std::vector<Tensor> tail_memo_;  // per layer id (tail phase)
+  mutable nn::QTensor input_;                 // the staged input (arena view)
+  mutable std::vector<nn::QTensor> tail_memo_;  // per layer id (tail phase)
   mutable std::int64_t measured_ = 0;
-};
-
-extern template class CompiledPatchEngine<FloatDomain>;
-extern template class CompiledPatchEngine<QuantDomain>;
-
-// --- the two models --------------------------------------------------------
-
-class CompiledPatchModel : public CompiledPatchEngine<FloatDomain> {
- public:
-  CompiledPatchModel(const nn::Graph& g, PatchPlan plan,
-                     nn::ops::KernelTier tier = nn::ops::KernelTier::Simd);
-};
-
-class CompiledPatchQuantModel : public CompiledPatchEngine<QuantDomain> {
- public:
-  // Uniform mode: branch steps inherit the per-layer params of `cfg`;
-  // mixed mode: `branch_cfgs[b].per_step[s]` overrides branch b's step s.
-  // Prebuilt shared parameters (QuantizedParameters::build_shared) skip the
-  // per-model weight conversion.
-  CompiledPatchQuantModel(
-      const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
-      std::vector<BranchQuantConfig> branch_cfgs = {},
-      nn::ops::KernelTier tier = nn::ops::KernelTier::Simd,
-      std::shared_ptr<const nn::QuantizedParameters> params = {});
-  // Artifact path: precomputed branch biases / pipeline structure / kernel
-  // bundle skip the corresponding construction-time work (the bundle's
-  // panels are adopted by the model backend and every worker lane).
-  CompiledPatchQuantModel(
-      const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
-      std::vector<BranchQuantConfig> branch_cfgs,
-      std::shared_ptr<const nn::QuantizedParameters> params,
-      PrecompiledPatchParts parts,
-      nn::ops::KernelTier tier = nn::ops::KernelTier::Simd);
-
-  // Params resolution for branch step `step` of branch `branch` (see
-  // QuantDomain::branch_step_params). Shared with the owning executor's
-  // legacy path so both resolve identically.
-  [[nodiscard]] const nn::QuantParams& step_params(int branch,
-                                                   int step) const;
-  // The params branch `branch` stores step `step`'s map at (a pool keeps
-  // its producer's); sub-byte maps are stored packed.
-  [[nodiscard]] const nn::QuantParams& stored_params(int branch,
-                                                     int step) const;
 };
 
 }  // namespace qmcu::patch

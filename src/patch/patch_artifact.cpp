@@ -12,7 +12,6 @@ using nn::artifact_detail::ByteWriter;
 
 constexpr std::uint32_t kTagPatch = nn::artifact_tag('P', 'T', 'C', 'H');
 constexpr std::uint32_t kTagBranchBias = nn::artifact_tag('B', 'B', 'I', 'A');
-constexpr std::uint32_t kTagPipeline = nn::artifact_tag('P', 'I', 'P', 'E');
 
 std::string patch_section(const PatchSpec& spec,
                           std::span<const BranchQuantConfig> branch_cfgs) {
@@ -46,31 +45,6 @@ std::string branch_bias_section(
   return std::move(w.out);
 }
 
-std::string pipeline_section(std::span<const PipelinedTailLayer> pipeline) {
-  ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(pipeline.size()));
-  for (const PipelinedTailLayer& l : pipeline) {
-    w.i32(l.layer_id);
-    w.u32(static_cast<std::uint32_t>(l.bands.size()));
-    for (const Interval& b : l.bands) {
-      w.i32(b.begin);
-      w.i32(b.end);
-    }
-    for (const auto& deps : l.grid_row_deps) {
-      w.u32(static_cast<std::uint32_t>(deps.size()));
-      for (int d : deps) w.i32(d);
-    }
-    for (const auto& deps : l.band_deps) {
-      w.u32(static_cast<std::uint32_t>(deps.size()));
-      for (const auto& [layer, band] : deps) {
-        w.i32(layer);
-        w.i32(band);
-      }
-    }
-  }
-  return std::move(w.out);
-}
-
 std::vector<std::vector<std::vector<std::int32_t>>> parse_branch_bias(
     std::span<const std::uint8_t> bytes) {
   std::vector<std::vector<std::vector<std::int32_t>>> bias;
@@ -94,45 +68,6 @@ std::vector<std::vector<std::vector<std::int32_t>>> parse_branch_bias(
   return bias;
 }
 
-std::vector<PipelinedTailLayer> parse_pipeline(
-    std::span<const std::uint8_t> bytes) {
-  std::vector<PipelinedTailLayer> pipeline;
-  if (bytes.empty()) return pipeline;
-  ByteReader r(bytes);
-  const std::uint32_t nlayers = r.u32();
-  QMCU_REQUIRE(nlayers <= (1u << 16), "implausible pipeline depth");
-  pipeline.resize(nlayers);
-  for (PipelinedTailLayer& l : pipeline) {
-    l.layer_id = r.i32();
-    const std::uint32_t nbands = r.u32();
-    QMCU_REQUIRE(nbands <= (1u << 16), "implausible band count");
-    l.bands.resize(nbands);
-    for (Interval& b : l.bands) {
-      b.begin = r.i32();
-      b.end = r.i32();
-    }
-    l.grid_row_deps.resize(nbands);
-    for (auto& deps : l.grid_row_deps) {
-      const std::uint32_t n = r.u32();
-      QMCU_REQUIRE(n <= (1u << 16), "implausible dependency count");
-      deps.resize(n);
-      for (int& d : deps) d = r.i32();
-    }
-    l.band_deps.resize(nbands);
-    for (auto& deps : l.band_deps) {
-      const std::uint32_t n = r.u32();
-      QMCU_REQUIRE(n <= (1u << 16), "implausible dependency count");
-      deps.resize(n);
-      for (auto& [layer, band] : deps) {
-        layer = r.i32();
-        band = r.i32();
-      }
-    }
-  }
-  QMCU_REQUIRE(r.done(), "trailing bytes in artifact pipeline section");
-  return pipeline;
-}
-
 }  // namespace
 
 void compile_to_artifact(const nn::Graph& g, const PatchSpec& spec,
@@ -148,15 +83,12 @@ void compile_to_artifact(const nn::Graph& g, const PatchSpec& spec,
         nn::QuantizedParameters::build(g, cfg);
     branch_bias = build_branch_bias(g, plan, branch_cfgs, params);
   }
-  const std::vector<PipelinedTailLayer> pipeline =
-      build_pipelined_tail(g, plan, std::max(2, spec.grid_rows));
 
   std::vector<nn::ArtifactSection> extra;
   extra.push_back({kTagPatch, patch_section(spec, branch_cfgs)});
   if (!branch_bias.empty()) {
     extra.push_back({kTagBranchBias, branch_bias_section(branch_bias)});
   }
-  extra.push_back({kTagPipeline, pipeline_section(pipeline)});
   nn::compile_to_artifact(g, cfg, path, extra,
                           nn::ArtifactModelKind::PatchQuant);
 }
@@ -199,7 +131,6 @@ LoadedPatchModel load_compiled_patch(const std::string& path,
   PrecompiledPatchParts parts;
   parts.branch_bias =
       parse_branch_bias(out.artifact->section(kTagBranchBias));
-  parts.pipeline = parse_pipeline(out.artifact->section(kTagPipeline));
   parts.kernels = out.artifact->bundle();
 
   out.model = std::make_unique<CompiledPatchQuantModel>(

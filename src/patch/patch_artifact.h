@@ -1,18 +1,21 @@
 // patch_artifact.h — QMCP plan artifacts for patch-based quantized models.
 //
-// Extends the nn::plan_artifact format with three patch sections:
+// Extends the nn::plan_artifact format with two patch sections:
 //
 //   PTCH  the PatchSpec (cut layer + grid) and the mixed-mode per-branch
 //         per-step quant configs
 //   BBIA  the branch-rescaled int32 biases build_branch_bias derives from
 //         float biases — serialized because the artifact's graph is
-//         topology-only (the float biases are not shipped)
-//   PIPE  the row-banded pipelined-tail structure (bands + dependencies)
+//         topology-only (the float biases are not shipped); the model
+//         checks every branch, step and bias length against the plan
 //
 // The loader rebuilds the PatchPlan from the spec (pure receptive-field
 // propagation over the topology) and constructs a CompiledPatchQuantModel
 // whose weights, panels and offset rows view the shared mapping, exactly
-// like nn::load_compiled does for layer-based models.
+// like nn::load_compiled does for layer-based models. Everything else the
+// model needs — the row-banded pipelined tail included — is derived from
+// the plan at load, never read from the file: an older file's PIPE section
+// (the tail structure, once stored) is ignored.
 #pragma once
 
 #include <memory>

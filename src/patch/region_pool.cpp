@@ -1,7 +1,6 @@
 #include "patch/region_pool.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -43,35 +42,6 @@ void check_kind(const nn::Layer& l) {
 }
 
 }  // namespace
-
-void pool_region_f32_into(const nn::Tensor& have, const Region& avail,
-                          const nn::Layer& l, const Region& out_region,
-                          const nn::TensorShape& full, nn::Tensor& out) {
-  check_kind(l);
-  const bool is_max = l.kind == nn::OpKind::MaxPool;
-  QMCU_REQUIRE(out.shape() == nn::TensorShape(out_region.y.size(),
-                                              out_region.x.size(),
-                                              have.shape().c),
-               "pool_region_f32: destination shape mismatch");
-  for (int gy = out_region.y.begin; gy < out_region.y.end; ++gy) {
-    for (int gx = out_region.x.begin; gx < out_region.x.end; ++gx) {
-      for (int c = 0; c < have.shape().c; ++c) {
-        float best = std::numeric_limits<float>::lowest();
-        float sum = 0.0f;
-        int count = 0;
-        for_each_valid(avail, l, gy, gx, full, [&](int y, int x) {
-          const float v = have.at(y, x, c);
-          best = std::max(best, v);
-          sum += v;
-          ++count;
-        });
-        out.at(gy - out_region.y.begin, gx - out_region.x.begin, c) =
-            is_max ? best
-                   : (count > 0 ? sum / static_cast<float>(count) : 0.0f);
-      }
-    }
-  }
-}
 
 void pool_region_q_into(const nn::QTensor& have, const Region& avail,
                         const nn::Layer& l, const Region& out_region,
@@ -142,22 +112,21 @@ nn::QTensor pool_region_q(const nn::QTensor& have, const Region& avail,
 
 namespace {
 
-template <class T>
-void check_merge(const T& tile, const Region& r, const T& assembled) {
-  QMCU_REQUIRE(tile.shape() == nn::TensorShape(r.y.size(), r.x.size(),
-                                               assembled.shape().c),
+void check_merge(const nn::TensorShape& tile, const Region& r,
+                 const nn::TensorShape& assembled) {
+  QMCU_REQUIRE(tile == nn::TensorShape(r.y.size(), r.x.size(), assembled.c),
                "merge_region: tile does not cover its region");
-  QMCU_REQUIRE(r.y.begin >= 0 && r.y.end <= assembled.shape().h &&
-                   r.x.begin >= 0 && r.x.end <= assembled.shape().w,
+  QMCU_REQUIRE(r.y.begin >= 0 && r.y.end <= assembled.h && r.x.begin >= 0 &&
+                   r.x.end <= assembled.w,
                "merge_region: region exceeds the assembled map");
 }
 
 // Calls row_fn(dst, src, n) for each row of the tile: a region row is
 // contiguous (n elements) in both the tile and the assembled map.
-template <class T, class RowFn>
-void for_each_merge_row(const T& tile, const Region& r, T& assembled,
-                        const RowFn& row_fn) {
-  check_merge(tile, r, assembled);
+template <class RowFn>
+void for_each_merge_row(const nn::QTensor& tile, const Region& r,
+                        nn::QTensor& assembled, const RowFn& row_fn) {
+  check_merge(tile.shape(), r, assembled.shape());
   const std::int64_t n =
       static_cast<std::int64_t>(r.x.size()) * assembled.shape().c;
   for (int y = r.y.begin; y < r.y.end; ++y) {
@@ -178,11 +147,7 @@ void for_each_packed_merge_chunk(const PackedMap& tile, const Region& r,
                                  const nn::ops::simd::SimdKernels* simd,
                                  const RowFn& row_fn) {
   const nn::TensorShape& as = assembled.shape();
-  QMCU_REQUIRE(tile.shape == nn::TensorShape(r.y.size(), r.x.size(), as.c),
-               "merge_region: tile does not cover its region");
-  QMCU_REQUIRE(r.y.begin >= 0 && r.y.end <= as.h && r.x.begin >= 0 &&
-                   r.x.end <= as.w,
-               "merge_region: region exceeds the assembled map");
+  check_merge(tile.shape, r, as);
   std::int8_t buf[kChunk];
   const std::int64_t n = tile.row_elements();
   for (int y = r.y.begin; y < r.y.end; ++y) {
@@ -199,9 +164,9 @@ void for_each_packed_merge_chunk(const PackedMap& tile, const Region& r,
 // Compare-before-write row copy, recording whether any byte changed.
 struct CopyIfChanged {
   bool& changed;
-  template <class Elem>
-  void operator()(Elem* dst, const Elem* src, std::int64_t n) const {
-    const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(Elem);
+  void operator()(std::int8_t* dst, const std::int8_t* src,
+                  std::int64_t n) const {
+    const auto bytes = static_cast<std::size_t>(n);
     if (std::memcmp(dst, src, bytes) == 0) return;
     std::memcpy(dst, src, bytes);
     changed = true;
@@ -209,11 +174,6 @@ struct CopyIfChanged {
 };
 
 }  // namespace
-
-void merge_region_f32(const nn::Tensor& tile, const Region& r,
-                      nn::Tensor& assembled) {
-  for_each_merge_row(tile, r, assembled, CopySpan{});
-}
 
 void merge_region_q(const nn::QTensor& tile, const Region& r,
                     nn::QTensor& assembled,
@@ -227,13 +187,6 @@ void merge_region_q(const nn::QTensor& tile, const Region& r,
   for_each_merge_row(tile, r, assembled,
                      nn::ops::simd::RowRequantizer(tile.params(),
                                                    assembled.params(), simd));
-}
-
-bool merge_region_f32_changed(const nn::Tensor& tile, const Region& r,
-                              nn::Tensor& assembled) {
-  bool changed = false;
-  for_each_merge_row(tile, r, assembled, CopyIfChanged{changed});
-  return changed;
 }
 
 bool merge_region_q_changed(const nn::QTensor& tile, const Region& r,

@@ -6,7 +6,7 @@
 // count only. A zero-filled crop would silently change both (e.g. the max
 // of an all-negative window). These helpers evaluate pool windows in the
 // feature map's global coordinate space, skipping positions outside the
-// map, and are the pooling path of the compiled patch engine and of the
+// map, and are the pooling path of the compiled patch model and of the
 // quantized reference reconstruction (PatchQuantExecutor).
 #pragma once
 
@@ -25,14 +25,9 @@ struct PackedMap;
 
 // Pools `out_region` of layer `l` (MaxPool or AvgPool) from the producer's
 // region tensor `have` covering `avail` of a map with full extent `full`.
-// The `_into` forms (the only float form) write into a caller-bound
-// destination sized out_region x channels (quantized destinations carry
-// the producer's params) — the compiled patch engine's allocation-free
-// path.
-void pool_region_f32_into(const nn::Tensor& have, const Region& avail,
-                          const nn::Layer& l, const Region& out_region,
-                          const nn::TensorShape& full, nn::Tensor& out);
-
+// The `_into` forms write into a caller-bound destination sized out_region
+// x channels carrying the producer's params — the compiled patch model's
+// allocation-free path.
 nn::QTensor pool_region_q(const nn::QTensor& have, const Region& avail,
                           const nn::Layer& l, const Region& out_region,
                           const nn::TensorShape& full);
@@ -57,12 +52,10 @@ void pool_region_q_into(const nn::QTensor& have, const Region& avail,
 // merges commute: any completion order — sequential, shuffled, or
 // concurrent from several workers — produces the identical assembled map.
 // This is what lets the parallel patch runtime merge without locks and
-// still be bit-identical to the sequential path. Both copy whole tile
-// rows. The quantized form rescales the tile into the assembled map's
-// params (row memcpy when they already match — uniform mode) through
-// `simd`'s requant_i8_row, or the scalar body when it is null.
-void merge_region_f32(const nn::Tensor& tile, const Region& r,
-                      nn::Tensor& assembled);
+// still be bit-identical to the sequential path. The merge copies whole
+// tile rows, rescaling the tile into the assembled map's params (row
+// memcpy when they already match — uniform mode) through `simd`'s
+// requant_i8_row, or the scalar body when it is null.
 void merge_region_q(const nn::QTensor& tile, const Region& r,
                     nn::QTensor& assembled,
                     const nn::ops::simd::SimdKernels* simd = nullptr);
@@ -73,8 +66,6 @@ void merge_region_q(const nn::QTensor& tile, const Region& r,
 // row clean, so downstream tail bands can still be skipped). Byte-exact
 // compare — merges remain order-independent because rows that would write
 // identical bytes write nothing.
-bool merge_region_f32_changed(const nn::Tensor& tile, const Region& r,
-                              nn::Tensor& assembled);
 bool merge_region_q_changed(const nn::QTensor& tile, const Region& r,
                             nn::QTensor& assembled,
                             const nn::ops::simd::SimdKernels* simd = nullptr);

@@ -2,8 +2,8 @@
 // must be bit-identical to the heap-per-layer legacy paths across float and
 // int8 layer-based models and int8 and mixed sub-byte patch modes, for owned
 // and caller-provided arenas, and must share prebuilt QuantizedParameters
-// across executors. Float patch models are checked against nn::Executor in
-// test_patch_executor.cpp.
+// across executors. Uniform-int8 patch models are checked against
+// nn::QuantExecutor in test_patch_quant_executor.cpp.
 #include <gtest/gtest.h>
 
 #include "core/quantmcu.h"

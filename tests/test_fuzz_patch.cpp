@@ -1,21 +1,17 @@
 // Randomised topology fuzzing: generate random (but valid) conv networks
 // and verify the core invariants hold on all of them —
-//   * patch-based float inference is bit-identical to layer-based;
 //   * patch-based int8 inference is bit-identical to layer-based int8;
 //   * tiles of every plan partition the cut feature map exactly.
 // Hand-written topologies only cover what their author thought of; twenty
 // seeded random graphs cover the rest.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <set>
 
 #include "models/weights.h"
-#include "nn/executor.h"
 #include "nn/memory_planner.h"
 #include "nn/rng.h"
-#include "patch/compiled_patch_model.h"
 #include "patch/patch_quant_executor.h"
 #include "quant/calibration.h"
 
@@ -82,27 +78,6 @@ int pick_cut(const nn::Graph& g) {
 }
 
 class FuzzedTopology : public ::testing::TestWithParam<int> {};
-
-TEST_P(FuzzedTopology, FloatPatchInferenceBitExact) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  const nn::Graph g = random_graph(seed);
-  const int cut = pick_cut(g);
-  if (cut < 0) GTEST_SKIP() << "no spatial cut point in this sample";
-  PatchSpec spec;
-  spec.split_layer = cut;
-  spec.grid_rows = spec.grid_cols = 2;
-  const CompiledPatchModel model(g, build_patch_plan(g, spec));
-  const nn::Executor exec(g);
-  const nn::Tensor in = random_input(g.shape(0), seed + 1);
-  const nn::Tensor a = model.run(in);
-  const nn::Tensor b = exec.run(in);
-  ASSERT_EQ(a.shape(), b.shape());
-  for (std::size_t i = 0; i < a.data().size(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(a.data()[i]),
-              std::bit_cast<std::uint32_t>(b.data()[i]))
-        << "seed " << seed << " element " << i;
-  }
-}
 
 TEST_P(FuzzedTopology, QuantizedPatchInferenceBitExact) {
   const auto seed = static_cast<std::uint64_t>(GetParam());

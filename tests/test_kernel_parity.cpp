@@ -1356,21 +1356,5 @@ TEST(BackendRegression, QuantExecutorDotGenerationInvariant) {
   expect_q_identical(want, dot.run(in));
 }
 
-TEST(BackendRegression, CompiledPatchModelFloatTierInvariant) {
-  const nn::Graph g = small_mbv2();
-  const PatchSpec spec = plan_mcunetv2(g, {2, 4});
-  const CompiledPatchModel ref(g, build_patch_plan(g, spec),
-                               nn::ops::KernelTier::Reference);
-  const nn::Tensor in = random_input(g.shape(0), 23);
-  const nn::Tensor a = ref.run(in);
-  const CompiledPatchModel simd(g, build_patch_plan(g, spec),
-                                nn::ops::KernelTier::Simd);
-  const nn::Tensor b = simd.run(in);
-  ASSERT_EQ(a.shape(), b.shape());
-  for (std::size_t i = 0; i < a.data().size(); ++i) {
-    ASSERT_EQ(a.data()[i], b.data()[i]) << "element " << i;
-  }
-}
-
 }  // namespace
 }  // namespace qmcu::patch

@@ -1,6 +1,6 @@
 // Parallel patch execution (compiled_patch_model.h + worker_pool.h) must be
 // bit-identical to the sequential path for every worker count, across the
-// model zoo and every quant mode (float, int8, sub-byte, mixed per-branch);
+// model zoo and every quant mode (int8, sub-byte, mixed per-branch);
 // the tiled region merge must be completion-order independent; the
 // per-worker arena layout must keep slices and the shared region disjoint;
 // and the thread-affinity guard must catch a KernelBackend shared across
@@ -46,13 +46,6 @@ models::ModelConfig small_cfg() {
   return cfg;
 }
 
-void expect_f_identical(const nn::Tensor& a, const nn::Tensor& b) {
-  ASSERT_EQ(a.shape(), b.shape());
-  for (std::size_t i = 0; i < a.data().size(); ++i) {
-    ASSERT_EQ(a.data()[i], b.data()[i]) << "element " << i;
-  }
-}
-
 void expect_q_identical(const nn::QTensor& a, const nn::QTensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
   ASSERT_EQ(a.params(), b.params());
@@ -62,47 +55,32 @@ void expect_q_identical(const nn::QTensor& a, const nn::QTensor& b) {
   }
 }
 
-// --- float parity across the zoo --------------------------------------------
-
-TEST(ParallelPatch, FloatBitExactAcrossZooAndWorkerCounts) {
-  for (const char* name : {"mobilenetv2", "mcunet", "mnasnet"}) {
-    const nn::Graph g = models::make_model(name, small_cfg());
-    const patch::PatchPlan plan =
-        patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-    const patch::CompiledPatchModel model(g, plan);
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const nn::Tensor in = random_input(g.shape(0), seed);
-      const nn::Tensor expect = model.run(in);
-      for (const int workers : {2, 3, 4}) {
-        nn::WorkerPool pool(workers);
-        expect_f_identical(model.run(in, &pool), expect);
-      }
-      // Null / single-worker pools take the sequential path.
-      nn::WorkerPool one(1);
-      expect_f_identical(model.run(in, &one), expect);
-      expect_f_identical(model.run(in, nullptr), expect);
-    }
-  }
-}
-
-// --- quantized parity: int8, sub-byte, mixed --------------------------------
+// --- parity across the zoo: int8, sub-byte, mixed ----------------------------
 
 TEST(ParallelPatch, QuantBitExactAcrossBitwidths) {
-  const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
-  const auto ranges = quant::calibrate_ranges(
-      g, std::vector<nn::Tensor>{random_input(g.shape(0), 5)});
-  const patch::PatchPlan plan =
-      patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  for (const int bits : {8, 4}) {
-    const auto cfg = quant::make_quant_config(g, ranges,
-                                              nn::uniform_bits(g, bits));
-    const patch::CompiledPatchQuantModel model(g, plan, cfg);
-    for (std::uint64_t seed = 11; seed <= 13; ++seed) {
-      const nn::Tensor in = random_input(g.shape(0), seed);
-      const nn::QTensor expect = model.run(in);
-      for (const int workers : {2, 4}) {
-        nn::WorkerPool pool(workers);
-        expect_q_identical(model.run(in, &pool), expect);
+  for (const char* name : {"mobilenetv2", "mcunet", "mnasnet"}) {
+    const nn::Graph g = models::make_model(name, small_cfg());
+    const auto ranges = quant::calibrate_ranges(
+        g, std::vector<nn::Tensor>{random_input(g.shape(0), 5)});
+    const patch::PatchPlan plan =
+        patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
+    for (const int bits : {8, 4}) {
+      const auto cfg = quant::make_quant_config(g, ranges,
+                                                nn::uniform_bits(g, bits));
+      const patch::CompiledPatchQuantModel model(g, plan, cfg);
+      for (std::uint64_t seed = 11; seed <= 13; ++seed) {
+        const nn::Tensor in = random_input(g.shape(0), seed);
+        const nn::QTensor expect = model.run(in);
+        for (const int workers : {2, 3, 4}) {
+          SCOPED_TRACE(std::string(name) + ", " + std::to_string(bits) +
+                       " bits, " + std::to_string(workers) + " workers");
+          nn::WorkerPool pool(workers);
+          expect_q_identical(model.run(in, &pool), expect);
+        }
+        // Null / single-worker pools take the sequential path.
+        nn::WorkerPool one(1);
+        expect_q_identical(model.run(in, &one), expect);
+        expect_q_identical(model.run(in, nullptr), expect);
       }
     }
   }
@@ -141,10 +119,6 @@ TEST(ParallelPatch, ExecutorEntryPointsMatch) {
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
   const nn::Tensor in = random_input(g.shape(0), 23);
   nn::WorkerPool pool(4);
-
-  const patch::CompiledPatchModel model(g, plan);
-  expect_f_identical(model.run(in, &pool), model.run(in));
-
   const auto ranges = quant::calibrate_ranges(g, std::vector<nn::Tensor>{in});
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const patch::PatchQuantExecutor qexec(g, plan, cfg);
@@ -212,34 +186,6 @@ TEST(ParallelPatch, MergeOrderIndependentQuant) {
     }
   }
   for (const int c : cover) EXPECT_EQ(c, 1);
-}
-
-TEST(ParallelPatch, MergeOrderIndependentFloat) {
-  const nn::TensorShape shape{8, 8, 3};
-  nn::Rng rng(88);
-  // A 2x2 partition of an 8x8 map.
-  std::vector<patch::Region> regions = {
-      {{0, 4}, {0, 4}}, {{0, 4}, {4, 8}}, {{4, 8}, {0, 4}}, {{4, 8}, {4, 8}}};
-  std::vector<nn::Tensor> tiles;
-  for (const patch::Region& r : regions) {
-    nn::Tensor t(nn::TensorShape{r.y.size(), r.x.size(), shape.c});
-    for (float& v : t.data()) v = static_cast<float>(rng.normal(0.0, 1.0));
-    tiles.push_back(std::move(t));
-  }
-  const auto merge_in_order = [&](const std::vector<std::size_t>& order) {
-    nn::Tensor assembled(shape);
-    for (std::size_t b : order) {
-      patch::merge_region_f32(tiles[b], regions[b], assembled);
-    }
-    return assembled;
-  };
-  std::vector<std::size_t> order{0, 1, 2, 3};
-  const nn::Tensor expect = merge_in_order(order);
-  std::mt19937 shuffler(42);
-  for (int round = 0; round < 8; ++round) {
-    std::shuffle(order.begin(), order.end(), shuffler);
-    expect_f_identical(merge_in_order(order), expect);
-  }
 }
 
 // --- parallel arena layout ---------------------------------------------------
@@ -327,11 +273,9 @@ void expect_pairs_disjoint(const nn::ArenaPlan& ap, std::int64_t base,
   }
 }
 
-template <class Model>
-void expect_producer_slots_disjoint(const nn::Graph& g,
-                                    const patch::PatchPlan& plan,
-                                    const Model& model,
-                                    const std::string& name) {
+void expect_producer_slots_disjoint(
+    const nn::Graph& g, const patch::PatchPlan& plan,
+    const patch::CompiledPatchQuantModel& model, const std::string& name) {
   const patch::PatchBranch& proto = plan.branches.front();
   const std::size_t steps = proto.steps.size();
   const int split = plan.spec.split_layer;
@@ -388,8 +332,6 @@ TEST(ParallelPatch, BorrowedInputsNeverAliasTheirOutputSlot) {
     const nn::Graph g = models::make_model(name, small_cfg());
     const patch::PatchPlan plan =
         patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-    const patch::CompiledPatchModel fmodel(g, plan);
-    expect_producer_slots_disjoint(g, plan, fmodel, name + " float");
     const auto ranges = quant::calibrate_ranges(
         g, std::vector<nn::Tensor>{random_input(g.shape(0), 34)});
     const auto cfg =

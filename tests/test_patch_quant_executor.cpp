@@ -1,7 +1,8 @@
 // The quantized deployment path: patch-based integer inference must be
-// bit-identical to layer-based integer inference in uniform mode, and the
-// mixed-precision mode (the VDQS assignment actually executing) must track
-// the float reference within quantization noise.
+// bit-identical to layer-based integer inference in uniform mode (paper
+// Fig. 1a — halos exist precisely so that no receptive field is
+// truncated), and the mixed-precision mode (the VDQS assignment actually
+// executing) must track the float reference within quantization noise.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -46,6 +47,23 @@ nn::Graph pooled_net() {
   return g;
 }
 
+// Odd input extent (17x17) through a strided stem, a residual add and a
+// strided depthwise: tiles of uneven size and halos clipped at both map
+// borders.
+nn::Graph stage_net() {
+  nn::Graph g("stage");
+  const int in = g.add_input(nn::TensorShape{17, 17, 3});
+  const int stem = g.add_conv2d(in, 8, 3, 2, 1, nn::Activation::ReLU6);
+  const int a = g.add_conv2d(stem, 8, 3, 1, 1, nn::Activation::ReLU);
+  const int res = g.add_residual_add(stem, a, nn::Activation::None);
+  const int dw = g.add_depthwise_conv2d(res, 3, 2, 1, nn::Activation::ReLU6);
+  const int head = g.add_conv2d(dw, 16, 1, 1, 0, nn::Activation::ReLU);
+  const int gap = g.add_global_avg_pool(head);
+  g.add_fully_connected(gap, 10, nn::Activation::None);
+  models::init_parameters(g, 31);
+  return g;
+}
+
 nn::Graph mbv2_net() {
   models::ModelConfig cfg;
   cfg.width_multiplier = 0.25f;
@@ -64,6 +82,7 @@ void expect_q_identical(const nn::QTensor& a, const nn::QTensor& b) {
 }
 
 struct QuantEquivCase {
+  nn::Graph (*net)();
   int split;
   int grid;
 };
@@ -72,8 +91,8 @@ class QuantPatchEquivalence
     : public ::testing::TestWithParam<QuantEquivCase> {};
 
 TEST_P(QuantPatchEquivalence, UniformInt8MatchesLayerBasedExactly) {
-  const auto [split, grid] = GetParam();
-  const nn::Graph g = pooled_net();
+  const auto [net, split, grid] = GetParam();
+  const nn::Graph g = net();
   const std::vector<nn::Tensor> calib{random_input(g.shape(0), 1),
                                       random_input(g.shape(0), 2)};
   const auto ranges = quant::calibrate_ranges(g, calib);
@@ -91,11 +110,20 @@ TEST_P(QuantPatchEquivalence, UniformInt8MatchesLayerBasedExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SplitsAndGrids, QuantPatchEquivalence,
-                         ::testing::Values(QuantEquivCase{1, 2},
-                                           QuantEquivCase{2, 2},
-                                           QuantEquivCase{2, 3},
-                                           QuantEquivCase{4, 2},
-                                           QuantEquivCase{5, 3}));
+                         ::testing::Values(QuantEquivCase{pooled_net, 1, 2},
+                                           QuantEquivCase{pooled_net, 2, 2},
+                                           QuantEquivCase{pooled_net, 2, 3},
+                                           QuantEquivCase{pooled_net, 4, 2},
+                                           QuantEquivCase{pooled_net, 5, 3}));
+
+INSTANTIATE_TEST_SUITE_P(OddExtentSplitsAndGrids, QuantPatchEquivalence,
+                         ::testing::Values(QuantEquivCase{stage_net, 1, 2},
+                                           QuantEquivCase{stage_net, 1, 3},
+                                           QuantEquivCase{stage_net, 3, 2},
+                                           QuantEquivCase{stage_net, 3, 3},
+                                           QuantEquivCase{stage_net, 4, 2},
+                                           QuantEquivCase{stage_net, 4, 4},
+                                           QuantEquivCase{stage_net, 5, 3}));
 
 TEST(QuantPatchEquivalence, MobileNetV2UniformInt8Exact) {
   const nn::Graph g = mbv2_net();
@@ -328,7 +356,10 @@ TEST(CropEdgeMatrix, BothDomainsMatchNaiveReference) {
 }  // namespace qmcu::patch
 
 // ---------------------------------------------------------------------------
-// Zoo subset for the integer path (pooling-heavy and branched topologies).
+// Zoo-wide property sweep: uniform-int8 patch inference must be bit-exact
+// for every architecture in the model zoo, including the pooling-heavy
+// (VGG16, SqueezeNet) and branched (InceptionV3) topologies whose stages
+// exercise region pooling and concat propagation.
 namespace qmcu::patch {
 namespace {
 
@@ -352,10 +383,8 @@ TEST_P(ZooWideQuantEquivalence, UniformInt8BitExact) {
   expect_q_identical(pexec.run(in), qexec.run(in));
 }
 
-INSTANTIATE_TEST_SUITE_P(ZooSubset, ZooWideQuantEquivalence,
-                         ::testing::Values("mobilenetv2", "squeezenet",
-                                           "inceptionv3", "resnet18",
-                                           "vgg16"));
+INSTANTIATE_TEST_SUITE_P(AllModels, ZooWideQuantEquivalence,
+                         ::testing::ValuesIn(models::model_names()));
 
 }  // namespace
 }  // namespace qmcu::patch

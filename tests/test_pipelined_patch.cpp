@@ -45,13 +45,6 @@ models::ModelConfig small_cfg() {
   return cfg;
 }
 
-void expect_f_identical(const nn::Tensor& a, const nn::Tensor& b) {
-  ASSERT_EQ(a.shape(), b.shape());
-  for (std::size_t i = 0; i < a.data().size(); ++i) {
-    ASSERT_EQ(a.data()[i], b.data()[i]) << "element " << i;
-  }
-}
-
 void expect_q_identical(const nn::QTensor& a, const nn::QTensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
   ASSERT_EQ(a.params(), b.params());
@@ -59,6 +52,13 @@ void expect_q_identical(const nn::QTensor& a, const nn::QTensor& b) {
     ASSERT_EQ(static_cast<int>(a.data()[i]), static_cast<int>(b.data()[i]))
         << "element " << i;
   }
+}
+
+// Uniform int8, calibrated on one random input.
+nn::ActivationQuantConfig int8_config(const nn::Graph& g) {
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 5)});
+  return quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
 }
 
 // A spec with the default mcunetv2 cut but a caller-chosen grid.
@@ -69,43 +69,28 @@ patch::PatchSpec grid_spec(const nn::Graph& g, int rows, int cols) {
   return spec;
 }
 
-// --- float parity across the zoo, pipelined vs sequential ------------------
-
-TEST(PipelinedPatch, FloatBitExactAcrossZooAndWorkerCounts) {
-  for (const char* name : {"mobilenetv2", "mcunet", "mnasnet"}) {
-    const nn::Graph g = models::make_model(name, small_cfg());
-    const patch::PatchPlan plan =
-        patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-    const patch::CompiledPatchModel model(g, plan);
-    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-      const nn::Tensor in = random_input(g.shape(0), seed);
-      const nn::Tensor expect = model.run(in);
-      for (const int workers : {2, 3, 4, 8}) {
-        nn::WorkerPool pool(workers);
-        expect_f_identical(model.run(in, &pool), expect);
-      }
-    }
-  }
-}
-
-// --- quantized parity: int8, sub-byte ----------------------------------------
+// --- parity across the zoo, pipelined vs sequential: int8, sub-byte --------
 
 TEST(PipelinedPatch, QuantBitExactAcrossBitwidths) {
-  const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
-  const auto ranges = quant::calibrate_ranges(
-      g, std::vector<nn::Tensor>{random_input(g.shape(0), 5)});
-  const patch::PatchPlan plan =
-      patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  for (const int bits : {8, 4}) {
-    const auto cfg = quant::make_quant_config(g, ranges,
-                                              nn::uniform_bits(g, bits));
-    const patch::CompiledPatchQuantModel model(g, plan, cfg);
-    for (std::uint64_t seed = 11; seed <= 12; ++seed) {
-      const nn::Tensor in = random_input(g.shape(0), seed);
-      const nn::QTensor expect = model.run(in);
-      for (const int workers : {2, 4}) {
-        nn::WorkerPool pool(workers);
-        expect_q_identical(model.run(in, &pool), expect);
+  for (const char* name : {"mobilenetv2", "mcunet", "mnasnet"}) {
+    const nn::Graph g = models::make_model(name, small_cfg());
+    const auto ranges = quant::calibrate_ranges(
+        g, std::vector<nn::Tensor>{random_input(g.shape(0), 5)});
+    const patch::PatchPlan plan =
+        patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
+    for (const int bits : {8, 4}) {
+      const auto cfg = quant::make_quant_config(g, ranges,
+                                                nn::uniform_bits(g, bits));
+      const patch::CompiledPatchQuantModel model(g, plan, cfg);
+      for (std::uint64_t seed = 11; seed <= 12; ++seed) {
+        const nn::Tensor in = random_input(g.shape(0), seed);
+        const nn::QTensor expect = model.run(in);
+        for (const int workers : {2, 3, 4, 8}) {
+          SCOPED_TRACE(std::string(name) + ", " + std::to_string(bits) +
+                       " bits, " + std::to_string(workers) + " workers");
+          nn::WorkerPool pool(workers);
+          expect_q_identical(model.run(in, &pool), expect);
+        }
       }
     }
   }
@@ -147,12 +132,12 @@ TEST(PipelinedPatch, OneByNGridStillOverlapsAndMatches) {
   // pipeline must still be exact.
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, grid_spec(g, 1, 4));
-  const patch::CompiledPatchModel model(g, plan);
+  const patch::CompiledPatchQuantModel model(g, plan, int8_config(g));
   const nn::Tensor in = random_input(g.shape(0), 21);
-  const nn::Tensor expect = model.run(in);
+  const nn::QTensor expect = model.run(in);
   for (const int workers : {2, 4}) {
     nn::WorkerPool pool(workers);
-    expect_f_identical(model.run(in, &pool), expect);
+    expect_q_identical(model.run(in, &pool), expect);
   }
 }
 
@@ -163,10 +148,7 @@ TEST(PipelinedPatch, BorderHeavyUnevenGridMatches) {
   // cost-weighted chunking and uneven row-readiness intervals.
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, grid_spec(g, 3, 5));
-  const auto ranges = quant::calibrate_ranges(
-      g, std::vector<nn::Tensor>{random_input(g.shape(0), 23)});
-  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
-  const patch::CompiledPatchQuantModel model(g, plan, cfg);
+  const patch::CompiledPatchQuantModel model(g, plan, int8_config(g));
   const nn::Tensor in = random_input(g.shape(0), 24);
   const nn::QTensor expect = model.run(in);
   for (const int workers : {2, 3, 8}) {
@@ -181,9 +163,9 @@ TEST(PipelinedPatch, AdversarialReadinessOrdersStayBitExact) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::CompiledPatchModel model(g, plan);
+  const patch::CompiledPatchQuantModel model(g, plan, int8_config(g));
   const nn::Tensor in = random_input(g.shape(0), 31);
-  const nn::Tensor expect = model.run(in);
+  const nn::QTensor expect = model.run(in);
   const int branches = static_cast<int>(plan.branches.size());
   const int cols = plan.spec.grid_cols;
 
@@ -207,7 +189,7 @@ TEST(PipelinedPatch, AdversarialReadinessOrdersStayBitExact) {
     model.set_branch_completion_hook(stall_if(pred));
     for (const int workers : {2, 4}) {
       nn::WorkerPool pool(workers);
-      expect_f_identical(model.run(in, &pool), expect);
+      expect_q_identical(model.run(in, &pool), expect);
     }
   }
   model.set_branch_completion_hook({});
@@ -215,7 +197,7 @@ TEST(PipelinedPatch, AdversarialReadinessOrdersStayBitExact) {
   std::atomic<int> calls{0};
   model.set_branch_completion_hook([&](int) { ++calls; });
   nn::WorkerPool pool(4);
-  expect_f_identical(model.run(in, &pool), expect);
+  expect_q_identical(model.run(in, &pool), expect);
   EXPECT_EQ(calls.load(), branches);
   model.set_branch_completion_hook({});
 }
@@ -226,7 +208,7 @@ TEST(PipelinedPatch, BandDependenciesCoverInputRows) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::CompiledPatchModel model(g, plan);
+  const patch::CompiledPatchQuantModel model(g, plan, int8_config(g));
   const auto prefix = model.pipelined_tail();
   ASSERT_FALSE(prefix.empty())
       << "mobilenetv2's tail should start with bandable layers";
@@ -249,7 +231,9 @@ TEST(PipelinedPatch, BandDependenciesCoverInputRows) {
     // The layer right after the cut must depend on at least one grid row
     // per band, and only on valid rows / upstream bands.
     for (std::size_t j = 0; j < pl.bands.size(); ++j) {
-      if (pi == 0) EXPECT_FALSE(pl.grid_row_deps[j].empty());
+      if (pi == 0) {
+        EXPECT_FALSE(pl.grid_row_deps[j].empty());
+      }
       for (const int r : pl.grid_row_deps[j]) {
         EXPECT_GE(r, 0);
         EXPECT_LT(r, plan.spec.grid_rows);
@@ -301,13 +285,13 @@ TEST(PipelinedPatch, InterleavedModesReuseModelState) {
   const nn::Graph g = models::make_model("mcunet", small_cfg());
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::CompiledPatchModel model(g, plan);
+  const patch::CompiledPatchQuantModel model(g, plan, int8_config(g));
   nn::WorkerPool pool(3);
   for (std::uint64_t seed = 50; seed < 53; ++seed) {
     const nn::Tensor in = random_input(g.shape(0), seed);
-    const nn::Tensor expect = model.run(in);
-    expect_f_identical(model.run(in, &pool), expect);
-    expect_f_identical(model.run(in, &pool), expect);
+    const nn::QTensor expect = model.run(in);
+    expect_q_identical(model.run(in, &pool), expect);
+    expect_q_identical(model.run(in, &pool), expect);
   }
 }
 
@@ -318,43 +302,29 @@ TEST(PipelinedPatch, InterleavedModesReuseModelState) {
 // closure rebuilding) and must stay bit-identical to the first.
 TEST(PipelinedPatch, TaskGraphCachedPerWorkerCount) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
-  const auto ranges = quant::calibrate_ranges(
-      g, std::vector<nn::Tensor>{random_input(g.shape(0), 41)});
-  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-
-  const patch::CompiledPatchModel fmodel(g, plan);
-  const patch::CompiledPatchQuantModel qmodel(g, plan, cfg);
-  EXPECT_EQ(fmodel.cached_pipeline_graphs(), 0u);
-  EXPECT_EQ(qmodel.cached_pipeline_graphs(), 0u);
+  const patch::CompiledPatchQuantModel model(g, plan, int8_config(g));
+  EXPECT_EQ(model.cached_pipeline_graphs(), 0u);
 
   const nn::Tensor in = random_input(g.shape(0), 42);
   nn::WorkerPool pool2(2);
-  const nn::Tensor fexpect = fmodel.run(in, &pool2);
-  const nn::QTensor qexpect = qmodel.run(in, &pool2);
-  EXPECT_EQ(fmodel.cached_pipeline_graphs(), 1u);
-  EXPECT_EQ(qmodel.cached_pipeline_graphs(), 1u);
+  const nn::QTensor expect = model.run(in, &pool2);
+  EXPECT_EQ(model.cached_pipeline_graphs(), 1u);
 
   for (int rep = 0; rep < 3; ++rep) {
-    expect_f_identical(fmodel.run(in, &pool2), fexpect);
-    expect_q_identical(qmodel.run(in, &pool2), qexpect);
+    expect_q_identical(model.run(in, &pool2), expect);
   }
   // Same worker count -> same cached skeleton, no growth.
-  EXPECT_EQ(fmodel.cached_pipeline_graphs(), 1u);
-  EXPECT_EQ(qmodel.cached_pipeline_graphs(), 1u);
+  EXPECT_EQ(model.cached_pipeline_graphs(), 1u);
 
   // A new worker count builds (and caches) a second skeleton; results stay
   // bit-identical, and re-running at either width grows nothing further.
   nn::WorkerPool pool4(4);
-  expect_f_identical(fmodel.run(in, &pool4), fexpect);
-  expect_q_identical(qmodel.run(in, &pool4), qexpect);
-  EXPECT_EQ(fmodel.cached_pipeline_graphs(), 2u);
-  EXPECT_EQ(qmodel.cached_pipeline_graphs(), 2u);
-  expect_f_identical(fmodel.run(in, &pool2), fexpect);
-  expect_q_identical(qmodel.run(in, &pool2), qexpect);
-  EXPECT_EQ(fmodel.cached_pipeline_graphs(), 2u);
-  EXPECT_EQ(qmodel.cached_pipeline_graphs(), 2u);
+  expect_q_identical(model.run(in, &pool4), expect);
+  EXPECT_EQ(model.cached_pipeline_graphs(), 2u);
+  expect_q_identical(model.run(in, &pool2), expect);
+  EXPECT_EQ(model.cached_pipeline_graphs(), 2u);
 }
 
 TEST(PipelinedPatch, ArenaSlabLeasesAcrossModelsAndModes) {

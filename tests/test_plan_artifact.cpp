@@ -388,6 +388,126 @@ TEST(PlanArtifact, TableIMixedArenaIsBelowItsInt8Twin) {
   EXPECT_EQ(mixed.model->measured_high_water(), mixed.model->arena_bytes());
 }
 
+// The row-banded tail is derived from the plan at load and never read from
+// the file: a baked patch artifact carries no PIPE section (older writers
+// stored the tail structure there), and one carrying a hostile PIPE — a
+// grid-row dependency far outside the grid, a band end past the map, CRC
+// valid — loads and streams bit-identically to the in-memory model.
+TEST(PlanArtifact, PatchLoaderDerivesThePipelineAndIgnoresPipe) {
+  const nn::Graph g = mbv2_net();
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 71)});
+  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const patch::PatchSpec spec = patch::plan_mcunetv2(g, {2, 2});
+  const std::string path = artifact_path("patch_no_pipe");
+  patch::compile_to_artifact(g, spec, cfg, {}, path);
+  constexpr std::uint32_t kPipe = nn::artifact_tag('P', 'I', 'P', 'E');
+  constexpr std::uint32_t kPatch = nn::artifact_tag('P', 'T', 'C', 'H');
+  const auto baked = nn::PlanArtifact::map(path);
+  EXPECT_TRUE(baked->section(kPipe).empty());
+
+  const patch::CompiledPatchQuantModel ref(g, patch::build_patch_plan(g, spec),
+                                           cfg);
+  std::vector<patch::PipelinedTailLayer> pipeline(
+      ref.pipelined_tail().begin(), ref.pipelined_tail().end());
+  ASSERT_FALSE(pipeline.empty());
+  ASSERT_FALSE(pipeline.front().grid_row_deps.front().empty());
+  pipeline.front().grid_row_deps.front().front() = 100000;
+  pipeline.front().bands.back().end += 1000;
+  // The PIPE layout the older writer used.
+  nn::artifact_detail::ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(pipeline.size()));
+  for (const patch::PipelinedTailLayer& l : pipeline) {
+    w.i32(l.layer_id);
+    w.u32(static_cast<std::uint32_t>(l.bands.size()));
+    for (const patch::Interval& b : l.bands) {
+      w.i32(b.begin);
+      w.i32(b.end);
+    }
+    for (const auto& deps : l.grid_row_deps) {
+      w.u32(static_cast<std::uint32_t>(deps.size()));
+      for (const int d : deps) w.i32(d);
+    }
+    for (const auto& deps : l.band_deps) {
+      w.u32(static_cast<std::uint32_t>(deps.size()));
+      for (const auto& [layer, band] : deps) {
+        w.i32(layer);
+        w.i32(band);
+      }
+    }
+  }
+  const std::span<const std::uint8_t> ptch = baked->section(kPatch);
+  const nn::ArtifactSection extra[] = {
+      {kPatch, std::string(ptch.begin(), ptch.end())}, {kPipe, w.out}};
+  const std::string hostile = artifact_path("patch_hostile_pipe");
+  nn::compile_to_artifact(g, cfg, hostile, extra,
+                          nn::ArtifactModelKind::PatchQuant);
+
+  const patch::LoadedPatchModel loaded = patch::load_compiled_patch(hostile);
+  ASSERT_FALSE(loaded.artifact->section(kPipe).empty());
+  std::vector<nn::Tensor> frames{random_input(g.shape(0), 72)};
+  frames.push_back(frames.back());
+  frames.back().at(0, 0, 0) += 1.0f;
+  frames.push_back(frames.back());
+  for (const int workers : {1, 2}) {
+    nn::WorkerPool pool(workers);
+    nn::streaming::StreamingSession<patch::CompiledPatchQuantModel> session;
+    for (const nn::Tensor& frame : frames) {
+      expect_q_identical(
+          session.next(*loaded.model, frame, workers == 1 ? nullptr : &pool),
+          ref.run(frame));
+    }
+  }
+}
+
+// Artifact-supplied branch biases are checked against the plan before any
+// run: the kernels read a step's bias for every output channel, so a step
+// bias one element short (or a missing step) must be rejected, not
+// overread.
+TEST(PlanArtifact, PatchRejectsMalformedBranchBias) {
+  const nn::Graph g = mbv2_net();
+  data::DataConfig dc;
+  dc.resolution = 48;
+  const data::SyntheticDataset ds(dc);
+  const std::vector<nn::Tensor> calib = ds.batch(0, 2);
+  core::QuantMcuConfig qcfg;
+  qcfg.patch.grid = 2;
+  qcfg.patch.stage_downsample = 4;
+  const core::QuantMcuPlan plan = core::build_quantmcu_plan(
+      g, mcu::arduino_nano_33_ble_sense(), calib, qcfg);
+  const auto ranges = quant::calibrate_ranges(g, calib);
+  const auto branch_cfgs = core::make_branch_quant_configs(g, plan, ranges);
+  const auto deploy_cfg = core::make_deployment_quant_config(g, plan, ranges);
+  const auto params = nn::QuantizedParameters::build_shared(g, deploy_cfg);
+  const auto bias =
+      patch::build_branch_bias(g, plan.patch_plan, branch_cfgs, *params);
+  const auto build = [&](std::vector<std::vector<std::vector<std::int32_t>>>
+                             branch_bias) {
+    patch::PrecompiledPatchParts parts;
+    parts.branch_bias = std::move(branch_bias);
+    return patch::CompiledPatchQuantModel(g, plan.patch_plan, deploy_cfg,
+                                          branch_cfgs, params,
+                                          std::move(parts));
+  };
+  EXPECT_NO_THROW((void)build(bias));
+
+  auto short_bias = bias;
+  bool shortened = false;
+  for (auto& step : short_bias.back()) {
+    if (!step.empty()) {
+      step.pop_back();
+      shortened = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(shortened) << "needs a MAC step with a bias";
+  EXPECT_THROW((void)build(short_bias), std::invalid_argument);
+
+  auto missing_step = bias;
+  missing_step.front().pop_back();
+  EXPECT_THROW((void)build(missing_step), std::invalid_argument);
+}
+
 // --- serving fleet ---------------------------------------------------------
 
 bool q_equal(const nn::QTensor& a, const nn::QTensor& b) {

@@ -1,11 +1,10 @@
 // Tests for bounds-aware region pooling (patch/region_pool.h) — padding
-// must be excluded from pool windows, exactly as in layer-based execution —
-// and for the row-wise tiled region merge.
+// must be excluded from pool windows, exactly as in layer-based integer
+// execution — and for the row-wise tiled region merge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "nn/ops/float_kernels.h"
 #include "nn/ops/int8_kernels.h"
 #include "nn/ops/requantize.h"
 #include "nn/ops/simd/simd_kernels.h"
@@ -24,131 +23,101 @@ nn::Layer pool(nn::OpKind kind, int k, int s, int p) {
   return l;
 }
 
-// Pools `out_region` into a fresh tensor through the allocation-free form.
-nn::Tensor pool_f32(const nn::Tensor& have, const Region& avail,
-                    const nn::Layer& l, const Region& out_region,
-                    const nn::TensorShape& full) {
-  nn::Tensor out(nn::TensorShape{out_region.y.size(), out_region.x.size(),
-                                 have.shape().c});
-  pool_region_f32_into(have, avail, l, out_region, full, out);
-  return out;
-}
-
-nn::Tensor random_tensor(nn::TensorShape s, std::uint64_t seed) {
-  nn::Tensor t(s);
+nn::QTensor random_codes(nn::TensorShape s, const nn::QuantParams& p,
+                         std::uint64_t seed) {
+  nn::QTensor t(s, p);
   nn::Rng rng(seed);
-  for (float& v : t.data()) v = static_cast<float>(rng.normal(0.0, 1.0));
+  for (auto& v : t.data()) {
+    v = static_cast<std::int8_t>(rng.uniform(p.qmin(), p.qmax() + 1));
+  }
   return t;
 }
 
-TEST(RegionPool, FullRegionMatchesLayerKernelMax) {
-  const nn::Tensor in = random_tensor({7, 7, 3}, 1);
-  const nn::Layer l = pool(nn::OpKind::MaxPool, 3, 2, 1);
-  const nn::Tensor ref = nn::ops::max_pool_f32(in, l);
-  const Region out_region = full_region(ref.shape());
-  const nn::Tensor got =
-      pool_f32(in, full_region(in.shape()), l, out_region, in.shape());
-  ASSERT_EQ(got.shape(), ref.shape());
-  for (std::size_t i = 0; i < ref.data().size(); ++i) {
-    ASSERT_FLOAT_EQ(got.data()[i], ref.data()[i]);
+void expect_codes_equal(const nn::QTensor& got, const nn::QTensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  for (std::size_t i = 0; i < want.data().size(); ++i) {
+    ASSERT_EQ(static_cast<int>(got.data()[i]),
+              static_cast<int>(want.data()[i]))
+        << "element " << i;
   }
 }
 
-TEST(RegionPool, FullRegionMatchesLayerKernelAvg) {
-  const nn::Tensor in = random_tensor({6, 6, 2}, 2);
-  const nn::Layer l = pool(nn::OpKind::AvgPool, 2, 1, 1);
-  const nn::Tensor ref = nn::ops::avg_pool_f32(in, l);
-  const nn::Tensor got = pool_f32(in, full_region(in.shape()), l,
-                                  full_region(ref.shape()), in.shape());
-  for (std::size_t i = 0; i < ref.data().size(); ++i) {
-    ASSERT_FLOAT_EQ(got.data()[i], ref.data()[i]);
+const nn::QuantParams kParams = nn::choose_quant_params(-2.0f, 2.0f, 8);
+
+TEST(RegionPool, QuantizedMatchesLayerKernel) {
+  const nn::QTensor in = random_codes({5, 5, 2}, kParams, 5);
+  for (auto kind : {nn::OpKind::MaxPool, nn::OpKind::AvgPool}) {
+    SCOPED_TRACE(to_string(kind));
+    const nn::Layer l = pool(kind, 3, 2, 1);
+    const nn::QTensor ref = kind == nn::OpKind::MaxPool
+                                ? nn::ops::max_pool_q(in, l)
+                                : nn::ops::avg_pool_q(in, l);
+    expect_codes_equal(pool_region_q(in, full_region(in.shape()), l,
+                                     full_region(ref.shape()), in.shape()),
+                       ref);
   }
 }
 
 TEST(RegionPool, AllNegativeWindowKeepsNegativeMax) {
   // The regression this module exists for: a zero-filled crop would make
-  // the padded corner max 0 instead of the true negative maximum.
-  nn::Tensor in(nn::TensorShape{2, 2, 1});
-  for (float& v : in.data()) v = -3.0f;
+  // the padded corner max the zero point (real 0) instead of the true
+  // negative maximum.
+  nn::QTensor in(nn::TensorShape{2, 2, 1}, kParams);
+  const auto neg = static_cast<std::int8_t>(kParams.zero_point - 40);
+  for (auto& v : in.data()) v = neg;
   const nn::Layer l = pool(nn::OpKind::MaxPool, 3, 1, 1);
-  const nn::Tensor got = pool_f32(in, full_region(in.shape()), l,
-                                  Region{{0, 1}, {0, 1}}, in.shape());
-  EXPECT_FLOAT_EQ(got.at(0, 0, 0), -3.0f);
+  const nn::QTensor got = pool_region_q(in, full_region(in.shape()), l,
+                                        Region{{0, 1}, {0, 1}}, in.shape());
+  EXPECT_EQ(got.at(0, 0, 0), neg);
 }
 
 TEST(RegionPool, AvgDividesByValidCountOnly) {
-  nn::Tensor in(nn::TensorShape{2, 2, 1});
-  in.at(0, 0, 0) = 4.0f;
-  in.at(0, 1, 0) = 4.0f;
-  in.at(1, 0, 0) = 4.0f;
-  in.at(1, 1, 0) = 4.0f;
+  nn::QTensor in(nn::TensorShape{2, 2, 1}, kParams);
+  for (auto& v : in.data()) v = 40;
   const nn::Layer l = pool(nn::OpKind::AvgPool, 2, 1, 1);
-  // Corner window covers one valid element; mean must be 4, not 1.
-  const nn::Tensor got = pool_f32(in, full_region(in.shape()), l,
-                                  Region{{0, 1}, {0, 1}}, in.shape());
-  EXPECT_FLOAT_EQ(got.at(0, 0, 0), 4.0f);
+  // Corner window covers one valid element; the mean must be its code, not
+  // a quarter-weighted blend with padding.
+  const nn::QTensor got = pool_region_q(in, full_region(in.shape()), l,
+                                        Region{{0, 1}, {0, 1}}, in.shape());
+  EXPECT_EQ(got.at(0, 0, 0), 40);
 }
 
 TEST(RegionPool, SubRegionReadsFromRegionTensorOffsets) {
-  const nn::Tensor full = random_tensor({8, 8, 1}, 3);
+  const nn::QTensor full = random_codes({8, 8, 1}, kParams, 3);
   const nn::Layer l = pool(nn::OpKind::MaxPool, 2, 2, 0);
-  const nn::Tensor ref = nn::ops::max_pool_f32(full, l);
+  const nn::QTensor ref = nn::ops::max_pool_q(full, l);
   // The producer region covers rows/cols 2..8; pool output region 1..4
   // (which reads inputs 2..8) must match the reference slice.
   const Region avail{{2, 8}, {2, 8}};
-  nn::Tensor region(nn::TensorShape{6, 6, 1});
+  nn::QTensor region(nn::TensorShape{6, 6, 1}, kParams);
   for (int y = 0; y < 6; ++y) {
     for (int x = 0; x < 6; ++x) region.at(y, x, 0) = full.at(y + 2, x + 2, 0);
   }
   const Region out_region{{1, 4}, {1, 4}};
-  const nn::Tensor got = pool_f32(region, avail, l, out_region, full.shape());
+  const nn::QTensor got =
+      pool_region_q(region, avail, l, out_region, full.shape());
   for (int y = 0; y < 3; ++y) {
     for (int x = 0; x < 3; ++x) {
-      ASSERT_FLOAT_EQ(got.at(y, x, 0), ref.at(y + 1, x + 1, 0));
+      ASSERT_EQ(got.at(y, x, 0), ref.at(y + 1, x + 1, 0));
     }
   }
 }
 
 TEST(RegionPool, FailsWhenWindowDataMissing) {
-  const nn::Tensor in = random_tensor({4, 4, 1}, 4);
   const nn::Layer l = pool(nn::OpKind::MaxPool, 3, 1, 1);
   // Producer region covers only rows 0..2 but output row 2 needs row 3.
-  nn::Tensor region(nn::TensorShape{2, 4, 1});
-  EXPECT_THROW(pool_f32(region, Region{{0, 2}, {0, 4}}, l,
-                        Region{{2, 3}, {0, 4}}, in.shape()),
+  const nn::QTensor region(nn::TensorShape{2, 4, 1}, kParams);
+  EXPECT_THROW(pool_region_q(region, Region{{0, 2}, {0, 4}}, l,
+                             Region{{2, 3}, {0, 4}}, {4, 4, 1}),
                std::logic_error);
 }
 
-TEST(RegionPool, QuantizedMatchesLayerKernel) {
-  const nn::QuantParams p = nn::choose_quant_params(-2.0f, 2.0f, 8);
-  nn::QTensor in(nn::TensorShape{5, 5, 2}, p);
-  nn::Rng rng(5);
-  for (auto& v : in.data()) {
-    v = static_cast<std::int8_t>(rng.uniform(-100, 100));
-  }
-  for (auto kind : {nn::OpKind::MaxPool, nn::OpKind::AvgPool}) {
-    const nn::Layer l = pool(kind, 3, 2, 1);
-    const nn::QTensor ref = kind == nn::OpKind::MaxPool
-                                ? nn::ops::max_pool_q(in, l)
-                                : nn::ops::avg_pool_q(in, l);
-    const nn::QTensor got =
-        pool_region_q(in, full_region(in.shape()), l,
-                      full_region(ref.shape()), in.shape());
-    ASSERT_EQ(got.shape(), ref.shape());
-    for (std::size_t i = 0; i < ref.data().size(); ++i) {
-      ASSERT_EQ(static_cast<int>(got.data()[i]),
-                static_cast<int>(ref.data()[i]))
-          << to_string(kind) << " element " << i;
-    }
-  }
-}
-
 TEST(RegionPool, RejectsNonPoolOps) {
-  const nn::Tensor in = random_tensor({4, 4, 1}, 6);
+  const nn::QTensor in = random_codes({4, 4, 1}, kParams, 6);
   nn::Layer conv;
   conv.kind = nn::OpKind::Conv2D;
-  EXPECT_THROW(pool_f32(in, full_region(in.shape()), conv,
-                        Region{{0, 1}, {0, 1}}, in.shape()),
+  EXPECT_THROW(pool_region_q(in, full_region(in.shape()), conv,
+                             Region{{0, 1}, {0, 1}}, in.shape()),
                std::invalid_argument);
 }
 
@@ -204,25 +173,6 @@ TEST(RegionMerge, RowMergesMatchPerElementReference) {
         ASSERT_EQ(static_cast<int>(changed.data()[i]),
                   static_cast<int>(want.data()[i]))
             << "element " << i;
-      }
-    }
-  }
-
-  const nn::Tensor ftile = random_tensor(ts, 16);
-  nn::Tensor plain(map);
-  nn::Tensor changed(map);
-  merge_region_f32(ftile, r, plain);
-  EXPECT_TRUE(merge_region_f32_changed(ftile, r, changed));
-  EXPECT_FALSE(merge_region_f32_changed(ftile, r, changed));
-  for (int y = 0; y < map.h; ++y) {
-    for (int x = 0; x < map.w; ++x) {
-      const bool inside = y >= r.y.begin && y < r.y.end && x >= r.x.begin &&
-                          x < r.x.end;
-      for (int c = 0; c < map.c; ++c) {
-        const float v =
-            inside ? ftile.at(y - r.y.begin, x - r.x.begin, c) : 0.0f;
-        ASSERT_EQ(plain.at(y, x, c), v);
-        ASSERT_EQ(changed.at(y, x, c), v);
       }
     }
   }

@@ -1,13 +1,13 @@
 // ServingFrontend (nn/serving/serving_frontend.h) + CoreBudget: the
 // serving front-end must (a) partition the core budget so sessions x
 // workers never oversubscribe it, (b) serve results bit-identical to a
-// lone sequential model through every path (pool-run, degraded,
+// lone sequential model through every path (pool-run, sequential lane,
 // batch-spread) and for every model kind, with model exceptions failing
 // only their own future, (c) shed load explicitly — queue-full
-// submissions are rejected at admission, expired requests get a distinct
-// error and are never started, and Downgrade trades intra-request
-// parallelism before anything else — and (d) keep lane models and arena
-// leases coherent across hot swaps, shared slabs and slab exhaustion.
+// submissions are rejected at admission, and expired requests get a
+// distinct error and are never started — and (d) keep lane models and
+// arena leases coherent across hot swaps, shared slabs and slab
+// exhaustion.
 // Fake models with gates/latches make the shed paths deterministic; real
 // compiled models cover the bit-exactness contract.
 #include <gtest/gtest.h>
@@ -45,7 +45,6 @@ using nn::serving::DeadlineExceededError;
 using nn::serving::RejectedError;
 using nn::serving::ServingConfig;
 using nn::serving::ServingFrontend;
-using nn::serving::ShedPolicy;
 
 nn::Tensor random_input(nn::TensorShape s, std::uint64_t seed) {
   nn::Tensor t(s);
@@ -123,27 +122,6 @@ struct EchoModel {
   std::shared_ptr<Gate> gate;
   nn::Tensor run(const nn::Tensor& in) const {
     if (gate) gate->wait();
-    return in;
-  }
-};
-
-// Pool-runnable fake: records which entry point served each request, so
-// the Downgrade policy's choice is observable.
-struct PoolPathCounters {
-  std::atomic<int> pool_runs{0};
-  std::atomic<int> seq_runs{0};
-};
-struct FakePoolModel {
-  std::shared_ptr<Gate> gate;
-  std::shared_ptr<PoolPathCounters> counters;
-  nn::Tensor run(const nn::Tensor& in) const {
-    if (gate) gate->wait();
-    counters->seq_runs.fetch_add(1);
-    return in;
-  }
-  nn::Tensor run(const nn::Tensor& in, nn::WorkerPool*) const {
-    if (gate) gate->wait();
-    counters->pool_runs.fetch_add(1);
     return in;
   }
 };
@@ -295,16 +273,19 @@ TEST(ServingFrontend, EveryModelKindBitExactVsSequential) {
     expect_serves_bit_exact(frontend, inputs, expected);
   }
   {
-    SCOPED_TRACE("CompiledPatchModel, 2 single-worker lanes");
-    const patch::CompiledPatchModel reference(g, plan);
-    std::vector<nn::Tensor> expected;
+    SCOPED_TRACE("CompiledPatchQuantModel, 2 single-worker lanes");
+    const patch::CompiledPatchQuantModel reference(
+        g, plan, cfg, {}, nn::ops::KernelTier::Simd, params);
+    std::vector<nn::QTensor> expected;
     for (const nn::Tensor& in : inputs) expected.push_back(reference.run(in));
     ServingConfig scfg;
     scfg.sessions = 2;
     scfg.core_budget = 2;
-    ServingFrontend<patch::CompiledPatchModel> frontend(
+    ServingFrontend<patch::CompiledPatchQuantModel> frontend(
         scfg, [&](int, const std::shared_ptr<nn::ArenaSlab>&) {
-          return std::make_unique<patch::CompiledPatchModel>(g, plan);
+          return std::make_unique<patch::CompiledPatchQuantModel>(
+              g, plan, cfg, std::vector<patch::BranchQuantConfig>{},
+              nn::ops::KernelTier::Simd, params);
         });
     EXPECT_EQ(frontend.budget().workers_per_session, 1);
     expect_serves_bit_exact(frontend, inputs, expected);
@@ -429,21 +410,28 @@ TEST(ServingFrontend, PatchFrontendsSharingASlabReuseOneBlock) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::CompiledPatchModel reference(g, plan);
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 90)});
+  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const patch::CompiledPatchQuantModel reference(g, plan, cfg);
   const nn::Tensor in = random_input(g.shape(0), 91);
-  const nn::Tensor expect = reference.run(in);
+  const nn::QTensor expect = reference.run(in);
 
   auto slab = std::make_shared<nn::ArenaSlab>();
   ServingConfig scfg;
   scfg.sessions = 1;
   scfg.core_budget = 1;  // sequential runs: the unified arena
   const auto factory = [&](int, const std::shared_ptr<nn::ArenaSlab>& s) {
-    auto model = std::make_unique<patch::CompiledPatchModel>(g, plan);
+    auto model = std::make_unique<patch::CompiledPatchQuantModel>(
+        g, plan, cfg, std::vector<patch::BranchQuantConfig>{},
+        nn::ops::KernelTier::Simd, reference.shared_parameters());
     model->set_arena_source(s);
     return model;
   };
-  ServingFrontend<patch::CompiledPatchModel> frontend_a(scfg, factory, slab);
-  ServingFrontend<patch::CompiledPatchModel> frontend_b(scfg, factory, slab);
+  ServingFrontend<patch::CompiledPatchQuantModel> frontend_a(scfg, factory,
+                                                             slab);
+  ServingFrontend<patch::CompiledPatchQuantModel> frontend_b(scfg, factory,
+                                                             slab);
   EXPECT_EQ(frontend_a.slab(), slab);
   EXPECT_EQ(frontend_b.slab(), slab);
 
@@ -686,41 +674,6 @@ TEST(ServingFrontend, ExpiredRequestGetsDistinctErrorAndNeverRuns) {
       tagged_input(9.0f),
       ServingFrontend<EchoModel>::Clock::now() + std::chrono::seconds(30));
   EXPECT_EQ(fine.get().data()[0], 9.0f);
-}
-
-TEST(ServingFrontend, DowngradeShedsIntraRequestParallelismFirst) {
-  auto gate = std::make_shared<Gate>();
-  auto counters = std::make_shared<PoolPathCounters>();
-  ServingConfig cfg;
-  cfg.sessions = 1;
-  cfg.core_budget = 2;  // 2-worker slice -> the pool path exists
-  cfg.pin_lanes = false;
-  cfg.policy = ShedPolicy::Downgrade;
-  cfg.shed_queue_depth = 2;
-  cfg.max_queue_depth = 8;
-  ServingFrontend<FakePoolModel> frontend(
-      cfg, [&](int, const std::shared_ptr<nn::ArenaSlab>&) {
-        return std::make_unique<FakePoolModel>(FakePoolModel{gate, counters});
-      });
-
-  // First request pops with an empty backlog -> full pool path; it parks
-  // on the gate while four more queue up behind it.
-  auto first = frontend.submit(tagged_input(0.0f));
-  EXPECT_TRUE(gate->await_waiters(1));
-  std::vector<std::future<nn::Tensor>> rest;
-  for (int i = 1; i <= 4; ++i) rest.push_back(frontend.submit(tagged_input(i)));
-
-  gate->release();
-  (void)first.get();
-  for (auto& f : rest) (void)f.get();
-
-  // Pop order is deterministic on one lane: backlog depths seen are
-  // 4, 3 (>= shed -> degraded sequential), then 1, 0 (pool path again).
-  EXPECT_EQ(counters->seq_runs.load(), 2);
-  EXPECT_EQ(counters->pool_runs.load(), 3);
-  const auto stats = frontend.stats();
-  EXPECT_EQ(stats.completed, 5u);
-  EXPECT_EQ(stats.degraded, 2u);
 }
 
 TEST(ServingFrontend, BatchSpreadsAcrossIdleSessions) {

@@ -1,8 +1,8 @@
 // The streaming runtime's exactness contract: in exact mode (default
 // StreamingConfig), a StreamingSession fed any frame sequence produces
 // bit-identical outputs to running the model in full on every frame — for
-// every worker count, every quant mode (float, int8, 4-bit, mixed
-// per-branch) and every kernel tier (the force-scalar/no-dot CI legs re-run
+// every worker count, every quant mode (int8, 4-bit, mixed per-branch)
+// and every kernel tier (the force-scalar/no-dot CI legs re-run
 // this binary). On top of that: skip accounting must prove reuse actually
 // happened, tolerance mode must skip more than exact mode, the activation
 // stats tracker must flag synthetic distribution drift, and StreamState
@@ -47,13 +47,6 @@ models::ModelConfig small_cfg() {
   return cfg;
 }
 
-void expect_f_identical(const nn::Tensor& a, const nn::Tensor& b) {
-  ASSERT_EQ(a.shape(), b.shape());
-  for (std::size_t i = 0; i < a.data().size(); ++i) {
-    ASSERT_EQ(a.data()[i], b.data()[i]) << "element " << i;
-  }
-}
-
 void expect_q_identical(const nn::QTensor& a, const nn::QTensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
   ASSERT_EQ(a.params(), b.params());
@@ -61,6 +54,13 @@ void expect_q_identical(const nn::QTensor& a, const nn::QTensor& b) {
     ASSERT_EQ(static_cast<int>(a.data()[i]), static_cast<int>(b.data()[i]))
         << "element " << i;
   }
+}
+
+// Uniform int8, calibrated on one random input.
+nn::ActivationQuantConfig int8_config(const nn::Graph& g) {
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 5)});
+  return quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
 }
 
 // A synthetic stream: frame 0 is random; each later frame copies its
@@ -93,54 +93,36 @@ std::vector<nn::Tensor> make_stream(nn::TensorShape s, int frames,
   return stream;
 }
 
-// --- float: exact mode is bit-identical for every worker count --------------
-
-TEST(Streaming, FloatBitExactAcrossZooAndWorkerCounts) {
-  for (const char* name : {"mobilenetv2", "mcunet", "mnasnet"}) {
-    const nn::Graph g = models::make_model(name, small_cfg());
-    const patch::PatchPlan plan =
-        patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-    const patch::CompiledPatchModel model(g, plan);
-    const std::vector<nn::Tensor> stream = make_stream(g.shape(0), 6, 40);
-    for (const int workers : {1, 2, 4}) {
-      nn::WorkerPool pool(workers);
-      nn::WorkerPool* p = workers == 1 ? nullptr : &pool;
-      nn::streaming::StreamingSession<patch::CompiledPatchModel> session;
-      for (const nn::Tensor& frame : stream) {
-        const nn::Tensor got = session.next(model, frame, p);
-        expect_f_identical(got, model.run(frame));
-      }
-      // The moving-square stream must actually have skipped work.
-      const nn::streaming::StreamingStats& st = session.stats();
-      EXPECT_EQ(st.frames, 6);
-      EXPECT_EQ(st.unchanged_frames, 1) << name;
-      EXPECT_GT(st.branches_skipped, 0) << name << " workers " << workers;
-    }
-  }
-}
-
-// --- quant: int8 and 4-bit --------------------------------------------------
+// --- exact mode is bit-identical: int8 and 4-bit, every worker count -------
 
 TEST(Streaming, QuantBitExactAcrossBitwidthsAndWorkerCounts) {
-  const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
-  const auto ranges = quant::calibrate_ranges(
-      g, std::vector<nn::Tensor>{random_input(g.shape(0), 5)});
-  const patch::PatchPlan plan =
-      patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const std::vector<nn::Tensor> stream = make_stream(g.shape(0), 5, 41);
-  for (const int bits : {8, 4}) {
-    const auto cfg =
-        quant::make_quant_config(g, ranges, nn::uniform_bits(g, bits));
-    const patch::CompiledPatchQuantModel model(g, plan, cfg);
-    for (const int workers : {1, 2, 4}) {
-      nn::WorkerPool pool(workers);
-      nn::WorkerPool* p = workers == 1 ? nullptr : &pool;
-      nn::streaming::StreamingSession<patch::CompiledPatchQuantModel> session;
-      for (const nn::Tensor& frame : stream) {
-        expect_q_identical(session.next(model, frame, p), model.run(frame));
+  for (const char* name : {"mobilenetv2", "mcunet", "mnasnet"}) {
+    const nn::Graph g = models::make_model(name, small_cfg());
+    const auto ranges = quant::calibrate_ranges(
+        g, std::vector<nn::Tensor>{random_input(g.shape(0), 5)});
+    const patch::PatchPlan plan =
+        patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
+    const std::vector<nn::Tensor> stream = make_stream(g.shape(0), 6, 41);
+    for (const int bits : {8, 4}) {
+      const auto cfg =
+          quant::make_quant_config(g, ranges, nn::uniform_bits(g, bits));
+      const patch::CompiledPatchQuantModel model(g, plan, cfg);
+      for (const int workers : {1, 2, 4}) {
+        SCOPED_TRACE(std::string(name) + ", " + std::to_string(bits) +
+                     " bits, " + std::to_string(workers) + " workers");
+        nn::WorkerPool pool(workers);
+        nn::WorkerPool* p = workers == 1 ? nullptr : &pool;
+        nn::streaming::StreamingSession<patch::CompiledPatchQuantModel>
+            session;
+        for (const nn::Tensor& frame : stream) {
+          expect_q_identical(session.next(model, frame, p), model.run(frame));
+        }
+        // The moving-square stream must actually have skipped work.
+        const nn::streaming::StreamingStats& st = session.stats();
+        EXPECT_EQ(st.frames, 6);
+        EXPECT_EQ(st.unchanged_frames, 1);
+        EXPECT_GT(st.branches_skipped, 0);
       }
-      EXPECT_GT(session.stats().branches_skipped, 0)
-          << bits << " bits, " << workers << " workers";
     }
   }
 }
@@ -180,18 +162,18 @@ TEST(Streaming, UnchangedFrameSkipsEverything) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::CompiledPatchModel model(g, plan);
+  const patch::CompiledPatchQuantModel model(g, plan, int8_config(g));
   const nn::Tensor frame = random_input(g.shape(0), 50);
 
-  nn::streaming::StreamingSession<patch::CompiledPatchModel> session;
-  expect_f_identical(session.next(model, frame), model.run(frame));
+  nn::streaming::StreamingSession<patch::CompiledPatchQuantModel> session;
+  expect_q_identical(session.next(model, frame), model.run(frame));
   // Frame 1 primes: everything ran.
   EXPECT_EQ(session.stats().branches_skipped, 0);
   EXPECT_EQ(session.stats().branches_recomputed,
             static_cast<std::int64_t>(plan.branches.size()));
 
   // Same frame again: the diff short-circuits before touching the model.
-  expect_f_identical(session.next(model, frame), model.run(frame));
+  expect_q_identical(session.next(model, frame), model.run(frame));
   const nn::streaming::StreamingStats& st = session.stats();
   EXPECT_EQ(st.frames, 2);
   EXPECT_EQ(st.unchanged_frames, 1);
@@ -207,14 +189,14 @@ TEST(Streaming, LocalChangeSkipsFarBranchesAndBands) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {4, 4}));
-  const patch::CompiledPatchModel model(g, plan);
+  const patch::CompiledPatchQuantModel model(g, plan, int8_config(g));
   const nn::Tensor f0 = random_input(g.shape(0), 51);
   nn::Tensor f1 = f0;
   f1.at(0, 0, 0) += 1.0f;  // one corner pixel
 
-  nn::streaming::StreamingSession<patch::CompiledPatchModel> session;
-  expect_f_identical(session.next(model, f0), model.run(f0));
-  expect_f_identical(session.next(model, f1), model.run(f1));
+  nn::streaming::StreamingSession<patch::CompiledPatchQuantModel> session;
+  expect_q_identical(session.next(model, f0), model.run(f0));
+  expect_q_identical(session.next(model, f1), model.run(f1));
   const nn::streaming::StreamingStats& st = session.stats();
   const auto total = static_cast<std::int64_t>(plan.branches.size());
   // Frame 2 recomputed only the corner's branches.
@@ -229,27 +211,27 @@ TEST(Streaming, ToleranceModeSkipsMoreThanExact) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::CompiledPatchModel model(g, plan);
+  const patch::CompiledPatchQuantModel model(g, plan, int8_config(g));
   const nn::Tensor f0 = random_input(g.shape(0), 52);
   nn::Tensor f1 = f0;
   f1.at(3, 3, 0) += 1e-5f;  // sub-tolerance wiggle
 
-  nn::streaming::StreamingSession<patch::CompiledPatchModel> exact;
+  nn::streaming::StreamingSession<patch::CompiledPatchQuantModel> exact;
   exact.next(model, f0);
   exact.next(model, f1);
 
   nn::streaming::StreamingConfig tol_cfg;
   tol_cfg.max_region_delta = 1e-3f;
-  nn::streaming::StreamingSession<patch::CompiledPatchModel> tolerant(
+  nn::streaming::StreamingSession<patch::CompiledPatchQuantModel> tolerant(
       tol_cfg);
   tolerant.next(model, f0);
-  const nn::Tensor got = tolerant.next(model, f1);
+  const nn::QTensor got = tolerant.next(model, f1);
 
   EXPECT_GT(tolerant.stats().branches_skipped,
             exact.stats().branches_skipped);
   // Tolerance kept frame 1's bytes for the wiggled branch: output equals
   // the *previous* frame's exact output.
-  expect_f_identical(got, model.run(f0));
+  expect_q_identical(got, model.run(f0));
 }
 
 // --- reset / rebind ---------------------------------------------------------
@@ -258,14 +240,14 @@ TEST(Streaming, ResetRecomputesAndStaysExact) {
   const nn::Graph g = models::make_model("mcunet", small_cfg());
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::CompiledPatchModel model(g, plan);
+  const patch::CompiledPatchQuantModel model(g, plan, int8_config(g));
   const std::vector<nn::Tensor> stream = make_stream(g.shape(0), 3, 53);
 
-  nn::streaming::StreamingSession<patch::CompiledPatchModel> session;
+  nn::streaming::StreamingSession<patch::CompiledPatchQuantModel> session;
   for (const nn::Tensor& f : stream) session.next(model, f);
   session.reset();  // scene cut
   const std::int64_t before = session.stats().branches_recomputed;
-  expect_f_identical(session.next(model, stream[0]), model.run(stream[0]));
+  expect_q_identical(session.next(model, stream[0]), model.run(stream[0]));
   // Post-reset frame ran in full.
   EXPECT_EQ(session.stats().branches_recomputed - before,
             static_cast<std::int64_t>(plan.branches.size()));
@@ -275,15 +257,16 @@ TEST(Streaming, RebindToDifferentModelRecovers) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::CompiledPatchModel a(g, plan);
-  const patch::CompiledPatchModel b(g, plan);
+  const auto cfg = int8_config(g);
+  const patch::CompiledPatchQuantModel a(g, plan, cfg);
+  const patch::CompiledPatchQuantModel b(g, plan, cfg);
   const nn::Tensor frame = random_input(g.shape(0), 54);
 
-  nn::streaming::StreamingSession<patch::CompiledPatchModel> session;
+  nn::streaming::StreamingSession<patch::CompiledPatchQuantModel> session;
   session.next(a, frame);
   // Handing the session another model (hot swap) must reset and re-prime,
   // not reuse state laid out for `a`.
-  expect_f_identical(session.next(b, frame), b.run(frame));
+  expect_q_identical(session.next(b, frame), b.run(frame));
   EXPECT_EQ(session.stats().unchanged_frames, 0);
 }
 
@@ -291,7 +274,7 @@ TEST(Streaming, WorkerCountIsPinnedPerState) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::CompiledPatchModel model(g, plan);
+  const patch::CompiledPatchQuantModel model(g, plan, int8_config(g));
   const nn::Tensor frame = random_input(g.shape(0), 55);
 
   nn::WorkerPool two(2);

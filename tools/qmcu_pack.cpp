@@ -17,10 +17,9 @@
 // (VDPC + VDQS over a MinPeak patch plan for the Arduino Nano 33), then the
 // searched per-branch configs — the mixed-precision patch artifact path.
 //
-//   qmcu_pack --model mobilenetv2 --kind quant --bits 8 \
-//             --out mbv2_int8.qmcp --verify
-//   qmcu_pack --model mobilenetv2 --kind quant --bits 8 \
-//             --check mbv2_int8.qmcp          # no write, just compare
+//   qmcu_pack --model mobilenetv2 --kind quant --out mbv2_int8.qmcp --verify
+//   qmcu_pack --model mobilenetv2 --kind quant --check mbv2_int8.qmcp
+//             (no write, just compare; --bits defaults to 8)
 //   qmcu_pack --model mobilenetv2 --kind mixed --out mbv2_mixed.qmcp --verify
 //   qmcu_pack --inspect mbv2_int8.qmcp
 #include <algorithm>
