@@ -18,6 +18,11 @@
 //      turns it into a hard gate (the acceptance criterion: >= 10x).
 //   5. Time-to-first-inference for both paths (setup + one run), and the
 //      one-time artifact bake cost, as informational entries.
+//   5b. The mixed-precision patch artifact `qmcu_pack --kind mixed` bakes
+//      for the same net (MinPeak plan + VDQS branch configs, calibration
+//      seeds 100 and 101): the median bake and load_compiled_patch times,
+//      informational, with the loaded model bit-checked against an
+//      in-memory CompiledPatchQuantModel.
 //   6. Fleet RSS sharing: fork a child that maps the SAME artifact and
 //      serves from it; the child's private footprint (smaps_rollup
 //      Private_Clean+Private_Dirty around model construction) must be a
@@ -44,10 +49,13 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "core/quantmcu.h"
+#include "mcu/device.h"
 #include "nn/compiled_model.h"
 #include "nn/plan_artifact.h"
 #include "nn/rng.h"
 #include "nn/serialize.h"
+#include "patch/patch_artifact.h"
 #include "quant/calibration.h"
 
 namespace qmcu {
@@ -195,6 +203,43 @@ int run(int argc, char** argv) {
   report.add("cold_start/compile_ttfi_ms", compile_ms, "info_ms");
   report.add("cold_start/load_ttfi_ms", load_ms, "info_ms");
   report.add("cold_start/speedup_x", speedup, "x");
+
+  // --- mixed-precision patch artifact --------------------------------------
+  {
+    const std::vector<nn::Tensor> mixed_calib{random_input(g.shape(0), 100),
+                                              random_input(g.shape(0), 101)};
+    core::QuantMcuConfig qcfg;
+    qcfg.planner = core::PatchPlannerKind::MinPeak;
+    const core::QuantMcuPlan plan = core::build_quantmcu_plan(
+        g, mcu::arduino_nano_33_ble_sense(), mixed_calib, qcfg);
+    const auto mixed_ranges = quant::calibrate_ranges(g, mixed_calib);
+    const auto deploy_cfg =
+        core::make_deployment_quant_config(g, plan, mixed_ranges);
+    const auto branch_cfgs =
+        core::make_branch_quant_configs(g, plan, mixed_ranges);
+    const std::string mixed_path = "cold_start_mbv2_mixed.qmcp";
+    const double mixed_bake_ms = median_ms(kReps, [&] {
+      patch::compile_to_artifact(g, plan.patch_plan.spec, deploy_cfg,
+                                 branch_cfgs, mixed_path);
+    });
+    const nn::QTensor mixed_want =
+        patch::CompiledPatchQuantModel(g, plan.patch_plan, deploy_cfg,
+                                       branch_cfgs)
+            .run(in);
+    const double mixed_load_ms = median_ms(kReps, [&] {
+      (void)patch::load_compiled_patch(mixed_path);
+    });
+    if (!q_equal(patch::load_compiled_patch(mixed_path).model->run(in),
+                 mixed_want)) {
+      std::fprintf(stderr, "FATAL: mixed patch artifact output mismatch\n");
+      return 1;
+    }
+    std::printf("  mixed patch artifact: bake %8.3f ms, load %8.3f ms\n",
+                mixed_bake_ms, mixed_load_ms);
+    report.add("cold_start/mixed_bake_ms", mixed_bake_ms, "info_ms");
+    report.add("cold_start/mixed_load_ms", mixed_load_ms, "info_ms");
+    std::remove(mixed_path.c_str());
+  }
 
   // --- fleet RSS sharing ---------------------------------------------------
   // Parent maps the artifact and faults every weight page in (one run).

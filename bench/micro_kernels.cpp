@@ -1,13 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives: float/int8
-// convolution kernels (Reference vs Simd tier), sub-byte packing, entropy
-// estimation, the VDQS search itself, and patch-plan construction. These
-// bound the cost of the host-side tooling (the paper's Table II "Time"
-// column is dominated by entropy profiling + vdqs_search) and track the
-// kernel-backend perf trajectory; results land in BENCH_micro_kernels.json
-// by default (see bench_common.h).
+// convolution kernels (Reference vs Simd tier), sub-byte packing, CRC32,
+// entropy estimation, the VDQS search itself, and patch-plan construction.
+// These bound the cost of the host-side tooling (the paper's Table II
+// "Time" column is dominated by entropy profiling + vdqs_search) and track
+// the kernel-backend perf trajectory; results land in
+// BENCH_micro_kernels.json by default (see bench_common.h).
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <optional>
 
@@ -17,6 +18,7 @@
 #include "data/synthetic.h"
 #include "mcu/device.h"
 #include "models/zoo.h"
+#include "nn/checksum.h"
 #include "nn/ops/backend.h"
 #include "nn/ops/float_kernels.h"
 #include "nn/ops/int8_kernels.h"
@@ -486,6 +488,28 @@ void BM_BitUnpack(benchmark::State& state) {
   state.counters["simd_active"] = table != nullptr ? 1 : 0;
 }
 BENCHMARK(BM_BitUnpack)->Arg(2)->Arg(4);
+
+// CRC32 over an artifact-sized buffer (the plan-artifact loader checks
+// every section on the cold-start path). Arg 0 = body: 0 slicing-by-16,
+// 1 nn::crc32's dispatch (the pclmul folding body where the kernel table
+// has it; `simd_active` records whether it ran). Arg 1 = bytes: one page,
+// and the size of the Table I mixed artifact.
+void BM_Crc32(benchmark::State& state) {
+  const bool dispatched = state.range(0) != 0;
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(state.range(1)));
+  nn::Rng rng(9);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dispatched
+                                 ? nn::crc32(bytes.data(), bytes.size())
+                                 : nn::crc32_table(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+  state.counters["simd_active"] =
+      dispatched && std::strcmp(nn::crc32_body_name(), "pclmul") == 0 ? 1 : 0;
+}
+BENCHMARK(BM_Crc32)->ArgsProduct({{0, 1}, {4096, 3400000}});
 
 void BM_ActivationEntropy(benchmark::State& state) {
   const nn::Tensor t = random_tensor({64, 64, 16}, 6);

@@ -38,5 +38,7 @@ int main() {
               k->gemm_requant_block ? "fused" : "unfused");
   std::printf("  dw_conv_row:        %s\n",
               k->dw_conv_row ? "fused" : "unfused");
+  std::printf("  crc32_fold:         %s\n",
+              k->crc32_fold ? "pclmul" : "slicing-by-16");
   return 0;
 }

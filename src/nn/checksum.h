@@ -1,81 +1,50 @@
 // checksum.h — CRC32 (IEEE 802.3, poly 0xEDB88320) for file integrity.
 //
 // Shared by the "QMCU"/"QMCQ" v2 stream formats (serialize.cpp) and the
-// "QMCP" plan-artifact section table (plan_artifact.cpp). Slicing-by-16:
-// the plan-artifact loader CRCs every section (hundreds of KiB of weight
-// panels) on the cold-start path, so the byte-at-a-time loop was the
-// single largest cost of load_compiled. Sixteen parallel tables break
-// the per-byte dependency chain and process 16 bytes per iteration; the
-// checksum values are bit-identical to the classic byte-at-a-time
-// formulation (same reflected polynomial, same init/final XOR), so
-// existing streams and cross-architecture artifacts verify unchanged.
+// "QMCP" plan-artifact section table (plan_artifact.cpp): the loader CRCs
+// every section (megabytes of weight panels) on the cold-start path, and
+// the writer CRCs them again at bake time.
+//
+// Two bodies compute the same value (same reflected polynomial, same
+// init/final XOR), so existing streams and cross-architecture artifacts
+// verify unchanged whichever one ran:
+//
+//   slicing-by-16  sixteen 256-entry tables break the per-byte dependency
+//                  chain and consume 16 bytes per step (about 2 GB/s). It
+//                  is the portable body, the QMCU_FORCE_SCALAR path, and
+//                  the tail handler of the folding body.
+//   pclmul         carry-less-multiply folding (Gopal et al., "Fast CRC
+//                  Computation for Generic Polynomials Using PCLMULQDQ",
+//                  Intel 2009): four 128-bit lanes fold 64 bytes per step,
+//                  then a Barrett reduction yields the 32-bit remainder
+//                  (about 15 GB/s). It is the crc32_fold entry of the
+//                  AVX2 and AVX-VNNI kernel tables, filled when cpuid
+//                  reports pclmul (nn/ops/simd/crc32_pclmul.cpp).
+//
+// crc32() dispatches through ops::simd::kernels(): the folding entry runs
+// the whole 16-byte blocks of any input of 64 bytes or more, slicing-by-16
+// the rest.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 namespace qmcu::nn {
 
-namespace detail {
-inline constexpr std::array<std::array<std::uint32_t, 256>, 16>
-make_crc32_tables() {
-  std::array<std::array<std::uint32_t, 256>, 16> tables{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    }
-    tables[0][i] = c;
-  }
-  // tables[t][b] = CRC of byte b followed by t zero bytes: each extra
-  // table advances the remainder one byte without consuming input.
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = tables[0][i];
-    for (std::size_t t = 1; t < 16; ++t) {
-      c = tables[0][c & 0xFFu] ^ (c >> 8);
-      tables[t][i] = c;
-    }
-  }
-  return tables;
-}
-inline constexpr std::array<std::array<std::uint32_t, 256>, 16> kCrc32Tables =
-    make_crc32_tables();
+// One-shot CRC32 over a byte range, through the fastest body the live
+// kernel table offers.
+std::uint32_t crc32(const void* data, std::size_t size);
 
-inline std::uint32_t crc32_load_word(const unsigned char* p) {
-  std::uint32_t w;
-  std::memcpy(&w, p, 4);
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-  w = __builtin_bswap32(w);
-#endif
-  return w;
-}
-}  // namespace detail
+// One-shot CRC32 through the slicing-by-16 body only.
+std::uint32_t crc32_table(const void* data, std::size_t size);
 
-// One-shot CRC32 over a byte range.
-inline std::uint32_t crc32(const void* data, std::size_t size) {
-  const auto& t = detail::kCrc32Tables;
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = 0xFFFFFFFFu;
-  while (size >= 16) {
-    const std::uint32_t w0 = detail::crc32_load_word(p) ^ c;
-    const std::uint32_t w1 = detail::crc32_load_word(p + 4);
-    const std::uint32_t w2 = detail::crc32_load_word(p + 8);
-    const std::uint32_t w3 = detail::crc32_load_word(p + 12);
-    c = t[15][w0 & 0xFFu] ^ t[14][(w0 >> 8) & 0xFFu] ^
-        t[13][(w0 >> 16) & 0xFFu] ^ t[12][w0 >> 24] ^ t[11][w1 & 0xFFu] ^
-        t[10][(w1 >> 8) & 0xFFu] ^ t[9][(w1 >> 16) & 0xFFu] ^ t[8][w1 >> 24] ^
-        t[7][w2 & 0xFFu] ^ t[6][(w2 >> 8) & 0xFFu] ^ t[5][(w2 >> 16) & 0xFFu] ^
-        t[4][w2 >> 24] ^ t[3][w3 & 0xFFu] ^ t[2][(w3 >> 8) & 0xFFu] ^
-        t[1][(w3 >> 16) & 0xFFu] ^ t[0][w3 >> 24];
-    p += 16;
-    size -= 16;
-  }
-  for (std::size_t i = 0; i < size; ++i) {
-    c = t[0][(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
+// Advances a raw CRC register (pre-inverted: start from 0xFFFFFFFF and XOR
+// the result with 0xFFFFFFFF) over `size` bytes with slicing-by-16.
+std::uint32_t crc32_update_table(std::uint32_t state, const void* data,
+                                 std::size_t size);
+
+// "pclmul" or "slicing-by-16": the body crc32() runs for a large input
+// right now (it honours the live QMCU_FORCE_SCALAR).
+const char* crc32_body_name();
 
 }  // namespace qmcu::nn

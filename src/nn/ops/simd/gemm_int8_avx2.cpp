@@ -435,7 +435,16 @@ const SimdKernels kAvx2 = {
 
 }  // namespace
 
-const SimdKernels* avx2_kernels() { return &kAvx2; }
+const SimdKernels* avx2_kernels() {
+  // crc32_fold is the one entry that needs more than AVX2: it is filled
+  // once, from the pclmul probe (the VNNI table copies it from here).
+  static const SimdKernels table = [] {
+    SimdKernels t = kAvx2;
+    t.crc32_fold = crc32_fold_pclmul();
+    return t;
+  }();
+  return &table;
+}
 
 }  // namespace qmcu::nn::ops::simd
 

@@ -39,6 +39,11 @@
 //                     widened to int32, then bias -> requantize -> int8.
 //                     Interior runs and single border pixels use the same
 //                     body; it replaces the per-tap dw_accumulate calls.
+//   crc32_fold      — the whole 16-byte blocks of nn::crc32 (reflected
+//                     polynomial 0xEDB88320) by carry-less-multiply
+//                     folding; the same remainder as the slicing-by-16
+//                     table body, which finishes the tail. Filled only
+//                     when cpuid reports pclmul.
 //
 // The requantize epilogues and add_row vectorize only when every
 // multiplier's right shift lies in [0, 31] (vector_shift below); other
@@ -58,12 +63,13 @@
 // two adds, two shifts and a blend.
 //
 // A table may leave entries null: the NEON tables leave both fused entries
-// null. Callers must check each pointer, falling back to the scalar
-// implementation — which is also what the whole table being null (no
-// usable ISA, or QMCU_FORCE_SCALAR) means. A null
+// and crc32_fold null. Callers must check each pointer, falling back to
+// the scalar implementation — which is also what the whole table being
+// null (no usable ISA, or QMCU_FORCE_SCALAR) means. A null
 // gemm_requant_block runs gemm_block_i8 then requant_i32_row per row
 // (run_gemm_requant_block in gemm_int8.cpp); a null dw_conv_row runs the
-// per-pixel dw_accumulate loop.
+// per-pixel dw_accumulate loop; a null crc32_fold runs slicing-by-16 over
+// the whole input.
 #pragma once
 
 #include <cstdint>
@@ -162,6 +168,13 @@ struct SimdKernels {
 
   // Computes one DwConvRow (below).
   void (*dw_conv_row)(const DwConvRow& row) = nullptr;
+
+  // Advances the raw CRC32 register *state (pre-inverted, nn/checksum.h)
+  // over the longest prefix of whole 16-byte blocks of data[0, nbytes) and
+  // returns the bytes consumed: 0 when nbytes < 64, otherwise a multiple
+  // of 16 of at least 64. The caller finishes the remainder.
+  std::int64_t (*crc32_fold)(std::uint32_t* state, const std::uint8_t* data,
+                             std::int64_t nbytes) = nullptr;
 
   // Constant added to every activation lane inside gemm_block_i8 (see its
   // contract above): 128 for the AVX-VNNI generation, 0 everywhere else.
@@ -265,5 +278,9 @@ const SimdKernels* neon_kernels();
 // the dot TU was compiled out).
 const SimdKernels* avx2_vnni_kernels();
 const SimdKernels* neon_dot_kernels();
+
+// The PCLMULQDQ folding body for SimdKernels::crc32_fold, or null when the
+// CPU lacks pclmul or its TU was compiled out (crc32_pclmul.cpp).
+decltype(SimdKernels::crc32_fold) crc32_fold_pclmul();
 
 }  // namespace qmcu::nn::ops::simd

@@ -80,22 +80,41 @@ constexpr std::uint32_t kTagBlob = artifact_tag('B', 'L', 'O', 'B');
 // Per-MAC-layer LIDX record flags.
 constexpr std::uint32_t kLayerHasPanel = 1u << 0;  // Conv2D / FullyConnected
 
+std::size_t align_up(std::size_t n) {
+  return (n + kBlobAlign - 1) / kBlobAlign * kBlobAlign;
+}
+
 // Bulk-data region under construction: every blob 64-aligned so mapped
 // pointers carry the alignment of the page-aligned mmap base. Offsets are
 // relative to the BLOB section payload start (the section itself is
-// 64-aligned in the file).
+// 64-aligned in the file). A caller that knows a bound on the total
+// reserves it up front, so the region is allocated once, not regrown.
 class BlobBuilder {
  public:
+  explicit BlobBuilder(std::size_t capacity = 0) { data_.reserve(capacity); }
+
+  // Appends a copy of `bytes` bytes at `p`; returns its offset.
   std::uint64_t add(const void* p, std::size_t bytes) {
-    data_.resize((data_.size() + kBlobAlign - 1) / kBlobAlign * kBlobAlign,
-                 '\0');
-    const std::uint64_t off = data_.size();
+    const std::uint64_t off = align();
     data_.append(static_cast<const char*>(p), bytes);
     return off;
   }
+  // Appends `bytes` zero bytes for the caller to fill in place through
+  // at(); returns their offset.
+  std::uint64_t add_zeroed(std::size_t bytes) {
+    const std::uint64_t off = align();
+    data_.resize(data_.size() + bytes, '\0');
+    return off;
+  }
+  [[nodiscard]] char* at(std::uint64_t off) { return data_.data() + off; }
   [[nodiscard]] std::string take() { return std::move(data_); }
 
  private:
+  std::uint64_t align() {
+    data_.resize(align_up(data_.size()), '\0');
+    return data_.size();
+  }
+
   std::string data_;
 };
 
@@ -118,26 +137,18 @@ void write_u64_at(std::string& buf, std::size_t pos, std::uint64_t v) {
   }
 }
 
+// Lays the header, the section table and every 64-aligned payload into one
+// buffer reserved at the file's final size, then writes it.
 void write_artifact_file(const std::string& path, ArtifactModelKind kind,
                          const KernelFingerprint& fp,
                          std::span<const SectionOut> sections) {
-  std::string file(kHeaderBytes + sections.size() * kSectionEntryBytes, '\0');
-
-  struct Placed {
-    std::uint64_t offset = 0;
-    std::uint64_t size = 0;
-    std::uint32_t crc = 0;
-  };
-  std::vector<Placed> placed(sections.size());
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    file.resize((file.size() + kBlobAlign - 1) / kBlobAlign * kBlobAlign,
-                '\0');
-    placed[i].offset = file.size();
-    placed[i].size = sections[i].payload.size();
-    placed[i].crc =
-        crc32(sections[i].payload.data(), sections[i].payload.size());
-    file.append(sections[i].payload);
+  std::size_t file_size = kHeaderBytes + sections.size() * kSectionEntryBytes;
+  for (const SectionOut& s : sections) {
+    file_size = align_up(file_size) + s.payload.size();
   }
+  std::string file;
+  file.reserve(file_size);
+  file.resize(kHeaderBytes + sections.size() * kSectionEntryBytes, '\0');
 
   std::memcpy(file.data(), kArtifactMagic, 4);
   write_u32_at(file, 4, kArtifactVersion);
@@ -147,13 +158,16 @@ void write_artifact_file(const std::string& path, ArtifactModelKind kind,
   write_u32_at(file, 20, static_cast<std::uint32_t>(fp.gemm_a_bias));
   // Byte 24 is reserved (zero): the string-initialised header already is.
   write_u32_at(file, 28, static_cast<std::uint32_t>(sections.size()));
-  write_u64_at(file, 32, file.size());
+  write_u64_at(file, 32, file_size);
   for (std::size_t i = 0; i < sections.size(); ++i) {
+    const std::string& payload = sections[i].payload;
+    file.resize(align_up(file.size()), '\0');
     const std::size_t e = kHeaderBytes + i * kSectionEntryBytes;
     write_u32_at(file, e, sections[i].tag);
-    write_u64_at(file, e + 8, placed[i].offset);
-    write_u64_at(file, e + 16, placed[i].size);
-    write_u32_at(file, e + 24, placed[i].crc);
+    write_u64_at(file, e + 8, file.size());
+    write_u64_at(file, e + 16, payload.size());
+    write_u32_at(file, e + 24, crc32(payload.data(), payload.size()));
+    file.append(payload);
   }
 
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
@@ -255,15 +269,41 @@ void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
                          const std::string& path,
                          std::span<const ArtifactSection> extra,
                          ArtifactModelKind kind) {
+  compile_to_artifact(g, cfg, QuantizedParameters::build(g, cfg), path, extra,
+                      kind);
+}
+
+void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
+                         const QuantizedParameters& params,
+                         const std::string& path,
+                         std::span<const ArtifactSection> extra,
+                         ArtifactModelKind kind) {
   QMCU_REQUIRE(g.inputs().size() == 1, "artifact expects one input layer");
   QMCU_REQUIRE(kind != ArtifactModelKind::Float,
                "float artifacts carry no quant config");
-  const QuantizedParameters params = QuantizedParameters::build(g, cfg);
+  QMCU_REQUIRE(params.weights.size() == static_cast<std::size_t>(g.size()) &&
+                   params.bias.size() == static_cast<std::size_t>(g.size()),
+               "quantized parameters do not cover the graph");
   const std::vector<QuantParams> effective = effective_output_params(g, cfg);
   const std::int32_t a_bias =
       ops::simd::gemm_activation_bias(ops::simd::kernels());
 
-  BlobBuilder blob;
+  // An upper bound on the blob bytes added below, so the region is
+  // allocated once: per MAC layer the weights, the k-major panel (as many
+  // bytes), the bias, two int32 rows of out_channels and the alignment
+  // padding of five blobs.
+  std::size_t blob_bound = 0;
+  for (int id = 0; id < g.size(); ++id) {
+    const auto i = static_cast<std::size_t>(id);
+    if (!is_mac_op(g.layer(id).kind) || params.weights[i].data.empty()) {
+      continue;
+    }
+    blob_bound += 2 * params.weights[i].data.size() +
+                  params.bias[i].size_bytes() +
+                  8 * static_cast<std::size_t>(g.layer(id).out_channels) +
+                  5 * kBlobAlign;
+  }
+  BlobBuilder blob(blob_bound);
   ByteWriter lidx;
   std::uint32_t records = 0;
   for (int id = 0; id < g.size(); ++id) {
@@ -277,7 +317,6 @@ void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
     int n = 0;
     std::int64_t k = 0;
     std::int32_t a_zp = 0;
-    std::vector<std::int8_t> bt;
     std::vector<std::int32_t> wsum;
     std::vector<std::int32_t> offr;
     if (l.kind != OpKind::DepthwiseConv2D) {
@@ -288,8 +327,6 @@ void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
               : g.shape(l.inputs[0]).elements();
       QMCU_ENSURE(static_cast<std::int64_t>(qw.size()) == k * n,
                   "weight blob does not match panel geometry");
-      bt.resize(static_cast<std::size_t>(k * n));
-      ops::pack_weights_kmajor(qw, n, static_cast<int>(k), bt.data());
       wsum.resize(static_cast<std::size_t>(n));
       ops::weight_column_sums(qw, n, static_cast<int>(k), wsum.data());
       // The per-column requantization offset bias[j] − a_zp·wsum[j] — the
@@ -317,11 +354,19 @@ void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
     lidx.u64(qw.size());
     lidx.u64(bias.empty() ? 0 : blob.add(bias.data(), bias.size_bytes()));
     lidx.u64(bias.size());
-    lidx.u64(bt.empty() ? 0 : blob.add(bt.data(), bt.size()));
-    lidx.u64(wsum.empty() ? 0
-                          : blob.add(wsum.data(), wsum.size() * 4));
-    lidx.u64(offr.empty() ? 0
-                          : blob.add(offr.data(), offr.size() * 4));
+    if ((flags & kLayerHasPanel) != 0) {
+      // The k-major panel is packed straight into its blob.
+      const std::uint64_t bt = blob.add_zeroed(qw.size());
+      ops::pack_weights_kmajor(qw, n, static_cast<int>(k),
+                               reinterpret_cast<std::int8_t*>(blob.at(bt)));
+      lidx.u64(bt);
+      lidx.u64(blob.add(wsum.data(), wsum.size() * 4));
+      lidx.u64(blob.add(offr.data(), offr.size() * 4));
+    } else {
+      lidx.u64(0);
+      lidx.u64(0);
+      lidx.u64(0);
+    }
     ++records;
   }
   ByteWriter head;
@@ -425,6 +470,10 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
     const std::uint32_t crc = e.u32();
     QMCU_REQUIRE(off <= size && len <= size - off,
                  "artifact section outside the file");
+    // Blob views are read as int32/float arrays at offsets the writer
+    // aligned relative to the section start, so the section itself must
+    // keep the writer's alignment.
+    QMCU_REQUIRE(off % kBlobAlign == 0, "misaligned artifact section");
     s.bytes = std::span<const std::uint8_t>(base + off,
                                             static_cast<std::size_t>(len));
     QMCU_REQUIRE(crc == crc32(s.bytes.data(), s.bytes.size()),

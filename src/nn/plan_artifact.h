@@ -98,6 +98,15 @@ void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
                          std::span<const ArtifactSection> extra = {},
                          ArtifactModelKind kind = ArtifactModelKind::Quant);
 
+// The same, from `params` the caller already built with
+// QuantizedParameters::build(g, cfg) — the patch writer quantizes once for
+// its branch biases and the bake. The file is byte-identical.
+void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
+                         const QuantizedParameters& params,
+                         const std::string& path,
+                         std::span<const ArtifactSection> extra = {},
+                         ArtifactModelKind kind = ArtifactModelKind::Quant);
+
 // --- loader ----------------------------------------------------------------
 
 // A mapped artifact. Owns the mmap; every model constructed from it views

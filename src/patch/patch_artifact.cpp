@@ -75,12 +75,12 @@ void compile_to_artifact(const nn::Graph& g, const PatchSpec& spec,
                          std::span<const BranchQuantConfig> branch_cfgs,
                          const std::string& path) {
   const PatchPlan plan = build_patch_plan(g, spec);
+  // One quantization feeds both the branch biases and the bake.
+  const nn::QuantizedParameters params = nn::QuantizedParameters::build(g, cfg);
   std::vector<std::vector<std::vector<std::int32_t>>> branch_bias;
   if (!branch_cfgs.empty()) {
     QMCU_REQUIRE(branch_cfgs.size() == plan.branches.size(),
                  "branch configs must cover every branch");
-    const nn::QuantizedParameters params =
-        nn::QuantizedParameters::build(g, cfg);
     branch_bias = build_branch_bias(g, plan, branch_cfgs, params);
   }
 
@@ -89,7 +89,7 @@ void compile_to_artifact(const nn::Graph& g, const PatchSpec& spec,
   if (!branch_bias.empty()) {
     extra.push_back({kTagBranchBias, branch_bias_section(branch_bias)});
   }
-  nn::compile_to_artifact(g, cfg, path, extra,
+  nn::compile_to_artifact(g, cfg, params, path, extra,
                           nn::ArtifactModelKind::PatchQuant);
 }
 

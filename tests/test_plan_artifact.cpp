@@ -95,6 +95,37 @@ void write_file(const std::string& path, const std::string& bytes) {
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+// Little-endian field access into a raw artifact image.
+std::uint64_t get(const std::string& b, std::size_t pos, int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(
+             b[pos + static_cast<std::size_t>(i)]))
+         << (8 * i);
+  }
+  return v;
+}
+
+void put(std::string& b, std::size_t pos, int width, std::uint64_t v) {
+  for (int i = 0; i < width; ++i) {
+    b[pos + static_cast<std::size_t>(i)] =
+        static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+// Section table: 32-byte entries after the 64-byte header, each
+// { tag u32, pad u32, offset u64, size u64, crc u32 }; the section count
+// is the header's u32 at byte 28. Returns the entry's byte position, or 0
+// when the tag is absent.
+std::size_t section_entry(const std::string& bytes, std::uint32_t tag) {
+  const std::uint64_t nsections = get(bytes, 28, 4);
+  for (std::uint64_t i = 0; i < nsections; ++i) {
+    const std::size_t e = 64 + static_cast<std::size_t>(i) * 32;
+    if (get(bytes, e, 4) == tag) return e;
+  }
+  return 0;
+}
+
 // --- float kind ------------------------------------------------------------
 
 TEST(PlanArtifact, FloatRoundTripBitExact) {
@@ -671,32 +702,8 @@ TEST(PlanArtifact, RejectsInconsistentLayerRecordWithValidCrc) {
   const std::string path = artifact_path("hostile_src");
   nn::compile_to_artifact(g, cfg, path);
   const std::string bytes = read_file(path);
-
-  const auto get = [](const std::string& b, std::size_t pos, int width) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < width; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(
-               b[pos + static_cast<std::size_t>(i)]))
-           << (8 * i);
-    }
-    return v;
-  };
-  const auto put = [](std::string& b, std::size_t pos, int width,
-                      std::uint64_t v) {
-    for (int i = 0; i < width; ++i) {
-      b[pos + static_cast<std::size_t>(i)] =
-          static_cast<char>((v >> (8 * i)) & 0xff);
-    }
-  };
-
-  // Section table: 32-byte entries after the 64-byte header, each
-  // { tag u32, pad u32, offset u64, size u64, crc u32 }.
-  const std::uint64_t nsections = get(bytes, 28, 4);
-  std::size_t entry = 0;
-  for (std::uint64_t i = 0; i < nsections; ++i) {
-    const std::size_t e = 64 + static_cast<std::size_t>(i) * 32;
-    if (get(bytes, e, 4) == nn::artifact_tag('L', 'I', 'D', 'X')) entry = e;
-  }
+  const std::size_t entry =
+      section_entry(bytes, nn::artifact_tag('L', 'I', 'D', 'X'));
   ASSERT_NE(entry, 0u);
   const auto lidx = static_cast<std::size_t>(get(bytes, entry + 8, 8));
   const auto lidx_size = static_cast<std::size_t>(get(bytes, entry + 16, 8));
@@ -726,6 +733,74 @@ TEST(PlanArtifact, RejectsInconsistentLayerRecordWithValidCrc) {
   // k + 2^61: k * 8 wraps back to the true weight count in 64 bits.
   rewrite(12, k + (std::uint64_t{1} << 61));
   EXPECT_THROW((void)nn::PlanArtifact::map(broken), std::invalid_argument);
+}
+
+// A section whose offset breaks the writer's 64-byte alignment must be
+// rejected even when every CRC is valid: blob payloads are read in place as
+// int32 and float arrays, so a shifted BLOB section would hand the kernels
+// misaligned views.
+TEST(PlanArtifact, RejectsMisalignedSection) {
+  const nn::Graph g = small_net();
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 29)});
+  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const std::string path = artifact_path("misaligned_src");
+  nn::compile_to_artifact(g, cfg, path);
+  const std::string bytes = read_file(path);
+  const std::size_t entry =
+      section_entry(bytes, nn::artifact_tag('B', 'L', 'O', 'B'));
+  ASSERT_NE(entry, 0u);
+  const auto blob = static_cast<std::size_t>(get(bytes, entry + 8, 8));
+  // BLOB is the last section, so shifting it moves no other payload.
+  ASSERT_EQ(blob + get(bytes, entry + 16, 8), bytes.size());
+
+  const std::string broken = artifact_path("misaligned_broken");
+  const auto shift = [&](std::size_t pad) {
+    std::string shifted = bytes.substr(0, blob) + std::string(pad, '\0') +
+                          bytes.substr(blob);
+    put(shifted, entry + 8, 8, blob + pad);
+    put(shifted, 32, 8, shifted.size());
+    write_file(broken, shifted);
+  };
+  // A whole alignment unit keeps a loadable artifact, so the throw below
+  // comes from the alignment check and not from the rewrite.
+  shift(64);
+  EXPECT_NO_THROW((void)nn::load_compiled(broken));
+  shift(1);
+  EXPECT_THROW((void)nn::PlanArtifact::map(broken), std::invalid_argument);
+}
+
+// The deployment `qmcu_pack --model mobilenetv2 --kind mixed` bakes (the
+// w0.25 @ 48 net, MinPeak plan, calibration seeds 100 and 101). Every
+// stored section CRC was written through the dispatched body; each must
+// equal the slicing-by-16 CRC of its payload, so a loader without the
+// folding body (QMCU_FORCE_SCALAR, other ISAs) accepts the same file.
+TEST(PlanArtifact, MixedSectionCrcsMatchTheTableBody) {
+  const nn::Graph g = mbv2_net();
+  const std::vector<nn::Tensor> calib{random_input(g.shape(0), 100),
+                                      random_input(g.shape(0), 101)};
+  core::QuantMcuConfig qcfg;
+  qcfg.planner = core::PatchPlannerKind::MinPeak;
+  const core::QuantMcuPlan plan = core::build_quantmcu_plan(
+      g, mcu::arduino_nano_33_ble_sense(), calib, qcfg);
+  const auto ranges = quant::calibrate_ranges(g, calib);
+  const std::string path = artifact_path("mbv2_mixed");
+  patch::compile_to_artifact(
+      g, plan.patch_plan.spec, core::make_deployment_quant_config(g, plan, ranges),
+      core::make_branch_quant_configs(g, plan, ranges), path);
+
+  const std::string bytes = read_file(path);
+  const std::uint64_t nsections = get(bytes, 28, 4);
+  ASSERT_GE(nsections, 7u);  // GRPH QCFG LIDX PLAN PTCH BBIA BLOB
+  for (std::uint64_t i = 0; i < nsections; ++i) {
+    const std::size_t e = 64 + static_cast<std::size_t>(i) * 32;
+    const auto off = static_cast<std::size_t>(get(bytes, e + 8, 8));
+    const auto size = static_cast<std::size_t>(get(bytes, e + 16, 8));
+    ASSERT_LE(off + size, bytes.size());
+    EXPECT_EQ(nn::crc32_table(bytes.data() + off, size), get(bytes, e + 24, 4))
+        << "section " << i;
+  }
+  EXPECT_NO_THROW((void)patch::load_compiled_patch(path));
 }
 
 TEST(PlanArtifact, RejectsMissingFile) {

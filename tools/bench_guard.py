@@ -23,6 +23,11 @@ Two artifact formats are understood:
     and anything else (cores, frac, count) is informational — presence-
     checked but never speed-compared.
 
+google-benchmark files may hold single runs or the aggregates of a
+--benchmark_repetitions run; for the latter the guard compares the median
+(CI runs the micro-kernel bench with five interleaved repetitions,
+aggregates only, so one noisy repetition cannot fail the gate).
+
 Raw numbers are not comparable across machines, so the guard first
 computes a machine-speed scale from a calibration benchmark present in
 both runs (a single-threaded kernel whose cost tracks raw CPU speed):
@@ -69,12 +74,26 @@ def load_benchmarks(path):
                 out[bm["name"]] = {"kind": "info",
                                    "value": float(bm["value"])}
             continue
-        if bm.get("run_type", "iteration") != "iteration":
+        # google-benchmark entry: a single run ("iteration"), or, from a
+        # --benchmark_repetitions run, the "median" aggregate, filed under
+        # its run_name so it lines up with a single-run baseline. A median
+        # wins over a single run of the same name; the other aggregates
+        # (mean, stddev, cv) are dropped.
+        run_type = bm.get("run_type", "iteration")
+        if run_type == "aggregate":
+            if bm.get("aggregate_name") != "median":
+                continue
+            name = bm["run_name"]
+        elif run_type == "iteration":
+            name = bm["name"]
+            if out.get(name, {}).get("median"):
+                continue
+        else:
             continue
-        # google-benchmark entry. Prefer real_time (what UseRealTime
-        # sweeps report), normalised to nanoseconds via time_unit.
+        # Prefer real_time (what UseRealTime sweeps report), normalised to
+        # nanoseconds via time_unit.
         unit = _NS_PER_UNIT[bm.get("time_unit", "ns")]
-        out[bm["name"]] = {
+        out[name] = {
             "kind": "time",
             "value": float(bm.get("real_time", bm.get("cpu_time"))) * unit,
             # Simd-tier benches report whether a real ISA ran (1) or the
@@ -83,6 +102,7 @@ def load_benchmarks(path):
             # (dot_active: AVX-VNNI / NEON sdot ran, vs pair-madd).
             "simd_active": bm.get("simd_active"),
             "dot_active": bm.get("dot_active"),
+            "median": run_type == "aggregate",
         }
     return out
 
