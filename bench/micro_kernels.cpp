@@ -11,6 +11,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "core/quantmcu.h"
@@ -21,6 +22,7 @@
 #include "nn/checksum.h"
 #include "nn/ops/backend.h"
 #include "nn/ops/float_kernels.h"
+#include "nn/ops/gemm_int8.h"
 #include "nn/ops/int8_kernels.h"
 #include "nn/ops/simd/cpu_features.h"
 #include "nn/ops/simd/simd_kernels.h"
@@ -234,6 +236,52 @@ BENCHMARK(BM_FcTierSweep)
     ->Args({1, 1024})
     ->Args({2, 1024})
     ->Args({3, 1024});
+
+// One gemm_int8_requant call at the GEMM shapes the served mixed
+// MobileNetV2 plan runs most (args: tier-sweep row, m, n, k): a pointwise
+// projection 81x8x48, a pointwise expansion 276x48x8, the stem's per-row
+// 25x8x27 im2col GEMM and the 1x1000x1280 classifier. Rows 2 and 3 as in
+// BM_GemmTierSweep (pair-madd pin, default dispatch).
+void BM_GemmServedShapes(benchmark::State& state) {
+  const int row = static_cast<int>(state.range(0));
+  const int m = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(2));
+  const int k = static_cast<int>(state.range(3));
+  nn::Rng rng(24);
+  std::vector<std::int8_t> a(static_cast<std::size_t>(m) * k);
+  std::vector<std::int8_t> w(static_cast<std::size_t>(n) * k);
+  for (std::int8_t& v : a) v = static_cast<std::int8_t>(rng.uniform(-128, 128));
+  for (std::int8_t& v : w) v = static_cast<std::int8_t>(rng.uniform(-128, 128));
+  std::vector<std::int8_t> bt(w.size());
+  nn::ops::pack_weights_kmajor(w, n, k, bt.data());
+  const nn::ops::KernelBackend backend = sweep_backend(row);
+  std::vector<std::int32_t> offset(static_cast<std::size_t>(n));
+  for (std::int32_t& v : offset) {
+    v = static_cast<std::int32_t>(rng.uniform(-3000, 3000));
+  }
+  nn::ops::GemmQuantPost post;
+  post.offset = offset.data();
+  post.multiplier = nn::ops::quantize_multiplier(0.004);
+  post.output_zp = -3;
+  std::vector<std::int32_t> acc(4 * static_cast<std::size_t>(n));
+  std::vector<std::int8_t> c(static_cast<std::size_t>(m) * n);
+  for (auto _ : state) {
+    nn::ops::gemm_int8_requant(a.data(), bt.data(), m, n, k, post, acc.data(),
+                               c.data(), backend.simd_kernels());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m) *
+                          n * k);
+  state.counters["tier"] = static_cast<double>(row);
+  state.counters["simd_active"] = simd_active(backend);
+  state.counters["dot_active"] = dot_active(backend);
+}
+BENCHMARK(BM_GemmServedShapes)
+    ->ArgsProduct({{2, 3}, {81}, {8}, {48}})
+    ->ArgsProduct({{2, 3}, {276}, {48}, {8}})
+    ->ArgsProduct({{2, 3}, {25}, {8}, {27}})
+    ->ArgsProduct({{2, 3}, {1}, {1000}, {1280}});
 
 // The seed's reference loop nest, kept as the comparison baseline.
 void BM_Conv2dInt8Ref(benchmark::State& state) {

@@ -34,8 +34,8 @@ int main() {
               k->requant_i8_row ? "simd" : "scalar");
   std::printf("  unpack_body:     %s\n", k->unpack_body ? "simd" : "scalar");
   // The fused entries have no scalar twin: null runs the unfused pair.
-  std::printf("  gemm_requant_block: %s\n",
-              k->gemm_requant_block ? "fused" : "unfused");
+  std::printf("  gemm_requant:       %s\n",
+              k->gemm_requant ? "fused" : "unfused");
   std::printf("  dw_conv_row:        %s\n",
               k->dw_conv_row ? "fused" : "unfused");
   std::printf("  crc32_fold:         %s\n",

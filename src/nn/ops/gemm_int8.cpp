@@ -218,21 +218,13 @@ void gemm_block_f32(const float* __restrict a, const float* __restrict bt,
   }
 }
 
-// One block of 1..4 A rows through the Simd table's fused GEMM + output
-// stage when it has one and the multiplier's shift suits the vector lanes;
-// otherwise the accumulator block (the table's, or the scalar one) writes
-// `acc` and each row is requantized on its own, exactly as before the fused
-// entry existed. Bit-identical either way.
+// One block of 1..4 A rows without the fused entry: the accumulator block
+// (the table's, or the scalar one) writes `acc` and each row is
+// requantized on its own — the table's requant_i32_row when it has one.
 void run_gemm_requant_block(const simd::SimdKernels* simd,
                             const std::int8_t* a, const std::int8_t* bt,
                             int rows, int n, int k, const GemmQuantPost& post,
                             std::int32_t* acc, std::int8_t* c) {
-  if (simd != nullptr && simd->gemm_requant_block != nullptr &&
-      simd::vector_shift(post.multiplier)) {
-    simd->gemm_requant_block(a, bt, rows, n, k, post.offset, post.multiplier,
-                             post.output_zp, post.act_lo, post.act_hi, c);
-    return;
-  }
   const auto block = (simd != nullptr && simd->gemm_block_i8 != nullptr)
                          ? simd->gemm_block_i8
                          : &gemm_block_i8;
@@ -263,6 +255,14 @@ void gemm_int8_requant(const std::int8_t* a, const std::int8_t* bt, int m,
                        int n, int k, const GemmQuantPost& post,
                        std::int32_t* acc, std::int8_t* c,
                        const simd::SimdKernels* simd) {
+  // The fused entry takes the whole matrix when the multiplier's shift
+  // suits its vector lanes; bit-identical to the block loop either way.
+  if (simd != nullptr && simd->gemm_requant != nullptr &&
+      simd::vector_shift(post.multiplier)) {
+    simd->gemm_requant(a, bt, m, n, k, post.offset, post.multiplier,
+                       post.output_zp, post.act_lo, post.act_hi, acc, c);
+    return;
+  }
   for (int m0 = 0; m0 < m; m0 += 4) {
     run_gemm_requant_block(simd, a + static_cast<std::size_t>(m0) * k, bt,
                            std::min(4, m - m0), n, k, post, acc,

@@ -4,9 +4,12 @@
 // (M output pixels × K window elements) and B the weight matrix
 // (N output channels × K, the Graph's native [oc][kh][kw][ic] layout).
 // Weights are first repacked k-major (Bt[k][n]) so the inner loop walks
-// both operands with unit stride; the kernel then processes four A rows at
-// a time against the full Bt panel, giving each loaded weight lane four
-// uses and each loaded activation lane N uses.
+// both operands with unit stride. The x86 tables take the whole matrix in
+// one call: each 16- or 8-column tile's weights are laid out once in the
+// generation's operand form and reused by every 4-row block of A, so each
+// laid-out weight lane serves all M rows and each loaded activation lane
+// the tile's columns. An M == 1 call (fully-connected) streams the panel
+// row by row into one accumulator row instead.
 //
 // Zero-point handling follows CMSIS-NN: the GEMM accumulates raw x·w
 // products and the input-offset term is folded into a per-column constant
@@ -52,10 +55,11 @@ struct GemmQuantPost {
 
 // C[m][n] (row-major, stride n) = requant(A[m][:] · Bt[:][n] + offset[n]).
 // `acc` is caller-provided scratch of at least min(4, m) * n int32 (the
-// block walks at most 4 A rows at a time; fc calls with m == 1 need only
-// one accumulator row). When `simd` is
-// non-null, each 4-row block runs its fused gemm_requant_block entry, or,
-// where that entry is null, its accumulator block and requantize epilogue
+// unfused block walks at most 4 A rows at a time; fc calls with m == 1
+// need only one accumulator row). When `simd` is non-null, its fused
+// gemm_requant entry runs the whole matrix in one call; where that entry
+// is null, or the multiplier's shift is outside its vector lanes, each
+// 4-row block runs the accumulator block and requantize epilogue
 // (per-entry scalar fallback; results are bit-identical either way — that
 // is the Simd tier's contract).
 void gemm_int8_requant(const std::int8_t* a, const std::int8_t* bt, int m,

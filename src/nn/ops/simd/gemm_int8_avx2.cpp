@@ -13,201 +13,80 @@
 
 #include <cstring>
 
-#include "nn/ops/simd/requant_lanes_avx2.h"
+#include "nn/ops/simd/gemm_tiles_avx2.h"
 
 namespace qmcu::nn::ops::simd {
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// GEMM microkernel: ROWS x 16 tile over the k-major panel.
+// GEMM: the gemm_tiles_avx2.h policy of the pair-madd generation.
 //
-// Two k steps per iteration: each 32-bit lane of the broadcast holds the
-// int16 pair (a[kk], a[kk+1]) and each weight lane the matching pair
-// (bt[kk][j], bt[kk+1][j]) — _mm256_madd_epi16 then produces the exact
-// int32 pair-sum (|product| <= 127*127, no i16 saturation path exists in
-// madd; the pair sum is a widening add). Accumulation order over k differs
-// from scalar, which is irrelevant: integer sums are exact.
-//
-// unpacklo/hi interleave within 128-bit halves, so the two accumulators
-// hold column groups {0..3, 8..11} and {4..7, 12..15}; permute2x128 at
-// store time restores sequential order. `out` (AccRows or QuantRows of
-// requant_lanes_avx2.h) decides whether the rows leave as int32 or int8.
+// Each 32-bit lane of the activation broadcast holds the int16 pair
+// (a[kk], a[kk+1]) and each weight lane the matching pair (bt[kk][j],
+// bt[kk+1][j]); _mm256_madd_epi16 then produces the exact int32 pair-sum
+// (|product| <= 128*128, no i16 saturation path exists in madd; the pair
+// sum is a widening add). Accumulation order over k differs from scalar,
+// which is irrelevant: integer sums are exact.
+struct PairMadd {
+  static constexpr int kStep = 2;
+  static constexpr std::int32_t kABias = 0;
 
-template <int ROWS, class Out>
-void gemm_tile_16(const std::int8_t* a, const std::int8_t* bt, int n, int k,
-                  int j0, const Out& out) {
-  __m256i acc_lo[ROWS];
-  __m256i acc_hi[ROWS];
-  for (int r = 0; r < ROWS; ++r) {
-    acc_lo[r] = _mm256_setzero_si256();
-    acc_hi[r] = _mm256_setzero_si256();
-  }
-  int kk = 0;
-  for (; kk + 2 <= k; kk += 2) {
-    const std::int8_t* b0 = bt + static_cast<std::size_t>(kk) * n + j0;
-    const __m256i w0 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b0)));
-    const __m256i w1 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b0 + n)));
-    const __m256i wlo = _mm256_unpacklo_epi16(w0, w1);
-    const __m256i whi = _mm256_unpackhi_epi16(w0, w1);
-    for (int r = 0; r < ROWS; ++r) {
-      const std::int8_t* ar = a + static_cast<std::size_t>(r) * k;
-      const std::uint32_t pair =
-          (static_cast<std::uint32_t>(
-               static_cast<std::uint16_t>(static_cast<std::int16_t>(ar[kk + 1])))
-           << 16) |
-          static_cast<std::uint16_t>(static_cast<std::int16_t>(ar[kk]));
-      const __m256i p = _mm256_set1_epi32(static_cast<std::int32_t>(pair));
-      acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(p, wlo));
-      acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(p, whi));
+  // 16 columns: unpacklo/hi interleave within 128-bit halves, so w[0]
+  // holds column groups {0..3, 8..11} and w[1] {4..7, 12..15} (order16
+  // restores column order). 8 columns: the 128-bit interleave is already
+  // sequential. A row past t (odd k) pairs with an explicit zero lane.
+  template <int V>
+  static void weights(const std::int8_t* b0, int n, int t, __m256i* w) {
+    const auto at = [&](int i) {
+      return reinterpret_cast<const __m128i*>(
+          b0 + static_cast<std::size_t>(i) * n);
+    };
+    if constexpr (V == 2) {
+      const auto row = [&](int i) {
+        if (i >= t) return _mm256_setzero_si256();
+        return _mm256_cvtepi8_epi16(_mm_loadu_si128(at(i)));
+      };
+      const __m256i w0 = row(0);
+      const __m256i w1 = row(1);
+      w[0] = _mm256_unpacklo_epi16(w0, w1);
+      w[1] = _mm256_unpackhi_epi16(w0, w1);
+    } else {
+      const auto row = [&](int i) {
+        if (i >= t) return _mm_setzero_si128();
+        return _mm_cvtepi8_epi16(_mm_loadl_epi64(at(i)));
+      };
+      const __m128i w0 = row(0);
+      const __m128i w1 = row(1);
+      w[0] = _mm256_set_m128i(_mm_unpackhi_epi16(w0, w1),
+                              _mm_unpacklo_epi16(w0, w1));
     }
   }
-  if (kk < k) {  // odd k: pair with an explicit zero lane
-    const std::int8_t* b0 = bt + static_cast<std::size_t>(kk) * n + j0;
-    const __m256i w0 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b0)));
-    const __m256i z = _mm256_setzero_si256();
-    const __m256i wlo = _mm256_unpacklo_epi16(w0, z);
-    const __m256i whi = _mm256_unpackhi_epi16(w0, z);
-    for (int r = 0; r < ROWS; ++r) {
-      const std::int8_t* ar = a + static_cast<std::size_t>(r) * k;
-      const __m256i p = _mm256_set1_epi32(
-          static_cast<std::int32_t>(static_cast<std::uint32_t>(
-              static_cast<std::uint16_t>(static_cast<std::int16_t>(ar[kk])))));
-      acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(p, wlo));
-      acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(p, whi));
-    }
-  }
-  for (int r = 0; r < ROWS; ++r) {
-    out.row16(r, j0, _mm256_permute2x128_si256(acc_lo[r], acc_hi[r], 0x20),
-              _mm256_permute2x128_si256(acc_lo[r], acc_hi[r], 0x31));
-  }
-}
 
-// 8-column tile for panel widths between 8 and 15: the same exact pair-madd
-// over 128-bit lanes (whose unpack order is already sequential, so no
-// permute is needed at store time).
-template <int ROWS, class Out>
-void gemm_tile_8(const std::int8_t* a, const std::int8_t* bt, int n, int k,
-                 int j0, const Out& out) {
-  __m128i acc_lo[ROWS];
-  __m128i acc_hi[ROWS];
-  for (int r = 0; r < ROWS; ++r) {
-    acc_lo[r] = _mm_setzero_si128();
-    acc_hi[r] = _mm_setzero_si128();
+  // vpbroadcastw of the byte pair from memory; sign-extending the 16
+  // broadcast bytes gives (a[kk], a[kk+1]) in every 32-bit lane.
+  static __m256i broadcast(const std::int8_t* a) {
+    std::int16_t pair;
+    std::memcpy(&pair, a, 2);
+    return _mm256_cvtepi8_epi16(_mm_set1_epi16(pair));
   }
-  int kk = 0;
-  for (; kk + 2 <= k; kk += 2) {
-    const std::int8_t* b0 = bt + static_cast<std::size_t>(kk) * n + j0;
-    const __m128i w0 = _mm_cvtepi8_epi16(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b0)));
-    const __m128i w1 = _mm_cvtepi8_epi16(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b0 + n)));
-    const __m128i wlo = _mm_unpacklo_epi16(w0, w1);
-    const __m128i whi = _mm_unpackhi_epi16(w0, w1);
-    for (int r = 0; r < ROWS; ++r) {
-      const std::int8_t* ar = a + static_cast<std::size_t>(r) * k;
-      const std::uint32_t pair =
-          (static_cast<std::uint32_t>(
-               static_cast<std::uint16_t>(static_cast<std::int16_t>(ar[kk + 1])))
-           << 16) |
-          static_cast<std::uint16_t>(static_cast<std::int16_t>(ar[kk]));
-      const __m128i p = _mm_set1_epi32(static_cast<std::int32_t>(pair));
-      acc_lo[r] = _mm_add_epi32(acc_lo[r], _mm_madd_epi16(p, wlo));
-      acc_hi[r] = _mm_add_epi32(acc_hi[r], _mm_madd_epi16(p, whi));
-    }
-  }
-  if (kk < k) {
-    const std::int8_t* b0 = bt + static_cast<std::size_t>(kk) * n + j0;
-    const __m128i w0 = _mm_cvtepi8_epi16(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b0)));
-    const __m128i z = _mm_setzero_si128();
-    const __m128i wlo = _mm_unpacklo_epi16(w0, z);
-    const __m128i whi = _mm_unpackhi_epi16(w0, z);
-    for (int r = 0; r < ROWS; ++r) {
-      const std::int8_t* ar = a + static_cast<std::size_t>(r) * k;
-      const __m128i p = _mm_set1_epi32(
-          static_cast<std::int32_t>(static_cast<std::uint32_t>(
-              static_cast<std::uint16_t>(static_cast<std::int16_t>(ar[kk])))));
-      acc_lo[r] = _mm_add_epi32(acc_lo[r], _mm_madd_epi16(p, wlo));
-      acc_hi[r] = _mm_add_epi32(acc_hi[r], _mm_madd_epi16(p, whi));
-    }
-  }
-  for (int r = 0; r < ROWS; ++r) {
-    out.row8(r, j0, _mm256_set_m128i(acc_hi[r], acc_lo[r]));
-  }
-}
 
-template <class Out>
-void gemm_block(const std::int8_t* a, const std::int8_t* bt, int rows, int n,
-                int k, const Out& out) {
-  int j0 = 0;
-  for (; j0 + 16 <= n; j0 += 16) {
-    switch (rows) {
-      case 4:
-        gemm_tile_16<4>(a, bt, n, k, j0, out);
-        break;
-      case 3:
-        gemm_tile_16<3>(a, bt, n, k, j0, out);
-        break;
-      case 2:
-        gemm_tile_16<2>(a, bt, n, k, j0, out);
-        break;
-      default:
-        gemm_tile_16<1>(a, bt, n, k, j0, out);
-        break;
-    }
+  // The odd k's last activation against the zero lane: (a[kk], 0).
+  static __m256i broadcast_tail(const std::int8_t* a, int /*count*/) {
+    return _mm256_set1_epi32(static_cast<std::int32_t>(
+        static_cast<std::uint16_t>(static_cast<std::int16_t>(a[0]))));
   }
-  if (j0 + 8 <= n) {
-    switch (rows) {
-      case 4:
-        gemm_tile_8<4>(a, bt, n, k, j0, out);
-        break;
-      case 3:
-        gemm_tile_8<3>(a, bt, n, k, j0, out);
-        break;
-      case 2:
-        gemm_tile_8<2>(a, bt, n, k, j0, out);
-        break;
-      default:
-        gemm_tile_8<1>(a, bt, n, k, j0, out);
-        break;
-    }
-    j0 += 8;
-  }
-  // Column tail (< 8): the scalar register-tile shape of gemm_int8.cpp —
-  // row-major panel walk, per-row accumulator locals, same exact sums.
-  if (j0 < n) {
-    const int jn = n - j0;
-    for (int r = 0; r < rows; ++r) {
-      const std::int8_t* ar = a + static_cast<std::size_t>(r) * k;
-      std::int32_t t[8] = {0};
-      const std::int8_t* bp = bt + j0;
-      for (int kk = 0; kk < k; ++kk, bp += n) {
-        const std::int32_t v = ar[kk];
-        for (int j = 0; j < jn; ++j) t[j] += v * bp[j];
-      }
-      out.row_tail(r, j0, t, jn);
-    }
-  }
-}
 
-void gemm_block_i8_avx2(const std::int8_t* a, const std::int8_t* bt, int rows,
-                        int n, int k, std::int32_t* acc) {
-  gemm_block(a, bt, rows, n, k, AccRows{acc, n});
-}
+  static __m256i madd(__m256i acc, __m256i a, __m256i w) {
+    return _mm256_add_epi32(acc, _mm256_madd_epi16(a, w));
+  }
 
-void gemm_requant_block_avx2(const std::int8_t* a, const std::int8_t* bt,
-                             int rows, int n, int k,
-                             const std::int32_t* offset,
-                             FixedPointMultiplier m, std::int32_t out_zp,
-                             std::int32_t lo, std::int32_t hi,
-                             std::int8_t* out) {
-  gemm_block(a, bt, rows, n, k,
-             QuantRows{offset, OutputStage(m, out_zp, lo, hi), out, n});
-}
+  static void order16(__m256i* lo, __m256i* hi) {
+    const __m256i v0 = _mm256_permute2x128_si256(*lo, *hi, 0x20);
+    *hi = _mm256_permute2x128_si256(*lo, *hi, 0x31);
+    *lo = v0;
+  }
+};
 
 // ---------------------------------------------------------------------------
 // Requantize epilogues (lanes in requant_lanes_avx2.h).
@@ -427,10 +306,10 @@ std::int64_t unpack_body_avx2(const std::uint8_t* bytes, std::int64_t nbytes,
 }
 
 const SimdKernels kAvx2 = {
-    "avx2",          &gemm_block_i8_avx2, &requant_i32_row_avx2,
+    "avx2",          &gemm_block_entry<PairMadd>, &requant_i32_row_avx2,
     nullptr,  // dw_accumulate: every depthwise row runs dw_conv_row
     &requant_i8_row_avx2, &unpack_body_avx2,
-    &add_row_avx2, &gemm_requant_block_avx2, &dw_conv_row_avx2,
+    &add_row_avx2, &gemm_requant_entry<PairMadd>, &dw_conv_row_avx2,
 };
 
 }  // namespace

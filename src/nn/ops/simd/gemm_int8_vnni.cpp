@@ -19,11 +19,12 @@
 //
 // The k-major panel stores consecutive *columns* per byte, but vpdpbusd
 // needs each lane's 4 bytes to be consecutive *k* steps of one column, so
-// the kernel transposes 4 weight rows on the fly with the byte/word
-// unpack ladder; the shuffles amortize over the 4 activation rows of the
-// accumulator tile. Like the scalar block, int32 accumulation bounds the
-// contract to k * 255 * 128 < 2^31, i.e. k < ~65.8k — far beyond any
-// im2col window this runtime prices.
+// every 4 panel rows of a column tile go through the byte/word unpack
+// ladder. The shared driver (gemm_tiles_avx2.h) does that once per call
+// into a stack strip when the GEMM has more than one 4-row block, so the
+// shuffles amortize over all m rows. Like the scalar block, int32
+// accumulation bounds the contract to k * 255 * 128 < 2^31, i.e. k < ~65.8k
+// — far beyond any im2col window this runtime prices.
 #include "nn/ops/simd/simd_kernels.h"
 
 #if defined(__AVX2__) && defined(__AVXVNNI__)
@@ -32,29 +33,11 @@
 
 #include <cstring>
 
-#include "nn/ops/simd/requant_lanes_avx2.h"
+#include "nn/ops/simd/gemm_tiles_avx2.h"
 
 namespace qmcu::nn::ops::simd {
 
 namespace {
-
-// Broadcast of 4 consecutive activation bytes (biased to u8) to every
-// 32-bit lane. `count` in 1..4; missing bytes stay 0x00, which is exact
-// against the zeroed weight rows the tail path pairs them with.
-inline __m256i broadcast_a4(const std::int8_t* a, int count) {
-  std::uint32_t g = 0;
-  if (count == 4) {
-    std::memcpy(&g, a, 4);
-    g ^= 0x80808080u;
-  } else {
-    for (int i = 0; i < count; ++i) {
-      g |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(a[i]) ^ 0x80u)
-           << (8 * i);
-    }
-  }
-  return _mm256_set1_epi32(static_cast<std::int32_t>(g));
-}
 
 // Transposes four 16-byte weight rows (k steps kk..kk+3 of columns
 // j0..j0+15) into two ymm where lane c holds column (j0+c)'s 4 k-bytes:
@@ -74,174 +57,64 @@ inline void transpose_4x16(__m128i r0, __m128i r1, __m128i r2, __m128i r3,
   *w_hi = _mm256_set_m128i(u3, u2);
 }
 
-// `out` (AccRows or QuantRows of requant_lanes_avx2.h) decides whether the
-// finished rows leave as int32 or as requantized int8.
-template <int ROWS, class Out>
-void gemm_tile_16(const std::int8_t* a, const std::int8_t* bt, int n, int k,
-                  int j0, const Out& out) {
-  __m256i acc_lo[ROWS];
-  __m256i acc_hi[ROWS];
-  for (int r = 0; r < ROWS; ++r) {
-    acc_lo[r] = _mm256_setzero_si256();
-    acc_hi[r] = _mm256_setzero_si256();
-  }
-  int kk = 0;
-  for (; kk + 4 <= k; kk += 4) {
-    const std::int8_t* b0 = bt + static_cast<std::size_t>(kk) * n + j0;
-    __m256i w_lo;
-    __m256i w_hi;
-    transpose_4x16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b0)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b0 + n)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b0 + 2 * n)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b0 + 3 * n)),
-        &w_lo, &w_hi);
-    for (int r = 0; r < ROWS; ++r) {
-      const __m256i au =
-          broadcast_a4(a + static_cast<std::size_t>(r) * k + kk, 4);
-      acc_lo[r] = _mm256_dpbusd_epi32(acc_lo[r], au, w_lo);
-      acc_hi[r] = _mm256_dpbusd_epi32(acc_hi[r], au, w_hi);
-    }
-  }
-  if (kk < k) {  // k tail: zero-filled weight rows against 0x00 a bytes
-    const int t = k - kk;
-    const std::int8_t* b0 = bt + static_cast<std::size_t>(kk) * n + j0;
-    __m128i r0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b0));
-    __m128i r1 = t > 1 ? _mm_loadu_si128(
-                             reinterpret_cast<const __m128i*>(b0 + n))
-                       : _mm_setzero_si128();
-    __m128i r2 = t > 2 ? _mm_loadu_si128(
-                             reinterpret_cast<const __m128i*>(b0 + 2 * n))
-                       : _mm_setzero_si128();
-    __m256i w_lo;
-    __m256i w_hi;
-    transpose_4x16(r0, r1, r2, _mm_setzero_si128(), &w_lo, &w_hi);
-    for (int r = 0; r < ROWS; ++r) {
-      const __m256i au =
-          broadcast_a4(a + static_cast<std::size_t>(r) * k + kk, t);
-      acc_lo[r] = _mm256_dpbusd_epi32(acc_lo[r], au, w_lo);
-      acc_hi[r] = _mm256_dpbusd_epi32(acc_hi[r], au, w_hi);
-    }
-  }
-  for (int r = 0; r < ROWS; ++r) out.row16(r, j0, acc_lo[r], acc_hi[r]);
-}
+// The gemm_tiles_avx2.h policy of the dot generation: byte quads, u8 x s8.
+struct Vnni {
+  static constexpr int kStep = 4;
+  static constexpr std::int32_t kABias = 128;
 
-// 8-column tile: the same transpose ladder on 8-byte row loads, one
-// vpdpbusd per activation row.
-template <int ROWS, class Out>
-void gemm_tile_8(const std::int8_t* a, const std::int8_t* bt, int n, int k,
-                 int j0, const Out& out) {
-  __m256i acc_v[ROWS];
-  for (int r = 0; r < ROWS; ++r) acc_v[r] = _mm256_setzero_si256();
-  const auto weights8 = [&](__m128i r0, __m128i r1, __m128i r2, __m128i r3) {
-    const __m128i t0 = _mm_unpacklo_epi8(r0, r1);
-    const __m128i t2 = _mm_unpacklo_epi8(r2, r3);
-    const __m128i u0 = _mm_unpacklo_epi16(t0, t2);  // columns 0..3
-    const __m128i u1 = _mm_unpackhi_epi16(t0, t2);  // columns 4..7
-    return _mm256_set_m128i(u1, u0);
-  };
-  int kk = 0;
-  for (; kk + 4 <= k; kk += 4) {
-    const std::int8_t* b0 = bt + static_cast<std::size_t>(kk) * n + j0;
-    const __m256i w = weights8(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b0)),
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b0 + n)),
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b0 + 2 * n)),
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b0 + 3 * n)));
-    for (int r = 0; r < ROWS; ++r) {
-      const __m256i au =
-          broadcast_a4(a + static_cast<std::size_t>(r) * k + kk, 4);
-      acc_v[r] = _mm256_dpbusd_epi32(acc_v[r], au, w);
-    }
-  }
-  if (kk < k) {
-    const int t = k - kk;
-    const std::int8_t* b0 = bt + static_cast<std::size_t>(kk) * n + j0;
-    const __m128i r0 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b0));
-    const __m128i r1 =
-        t > 1 ? _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b0 + n))
-              : _mm_setzero_si128();
-    const __m128i r2 =
-        t > 2 ? _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b0 + 2 * n))
-              : _mm_setzero_si128();
-    const __m256i w = weights8(r0, r1, r2, _mm_setzero_si128());
-    for (int r = 0; r < ROWS; ++r) {
-      const __m256i au =
-          broadcast_a4(a + static_cast<std::size_t>(r) * k + kk, t);
-      acc_v[r] = _mm256_dpbusd_epi32(acc_v[r], au, w);
-    }
-  }
-  for (int r = 0; r < ROWS; ++r) out.row8(r, j0, acc_v[r]);
-}
-
-template <class Out>
-void gemm_block(const std::int8_t* a, const std::int8_t* bt, int rows, int n,
-                int k, const Out& out) {
-  int j0 = 0;
-  for (; j0 + 16 <= n; j0 += 16) {
-    switch (rows) {
-      case 4:
-        gemm_tile_16<4>(a, bt, n, k, j0, out);
-        break;
-      case 3:
-        gemm_tile_16<3>(a, bt, n, k, j0, out);
-        break;
-      case 2:
-        gemm_tile_16<2>(a, bt, n, k, j0, out);
-        break;
-      default:
-        gemm_tile_16<1>(a, bt, n, k, j0, out);
-        break;
-    }
-  }
-  if (j0 + 8 <= n) {
-    switch (rows) {
-      case 4:
-        gemm_tile_8<4>(a, bt, n, k, j0, out);
-        break;
-      case 3:
-        gemm_tile_8<3>(a, bt, n, k, j0, out);
-        break;
-      case 2:
-        gemm_tile_8<2>(a, bt, n, k, j0, out);
-        break;
-      default:
-        gemm_tile_8<1>(a, bt, n, k, j0, out);
-        break;
-    }
-    j0 += 8;
-  }
-  // Column tail (< 8): the scalar register-tile shape with the same
-  // (a + 128) lane bias as the vector path — one contract per table.
-  if (j0 < n) {
-    const int jn = n - j0;
-    for (int r = 0; r < rows; ++r) {
-      const std::int8_t* ar = a + static_cast<std::size_t>(r) * k;
-      std::int32_t t[8] = {0};
-      const std::int8_t* bp = bt + j0;
-      for (int kk = 0; kk < k; ++kk, bp += n) {
-        const std::int32_t v = static_cast<std::int32_t>(ar[kk]) + 128;
-        for (int j = 0; j < jn; ++j) t[j] += v * bp[j];
+  // Rows past t are zero: against them any activation byte adds 0.
+  template <int V>
+  static void weights(const std::int8_t* b0, int n, int t, __m256i* w) {
+    const auto row = [&](int i) {
+      if (i >= t) return _mm_setzero_si128();
+      const std::int8_t* p = b0 + static_cast<std::size_t>(i) * n;
+      if constexpr (V == 2) {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+      } else {
+        return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
       }
-      out.row_tail(r, j0, t, jn);
+    };
+    const __m128i r0 = row(0);
+    const __m128i r1 = row(1);
+    const __m128i r2 = row(2);
+    const __m128i r3 = row(3);
+    if constexpr (V == 2) {
+      transpose_4x16(r0, r1, r2, r3, &w[0], &w[1]);
+    } else {
+      // The low halves of the same ladder: columns 0..3, then 4..7.
+      const __m128i t0 = _mm_unpacklo_epi8(r0, r1);
+      const __m128i t2 = _mm_unpacklo_epi8(r2, r3);
+      w[0] = _mm256_set_m128i(_mm_unpackhi_epi16(t0, t2),
+                              _mm_unpacklo_epi16(t0, t2));
     }
   }
-}
 
-void gemm_block_i8_vnni(const std::int8_t* a, const std::int8_t* bt, int rows,
-                        int n, int k, std::int32_t* acc) {
-  gemm_block(a, bt, rows, n, k, AccRows{acc, n});
-}
+  // vpbroadcastd from memory, then the xor 0x80 that biases int8 to u8.
+  static __m256i broadcast(const std::int8_t* a) {
+    std::int32_t g;
+    std::memcpy(&g, a, 4);
+    return _mm256_xor_si256(_mm256_set1_epi32(g),
+                            _mm256_set1_epi8(static_cast<char>(0x80)));
+  }
 
-void gemm_requant_block_vnni(const std::int8_t* a, const std::int8_t* bt,
-                             int rows, int n, int k,
-                             const std::int32_t* offset,
-                             FixedPointMultiplier m, std::int32_t out_zp,
-                             std::int32_t lo, std::int32_t hi,
-                             std::int8_t* out) {
-  gemm_block(a, bt, rows, n, k,
-             QuantRows{offset, OutputStage(m, out_zp, lo, hi), out, n});
-}
+  // `count` in 1..3; the missing bytes stay 0x00 (their weights are 0).
+  static __m256i broadcast_tail(const std::int8_t* a, int count) {
+    std::uint32_t g = 0;
+    for (int i = 0; i < count; ++i) {
+      g |= static_cast<std::uint32_t>(
+               static_cast<std::uint8_t>(a[i]) ^ 0x80u)
+           << (8 * i);
+    }
+    return _mm256_set1_epi32(static_cast<std::int32_t>(g));
+  }
+
+  static __m256i madd(__m256i acc, __m256i a, __m256i w) {
+    return _mm256_dpbusd_epi32(acc, a, w);
+  }
+
+  // transpose_4x16 already emits columns 0..7 and 8..15.
+  static void order16(__m256i* /*lo*/, __m256i* /*hi*/) {}
+};
 
 }  // namespace
 
@@ -254,8 +127,8 @@ const SimdKernels* avx2_vnni_kernels() {
     static SimdKernels t;
     t = *base;
     t.name = "avx2+vnni";
-    t.gemm_block_i8 = &gemm_block_i8_vnni;
-    t.gemm_requant_block = &gemm_requant_block_vnni;
+    t.gemm_block_i8 = &gemm_block_entry<Vnni>;
+    t.gemm_requant = &gemm_requant_entry<Vnni>;
     t.gemm_a_bias = 128;
     t.gemm_dot = true;
     return &t;

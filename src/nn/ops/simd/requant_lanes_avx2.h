@@ -192,8 +192,8 @@ struct AccRows {
 };
 
 // QuantRows: adds the per-column offset row, requantizes and stores int8
-// rows of stride n (gemm_requant_block's contract) — the accumulators
-// never leave registers on the 16- and 8-column tiles.
+// rows of stride n (gemm_requant's contract) — on the 16- and 8-column
+// register tiles the accumulators never leave registers.
 struct QuantRows {
   const std::int32_t* offset;
   OutputStage stage;

@@ -27,12 +27,15 @@
 //                     rescaled into the output params -> zero point ->
 //                     clamp, i.e. add_row_scalar's three-multiplier chain
 //                     lane for lane.
-//   gemm_requant_block
-//                   — gemm_block_i8 and requant_i32_row fused: the tile's
-//                     accumulators take the offset row, the requantize
-//                     lanes and the int8 store while still in registers,
-//                     so no int32 row is written and no per-row call is
-//                     made. Same gemm_a_bias as the table's gemm_block_i8.
+//   gemm_requant    — the whole GEMM of gemm_int8_requant (all m rows) with
+//                     requant_i32_row fused in: the tile's accumulators
+//                     take the offset row, the requantize lanes and the
+//                     int8 store while still in registers. Each column
+//                     tile's weight operands are laid out once per call
+//                     (kGemmStripK) and reused by every 4-row block; m == 1
+//                     streams the panel, a few k rows per pass, through the
+//                     caller's accumulator row. Same gemm_a_bias as the
+//                     table's gemm_block_i8.
 //   dw_conv_row     — a run of depthwise output pixels sharing one clipped
 //                     kernel window: every tap accumulated in registers as
 //                     the exact int16 product (x - zp) * w (|.| <= 255*128),
@@ -65,9 +68,9 @@
 // A table may leave entries null: the NEON tables leave both fused entries
 // and crc32_fold null. Callers must check each pointer, falling back to
 // the scalar implementation — which is also what the whole table being
-// null (no usable ISA, or QMCU_FORCE_SCALAR) means. A null
-// gemm_requant_block runs gemm_block_i8 then requant_i32_row per row
-// (run_gemm_requant_block in gemm_int8.cpp); a null dw_conv_row runs the
+// null (no usable ISA, or QMCU_FORCE_SCALAR) means. A null gemm_requant
+// runs gemm_block_i8 then requant_i32_row per row, one 4-row block at a
+// time (run_gemm_requant_block in gemm_int8.cpp); a null dw_conv_row runs the
 // per-pixel dw_accumulate loop; a null crc32_fold runs slicing-by-16 over
 // the whole input.
 #pragma once
@@ -107,6 +110,12 @@ struct DwConvRow {
   std::int32_t hi = 127;
   std::int8_t* y = nullptr;
 };
+
+// The largest k whose column-tile operands gemm_requant lays out once per
+// call, in a fixed-size stack strip (8 KiB for a 16-column VNNI tile,
+// 16 KiB as pair-madd int16 pairs). A larger k reads the panel in place
+// for every 4-row block.
+inline constexpr int kGemmStripK = 512;
 
 struct SimdKernels {
   const char* name = "none";
@@ -157,14 +166,15 @@ struct SimdKernels {
 
   // out[r*n + j] = clamp(apply_multiplier(sum_k (a[r*k + kk] + gemm_a_bias)
   //                 * bt[kk*n + j] + offset[j], m) + out_zp, lo, hi) as
-  // int8, rows in 1..4: gemm_block_i8 followed by requant_i32_row on each
-  // of its rows, without the int32 round trip. `offset` is non-null.
-  void (*gemm_requant_block)(const std::int8_t* a, const std::int8_t* bt,
-                             int rows, int n, int k,
-                             const std::int32_t* offset,
-                             FixedPointMultiplier m, std::int32_t out_zp,
-                             std::int32_t lo, std::int32_t hi,
-                             std::int8_t* out) = nullptr;
+  // int8 for every row r in [0, rows), rows >= 1: gemm_block_i8 followed
+  // by requant_i32_row on each row, without the int32 round trip.
+  // `offset` is non-null. `acc` is scratch of at least n int32, written
+  // only when rows == 1 (the row-sequential GEMV accumulates there).
+  void (*gemm_requant)(const std::int8_t* a, const std::int8_t* bt, int rows,
+                       int n, int k, const std::int32_t* offset,
+                       FixedPointMultiplier m, std::int32_t out_zp,
+                       std::int32_t lo, std::int32_t hi, std::int32_t* acc,
+                       std::int8_t* out) = nullptr;
 
   // Computes one DwConvRow (below).
   void (*dw_conv_row)(const DwConvRow& row) = nullptr;

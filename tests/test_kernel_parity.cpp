@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <optional>
@@ -889,7 +890,7 @@ TEST(KernelParity, RequantI8RowMatchesReferenceForEveryTail) {
 }
 
 // --- Fused output stages ---------------------------------------------------
-// gemm_requant_block and dw_conv_row keep their accumulators in registers
+// gemm_requant and dw_conv_row keep their accumulators in registers
 // through the requantize lanes. Each is checked, for every table this host
 // can run, against its unfused twin: gemm_block_i8 plus the scalar
 // requantize, and the scalar per-pixel depthwise loop.
@@ -961,60 +962,126 @@ TEST(KernelParity, SrdhmLanesMatchScalarOnEdgeValues) {
   }
 }
 
-TEST(KernelParity, GemmRequantBlockMatchesUnfusedBlock) {
-  const auto tables = host_tables();
-  if (tables.empty()) GTEST_SKIP() << "no SIMD table on this host";
-  std::vector<int> ns;
-  for (int n = 1; n <= 40; ++n) ns.push_back(n);
-  ns.push_back(48);
-  ns.push_back(96);
-  std::vector<int> ks;
-  for (int k = 1; k <= 20; ++k) ks.push_back(k);
-  ks.push_back(27);
-  ks.push_back(64);
+// One gemm_requant call over a whole m x n x k GEMM against its unfused
+// twin: the gemm_block_i8 contract (scalar sums with the table's
+// activation bias, which the table's own gemm_block_i8 must also match)
+// plus the scalar requantize. Every buffer is sized exactly, so the
+// sanitizer builds catch an activation broadcast past A's last row, an
+// operand load past the panel's last k row and a write past the n-lane
+// accumulator row, which starts out holding garbage.
+void expect_gemm_requant_matches(const simd::SimdKernels* t, int m, int n,
+                                 int k, int trial, nn::Rng& rng) {
   const Activation acts[] = {Activation::None, Activation::ReLU,
                              Activation::ReLU6};
-  nn::Rng rng(1515);
-  for (const simd::SimdKernels* t : tables) {
-    if (t->gemm_requant_block == nullptr) continue;  // NEON: unfused only
-    int trial = 0;
-    for (const int n : ns) {
-      for (const int k : ks) {
-        for (int rows = 1; rows <= 4; ++rows, ++trial) {
-          std::vector<std::int8_t> a(static_cast<std::size_t>(rows) * k);
-          std::vector<std::int8_t> w(static_cast<std::size_t>(n) * k);
-          for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform(-128, 128));
-          for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform(-128, 128));
-          std::vector<std::int8_t> bt(w.size());
-          pack_weights_kmajor(w, n, k, bt.data());
-          std::vector<std::int32_t> offset(static_cast<std::size_t>(n));
-          for (auto& v : offset) {
-            v = static_cast<std::int32_t>(rng.uniform(-40000, 40000));
-          }
-          // Every 5th trial: a multiplier above 1 (negative right shift).
-          const FixedPointMultiplier m = quantize_multiplier(
-              trial % 5 == 0 ? rng.uniform(1.5, 6.0) : rng.uniform(1e-4, 0.05));
-          const QuantParams out_p{0.05f,
-                                  static_cast<std::int32_t>(rng.uniform(-20, 20)),
-                                  8};
-          const auto [lo, hi] = activation_range(acts[trial % 3], out_p);
+  std::vector<std::int8_t> a(static_cast<std::size_t>(m) * k);
+  std::vector<std::int8_t> w(static_cast<std::size_t>(n) * k);
+  for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform(-128, 128));
+  for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform(-128, 128));
+  std::vector<std::int8_t> bt(w.size());
+  pack_weights_kmajor(w, n, k, bt.data());
+  std::vector<std::int32_t> offset(static_cast<std::size_t>(n));
+  for (auto& v : offset) {
+    v = static_cast<std::int32_t>(rng.uniform(-40000, 40000));
+  }
+  // Every 5th trial: a multiplier above 1 (negative right shift), whose
+  // lanes spill to the scalar apply_multiplier.
+  const FixedPointMultiplier mult = quantize_multiplier(
+      trial % 5 == 0 ? rng.uniform(1.5, 6.0) : rng.uniform(1e-4, 0.05));
+  const QuantParams out_p{
+      0.05f, static_cast<std::int32_t>(rng.uniform(-20, 20)), 8};
+  const auto [lo, hi] = activation_range(acts[trial % 3], out_p);
 
-          std::vector<std::int32_t> acc(static_cast<std::size_t>(rows) * n);
-          t->gemm_block_i8(a.data(), bt.data(), rows, n, k, acc.data());
-          std::vector<std::int8_t> want(acc.size());
-          for (std::size_t i = 0; i < acc.size(); ++i) {
-            want[i] = requant_scalar(acc[i] + offset[i % static_cast<std::size_t>(n)],
-                                     m, out_p.zero_point, lo, hi);
-          }
-          std::vector<std::int8_t> got(acc.size(), 99);
-          t->gemm_requant_block(a.data(), bt.data(), rows, n, k, offset.data(),
-                                m, out_p.zero_point, lo, hi, got.data());
-          ASSERT_EQ(want, got) << t->name << " rows " << rows << " n " << n
-                               << " k " << k << " shift " << m.right_shift;
-        }
+  std::vector<std::int32_t> sums(static_cast<std::size_t>(m) * n, 0);
+  for (int r = 0; r < m; ++r) {
+    for (int kk = 0; kk < k; ++kk) {
+      const std::int32_t x =
+          a[static_cast<std::size_t>(r) * k + kk] + t->gemm_a_bias;
+      for (int j = 0; j < n; ++j) {
+        sums[static_cast<std::size_t>(r) * n + j] +=
+            x * bt[static_cast<std::size_t>(kk) * n + j];
       }
     }
   }
+  std::vector<std::int32_t> block(4 * static_cast<std::size_t>(n));
+  for (int r0 = 0; r0 < m; r0 += 4) {
+    const int rows = std::min(4, m - r0);
+    t->gemm_block_i8(a.data() + static_cast<std::size_t>(r0) * k, bt.data(),
+                     rows, n, k, block.data());
+    ASSERT_TRUE(std::equal(block.begin(), block.begin() + rows * n,
+                           sums.begin() + static_cast<std::size_t>(r0) * n))
+        << t->name << " gemm_block_i8 rows " << r0 << ".." << r0 + rows
+        << " n " << n << " k " << k;
+  }
+  std::vector<std::int8_t> want(sums.size());
+  for (std::size_t i = 0; i < sums.size(); ++i) {
+    want[i] = requant_scalar(sums[i] + offset[i % static_cast<std::size_t>(n)],
+                             mult, out_p.zero_point, lo, hi);
+  }
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(n), 0x5A5A5A5A);
+  std::vector<std::int8_t> got(want.size(), 99);
+  t->gemm_requant(a.data(), bt.data(), m, n, k, offset.data(), mult,
+                  out_p.zero_point, lo, hi, acc.data(), got.data());
+  const auto bad = std::mismatch(want.begin(), want.end(), got.begin());
+  ASSERT_TRUE(bad.first == want.end())
+      << t->name << " m " << m << " n " << n << " k " << k << " shift "
+      << mult.right_shift << ": out[" << (bad.first - want.begin()) / n
+      << "][" << (bad.first - want.begin()) % n << "] = "
+      << static_cast<int>(*bad.second) << ", want "
+      << static_cast<int>(*bad.first);
+}
+
+TEST(KernelParity, GemmRequantMatchesUnfusedBlocks) {
+  const auto tables = host_tables();
+  if (tables.empty()) GTEST_SKIP() << "no SIMD table on this host";
+  std::vector<int> small_n;
+  for (int n = 1; n <= 40; ++n) small_n.push_back(n);
+  small_n.push_back(48);
+  small_n.push_back(96);
+  std::vector<int> small_k;
+  for (int k = 1; k <= 20; ++k) small_k.push_back(k);
+  for (const int k : {27, 48, 64}) small_k.push_back(k);
+  // kGemmStripK + 1: the panel read in place, with a k tail for both the
+  // 2- and the 4-wide k step.
+  const int big_k[] = {27, 48, 64, 1280, simd::kGemmStripK + 1};
+  const int big_m[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 81, 276};
+  const int big_n[] = {8, 16, 17, 40, 48, 96, 1000};
+  nn::Rng rng(1515);
+  std::string covered;
+  for (const simd::SimdKernels* t : tables) {
+    if (t->gemm_requant == nullptr) continue;  // NEON: unfused only
+    covered += std::string(" ") + t->name;
+    int trial = 0;
+    // Every small shape: row blocks of 1..4 plus leftovers, each column
+    // tile width and every k tail.
+    for (int m = 1; m <= 13; ++m) {
+      for (const int n : small_n) {
+        for (const int k : small_k) {
+          expect_gemm_requant_matches(t, m, n, k, trial++, rng);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+    // The served sizes: many rows, wide panels, k past the strip bound.
+    for (const int m : big_m) {
+      for (const int n : big_n) {
+        for (const int k : big_k) {
+          if (static_cast<double>(m) * n * k > 2.5e7) continue;
+          expect_gemm_requant_matches(t, m, n, k, trial++, rng);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+    // The fully-connected GEMV with every 16-column remainder: n % 16 in
+    // {4, 8, 12, 0}.
+    for (const int n : {996, 1000, 1004, 1008}) {
+      for (const int k : {1, 2, 3, 5, 27, 1280, simd::kGemmStripK + 1}) {
+        expect_gemm_requant_matches(t, 1, n, k, trial++, rng);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  if (covered.empty()) GTEST_SKIP() << "no table with a fused GEMM entry";
+  std::printf("gemm_requant covered tables:%s\n", covered.c_str());
 }
 
 TEST(KernelParity, DwConvRowMatchesScalarPixelLoop) {
