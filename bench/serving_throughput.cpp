@@ -1,5 +1,6 @@
-// serving_throughput — open-loop serving benchmark for the core-budgeted
-// front-end (nn/serving/serving_frontend.h).
+// serving_throughput — open-loop serving benchmark for the serving
+// front-end (nn/serving/serving_frontend.h): one thread per lane, each
+// lane pinned to one CPU.
 //
 // Measures, on one host, with a patch-based quant model at a small MCU
 // scale:
@@ -14,14 +15,6 @@
 //      latency, and the shed rate (rejected + expired over offered). The
 //      1.5x row exercises the bounded queue and per-request deadlines on
 //      purpose: sheds there are the admission control working, not noise.
-//   4. Budgeted-vs-naive: the same total core count either partitioned by
-//      CoreBudget (pinned, sessions x workers <= cores) or stacked
-//      naively (every lane gets a full-width unpinned WorkerPool, S x C
-//      threads on C cores). Reports the throughput ratio;
-//      --require-speedup X turns it into a hard gate on hosts with >= 4
-//      cores (the acceptance criterion CI enforces; on smaller hosts both
-//      configs degenerate to the same thread count and the gate is
-//      meaningless).
 //
 // Also spot-checks bit-exactness: every serving configuration must return
 // results identical to the lone sequential model (the PR-3/4 contract);
@@ -35,7 +28,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
@@ -121,9 +113,8 @@ void check_bit_exact(Frontend& frontend, const ModelRecipe& recipe,
                   expected.data().begin())) {
     std::fprintf(stderr,
                  "FATAL: serving result differs from sequential run "
-                 "(sessions=%d workers=%d)\n",
-                 frontend.budget().sessions,
-                 frontend.budget().workers_per_session);
+                 "(sessions=%d)\n",
+                 frontend.num_sessions());
     std::exit(1);
   }
   (void)recipe;
@@ -219,17 +210,10 @@ OpenLoopRow open_loop(Frontend& frontend, const ModelRecipe& recipe,
   return row;
 }
 
-int run(int argc, char** argv) {
-  double require_speedup = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--require-speedup") == 0 && i + 1 < argc) {
-      require_speedup = std::atof(argv[++i]);
-    }
-  }
-
+int run() {
   const int cores = nn::runtime::usable_cpus();
   bench::print_title("serving_throughput",
-                     "core-budgeted serving front-end, open-loop harness");
+                     "serving front-end, open-loop harness");
   std::printf("host: %d usable core(s), affinity %s\n", cores,
               nn::runtime::affinity_supported() ? "supported" : "unsupported");
 
@@ -315,69 +299,11 @@ int run(int argc, char** argv) {
     }
   }
 
-  // --- budgeted vs naive ---------------------------------------------------
-  // Equal total cores; the only variable is coordination. Naive: every
-  // lane runs a full-width unpinned WorkerPool (S x C threads on C
-  // cores — what stacking the two parallelism layers without a budget
-  // does). Budgeted: CoreBudget partition + pinned lanes.
-  const int comp_sessions = std::min(4, std::max(2, cores));
-  nn::serving::ServingConfig naive_cfg;
-  naive_cfg.sessions = comp_sessions;
-  naive_cfg.core_budget = comp_sessions * cores;  // full width per lane
-  naive_cfg.pin_lanes = false;
-  naive_cfg.max_queue_depth = 0;
-  nn::serving::ServingConfig budget_cfg;
-  budget_cfg.sessions = comp_sessions;
-  budget_cfg.core_budget = cores;
-  budget_cfg.pin_lanes = true;
-  budget_cfg.max_queue_depth = 0;
-  double naive_rps = 0.0;
-  double budget_rps = 0.0;
-  {
-    Frontend naive = make_frontend(recipe, naive_cfg);
-    check_bit_exact(naive, recipe, expected, ref_input);
-    naive_rps = closed_loop_req_per_s(naive, recipe, 24);
-  }
-  {
-    Frontend budgeted = make_frontend(recipe, budget_cfg);
-    check_bit_exact(budgeted, recipe, expected, ref_input);
-    budget_rps = closed_loop_req_per_s(budgeted, recipe, 24);
-  }
-  const double speedup = budget_rps / naive_rps;
-  report.add("serving/budgeted_vs_naive/naive_req_per_s", naive_rps, "req/s");
-  report.add("serving/budgeted_vs_naive/budgeted_req_per_s", budget_rps,
-             "req/s");
-  report.add("serving/budgeted_vs_naive/speedup", speedup, "x");
-  std::printf(
-      "\nbudgeted vs naive (%d sessions, %d cores total):\n"
-      "  naive    (S x C threads, unpinned): %10.1f req/s\n"
-      "  budgeted (S x W <= C, pinned):      %10.1f req/s\n"
-      "  speedup: %.2fx\n",
-      comp_sessions, cores, naive_rps, budget_rps, speedup);
-
   report.write();
-
-  if (require_speedup > 0.0) {
-    if (cores < 4) {
-      std::printf(
-          "--require-speedup %.2f skipped: %d core(s) — budgeted and naive "
-          "degenerate to the same configuration on this host\n",
-          require_speedup, cores);
-    } else if (speedup < require_speedup) {
-      std::fprintf(stderr,
-                   "FAIL: budgeted/naive speedup %.2fx below required "
-                   "%.2fx\n",
-                   speedup, require_speedup);
-      return 1;
-    } else {
-      std::printf("speedup gate passed: %.2fx >= %.2fx\n", speedup,
-                  require_speedup);
-    }
-  }
   return 0;
 }
 
 }  // namespace
 }  // namespace qmcu
 
-int main(int argc, char** argv) { return qmcu::run(argc, argv); }
+int main() { return qmcu::run(); }

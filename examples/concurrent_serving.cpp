@@ -17,8 +17,8 @@
 #include "nn/executor.h"
 #include "nn/rng.h"
 #include "nn/runtime/worker_pool.h"
+#include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_quant_executor.h"
 #include "quant/calibration.h"
 
 using namespace qmcu;
@@ -55,23 +55,23 @@ int main() {
 
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {3, 4}));
-  const patch::PatchQuantExecutor pexec(g, plan, qcfg,
-                                        nn::ops::KernelTier::Simd, params);
+  const patch::CompiledPatchQuantModel model(
+      g, plan, qcfg, {}, nn::ops::KernelTier::Simd, params);
   std::printf("parallel patch stage: %d branches, cut layer %d\n",
               static_cast<int>(plan.branches.size()),
               plan.spec.split_layer);
 
   std::printf("  pipelined tail: %d row-banded layers before the join\n",
-              static_cast<int>(pexec.compiled().pipelined_tail().size()));
+              static_cast<int>(model.pipelined_tail().size()));
 
-  const nn::QTensor sequential = pexec.run(input);
+  const nn::QTensor sequential = model.run(input);
   for (const int workers : {1, 2, 4}) {
     nn::WorkerPool pool(workers);
-    (void)pexec.compiled().run(input, &pool);  // warm worker contexts
+    (void)model.run(input, &pool);  // warm worker contexts
     constexpr int kReps = 5;
     const auto t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < kReps; ++r) {
-      const nn::QTensor out = pexec.compiled().run(input, &pool);
+      const nn::QTensor out = model.run(input, &pool);
       if (!std::equal(out.data().begin(), out.data().end(),
                       sequential.data().begin())) {
         std::printf("  !! worker count %d diverged from sequential\n",
@@ -86,9 +86,9 @@ int main() {
           "  %d worker(s): %6.2f ms/run  bit-exact  arena %lld B (unified, "
           "sequential path)\n",
           workers, pipelined_ms,
-          static_cast<long long>(pexec.compiled().arena_bytes()));
+          static_cast<long long>(model.arena_bytes()));
     } else {
-      const auto& pplan = pexec.compiled().pipelined_plan(workers);
+      const auto& pplan = model.pipelined_plan(workers);
       std::printf(
           "  %d worker(s): %6.2f ms/run pipelined  bit-exact  arena %lld B "
           "(%d x %lld slice + %lld shared)\n",

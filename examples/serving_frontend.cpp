@@ -3,8 +3,8 @@
 // Builds a ServingFrontend over a patch-based quant model and drives it
 // with open-loop Poisson traffic:
 //
-//   1. CoreBudget partition: the host's cores split across serving lanes,
-//      each lane's WorkerPool slice pinned to its own CPUs (best-effort).
+//   1. Lanes: one serving thread per lane, each pinned to one CPU of the
+//      process's allowed set (best-effort).
 //   2. Admission control: bounded queue + per-request deadlines — overload
 //      sheds requests with distinct errors instead of growing latency
 //      without bound.
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
 
-  // --- 1. the core-budgeted front-end ---------------------------------------
+  // --- 1. the lanes ----------------------------------------------------------
   nn::serving::ServingConfig cfg;
   cfg.sessions = std::min(4, std::max(2, nn::runtime::usable_cpus()));
   cfg.max_queue_depth = static_cast<std::size_t>(8 * cfg.sessions);
@@ -86,17 +86,12 @@ int main(int argc, char** argv) {
                       model->set_arena_source(slab);
                       return model;
                     });
-  const auto& budget = frontend.budget();
-  std::printf(
-      "core budget: %d cores -> %d lanes x %d workers (%d threads), "
-      "affinity %s\n",
-      budget.total_cores, budget.sessions, budget.workers_per_session,
-      budget.threads(),
-      nn::runtime::affinity_supported() ? "supported" : "unsupported");
-  for (int lane = 0; lane < budget.sessions; ++lane) {
-    std::printf("  lane %d cpus:", lane);
-    for (const int c : budget.lane_cpus(lane)) std::printf(" %d", c);
-    std::printf("\n");
+  const int lanes = frontend.num_sessions();
+  std::printf("%d lanes over %d usable CPU(s), affinity %s\n", lanes,
+              nn::runtime::usable_cpus(),
+              nn::runtime::affinity_supported() ? "supported" : "unsupported");
+  for (int lane = 0; lane < lanes; ++lane) {
+    std::printf("  lane %d -> cpu %d\n", lane, frontend.lane_cpu(lane));
   }
 
   // Measure one core's sequential capacity to pick a sensible default rate.
@@ -107,7 +102,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < kWarm; ++i) (void)frontend.run(input);
   const double single_ms = ms_since(w0) / kWarm;
   const double rate =
-      arg_rate > 0.0 ? arg_rate : 0.9 * 1e3 / single_ms * budget.sessions;
+      arg_rate > 0.0 ? arg_rate : 0.9 * 1e3 / single_ms * lanes;
   std::printf("single run %.2f ms; offered rate %.0f req/s (%s)\n", single_ms,
               rate, arg_rate > 0.0 ? "from argv" : "0.9x capacity default");
 
@@ -160,7 +155,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.completed),
       static_cast<unsigned long long>(stats.rejected),
       static_cast<unsigned long long>(stats.expired), stats.pinned_lanes,
-      budget.sessions);
+      lanes);
   (void)shed;
 
   // --- 3. batch spreading ---------------------------------------------------

@@ -1,6 +1,7 @@
 #include "nn/runtime/cpu_affinity.h"
 
 #include <algorithm>
+#include <thread>
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -9,62 +10,54 @@
 
 namespace qmcu::nn::runtime {
 
-#if defined(__linux__)
-
 namespace {
 
-// Builds the cpu_set_t for `cpus`; false when the list is empty or names a
-// core the mask cannot represent.
-bool build_mask(std::span<const int> cpus, cpu_set_t* mask) {
-  CPU_ZERO(mask);
-  bool any = false;
-  for (const int c : cpus) {
-    if (c < 0 || c >= CPU_SETSIZE) return false;
-    CPU_SET(c, mask);
-    any = true;
-  }
-  return any;
+std::vector<int> first_hardware_cpus() {
+  const int n =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  std::vector<int> cpus(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) cpus[static_cast<std::size_t>(i)] = i;
+  return cpus;
 }
 
 }  // namespace
 
+int usable_cpus() { return static_cast<int>(allowed_cpus().size()); }
+
+#if defined(__linux__)
+
 bool affinity_supported() { return true; }
 
-int usable_cpus() {
+std::vector<int> allowed_cpus() {
   cpu_set_t mask;
-  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
-    const int n = CPU_COUNT(&mask);
-    if (n >= 1) return n;
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) {
+    return first_hardware_cpus();
   }
-  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &mask)) cpus.push_back(c);
+  }
+  return cpus.empty() ? first_hardware_cpus() : cpus;
 }
 
 bool pin_current_thread(std::span<const int> cpus) {
+  if (cpus.empty()) return false;
   cpu_set_t mask;
-  if (!build_mask(cpus, &mask)) return false;
+  CPU_ZERO(&mask);
+  for (const int c : cpus) {
+    if (c < 0 || c >= CPU_SETSIZE) return false;
+    CPU_SET(c, &mask);
+  }
   return pthread_setaffinity_np(pthread_self(), sizeof(mask), &mask) == 0;
-}
-
-bool pin_thread(std::thread::native_handle_type handle,
-                std::span<const int> cpus) {
-  cpu_set_t mask;
-  if (!build_mask(cpus, &mask)) return false;
-  return pthread_setaffinity_np(handle, sizeof(mask), &mask) == 0;
 }
 
 #else  // !__linux__ — pinning is a no-op hint; callers run unpinned.
 
 bool affinity_supported() { return false; }
 
-int usable_cpus() {
-  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-}
+std::vector<int> allowed_cpus() { return first_hardware_cpus(); }
 
 bool pin_current_thread(std::span<const int>) { return false; }
-
-bool pin_thread(std::thread::native_handle_type, std::span<const int>) {
-  return false;
-}
 
 #endif
 

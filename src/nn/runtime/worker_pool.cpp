@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "nn/check.h"
-#include "nn/runtime/cpu_affinity.h"
 
 namespace qmcu::nn {
 
@@ -44,18 +43,6 @@ WorkerPool::~WorkerPool() {
   }
   job_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
-}
-
-int WorkerPool::hardware_workers() {
-  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-}
-
-bool WorkerPool::pin_workers(std::span<const int> cpus) {
-  bool all = runtime::affinity_supported() && !cpus.empty();
-  for (std::thread& t : threads_) {
-    all = runtime::pin_thread(t.native_handle(), cpus) && all;
-  }
-  return all;
 }
 
 bool WorkerPool::take_own(int lane, int& out) {
@@ -142,10 +129,10 @@ void WorkerPool::execute(int task, int lane) {
 // ready_cv_. Pipelined graphs publish successors within microseconds of a
 // band finishing, so a short spin (each round yields the timeslice) dodges
 // a futex sleep/wake round-trip per publication — but the spin MUST be
-// bounded: under the serving front-end's core budget several lanes share
-// the machine, and an idle worker that spun indefinitely would keep
-// burning a core another lane was promised. Parking on the condition
-// variable is what actually cedes the core.
+// bounded: the pool shares the machine with serving lanes and other
+// pools, and an idle worker that spun indefinitely would keep burning a
+// core someone else could use. Parking on the condition variable is what
+// actually cedes the core.
 constexpr int kIdleSpinRounds = 32;
 
 void WorkerPool::drain(int lane) {
@@ -311,45 +298,6 @@ void WorkerPool::run_graph(TaskGraph& graph) {
   }
 
   dispatch_and_wait();
-}
-
-void WorkerPool::parallel_ranges(std::span<const IndexRange> ranges,
-                                 const Body& body) {
-  if (ranges.empty()) return;
-  if (num_workers() == 1) {
-    for (const IndexRange& r : ranges) {
-      QMCU_REQUIRE(r.begin < r.end, "parallel range must be non-empty");
-      body(r.begin, r.end, 0);
-    }
-    return;
-  }
-  TaskGraph graph;
-  for (const IndexRange& r : ranges) {
-    QMCU_REQUIRE(r.begin < r.end, "parallel range must be non-empty");
-    graph.add([&body, r](int lane) { body(r.begin, r.end, lane); });
-  }
-  run_graph(graph);
-}
-
-void WorkerPool::parallel_for(std::int64_t count, std::int64_t grain,
-                              const Body& body) {
-  if (count <= 0) return;
-  grain = std::max<std::int64_t>(grain, 1);
-
-  if (num_workers() == 1) {
-    // Inline sequential path: identical chunking, no scheduler involved.
-    for (std::int64_t b = 0; b < count; b += grain) {
-      body(b, std::min(b + grain, count), 0);
-    }
-    return;
-  }
-
-  std::vector<IndexRange> ranges;
-  ranges.reserve(static_cast<std::size_t>((count + grain - 1) / grain));
-  for (std::int64_t b = 0; b < count; b += grain) {
-    ranges.push_back({b, std::min(b + grain, count)});
-  }
-  parallel_ranges(ranges, body);
 }
 
 }  // namespace qmcu::nn

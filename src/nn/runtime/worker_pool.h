@@ -13,20 +13,22 @@
 // does not serialise the grid, and tail bands start on spare workers while
 // interior branches are still running.
 //
-// parallel_for / parallel_ranges are the degenerate single-stage graph: one
-// task per chunk, no dependencies.
+// The patch model (patch/compiled_patch_model.h) is the pool's one
+// client: run(input, pool) and run_streaming(..., pool, ...) build their
+// graphs over it. Serving lanes do not own pools; each lane is one thread
+// (serving/serving_frontend.h).
 //
 // Contracts the patch runtime depends on:
 //   * The calling thread participates as worker 0, so a pool with
-//     num_workers() == 1 runs loops inline with no locks, no thread
-//     hand-off and no memory-ordering surprises — exactly the sequential
-//     code path.
+//     num_workers() == 1 runs the graph inline, in dependency order, with
+//     no locks, no thread hand-off and no memory-ordering surprises —
+//     exactly the sequential code path.
 //   * Each task invocation receives the worker lane index [0, W) it runs
 //     on; lanes map 1:1 to threads for the duration of one run, which is
 //     what makes per-worker arenas and per-worker KernelBackend scratch
 //     sound.
-//   * run_graph / parallel_for are barriers: they return only after every
-//     reachable task has executed (or the graph aborted on an exception).
+//   * run_graph is a barrier: it returns only after every reachable task
+//     has executed (or the graph aborted on an exception).
 //     The first exception thrown by a task wins and is rethrown on the
 //     calling thread after the barrier; tasks whose dependencies never
 //     resolved because of the abort are skipped.
@@ -35,9 +37,9 @@
 //     it, without further synchronisation. That is what lets a branch task
 //     merge rows of the assembled map lock-free and a tail band read them.
 //
-// A WorkerPool is itself thread-affine: only one graph/loop may be in
-// flight at a time (the patch models and benches own their pools), and it
-// must be driven from one thread.
+// A WorkerPool is itself thread-affine: only one graph may be in flight at
+// a time (the patch models and benches own their pools), and it must be
+// driven from one thread.
 #pragma once
 
 #include <atomic>
@@ -48,13 +50,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
 namespace qmcu::nn {
 
-// A contiguous index range [begin, end) — one chunk of a parallel loop.
+// A contiguous index range [begin, end) — one cost-weighted chunk of
+// branches (patch::weighted_chunks), run as one task.
 struct IndexRange {
   std::int64_t begin = 0;
   std::int64_t end = 0;
@@ -94,9 +96,6 @@ class TaskGraph {
 
 class WorkerPool {
  public:
-  // One chunk of a parallel_for range, executed by body(begin, end, worker).
-  using Body = std::function<void(std::int64_t, std::int64_t, int)>;
-
   // `workers` total lanes including the caller; clamped to >= 1. The pool
   // spawns workers-1 parked threads.
   explicit WorkerPool(int workers);
@@ -115,27 +114,6 @@ class WorkerPool {
   // workers steal it). Blocks until every task ran or the graph aborted on
   // a task exception (first exception rethrown here).
   void run_graph(TaskGraph& graph);
-
-  // Runs body over [0, count) split into chunks of `grain` indices
-  // (last chunk may be short). Blocks until all chunks are done. The
-  // degenerate single-stage graph; a 1-worker pool runs inline.
-  void parallel_for(std::int64_t count, std::int64_t grain, const Body& body);
-
-  // Like parallel_for, but over caller-chosen chunks — the entry point for
-  // cost-weighted chunking, where cheap border branches coalesce into one
-  // task and expensive interior branches stay alone. Ranges must be
-  // non-empty; they need not be contiguous or sorted.
-  void parallel_ranges(std::span<const IndexRange> ranges, const Body& body);
-
-  // Pins the pool's spawned worker threads to `cpus` (the caller — worker
-  // 0 — is a thread the pool does not own; the driver pins it itself).
-  // Best-effort serving-lane placement: returns true iff every worker was
-  // pinned, false where affinity is unsupported or rejected. Never affects
-  // results, only which cores the lane's arenas stay resident on.
-  bool pin_workers(std::span<const int> cpus);
-
-  // Reasonable default worker count for this host (>= 1).
-  static int hardware_workers();
 
  private:
   // One worker's task deque. The owner pops from the front, thieves steal

@@ -4,20 +4,13 @@
 // single-flight: one arena, one scratch arena, one weight-panel cache, all
 // rebound per run. Serving concurrent traffic therefore needs N pre-built
 // models, not per-request compilation. ServingFrontend owns N lanes, each
-// one model plus one serving thread, and composes the repo's two
-// parallelism layers under one CoreBudget (core_budget.h):
-//
-//   * Inter-request: one blocking request queue (runtime::TaskQueue);
-//     whichever serving thread frees up first pops the oldest request and
-//     runs it on *its own* lane model, so a model is only ever driven by
-//     one thread (the backend's thread-affinity guard holds by
-//     construction).
-//   * Intra-request: each lane owns a WorkerPool slice of
-//     workers_per_session lanes (the serving thread is worker 0), so a
-//     pool-runnable model (CompiledPatchQuantModel run(input,
-//     WorkerPool*)) pipelines one request inside its slice
-//     while other lanes serve other requests. Plain run(input) models
-//     simply ignore the slice machinery.
+// exactly one model plus one serving thread, and one blocking request
+// queue (runtime::TaskQueue): whichever serving thread frees up first pops
+// the oldest request and runs it on *its own* lane model with the
+// sequential run(input), so a model is only ever driven by one thread (the
+// backend's thread-affinity guard holds by construction). Parallelism
+// comes from lanes alone, as in the paper's runtime, where one patch-based
+// inference runs on one core.
 //
 // Construction runs the factory once per lane on the calling thread
 // (compilation and weight prepack happen before any traffic); destruction
@@ -26,14 +19,13 @@
 // share it across front-ends, or let the front-end create its own), so
 // fleet arena memory is capped by busy lanes, not by the number of models.
 //
-// Lanes are pinned to disjoint CPU slices (best-effort): a lane's
-// per-worker arenas, scratch and weight-panel caches stay resident in its
-// slice's private caches instead of migrating, and one lane's work cannot
-// be scheduled on top of another's. Results are bit-identical to
-// sequential single-model runs in every configuration — pinning, worker
-// count and batch spreading only change *where and when* a request runs,
-// never its arithmetic (the parallel bit-exactness contract of
-// patch/compiled_patch_model.h).
+// Lanes are pinned to one CPU each (best-effort, see lane_cpu below):
+// lane i runs on the (i mod n)-th CPU of the set the process may use, so
+// a lane's arena, scratch and weight-panel caches stay resident in one
+// core's private caches instead of migrating, and a `taskset` or cpuset
+// mask is honoured. Results are bit-identical to sequential single-model
+// runs in every configuration — pinning and batch spreading only change
+// *where and when* a request runs, never its arithmetic.
 //
 // Admission control is explicit and all-or-nothing per request:
 //   * bounded queue — submissions beyond max_queue_depth fail immediately
@@ -72,6 +64,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -81,12 +74,39 @@
 #include "nn/runtime/arena_slab.h"
 #include "nn/runtime/cpu_affinity.h"
 #include "nn/runtime/task_queue.h"
-#include "nn/runtime/worker_pool.h"
 #include "nn/tensor.h"
-#include "nn/serving/core_budget.h"
 #include "nn/streaming/streaming_session.h"
 
 namespace qmcu::nn::serving {
+
+struct ServingConfig {
+  // Lanes (pre-compiled models, one serving thread each).
+  int sessions = 2;
+  // CPUs the lanes pin to: the first core_budget CPUs of the process's
+  // allowed set (0 = all of them). Lanes beyond that wrap round-robin.
+  int core_budget = 0;
+  // Pin each lane's serving thread to its CPU (best-effort; ignored
+  // where unsupported).
+  bool pin_lanes = true;
+  // Bounded admission: submissions beyond this queue depth are rejected.
+  // 0 = unbounded (no rejection).
+  std::size_t max_queue_depth = 64;
+  // Deadline granted to submit() calls that don't pass their own; measured
+  // from submission. zero() = no deadline.
+  std::chrono::microseconds default_deadline{0};
+};
+
+// The CPU lane `lane` pins to: the (lane mod n)-th id of `allowed`, where
+// n = min(core_budget, allowed.size()) and core_budget 0 means all of
+// `allowed`. More lanes than n time-share cores round-robin — the
+// admission queue, not the scheduler, keeps that from melting down.
+[[nodiscard]] inline int lane_cpu(int lane, int core_budget,
+                                  std::span<const int> allowed) {
+  QMCU_REQUIRE(lane >= 0 && !allowed.empty(), "lane_cpu: no CPU to map to");
+  const int count = static_cast<int>(allowed.size());
+  const int n = core_budget > 0 ? std::min(core_budget, count) : count;
+  return allowed[static_cast<std::size_t>(lane % n)];
+}
 
 // The admission queue was full: the request was never enqueued.
 class RejectedError : public std::runtime_error {
@@ -131,18 +151,11 @@ class ServingFrontend {
   using Factory = std::function<std::unique_ptr<Model>(
       int lane, const std::shared_ptr<ArenaSlab>&)>;
 
-  // True when Model has an intra-request parallel entry point.
-  static constexpr bool kPoolRunnable =
-      requires(const Model& m, const Tensor& t, WorkerPool* p) {
-        m.run(t, p);
-      };
-
   // True when Model supports temporal patch reuse (the patch model's
   // run_streaming); gates the stream API below.
   static constexpr bool kStreamable =
-      requires(const Model& m, const Tensor& t, WorkerPool* p,
-               patch::StreamState& s) {
-        m.run_streaming(t, p, s);
+      requires(const Model& m, const Tensor& t, patch::StreamState& s) {
+        m.run_streaming(t, nullptr, s);
       };
 
   // No deadline for this request.
@@ -151,29 +164,16 @@ class ServingFrontend {
   explicit ServingFrontend(const ServingConfig& cfg, const Factory& factory,
                            std::shared_ptr<ArenaSlab> slab = nullptr)
       : cfg_(cfg),
-        budget_(CoreBudget::partition(cfg.sessions, cfg.core_budget)),
         slab_(slab ? std::move(slab) : std::make_shared<ArenaSlab>()) {
-    // Intra-request slices first: each lane's WorkerPool spawns its
-    // (workers_per_session - 1) parked threads and pins them to the
-    // lane's CPU slice before any traffic exists. A 1-worker slice needs
-    // no pool — run(input, nullptr) is the sequential path.
-    if constexpr (kPoolRunnable) {
-      if (budget_.workers_per_session > 1) {
-        pools_.reserve(static_cast<std::size_t>(cfg.sessions));
-        for (int lane = 0; lane < cfg.sessions; ++lane) {
-          pools_.push_back(
-              std::make_unique<WorkerPool>(budget_.workers_per_session));
-          if (cfg_.pin_lanes) {
-            const std::vector<int> cpus = budget_.lane_cpus(lane);
-            (void)pools_.back()->pin_workers(cpus);
-          }
-        }
-      }
-    }
-    // Lane models in lane order, on this thread, before any serving
-    // thread exists.
+    QMCU_REQUIRE(cfg.sessions >= 1,
+                 "serving front-end needs at least one session");
+    // Lane models and CPUs in lane order, on this thread, before any
+    // serving thread exists. The CPU set is the constructing thread's.
+    const std::vector<int> allowed = runtime::allowed_cpus();
     lanes_.resize(static_cast<std::size_t>(cfg.sessions));
     for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
+      lanes_[lane].cpu =
+          serving::lane_cpu(static_cast<int>(lane), cfg.core_budget, allowed);
       lanes_[lane].model = factory(static_cast<int>(lane), slab_);
       QMCU_REQUIRE(lanes_[lane].model != nullptr,
                    "serving factory returned no model");
@@ -338,9 +338,7 @@ class ServingFrontend {
         entry.lane, [this, session = entry.session, promise,
                      frame = std::move(frame)](std::size_t lane) {
           try {
-            WorkerPool* pool =
-                pools_.empty() ? nullptr : pools_[lane].get();
-            Output out = session->next(*lanes_[lane].model, frame, pool);
+            Output out = session->next(*lanes_[lane].model, frame);
             stream_frames_.fetch_add(1, std::memory_order_relaxed);
             promise->set_value(std::move(out));
           } catch (...) {
@@ -391,10 +389,14 @@ class ServingFrontend {
     return s;
   }
 
-  [[nodiscard]] const CoreBudget& budget() const { return budget_; }
   [[nodiscard]] const ServingConfig& config() const { return cfg_; }
   [[nodiscard]] int num_sessions() const {
     return static_cast<int>(lanes_.size());
+  }
+  // The CPU lane `lane`'s serving thread pins to when pin_lanes is set
+  // (stats().pinned_lanes counts the pins that took).
+  [[nodiscard]] int lane_cpu(int lane) const {
+    return lanes_.at(static_cast<std::size_t>(lane)).cpu;
   }
   [[nodiscard]] const std::shared_ptr<ArenaSlab>& slab() const {
     return slab_;
@@ -424,18 +426,18 @@ class ServingFrontend {
   }
 
   // Drains queued requests, then joins the serving threads — before any
-  // member (streams, lane pools, models, slab) is destroyed.
+  // member (streams, models, slab) is destroyed.
   void stop_serving() {
     queue_.shutdown();
     for (std::thread& t : threads_) t.join();
   }
 
-  // Runs on lane `lane`'s serving thread: pin to the lane's CPU slice
-  // (worker 0 of the slice), then serve until shutdown drains the queue.
+  // Runs on lane `lane`'s serving thread: pin to the lane's CPU, then
+  // serve until shutdown drains the queue.
   void serve(std::size_t lane) {
+    const int cpu = lanes_[lane].cpu;
     if (cfg_.pin_lanes &&
-        runtime::pin_current_thread(
-            budget_.lane_cpus(static_cast<int>(lane)))) {
+        runtime::pin_current_thread(std::span<const int>(&cpu, 1))) {
       pinned_lanes_.fetch_add(1, std::memory_order_relaxed);
     }
     runtime::TaskQueue::Task task;
@@ -481,11 +483,6 @@ class ServingFrontend {
   Output execute(std::size_t lane, const Tensor& input) {
     Lane& l = lanes_[lane];
     ++l.requests;
-    if constexpr (kPoolRunnable) {
-      if (!pools_.empty()) {
-        return l.model->run(input, pools_[lane].get());
-      }
-    }
     return l.model->run(input);
   }
 
@@ -510,18 +507,15 @@ class ServingFrontend {
   }
 
   // One serving lane: its model (touched only by the lane's serving
-  // thread once serving starts) and its request count. Cache-line
+  // thread once serving starts), its request count and its CPU. Cache-line
   // aligned so lanes never write to a line another lane reads.
   struct alignas(64) Lane {
     std::unique_ptr<Model> model;
     std::uint64_t requests = 0;
+    int cpu = 0;
   };
 
   ServingConfig cfg_;
-  CoreBudget budget_;
-  // Lane -> WorkerPool slice (empty when the model has no pool-run entry
-  // point or the budget gives each lane a single worker).
-  std::vector<std::unique_ptr<WorkerPool>> pools_;
   // The lanes' arena slab, declared before streams_ and lanes_ so it
   // outlives them: open streams' retained arenas are leases on it.
   std::shared_ptr<ArenaSlab> slab_;

@@ -1,8 +1,8 @@
-// ServingFrontend (nn/serving/serving_frontend.h) + CoreBudget: the
-// serving front-end must (a) partition the core budget so sessions x
-// workers never oversubscribe it, (b) serve results bit-identical to a
-// lone sequential model through every path (pool-run, sequential lane,
-// batch-spread) and for every model kind, with model exceptions failing
+// ServingFrontend (nn/serving/serving_frontend.h): the serving front-end
+// must (a) pin lane i to the (i mod n)-th CPU of the process's allowed
+// set, never outside it, (b) serve results bit-identical to a lone
+// sequential model through every path (single request, batch-spread,
+// stream frame) and for every model kind, with model exceptions failing
 // only their own future, (c) shed load explicitly — queue-full
 // submissions are rejected at admission, and expired requests get a
 // distinct error and are never started — and (d) keep lane models and
@@ -11,6 +11,10 @@
 // Fake models with gates/latches make the shed paths deterministic; real
 // compiled models cover the bit-exactness contract.
 #include <gtest/gtest.h>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <algorithm>
 #include <array>
@@ -40,7 +44,6 @@
 namespace qmcu {
 namespace {
 
-using nn::serving::CoreBudget;
 using nn::serving::DeadlineExceededError;
 using nn::serving::RejectedError;
 using nn::serving::ServingConfig;
@@ -150,52 +153,98 @@ struct RendezvousModel {
   }
 };
 
-TEST(CoreBudget, PartitionRespectsTheBudget) {
-  const CoreBudget even = CoreBudget::partition(2, 8);
-  EXPECT_EQ(even.workers_per_session, 4);
-  EXPECT_EQ(even.threads(), 8);
+// Lane i -> the (i mod n)-th allowed CPU, n = min(core_budget or all,
+// allowed count). The allowed ids need not start at 0 (taskset -c 2,3).
+TEST(LaneCpu, WrapsRoundRobinWhenLanesOutnumberCpus) {
+  const std::vector<int> allowed = {2, 5, 7};
+  const std::vector<int> want = {2, 5, 7, 2, 5, 7, 2};
+  for (int lane = 0; lane < static_cast<int>(want.size()); ++lane) {
+    EXPECT_EQ(nn::serving::lane_cpu(lane, 0, allowed),
+              want[static_cast<std::size_t>(lane)])
+        << "lane " << lane;
+  }
+  // On a 0..n-1 mask lane i is CPU i.
+  const std::vector<int> dense = {0, 1, 2, 3};
+  for (int lane = 0; lane < 4; ++lane) {
+    EXPECT_EQ(nn::serving::lane_cpu(lane, 4, dense), lane);
+  }
+}
 
-  const CoreBudget uneven = CoreBudget::partition(3, 8);
-  EXPECT_EQ(uneven.workers_per_session, 2);
-  EXPECT_LE(uneven.threads(), 8);
-
-  // More lanes than cores: single-worker lanes time-sharing cores.
-  const CoreBudget oversub = CoreBudget::partition(8, 4);
-  EXPECT_EQ(oversub.workers_per_session, 1);
-  EXPECT_EQ(oversub.threads(), 8);
+TEST(LaneCpu, CoreBudgetBoundsTheCpusLanesShare) {
+  // Budget below the lane count: 4 lanes share the first 2 allowed CPUs.
+  const std::vector<int> allowed = {0, 1, 2, 3};
+  const std::vector<int> want = {0, 1, 0, 1};
+  for (int lane = 0; lane < 4; ++lane) {
+    EXPECT_EQ(nn::serving::lane_cpu(lane, 2, allowed),
+              want[static_cast<std::size_t>(lane)])
+        << "lane " << lane;
+  }
+  // A budget larger than the allowed set names only allowed CPUs.
+  const std::vector<int> small = {4, 6};
   for (int lane = 0; lane < 8; ++lane) {
-    const auto cpus = oversub.lane_cpus(lane);
-    ASSERT_EQ(cpus.size(), 1u);
-    EXPECT_EQ(cpus[0], lane % 4);
-  }
-
-  // Detected budget is always >= 1 and internally consistent.
-  const CoreBudget detected = CoreBudget::partition(2, 0);
-  EXPECT_GE(detected.total_cores, 1);
-  EXPECT_GE(detected.workers_per_session, 1);
-  EXPECT_LE(detected.sessions * detected.workers_per_session,
-            std::max(detected.total_cores, detected.sessions));
-}
-
-TEST(CoreBudget, LaneCpusAreDisjointAndCoverTheBudget) {
-  for (const auto& [sessions, cores] : std::vector<std::pair<int, int>>{
-           {2, 8}, {3, 8}, {4, 4}, {1, 6}}) {
-    const CoreBudget b = CoreBudget::partition(sessions, cores);
-    std::set<int> seen;
-    for (int lane = 0; lane < sessions; ++lane) {
-      for (const int c : b.lane_cpus(lane)) {
-        EXPECT_GE(c, 0);
-        EXPECT_LT(c, cores);
-        // Disjoint: no cpu appears in two lanes' slices.
-        EXPECT_TRUE(seen.insert(c).second)
-            << "cpu " << c << " assigned twice (" << sessions << " lanes, "
-            << cores << " cores)";
-      }
-    }
-    // Every core is some lane's (workers + remainder slack).
-    EXPECT_EQ(static_cast<int>(seen.size()), cores);
+    const int cpu = nn::serving::lane_cpu(lane, 8, small);
+    EXPECT_EQ(cpu, small[static_cast<std::size_t>(lane % 2)]);
   }
 }
+
+// A front-end reports the mapping over the constructing thread's CPU set.
+TEST(LaneCpu, FrontendLanesFollowTheAllowedSet) {
+  ServingConfig cfg;
+  cfg.sessions = 3;
+  cfg.core_budget = 2;
+  cfg.pin_lanes = false;
+  ServingFrontend<EchoModel> frontend(
+      cfg, [](int, const std::shared_ptr<nn::ArenaSlab>&) {
+        return std::make_unique<EchoModel>();
+      });
+  const std::vector<int> allowed = nn::runtime::allowed_cpus();
+  for (int lane = 0; lane < 3; ++lane) {
+    EXPECT_EQ(frontend.lane_cpu(lane),
+              nn::serving::lane_cpu(lane, 2, allowed));
+  }
+  EXPECT_EQ(frontend.stats().pinned_lanes, 0);
+}
+
+#if defined(__linux__)
+// Echoes its input with element 0 replaced by the CPU the call ran on.
+struct CpuProbeModel {
+  nn::Tensor run(const nn::Tensor& in) const {
+    nn::Tensor out = in;
+    out.data()[0] = static_cast<float>(sched_getcpu());
+    return out;
+  }
+};
+
+// Under a narrowed CPU mask (as `taskset` leaves it) the lane pins inside
+// the mask: with only the highest allowed CPU left, lane 0 runs there, not
+// on CPU 0.
+TEST(LaneCpu, LanePinsInsideTheProcessCpuMask) {
+  const std::vector<int> allowed = nn::runtime::allowed_cpus();
+  if (!nn::runtime::affinity_supported() || allowed.size() < 2) {
+    GTEST_SKIP() << "needs affinity support and >= 2 CPUs";
+  }
+  const std::vector<int> highest = {allowed.back()};
+  ASSERT_TRUE(nn::runtime::pin_current_thread(highest));
+  // Restores this thread's mask after the front-end is gone.
+  struct Restore {
+    const std::vector<int>& cpus;
+    ~Restore() { (void)nn::runtime::pin_current_thread(cpus); }
+  } restore{allowed};
+
+  ServingConfig cfg;
+  cfg.sessions = 1;
+  ServingFrontend<CpuProbeModel> frontend(
+      cfg, [](int, const std::shared_ptr<nn::ArenaSlab>&) {
+        return std::make_unique<CpuProbeModel>();
+      });
+  EXPECT_EQ(frontend.lane_cpu(0), highest[0]);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(frontend.run(tagged_input(-1.0f)).data()[0],
+              static_cast<float>(highest[0]));
+  }
+  EXPECT_EQ(frontend.stats().pinned_lanes, 1);
+}
+#endif
 
 // Serves `inputs` as concurrent single requests, then as one spread batch
 // with a wrong-shape input spliced in at index 1; every completed result
@@ -238,10 +287,9 @@ void expect_serves_bit_exact(
 }
 
 // The bit-exactness contract end to end, for every model kind the
-// front-end serves: a layer-based quant model over three lanes, a float
-// patch model on single-worker lanes, and a quant patch model with
-// intra-request slices (forced core budget 4 over 2 lanes -> 2-worker
-// pools even on a 1-core host), pinning on, slab-leased arenas.
+// front-end serves: a layer-based quant model over three lanes and a
+// quant patch model over two lanes (core budget 4, pinning on,
+// slab-leased arenas).
 TEST(ServingFrontend, EveryModelKindBitExactVsSequential) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
   const auto ranges = quant::calibrate_ranges(
@@ -263,9 +311,7 @@ TEST(ServingFrontend, EveryModelKindBitExactVsSequential) {
     for (const nn::Tensor& in : inputs) expected.push_back(reference.run(in));
     ServingConfig scfg;
     scfg.sessions = 3;
-    using Frontend = ServingFrontend<nn::CompiledQuantModel>;
-    static_assert(!Frontend::kPoolRunnable);
-    Frontend frontend(scfg, [&](int, const std::shared_ptr<nn::ArenaSlab>&) {
+    ServingFrontend<nn::CompiledQuantModel> frontend(scfg, [&](int, const std::shared_ptr<nn::ArenaSlab>&) {
       return std::make_unique<nn::CompiledQuantModel>(
           g, cfg, nn::ops::KernelTier::Simd, params);
     });
@@ -273,36 +319,16 @@ TEST(ServingFrontend, EveryModelKindBitExactVsSequential) {
     expect_serves_bit_exact(frontend, inputs, expected);
   }
   {
-    SCOPED_TRACE("CompiledPatchQuantModel, 2 single-worker lanes");
+    SCOPED_TRACE("CompiledPatchQuantModel, 2 lanes");
     const patch::CompiledPatchQuantModel reference(
         g, plan, cfg, {}, nn::ops::KernelTier::Simd, params);
     std::vector<nn::QTensor> expected;
     for (const nn::Tensor& in : inputs) expected.push_back(reference.run(in));
     ServingConfig scfg;
     scfg.sessions = 2;
-    scfg.core_budget = 2;
-    ServingFrontend<patch::CompiledPatchQuantModel> frontend(
-        scfg, [&](int, const std::shared_ptr<nn::ArenaSlab>&) {
-          return std::make_unique<patch::CompiledPatchQuantModel>(
-              g, plan, cfg, std::vector<patch::BranchQuantConfig>{},
-              nn::ops::KernelTier::Simd, params);
-        });
-    EXPECT_EQ(frontend.budget().workers_per_session, 1);
-    expect_serves_bit_exact(frontend, inputs, expected);
-  }
-  {
-    SCOPED_TRACE("CompiledPatchQuantModel, 2 lanes x 2 workers");
-    const patch::CompiledPatchQuantModel reference(
-        g, plan, cfg, {}, nn::ops::KernelTier::Simd, params);
-    std::vector<nn::QTensor> expected;
-    for (const nn::Tensor& in : inputs) expected.push_back(reference.run(in));
-    ServingConfig scfg;
-    scfg.sessions = 2;
-    scfg.core_budget = 4;  // forces 2-worker slices regardless of host
+    scfg.core_budget = 4;
     scfg.pin_lanes = true;
-    using Frontend = ServingFrontend<patch::CompiledPatchQuantModel>;
-    static_assert(Frontend::kPoolRunnable);
-    Frontend frontend(
+    ServingFrontend<patch::CompiledPatchQuantModel> frontend(
         scfg, [&](int, const std::shared_ptr<nn::ArenaSlab>& slab) {
           auto model = std::make_unique<patch::CompiledPatchQuantModel>(
               g, plan, cfg, std::vector<patch::BranchQuantConfig>{},
@@ -310,7 +336,6 @@ TEST(ServingFrontend, EveryModelKindBitExactVsSequential) {
           model->set_arena_source(slab);
           return model;
         });
-    EXPECT_EQ(frontend.budget().workers_per_session, 2);
     expect_serves_bit_exact(frontend, inputs, expected);
   }
 }
@@ -374,7 +399,7 @@ TEST(ServingFrontend, DestroyedWithOpenStreamsOnEveryLane) {
 
   ServingConfig scfg;
   scfg.sessions = 2;
-  scfg.core_budget = 4;  // 2-worker slices: frames take the pooled path
+  scfg.core_budget = 4;
   using Frontend = ServingFrontend<patch::CompiledPatchQuantModel>;
   static_assert(Frontend::kStreamable);
   auto frontend = std::make_unique<Frontend>(
@@ -420,7 +445,7 @@ TEST(ServingFrontend, PatchFrontendsSharingASlabReuseOneBlock) {
   auto slab = std::make_shared<nn::ArenaSlab>();
   ServingConfig scfg;
   scfg.sessions = 1;
-  scfg.core_budget = 1;  // sequential runs: the unified arena
+  scfg.core_budget = 1;
   const auto factory = [&](int, const std::shared_ptr<nn::ArenaSlab>& s) {
     auto model = std::make_unique<patch::CompiledPatchQuantModel>(
         g, plan, cfg, std::vector<patch::BranchQuantConfig>{},
@@ -528,7 +553,7 @@ TEST(ServingFrontend, SlabExhaustedByAStreamShedsRequestsUntilItCloses) {
   auto slab = std::make_shared<nn::ArenaSlab>(budget);
   ServingConfig scfg;
   scfg.sessions = 1;
-  scfg.core_budget = 1;  // sequential frames, as in the probe
+  scfg.core_budget = 1;
   ServingFrontend<patch::CompiledPatchQuantModel> frontend(
       scfg,
       [&](int, const std::shared_ptr<nn::ArenaSlab>& s) {
@@ -681,7 +706,7 @@ TEST(ServingFrontend, BatchSpreadsAcrossIdleSessions) {
   auto state = std::make_shared<RendezvousModel::State>();
   ServingConfig cfg;
   cfg.sessions = kSessions;
-  cfg.core_budget = kSessions;  // 1-worker lanes
+  cfg.core_budget = kSessions;
   cfg.pin_lanes = false;
   ServingFrontend<RendezvousModel> frontend(
       cfg, [&](int, const std::shared_ptr<nn::ArenaSlab>&) {

@@ -1,12 +1,14 @@
-// WorkerPool (nn/runtime/worker_pool.h): the chunked work-stealing
-// parallel_for must cover every index exactly once for any worker count,
+// WorkerPool (nn/runtime/worker_pool.h): run_graph over independent
+// chunk tasks must cover every index exactly once for any worker count,
 // chunking and load shape; keep lane indices inside [0, W); run inline on
-// one worker; and propagate body exceptions to the caller. run_graph must
-// respect dependency edges for every worker count, publish predecessor
-// writes to successors, abort cleanly on task exceptions and reject
-// cycles.
+// one worker; let idle workers steal a skewed load; and propagate task
+// exceptions to the caller. Over dependency edges it must respect them for
+// every worker count, publish predecessor writes to successors, abort
+// cleanly on task exceptions and reject cycles. cpu_affinity.h: the
+// allowed CPU set and best-effort pinning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -22,6 +24,19 @@
 namespace qmcu {
 namespace {
 
+// Runs body(begin, end, lane) over [0, count) in chunks of `grain` (the
+// last one may be short): one task per chunk, no dependency edges.
+template <class Body>
+void run_chunks(nn::WorkerPool& pool, std::int64_t count, std::int64_t grain,
+                const Body& body) {
+  nn::TaskGraph graph;
+  for (std::int64_t b = 0; b < count; b += grain) {
+    const std::int64_t e = std::min(b + grain, count);
+    graph.add([&body, b, e](int lane) { body(b, e, lane); });
+  }
+  pool.run_graph(graph);
+}
+
 TEST(WorkerPool, CoversEveryIndexExactlyOnce) {
   for (const int workers : {1, 2, 3, 4, 8}) {
     nn::WorkerPool pool(workers);
@@ -29,15 +44,15 @@ TEST(WorkerPool, CoversEveryIndexExactlyOnce) {
       for (const std::int64_t grain : {1, 2, 5, 64, 2000}) {
         std::vector<std::atomic<int>> hits(static_cast<std::size_t>(count));
         for (auto& h : hits) h.store(0);
-        pool.parallel_for(count, grain,
-                          [&](std::int64_t b, std::int64_t e, int lane) {
-                            ASSERT_GE(lane, 0);
-                            ASSERT_LT(lane, pool.num_workers());
-                            ASSERT_LE(b, e);
-                            for (std::int64_t i = b; i < e; ++i) {
-                              hits[static_cast<std::size_t>(i)].fetch_add(1);
-                            }
-                          });
+        run_chunks(pool, count, grain,
+                   [&](std::int64_t b, std::int64_t e, int lane) {
+                     ASSERT_GE(lane, 0);
+                     ASSERT_LT(lane, pool.num_workers());
+                     ASSERT_LT(b, e);
+                     for (std::int64_t i = b; i < e; ++i) {
+                       hits[static_cast<std::size_t>(i)].fetch_add(1);
+                     }
+                   });
         for (std::int64_t i = 0; i < count; ++i) {
           ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
               << "index " << i << " workers " << workers << " grain "
@@ -53,7 +68,7 @@ TEST(WorkerPool, SingleWorkerRunsInlineOnCaller) {
   EXPECT_EQ(pool.num_workers(), 1);
   const std::thread::id caller = std::this_thread::get_id();
   int calls = 0;
-  pool.parallel_for(10, 3, [&](std::int64_t b, std::int64_t e, int lane) {
+  run_chunks(pool, 10, 3, [&](std::int64_t b, std::int64_t e, int lane) {
     EXPECT_EQ(lane, 0);
     EXPECT_EQ(std::this_thread::get_id(), caller);
     calls += static_cast<int>(e - b);
@@ -69,7 +84,7 @@ TEST(WorkerPool, StealingBalancesSkewedLoads) {
   std::mutex mu;
   std::set<int> lanes_seen;
   std::atomic<std::int64_t> done{0};
-  pool.parallel_for(64, 1, [&](std::int64_t b, std::int64_t, int lane) {
+  run_chunks(pool, 64, 1, [&](std::int64_t b, std::int64_t, int lane) {
     if (b == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
@@ -89,15 +104,14 @@ TEST(WorkerPool, StealingBalancesSkewedLoads) {
 TEST(WorkerPool, PropagatesBodyExceptions) {
   for (const int workers : {1, 4}) {
     nn::WorkerPool pool(workers);
-    EXPECT_THROW(
-        pool.parallel_for(16, 1,
-                          [&](std::int64_t b, std::int64_t, int) {
-                            if (b == 7) throw std::runtime_error("boom");
-                          }),
-        std::runtime_error);
+    EXPECT_THROW(run_chunks(pool, 16, 1,
+                            [&](std::int64_t b, std::int64_t, int) {
+                              if (b == 7) throw std::runtime_error("boom");
+                            }),
+                 std::runtime_error);
     // The pool must stay usable after a failed job.
     std::atomic<std::int64_t> n{0};
-    pool.parallel_for(16, 1, [&](std::int64_t b, std::int64_t e, int) {
+    run_chunks(pool, 16, 1, [&](std::int64_t b, std::int64_t e, int) {
       n.fetch_add(e - b);
     });
     EXPECT_EQ(n.load(), 16);
@@ -108,7 +122,7 @@ TEST(WorkerPool, BackToBackJobsReuseThreads) {
   nn::WorkerPool pool(3);
   for (int round = 0; round < 50; ++round) {
     std::atomic<std::int64_t> sum{0};
-    pool.parallel_for(100, 7, [&](std::int64_t b, std::int64_t e, int) {
+    run_chunks(pool, 100, 7, [&](std::int64_t b, std::int64_t e, int) {
       for (std::int64_t i = b; i < e; ++i) sum.fetch_add(i);
     });
     EXPECT_EQ(sum.load(), 100 * 99 / 2);
@@ -118,7 +132,6 @@ TEST(WorkerPool, BackToBackJobsReuseThreads) {
 TEST(WorkerPool, ClampsWorkerCount) {
   nn::WorkerPool pool(0);
   EXPECT_EQ(pool.num_workers(), 1);
-  EXPECT_GE(nn::WorkerPool::hardware_workers(), 1);
 }
 
 // --- task graphs -------------------------------------------------------------
@@ -208,7 +221,7 @@ TEST(TaskGraph, ExceptionAbortsAndPoolStaysUsable) {
         << "successors of a failed task must not run";
     // The pool must come back clean for the next job.
     std::atomic<std::int64_t> n{0};
-    pool.parallel_for(16, 1, [&](std::int64_t b, std::int64_t e, int) {
+    run_chunks(pool, 16, 1, [&](std::int64_t b, std::int64_t e, int) {
       n.fetch_add(e - b);
     });
     EXPECT_EQ(n.load(), 16);
@@ -245,55 +258,56 @@ TEST(TaskGraph, GraphsReuseThePoolBackToBack) {
   }
 }
 
-TEST(WorkerPool, ParallelRangesCoversCallerChunks) {
+// Caller-chosen chunks (the shape patch::weighted_chunks produces): one
+// task per range, every index run once.
+TEST(WorkerPool, IndexRangeTasksCoverCallerChunks) {
   for (const int workers : {1, 3}) {
     nn::WorkerPool pool(workers);
     const std::vector<nn::IndexRange> ranges = {
         {0, 3}, {3, 4}, {4, 10}, {10, 11}};
     std::vector<std::atomic<int>> hits(11);
     for (auto& h : hits) h.store(0);
-    pool.parallel_ranges(ranges,
-                         [&](std::int64_t b, std::int64_t e, int) {
-                           for (std::int64_t i = b; i < e; ++i) {
-                             hits[static_cast<std::size_t>(i)].fetch_add(1);
-                           }
-                         });
+    nn::TaskGraph graph;
+    for (const nn::IndexRange& r : ranges) {
+      graph.add([&hits, r](int) {
+        for (std::int64_t i = r.begin; i < r.end; ++i) {
+          hits[static_cast<std::size_t>(i)].fetch_add(1);
+        }
+      });
+    }
+    pool.run_graph(graph);
     for (int i = 0; i < 11; ++i) {
       EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
     }
   }
 }
 
-// pin_workers is best-effort by contract: on a platform with affinity it
-// pins every pool thread and reports true; anywhere else (or with an empty
-// cpu list) it reports false — and in no case does it change what the pool
-// computes.
-TEST(WorkerPool, PinWorkersIsBestEffortAndPreservesResults) {
-  nn::WorkerPool pool(2);
-  const std::vector<int> cpu0 = {0};
-  if (nn::runtime::affinity_supported()) {
-    EXPECT_TRUE(pool.pin_workers(cpu0));
-  } else {
-    EXPECT_FALSE(pool.pin_workers(cpu0));
-  }
-  EXPECT_FALSE(pool.pin_workers({}));  // nothing to pin to
-
-  std::atomic<std::int64_t> sum{0};
-  pool.parallel_for(100, 1, [&](std::int64_t b, std::int64_t e, int) {
-    for (std::int64_t i = b; i < e; ++i) sum.fetch_add(i);
-  });
-  EXPECT_EQ(sum.load(), 4950);
+TEST(CpuAffinity, AllowedCpusAreTheUsableSet) {
+  const std::vector<int> allowed = nn::runtime::allowed_cpus();
+  ASSERT_FALSE(allowed.empty());
+  EXPECT_EQ(static_cast<int>(allowed.size()), nn::runtime::usable_cpus());
+  EXPECT_GE(allowed.front(), 0);
+  EXPECT_TRUE(std::is_sorted(allowed.begin(), allowed.end()));
+  EXPECT_EQ(std::adjacent_find(allowed.begin(), allowed.end()),
+            allowed.end());
 }
 
 TEST(CpuAffinity, PinCurrentThreadMatchesPlatformSupport) {
-  EXPECT_GE(nn::runtime::usable_cpus(), 1);
   // Out-of-range and empty cpu lists are always refused.
   EXPECT_FALSE(nn::runtime::pin_current_thread({}));
   const std::vector<int> bogus = {1 << 20};
   EXPECT_FALSE(nn::runtime::pin_current_thread(bogus));
-  const std::vector<int> cpu0 = {0};
-  EXPECT_EQ(nn::runtime::pin_current_thread(cpu0),
+  // A CPU of the allowed set pins wherever affinity exists; the thread's
+  // full mask is restored afterwards.
+  const std::vector<int> allowed = nn::runtime::allowed_cpus();
+  const std::vector<int> first = {allowed.front()};
+  EXPECT_EQ(nn::runtime::pin_current_thread(first),
             nn::runtime::affinity_supported());
+  if (nn::runtime::affinity_supported()) {
+    EXPECT_EQ(nn::runtime::allowed_cpus(), first);
+    EXPECT_TRUE(nn::runtime::pin_current_thread(allowed));
+    EXPECT_EQ(nn::runtime::allowed_cpus(), allowed);
+  }
 }
 
 }  // namespace
