@@ -23,6 +23,7 @@
 #include "nn/ops/backend.h"
 #include "nn/ops/float_kernels.h"
 #include "nn/ops/gemm_int8.h"
+#include "nn/ops/im2col.h"
 #include "nn/ops/int8_kernels.h"
 #include "nn/ops/simd/cpu_features.h"
 #include "nn/ops/simd/simd_kernels.h"
@@ -395,6 +396,55 @@ BENCHMARK(BM_DepthwiseInt8)
     ->Args({128, 0})
     ->Args({128, 1})
     ->Args({128, 2});
+
+// One depthwise_conv2d_into call (3x3, ReLU6) at the depthwise shapes the
+// served mixed MobileNetV2 plan runs (args: tier-sweep row, input h = w, c,
+// stride, pad): the 20x20x8 branch map, the 10x10x48 and padded 18x18x48
+// stride-2 maps, the 9x9 maps at 48, 144 and 192 channels and the padded
+// 5x5x336 tail. Rows 2 and 3 as in BM_GemmTierSweep (pair-madd pin,
+// default dispatch). Items are MACs.
+void BM_DepthwiseServedShapes(benchmark::State& state) {
+  const int row = static_cast<int>(state.range(0));
+  const int hw = static_cast<int>(state.range(1));
+  const int c = static_cast<int>(state.range(2));
+  nn::Layer l;
+  l.kind = nn::OpKind::DepthwiseConv2D;
+  l.kernel_h = l.kernel_w = 3;
+  l.stride_h = l.stride_w = static_cast<int>(state.range(3));
+  l.pad_h = l.pad_w = static_cast<int>(state.range(4));
+  l.act = nn::Activation::ReLU6;
+  const nn::Tensor in = random_tensor({hw, hw, c}, 26);
+  std::vector<float> w(static_cast<std::size_t>(3 * 3 * c));
+  nn::Rng rng(27);
+  for (float& v : w) v = static_cast<float>(rng.normal(0.0, 0.1));
+  const auto [lo, hi] = nn::tensor_min_max(in);
+  const nn::QTensor qin = nn::quantize(in, nn::choose_quant_params(lo, hi, 8));
+  const nn::ops::QuantizedWeights qw = nn::ops::quantize_weights(w);
+  std::vector<std::int32_t> bias(static_cast<std::size_t>(c));
+  for (std::int32_t& v : bias) {
+    v = static_cast<std::int32_t>(rng.uniform(-3000, 3000));
+  }
+  nn::QTensor out(nn::ops::conv_output_shape(qin.shape(), l, c),
+                  nn::choose_quant_params(0.0f, 6.0f, 8));
+  nn::ops::KernelBackend backend = sweep_backend(row);
+  for (auto _ : state) {
+    backend.depthwise_conv2d_into(qin, l, qw.data, qw.params, bias, out);
+    benchmark::DoNotOptimize(out.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * out.shape().elements() * 9);
+  state.counters["tier"] = static_cast<double>(row);
+  state.counters["simd_active"] = simd_active(backend);
+  state.counters["dot_active"] = dot_active(backend);
+}
+BENCHMARK(BM_DepthwiseServedShapes)
+    ->ArgsProduct({{2, 3}, {20}, {8}, {1}, {0}})
+    ->ArgsProduct({{2, 3}, {10}, {48}, {2}, {0}})
+    ->ArgsProduct({{2, 3}, {9}, {48}, {1}, {0}})
+    ->ArgsProduct({{2, 3}, {18}, {48}, {2}, {1}})
+    ->ArgsProduct({{2, 3}, {9}, {144}, {1}, {0}})
+    ->ArgsProduct({{2, 3}, {9}, {192}, {1}, {0}})
+    ->ArgsProduct({{2, 3}, {5}, {336}, {1}, {1}});
 
 // Integer-only residual add (fixed-point rescale, no per-element doubles).
 void BM_AddInt8(benchmark::State& state) {

@@ -28,7 +28,7 @@ int main() {
               k->requant_i32_row ? "simd" : "scalar");
   std::printf("  dw_accumulate:   %s\n",
               k->dw_accumulate ? "simd"
-              : k->dw_conv_row ? "not used (dw_conv_row)"
+              : k->dw_conv     ? "not used (dw_conv)"
                                : "scalar");
   std::printf("  requant_i8_row:  %s\n",
               k->requant_i8_row ? "simd" : "scalar");
@@ -36,9 +36,23 @@ int main() {
   // The fused entries have no scalar twin: null runs the unfused pair.
   std::printf("  gemm_requant:       %s\n",
               k->gemm_requant ? "fused" : "unfused");
-  std::printf("  dw_conv_row:        %s\n",
-              k->dw_conv_row ? "fused" : "unfused");
+  std::printf("  dw_conv:            %s\n",
+              k->dw_conv ? k->dw_body : "unfused (per-pixel loop)");
   std::printf("  crc32_fold:         %s\n",
               k->crc32_fold ? "pclmul" : "slicing-by-16");
+  // The base and dot tables this CPU runs (QMCU_FORCE_NO_DOT only changes
+  // which one dispatches): the depthwise body each one carries.
+  std::printf("depthwise body per table:\n");
+  const SimdKernels* base = isa == Isa::Avx2   ? avx2_kernels()
+                            : isa == Isa::Neon ? neon_kernels()
+                                               : nullptr;
+  const SimdKernels* dot_table = dot == DotIsa::AvxVnni   ? avx2_vnni_kernels()
+                                 : dot == DotIsa::NeonDot ? neon_dot_kernels()
+                                                          : nullptr;
+  for (const SimdKernels* t : {base, dot_table}) {
+    if (t == nullptr) continue;
+    std::printf("  %-10s %s\n", t->name,
+                t->dw_conv ? t->dw_body : "per-pixel dw_accumulate loop");
+  }
   return 0;
 }

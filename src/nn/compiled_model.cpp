@@ -41,6 +41,9 @@ void prepack_conv_panels(const Graph& g, const QuantizedParameters& params,
       // fc runs the same k-major panel GEMM as conv since the microkernel
       // rewrite; bake its panel so the first inference pays no repack.
       backend.prepack(w.data, l.out_channels, k);
+    } else if (l.kind == OpKind::DepthwiseConv2D) {
+      const auto& w = params.weights[static_cast<std::size_t>(id)];
+      backend.prepack_depthwise(w.data, l, g.shape(l.inputs[0]).c);
     }
   }
 }

@@ -1,6 +1,7 @@
 #include "nn/ops/backend.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -153,26 +154,21 @@ void fast_conv2d_impl(ScratchArena& arena, const TensorShape& is,
   }
 }
 
-void fast_depthwise_conv2d(ScratchArena& arena, const QTensor& in,
-                           const Layer& l,
-                           std::span<const std::int8_t> qweights,
-                           const QuantParams& wparams,
-                           std::span<const std::int32_t> qbias, QTensor& out,
-                           const simd::SimdKernels* simd) {
+// The per-pixel depthwise loop of the tables without a dw_conv body (NEON,
+// the scalar fallbacks): dw_accumulate per tap where the table has it,
+// requant_i32_row per pixel. The arena must already be reset.
+void depthwise_pixel_loop(ScratchArena& arena, const QTensor& in,
+                          const Layer& l,
+                          std::span<const std::int8_t> qweights,
+                          std::span<const std::int32_t> qbias,
+                          FixedPointMultiplier m, std::int32_t act_lo,
+                          std::int32_t act_hi, QTensor& out,
+                          const simd::SimdKernels* simd) {
   const TensorShape& is = in.shape();
-  const TensorShape os = conv_output_shape(is, l, is.c);
+  const TensorShape& os = out.shape();
   const int c = is.c;
-  QMCU_REQUIRE(static_cast<std::int64_t>(qweights.size()) ==
-                   static_cast<std::int64_t>(l.kernel_h) * l.kernel_w * c,
-               "dwconv weight count mismatch");
-  QMCU_REQUIRE(out.shape() == os,
-               "depthwise_conv2d: destination shape mismatch");
   const QuantParams& out_params = out.params();
-  const auto& ip = in.params();
-  const FixedPointMultiplier m = quantize_multiplier(
-      static_cast<double>(ip.scale) * wparams.scale / out_params.scale);
-  const auto [act_lo, act_hi] = activation_range(l.act, out_params);
-  const std::int32_t zp = ip.zero_point;
+  const std::int32_t zp = in.params().zero_point;
   const std::int8_t* x = in.data().data();
   const std::int8_t* w = qweights.data();
   std::int8_t* y = out.data().data();
@@ -182,53 +178,6 @@ void fast_depthwise_conv2d(ScratchArena& arena, const QTensor& in,
   const OutputInterior ox_int =
       output_interior(l.kernel_w, l.stride_w, l.pad_w, is.w, os.w);
 
-  const auto conv_row = (simd != nullptr) ? simd->dw_conv_row : nullptr;
-  if (conv_row != nullptr && zp >= -128 && zp <= 127) {
-    // Fused rows: per output row, the border columns one pixel at a time
-    // with their clipped window, the interior columns as one run.
-    simd::DwConvRow p;
-    p.x_row = static_cast<std::int64_t>(is.w) * c;
-    p.x_step = static_cast<std::int64_t>(l.stride_w) * c;
-    p.w_row = l.kernel_w * c;
-    p.bias = qbias.empty() ? nullptr : qbias.data();
-    p.c = c;
-    p.zp = zp;
-    p.m = m;
-    p.out_zp = out_params.zero_point;
-    p.lo = act_lo;
-    p.hi = act_hi;
-    const int run_lo = std::clamp(ox_int.lo, 0, os.w);
-    const int run_hi = std::clamp(ox_int.hi, run_lo, os.w);
-    for (int oy = 0; oy < os.h; ++oy) {
-      const int iy0 = oy * l.stride_h - l.pad_h;
-      const KernelRange kyr = valid_kernel_range(iy0, l.kernel_h, is.h);
-      const auto run = [&](int ox0, int count, KernelRange kxr) {
-        const int ix0 = ox0 * l.stride_w - l.pad_w;
-        p.taps_h = kyr.count();
-        p.taps_w = kxr.count();
-        p.x = x;
-        p.w = w;
-        if (p.taps_h > 0 && p.taps_w > 0) {
-          p.x += flat_index(is, iy0 + kyr.lo, ix0 + kxr.lo, 0);
-          p.w += (static_cast<std::size_t>(kyr.lo) * l.kernel_w + kxr.lo) *
-                 static_cast<std::size_t>(c);
-        }
-        p.count = count;
-        p.y = y + static_cast<std::size_t>(flat_index(os, oy, ox0, 0));
-        conv_row(p);
-      };
-      const auto border = [&](int ox) {
-        run(ox, 1,
-            valid_kernel_range(ox * l.stride_w - l.pad_w, l.kernel_w, is.w));
-      };
-      for (int ox = 0; ox < run_lo; ++ox) border(ox);
-      if (run_hi > run_lo) run(run_lo, run_hi - run_lo, {0, l.kernel_w});
-      for (int ox = run_hi; ox < os.w; ++ox) border(ox);
-    }
-    return;
-  }
-
-  arena.reset();
   auto acc = arena.i32(static_cast<std::size_t>(c));
 
   const auto accumulate =
@@ -339,6 +288,52 @@ void KernelBackend::prepack(std::span<const std::int8_t> qweights, int n,
                             int k) {
   if (!cache_weight_panels_) return;
   (void)weight_panel(qweights, n, k);
+}
+
+KernelBackend::PanelView KernelBackend::depthwise_panel(
+    std::span<const std::int8_t> qweights, int kernel_h, int kernel_w,
+    int c) {
+  const std::int64_t bytes =
+      simd_->dw_pack(qweights.data(), kernel_h, kernel_w, c, nullptr);
+  // 63 bytes of room to start the layout on a cache line (see DwConv).
+  const auto build = [&](std::span<std::int8_t> room,
+                         std::span<std::int32_t> wsum) {
+    const std::size_t skip =
+        (64 - reinterpret_cast<std::uintptr_t>(room.data()) % 64) % 64;
+    const auto packed = room.subspan(skip, static_cast<std::size_t>(bytes));
+    simd_->dw_pack(qweights.data(), kernel_h, kernel_w, c, packed.data());
+    std::fill(wsum.begin(), wsum.end(), 0);
+    for (int t = 0; t < kernel_h * kernel_w; ++t) {
+      for (int ch = 0; ch < c; ++ch) {
+        wsum[static_cast<std::size_t>(ch)] +=
+            qweights[static_cast<std::size_t>(t) * c + ch];
+      }
+    }
+    return PanelView{packed, wsum};
+  };
+  const std::size_t room = static_cast<std::size_t>(bytes) + 63;
+  if (cache_weight_panels_) {
+    DepthwisePanel& p = dw_panels_[qweights.data()];
+    if (static_cast<int>(p.wsum.size()) != c || p.room.size() != room) {
+      p.room.resize(room);
+      p.wsum.resize(static_cast<std::size_t>(c));
+      p.view = build(p.room, p.wsum);
+    }
+    return p.view;
+  }
+  return build(arena_.i8(room), arena_.i32(static_cast<std::size_t>(c)));
+}
+
+bool KernelBackend::fused_depthwise(const Layer& l, std::int32_t zp) const {
+  return simd_ != nullptr && simd_->dw_conv != nullptr &&
+         l.kernel_h * l.kernel_w <= simd::kDwMaxTaps &&
+         l.stride_w <= simd::kDwMaxStride && zp >= -128 && zp <= 127;
+}
+
+void KernelBackend::prepack_depthwise(std::span<const std::int8_t> qweights,
+                                      const Layer& l, int c) {
+  if (!cache_weight_panels_ || !fused_depthwise(l, 0)) return;
+  (void)depthwise_panel(qweights, l.kernel_h, l.kernel_w, c);
 }
 
 void KernelBackend::adopt_panel(const std::int8_t* key,
@@ -471,7 +466,52 @@ void KernelBackend::depthwise_conv2d_into(const QTensor& in, const Layer& l,
     depthwise_conv2d_q_into(in, l, qweights, wparams, qbias, out);
     return;
   }
-  fast_depthwise_conv2d(arena_, in, l, qweights, wparams, qbias, out, simd_);
+  const TensorShape& is = in.shape();
+  const int c = is.c;
+  const int taps = l.kernel_h * l.kernel_w;
+  QMCU_REQUIRE(static_cast<std::int64_t>(qweights.size()) ==
+                   static_cast<std::int64_t>(taps) * c,
+               "dwconv weight count mismatch");
+  QMCU_REQUIRE(out.shape() == conv_output_shape(is, l, c),
+               "depthwise_conv2d: destination shape mismatch");
+  const QuantParams& ip = in.params();
+  const QuantParams& out_params = out.params();
+  const FixedPointMultiplier m = quantize_multiplier(
+      static_cast<double>(ip.scale) * wparams.scale / out_params.scale);
+  const auto [act_lo, act_hi] = activation_range(l.act, out_params);
+  arena_.reset();
+  if (!fused_depthwise(l, ip.zero_point)) {
+    depthwise_pixel_loop(arena_, in, l, qweights, qbias, m, act_lo, act_hi,
+                         out, simd_);
+    return;
+  }
+  const PanelView w = depthwise_panel(qweights, l.kernel_h, l.kernel_w, c);
+  simd::DwConv p;
+  p.x = in.data().data();
+  p.in_h = is.h;
+  p.in_w = is.w;
+  p.c = c;
+  p.kernel_h = l.kernel_h;
+  p.kernel_w = l.kernel_w;
+  p.stride_h = l.stride_h;
+  p.stride_w = l.stride_w;
+  p.pad_h = l.pad_h;
+  p.pad_w = l.pad_w;
+  p.out_h = out.shape().h;
+  p.out_w = out.shape().w;
+  p.w = w.bt.data();
+  p.wsum = w.wsum.data();
+  p.bias = qbias.empty() ? nullptr : qbias.data();
+  p.zp = ip.zero_point;
+  p.m = m;
+  p.out_zp = out_params.zero_point;
+  p.lo = act_lo;
+  p.hi = act_hi;
+  p.y = out.data().data();
+  p.ring = arena_.i8(static_cast<std::size_t>(simd::dw_ring_bytes(p))).data();
+  p.offset =
+      arena_.i32(static_cast<std::size_t>(simd::dw_offset_lanes(c))).data();
+  simd_->dw_conv(p);
 }
 
 QTensor KernelBackend::depthwise_conv2d(const QTensor& in, const Layer& l,

@@ -153,6 +153,12 @@ class KernelBackend {
   // blob ahead of time, so a compiled model's first inference pays no
   // packing cost. No-op unless panel caching is enabled.
   void prepack(std::span<const std::int8_t> qweights, int n, int k);
+  // The same for the depthwise layer `l` over c channels: lays its weights
+  // out for the table's dw_conv body (SimdKernels::dw_pack) with their
+  // per-channel tap sums. No-op unless panel caching is on and the layer
+  // runs that body.
+  void prepack_depthwise(std::span<const std::int8_t> qweights,
+                         const Layer& l, int c);
 
   // --- zero-copy panel adoption (plan-artifact loader) ---------------------
   // Installs an externally prepacked k-major panel + column sums for the
@@ -271,9 +277,24 @@ class KernelBackend {
     std::span<const std::int8_t> bt;
     std::span<const std::int32_t> wsum;
   };
+  // A depthwise blob laid out by dw_pack: `view.bt` is the layout, starting
+  // on a cache line inside `room`; `view.wsum` the per-channel tap sums.
+  struct DepthwisePanel {
+    std::vector<std::int8_t> room;
+    std::vector<std::int32_t> wsum;
+    PanelView view;
+  };
 
   // Returns the k-major panel for `qweights` (cached or arena-backed).
   PanelView weight_panel(std::span<const std::int8_t> qweights, int n, int k);
+  // Returns the dw_pack layout (bt, 64-byte aligned) and per-channel tap
+  // sums (wsum) of a depthwise blob, cached or arena-backed; needs
+  // simd_->dw_pack.
+  PanelView depthwise_panel(std::span<const std::int8_t> qweights,
+                            int kernel_h, int kernel_w, int c);
+  // Whether the depthwise layer `l` at input zero point `zp` runs the
+  // table's dw_conv body (otherwise the per-pixel loop).
+  [[nodiscard]] bool fused_depthwise(const Layer& l, std::int32_t zp) const;
 
   struct OffsetRow {
     std::int32_t a_zp;
@@ -297,6 +318,7 @@ class KernelBackend {
   ScratchArena arena_;
   ThreadAffinity affinity_;
   std::unordered_map<const std::int8_t*, WeightPanel> panels_;
+  std::unordered_map<const std::int8_t*, DepthwisePanel> dw_panels_;
   // Externally owned (artifact-mapped) panels and precomputed offset rows;
   // consulted before the build-on-miss caches.
   std::unordered_map<const std::int8_t*, PanelView> adopted_panels_;

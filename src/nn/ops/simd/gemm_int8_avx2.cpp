@@ -13,6 +13,7 @@
 
 #include <cstring>
 
+#include "nn/ops/simd/dw_tiles_avx2.h"
 #include "nn/ops/simd/gemm_tiles_avx2.h"
 
 namespace qmcu::nn::ops::simd {
@@ -85,6 +86,41 @@ struct PairMadd {
     const __m256i v0 = _mm256_permute2x128_si256(*lo, *hi, 0x20);
     *hi = _mm256_permute2x128_si256(*lo, *hi, 0x31);
     *lo = v0;
+  }
+
+  // Depthwise (dw_tiles_avx2.h): a tap pair per lane. Each tap's 32 lanes
+  // widen to two int16 vectors (lanes 0..15, 16..31); unpacklo/hi_epi16
+  // pairs them within 128-bit halves, so vector a holds lanes
+  // {0..3, 8..11} + 4 * (a % 2) + 16 * (a / 2). |x * w| <= 128 * 128, so
+  // the madd pair sum is exact.
+  static constexpr int dw_slot_lane(int s) {
+    const int a = s / 8;
+    const int e = s % 8;
+    return 16 * (a / 2) + 4 * (a % 2) + e % 4 + 8 * (e / 4);
+  }
+
+  static void dw_operands(const std::int8_t* const* tap, int t,
+                          std::ptrdiff_t l0, __m256i* v) {
+    const auto half = [&](int i, int h) {
+      if (i >= t) return _mm256_setzero_si256();
+      return _mm256_cvtepi8_epi16(_mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(tap[i] + l0 + 16 * h)));
+    };
+    const __m256i a0 = half(0, 0);
+    const __m256i b0 = half(1, 0);
+    v[0] = _mm256_unpacklo_epi16(a0, b0);
+    v[1] = _mm256_unpackhi_epi16(a0, b0);
+    const __m256i a1 = half(0, 1);
+    const __m256i b1 = half(1, 1);
+    v[2] = _mm256_unpacklo_epi16(a1, b1);
+    v[3] = _mm256_unpackhi_epi16(a1, b1);
+  }
+
+  // Dword 4 * h + a of the packed block starts at lane
+  // 16 * (a / 2) + 4 * (a % 2) + 8 * h: swapping the middle two qwords
+  // puts them in lane order.
+  static __m256i dw_lane_order(__m256i b) {
+    return _mm256_permute4x64_epi64(b, 0xD8);
   }
 };
 
@@ -177,84 +213,6 @@ void add_row_avx2(const std::int8_t* a, const std::int8_t* b, std::int64_t n,
 }
 
 // ---------------------------------------------------------------------------
-// Depthwise: one fused run. Per 16-channel block every tap is one exact int16
-// product: x - zp lies in [-255, 255] and w in [-128, 127], so
-// |(x - zp) * w| <= 32640 and vpmullw keeps all of it. The products widen
-// to two int32 accumulators that stay in registers across the window; the
-// block then takes the bias, the output stage and a 16-byte store. An
-// 8-channel block does the same on 128-bit lanes; the last c % 8 channels
-// run the scalar loop.
-void dw_conv_row_avx2(const DwConvRow& p) {
-  const OutputStage stage(p.m, p.out_zp, p.lo, p.hi);
-  const int c = p.c;
-  const __m256i zp16 = _mm256_set1_epi16(static_cast<std::int16_t>(p.zp));
-  const __m128i zp16x = _mm256_castsi256_si128(zp16);
-  const auto bias8 = [&](int ch) {
-    return p.bias != nullptr
-               ? _mm256_loadu_si256(
-                     reinterpret_cast<const __m256i*>(p.bias + ch))
-               : _mm256_setzero_si256();
-  };
-  for (int px = 0; px < p.count; ++px) {
-    const std::int8_t* x = p.x + static_cast<std::int64_t>(px) * p.x_step;
-    std::int8_t* y = p.y + static_cast<std::size_t>(px) * c;
-    int ch = 0;
-    for (; ch + 16 <= c; ch += 16) {
-      __m256i acc0 = bias8(ch);
-      __m256i acc1 = bias8(ch + 8);
-      for (int dy = 0; dy < p.taps_h; ++dy) {
-        const std::int8_t* xr = x + dy * p.x_row + ch;
-        const std::int8_t* wr = p.w + static_cast<std::size_t>(dy) * p.w_row + ch;
-        for (int dx = 0; dx < p.taps_w; ++dx, xr += c, wr += c) {
-          const __m256i xv = _mm256_sub_epi16(
-              _mm256_cvtepi8_epi16(
-                  _mm_loadu_si128(reinterpret_cast<const __m128i*>(xr))),
-              zp16);
-          const __m256i wv = _mm256_cvtepi8_epi16(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(wr)));
-          const __m256i prod = _mm256_mullo_epi16(xv, wv);
-          acc0 = _mm256_add_epi32(
-              acc0, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod)));
-          acc1 = _mm256_add_epi32(
-              acc1, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(prod, 1)));
-        }
-      }
-      stage.store16(acc0, acc1, y + ch);
-    }
-    if (ch + 8 <= c) {
-      __m256i acc = bias8(ch);
-      for (int dy = 0; dy < p.taps_h; ++dy) {
-        const std::int8_t* xr = x + dy * p.x_row + ch;
-        const std::int8_t* wr = p.w + static_cast<std::size_t>(dy) * p.w_row + ch;
-        for (int dx = 0; dx < p.taps_w; ++dx, xr += c, wr += c) {
-          const __m128i xv = _mm_sub_epi16(
-              _mm_cvtepi8_epi16(
-                  _mm_loadl_epi64(reinterpret_cast<const __m128i*>(xr))),
-              zp16x);
-          const __m128i wv = _mm_cvtepi8_epi16(
-              _mm_loadl_epi64(reinterpret_cast<const __m128i*>(wr)));
-          acc = _mm256_add_epi32(
-              acc, _mm256_cvtepi16_epi32(_mm_mullo_epi16(xv, wv)));
-        }
-      }
-      stage.store8(acc, y + ch);
-      ch += 8;
-    }
-    for (; ch < c; ++ch) {
-      std::int32_t acc = p.bias != nullptr ? p.bias[ch] : 0;
-      for (int dy = 0; dy < p.taps_h; ++dy) {
-        const std::int8_t* xr = x + dy * p.x_row + ch;
-        const std::int8_t* wr = p.w + static_cast<std::size_t>(dy) * p.w_row + ch;
-        for (int dx = 0; dx < p.taps_w; ++dx, xr += c, wr += c) {
-          acc += (static_cast<std::int32_t>(*xr) - p.zp) * *wr;
-        }
-      }
-      y[ch] = stage.scalar(acc);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Sub-byte unpack (quant/bitpack.h wire layout: little-endian fields,
 // two's-complement sign in the field width). Each step expands 16 packed
 // bytes at 4 bits, 8 at 2 bits, into 32 int8 lanes.
@@ -307,9 +265,10 @@ std::int64_t unpack_body_avx2(const std::uint8_t* bytes, std::int64_t nbytes,
 
 const SimdKernels kAvx2 = {
     "avx2",          &gemm_block_entry<PairMadd>, &requant_i32_row_avx2,
-    nullptr,  // dw_accumulate: every depthwise row runs dw_conv_row
+    nullptr,  // dw_accumulate: every depthwise layer runs dw_conv
     &requant_i8_row_avx2, &unpack_body_avx2,
-    &add_row_avx2, &gemm_requant_entry<PairMadd>, &dw_conv_row_avx2,
+    &add_row_avx2, &gemm_requant_entry<PairMadd>, &dw_conv_entry<PairMadd>,
+    &dw_pack_entry<PairMadd>,
 };
 
 }  // namespace
@@ -320,6 +279,7 @@ const SimdKernels* avx2_kernels() {
   static const SimdKernels table = [] {
     SimdKernels t = kAvx2;
     t.crc32_fold = crc32_fold_pclmul();
+    t.dw_body = "pair-madd";
     return t;
   }();
   return &table;

@@ -1,4 +1,5 @@
-// gemm_int8_vnni.cpp — AVX-VNNI dot-product GEMM generation.
+// gemm_int8_vnni.cpp — AVX-VNNI dot-product generation: the GEMM and the
+// depthwise conv (dw_tiles_avx2.h) on vpdpbusd.
 //
 // This TU is compiled with -mavx2 -mavxvnni (see CMakeLists.txt) and its
 // kernel is only reached through the runtime-dispatched table after
@@ -25,6 +26,9 @@
 // shuffles amortize over all m rows. Like the scalar block, int32
 // accumulation bounds the contract to k * 255 * 128 < 2^31, i.e. k < ~65.8k
 // — far beyond any im2col window this runtime prices.
+//
+// The depthwise body uses the same bias: its input ring holds x ^ 0x80
+// and its offset row starts each lane at bias - (zp + 128) * Σw.
 #include "nn/ops/simd/simd_kernels.h"
 
 #if defined(__AVX2__) && defined(__AVXVNNI__)
@@ -33,6 +37,7 @@
 
 #include <cstring>
 
+#include "nn/ops/simd/dw_tiles_avx2.h"
 #include "nn/ops/simd/gemm_tiles_avx2.h"
 
 namespace qmcu::nn::ops::simd {
@@ -114,6 +119,39 @@ struct Vnni {
 
   // transpose_4x16 already emits columns 0..7 and 8..15.
   static void order16(__m256i* /*lo*/, __m256i* /*hi*/) {}
+
+  // Depthwise (dw_tiles_avx2.h): a tap quad per lane. The ring already
+  // holds x ^ 0x80, so four 32-lane tap rows go straight through the
+  // transpose_4x16 ladder on both 128-bit halves: vector a holds lanes
+  // {0..3, 16..19} + 4 * a.
+  static constexpr int dw_slot_lane(int s) {
+    const int e = s % 8;
+    return 4 * (s / 8) + e % 4 + 16 * (e / 4);
+  }
+
+  static void dw_operands(const std::int8_t* const* tap, int t,
+                          std::ptrdiff_t l0, __m256i* v) {
+    const auto row = [&](int i) {
+      if (i >= t) return _mm256_setzero_si256();
+      return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tap[i] + l0));
+    };
+    const __m256i r0 = row(0);
+    const __m256i r1 = row(1);
+    const __m256i r2 = row(2);
+    const __m256i r3 = row(3);
+    const __m256i t0 = _mm256_unpacklo_epi8(r0, r1);
+    const __m256i t1 = _mm256_unpackhi_epi8(r0, r1);
+    const __m256i t2 = _mm256_unpacklo_epi8(r2, r3);
+    const __m256i t3 = _mm256_unpackhi_epi8(r2, r3);
+    v[0] = _mm256_unpacklo_epi16(t0, t2);
+    v[1] = _mm256_unpackhi_epi16(t0, t2);
+    v[2] = _mm256_unpacklo_epi16(t1, t3);
+    v[3] = _mm256_unpackhi_epi16(t1, t3);
+  }
+
+  // Dword 4 * h + a of the packed block starts at lane 4 * a + 16 * h:
+  // already lane order.
+  static __m256i dw_lane_order(__m256i b) { return b; }
 };
 
 }  // namespace
@@ -122,13 +160,17 @@ const SimdKernels* avx2_vnni_kernels() {
   static const SimdKernels* table = []() -> const SimdKernels* {
     const SimdKernels* base = avx2_kernels();
     if (base == nullptr) return nullptr;
-    // The generation shares every non-GEMM entry with the base AVX2 table;
-    // both GEMM entries carry the +128 activation bias.
+    // The generation shares every entry with the base AVX2 table except
+    // the two GEMM entries, which carry the +128 activation bias, and the
+    // depthwise pair, whose quads fold the same bias into their offset row.
     static SimdKernels t;
     t = *base;
     t.name = "avx2+vnni";
     t.gemm_block_i8 = &gemm_block_entry<Vnni>;
     t.gemm_requant = &gemm_requant_entry<Vnni>;
+    t.dw_conv = &dw_conv_entry<Vnni>;
+    t.dw_pack = &dw_pack_entry<Vnni>;
+    t.dw_body = "vnni-quad";
     t.gemm_a_bias = 128;
     t.gemm_dot = true;
     return &t;

@@ -46,32 +46,36 @@ inline __m256i srdhm_q31(__m256i x, __m256i mant) {
 }
 
 // apply_multiplier for one multiplier whose right shift lies in [0, 31]
-// (vector_shift): SRDHM, then rounding_divide_by_pot (round half away from
-// zero). A zero shift degenerates to the identity exactly like the scalar:
-// mask 0 => remainder 0 => no increment.
+// (vector_shift): SRDHM, then rounding_divide_by_pot, which rounds half away
+// from zero: sign(q) * floor((|q| + half) / 2^shift) with half =
+// 2^(shift - 1) (0 for shift 0). For q >= 0 that is (q >> shift) + (the
+// remainder >= half), the scalar's test. For q < 0, with |q| = k * 2^shift
+// + t, the scalar gives -k - 1 + (t < half) when t > 0 and -k when t = 0,
+// which is -(k + (t >= half)) both times. |q| and |q| + half are taken as
+// unsigned lanes, so |INT32_MIN| = 2^31 needs no special case, and
+// vpsignd restores the sign (a zero q gives 0, as floor(half / 2^shift)
+// is 0).
 class Rescale {
  public:
   explicit Rescale(const FixedPointMultiplier& m)
       : mant_(_mm256_set1_epi32(m.mantissa)),
-        mask_(_mm256_set1_epi32(
-            static_cast<std::int32_t>((1u << m.right_shift) - 1))),
-        half_(_mm256_srli_epi32(mask_, 1)),
-        shift_(_mm_cvtsi32_si128(m.right_shift)) {}
+        half_(_mm256_set1_epi32(
+            m.right_shift > 0
+                ? static_cast<std::int32_t>(1u << (m.right_shift - 1))
+                : 0)),
+        shift_(_mm256_set1_epi32(m.right_shift)) {}
 
   __m256i operator()(__m256i x) const {
     const __m256i q = srdhm_q31(x, mant_);
-    const __m256i remainder = _mm256_and_si256(q, mask_);
-    // threshold = mask >> 1, +1 for negative lanes (srai 31 is -1 there).
-    const __m256i threshold = _mm256_sub_epi32(half_, _mm256_srai_epi32(q, 31));
-    return _mm256_sub_epi32(_mm256_sra_epi32(q, shift_),
-                            _mm256_cmpgt_epi32(remainder, threshold));
+    const __m256i a = _mm256_srlv_epi32(
+        _mm256_add_epi32(_mm256_abs_epi32(q), half_), shift_);
+    return _mm256_sign_epi32(a, q);
   }
 
  private:
   __m256i mant_;
-  __m256i mask_;
   __m256i half_;
-  __m128i shift_;
+  __m256i shift_;
 };
 
 // Clamps two 8-lane int32 vectors and stores them as 16 consecutive int8.

@@ -14,7 +14,7 @@
 //                     point -> clamp -> int8, exactly apply_multiplier's
 //                     rounding sequence.
 //   dw_accumulate   — the depthwise channel MAC: acc[i] += (x[i]-zp)*w[i]
-//                     (NEON; the AVX2 tables run dw_conv_row instead).
+//                     (NEON; the AVX2 tables run dw_conv instead).
 //   requant_i8_row  — the ElementRequantizer slice loop of requantize_q:
 //                     (src-zp) << left_shift -> fixed-point rescale -> zp
 //                     -> clamp.
@@ -36,12 +36,10 @@
 //                     streams the panel, a few k rows per pass, through the
 //                     caller's accumulator row. Same gemm_a_bias as the
 //                     table's gemm_block_i8.
-//   dw_conv_row     — a run of depthwise output pixels sharing one clipped
-//                     kernel window: every tap accumulated in registers as
-//                     the exact int16 product (x - zp) * w (|.| <= 255*128),
-//                     widened to int32, then bias -> requantize -> int8.
-//                     Interior runs and single border pixels use the same
-//                     body; it replaces the per-tap dw_accumulate calls.
+//   dw_conv         — a whole depthwise conv layer (DwConv below) with the
+//                     output stage fused: one call per map, one body for
+//                     interior and border pixels, both strides.
+//                     dw_pack lays the weights out for it once per layer.
 //   crc32_fold      — the whole 16-byte blocks of nn::crc32 (reflected
 //                     polynomial 0xEDB88320) by carry-less-multiply
 //                     folding; the same remainder as the slicing-by-16
@@ -70,11 +68,13 @@
 // the scalar implementation — which is also what the whole table being
 // null (no usable ISA, or QMCU_FORCE_SCALAR) means. A null gemm_requant
 // runs gemm_block_i8 then requant_i32_row per row, one 4-row block at a
-// time (run_gemm_requant_block in gemm_int8.cpp); a null dw_conv_row runs the
+// time (run_gemm_requant_block in gemm_int8.cpp); a null dw_conv runs the
 // per-pixel dw_accumulate loop; a null crc32_fold runs slicing-by-16 over
 // the whole input.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 
 #include "nn/ops/requantize.h"
@@ -82,34 +82,128 @@
 
 namespace qmcu::nn::ops::simd {
 
-// A run of `count` depthwise output pixels that share one kernel window
-// clipped to kernel rows [ky_lo, ky_lo + taps_h) and columns
-// [kx_lo, kx_lo + taps_w). For pixel p and channel ch in [0, c):
-//   y[p*c + ch] = clamp(apply_multiplier(bias[ch] + sum over dy < taps_h,
-//                 dx < taps_w of (x[p*x_step + dy*x_row + dx*c + ch] - zp)
-//                 * w[dy*w_row + dx*c + ch], m) + out_zp, lo, hi)
-// with bias[ch] read as 0 when `bias` is null. x points at the first
-// pixel's tap (ky_lo, kx_lo) in the NHWC input, w at the same tap of the
-// [kh][kw][c] weights. zp must lie in [-128, 127], which keeps every
-// (x - zp) * w product inside int16.
-struct DwConvRow {
-  const std::int8_t* x = nullptr;
-  std::int64_t x_row = 0;   // int8 elements between input rows
-  std::int64_t x_step = 0;  // int8 elements between neighbouring pixels
-  const std::int8_t* w = nullptr;
-  int w_row = 0;            // int8 elements between kernel rows
-  int taps_h = 0;
-  int taps_w = 0;
-  const std::int32_t* bias = nullptr;
+// One depthwise conv layer over an NHWC map, output stage fused. For every
+// output pixel (oy, ox) and channel ch in [0, c):
+//   y[(oy*out_w + ox)*c + ch] = clamp(apply_multiplier(bias[ch] + sum over
+//       ky < kernel_h, kx < kernel_w of (X(oy*stride_h + ky - pad_h,
+//       ox*stride_w + kx - pad_w, ch) - zp) * w[(ky*kernel_w + kx)*c + ch],
+//       m) + out_zp, lo, hi)
+// where X(iy, ix, ch) = x[(iy*in_w + ix)*c + ch] inside the input and zp
+// outside it (the padding: a missing tap adds exactly 0), and bias[ch] reads
+// as 0 when `bias` is null. pad_h / pad_w are the top / left padding; the
+// bottom and right padding is whatever the output extent needs. zp must lie
+// in [-128, 127], kernel_h * kernel_w <= kDwMaxTaps and
+// stride_w <= kDwMaxStride.
+//
+// How the AVX2 bodies (dw_tiles_avx2.h) compute it:
+//   - Lanes. An output row is one flat run of out_w * c lanes (pixel-major,
+//     channel-minor), in blocks of 32. The weight pattern repeats every
+//     dw_period(c) = lcm(32, c) lanes, so a block is in one of
+//     dw_period(c) / 32 phases and every lane does useful work at any c
+//     (c = 8 fills all 32 lanes with 4 pixels).
+//   - Taps. A madd retires kStep taps of 8 lanes: byte quads for vpdpbusd
+//     (VNNI), int16 pairs for vpmaddwd (pair-madd), from kernel columns
+//     g * kStep .. g * kStep + kStep - 1 of one kernel row (column group g;
+//     columns past kernel_w have zero weights).
+//   - Lane order. The unpack ladder that interleaves the taps leaves a
+//     block's 32 accumulators in the generation's slot order: runs of four
+//     consecutive lanes (VNNI: vector a holds lanes 4a..4a+3 and
+//     16+4a..19+4a; pair-madd: 16(a/2)+4(a%2)+{0..3, 8..11}). The offset
+//     row and the weights are laid out in the same order, and one dword
+//     permute after the int8 packs puts the bytes back in lane order.
+//   - Ring. Each padded input row the windows need is built once into
+//     `ring` (kernel_h rows): split into stride_w column phases so that
+//     column kx of every pixel of an output row is one contiguous run at
+//     any stride, then interleaved per column group into the madd operands
+//     of every output lane. A block then costs one load and one madd per 8
+//     lanes, kernel row and column group, with no shuffle until the output
+//     stage.
+//   - Offset row. The VNNI body multiplies u8 x s8: the ring holds
+//     x ^ 0x80 = x + 128, and every lane starts from
+//     bias[ch] - (zp + 128) * wsum[ch] (bias[ch] - zp * wsum[ch] for
+//     pair-madd, whose ring holds x), with wsum[ch] the sum of channel ch's
+//     taps, just as gemm_a_bias folds into the GEMM's offset row. The row
+//     (dw_period(c) lanes) is built into `offset` once per call, since zp
+//     differs from call to call (each mixed-precision branch has its own).
+//   - Border taps. The padding holds the input zero point, so a tap that
+//     falls outside the input adds (zp + 128) * w - (zp + 128) * w = 0
+//     (zp * w - zp * w for pair-madd): border and interior pixels run the
+//     same body.
+//   - Output stage. Q31 rescale per 8 lanes, int16 packs with saturation,
+//     out_zp added with int16 saturation, int8 packs, [lo, hi] on bytes.
+//     Other multipliers (vector_shift false), |out_zp| > 32640 or a range
+//     outside int8 spill to the scalar apply_multiplier.
+//   - Weights. `w` is the dw_pack layout: for every block phase, kernel row
+//     and column group, four ymm of interleaved weights in slot order.
+//   - Alignment. The body starts its ring rows and offset row on 64-byte
+//     lines inside the scratch; `w` is best 64-byte aligned too.
+// Integer sums are exact in any order, so the result is bit-identical to
+// the scalar loop.
+struct DwConv {
+  const std::int8_t* x = nullptr;  // NHWC input, in_h x in_w x c
+  int in_h = 0;
+  int in_w = 0;
   int c = 0;
-  int count = 0;
+  int kernel_h = 0;
+  int kernel_w = 0;
+  int stride_h = 1;
+  int stride_w = 1;
+  int pad_h = 0;
+  int pad_w = 0;
+  int out_h = 0;
+  int out_w = 0;
+  const std::int8_t* w = nullptr;      // dw_pack(weights) layout
+  const std::int32_t* wsum = nullptr;  // per-channel sum of the taps
+  const std::int32_t* bias = nullptr;  // may be null
   std::int32_t zp = 0;
   FixedPointMultiplier m;
   std::int32_t out_zp = 0;
   std::int32_t lo = -128;
   std::int32_t hi = 127;
-  std::int8_t* y = nullptr;
+  std::int8_t* y = nullptr;            // out_h x out_w x c
+  std::int8_t* ring = nullptr;         // dw_ring_bytes(*this) scratch
+  std::int32_t* offset = nullptr;      // dw_offset_lanes(c) int32 scratch
 };
+
+// The largest kernel window dw_conv takes (7 x 7 plus headroom).
+inline constexpr int kDwMaxTaps = 64;
+
+// The largest stride_w dw_conv takes.
+inline constexpr int kDwMaxStride = 4;
+
+// lcm(32, c): the lane period of the depthwise weight pattern. gcd(32, c)
+// is c's lowest set bit, capped at 32.
+inline std::int64_t dw_period(int c) {
+  const int tz = std::min(5, std::countr_zero(static_cast<unsigned>(c)));
+  return static_cast<std::int64_t>(c) << (5 - tz);
+}
+
+// DwConv::ring holds one padded input row as stride_w column phases of
+// dw_phase_bytes (ceil(padded width / stride_w) pixels plus 32 bytes the
+// last block of a row may read past its end), then kernel_h ring rows of
+// up to ceil(kernel_w / 2) column groups of dw_group_bytes (4 bytes per
+// output lane, lanes rounded up to whole blocks of 32).
+inline std::int64_t dw_phase_bytes(const DwConv& p) {
+  const std::int64_t padded_w =
+      static_cast<std::int64_t>(p.out_w - 1) * p.stride_w + p.kernel_w;
+  const std::int64_t phase_w = (padded_w + p.stride_w - 1) / p.stride_w;
+  return phase_w * p.c + 32;
+}
+inline std::int64_t dw_group_bytes(const DwConv& p) {
+  return (static_cast<std::int64_t>(p.out_w) * p.c + 31) / 32 * 128;
+}
+inline std::int64_t dw_ring_bytes(const DwConv& p) {
+  // Plus room to start both parts on a cache line.
+  return 128 + p.stride_w * dw_phase_bytes(p) +
+         static_cast<std::int64_t>(p.kernel_h) * ((p.kernel_w + 1) / 2) *
+             dw_group_bytes(p);
+}
+
+// The int32 of DwConv::offset: one period, the c + 32 channel-order values
+// it is built from, and room to start it on a cache line.
+inline std::int64_t dw_offset_lanes(int c) {
+  return dw_period(c) + c + 32 + 16;
+}
 
 // The largest k whose column-tile operands gemm_requant lays out once per
 // call, in a fixed-size stack strip (8 KiB for a 16-column VNNI tile,
@@ -176,8 +270,14 @@ struct SimdKernels {
                        std::int32_t lo, std::int32_t hi, std::int32_t* acc,
                        std::int8_t* out) = nullptr;
 
-  // Computes one DwConvRow (below).
-  void (*dw_conv_row)(const DwConvRow& row) = nullptr;
+  // Computes one DwConv (above).
+  void (*dw_conv)(const DwConv& conv) = nullptr;
+
+  // Lays out kernel_h x kernel_w x c depthwise weights as DwConv::w for
+  // this table's dw_conv and returns the byte count; with out == nullptr it
+  // only returns the count.
+  std::int64_t (*dw_pack)(const std::int8_t* w, int kernel_h, int kernel_w,
+                          int c, std::int8_t* out) = nullptr;
 
   // Advances the raw CRC32 register *state (pre-inverted, nn/checksum.h)
   // over the longest prefix of whole 16-byte blocks of data[0, nbytes) and
@@ -194,6 +294,9 @@ struct SimdKernels {
   // — what the artifact's kernel fingerprint and the dot bench counters
   // key on.
   bool gemm_dot = false;
+
+  // The dw_conv body's name ("pair-madd", "vnni-quad"); null with dw_conv.
+  const char* dw_body = nullptr;
 };
 
 // The activation bias the *selected* GEMM block applies: the table's

@@ -682,11 +682,11 @@ void CompiledPatchQuantModel::prepare_lane(
   // Artifact path: adopt the precomputed panels first, so the prepack
   // pass below is a no-op for everything the artifact baked.
   if (bundle_ != nullptr) bundle_->apply(backend);
-  // Pre-pack the conv panels any task on this lane may need — stage convs
-  // for branch tasks, tail convs for row bands and the join — so a lane's
-  // first run pays no packing cost (construction-time work, exempt from
-  // the affinity guard). Gated on the quantized params, not the graph: the
-  // artifact path loads a topology-only graph.
+  // Pre-pack the conv and depthwise panels any task on this lane may need
+  // — stage layers for branch tasks, tail layers for row bands and the
+  // join — so a lane's first run pays no packing cost (construction-time
+  // work, exempt from the affinity guard). Gated on the quantized params,
+  // not the graph: the artifact path loads a topology-only graph.
   const nn::Graph& g = *graph_;
   const auto prepack = [&](int layer_id) {
     const nn::Layer& l = g.layer(layer_id);
@@ -700,6 +700,9 @@ void CompiledPatchQuantModel::prepare_lane(
       const int k = static_cast<int>(g.shape(l.inputs[0]).elements());
       // fc shares the conv panel GEMM since the microkernel rewrite.
       backend.prepack(w.data, l.out_channels, k);
+    } else if (l.kind == nn::OpKind::DepthwiseConv2D) {
+      const int c = static_cast<int>(w.data.size()) / (l.kernel_h * l.kernel_w);
+      backend.prepack_depthwise(w.data, l, c);
     }
   };
   for (const BranchStep& step : plan_.branches.front().steps) {

@@ -186,6 +186,14 @@ TEST(KernelParity, DepthwiseRandomizedBitExact) {
                                 c.qbias, c.out_params),
           t == Table::Scalar ? "depthwise-scalar" : "depthwise-simd");
     }
+    // Without the panel cache the dw_conv weight layout is built in the
+    // scratch arena on every call.
+    KernelBackend uncached(KernelTier::Simd, /*cache_weight_panels=*/false);
+    expect_q_identical(a,
+                       uncached.depthwise_conv2d(c.qin, c.layer, c.qweights,
+                                                 c.wparams, c.qbias,
+                                                 c.out_params),
+                       "depthwise-uncached");
   }
 }
 
@@ -890,10 +898,10 @@ TEST(KernelParity, RequantI8RowMatchesReferenceForEveryTail) {
 }
 
 // --- Fused output stages ---------------------------------------------------
-// gemm_requant and dw_conv_row keep their accumulators in registers
-// through the requantize lanes. Each is checked, for every table this host
-// can run, against its unfused twin: gemm_block_i8 plus the scalar
-// requantize, and the scalar per-pixel depthwise loop.
+// gemm_requant and dw_conv keep their accumulators in registers through
+// the requantize lanes. Each is checked, for every table this host can
+// run, against its unfused twin: gemm_block_i8 plus the scalar requantize,
+// and a scalar depthwise loop.
 
 // The base and dot tables the running CPU can execute; empty under
 // QMCU_FORCE_SCALAR or on hosts without a usable ISA.
@@ -936,26 +944,33 @@ TEST(KernelParity, SrdhmLanesMatchScalarOnEdgeValues) {
   if (tables.empty()) GTEST_SKIP() << "no SIMD table on this host";
   constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
   constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
-  const std::int32_t xs[] = {kMin, -(1 << 30) - 1, -(1 << 30) + 1, -1, 0, 1,
-                             kMax};
+  // The int32 extremes, the SRDHM nudge boundaries and every small value,
+  // whose quotients hit each rounding tie of the shifts below.
+  std::vector<std::int32_t> xs = {kMin,           kMin + 1,
+                                  -(1 << 30) - 1, -(1 << 30) + 1,
+                                  (1 << 30) - 1,  (1 << 30) + 1,
+                                  kMax - 1,       kMax};
+  for (std::int32_t x = -300; x <= 300; ++x) xs.push_back(x);
   const std::int32_t mantissas[] = {1 << 30, (1 << 30) + 1, kMax};
   for (const simd::SimdKernels* t : tables) {
-    for (const std::int32_t x : xs) {
-      for (const std::int32_t mant : mantissas) {
-        // Shift 0 makes requant_i32_row's lane exactly SRDHM + out_zp. With
-        // out_zp = -SRDHM(x, m) the clamped int8 output is 0 iff the lane
-        // reproduced the scalar product; 16 copies of x cover both the even
-        // and the odd 64-bit lane halves.
-        const std::int32_t want = saturating_rounding_doubling_high_mul(x, mant);
-        std::vector<std::int32_t> acc(16, x);
-        std::vector<std::int8_t> out(16, 99);
-        t->requant_i32_row(acc.data(), nullptr, 16,
-                           FixedPointMultiplier{mant, 0}, -want, -128, 127,
-                           out.data());
-        for (int j = 0; j < 16; ++j) {
-          ASSERT_EQ(static_cast<int>(out[static_cast<std::size_t>(j)]), 0)
-              << t->name << " x " << x << " mantissa " << mant << " lane "
-              << j;
+    for (int shift = 0; shift <= 31; ++shift) {
+      for (const std::int32_t x : xs) {
+        for (const std::int32_t mant : mantissas) {
+          // With out_zp = -apply_multiplier(x, m) the clamped int8 output
+          // is 0 iff the lane reproduced the scalar SRDHM and rounding
+          // shift exactly; 16 copies of x cover both the even and the odd
+          // 64-bit lane halves.
+          const FixedPointMultiplier m{mant, shift};
+          const std::int32_t want = apply_multiplier(x, m);
+          std::vector<std::int32_t> acc(16, x);
+          std::vector<std::int8_t> out(16, 99);
+          t->requant_i32_row(acc.data(), nullptr, 16, m, -want, -128, 127,
+                             out.data());
+          for (int j = 0; j < 16; ++j) {
+            ASSERT_EQ(static_cast<int>(out[static_cast<std::size_t>(j)]), 0)
+                << t->name << " x " << x << " mantissa " << mant
+                << " shift " << shift << " lane " << j;
+          }
         }
       }
     }
@@ -1084,36 +1099,55 @@ TEST(KernelParity, GemmRequantMatchesUnfusedBlocks) {
   std::printf("gemm_requant covered tables:%s\n", covered.c_str());
 }
 
-TEST(KernelParity, DwConvRowMatchesScalarPixelLoop) {
+// dw_conv against an independent scalar loop over whole maps: every kernel
+// window clipped to the input (so border windows, and windows lying wholly
+// in the padding), channel counts 1..40 and the served ones, output rows of
+// up to 40 pixels (the lane pattern of lcm(32, c) lanes wraps several
+// times), strides 1 and 2, the int8 zero-point extremes, a null bias and
+// multipliers above 1.
+TEST(KernelParity, DwConvMatchesScalarLoop) {
   const auto tables = host_tables();
   if (tables.empty()) GTEST_SKIP() << "no SIMD table on this host";
   const Activation acts[] = {Activation::None, Activation::ReLU,
                              Activation::ReLU6};
   const std::int32_t zps[] = {-128, 0, 127};
+  std::vector<int> channels;
+  for (int c = 1; c <= 40; ++c) channels.push_back(c);
+  for (const int c : {48, 96, 144, 192, 288, 336, 576}) channels.push_back(c);
   nn::Rng rng(1616);
+  std::string covered;
   for (const simd::SimdKernels* t : tables) {
-    if (t->dw_conv_row == nullptr) continue;  // NEON: per-pixel loop only
+    if (t->dw_conv == nullptr) continue;  // NEON: per-pixel loop only
+    covered += std::string(" ") + t->name + " (" + t->dw_body + ")";
     int trial = 0;
     for (const int kernel : {1, 3, 5}) {
-      for (int c = 1; c <= 40; ++c) {
+      for (const int c : channels) {
         for (const int stride : {1, 2}) {
           for (const std::int32_t zp : zps) {
             for (const bool with_bias : {false, true}) {
               ++trial;
-              // A clipped window: kernel rows [ky_lo, ky_hi) and columns
-              // [kx_lo, kx_hi), occasionally empty (bias only).
-              const int ky_lo = static_cast<int>(rng.uniform(0, kernel));
-              const int ky_hi =
-                  ky_lo + static_cast<int>(rng.uniform(0, kernel - ky_lo + 1));
-              const int kx_lo = static_cast<int>(rng.uniform(0, kernel));
-              const int kx_hi =
-                  kx_lo + static_cast<int>(rng.uniform(0, kernel - kx_lo + 1));
-              const int count = 1 + static_cast<int>(rng.uniform(0, 4));
-              const int in_w = kernel + stride * (count - 1);
-              std::vector<std::int8_t> x(
-                  static_cast<std::size_t>(kernel) * in_w * c);
-              std::vector<std::int8_t> w(
-                  static_cast<std::size_t>(kernel) * kernel * c);
+              simd::DwConv p;
+              p.c = c;
+              p.kernel_h = p.kernel_w = kernel;
+              p.stride_h = p.stride_w = stride;
+              p.pad_h = static_cast<int>(rng.uniform(0, kernel));
+              p.pad_w = static_cast<int>(rng.uniform(0, kernel));
+              p.out_h = 1 + static_cast<int>(rng.uniform(0, 3));
+              p.out_w = 1 + static_cast<int>(rng.uniform(0, 40));
+              // Mostly the extent the output needs; sometimes a column or
+              // row more or fewer, so the bottom/right padding varies too.
+              const auto extent = [&](int out, int pad) {
+                return std::max(1, (out - 1) * stride + kernel - 2 * pad +
+                                       static_cast<int>(
+                                           rng.uniform(0, stride + 2)) -
+                                       1);
+              };
+              p.in_h = extent(p.out_h, p.pad_h);
+              p.in_w = extent(p.out_w, p.pad_w);
+              const int taps = kernel * kernel;
+              std::vector<std::int8_t> x(static_cast<std::size_t>(p.in_h) *
+                                         p.in_w * c);
+              std::vector<std::int8_t> w(static_cast<std::size_t>(taps) * c);
               for (auto& v : x) {
                 v = static_cast<std::int8_t>(rng.uniform(-128, 128));
               }
@@ -1136,61 +1170,83 @@ TEST(KernelParity, DwConvRowMatchesScalarPixelLoop) {
                   0.05f, static_cast<std::int32_t>(rng.uniform(-20, 20)), 8};
               const auto [lo, hi] = activation_range(acts[trial % 3], out_p);
 
-              std::vector<std::int8_t> want(static_cast<std::size_t>(count) *
-                                            c);
-              for (int p = 0; p < count; ++p) {
-                for (int ch = 0; ch < c; ++ch) {
-                  std::int32_t acc =
-                      with_bias ? bias[static_cast<std::size_t>(ch)] : 0;
-                  for (int ky = ky_lo; ky < ky_hi; ++ky) {
-                    for (int kx = kx_lo; kx < kx_hi; ++kx) {
-                      const std::size_t xi =
-                          (static_cast<std::size_t>(ky) * in_w +
-                           static_cast<std::size_t>(p) * stride + kx) *
-                              c +
-                          ch;
-                      const std::size_t wi =
-                          (static_cast<std::size_t>(ky) * kernel + kx) * c + ch;
-                      acc += (static_cast<std::int32_t>(x[xi]) - zp) * w[wi];
+              const std::size_t n_out =
+                  static_cast<std::size_t>(p.out_h) * p.out_w * c;
+              std::vector<std::int8_t> want(n_out);
+              for (int oy = 0; oy < p.out_h; ++oy) {
+                for (int ox = 0; ox < p.out_w; ++ox) {
+                  for (int ch = 0; ch < c; ++ch) {
+                    std::int32_t acc =
+                        with_bias ? bias[static_cast<std::size_t>(ch)] : 0;
+                    for (int ky = 0; ky < kernel; ++ky) {
+                      const int iy = oy * stride + ky - p.pad_h;
+                      if (iy < 0 || iy >= p.in_h) continue;
+                      for (int kx = 0; kx < kernel; ++kx) {
+                        const int ix = ox * stride + kx - p.pad_w;
+                        if (ix < 0 || ix >= p.in_w) continue;
+                        const std::size_t xi =
+                            (static_cast<std::size_t>(iy) * p.in_w + ix) * c +
+                            ch;
+                        const std::size_t wi =
+                            (static_cast<std::size_t>(ky) * kernel + kx) * c +
+                            ch;
+                        acc += (static_cast<std::int32_t>(x[xi]) - zp) * w[wi];
+                      }
                     }
+                    want[(static_cast<std::size_t>(oy) * p.out_w + ox) * c +
+                         ch] = requant_scalar(acc, m, out_p.zero_point, lo,
+                                              hi);
                   }
-                  want[static_cast<std::size_t>(p) * c + ch] =
-                      requant_scalar(acc, m, out_p.zero_point, lo, hi);
                 }
               }
 
-              std::vector<std::int8_t> got(want.size(), 99);
-              simd::DwConvRow row;
-              row.x_row = static_cast<std::int64_t>(in_w) * c;
-              row.x_step = static_cast<std::int64_t>(stride) * c;
-              row.w_row = kernel * c;
-              row.taps_h = ky_hi - ky_lo;
-              row.taps_w = kx_hi - kx_lo;
-              row.x = x.data() + (static_cast<std::size_t>(ky_lo) * in_w +
-                                  kx_lo) *
-                                     c;
-              row.w = w.data() +
-                      (static_cast<std::size_t>(ky_lo) * kernel + kx_lo) * c;
-              row.bias = with_bias ? bias.data() : nullptr;
-              row.c = c;
-              row.count = count;
-              row.zp = zp;
-              row.m = m;
-              row.out_zp = out_p.zero_point;
-              row.lo = lo;
-              row.hi = hi;
-              row.y = got.data();
-              t->dw_conv_row(row);
-              ASSERT_EQ(want, got)
+              std::vector<std::int8_t> packed(static_cast<std::size_t>(
+                  t->dw_pack(w.data(), kernel, kernel, c, nullptr)));
+              t->dw_pack(w.data(), kernel, kernel, c, packed.data());
+              std::vector<std::int32_t> wsum(static_cast<std::size_t>(c), 0);
+              for (int tap = 0; tap < taps; ++tap) {
+                for (int ch = 0; ch < c; ++ch) {
+                  wsum[static_cast<std::size_t>(ch)] +=
+                      w[static_cast<std::size_t>(tap) * c + ch];
+                }
+              }
+              std::vector<std::int8_t> ring(
+                  static_cast<std::size_t>(simd::dw_ring_bytes(p)));
+              std::vector<std::int32_t> offset(
+                  static_cast<std::size_t>(simd::dw_offset_lanes(c)));
+              // 64 guard bytes past the map catch a store past its end.
+              std::vector<std::int8_t> got(n_out + 64, 99);
+              p.x = x.data();
+              p.w = packed.data();
+              p.wsum = wsum.data();
+              p.bias = with_bias ? bias.data() : nullptr;
+              p.zp = zp;
+              p.m = m;
+              p.out_zp = out_p.zero_point;
+              p.lo = lo;
+              p.hi = hi;
+              p.y = got.data();
+              p.ring = ring.data();
+              p.offset = offset.data();
+              t->dw_conv(p);
+              ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
                   << t->name << " kernel " << kernel << " c " << c
-                  << " stride " << stride << " zp " << zp << " taps "
-                  << row.taps_h << "x" << row.taps_w << " count " << count;
+                  << " stride " << stride << " zp " << zp << " in "
+                  << p.in_h << "x" << p.in_w << " out " << p.out_h << "x"
+                  << p.out_w << " pad " << p.pad_h << "," << p.pad_w
+                  << " bias " << with_bias;
+              ASSERT_TRUE(std::all_of(
+                  got.begin() + static_cast<std::ptrdiff_t>(n_out), got.end(),
+                  [](std::int8_t v) { return v == 99; }))
+                  << t->name << " wrote past the map, c " << c;
             }
           }
         }
       }
     }
   }
+  if (covered.empty()) GTEST_SKIP() << "no table with a dw_conv body";
+  std::printf("dw_conv covered tables:%s\n", covered.c_str());
 }
 
 // A 1x1, stride-1, unpadded conv runs one GEMM over the whole input map
