@@ -30,9 +30,9 @@
 #include "nn/rng.h"
 #include "nn/runtime/worker_pool.h"
 #include "nn/serving/serving_frontend.h"
+#include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
 #include "patch/patch_plan.h"
-#include "patch/patch_quant_executor.h"
 #include "quant/bitpack.h"
 #include "quant/calibration.h"
 #include "quant/entropy.h"
@@ -105,11 +105,14 @@ nn::ops::KernelBackend sweep_backend(int row) {
                  : nullptr);
 }
 
+// The rows below allocate each op's destination inside the timed loop:
+// their committed baselines were measured that way.
 struct QuantConvSetup {
   nn::Layer l;
   nn::QTensor qin;
   nn::ops::QuantizedWeights qw;
   nn::QuantParams out_p;
+  nn::TensorShape out_shape;
 };
 
 QuantConvSetup quant_conv_setup(int c) {
@@ -123,7 +126,15 @@ QuantConvSetup quant_conv_setup(int c) {
   s.qin = nn::quantize(in, nn::choose_quant_params(lo, hi, 8));
   s.qw = nn::ops::quantize_weights(w);
   s.out_p = nn::choose_quant_params(-4.0f, 4.0f, 8);
+  s.out_shape = nn::ops::conv_output_shape(s.qin.shape(), s.l, c);
   return s;
+}
+
+// One conv of `s` on `backend` into a fresh destination.
+void run_conv(nn::ops::KernelBackend& backend, const QuantConvSetup& s) {
+  nn::QTensor out(s.out_shape, s.out_p);
+  backend.conv2d_into(s.qin, s.l, s.qw.data, s.qw.params, {}, out);
+  benchmark::DoNotOptimize(out);
 }
 
 // The Simd tier on its scalar fallbacks (im2col + tiled GEMM, no
@@ -134,10 +145,7 @@ void BM_Conv2dInt8(benchmark::State& state) {
   const QuantConvSetup s = quant_conv_setup(c);
   nn::ops::KernelBackend backend =
       backend_under(nn::ops::KernelTier::Simd, "QMCU_FORCE_SCALAR");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        backend.conv2d(s.qin, s.l, s.qw.data, s.qw.params, {}, s.out_p));
-  }
+  for (auto _ : state) run_conv(backend, s);
   state.SetItemsProcessed(state.iterations() * 32 * 32 * c * 9 * c);
 }
 BENCHMARK(BM_Conv2dInt8)->Arg(8)->Arg(16)->Arg(32);
@@ -150,10 +158,7 @@ void BM_Conv2dInt8Simd(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
   const QuantConvSetup s = quant_conv_setup(c);
   nn::ops::KernelBackend backend(nn::ops::KernelTier::Simd);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        backend.conv2d(s.qin, s.l, s.qw.data, s.qw.params, {}, s.out_p));
-  }
+  for (auto _ : state) run_conv(backend, s);
   state.SetItemsProcessed(state.iterations() * 32 * 32 * c * 9 * c);
   state.counters["simd_active"] = simd_active(backend);
 }
@@ -172,10 +177,7 @@ void BM_GemmTierSweep(benchmark::State& state) {
   const int row = static_cast<int>(state.range(0));
   const QuantConvSetup s = quant_conv_setup(32);
   nn::ops::KernelBackend backend = sweep_backend(row);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        backend.conv2d(s.qin, s.l, s.qw.data, s.qw.params, {}, s.out_p));
-  }
+  for (auto _ : state) run_conv(backend, s);
   state.SetItemsProcessed(state.iterations() * 32 * 32 * 32 * 9 * 32);
   state.counters["tier"] = static_cast<double>(row);
   state.counters["simd_active"] = simd_active(backend);
@@ -214,8 +216,9 @@ void BM_FcTierSweep(benchmark::State& state) {
   }
   nn::ops::KernelBackend backend = sweep_backend(row);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        backend.fully_connected(qin, l, w, wp, bias, out_p));
+    nn::QTensor out(nn::TensorShape{1, 1, kOut}, out_p);
+    backend.fully_connected_into(qin, l, w, wp, bias, out);
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(k) * kOut);
@@ -296,70 +299,6 @@ void BM_Conv2dInt8Ref(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dInt8Ref)->Arg(8)->Arg(16)->Arg(32);
 
-// Fused sub-byte path: 4-bit packed activations expanded inside im2col, on
-// the scalar fallbacks.
-void BM_Conv2dInt8Packed4(benchmark::State& state) {
-  const int c = static_cast<int>(state.range(0));
-  QuantConvSetup s = quant_conv_setup(c);
-  // Re-quantize the input to 4 bits and pack it.
-  nn::QuantParams p4 = s.qin.params();
-  p4.bits = 4;
-  const nn::QTensor q4 = nn::quantize(nn::dequantize(s.qin), p4);
-  const std::vector<std::uint8_t> packed = quant::pack(q4.data(), 4);
-  nn::ops::KernelBackend backend =
-      backend_under(nn::ops::KernelTier::Simd, "QMCU_FORCE_SCALAR");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        backend.conv2d_packed(packed, q4.shape(), q4.params(), s.l, s.qw.data,
-                              s.qw.params, {}, s.out_p));
-  }
-  state.SetItemsProcessed(state.iterations() * 32 * 32 * c * 9 * c);
-}
-BENCHMARK(BM_Conv2dInt8Packed4)->Arg(8)->Arg(16)->Arg(32);
-
-// Packed sub-byte conv across the three ways to compute it, same conv
-// (c = 32, 3x3, 32x32 input): arg 0 = activation bits (2/4), arg 1 = tier
-// row — 0 Reference, 1 Simd on the scalar fallbacks (QMCU_FORCE_SCALAR),
-// 2 Simd (unpack into the im2col strip + the host's GEMM generation). The
-// README's packed-conv tier table comes from this family. `simd_active`
-// reports whether the row's vector body actually ran, so
-// tools/bench_guard.py can skip vector rows on scalar hosts.
-void BM_PackedConvTierSweep(benchmark::State& state) {
-  const int bits = static_cast<int>(state.range(0));
-  const int row = static_cast<int>(state.range(1));
-  constexpr int kC = 32;
-  const nn::Tensor in = random_tensor({32, 32, kC}, 3);
-  const nn::Layer l = conv_layer(kC, 3, 1, 1);
-  std::vector<float> w(static_cast<std::size_t>(kC * 3 * 3 * kC));
-  nn::Rng rng(4);
-  for (float& v : w) v = static_cast<float>(rng.normal(0.0, 0.1));
-  const nn::ops::QuantizedWeights qw = nn::ops::quantize_weights(w);
-  const nn::QuantParams out_p = nn::choose_quant_params(-4.0f, 4.0f, 8);
-  const auto [lo, hi] = nn::tensor_min_max(in);
-  const nn::QTensor q = nn::quantize(in, nn::choose_quant_params(lo, hi, bits));
-  const std::vector<std::uint8_t> packed = quant::pack(q.data(), bits);
-
-  nn::ops::KernelBackend backend = backend_under(
-      row == 0 ? nn::ops::KernelTier::Reference : nn::ops::KernelTier::Simd,
-      row == 1 ? "QMCU_FORCE_SCALAR" : nullptr);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        backend.conv2d_packed(packed, q.shape(), q.params(), l, qw.data,
-                              qw.params, {}, out_p));
-  }
-  state.SetItemsProcessed(state.iterations() * 32 * 32 * kC * 9 * kC);
-  state.counters["bits"] = bits;
-  state.counters["tier"] = row;
-  state.counters["simd_active"] = simd_active(backend);
-}
-BENCHMARK(BM_PackedConvTierSweep)
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({2, 2});
-
 // Arg 1 selects the row: 0 = Reference, 1 = Simd on the scalar fallbacks
 // (QMCU_FORCE_SCALAR), 2 = Simd.
 void BM_DepthwiseInt8(benchmark::State& state) {
@@ -383,8 +322,9 @@ void BM_DepthwiseInt8(benchmark::State& state) {
       row == 0 ? nn::ops::KernelTier::Reference : nn::ops::KernelTier::Simd,
       row == 1 ? "QMCU_FORCE_SCALAR" : nullptr);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        backend.depthwise_conv2d(qin, l, qw.data, qw.params, {}, out_p));
+    nn::QTensor out(qin.shape(), out_p);
+    backend.depthwise_conv2d_into(qin, l, qw.data, qw.params, {}, out);
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * 32 * 32 * c * 9);
   state.counters["simd_active"] = simd_active(backend);
@@ -495,7 +435,9 @@ void BM_Conv2dF32Fast(benchmark::State& state) {
   for (float& v : w) v = static_cast<float>(rng.normal(0.0, 0.1));
   nn::ops::KernelBackend backend(nn::ops::KernelTier::Simd);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(backend.conv2d_f32(in, l, w, {}));
+    nn::Tensor out(in.shape());
+    backend.conv2d_f32_into(in, l, w, {}, out);
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * 32 * 32 * c * 9 * c);
 }
@@ -562,8 +504,9 @@ void BM_BitPack(benchmark::State& state) {
 }
 BENCHMARK(BM_BitPack)->Arg(2)->Arg(4);
 
-// Sub-byte panel expansion (the loop feeding conv2d_packed's fused im2col
-// path), through the Simd tier's vector body when the host has one.
+// Sub-byte row expansion (the loop behind a packed patch map's band
+// unpack, halo crop and merge), through the Simd tier's vector body when
+// the host has one.
 void BM_BitUnpack(benchmark::State& state) {
   const int bits = static_cast<int>(state.range(0));
   std::vector<std::int8_t> values(1 << 16);
@@ -668,10 +611,9 @@ void BM_RepeatedRun(benchmark::State& state) {
 }
 BENCHMARK(BM_RepeatedRun)->Arg(0)->Arg(1);
 
-// Same comparison for the deployed patch runtime: legacy per-step region
-// tensors (run_stage_assembled + tail) vs the compiled patch arena run().
+// The deployed patch runtime's compiled arena run() on the same model
+// (arg 1, the row its baseline is committed under).
 void BM_RepeatedPatchRun(benchmark::State& state) {
-  const bool arena_path = state.range(0) != 0;
   models::ModelConfig cfg;
   cfg.width_multiplier = 0.35f;
   cfg.resolution = 64;
@@ -682,31 +624,11 @@ void BM_RepeatedPatchRun(benchmark::State& state) {
   const auto qcfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::PatchQuantExecutor pexec(g, plan, qcfg);
-  const int split = pexec.plan().spec.split_layer;
-  const auto effective = nn::effective_output_params(g, qcfg);
-  // The pre-arena full inference: per-step region tensors for the stage,
-  // then a heap-per-layer tail.
-  const auto legacy_run = [&]() {
-    std::vector<nn::QTensor> memo(static_cast<std::size_t>(g.size()));
-    memo[static_cast<std::size_t>(split)] = pexec.run_stage_assembled(in);
-    for (int id = split + 1; id < g.size(); ++id) {
-      memo[static_cast<std::size_t>(id)] = nn::run_layer_q(
-          g, id, memo, *pexec.shared_parameters(),
-          effective[static_cast<std::size_t>(id)]);
-    }
-    return std::move(memo[static_cast<std::size_t>(g.output())]);
-  };
-  for (auto _ : state) {
-    if (arena_path) {
-      benchmark::DoNotOptimize(pexec.run(in));
-    } else {
-      benchmark::DoNotOptimize(legacy_run());
-    }
-  }
+  const patch::CompiledPatchQuantModel model(g, plan, qcfg);
+  for (auto _ : state) benchmark::DoNotOptimize(model.run(in));
   state.SetItemsProcessed(state.iterations() * g.total_macs());
 }
-BENCHMARK(BM_RepeatedPatchRun)->Arg(0)->Arg(1);
+BENCHMARK(BM_RepeatedPatchRun)->Arg(1);
 
 // Thread-scaling sweep for the pipelined patch runtime at 1/2/4/8 workers
 // (arg 0) over a 3x4 = 12-branch grid: the dependency-driven dataflow graph
@@ -717,7 +639,7 @@ BENCHMARK(BM_RepeatedPatchRun)->Arg(0)->Arg(1);
 struct PatchRunSetup {
   nn::Graph g;
   nn::Tensor in;
-  std::unique_ptr<patch::PatchQuantExecutor> pexec;
+  std::unique_ptr<patch::CompiledPatchQuantModel> model;
   std::int64_t stage_macs = 0;
   std::size_t branches = 0;
 };
@@ -737,8 +659,8 @@ PatchRunSetup patch_run_setup() {
       patch::build_patch_plan(s.g, patch::plan_mcunetv2(s.g, {3, 4}));
   s.stage_macs = plan.stage_macs_patched;
   s.branches = plan.branches.size();
-  s.pexec = std::make_unique<patch::PatchQuantExecutor>(s.g, std::move(plan),
-                                                        qcfg);
+  s.model = std::make_unique<patch::CompiledPatchQuantModel>(
+      s.g, std::move(plan), qcfg);
   return s;
 }
 
@@ -746,15 +668,15 @@ void BM_PipelinedPatchRun(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   const PatchRunSetup s = patch_run_setup();
   nn::WorkerPool pool(workers);
-  (void)s.pexec->compiled().run(s.in, &pool);
+  (void)s.model->run(s.in, &pool);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(s.pexec->compiled().run(s.in, &pool));
+    benchmark::DoNotOptimize(s.model->run(s.in, &pool));
   }
   state.SetItemsProcessed(state.iterations() * s.stage_macs);
   state.counters["workers"] = workers;
   state.counters["branches"] = static_cast<double>(s.branches);
-  state.counters["tail_bands"] = static_cast<double>(
-      s.pexec->compiled().pipelined_tail().size());
+  state.counters["tail_bands"] =
+      static_cast<double>(s.model->pipelined_tail().size());
 }
 BENCHMARK(BM_PipelinedPatchRun)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -12,9 +12,10 @@
 // For the headline platform the searched plan is additionally *executed*:
 // the deployment configs are materialised, QuantizedParameters are built
 // once and shared between the outlier-class (uniform int8) and mixed
-// executors, and both compiled arena runtimes process an eval image —
-// printing the static arena each would pin in SRAM (the mixed one stores
-// its sub-byte branch maps packed) next to the analytic QuantMCU peak.
+// models, and both compiled arena runtimes process an eval image — timed
+// rep by rep in alternation, and printing the static arena each would pin
+// in SRAM (the mixed one stores its sub-byte branch maps packed) next to
+// the analytic QuantMCU peak.
 // Results are mirrored to BENCH_table1_main.json (see bench_common.h).
 #include "bench_common.h"
 
@@ -22,7 +23,7 @@
 #include <limits>
 
 #include "models/weights.h"
-#include "patch/patch_quant_executor.h"
+#include "patch/compiled_patch_model.h"
 #include "patch/restructuring.h"
 #include "patch/rnnpool.h"
 #include "quant/calibration.h"
@@ -64,36 +65,39 @@ void run_deployment(const nn::Graph& g, const core::QuantMcuPlan& plan,
       core::make_deployment_quant_config(g, plan, ranges);
   const auto branch_cfgs = core::make_branch_quant_configs(g, plan, ranges);
 
-  // One weight conversion feeds both executors (and any sweep variants).
+  // One weight conversion feeds both models (and any sweep variants).
   const auto params = nn::QuantizedParameters::build_shared(g, deploy_cfg);
-  const patch::PatchQuantExecutor uniform(g, plan.patch_plan, deploy_cfg,
-                                          nn::ops::KernelTier::Simd, params);
-  const patch::PatchQuantExecutor mixed(g, plan.patch_plan, deploy_cfg,
-                                        branch_cfgs,
-                                        nn::ops::KernelTier::Simd, params);
+  const patch::CompiledPatchQuantModel uniform(
+      g, plan.patch_plan, deploy_cfg, {}, nn::ops::KernelTier::Simd, params);
+  const patch::CompiledPatchQuantModel mixed(g, plan.patch_plan, deploy_cfg,
+                                             branch_cfgs,
+                                             nn::ops::KernelTier::Simd,
+                                             params);
 
   // Best of several warm runs: a single wall-clock sample on a shared
-  // runner is too jittery for a trajectory artifact.
-  const auto time_run = [&](const patch::PatchQuantExecutor& exec) {
-    (void)exec.run(image);  // warm the arena + weight panels
-    double best = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 5; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const nn::QTensor out = exec.run(image);
-      const auto t1 = std::chrono::steady_clock::now();
-      (void)out;
-      best = std::min(
-          best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    return best;
+  // runner is too jittery for a trajectory artifact. The two models
+  // alternate rep by rep, so a change in host speed during the loop moves
+  // both, not the mixed/uniform ratio.
+  const auto time_once = [&](const patch::CompiledPatchQuantModel& model) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const nn::QTensor out = model.run(image);
+    const auto t1 = std::chrono::steady_clock::now();
+    (void)out;
+    return std::chrono::duration<double, std::milli>(t1 - t0).count();
   };
-  const double uniform_ms = time_run(uniform);
-  const double mixed_ms = time_run(mixed);
+  (void)uniform.run(image);  // warm the arenas + weight panels
+  (void)mixed.run(image);
+  double uniform_ms = std::numeric_limits<double>::infinity();
+  double mixed_ms = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 5; ++rep) {
+    uniform_ms = std::min(uniform_ms, time_once(uniform));
+    mixed_ms = std::min(mixed_ms, time_once(mixed));
+  }
 
   const double uniform_arena_kb =
-      static_cast<double>(uniform.compiled().arena_bytes()) / 1024;
+      static_cast<double>(uniform.arena_bytes()) / 1024;
   const double mixed_arena_kb =
-      static_cast<double>(mixed.compiled().arena_bytes()) / 1024;
+      static_cast<double>(mixed.arena_bytes()) / 1024;
   std::printf(
       "  (executed: uniform %.1f ms / %.0f KB arena, mixed %.1f ms / %.0f "
       "KB arena, shared weight conversion)\n",

@@ -48,13 +48,14 @@ MethodResult run_haq(const nn::Graph& g,
       mixed_weight_bitops(g, current, weight_bits));
   const double target = cfg.target_bitops_ratio * bitops8;
 
+  nn::ops::KernelBackend backend;
   const auto episode_reward = [&](std::span<const int> bits) {
     // The fidelity measurement always runs — it is the expensive part of a
     // HAQ episode and the honest source of this method's search time.
     double mse = 0.0;
     for (std::size_t i = 0; i < calibration.size(); ++i) {
       const nn::Tensor out =
-          quant::run_fake_quantized(g, ranges, bits, calibration[i]);
+          quant::run_fake_quantized(g, ranges, bits, calibration[i], backend);
       mse += quant::output_mse(out, reference[i]);
     }
     mse /= static_cast<double>(calibration.size());

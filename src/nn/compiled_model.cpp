@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "nn/executor.h"
-#include "nn/ops/im2col.h"
 
 namespace qmcu::nn {
 
@@ -20,31 +19,15 @@ ArenaPlan plan_execution_arena(const Graph& g, std::int64_t elem_bytes) {
 
 namespace {
 
-void prepack_conv_panels(const Graph& g, const QuantizedParameters& params,
-                         ops::KernelBackend& backend) {
-  // Every non-Reference tier runs the im2col + panel GEMM path. Gate on
-  // the quantized params (not the graph): the artifact path loads a
-  // topology-only graph, but its params views still identify every MAC
-  // layer — and an adopted panel makes the prepack a no-op anyway.
-  if (backend.tier() == ops::KernelTier::Reference) return;
+// Lays out every MAC layer's weights in `backend` (see
+// KernelBackend::prepack). Gated on the quantized params, not the graph:
+// the artifact path loads a topology-only graph, but its params views still
+// identify every MAC layer.
+void prepack(const Graph& g, const QuantizedParameters& params,
+             ops::KernelBackend& backend) {
   for (int id = 0; id < g.size(); ++id) {
-    const Layer& l = g.layer(id);
-    if (params.weights[static_cast<std::size_t>(id)].data.empty()) continue;
-    if (l.kind == OpKind::Conv2D) {
-      const int k = static_cast<int>(
-          ops::im2col_row_elements(g.shape(l.inputs[0]), l));
-      const auto& w = params.weights[static_cast<std::size_t>(id)];
-      backend.prepack(w.data, l.out_channels, k);
-    } else if (l.kind == OpKind::FullyConnected) {
-      const auto& w = params.weights[static_cast<std::size_t>(id)];
-      const int k = static_cast<int>(g.shape(l.inputs[0]).elements());
-      // fc runs the same k-major panel GEMM as conv since the microkernel
-      // rewrite; bake its panel so the first inference pays no repack.
-      backend.prepack(w.data, l.out_channels, k);
-    } else if (l.kind == OpKind::DepthwiseConv2D) {
-      const auto& w = params.weights[static_cast<std::size_t>(id)];
-      backend.prepack_depthwise(w.data, l, g.shape(l.inputs[0]).c);
-    }
+    backend.prepack(g.layer(id),
+                    params.weights[static_cast<std::size_t>(id)].data);
   }
 }
 
@@ -159,7 +142,7 @@ CompiledQuantModel::CompiledQuantModel(
       plan_(plan_execution_arena(g, 1)),
       backend_(tier) {
   QMCU_REQUIRE(g.inputs().size() == 1, "compiled model expects one input");
-  prepack_conv_panels(g, *params_, backend_);
+  prepack(g, *params_, backend_);
 }
 
 CompiledQuantModel::CompiledQuantModel(
@@ -180,7 +163,7 @@ CompiledQuantModel::CompiledQuantModel(
   if (bundle_ != nullptr) bundle_->apply(backend_);
   // With an adopted bundle every panel the model needs is already resident;
   // this only builds panels the artifact did not bake.
-  prepack_conv_panels(g, *params_, backend_);
+  prepack(g, *params_, backend_);
 }
 
 QTensor CompiledQuantModel::run(const Tensor& input) const {

@@ -19,7 +19,7 @@
 //
 // This header also hosts the quantization-time model parameters
 // (ActivationQuantConfig, QuantizedParameters) shared by the compiled
-// models, the legacy executors and the patch runtime. QuantizedParameters
+// models, the layer-based executors and the patch engine. QuantizedParameters
 // can be built once and shared across any number of executors/compiled
 // models over the same graph (bench sweeps construct many).
 #pragma once
@@ -50,8 +50,9 @@ struct ActivationQuantConfig {
 
 // Ahead-of-time converted model parameters: 8-bit symmetric weights and
 // int32 biases rescaled to in_scale * weight_scale, per MAC layer. Shared
-// by the layer-based QuantExecutor and the patch-based quantized executor;
-// build once with build_shared() when several executors run the same graph.
+// by the layer-based QuantExecutor and the patch engine
+// (patch::CompiledPatchQuantModel); build once with build_shared() when
+// several models run the same graph.
 //
 // The per-layer entries are span views: build() points them at the owned
 // `weight_store`/`bias_store`, while the plan-artifact loader points them
@@ -149,8 +150,8 @@ class CompiledModel {
   [[nodiscard]] std::int64_t measured_high_water() const { return measured_; }
   [[nodiscard]] const Graph& graph() const { return *graph_; }
   // The model's kernel backend (scratch arena + panel cache). Exposed so
-  // the owning executor's legacy memo paths share one panel cache with the
-  // compiled path instead of packing every conv panel twice.
+  // the owning executor's run_all / run_from memo paths share one panel
+  // cache with the compiled path instead of packing every conv panel twice.
   [[nodiscard]] ops::KernelBackend& backend() const { return backend_; }
   // Serving integration (same contract as the patch models): when set,
   // run() leases its arena from `slab` per run instead of growing an owned

@@ -4,19 +4,6 @@
 
 namespace qmcu::nn {
 
-namespace {
-
-// Backend for the legacy entry points that do not thread one through.
-// Weight-panel caching stays off: this backend outlives any particular
-// graph, so cached panels could dangle behind reused weight addresses.
-ops::KernelBackend& shared_backend() {
-  thread_local ops::KernelBackend backend(ops::KernelTier::Simd,
-                                          /*cache_weight_panels=*/false);
-  return backend;
-}
-
-}  // namespace
-
 void run_layer_f32_into(const Graph& g, int id, std::span<const Tensor> memo,
                         ops::KernelBackend& backend, Tensor& out) {
   const Layer& l = g.layer(id);
@@ -73,10 +60,6 @@ Tensor run_layer_f32(const Graph& g, int id, std::span<const Tensor> memo,
   Tensor out(g.shape(id));
   run_layer_f32_into(g, id, memo, backend, out);
   return out;
-}
-
-Tensor run_layer_f32(const Graph& g, int id, std::span<const Tensor> memo) {
-  return run_layer_f32(g, id, memo, shared_backend());
 }
 
 std::vector<Tensor> Executor::run_all(const Tensor& input) const {
@@ -235,12 +218,6 @@ QTensor run_layer_q(const Graph& g, int id, std::span<const QTensor> memo,
   QTensor out(g.shape(id), p);
   run_layer_q_into(g, id, memo, params, backend, out);
   return out;
-}
-
-QTensor run_layer_q(const Graph& g, int id, std::span<const QTensor> memo,
-                    const QuantizedParameters& params,
-                    const QuantParams& out_p) {
-  return run_layer_q(g, id, memo, params, out_p, shared_backend());
 }
 
 QuantExecutor::QuantExecutor(const Graph& g, ActivationQuantConfig cfg,

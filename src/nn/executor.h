@@ -9,10 +9,11 @@
 // Both compile the graph once on construction (see nn/compiled_model.h):
 // `run` executes the compiled schedule against a static tensor arena with
 // zero per-layer allocation, bit-identical to the memo-based path.
-// `run_all` keeps every intermediate feature map alive — which the entropy
-// analysis and the patch-executor equivalence tests need, and which a
-// single overwriting arena cannot provide — so it stays on the
-// heap-per-layer memo path; `run` returns only the final output.
+// `run_all` keeps every intermediate feature map alive — which
+// calibration, the entropy analysis and the layer-by-layer oracle
+// comparisons need, and which a single overwriting arena cannot provide —
+// so it stays on the heap-per-layer memo path; `run` returns only the
+// final output.
 #pragma once
 
 #include <vector>
@@ -28,13 +29,12 @@ namespace qmcu::nn {
 // Executes one non-Input layer of `g` against already-computed producer
 // tensors (memo is indexed by layer id; only the layer's inputs are read).
 // Shared by the layer-based executor and the patch engine's tail phase.
-// Kernels dispatch through `backend`; the overload without one uses a
-// shared thread-local Simd backend. The `_into` form writes into a
-// caller-bound destination (shape = g.shape(id); for quantized pools its
-// params must equal the producer's) — the compiled arena executors' path.
+// Kernels dispatch through `backend`, which the caller owns. The `_into`
+// form writes into a caller-bound destination (shape = g.shape(id); for
+// quantized pools its params must equal the producer's) — the compiled
+// arena executors' path.
 Tensor run_layer_f32(const Graph& g, int id, std::span<const Tensor> memo,
                      ops::KernelBackend& backend);
-Tensor run_layer_f32(const Graph& g, int id, std::span<const Tensor> memo);
 void run_layer_f32_into(const Graph& g, int id, std::span<const Tensor> memo,
                         ops::KernelBackend& backend, Tensor& out);
 
@@ -74,15 +74,11 @@ class Executor {
 
 // Executes one non-Input layer in the quantized domain. `memo` holds the
 // producers' quantized feature maps; `out_params` is the layer's output
-// quantization (from the ActivationQuantConfig). The overload without a
-// backend uses a shared thread-local Simd backend.
+// quantization (from the ActivationQuantConfig).
 QTensor run_layer_q(const Graph& g, int id, std::span<const QTensor> memo,
                     const QuantizedParameters& params,
                     const QuantParams& out_params,
                     ops::KernelBackend& backend);
-QTensor run_layer_q(const Graph& g, int id, std::span<const QTensor> memo,
-                    const QuantizedParameters& params,
-                    const QuantParams& out_params);
 void run_layer_q_into(const Graph& g, int id, std::span<const QTensor> memo,
                       const QuantizedParameters& params,
                       ops::KernelBackend& backend, QTensor& out);

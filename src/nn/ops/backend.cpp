@@ -9,7 +9,6 @@
 #include "nn/ops/gemm_int8.h"
 #include "nn/ops/im2col.h"
 #include "nn/ops/simd/simd_kernels.h"
-#include "quant/bitpack.h"
 
 namespace qmcu::nn::ops {
 
@@ -83,24 +82,20 @@ OutputInterior output_interior(int kernel, int stride, int pad, int extent,
   return {lo, hi_inclusive + 1};
 }
 
-// Shared im2col + GEMM driver. `pack_row(oy, dst)` fills one output row's
-// im2col strip; everything else (zero-point folding, requantization) is
-// common to the unpacked and packed-input paths. `bt`/`wsum` come from
+// The im2col + GEMM conv body. `bt`/`wsum` come from
 // KernelBackend::weight_panel; the arena must already be reset by the
 // caller (the panel may live in it). Writes into the caller-bound `out`.
 // `simd` routes the GEMM block + epilogue through the Simd tier's
 // microkernels (null = scalar fallbacks; outputs identical either way).
-template <typename PackRow>
-void fast_conv2d_impl(ScratchArena& arena, const TensorShape& is,
-                      const QuantParams& ip, const Layer& l,
+void fast_conv2d_impl(ScratchArena& arena, const QTensor& in, const Layer& l,
                       std::span<const std::int8_t> bt,
                       std::span<const std::int32_t> wsum,
                       const QuantParams& wparams,
                       std::span<const std::int32_t> qbias,
-                      const PackRow& pack_row, QTensor& out,
-                      const simd::SimdKernels* simd,
-                      std::span<const std::int32_t> pre_offset = {},
-                      const std::int8_t* pointwise_a = nullptr) {
+                      std::span<const std::int32_t> pre_offset, QTensor& out,
+                      const simd::SimdKernels* simd) {
+  const TensorShape& is = in.shape();
+  const QuantParams& ip = in.params();
   const TensorShape os = conv_output_shape(is, l, l.out_channels);
   const int n = l.out_channels;
   const int k = static_cast<int>(im2col_row_elements(is, l));
@@ -138,17 +133,19 @@ void fast_conv2d_impl(ScratchArena& arena, const TensorShape& is,
   post.act_hi = act_hi;
 
   std::int8_t* y = out.data().data();
-  if (pointwise_a != nullptr) {
-    // `pointwise_a` is the whole input map of a 1x1 / stride-1 / pad-0
-    // conv, already laid out as the (h*w) x k im2col matrix: one GEMM over
-    // every output pixel, no packing.
-    gemm_int8_requant(pointwise_a, bt.data(), os.h * os.w, n, k, post,
+  if (l.kernel_h == 1 && l.kernel_w == 1 && l.stride_h == 1 &&
+      l.stride_w == 1 && l.pad_h == 0 && l.pad_w == 0) {
+    // A 1x1, stride-1, unpadded conv reads each input pixel's channels as
+    // its im2col row: the NHWC map already is the (h*w) x k A matrix, so
+    // one GEMM covers every output pixel with no packing.
+    gemm_int8_requant(in.data().data(), bt.data(), os.h * os.w, n, k, post,
                       acc.data(), y, simd);
     return;
   }
+  const std::int8_t pad = static_cast<std::int8_t>(ip.zero_point);
   auto a = arena.i8(static_cast<std::size_t>(os.w) * k);
   for (int oy = 0; oy < os.h; ++oy) {
-    pack_row(oy, a.data());
+    im2col_pack_row(in.data(), is, l, oy, os.w, pad, a.data());
     gemm_int8_requant(a.data(), bt.data(), os.w, n, k, post, acc.data(),
                       y + static_cast<std::size_t>(oy) * os.w * n, simd);
   }
@@ -284,10 +281,29 @@ KernelBackend::PanelView KernelBackend::weight_panel(
   return {bt, wsum};
 }
 
-void KernelBackend::prepack(std::span<const std::int8_t> qweights, int n,
-                            int k) {
-  if (!cache_weight_panels_) return;
-  (void)weight_panel(qweights, n, k);
+void KernelBackend::prepack(const Layer& l,
+                            std::span<const std::int8_t> qweights) {
+  if (!cache_weight_panels_ || tier_ == KernelTier::Reference ||
+      qweights.empty()) {
+    return;
+  }
+  const int n = l.out_channels;
+  switch (l.kind) {
+    case OpKind::Conv2D:
+    case OpKind::FullyConnected:
+      // fc runs the same k-major panel GEMM as conv.
+      (void)weight_panel(qweights, n, static_cast<int>(qweights.size()) / n);
+      return;
+    case OpKind::DepthwiseConv2D:
+      if (fused_depthwise(l, 0)) {
+        (void)depthwise_panel(qweights, l.kernel_h, l.kernel_w,
+                              static_cast<int>(qweights.size()) /
+                                  (l.kernel_h * l.kernel_w));
+      }
+      return;
+    default:
+      return;
+  }
 }
 
 KernelBackend::PanelView KernelBackend::depthwise_panel(
@@ -330,12 +346,6 @@ bool KernelBackend::fused_depthwise(const Layer& l, std::int32_t zp) const {
          l.stride_w <= simd::kDwMaxStride && zp >= -128 && zp <= 127;
 }
 
-void KernelBackend::prepack_depthwise(std::span<const std::int8_t> qweights,
-                                      const Layer& l, int c) {
-  if (!cache_weight_panels_ || !fused_depthwise(l, 0)) return;
-  (void)depthwise_panel(qweights, l.kernel_h, l.kernel_w, c);
-}
-
 void KernelBackend::adopt_panel(const std::int8_t* key,
                                 std::span<const std::int8_t> bt,
                                 std::span<const std::int32_t> wsum) {
@@ -376,84 +386,18 @@ void KernelBackend::conv2d_into(const QTensor& in, const Layer& l,
     conv2d_q_into(in, l, qweights, wparams, qbias, out);
     return;
   }
-  const TensorShape& is = in.shape();
   const int n = l.out_channels;
-  const std::int64_t k = im2col_row_elements(is, l);
+  const std::int64_t k = im2col_row_elements(in.shape(), l);
   QMCU_REQUIRE(static_cast<std::int64_t>(qweights.size()) == k * n,
                "conv weight count mismatch");
-  const auto x = in.data();
-  const QuantParams& ip = in.params();
-  const std::int8_t pad = static_cast<std::int8_t>(ip.zero_point);
-  const auto pack_row = [&](int oy, std::int8_t* dst) {
-    im2col_pack_row(x, is, l, oy,
-                    conv_output_shape(is, l, l.out_channels).w, pad, dst);
-  };
-  arena_.reset();
-  const PanelView w = weight_panel(qweights, n, static_cast<int>(k));
-  // A 1x1, stride-1, unpadded conv reads each input pixel's channels as
-  // its im2col row: the NHWC map already is the GEMM's A matrix.
-  const bool pointwise = l.kernel_h == 1 && l.kernel_w == 1 &&
-                         l.stride_h == 1 && l.stride_w == 1 &&
-                         l.pad_h == 0 && l.pad_w == 0;
-  fast_conv2d_impl(
-      arena_, is, ip, l, w.bt, w.wsum, wparams, qbias, pack_row, out, simd_,
-      offset_row(qweights.data(),
-                 ip.zero_point + simd::gemm_activation_bias(simd_), qbias, n),
-      pointwise ? x.data() : nullptr);
-}
-
-QTensor KernelBackend::conv2d(const QTensor& in, const Layer& l,
-                              std::span<const std::int8_t> qweights,
-                              const QuantParams& wparams,
-                              std::span<const std::int32_t> qbias,
-                              const QuantParams& out_params) {
-  guard();
-  QTensor out(conv_output_shape(in.shape(), l, l.out_channels), out_params);
-  conv2d_into(in, l, qweights, wparams, qbias, out);
-  return out;
-}
-
-QTensor KernelBackend::conv2d_packed(std::span<const std::uint8_t> packed,
-                                     const TensorShape& in_shape,
-                                     const QuantParams& in_params,
-                                     const Layer& l,
-                                     std::span<const std::int8_t> qweights,
-                                     const QuantParams& wparams,
-                                     std::span<const std::int32_t> qbias,
-                                     const QuantParams& out_params) {
-  guard();
-  QMCU_REQUIRE(
-      static_cast<std::int64_t>(packed.size()) >=
-          in_shape.bytes(in_params.bits),
-      "packed activation buffer too small");
-  if (tier_ == KernelTier::Reference) {
-    // Reference path materializes the unpacked tensor first.
-    QTensor in(in_shape, in_params);
-    quant::unpack_into(packed, 0, in_shape.elements(), in_params.bits,
-                       in.data().data());
-    return conv2d_q(in, l, qweights, wparams, qbias, out_params);
-  }
-  const int n = l.out_channels;
-  const std::int64_t k = im2col_row_elements(in_shape, l);
-  QMCU_REQUIRE(static_cast<std::int64_t>(qweights.size()) == k * n,
-               "conv weight count mismatch");
-  const std::int8_t pad = static_cast<std::int8_t>(in_params.zero_point);
-  const int bits = in_params.bits;
-  QTensor out(conv_output_shape(in_shape, l, l.out_channels), out_params);
-  const auto pack_row = [&](int oy, std::int8_t* dst) {
-    im2col_pack_row_subbyte(
-        packed, bits, in_shape, l, oy,
-        conv_output_shape(in_shape, l, l.out_channels).w, pad, dst, simd_);
-  };
   arena_.reset();
   const PanelView w = weight_panel(qweights, n, static_cast<int>(k));
   fast_conv2d_impl(
-      arena_, in_shape, in_params, l, w.bt, w.wsum, wparams, qbias, pack_row,
-      out, simd_,
+      arena_, in, l, w.bt, w.wsum, wparams, qbias,
       offset_row(qweights.data(),
-                 in_params.zero_point + simd::gemm_activation_bias(simd_),
-                 qbias, n));
-  return out;
+                 in.params().zero_point + simd::gemm_activation_bias(simd_),
+                 qbias, n),
+      out, simd_);
 }
 
 void KernelBackend::depthwise_conv2d_into(const QTensor& in, const Layer& l,
@@ -514,17 +458,6 @@ void KernelBackend::depthwise_conv2d_into(const QTensor& in, const Layer& l,
   simd_->dw_conv(p);
 }
 
-QTensor KernelBackend::depthwise_conv2d(const QTensor& in, const Layer& l,
-                                        std::span<const std::int8_t> qweights,
-                                        const QuantParams& wparams,
-                                        std::span<const std::int32_t> qbias,
-                                        const QuantParams& out_params) {
-  guard();
-  QTensor out(conv_output_shape(in.shape(), l, in.shape().c), out_params);
-  depthwise_conv2d_into(in, l, qweights, wparams, qbias, out);
-  return out;
-}
-
 void KernelBackend::fully_connected_into(const QTensor& in, const Layer& l,
                                          std::span<const std::int8_t> qweights,
                                          const QuantParams& wparams,
@@ -579,34 +512,10 @@ void KernelBackend::fully_connected_into(const QTensor& in, const Layer& l,
                     out.data().data(), simd_);
 }
 
-QTensor KernelBackend::fully_connected(const QTensor& in, const Layer& l,
-                                       std::span<const std::int8_t> qweights,
-                                       const QuantParams& wparams,
-                                       std::span<const std::int32_t> qbias,
-                                       const QuantParams& out_params) {
-  guard();
-  QTensor out(TensorShape{1, 1, l.out_channels}, out_params);
-  fully_connected_into(in, l, qweights, wparams, qbias, out);
-  return out;
-}
-
-QTensor KernelBackend::max_pool(const QTensor& in, const Layer& l) {
-  guard();
-  // The reference max pool is already branch-light after the row-pointer
-  // hoist; both tiers share it.
-  return max_pool_q(in, l);
-}
-
 void KernelBackend::max_pool_into(const QTensor& in, const Layer& l,
                                   QTensor& out) {
   guard();
   max_pool_q_into(in, l, out);
-}
-
-QTensor KernelBackend::avg_pool(const QTensor& in, const Layer& l) {
-  guard();
-  // Single integer implementation (interior/border aware) for both tiers.
-  return avg_pool_q(in, l);
 }
 
 void KernelBackend::avg_pool_into(const QTensor& in, const Layer& l,
@@ -622,22 +531,11 @@ void KernelBackend::avg_pool_into(const QTensor& in, const Layer& l,
   avg_pool_q_into(in, l, it->second, out);
 }
 
-QTensor KernelBackend::global_avg_pool(const QTensor& in) {
-  guard();
-  return global_avg_pool_q(in);
-}
-
 void KernelBackend::global_avg_pool_into(const QTensor& in, QTensor& out) {
   guard();
   arena_.reset();
   global_avg_pool_q_into(
       in, arena_.i32(static_cast<std::size_t>(in.shape().c)), out);
-}
-
-QTensor KernelBackend::add(const QTensor& lhs, const QTensor& rhs,
-                           Activation act, const QuantParams& out_params) {
-  guard();
-  return add_q(lhs, rhs, act, out_params);
 }
 
 void KernelBackend::add_into(const QTensor& lhs, const QTensor& rhs,
@@ -646,22 +544,10 @@ void KernelBackend::add_into(const QTensor& lhs, const QTensor& rhs,
   add_q_into(lhs, rhs, act, out, simd_);
 }
 
-QTensor KernelBackend::concat(std::span<const QTensor* const> inputs,
-                              const QuantParams& out_params) {
-  guard();
-  return concat_q(inputs, out_params);
-}
-
 void KernelBackend::concat_into(std::span<const QTensor* const> inputs,
                                 QTensor& out) {
   guard();
   concat_q_into(inputs, out);
-}
-
-QTensor KernelBackend::softmax(const QTensor& in,
-                               const QuantParams& out_params) {
-  guard();
-  return softmax_q(in, out_params);
 }
 
 void KernelBackend::softmax_into(const QTensor& in, QTensor& out) {
@@ -680,14 +566,6 @@ void KernelBackend::softmax_into(const QTensor& in, QTensor& out) {
   Tensor soft(in.shape(), std::span<float>(soft_buf.data(), n));
   softmax_f32_into(real, soft);
   quantize_into(soft, out);
-}
-
-QTensor KernelBackend::requantize(const QTensor& q, const QuantParams& target) {
-  guard();
-  if (q.params() == target) return q;
-  QTensor out(q.shape(), target);
-  requantize_into(q, out);  // dispatches the Simd slice requantizer
-  return out;
 }
 
 void KernelBackend::requantize_into(const QTensor& q, QTensor& out) {
@@ -744,24 +622,6 @@ void KernelBackend::conv2d_f32_into(const Tensor& in, const Layer& l,
   }
 }
 
-Tensor KernelBackend::conv2d_f32(const Tensor& in, const Layer& l,
-                                 std::span<const float> weights,
-                                 std::span<const float> bias) {
-  guard();
-  Tensor out(conv_output_shape(in.shape(), l, l.out_channels));
-  conv2d_f32_into(in, l, weights, bias, out);
-  return out;
-}
-
-Tensor KernelBackend::depthwise_conv2d_f32(const Tensor& in, const Layer& l,
-                                           std::span<const float> weights,
-                                           std::span<const float> bias) {
-  guard();
-  Tensor out(conv_output_shape(in.shape(), l, in.shape().c));
-  depthwise_conv2d_f32_into(in, l, weights, bias, out);
-  return out;
-}
-
 void KernelBackend::depthwise_conv2d_f32_into(const Tensor& in, const Layer& l,
                                               std::span<const float> weights,
                                               std::span<const float> bias,
@@ -772,15 +632,6 @@ void KernelBackend::depthwise_conv2d_f32_into(const Tensor& in, const Layer& l,
     return;
   }
   depthwise_conv2d_f32_rows_into(in, l, weights, bias, out);
-}
-
-Tensor KernelBackend::fully_connected_f32(const Tensor& in, const Layer& l,
-                                          std::span<const float> weights,
-                                          std::span<const float> bias) {
-  guard();
-  Tensor out(TensorShape{1, 1, l.out_channels});
-  fully_connected_f32_into(in, l, weights, bias, out);
-  return out;
 }
 
 void KernelBackend::fully_connected_f32_into(const Tensor& in, const Layer& l,

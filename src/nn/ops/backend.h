@@ -6,8 +6,8 @@
 //   Simd      — im2col + register-tiled GEMM for conv/fc, interior/border
 //               split kernels for depthwise and pooling, with the hottest
 //               integer inner loops (GEMM microkernel, depthwise MAC, fused
-//               requantize epilogues, sub-byte unpack) routed through the microkernel table of
-//               nn/ops/simd/simd_kernels.h (AVX2 / NEON), resolved at
+//               requantize epilogues) routed through the microkernel table
+//               of nn/ops/simd/simd_kernels.h (AVX2 / NEON), resolved at
 //               construction. On hosts without a usable ISA, or with
 //               QMCU_FORCE_SCALAR set when the backend is built, the table
 //               is null and every entry runs its scalar fallback. Integer
@@ -22,9 +22,11 @@
 //               outputs per pass over the input, each adding in ascending
 //               input order) are all bit-identical to Reference.
 //
-// 2/4-bit conv and fc inputs run the same GEMM as int8 ones: the Simd tier
-// unpacks packed rows straight into the im2col strip, then runs the int8
-// MAC against the k-major weight panel.
+// Every op reads int8 storage. A patch step over a 2/4-bit packed map
+// unpacks the operand rows of one band into scratch first
+// (CompiledPatchQuantModel's exec_step_band) and then runs the same `_into`
+// op, so sub-byte activations take the int8 GEMM against the k-major
+// weight panel.
 //
 // Each executor owns one KernelBackend. Its ScratchArena is a grow-only
 // pool of typed blocks reused across every op the executor runs, so
@@ -149,16 +151,15 @@ class KernelBackend {
     arena_.rebind_thread();
   }
 
-  // Repacks (and caches) the k-major panel + column sums for a conv weight
-  // blob ahead of time, so a compiled model's first inference pays no
-  // packing cost. No-op unless panel caching is enabled.
-  void prepack(std::span<const std::int8_t> qweights, int n, int k);
-  // The same for the depthwise layer `l` over c channels: lays its weights
-  // out for the table's dw_conv body (SimdKernels::dw_pack) with their
-  // per-channel tap sums. No-op unless panel caching is on and the layer
-  // runs that body.
-  void prepack_depthwise(std::span<const std::int8_t> qweights,
-                         const Layer& l, int c);
+  // Lays out (and caches) the weights `qweights` of MAC layer `l` ahead of
+  // time, so a compiled model's first inference pays no packing cost: the
+  // k-major panel + column sums of a conv or fully-connected layer, the
+  // dw_conv layout (SimdKernels::dw_pack) + per-channel tap sums of a
+  // depthwise one. A no-op for any other layer, for empty weights, without
+  // panel caching, on the Reference tier (its loop nests read the raw
+  // weights) and for a depthwise layer the table's dw_conv body does not
+  // run.
+  void prepack(const Layer& l, std::span<const std::int8_t> qweights);
 
   // --- zero-copy panel adoption (plan-artifact loader) ---------------------
   // Installs an externally prepacked k-major panel + column sums for the
@@ -183,87 +184,41 @@ class KernelBackend {
                            std::span<const std::int32_t> offset);
 
   // --- integer ops (contracts in int8_kernels.h) ---------------------------
-  // Each op has a value-returning form and an `_into` form writing into a
-  // caller-bound destination (shape preset; its QuantParams are the output
-  // parameters). The compiled arena executors use the `_into` forms so the
-  // hot path performs no per-layer allocation.
-  QTensor conv2d(const QTensor& in, const Layer& l,
-                 std::span<const std::int8_t> qweights,
-                 const QuantParams& wparams,
-                 std::span<const std::int32_t> qbias,
-                 const QuantParams& out_params);
+  // Every op writes into a caller-bound destination: its shape is preset
+  // and its QuantParams are the output parameters (a pool's must equal the
+  // input's). The compiled arena models bind arena views, so the hot path
+  // performs no per-layer allocation.
   void conv2d_into(const QTensor& in, const Layer& l,
                    std::span<const std::int8_t> qweights,
                    const QuantParams& wparams,
                    std::span<const std::int32_t> qbias, QTensor& out);
-  QTensor depthwise_conv2d(const QTensor& in, const Layer& l,
-                           std::span<const std::int8_t> qweights,
-                           const QuantParams& wparams,
-                           std::span<const std::int32_t> qbias,
-                           const QuantParams& out_params);
   void depthwise_conv2d_into(const QTensor& in, const Layer& l,
                              std::span<const std::int8_t> qweights,
                              const QuantParams& wparams,
                              std::span<const std::int32_t> qbias,
                              QTensor& out);
-  QTensor fully_connected(const QTensor& in, const Layer& l,
-                          std::span<const std::int8_t> qweights,
-                          const QuantParams& wparams,
-                          std::span<const std::int32_t> qbias,
-                          const QuantParams& out_params);
   void fully_connected_into(const QTensor& in, const Layer& l,
                             std::span<const std::int8_t> qweights,
                             const QuantParams& wparams,
                             std::span<const std::int32_t> qbias, QTensor& out);
-  QTensor max_pool(const QTensor& in, const Layer& l);
   void max_pool_into(const QTensor& in, const Layer& l, QTensor& out);
-  QTensor avg_pool(const QTensor& in, const Layer& l);
   void avg_pool_into(const QTensor& in, const Layer& l, QTensor& out);
-  QTensor global_avg_pool(const QTensor& in);
   void global_avg_pool_into(const QTensor& in, QTensor& out);
-  QTensor add(const QTensor& lhs, const QTensor& rhs, Activation act,
-              const QuantParams& out_params);
   void add_into(const QTensor& lhs, const QTensor& rhs, Activation act,
                 QTensor& out);
-  QTensor concat(std::span<const QTensor* const> inputs,
-                 const QuantParams& out_params);
   void concat_into(std::span<const QTensor* const> inputs, QTensor& out);
-  QTensor softmax(const QTensor& in, const QuantParams& out_params);
   // Scratch-backed softmax (dequantize → softmax_f32 → quantize over arena
   // float scratch): bit-identical to softmax_q without its allocations.
   void softmax_into(const QTensor& in, QTensor& out);
-  QTensor requantize(const QTensor& q, const QuantParams& target);
   void requantize_into(const QTensor& q, QTensor& out);
 
-  // Sub-byte activations: convolution over a 2/4-bit packed input
-  // (quant/bitpack.h layout covering in_shape.elements() fields). The Simd
-  // tier expands packed rows directly into the im2col scratch; the
-  // Reference tier unpacks to a QTensor first. Bit-identical to conv2d on
-  // the unpacked equivalent.
-  QTensor conv2d_packed(std::span<const std::uint8_t> packed,
-                        const TensorShape& in_shape,
-                        const QuantParams& in_params, const Layer& l,
-                        std::span<const std::int8_t> qweights,
-                        const QuantParams& wparams,
-                        std::span<const std::int32_t> qbias,
-                        const QuantParams& out_params);
-
   // --- float ops (contracts in float_kernels.h) ----------------------------
-  Tensor conv2d_f32(const Tensor& in, const Layer& l,
-                    std::span<const float> weights,
-                    std::span<const float> bias);
   void conv2d_f32_into(const Tensor& in, const Layer& l,
                        std::span<const float> weights,
                        std::span<const float> bias, Tensor& out);
-  Tensor depthwise_conv2d_f32(const Tensor& in, const Layer& l,
-                              std::span<const float> weights,
-                              std::span<const float> bias);
   void depthwise_conv2d_f32_into(const Tensor& in, const Layer& l,
                                  std::span<const float> weights,
                                  std::span<const float> bias, Tensor& out);
-  Tensor fully_connected_f32(const Tensor& in, const Layer& l,
-                             std::span<const float> weights,
-                             std::span<const float> bias);
   void fully_connected_f32_into(const Tensor& in, const Layer& l,
                                 std::span<const float> weights,
                                 std::span<const float> bias, Tensor& out);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "quant/bitpack.h"
-
 namespace qmcu::nn::ops {
 
 TensorShape conv_output_shape(const TensorShape& in, const Layer& l,
@@ -88,21 +86,6 @@ void im2col_pack_row_f32(std::span<const float> x, const TensorShape& in,
                                            sizeof(float));
       },
       [&](float* d, int n) { std::fill_n(d, n, 0.0f); });
-}
-
-void im2col_pack_row_subbyte(std::span<const std::uint8_t> packed, int bits,
-                             const TensorShape& in, const Layer& l, int oy,
-                             int out_w, std::int8_t pad_value,
-                             std::int8_t* dst,
-                             const simd::SimdKernels* simd) {
-  pack_row_impl<std::int8_t>(
-      in, l, oy, out_w, dst,
-      [&](std::int8_t* d, std::int64_t off, int n) {
-        quant::unpack_into(packed, off, n, bits, d, simd);
-      },
-      [&](std::int8_t* d, int n) {
-        std::memset(d, pad_value, static_cast<std::size_t>(n));
-      });
 }
 
 }  // namespace qmcu::nn::ops

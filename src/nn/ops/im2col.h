@@ -18,10 +18,6 @@
 
 namespace qmcu::nn::ops {
 
-namespace simd {
-struct SimdKernels;
-}  // namespace simd
-
 // Output shape of a windowed op (conv / pool) per the Layer geometry.
 TensorShape conv_output_shape(const TensorShape& in, const Layer& l,
                               int out_channels);
@@ -51,16 +47,5 @@ void im2col_pack_row(std::span<const std::int8_t> x, const TensorShape& in,
 // Float flavour (same geometry, zero padding) for the fast float conv path.
 void im2col_pack_row_f32(std::span<const float> x, const TensorShape& in,
                          const Layer& l, int oy, int out_w, float* dst);
-
-// Sub-byte flavour: expands 2/4-bit packed activations (quant/bitpack.h
-// little-endian wire layout, in.elements() fields) directly into the im2col
-// scratch rows, never materializing a full unpacked int8 tensor. `simd`
-// (the Simd tier's microkernel table; null = scalar) vectorizes the
-// whole-byte unpack body, bit-identically.
-void im2col_pack_row_subbyte(std::span<const std::uint8_t> packed, int bits,
-                             const TensorShape& in, const Layer& l, int oy,
-                             int out_w, std::int8_t pad_value,
-                             std::int8_t* dst,
-                             const simd::SimdKernels* simd = nullptr);
 
 }  // namespace qmcu::nn::ops

@@ -334,11 +334,6 @@ QTensor avg_pool_q(const QTensor& in, const Layer& l) {
   return out;
 }
 
-void global_avg_pool_q_into(const QTensor& in, QTensor& out) {
-  std::vector<std::int32_t> sums(static_cast<std::size_t>(in.shape().c), 0);
-  global_avg_pool_q_into(in, sums, out);
-}
-
 void global_avg_pool_q_into(const QTensor& in, std::span<std::int32_t> sums,
                             QTensor& out) {
   const TensorShape& is = in.shape();
@@ -364,12 +359,6 @@ void global_avg_pool_q_into(const QTensor& in, std::span<std::int32_t> sums,
     out.at(0, 0, ch) = static_cast<std::int8_t>(clamp_to(
         mean.apply(sums[static_cast<std::size_t>(ch)]), qmin, qmax));
   }
-}
-
-QTensor global_avg_pool_q(const QTensor& in) {
-  QTensor out(TensorShape{1, 1, in.shape().c}, in.params());
-  global_avg_pool_q_into(in, out);
-  return out;
 }
 
 void add_q_into(const QTensor& lhs, const QTensor& rhs, Activation act,
@@ -445,17 +434,6 @@ void concat_q_into(std::span<const QTensor* const> inputs, QTensor& out) {
   }
 }
 
-QTensor concat_q(std::span<const QTensor* const> inputs,
-                 const QuantParams& out_params) {
-  QMCU_REQUIRE(!inputs.empty(), "concat needs inputs");
-  const TensorShape& first = inputs[0]->shape();
-  int channels = 0;
-  for (const QTensor* t : inputs) channels += t->shape().c;
-  QTensor out(TensorShape{first.h, first.w, channels}, out_params);
-  concat_q_into(inputs, out);
-  return out;
-}
-
 QTensor softmax_q(const QTensor& in, const QuantParams& out_params) {
   const Tensor real = dequantize(in);
   const Tensor soft = softmax_f32(real);
@@ -479,13 +457,6 @@ void requantize_q_into(const QTensor& q, QTensor& out) {
                         p.zero_point, r.left_shift(), r.multiplier(),
                         target.zero_point, target.qmin(), target.qmax(),
                         dst.data());
-}
-
-QTensor requantize_q(const QTensor& q, const QuantParams& target) {
-  if (q.params() == target) return q;
-  QTensor out(q.shape(), target);
-  requantize_q_into(q, out);
-  return out;
 }
 
 }  // namespace qmcu::nn::ops

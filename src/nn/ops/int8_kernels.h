@@ -111,10 +111,8 @@ void avg_pool_q_into(const QTensor& in, const Layer& l, QTensor& out);
 // callers on the hot path (KernelBackend) cache it across runs.
 void avg_pool_q_into(const QTensor& in, const Layer& l,
                      const AvgPoolMultipliers& avg, QTensor& out);
-QTensor global_avg_pool_q(const QTensor& in);
-void global_avg_pool_q_into(const QTensor& in, QTensor& out);
-// Allocation-free flavour: `sums` is caller-provided scratch of in.c int32
-// accumulators (contents ignored).
+// `sums` is caller-provided scratch of in.c int32 accumulators (contents
+// ignored).
 void global_avg_pool_q_into(const QTensor& in, std::span<std::int32_t> sums,
                             QTensor& out);
 
@@ -124,15 +122,12 @@ QTensor add_q(const QTensor& lhs, const QTensor& rhs, Activation act,
 // null entry, runs the scalar body. Bit-identical either way.
 void add_q_into(const QTensor& lhs, const QTensor& rhs, Activation act,
                 QTensor& out, const simd::SimdKernels* simd = nullptr);
-QTensor concat_q(std::span<const QTensor* const> inputs,
-                 const QuantParams& out_params);
 void concat_q_into(std::span<const QTensor* const> inputs, QTensor& out);
 QTensor softmax_q(const QTensor& in, const QuantParams& out_params);
 
-// Rescales `q` into `target` params with a single fixed-point multiplier
+// Rescales `q` into `out`'s params with a single fixed-point multiplier
 // (identity copy when the params already match). This is the branch-slice
 // copy of the mixed-precision patch runtime.
-QTensor requantize_q(const QTensor& q, const QuantParams& target);
 void requantize_q_into(const QTensor& q, QTensor& out);
 
 }  // namespace qmcu::nn::ops

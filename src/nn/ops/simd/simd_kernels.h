@@ -20,7 +20,8 @@
 //                     -> clamp.
 //   unpack_body     — the whole-byte body of quant::unpack_into for 2/4-bit
 //                     packed activations (little-endian fields, sign
-//                     extension), feeding the fused sub-byte im2col path.
+//                     extension): the packed patch maps' band unpack, halo
+//                     crop and merge (patch/packed_map.h).
 //   add_row         — the residual Add of add_q_into: both operands
 //                     centered and shifted left by 20, each rescaled by its
 //                     own Q31 multiplier onto the shared grid, summed,

@@ -689,21 +689,8 @@ void CompiledPatchQuantModel::prepare_lane(
   // not the graph: the artifact path loads a topology-only graph.
   const nn::Graph& g = *graph_;
   const auto prepack = [&](int layer_id) {
-    const nn::Layer& l = g.layer(layer_id);
-    const auto& w = params_->weights[static_cast<std::size_t>(layer_id)];
-    if (w.data.empty()) return;
-    if (l.kind == nn::OpKind::Conv2D) {
-      const int n = l.out_channels;
-      const int k = static_cast<int>(w.data.size()) / n;
-      backend.prepack(w.data, n, k);
-    } else if (l.kind == nn::OpKind::FullyConnected) {
-      const int k = static_cast<int>(g.shape(l.inputs[0]).elements());
-      // fc shares the conv panel GEMM since the microkernel rewrite.
-      backend.prepack(w.data, l.out_channels, k);
-    } else if (l.kind == nn::OpKind::DepthwiseConv2D) {
-      const int c = static_cast<int>(w.data.size()) / (l.kernel_h * l.kernel_w);
-      backend.prepack_depthwise(w.data, l, c);
-    }
+    backend.prepack(g.layer(layer_id),
+                    params_->weights[static_cast<std::size_t>(layer_id)].data);
   };
   for (const BranchStep& step : plan_.branches.front().steps) {
     prepack(step.layer_id);

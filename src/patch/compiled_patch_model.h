@@ -309,14 +309,14 @@ class CompiledPatchQuantModel {
   [[nodiscard]] std::int64_t scratch_bytes() const;
   [[nodiscard]] const PatchPlan& plan() const { return plan_; }
   [[nodiscard]] const nn::Graph& graph() const { return *graph_; }
-  // Shared with PatchQuantExecutor's per-step reference path so only one
-  // scratch arena + weight-panel cache exists per executor.
-  [[nodiscard]] nn::ops::KernelBackend& backend() const {
+  // The calling thread's kernel backend, for inspection (its tier and
+  // the microkernel table it resolved at construction).
+  [[nodiscard]] const nn::ops::KernelBackend& backend() const {
     return self_.backend;
   }
 
-  // Compile-time tables, exposed so the owning executor's legacy paths
-  // reuse them instead of rebuilding their own copies.
+  // Compile-time tables: the artifact writer, the inspectors and the
+  // tests' per-step oracle read them instead of rebuilding their own.
   [[nodiscard]] const std::shared_ptr<const nn::QuantizedParameters>&
   shared_parameters() const {
     return params_;
@@ -336,13 +336,12 @@ class CompiledPatchQuantModel {
   }
   // The params branch step `step` of branch `branch` computes at: the
   // mixed-mode per-step override when branch configs exist, otherwise the
-  // pool-propagated effective params of the step's layer. Shared with the
-  // owning executor's legacy path so both resolve identically.
+  // pool-propagated effective params of the step's layer.
   [[nodiscard]] const nn::QuantParams& step_params(int branch,
                                                    int step) const;
   // The params branch `branch` stores step `step`'s map at. Pools never
-  // requantize: they carry their producer's params, exactly as the legacy
-  // executor's region tensors do. Sub-byte maps are stored packed.
+  // requantize: they carry their producer's params. Sub-byte maps are
+  // stored packed.
   [[nodiscard]] const nn::QuantParams& stored_params(int branch,
                                                      int step) const;
 

@@ -40,14 +40,4 @@ void crop_from_region_q_into(const nn::QTensor& have, const Region& avail,
             out.data().data(), CopySpan{});
 }
 
-nn::QTensor crop_from_region_q(const nn::QTensor& have, const Region& avail,
-                               const Region& want,
-                               const nn::TensorShape& full) {
-  nn::QTensor out(nn::TensorShape{want.y.size(), want.x.size(),
-                                  have.shape().c},
-                  have.params());
-  crop_from_region_q_into(have, avail, want, full, out);
-  return out;
-}
-
 }  // namespace qmcu::patch

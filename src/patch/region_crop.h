@@ -84,9 +84,6 @@ nn::Tensor crop_from_region(const nn::Tensor& have, const Region& avail,
 void crop_from_region_into(const nn::Tensor& have, const Region& avail,
                            const Region& want, const nn::TensorShape& full,
                            nn::Tensor& out);
-nn::QTensor crop_from_region_q(const nn::QTensor& have, const Region& avail,
-                               const Region& want,
-                               const nn::TensorShape& full);
 void crop_from_region_q_into(const nn::QTensor& have, const Region& avail,
                              const Region& want, const nn::TensorShape& full,
                              nn::QTensor& out);

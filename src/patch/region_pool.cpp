@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <optional>
 
 #include "nn/ops/int8_kernels.h"
 #include "nn/ops/requantize.h"
@@ -42,20 +41,6 @@ void check_kind(const nn::Layer& l) {
 }
 
 }  // namespace
-
-void pool_region_q_into(const nn::QTensor& have, const Region& avail,
-                        const nn::Layer& l, const Region& out_region,
-                        const nn::TensorShape& full, nn::QTensor& out) {
-  check_kind(l);
-  // Only the averaging path needs the reciprocal table.
-  const std::optional<nn::ops::AvgPoolMultipliers> avg =
-      l.kind == nn::OpKind::MaxPool
-          ? std::nullopt
-          : std::optional<nn::ops::AvgPoolMultipliers>(
-                std::in_place, l.kernel_h * l.kernel_w);
-  pool_region_q_into(have, avail, l, out_region, full,
-                     avg ? &*avg : nullptr, out);
-}
 
 void pool_region_q_into(const nn::QTensor& have, const Region& avail,
                         const nn::Layer& l, const Region& out_region,
@@ -98,16 +83,6 @@ void pool_region_q_into(const nn::QTensor& have, const Region& avail,
       }
     }
   }
-}
-
-nn::QTensor pool_region_q(const nn::QTensor& have, const Region& avail,
-                          const nn::Layer& l, const Region& out_region,
-                          const nn::TensorShape& full) {
-  nn::QTensor out(nn::TensorShape{out_region.y.size(), out_region.x.size(),
-                                  have.shape().c},
-                  have.params());
-  pool_region_q_into(have, avail, l, out_region, full, out);
-  return out;
 }
 
 namespace {
@@ -182,8 +157,7 @@ void merge_region_q(const nn::QTensor& tile, const Region& r,
     for_each_merge_row(tile, r, assembled, CopySpan{});
     return;
   }
-  // Mixed mode: the same values the legacy path produces via requantize_q
-  // + per-element scatter.
+  // Mixed mode: each element rescaled exactly as requantize_q would.
   for_each_merge_row(tile, r, assembled,
                      nn::ops::simd::RowRequantizer(tile.params(),
                                                    assembled.params(), simd));

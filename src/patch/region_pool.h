@@ -6,8 +6,7 @@
 // count only. A zero-filled crop would silently change both (e.g. the max
 // of an all-negative window). These helpers evaluate pool windows in the
 // feature map's global coordinate space, skipping positions outside the
-// map, and are the pooling path of the compiled patch model and of the
-// quantized reference reconstruction (PatchQuantExecutor).
+// map, and are the pooling path of the compiled patch model.
 #pragma once
 
 #include "nn/graph.h"
@@ -24,19 +23,10 @@ namespace qmcu::patch {
 struct PackedMap;
 
 // Pools `out_region` of layer `l` (MaxPool or AvgPool) from the producer's
-// region tensor `have` covering `avail` of a map with full extent `full`.
-// The `_into` forms write into a caller-bound destination sized out_region
-// x channels carrying the producer's params — the compiled patch model's
-// allocation-free path.
-nn::QTensor pool_region_q(const nn::QTensor& have, const Region& avail,
-                          const nn::Layer& l, const Region& out_region,
-                          const nn::TensorShape& full);
-void pool_region_q_into(const nn::QTensor& have, const Region& avail,
-                        const nn::Layer& l, const Region& out_region,
-                        const nn::TensorShape& full, nn::QTensor& out);
-// Allocation-free flavour for the compiled hot path: `avg` must cover the
-// layer's kernel window for AvgPool (callers cache it per window size) and
-// may be null for MaxPool.
+// region tensor `have` covering `avail` of a map with full extent `full`,
+// into a caller-bound destination sized out_region x channels carrying the
+// producer's params. `avg` must cover the layer's kernel window for AvgPool
+// (callers cache it per window size) and may be null for MaxPool.
 void pool_region_q_into(const nn::QTensor& have, const Region& avail,
                         const nn::Layer& l, const Region& out_region,
                         const nn::TensorShape& full,

@@ -42,12 +42,12 @@ std::vector<std::int8_t> unpack(std::span<const std::uint8_t> packed,
                                 std::int64_t count, int bits);
 
 // Allocation-free unpack of the element range [first, first + count) into
-// `dst` (which must hold `count` int8 lanes). This is the fused
-// sub-byte→GEMM path: the im2col packer expands 2/4-bit rows straight into
-// its scratch buffer instead of materializing a full unpacked tensor.
-// `simd` (the Simd kernel tier's table; null = scalar) runs the whole-byte
-// body on its vector expander — bit-identical either way, so the caller's
-// tier choice, not a global, decides which code executes.
+// `dst` (which must hold `count` int8 lanes): how a packed patch map's
+// consumers expand one row span at a time instead of materializing a full
+// unpacked tensor. `simd` (the Simd kernel tier's table; null = scalar)
+// runs the whole-byte body on its vector expander — bit-identical either
+// way, so the caller's tier choice, not a global, decides which code
+// executes.
 void unpack_into(std::span<const std::uint8_t> packed, std::int64_t first,
                  std::int64_t count, int bits, std::int8_t* dst,
                  const nn::ops::simd::SimdKernels* simd = nullptr);

@@ -7,7 +7,8 @@ namespace qmcu::quant {
 nn::Tensor run_fake_quantized(const nn::Graph& g,
                               std::span<const LayerRange> ranges,
                               std::span<const int> bits,
-                              const nn::Tensor& input) {
+                              const nn::Tensor& input,
+                              nn::ops::KernelBackend& backend) {
   QMCU_REQUIRE(static_cast<int>(ranges.size()) == g.size(),
                "ranges must cover every layer");
   QMCU_REQUIRE(static_cast<int>(bits.size()) == g.size(),
@@ -17,7 +18,7 @@ nn::Tensor run_fake_quantized(const nn::Graph& g,
   for (int id = 0; id < g.size(); ++id) {
     nn::Tensor out = g.layer(id).kind == nn::OpKind::Input
                          ? input
-                         : nn::run_layer_f32(g, id, memo);
+                         : nn::run_layer_f32(g, id, memo, backend);
     const nn::QuantParams qp = nn::choose_quant_params(
         ranges[static_cast<std::size_t>(id)].min_v,
         ranges[static_cast<std::size_t>(id)].max_v,

@@ -1,7 +1,8 @@
 // Compiled arena execution (nn/compiled_model.h, patch/compiled_patch_model.h)
-// must be bit-identical to the heap-per-layer legacy paths across float and
-// int8 layer-based models and int8 and mixed sub-byte patch modes, for owned
-// and caller-provided arenas, and must share prebuilt QuantizedParameters
+// must be bit-identical to the heap-per-layer paths across float and int8
+// layer-based models and int8 and mixed sub-byte patch modes (the patch
+// models against the per-step oracle of patch_oracle.h), for owned and
+// caller-provided arenas, and must share prebuilt QuantizedParameters
 // across executors. Uniform-int8 patch models are checked against
 // nn::QuantExecutor in test_patch_quant_executor.cpp.
 #include <gtest/gtest.h>
@@ -16,7 +17,7 @@
 #include "nn/rng.h"
 #include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_quant_executor.h"
+#include "patch_oracle.h"
 #include "quant/calibration.h"
 #include "scoped_env.h"
 
@@ -221,31 +222,19 @@ TEST(CompiledQuantModel, SharedParametersAcrossExecutors) {
 
 // --- patch parity ------------------------------------------------------------
 
-TEST(CompiledPatchQuantModel, UniformMatchesLegacyReconstruction) {
+TEST(CompiledPatchQuantModel, UniformMatchesOracle) {
   const nn::Graph g = mbv2_net();
   const auto ranges = quant::calibrate_ranges(
       g, std::vector<nn::Tensor>{random_input(g.shape(0), 16)});
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::PatchQuantExecutor pexec(g, plan, cfg);
+  const patch::CompiledPatchQuantModel model(g, plan, cfg);
   const nn::Tensor in = random_input(g.shape(0), 17);
-
-  // Legacy full inference: per-step region tensors + heap tail.
-  const int split = pexec.plan().spec.split_layer;
-  const auto effective = nn::effective_output_params(g, cfg);
-  std::vector<nn::QTensor> memo(static_cast<std::size_t>(g.size()));
-  memo[static_cast<std::size_t>(split)] = pexec.run_stage_assembled(in);
-  for (int id = split + 1; id < g.size(); ++id) {
-    memo[static_cast<std::size_t>(id)] =
-        nn::run_layer_q(g, id, memo, *pexec.shared_parameters(),
-                        effective[static_cast<std::size_t>(id)]);
-  }
-  expect_q_identical(pexec.run(in),
-                     memo[static_cast<std::size_t>(g.output())]);
+  expect_q_identical(model.run(in), test::PatchOracle(model).run(in));
 }
 
-TEST(CompiledPatchQuantModel, MixedModeMatchesLegacyReconstruction) {
+TEST(CompiledPatchQuantModel, MixedModeMatchesOracle) {
   const nn::Graph g = mbv2_net();
   data::DataConfig dc;
   dc.resolution = 48;
@@ -260,21 +249,10 @@ TEST(CompiledPatchQuantModel, MixedModeMatchesLegacyReconstruction) {
   const auto ranges = quant::calibrate_ranges(g, calib);
   const auto branch_cfgs = core::make_branch_quant_configs(g, plan, ranges);
   const auto deploy_cfg = core::make_deployment_quant_config(g, plan, ranges);
-  const patch::PatchQuantExecutor pexec(g, plan.patch_plan, deploy_cfg,
-                                        branch_cfgs);
+  const patch::CompiledPatchQuantModel model(g, plan.patch_plan, deploy_cfg,
+                                             branch_cfgs);
   const nn::Tensor in = ds.image(19);
-
-  const int split = pexec.plan().spec.split_layer;
-  const auto effective = nn::effective_output_params(g, deploy_cfg);
-  std::vector<nn::QTensor> memo(static_cast<std::size_t>(g.size()));
-  memo[static_cast<std::size_t>(split)] = pexec.run_stage_assembled(in);
-  for (int id = split + 1; id < g.size(); ++id) {
-    memo[static_cast<std::size_t>(id)] =
-        nn::run_layer_q(g, id, memo, *pexec.shared_parameters(),
-                        effective[static_cast<std::size_t>(id)]);
-  }
-  expect_q_identical(pexec.run(in),
-                     memo[static_cast<std::size_t>(g.output())]);
+  expect_q_identical(model.run(in), test::PatchOracle(model).run(in));
 }
 
 TEST(CompiledPatchQuantModel, SharedParametersAcrossPatchExecutors) {
@@ -285,8 +263,8 @@ TEST(CompiledPatchQuantModel, SharedParametersAcrossPatchExecutors) {
   const auto params = nn::QuantizedParameters::build_shared(g, cfg);
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::PatchQuantExecutor a(g, plan, cfg,
-                                    nn::ops::KernelTier::Simd, params);
+  const patch::CompiledPatchQuantModel a(g, plan, cfg, {},
+                                         nn::ops::KernelTier::Simd, params);
   const nn::QuantExecutor layer(g, cfg, nn::ops::KernelTier::Simd, params);
   EXPECT_EQ(a.shared_parameters().get(), params.get());
   const nn::Tensor in = random_input(g.shape(0), 21);

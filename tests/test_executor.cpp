@@ -113,8 +113,10 @@ TEST(Executor, RunFromMatchesFullRerunAfterPerturbation) {
   std::vector<Tensor> manual(static_cast<std::size_t>(g.size()));
   manual[0] = in;
   manual[1] = perturbed;
+  ops::KernelBackend backend;
   for (int id = 2; id < g.size(); ++id) {
-    manual[static_cast<std::size_t>(id)] = run_layer_f32(g, id, manual);
+    manual[static_cast<std::size_t>(id)] =
+        run_layer_f32(g, id, manual, backend);
   }
   for (int i = 0; i < g.size(); ++i) {
     const auto& x = incremental[static_cast<std::size_t>(i)].data();

@@ -32,11 +32,12 @@ TEST(FakeQuantRun, EightBitStaysCloseToFloat) {
   const nn::Graph g = net();
   const std::vector<nn::Tensor> calib{input(1), input(2)};
   const auto ranges = calibrate_ranges(g, calib);
+  nn::ops::KernelBackend backend;
   const nn::Executor exec(g);
   const nn::Tensor in = input(3);
   const nn::Tensor ref = exec.run(in);
   const nn::Tensor fq =
-      run_fake_quantized(g, ranges, nn::uniform_bits(g, 8), in);
+      run_fake_quantized(g, ranges, nn::uniform_bits(g, 8), in, backend);
   EXPECT_LT(output_mse(fq, ref), 1e-3);
 }
 
@@ -44,15 +45,22 @@ TEST(FakeQuantRun, MseGrowsAsBitsShrink) {
   const nn::Graph g = net();
   const std::vector<nn::Tensor> calib{input(4)};
   const auto ranges = calibrate_ranges(g, calib);
+  nn::ops::KernelBackend backend;
   const nn::Executor exec(g);
   const nn::Tensor in = input(5);
   const nn::Tensor ref = exec.run(in);
   const double e8 =
-      output_mse(run_fake_quantized(g, ranges, nn::uniform_bits(g, 8), in), ref);
+      output_mse(run_fake_quantized(g, ranges, nn::uniform_bits(g, 8), in,
+                                    backend),
+                 ref);
   const double e4 =
-      output_mse(run_fake_quantized(g, ranges, nn::uniform_bits(g, 4), in), ref);
+      output_mse(run_fake_quantized(g, ranges, nn::uniform_bits(g, 4), in,
+                                    backend),
+                 ref);
   const double e2 =
-      output_mse(run_fake_quantized(g, ranges, nn::uniform_bits(g, 2), in), ref);
+      output_mse(run_fake_quantized(g, ranges, nn::uniform_bits(g, 2), in,
+                                    backend),
+                 ref);
   EXPECT_LE(e8, e4);
   EXPECT_LT(e4, e2);
 }
@@ -61,14 +69,15 @@ TEST(FakeQuantRun, PerLayerBitsAreHonoured) {
   const nn::Graph g = net();
   const std::vector<nn::Tensor> calib{input(6)};
   const auto ranges = calibrate_ranges(g, calib);
+  nn::ops::KernelBackend backend;
   const nn::Tensor in = input(7);
   // Degrading only the first conv differs from degrading only the second.
   std::vector<int> first_low = nn::uniform_bits(g, 8);
   first_low[1] = 2;
   std::vector<int> second_low = nn::uniform_bits(g, 8);
   second_low[2] = 2;
-  const nn::Tensor a = run_fake_quantized(g, ranges, first_low, in);
-  const nn::Tensor b = run_fake_quantized(g, ranges, second_low, in);
+  const nn::Tensor a = run_fake_quantized(g, ranges, first_low, in, backend);
+  const nn::Tensor b = run_fake_quantized(g, ranges, second_low, in, backend);
   EXPECT_GT(output_mse(a, b), 0.0);
 }
 
@@ -76,8 +85,9 @@ TEST(FakeQuantRun, ValidatesVectorSizes) {
   const nn::Graph g = net();
   const std::vector<nn::Tensor> calib{input(8)};
   const auto ranges = calibrate_ranges(g, calib);
+  nn::ops::KernelBackend backend;
   const std::vector<int> short_bits{8};
-  EXPECT_THROW(run_fake_quantized(g, ranges, short_bits, input(9)),
+  EXPECT_THROW(run_fake_quantized(g, ranges, short_bits, input(9), backend),
                std::invalid_argument);
 }
 

@@ -12,7 +12,7 @@
 #include "models/weights.h"
 #include "nn/memory_planner.h"
 #include "nn/rng.h"
-#include "patch/patch_quant_executor.h"
+#include "patch/compiled_patch_model.h"
 #include "quant/calibration.h"
 
 namespace qmcu::patch {
@@ -91,7 +91,7 @@ TEST_P(FuzzedTopology, QuantizedPatchInferenceBitExact) {
   PatchSpec spec;
   spec.split_layer = cut;
   spec.grid_rows = spec.grid_cols = 2;
-  const PatchQuantExecutor pexec(g, build_patch_plan(g, spec), cfg);
+  const CompiledPatchQuantModel pexec(g, build_patch_plan(g, spec), cfg);
   const nn::QuantExecutor qexec(g, cfg);
   const nn::Tensor in = random_input(g.shape(0), seed + 3);
   const nn::QTensor a = pexec.run(in);

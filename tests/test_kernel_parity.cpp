@@ -1,12 +1,12 @@
 // Kernel backend tier parity: the Simd tier (im2col + tiled GEMM,
-// interior/border split kernels, fused sub-byte unpack, over the
-// runtime-dispatched AVX2/NEON microkernels) must be bit-identical to the
-// Reference loop nests over randomized geometries, activations, and
-// 2/4/8-bit weight/activation ranges — both on the table this process
-// dispatches and on the scalar fallbacks, which each suite pins in process
-// with QMCU_FORCE_SCALAR. Integer arithmetic makes this an exact contract,
-// not a tolerance; the float conv, depthwise and fully-connected bodies
-// keep every output's reference accumulation order, so they are exact too.
+// interior/border split kernels, over the runtime-dispatched AVX2/NEON
+// microkernels) must be bit-identical to the Reference loop nests over
+// randomized geometries, activations, and 2/4/8-bit weight/activation
+// ranges — both on the table this process dispatches and on the scalar
+// fallbacks, which each suite pins in process with QMCU_FORCE_SCALAR.
+// Integer arithmetic makes this an exact contract, not a tolerance; the
+// float conv, depthwise and fully-connected bodies keep every output's
+// reference accumulation order, so they are exact too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,15 +24,17 @@
 
 #include "core/quantmcu.h"
 #include "data/synthetic.h"
+#include "kernel_values.h"
 #include "models/zoo.h"
 #include "nn/executor.h"
 #include "nn/memory_planner.h"
 #include "nn/ops/backend.h"
 #include "nn/ops/float_kernels.h"
+#include "nn/ops/im2col.h"
 #include "nn/ops/int8_kernels.h"
 #include "nn/rng.h"
+#include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_quant_executor.h"
 #include "quant/bitpack.h"
 #include "quant/calibration.h"
 #include "scoped_env.h"
@@ -109,6 +111,38 @@ RandomCase random_case(nn::Rng& rng, OpKind kind, int weight_bits,
   return c;
 }
 
+using test::value_of;
+
+// The output of MAC layer `l` (conv, depthwise or fully-connected) over
+// `in` on `backend`.
+QTensor mac_value(KernelBackend& backend, const QTensor& in, const Layer& l,
+                  std::span<const std::int8_t> w, const QuantParams& wp,
+                  std::span<const std::int32_t> bias,
+                  const QuantParams& out_p) {
+  switch (l.kind) {
+    case OpKind::Conv2D:
+      return value_of(
+          backend, &KernelBackend::conv2d_into,
+          QTensor(conv_output_shape(in.shape(), l, l.out_channels), out_p),
+          in, l, w, wp, bias);
+    case OpKind::DepthwiseConv2D:
+      return value_of(
+          backend, &KernelBackend::depthwise_conv2d_into,
+          QTensor(conv_output_shape(in.shape(), l, in.shape().c), out_p), in,
+          l, w, wp, bias);
+    default:
+      return value_of(backend, &KernelBackend::fully_connected_into,
+                      QTensor(TensorShape{1, 1, l.out_channels}, out_p), in,
+                      l, w, wp, bias);
+  }
+}
+
+// The case's windowed MAC op over its own input.
+QTensor mac_value(KernelBackend& backend, const RandomCase& c) {
+  return mac_value(backend, c.qin, c.layer, c.qweights, c.wparams, c.qbias,
+                   c.out_params);
+}
+
 void expect_q_identical(const QTensor& a, const QTensor& b,
                         const char* what) {
   ASSERT_EQ(a.shape(), b.shape()) << what;
@@ -156,12 +190,10 @@ TEST(KernelParity, Conv2dRandomizedBitExact) {
     const int ab = bit_options[(trial / 3) % 3];
     const RandomCase c = random_case(rng, OpKind::Conv2D, wb, ab);
     KernelBackend ref(KernelTier::Reference);
-    const QTensor a = ref.conv2d(c.qin, c.layer, c.qweights, c.wparams,
-                                 c.qbias, c.out_params);
+    const QTensor a = mac_value(ref, c);
     for (const Table t : kTables) {
       TableBackend backend(t);
-      const QTensor b = backend.conv2d(c.qin, c.layer, c.qweights, c.wparams,
-                                    c.qbias, c.out_params);
+      const QTensor b = mac_value(backend, c);
       expect_q_identical(a, b,
                          t == Table::Scalar ? "conv2d-scalar" : "conv2d-simd");
     }
@@ -176,24 +208,17 @@ TEST(KernelParity, DepthwiseRandomizedBitExact) {
                                      bit_options[trial % 3],
                                      bit_options[(trial / 3) % 3]);
     KernelBackend ref(KernelTier::Reference);
-    const QTensor a = ref.depthwise_conv2d(c.qin, c.layer, c.qweights,
-                                           c.wparams, c.qbias, c.out_params);
+    const QTensor a = mac_value(ref, c);
     for (const Table t : kTables) {
       TableBackend backend(t);
       expect_q_identical(
-          a,
-          backend.depthwise_conv2d(c.qin, c.layer, c.qweights, c.wparams,
-                                c.qbias, c.out_params),
+          a, mac_value(backend, c),
           t == Table::Scalar ? "depthwise-scalar" : "depthwise-simd");
     }
     // Without the panel cache the dw_conv weight layout is built in the
     // scratch arena on every call.
     KernelBackend uncached(KernelTier::Simd, /*cache_weight_panels=*/false);
-    expect_q_identical(a,
-                       uncached.depthwise_conv2d(c.qin, c.layer, c.qweights,
-                                                 c.wparams, c.qbias,
-                                                 c.out_params),
-                       "depthwise-uncached");
+    expect_q_identical(a, mac_value(uncached, c), "depthwise-uncached");
   }
 }
 
@@ -221,10 +246,10 @@ TEST(KernelParity, FullyConnectedRandomizedBitExact) {
       b = static_cast<std::int32_t>(rng.uniform(-3000, 3000));
     }
     KernelBackend ref(KernelTier::Reference);
-    const QTensor a = ref.fully_connected(qin, l, w, wp, bias, out_p);
+    const QTensor a = mac_value(ref, qin, l, w, wp, bias, out_p);
     for (const Table t : kTables) {
       TableBackend backend(t);
-      expect_q_identical(a, backend.fully_connected(qin, l, w, wp, bias, out_p),
+      expect_q_identical(a, mac_value(backend, qin, l, w, wp, bias, out_p),
                          "fc");
     }
   }
@@ -234,43 +259,25 @@ TEST(KernelParity, PoolsRandomizedBitExact) {
   nn::Rng rng(404);
   for (int trial = 0; trial < 30; ++trial) {
     const RandomCase c = random_case(rng, OpKind::MaxPool, 8, 8);
+    const QTensor pooled(conv_output_shape(c.in_shape, c.layer, c.in_shape.c),
+                         c.in_params);
+    const QTensor global(TensorShape{1, 1, c.in_shape.c}, c.in_params);
     KernelBackend ref(KernelTier::Reference);
     for (const Table t : kTables) {
       TableBackend backend(t);
-      expect_q_identical(ref.max_pool(c.qin, c.layer),
-                         backend.max_pool(c.qin, c.layer), "max_pool");
-      expect_q_identical(ref.avg_pool(c.qin, c.layer),
-                         backend.avg_pool(c.qin, c.layer), "avg_pool");
-      expect_q_identical(ref.global_avg_pool(c.qin),
-                         backend.global_avg_pool(c.qin), "global_avg_pool");
-    }
-  }
-}
-
-// The fused sub-byte path: conv over 2/4-bit packed activations must equal
-// conv over the unpacked int8 tensor, on both tiers.
-TEST(KernelParity, PackedConvMatchesUnpacked) {
-  nn::Rng rng(505);
-  for (int trial = 0; trial < 30; ++trial) {
-    const int bits = trial % 2 == 0 ? 4 : 2;
-    const RandomCase c = random_case(rng, OpKind::Conv2D, 8, bits);
-    const std::vector<std::uint8_t> packed = quant::pack(c.qin.data(), bits);
-
-    KernelBackend ref(KernelTier::Reference);
-    const QTensor base = ref.conv2d(c.qin, c.layer, c.qweights, c.wparams,
-                                    c.qbias, c.out_params);
-    expect_q_identical(
-        base,
-        ref.conv2d_packed(packed, c.in_shape, c.in_params, c.layer,
-                          c.qweights, c.wparams, c.qbias, c.out_params),
-        "packed-ref");
-    for (const Table t : kTables) {
-      TableBackend backend(t);
-      expect_q_identical(
-          base,
-          backend.conv2d_packed(packed, c.in_shape, c.in_params, c.layer,
-                             c.qweights, c.wparams, c.qbias, c.out_params),
-          t == Table::Scalar ? "packed-scalar" : "packed-simd");
+      const auto pools = [&](KernelBackend& b) {
+        return std::vector<QTensor>{
+            value_of(b, &KernelBackend::max_pool_into, pooled, c.qin,
+                     c.layer),
+            value_of(b, &KernelBackend::avg_pool_into, pooled, c.qin,
+                     c.layer),
+            value_of(b, &KernelBackend::global_avg_pool_into, global, c.qin)};
+      };
+      const std::vector<QTensor> want = pools(ref);
+      const std::vector<QTensor> got = pools(backend);
+      expect_q_identical(want[0], got[0], "max_pool");
+      expect_q_identical(want[1], got[1], "avg_pool");
+      expect_q_identical(want[2], got[2], "global_avg_pool");
     }
   }
 }
@@ -387,11 +394,11 @@ TEST(KernelParity, FullyConnectedLadderBitExact) {
         }
       }
       KernelBackend ref(KernelTier::Reference);
-      const QTensor want = ref.fully_connected(qin, l, w, wp, bias, out_p);
+      const QTensor want = mac_value(ref, qin, l, w, wp, bias, out_p);
       for (const Table t : kTables) {
         TableBackend backend(t);
         expect_q_identical(want,
-                           backend.fully_connected(qin, l, w, wp, bias, out_p),
+                           mac_value(backend, qin, l, w, wp, bias, out_p),
                            pass == 1 ? "fc-ladder-nodot" : "fc-ladder");
       }
     }
@@ -430,11 +437,10 @@ TEST(KernelParity, DotGenerationZeroPointBitExact) {
                      : static_cast<std::int8_t>(rng.uniform(-128, 128));
       }
       KernelBackend ref(KernelTier::Reference);
-      const QTensor want = ref.fully_connected(qin, l, w, wp, {}, out_p);
+      const QTensor want = mac_value(ref, qin, l, w, wp, {}, out_p);
       for (const Table t : kTables) {
         TableBackend backend(t);
-        expect_q_identical(want,
-                           backend.fully_connected(qin, l, w, wp, {}, out_p),
+        expect_q_identical(want, mac_value(backend, qin, l, w, wp, {}, out_p),
                            "fc-zp");
       }
 
@@ -443,13 +449,13 @@ TEST(KernelParity, DotGenerationZeroPointBitExact) {
       c.in_params.zero_point = zp;
       QTensor cin(c.in_shape, c.in_params);
       std::copy(c.qin.data().begin(), c.qin.data().end(), cin.data().begin());
-      const QTensor cwant = ref.conv2d(cin, c.layer, c.qweights, c.wparams,
-                                       c.qbias, c.out_params);
+      const QTensor cwant = mac_value(ref, cin, c.layer, c.qweights,
+                                      c.wparams, c.qbias, c.out_params);
       for (const Table t : kTables) {
         TableBackend backend(t);
         expect_q_identical(cwant,
-                           backend.conv2d(cin, c.layer, c.qweights, c.wparams,
-                                       c.qbias, c.out_params),
+                           mac_value(backend, cin, c.layer, c.qweights,
+                                     c.wparams, c.qbias, c.out_params),
                            "conv-zp");
       }
     }
@@ -479,11 +485,15 @@ TEST(KernelParity, RequantizeRandomizedBitExact) {
       v = static_cast<std::int8_t>(
           rng.uniform(in_p.qmin(), in_p.qmax() + 1));
     }
+    const QTensor dst(qin.shape(), out_p);
     KernelBackend ref(KernelTier::Reference);
-    const QTensor a = ref.requantize(qin, out_p);
+    const QTensor a =
+        value_of(ref, &KernelBackend::requantize_into, dst, qin);
     for (const Table t : kTables) {
       TableBackend backend(t);
-      expect_q_identical(a, backend.requantize(qin, out_p),
+      expect_q_identical(a,
+                         value_of(backend, &KernelBackend::requantize_into,
+                                  dst, qin),
                          t == Table::Scalar ? "requantize-scalar"
                                             : "requantize-simd");
     }
@@ -625,8 +635,10 @@ TEST(KernelParity, FloatConvBitExact) {
     for (float& v : bias) v = static_cast<float>(rng.uniform(-0.3, 0.3));
 
     KernelBackend simd(KernelTier::Simd);
-    expect_bits_identical(conv2d_f32(in, l, weights, bias),
-                          simd.conv2d_f32(in, l, weights, bias),
+    const Tensor want = conv2d_f32(in, l, weights, bias);
+    expect_bits_identical(want,
+                          value_of(simd, &KernelBackend::conv2d_f32_into,
+                                   Tensor(want.shape()), in, l, weights, bias),
                           "conv trial " + std::to_string(trial));
   }
 }
@@ -671,10 +683,10 @@ TEST(KernelParity, FloatDepthwiseBitExact) {
           const Tensor want = depthwise_conv2d_f32(in, l, weights, bias);
           const std::string what = "dw trial " + std::to_string(trial++);
           expect_bits_identical(
-              want, simd.depthwise_conv2d_f32(in, l, weights, bias), what);
-          Tensor into(want.shape());
-          simd.depthwise_conv2d_f32_into(in, l, weights, bias, into);
-          expect_bits_identical(want, into, what + " (into)");
+              want,
+              value_of(simd, &KernelBackend::depthwise_conv2d_f32_into,
+                       Tensor(want.shape()), in, l, weights, bias),
+              what);
         }
       }
     }
@@ -703,12 +715,11 @@ TEST(KernelParity, FloatFullyConnectedBitExact) {
         KernelBackend simd(KernelTier::Simd);
         const Tensor want = fully_connected_f32(in, l, weights, bias);
         const std::string what = "fc trial " + std::to_string(trial++);
-        expect_bits_identical(want,
-                              simd.fully_connected_f32(in, l, weights, bias),
-                              what);
-        Tensor into(want.shape());
-        simd.fully_connected_f32_into(in, l, weights, bias, into);
-        expect_bits_identical(want, into, what + " (into)");
+        expect_bits_identical(
+            want,
+            value_of(simd, &KernelBackend::fully_connected_f32_into,
+                     Tensor(want.shape()), in, l, weights, bias),
+            what);
       }
     }
   }
@@ -882,7 +893,8 @@ TEST(KernelParity, RequantI8RowMatchesReferenceForEveryTail) {
       const ElementRequantizer r(static_cast<double>(c.in_p.scale) /
                                  static_cast<double>(c.out_p.scale));
       KernelBackend ref(KernelTier::Reference);
-      const QTensor full = ref.requantize(in, c.out_p);
+      const QTensor full = value_of(ref, &KernelBackend::requantize_into,
+                                    QTensor(in.shape(), c.out_p), in);
       QTensor got(in.shape(), c.out_p);
       simd::run_requant_i8_row(table, in.data().data(), n, c.in_p.zero_point,
                                r.left_shift(), r.multiplier(),
@@ -1288,10 +1300,10 @@ TEST(KernelParity, PointwiseConvSkipsIm2colBitExact) {
                   0);
       }
       KernelBackend ref(KernelTier::Reference);
-      const QTensor want = ref.conv2d(in, l, wq, w_p, bias, out_p);
+      const QTensor want = mac_value(ref, in, l, wq, w_p, bias, out_p);
       for (const Table t : kTables) {
         TableBackend backend(t);
-        const QTensor got = backend.conv2d(in, l, wq, w_p, bias, out_p);
+        const QTensor got = mac_value(backend, in, l, wq, w_p, bias, out_p);
         expect_q_identical(want, got,
                            t == Table::Scalar ? "pointwise-scalar"
                                               : "pointwise-simd");
@@ -1339,11 +1351,11 @@ TEST(KernelParity, OffsetRowIsKeyedByBias) {
       row[j] = deploy_bias[j] - a_zp * wsum[j];
     }
     backend.register_offset_row(wq.data(), a_zp, deploy_bias.data(), row);
-    expect_q_identical(ref.conv2d(in, l, wq, w_p, branch_bias, out_p),
-                       backend.conv2d(in, l, wq, w_p, branch_bias, out_p),
+    expect_q_identical(mac_value(ref, in, l, wq, w_p, branch_bias, out_p),
+                       mac_value(backend, in, l, wq, w_p, branch_bias, out_p),
                        "other bias");
-    expect_q_identical(ref.conv2d(in, l, wq, w_p, deploy_bias, out_p),
-                       backend.conv2d(in, l, wq, w_p, deploy_bias, out_p),
+    expect_q_identical(mac_value(ref, in, l, wq, w_p, deploy_bias, out_p),
+                       mac_value(backend, in, l, wq, w_p, deploy_bias, out_p),
                        "registered bias");
   }
 }
@@ -1354,14 +1366,10 @@ TEST(ScratchArena, FootprintStabilizesAcrossRuns) {
   nn::Rng rng(707);
   const RandomCase c = random_case(rng, OpKind::Conv2D, 8, 8);
   KernelBackend backend;
-  (void)backend.conv2d(c.qin, c.layer, c.qweights, c.wparams, c.qbias,
-                       c.out_params);
+  (void)mac_value(backend, c);
   const std::size_t after_first = backend.arena().footprint_bytes();
   EXPECT_GT(after_first, 0u);
-  for (int i = 0; i < 5; ++i) {
-    (void)backend.conv2d(c.qin, c.layer, c.qweights, c.wparams, c.qbias,
-                         c.out_params);
-  }
+  for (int i = 0; i < 5; ++i) (void)mac_value(backend, c);
   EXPECT_EQ(backend.arena().footprint_bytes(), after_first);
 }
 
@@ -1428,7 +1436,7 @@ TEST(BackendRegression, QuantExecutorTierInvariant) {
   expect_q_identical(want, fallback.run(in));
 }
 
-TEST(BackendRegression, PatchQuantExecutorMixedModeTierInvariant) {
+TEST(BackendRegression, PatchQuantModelMixedModeTierInvariant) {
   const nn::Graph g = small_mbv2();
   data::DataConfig dc;
   dc.resolution = 48;
@@ -1444,17 +1452,19 @@ TEST(BackendRegression, PatchQuantExecutorMixedModeTierInvariant) {
   const auto branch_cfgs = core::make_branch_quant_configs(g, plan, ranges);
   const auto deploy_cfg = core::make_deployment_quant_config(g, plan, ranges);
 
-  const PatchQuantExecutor ref(g, plan.patch_plan, deploy_cfg, branch_cfgs,
-                               nn::ops::KernelTier::Reference);
-  const PatchQuantExecutor simd(g, plan.patch_plan, deploy_cfg, branch_cfgs,
-                                nn::ops::KernelTier::Simd);
+  const CompiledPatchQuantModel ref(g, plan.patch_plan, deploy_cfg,
+                                    branch_cfgs,
+                                    nn::ops::KernelTier::Reference);
+  const CompiledPatchQuantModel simd(g, plan.patch_plan, deploy_cfg,
+                                     branch_cfgs, nn::ops::KernelTier::Simd);
   const nn::Tensor in = ds.image(11);
   const nn::QTensor want = ref.run(in);
   expect_q_identical(want, simd.run(in));
   const test::ScopedEnv scalar("QMCU_FORCE_SCALAR", "1");
-  const PatchQuantExecutor fallback(g, plan.patch_plan, deploy_cfg,
-                                    branch_cfgs, nn::ops::KernelTier::Simd);
-  ASSERT_EQ(fallback.compiled().backend().simd_kernels(), nullptr);
+  const CompiledPatchQuantModel fallback(g, plan.patch_plan, deploy_cfg,
+                                         branch_cfgs,
+                                         nn::ops::KernelTier::Simd);
+  ASSERT_EQ(fallback.backend().simd_kernels(), nullptr);
   expect_q_identical(want, fallback.run(in));
 }
 

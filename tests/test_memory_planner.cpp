@@ -5,7 +5,6 @@
 #include "nn/memory_planner.h"
 #include "nn/ops/backend.h"
 #include "nn/ops/int8_kernels.h"
-#include "quant/bitpack.h"
 #include "scoped_env.h"
 
 namespace qmcu::nn {
@@ -129,8 +128,7 @@ TEST(MemoryPlanner, ScratchModelMatchesMeasuredBackendFootprint) {
   // backend's layout; this pins the two together: after one conv on a
   // fresh uncached-panel backend on the scalar table, the ScratchArena's
   // measured footprint must equal fast_scratch_bytes exactly — for int8
-  // inputs and for 2/4-bit ones, both unpacked and packed (the packed
-  // path expands into the same int8 im2col strip).
+  // inputs and for 2/4-bit ones held on int8 storage.
   Graph g("t");
   const int in = g.add_input(TensorShape{8, 8, 4});
   const int conv = g.add_conv2d(in, 16, 3, 1, 1, Activation::ReLU);
@@ -142,24 +140,14 @@ TEST(MemoryPlanner, ScratchModelMatchesMeasuredBackendFootprint) {
   for (int bits : {8, 4, 2}) {
     const QuantParams in_p = choose_quant_params(-1.0f, 1.0f, bits);
     const QTensor qin(g.shape(in), in_p);
-    {
-      ops::KernelBackend backend(ops::KernelTier::Simd,
-                                 /*cache_weight_panels=*/false);
-      ASSERT_EQ(backend.simd_kernels(), nullptr);
-      (void)backend.conv2d(qin, g.layer(conv), qw.data, qw.params, {}, out_p);
-      EXPECT_EQ(static_cast<std::int64_t>(backend.arena().footprint_bytes()),
-                fast_scratch_bytes(g, conv))
-          << bits << "-bit input";
-    }
-    if (bits == 8) continue;
     ops::KernelBackend backend(ops::KernelTier::Simd,
                                /*cache_weight_panels=*/false);
-    const std::vector<std::uint8_t> packed = quant::pack(qin.data(), bits);
-    (void)backend.conv2d_packed(packed, g.shape(in), in_p, g.layer(conv),
-                                qw.data, qw.params, {}, out_p);
+    ASSERT_EQ(backend.simd_kernels(), nullptr);
+    QTensor out(g.shape(conv), out_p);
+    backend.conv2d_into(qin, g.layer(conv), qw.data, qw.params, {}, out);
     EXPECT_EQ(static_cast<std::int64_t>(backend.arena().footprint_bytes()),
               fast_scratch_bytes(g, conv))
-        << bits << "-bit packed input";
+        << bits << "-bit input";
   }
 }
 

@@ -1,8 +1,9 @@
 // Packed sub-byte branch-step feature maps (patch/packed_map.h): the row
 // layout, the halo crop and the merge at 2 and 4 bits against their dense
 // twins, and the compiled patch engine storing every sub-byte branch map
-// packed — bit-identical to the layer-based and legacy paths across op
-// kinds, odd channel counts, tiers and schedules, in a smaller arena.
+// packed — bit-identical to layer-based inference and to the per-step
+// oracle (patch_oracle.h) across op kinds, odd channel counts, tiers and
+// schedules, in a smaller arena.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -15,9 +16,9 @@
 #include "nn/runtime/worker_pool.h"
 #include "patch/compiled_patch_model.h"
 #include "patch/packed_map.h"
-#include "patch/patch_quant_executor.h"
 #include "patch/region_crop.h"
 #include "patch/region_pool.h"
+#include "patch_oracle.h"
 #include "quant/bitpack.h"
 #include "quant/calibration.h"
 
@@ -227,23 +228,7 @@ PatchPlan odd_plan(const nn::Graph& g, int grid) {
   return build_patch_plan(g, spec);
 }
 
-// Per-branch per-step params with seeded bit widths drawn from `bits`.
-std::vector<BranchQuantConfig> random_branch_cfgs(
-    const PatchPlan& plan, std::span<const quant::LayerRange> ranges,
-    std::span<const int> bits, std::uint64_t seed) {
-  nn::Rng rng(seed);
-  std::vector<BranchQuantConfig> cfgs(plan.branches.size());
-  for (std::size_t b = 0; b < plan.branches.size(); ++b) {
-    for (const BranchStep& step : plan.branches[b].steps) {
-      const auto& r = ranges[static_cast<std::size_t>(step.layer_id)];
-      const int pick = static_cast<int>(rng.uniform() * bits.size()) %
-                       static_cast<int>(bits.size());
-      cfgs[b].per_step.push_back(nn::choose_quant_params(
-          r.min_v, r.max_v, bits[static_cast<std::size_t>(pick)]));
-    }
-  }
-  return cfgs;
-}
+using test::random_branch_cfgs;
 
 // Uniform sub-byte mode: every branch map is stored packed, and the patch
 // model must still equal layer-based integer inference exactly.
@@ -271,9 +256,9 @@ TEST_P(PackedBits, UniformSubByteEqualsLayerBasedOnOddChannels) {
 }
 
 // Mixed mode with 2-, 4- and 8-bit steps drawn per branch: the compiled
-// engine (packed maps) equals the legacy per-step-tensor reconstruction,
-// on every tier and schedule.
-TEST(PackedBranchMaps, MixedWidthsMatchLegacyOnEveryTierAndSchedule) {
+// engine (packed maps) equals the Reference per-step oracle, on every tier
+// and schedule.
+TEST(PackedBranchMaps, MixedWidthsMatchOracleOnEveryTierAndSchedule) {
   const nn::Graph g = odd_net();
   const std::vector<nn::Tensor> calib{random_input(g.shape(0), 3)};
   const auto ranges = quant::calibrate_ranges(g, calib);
@@ -282,25 +267,15 @@ TEST(PackedBranchMaps, MixedWidthsMatchLegacyOnEveryTierAndSchedule) {
   const std::vector<int> widths{2, 4, 8};
   const auto branch_cfgs = random_branch_cfgs(plan, ranges, widths, 17);
 
-  const PatchQuantExecutor legacy(g, plan, cfg, branch_cfgs,
-                                  nn::ops::KernelTier::Reference);
   const CompiledPatchQuantModel simd(g, plan, cfg, branch_cfgs);
   const CompiledPatchQuantModel ref(g, plan, cfg, branch_cfgs,
                                     nn::ops::KernelTier::Reference);
+  test::PatchOracle oracle(ref);
   nn::WorkerPool pool(3);
   StreamState stream;
-  const auto effective = nn::effective_output_params(g, cfg);
   for (std::uint64_t seed = 8; seed < 11; ++seed) {
     const nn::Tensor in = random_input(g.shape(0), seed);
-    std::vector<nn::QTensor> memo(static_cast<std::size_t>(g.size()));
-    memo[static_cast<std::size_t>(plan.spec.split_layer)] =
-        legacy.run_stage_assembled(in);
-    for (int id = plan.spec.split_layer + 1; id < g.size(); ++id) {
-      memo[static_cast<std::size_t>(id)] =
-          nn::run_layer_q(g, id, memo, *legacy.shared_parameters(),
-                          effective[static_cast<std::size_t>(id)]);
-    }
-    const nn::QTensor& expect = memo[static_cast<std::size_t>(g.output())];
+    const nn::QTensor expect = oracle.run(in);
     expect_q_identical(simd.run(in), expect);
     EXPECT_EQ(simd.measured_high_water(), simd.arena_bytes());
     expect_q_identical(ref.run(in), expect);

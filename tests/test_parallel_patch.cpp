@@ -24,7 +24,6 @@
 #include "nn/runtime/worker_pool.h"
 #include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_quant_executor.h"
 #include "patch/region_pool.h"
 #include "quant/calibration.h"
 
@@ -113,7 +112,7 @@ TEST(ParallelPatch, MixedModeBitExact) {
   }
 }
 
-TEST(ParallelPatch, ExecutorEntryPointsMatch) {
+TEST(ParallelPatch, UniformEntryPointsMatch) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
@@ -121,8 +120,8 @@ TEST(ParallelPatch, ExecutorEntryPointsMatch) {
   nn::WorkerPool pool(4);
   const auto ranges = quant::calibrate_ranges(g, std::vector<nn::Tensor>{in});
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
-  const patch::PatchQuantExecutor qexec(g, plan, cfg);
-  expect_q_identical(qexec.compiled().run(in, &pool), qexec.run(in));
+  const patch::CompiledPatchQuantModel model(g, plan, cfg);
+  expect_q_identical(model.run(in, &pool), model.run(in));
 }
 
 // --- region-merge determinism under shuffled completion order ---------------
@@ -350,13 +349,14 @@ TEST(ThreadAffinity, CatchesBackendSharedAcrossThreads) {
   const nn::QuantParams p = nn::choose_quant_params(-3.0f, 3.0f, 8);
   const nn::QTensor qa = nn::quantize(a, p);
   const nn::QTensor qb = nn::quantize(b, p);
+  nn::QTensor out(qa.shape(), p);
   // First use binds the backend to this thread.
-  (void)backend.add(qa, qb, nn::Activation::None, p);
+  backend.add_into(qa, qb, nn::Activation::None, out);
 
   bool threw = false;
   std::thread other([&] {
     try {
-      (void)backend.add(qa, qb, nn::Activation::None, p);
+      backend.add_into(qa, qb, nn::Activation::None, out);
     } catch (const std::logic_error&) {
       threw = true;
     }
@@ -368,7 +368,7 @@ TEST(ThreadAffinity, CatchesBackendSharedAcrossThreads) {
   backend.rebind_thread();
   bool ok = false;
   std::thread third([&] {
-    (void)backend.add(qa, qb, nn::Activation::None, p);
+    backend.add_into(qa, qb, nn::Activation::None, out);
     ok = true;
   });
   third.join();

@@ -1,8 +1,10 @@
-// The quantized deployment path: patch-based integer inference must be
-// bit-identical to layer-based integer inference in uniform mode (paper
-// Fig. 1a — halos exist precisely so that no receptive field is
-// truncated), and the mixed-precision mode (the VDQS assignment actually
-// executing) must track the float reference within quantization noise.
+// The quantized deployment path (patch::CompiledPatchQuantModel):
+// patch-based integer inference must be bit-identical to layer-based
+// integer inference in uniform mode (paper Fig. 1a — halos exist precisely
+// so that no receptive field is truncated), the mixed-precision mode (the
+// VDQS assignment actually executing) must track the float reference
+// within quantization noise, and mixed packed branch maps must equal the
+// per-step oracle of patch_oracle.h on every zoo model.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -15,11 +17,14 @@
 #include "nn/executor.h"
 #include "nn/memory_planner.h"
 #include "nn/rng.h"
+#include "nn/runtime/worker_pool.h"
+#include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_quant_executor.h"
 #include "patch/region_crop.h"
+#include "patch_oracle.h"
 #include "quant/calibration.h"
 #include "quant/fake_quant.h"
+#include "scoped_env.h"
 
 namespace qmcu::patch {
 namespace {
@@ -102,7 +107,7 @@ TEST_P(QuantPatchEquivalence, UniformInt8MatchesLayerBasedExactly) {
   PatchSpec spec;
   spec.split_layer = split;
   spec.grid_rows = spec.grid_cols = grid;
-  const PatchQuantExecutor pexec(g, build_patch_plan(g, spec), cfg);
+  const CompiledPatchQuantModel pexec(g, build_patch_plan(g, spec), cfg);
   const nn::QuantExecutor qexec(g, cfg);
 
   const nn::Tensor in = random_input(g.shape(0), 3);
@@ -132,13 +137,14 @@ TEST(QuantPatchEquivalence, MobileNetV2UniformInt8Exact) {
   const auto cfg =
       quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const PatchSpec spec = plan_mcunetv2(g, {2, 4});
-  const PatchQuantExecutor pexec(g, build_patch_plan(g, spec), cfg);
+  const CompiledPatchQuantModel pexec(g, build_patch_plan(g, spec), cfg);
   const nn::QuantExecutor qexec(g, cfg);
   const nn::Tensor in = random_input(g.shape(0), 5);
   expect_q_identical(pexec.run(in), qexec.run(in));
 }
 
-TEST(PatchQuantExecutor, AssembledStageMatchesLayerBasedInt8) {
+// The oracle itself: its reassembled cut map is the layer-based one.
+TEST(PatchOracle, AssembledStageMatchesLayerBasedInt8) {
   const nn::Graph g = pooled_net();
   const std::vector<nn::Tensor> calib{random_input(g.shape(0), 6)};
   const auto ranges = quant::calibrate_ranges(g, calib);
@@ -147,14 +153,14 @@ TEST(PatchQuantExecutor, AssembledStageMatchesLayerBasedInt8) {
   PatchSpec spec;
   spec.split_layer = 4;
   spec.grid_rows = spec.grid_cols = 3;
-  const PatchQuantExecutor pexec(g, build_patch_plan(g, spec), cfg);
+  const CompiledPatchQuantModel model(g, build_patch_plan(g, spec), cfg);
   const nn::QuantExecutor qexec(g, cfg);
   const nn::Tensor in = random_input(g.shape(0), 7);
   const auto memo = qexec.run_all(in);
-  expect_q_identical(pexec.run_stage_assembled(in), memo[4]);
+  expect_q_identical(test::PatchOracle(model).run_stage(in), memo[4]);
 }
 
-TEST(PatchQuantExecutor, MixedPrecisionFromQuantMcuPlanRuns) {
+TEST(PatchQuantModel, MixedPrecisionFromQuantMcuPlanRuns) {
   const nn::Graph g = mbv2_net();
   data::DataConfig dc;
   dc.resolution = 48;
@@ -170,8 +176,8 @@ TEST(PatchQuantExecutor, MixedPrecisionFromQuantMcuPlanRuns) {
   const auto branch_cfgs = core::make_branch_quant_configs(g, plan, ranges);
   const auto deploy_cfg = core::make_deployment_quant_config(g, plan, ranges);
 
-  const PatchQuantExecutor pexec(g, plan.patch_plan, deploy_cfg,
-                                 branch_cfgs);
+  const CompiledPatchQuantModel pexec(g, plan.patch_plan, deploy_cfg,
+                                      branch_cfgs);
   const nn::Executor ref(g);
   const nn::Tensor in = ds.image(11);
   const nn::QTensor out = pexec.run(in);
@@ -188,7 +194,7 @@ TEST(PatchQuantExecutor, MixedPrecisionFromQuantMcuPlanRuns) {
   EXPECT_LT(quant::output_mse(deq, ref_out), 0.05);
 }
 
-TEST(PatchQuantExecutor, MixedPrecisionNoisierThanUniformInt8) {
+TEST(PatchQuantModel, MixedPrecisionNoisierThanUniformInt8) {
   const nn::Graph g = mbv2_net();
   data::DataConfig dc;
   dc.resolution = 48;
@@ -206,8 +212,9 @@ TEST(PatchQuantExecutor, MixedPrecisionNoisierThanUniformInt8) {
   const auto branch_cfgs = core::make_branch_quant_configs(g, plan, ranges);
   const auto deploy_cfg = core::make_deployment_quant_config(g, plan, ranges);
 
-  const PatchQuantExecutor uniform(g, plan.patch_plan, cfg8);
-  const PatchQuantExecutor mixed(g, plan.patch_plan, deploy_cfg, branch_cfgs);
+  const CompiledPatchQuantModel uniform(g, plan.patch_plan, cfg8);
+  const CompiledPatchQuantModel mixed(g, plan.patch_plan, deploy_cfg,
+                                      branch_cfgs);
   const nn::Executor ref(g);
 
   double err_uniform = 0.0;
@@ -222,7 +229,7 @@ TEST(PatchQuantExecutor, MixedPrecisionNoisierThanUniformInt8) {
   EXPECT_LE(err_uniform, err_mixed + 1e-9);
 }
 
-TEST(PatchQuantExecutor, ValidatesBranchConfigShapes) {
+TEST(PatchQuantModel, ValidatesBranchConfigShapes) {
   const nn::Graph g = pooled_net();
   const std::vector<nn::Tensor> calib{random_input(g.shape(0), 8)};
   const auto ranges = quant::calibrate_ranges(g, calib);
@@ -233,14 +240,15 @@ TEST(PatchQuantExecutor, ValidatesBranchConfigShapes) {
   spec.grid_rows = spec.grid_cols = 2;
   const PatchPlan plan = build_patch_plan(g, spec);
   std::vector<BranchQuantConfig> bad(plan.branches.size() - 1);
-  EXPECT_THROW(PatchQuantExecutor(g, plan, cfg, bad), std::invalid_argument);
+  EXPECT_THROW(CompiledPatchQuantModel(g, plan, cfg, bad),
+               std::invalid_argument);
 }
 
 TEST(CropFromRegionQ, FillsPaddingWithZeroPoint) {
   const nn::QuantParams p = nn::choose_quant_params(-1.0f, 3.0f, 8);
   nn::QTensor have(nn::TensorShape{2, 2, 1}, p);
   have.at(0, 0, 0) = 5;
-  const nn::QTensor out = crop_from_region_q(
+  const nn::QTensor out = test::crop_q(
       have, Region{{0, 2}, {0, 2}}, Region{{-1, 2}, {-1, 2}}, {2, 2, 1});
   EXPECT_EQ(out.at(0, 0, 0), static_cast<std::int8_t>(p.zero_point));
   EXPECT_EQ(out.at(1, 1, 0), 5);
@@ -251,8 +259,8 @@ TEST(CropFromRegionQ, FailsWhenRequiredDataMissing) {
   nn::QTensor have(nn::TensorShape{2, 2, 1}, p);
   // `have` covers rows 0..2 only; asking for row 3 (valid in an 8-row map)
   // must fail loudly rather than fabricate data.
-  EXPECT_THROW(crop_from_region_q(have, Region{{0, 2}, {0, 2}},
-                                  Region{{1, 4}, {0, 2}}, {8, 8, 1}),
+  EXPECT_THROW(test::crop_q(have, Region{{0, 2}, {0, 2}},
+                            Region{{1, 4}, {0, 2}}, {8, 8, 1}),
                std::logic_error);
 }
 
@@ -377,13 +385,65 @@ TEST_P(ZooWideQuantEquivalence, UniformInt8BitExact) {
   const auto qcfg =
       quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const PatchSpec spec = plan_mcunetv2(g, {2, 4});
-  const PatchQuantExecutor pexec(g, build_patch_plan(g, spec), qcfg);
+  const CompiledPatchQuantModel pexec(g, build_patch_plan(g, spec), qcfg);
   const nn::QuantExecutor qexec(g, qcfg);
   const nn::Tensor in = random_input(g.shape(0), 32);
   expect_q_identical(pexec.run(in), qexec.run(in));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ZooWideQuantEquivalence,
+                         ::testing::ValuesIn(models::model_names()));
+
+// Mixed 2/4/8-bit branch steps on every zoo architecture, so sub-byte
+// branch maps are stored packed under every stage op the zoo has (strided
+// and pointwise convs, depthwise, pools, residual adds, concats). The
+// engine on each kernel table, under run, the pipelined run and
+// run_streaming, must equal the Reference oracle.
+class ZooWideMixedEquivalence : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(ZooWideMixedEquivalence, PackedBranchMapsMatchReferenceOracle) {
+  models::ModelConfig cfg;
+  cfg.width_multiplier = 0.25f;
+  cfg.resolution = 48;
+  cfg.num_classes = 10;
+  const nn::Graph g = models::make_model(GetParam(), cfg);
+  const std::vector<nn::Tensor> calib{random_input(g.shape(0), 41)};
+  const auto ranges = quant::calibrate_ranges(g, calib);
+  const auto qcfg =
+      quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const PatchPlan plan = build_patch_plan(g, plan_mcunetv2(g, {2, 4}));
+  const std::vector<int> widths{2, 4, 8};
+  const auto branch_cfgs = test::random_branch_cfgs(plan, ranges, widths, 43);
+  const nn::Tensor in = random_input(g.shape(0), 44);
+  const CompiledPatchQuantModel ref(g, plan, qcfg, branch_cfgs,
+                                    nn::ops::KernelTier::Reference);
+  const nn::QTensor want = test::PatchOracle(ref).run(in);
+
+  // Each engine is built, and its pool lanes run, under its pin.
+  struct Table {
+    nn::ops::KernelTier tier;
+    const char* force;  // a QMCU_FORCE_* variable, or null
+  };
+  for (const Table t : {Table{nn::ops::KernelTier::Reference, nullptr},
+                        Table{nn::ops::KernelTier::Simd, nullptr},
+                        Table{nn::ops::KernelTier::Simd, "QMCU_FORCE_SCALAR"},
+                        Table{nn::ops::KernelTier::Simd, "QMCU_FORCE_NO_DOT"}}) {
+    SCOPED_TRACE(t.force != nullptr ? t.force
+                 : t.tier == nn::ops::KernelTier::Reference ? "Reference"
+                                                            : "Simd");
+    std::optional<test::ScopedEnv> pin;
+    if (t.force != nullptr) pin.emplace(t.force, "1");
+    const CompiledPatchQuantModel model(g, plan, qcfg, branch_cfgs, t.tier);
+    nn::WorkerPool pool(3);
+    StreamState stream;
+    expect_q_identical(model.run(in), want);
+    expect_q_identical(model.run(in, &pool), want);
+    expect_q_identical(model.run_streaming(in, &pool, stream), want);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, ZooWideMixedEquivalence,
                          ::testing::ValuesIn(models::model_names()));
 
 }  // namespace

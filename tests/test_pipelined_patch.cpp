@@ -24,7 +24,6 @@
 #include "nn/runtime/worker_pool.h"
 #include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_quant_executor.h"
 #include "quant/calibration.h"
 
 namespace qmcu {

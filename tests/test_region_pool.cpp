@@ -10,6 +10,7 @@
 #include "nn/ops/simd/simd_kernels.h"
 #include "nn/rng.h"
 #include "patch/region_pool.h"
+#include "patch_oracle.h"
 
 namespace qmcu::patch {
 namespace {
@@ -52,7 +53,7 @@ TEST(RegionPool, QuantizedMatchesLayerKernel) {
     const nn::QTensor ref = kind == nn::OpKind::MaxPool
                                 ? nn::ops::max_pool_q(in, l)
                                 : nn::ops::avg_pool_q(in, l);
-    expect_codes_equal(pool_region_q(in, full_region(in.shape()), l,
+    expect_codes_equal(test::pool_q(in, full_region(in.shape()), l,
                                      full_region(ref.shape()), in.shape()),
                        ref);
   }
@@ -66,7 +67,7 @@ TEST(RegionPool, AllNegativeWindowKeepsNegativeMax) {
   const auto neg = static_cast<std::int8_t>(kParams.zero_point - 40);
   for (auto& v : in.data()) v = neg;
   const nn::Layer l = pool(nn::OpKind::MaxPool, 3, 1, 1);
-  const nn::QTensor got = pool_region_q(in, full_region(in.shape()), l,
+  const nn::QTensor got = test::pool_q(in, full_region(in.shape()), l,
                                         Region{{0, 1}, {0, 1}}, in.shape());
   EXPECT_EQ(got.at(0, 0, 0), neg);
 }
@@ -77,7 +78,7 @@ TEST(RegionPool, AvgDividesByValidCountOnly) {
   const nn::Layer l = pool(nn::OpKind::AvgPool, 2, 1, 1);
   // Corner window covers one valid element; the mean must be its code, not
   // a quarter-weighted blend with padding.
-  const nn::QTensor got = pool_region_q(in, full_region(in.shape()), l,
+  const nn::QTensor got = test::pool_q(in, full_region(in.shape()), l,
                                         Region{{0, 1}, {0, 1}}, in.shape());
   EXPECT_EQ(got.at(0, 0, 0), 40);
 }
@@ -95,7 +96,7 @@ TEST(RegionPool, SubRegionReadsFromRegionTensorOffsets) {
   }
   const Region out_region{{1, 4}, {1, 4}};
   const nn::QTensor got =
-      pool_region_q(region, avail, l, out_region, full.shape());
+      test::pool_q(region, avail, l, out_region, full.shape());
   for (int y = 0; y < 3; ++y) {
     for (int x = 0; x < 3; ++x) {
       ASSERT_EQ(got.at(y, x, 0), ref.at(y + 1, x + 1, 0));
@@ -107,7 +108,7 @@ TEST(RegionPool, FailsWhenWindowDataMissing) {
   const nn::Layer l = pool(nn::OpKind::MaxPool, 3, 1, 1);
   // Producer region covers only rows 0..2 but output row 2 needs row 3.
   const nn::QTensor region(nn::TensorShape{2, 4, 1}, kParams);
-  EXPECT_THROW(pool_region_q(region, Region{{0, 2}, {0, 4}}, l,
+  EXPECT_THROW(test::pool_q(region, Region{{0, 2}, {0, 4}}, l,
                              Region{{2, 3}, {0, 4}}, {4, 4, 1}),
                std::logic_error);
 }
@@ -116,7 +117,7 @@ TEST(RegionPool, RejectsNonPoolOps) {
   const nn::QTensor in = random_codes({4, 4, 1}, kParams, 6);
   nn::Layer conv;
   conv.kind = nn::OpKind::Conv2D;
-  EXPECT_THROW(pool_region_q(in, full_region(in.shape()), conv,
+  EXPECT_THROW(test::pool_q(in, full_region(in.shape()), conv,
                              Region{{0, 1}, {0, 1}}, in.shape()),
                std::invalid_argument);
 }
