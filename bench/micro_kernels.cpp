@@ -68,7 +68,9 @@ void BM_Conv2dF32(benchmark::State& state) {
   nn::Rng rng(2);
   for (float& v : w) v = static_cast<float>(rng.normal(0.0, 0.1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::ops::conv2d_f32(in, l, w, {}));
+    nn::Tensor out(nn::ops::conv_output_shape(in.shape(), l, c));
+    nn::ops::conv2d_f32_into(in, l, w, {}, out);
+    benchmark::DoNotOptimize(out.data().data());
   }
   state.SetItemsProcessed(state.iterations() * 32 * 32 * c * 9 * c);
 }
@@ -292,8 +294,9 @@ void BM_Conv2dInt8Ref(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
   const QuantConvSetup s = quant_conv_setup(c);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        nn::ops::conv2d_q(s.qin, s.l, s.qw.data, s.qw.params, {}, s.out_p));
+    nn::QTensor out(s.out_shape, s.out_p);
+    nn::ops::conv2d_q_into(s.qin, s.l, s.qw.data, s.qw.params, {}, out);
+    benchmark::DoNotOptimize(out.data().data());
   }
   state.SetItemsProcessed(state.iterations() * 32 * 32 * c * 9 * c);
 }
@@ -394,8 +397,9 @@ void BM_AddInt8(benchmark::State& state) {
   const nn::QTensor qb = nn::quantize(b, nn::choose_quant_params(-2.0f, 4.0f, 8));
   const nn::QuantParams out_p = nn::choose_quant_params(-5.0f, 5.0f, 8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        nn::ops::add_q(qa, qb, nn::Activation::None, out_p));
+    nn::QTensor out(qa.shape(), out_p);
+    nn::ops::add_q_into(qa, qb, nn::Activation::None, out);
+    benchmark::DoNotOptimize(out.data().data());
   }
   state.SetItemsProcessed(state.iterations() * a.elements());
 }
@@ -584,11 +588,11 @@ void BM_VdqsSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_VdqsSearch)->Arg(8)->Arg(32)->Arg(128);
 
-// Repeated (serving-style) inference: the compiled arena path vs the
-// heap-per-layer memo path on a small MobileNetV2. Arg 0 = legacy memo
-// (run_all, one heap feature map per layer per run), arg 1 = compiled
-// static-arena run() (zero per-layer allocation). Outputs are bit-identical;
-// only the allocator traffic differs.
+// Repeated (serving-style) inference: the static-arena path vs the
+// heap-per-layer path on a small MobileNetV2. Arg 0 = run_all (one heap
+// feature map per layer per run), arg 1 = run() (zero per-layer
+// allocation). Outputs are bit-identical; only the allocator traffic
+// differs.
 void BM_RepeatedRun(benchmark::State& state) {
   const bool arena_path = state.range(0) != 0;
   models::ModelConfig cfg;
@@ -599,12 +603,12 @@ void BM_RepeatedRun(benchmark::State& state) {
   const nn::Tensor in = random_tensor(g.shape(0), 21);
   const auto ranges = quant::calibrate_ranges(g, std::vector<nn::Tensor>{in});
   const auto qcfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
-  const nn::QuantExecutor qexec(g, qcfg);
+  const nn::CompiledQuantModel model(g, qcfg);
   for (auto _ : state) {
     if (arena_path) {
-      benchmark::DoNotOptimize(qexec.run(in));
+      benchmark::DoNotOptimize(model.run(in));
     } else {
-      benchmark::DoNotOptimize(qexec.run_all(in).back());
+      benchmark::DoNotOptimize(model.run_all(in).back());
     }
   }
   state.SetItemsProcessed(state.iterations() * g.total_macs());

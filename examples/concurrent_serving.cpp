@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "models/zoo.h"
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/rng.h"
 #include "nn/runtime/worker_pool.h"
 #include "patch/compiled_patch_model.h"

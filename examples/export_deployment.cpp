@@ -8,7 +8,7 @@
 
 #include "data/synthetic.h"
 #include "models/zoo.h"
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/memory_planner.h"
 #include "nn/serialize.h"
 #include "quant/calibration.h"
@@ -45,11 +45,12 @@ int main(int argc, char** argv) {
   const nn::Graph loaded = nn::load_graph(model_path);
   const nn::ActivationQuantConfig loaded_cfg =
       nn::load_quant_config(config_path);
-  const nn::QuantExecutor runtime(loaded, loaded_cfg);
+  const nn::CompiledQuantModel runtime(loaded, loaded_cfg);
 
   const nn::Tensor image = dataset.image(99);
   const nn::QTensor out_runtime = runtime.run(image);
-  const nn::QTensor out_converter = nn::QuantExecutor(model, qcfg).run(image);
+  const nn::QTensor out_converter =
+      nn::CompiledQuantModel(model, qcfg).run(image);
 
   bool identical = out_runtime.data().size() == out_converter.data().size();
   for (std::size_t i = 0; identical && i < out_runtime.data().size(); ++i) {

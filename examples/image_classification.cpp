@@ -5,7 +5,7 @@
 //   * float reference inference (layer-based);
 //   * integer (TFLite-Micro contract) inference from calibrated ranges;
 //   * uniform-int8 patch-based inference (the Fig. 1a dataflow),
-//     bit-identical to the layer-based integer executor;
+//     bit-identical to the layer-based integer model;
 // and then compares the deployment options a practitioner would weigh.
 #include <algorithm>
 #include <cstdio>
@@ -13,7 +13,7 @@
 #include "core/quantmcu.h"
 #include "data/synthetic.h"
 #include "models/zoo.h"
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/memory_planner.h"
 #include "patch/compiled_patch_model.h"
 #include "quant/calibration.h"
@@ -43,7 +43,7 @@ int main() {
   const std::vector<nn::Tensor> calibration = dataset.batch(0, 2);
 
   // --- 1. float reference --------------------------------------------------
-  const nn::Executor ref(net);
+  const nn::CompiledModel ref(net);
   const nn::Tensor ref_out = ref.run(image);
   std::printf("float reference:    class %3d (p = %.3f)\n", argmax(ref_out),
               ref_out.data()[static_cast<std::size_t>(argmax(ref_out))]);
@@ -52,8 +52,8 @@ int main() {
   const auto ranges = quant::calibrate_ranges(net, calibration);
   const auto qcfg8 =
       quant::make_quant_config(net, ranges, nn::uniform_bits(net, 8));
-  const nn::QuantExecutor qexec(net, qcfg8);
-  const nn::QTensor q_out = qexec.run(image);
+  const nn::CompiledQuantModel qmodel(net, qcfg8);
+  const nn::QTensor q_out = qmodel.run(image);
   const nn::Tensor q_deq = nn::dequantize(q_out);
   std::printf("int8 (TFLM-style):  class %3d (p = %.3f)\n", argmax(q_deq),
               q_deq.data()[static_cast<std::size_t>(argmax(q_deq))]);

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cmath>
 
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/rng.h"
 #include "quant/fake_quant.h"
 
@@ -27,7 +27,7 @@ MethodResult run_haq(const nn::Graph& g,
       quant::calibrate_ranges(g, calibration);
 
   // Float reference outputs for the fidelity reward.
-  const nn::Executor exec(g);
+  const nn::CompiledModel exec(g);
   std::vector<nn::Tensor> reference;
   reference.reserve(calibration.size());
   for (const nn::Tensor& img : calibration) reference.push_back(exec.run(img));

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cmath>
 
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "quant/fake_quant.h"
 
 namespace qmcu::baselines {
@@ -15,7 +15,7 @@ MethodResult run_hawq(const nn::Graph& g,
   QMCU_REQUIRE(!calibration.empty(), "calibration batch must not be empty");
   const auto t0 = std::chrono::steady_clock::now();
 
-  const nn::Executor exec(g);
+  const nn::CompiledModel exec(g);
   const int output = g.output();
 
   // --- perturbation sensitivity per layer --------------------------------

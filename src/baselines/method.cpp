@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "core/vdpc.h"
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/memory_planner.h"
 #include "nn/ops/int8_kernels.h"
 #include "quant/entropy.h"
@@ -41,7 +41,7 @@ MethodMetrics evaluate_method(const nn::Graph& g, const MethodResult& method,
   m.peak_bytes = nn::plan_layer_based(g, method.act_bits).peak_bytes;
 
   // --- measured quantization noise ---------------------------------------
-  const nn::Executor exec(g);
+  const nn::CompiledModel exec(g);
   double weighted_rel_mse = 0.0;
   double volume = 0.0;
   double crush_err = 0.0;

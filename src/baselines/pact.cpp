@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cmath>
 
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 
 namespace qmcu::baselines {
 
@@ -34,7 +34,7 @@ MethodResult run_pact(const nn::Graph& g,
   const auto t0 = std::chrono::steady_clock::now();
 
   // Cache float feature maps of the calibration batch.
-  const nn::Executor exec(g);
+  const nn::CompiledModel exec(g);
   std::vector<std::vector<nn::Tensor>> fms;
   fms.reserve(calibration.size());
   for (const nn::Tensor& img : calibration) fms.push_back(exec.run_all(img));

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/memory_planner.h"
 #include "quant/calibration.h"
 
@@ -42,7 +42,7 @@ MethodResult run_rusci(const nn::Graph& g,
     // accuracy is deliberately not consulted, as in the original method).
     const nn::ActivationQuantConfig qcfg =
         quant::make_quant_config(g, ranges, r.act_bits);
-    const nn::QuantExecutor qexec(g, qcfg);
+    const nn::CompiledQuantModel qexec(g, qcfg);
     for (int pass = 0; pass < cfg.validation_passes; ++pass) {
       for (const nn::Tensor& img : calibration) {
         (void)qexec.run(img);

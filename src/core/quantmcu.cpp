@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "mcu/bitops.h"
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "patch/region_crop.h"
 #include "quant/entropy.h"
 
@@ -88,7 +88,7 @@ QuantMcuPlan build_quantmcu_plan(const nn::Graph& g, const mcu::Device& dev,
   // quantized) and every branch step's map, cropped from the layer-based
   // map it tiles.
   const auto t0 = Clock::now();
-  const nn::Executor exec(g);
+  const nn::CompiledModel exec(g);
   const int last_id = last_entropy_layer(g);
   const int split = plan.patch_plan.spec.split_layer;
   const int num_branches = static_cast<int>(plan.patch_plan.branches.size());
@@ -312,7 +312,7 @@ QuantMcuEvaluation evaluate_quantmcu(const nn::Graph& g,
                                      const QuantMcuConfig& cfg,
                                      const AccuracyModel& acc_model) {
   QMCU_REQUIRE(!eval_images.empty(), "evaluation batch must not be empty");
-  const nn::Executor exec(g);
+  const nn::CompiledModel exec(g);
   const int split = plan.patch_plan.spec.split_layer;
   bool tail_quantized = false;
   for (int id = split + 1; id < g.size(); ++id) {
@@ -412,7 +412,7 @@ QuantMcuEvaluation evaluate_uniform_patch(
     const mcu::CostModel& cost_model, std::span<const nn::Tensor> eval_images,
     const AccuracyModel& acc_model) {
   QMCU_REQUIRE(!eval_images.empty(), "evaluation batch must not be empty");
-  const nn::Executor exec(g);
+  const nn::CompiledModel exec(g);
   const std::vector<patch::BranchBits> bits8 =
       patch::uniform_branch_bits(patch_plan, 8);
   const std::vector<int> tail8(static_cast<std::size_t>(g.size()), 8);

@@ -9,7 +9,7 @@
 //      Eq. 7 memory repair (Algorithm 1). The measured wall-clock of
 //      profiling + search is the paper's Table II "Time" column.
 //
-// Profiling makes one layer-based float pass (nn::Executor::run_all) per
+// Profiling makes one layer-based float pass (nn::CompiledModel::run_all) per
 // calibration image. Patch inference is halo-exact, so each branch step's
 // feature map is that pass's map cropped to the step's out_region; no
 // patch model is built.

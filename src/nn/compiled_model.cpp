@@ -1,8 +1,8 @@
 #include "nn/compiled_model.h"
 
-#include <cstring>
+#include <algorithm>
 
-#include "nn/executor.h"
+#include "nn/ops/float_kernels.h"
 
 namespace qmcu::nn {
 
@@ -66,6 +66,152 @@ std::vector<QuantParams> effective_output_params(
   return effective;
 }
 
+QuantizedParameters QuantizedParameters::build(
+    const Graph& g, const ActivationQuantConfig& cfg) {
+  QMCU_REQUIRE(static_cast<int>(cfg.params.size()) == g.size(),
+               "quant config must cover every layer");
+  // The bias scale must match the *actual* scale of the tensor the kernel
+  // reads. Pools never requantize (TFLite contract), so a pool's output
+  // carries its producer's params, not cfg.params[pool] — resolve the
+  // chain before scaling biases.
+  const std::vector<QuantParams> effective = effective_output_params(g, cfg);
+
+  QuantizedParameters out;
+  out.weights.resize(static_cast<std::size_t>(g.size()));
+  out.bias.resize(static_cast<std::size_t>(g.size()));
+  out.weight_store.resize(static_cast<std::size_t>(g.size()));
+  out.bias_store.resize(static_cast<std::size_t>(g.size()));
+  for (int id = 0; id < g.size(); ++id) {
+    const Layer& l = g.layer(id);
+    if (!is_mac_op(l.kind)) continue;
+    QMCU_REQUIRE(g.has_parameters(id),
+                 "MAC layer missing parameters: " + l.name);
+    const auto i = static_cast<std::size_t>(id);
+    out.weight_store[i] = ops::quantize_weights(g.weights(id));
+    out.weights[i] = {out.weight_store[i].data, out.weight_store[i].params};
+    if (!g.bias(id).empty()) {
+      const float in_scale =
+          effective[static_cast<std::size_t>(l.inputs[0])].scale;
+      out.bias_store[i] = ops::quantize_bias(
+          g.bias(id), in_scale, out.weight_store[i].params.scale);
+      out.bias[i] = out.bias_store[i];
+    }
+  }
+  return out;
+}
+
+std::shared_ptr<const QuantizedParameters> QuantizedParameters::build_shared(
+    const Graph& g, const ActivationQuantConfig& cfg) {
+  return std::make_shared<const QuantizedParameters>(build(g, cfg));
+}
+
+void run_layer_f32_into(const Graph& g, int id, std::span<const Tensor> memo,
+                        ops::KernelBackend& backend, Tensor& out) {
+  const Layer& l = g.layer(id);
+  QMCU_REQUIRE(l.kind != OpKind::Input, "input layers are seeded, not run");
+  const auto in0 = [&]() -> const Tensor& {
+    return memo[static_cast<std::size_t>(l.inputs[0])];
+  };
+  switch (l.kind) {
+    case OpKind::Conv2D:
+      backend.conv2d_f32_into(in0(), l, g.weights(id), g.bias(id), out);
+      return;
+    case OpKind::DepthwiseConv2D:
+      backend.depthwise_conv2d_f32_into(in0(), l, g.weights(id), g.bias(id),
+                                        out);
+      return;
+    case OpKind::FullyConnected:
+      backend.fully_connected_f32_into(in0(), l, g.weights(id), g.bias(id),
+                                       out);
+      return;
+    case OpKind::MaxPool:
+      ops::max_pool_f32_into(in0(), l, out);
+      return;
+    case OpKind::AvgPool:
+      ops::avg_pool_f32_into(in0(), l, out);
+      return;
+    case OpKind::GlobalAvgPool:
+      ops::global_avg_pool_f32_into(in0(), out);
+      return;
+    case OpKind::Add:
+      ops::add_f32_into(memo[static_cast<std::size_t>(l.inputs[0])],
+                        memo[static_cast<std::size_t>(l.inputs[1])], l.act,
+                        out);
+      return;
+    case OpKind::Concat: {
+      std::vector<const Tensor*> ins;
+      ins.reserve(l.inputs.size());
+      for (int in : l.inputs) {
+        ins.push_back(&memo[static_cast<std::size_t>(in)]);
+      }
+      ops::concat_f32_into(ins, out);
+      return;
+    }
+    case OpKind::Softmax:
+      ops::softmax_f32_into(in0(), out);
+      return;
+    case OpKind::Input:
+      break;
+  }
+  QMCU_ENSURE(false, "unhandled op kind");
+}
+
+void run_layer_q_into(const Graph& g, int id, std::span<const QTensor> memo,
+                      const QuantizedParameters& params,
+                      ops::KernelBackend& backend, QTensor& out) {
+  const Layer& l = g.layer(id);
+  QMCU_REQUIRE(l.kind != OpKind::Input, "input layers are seeded, not run");
+  const auto& in0 = memo[static_cast<std::size_t>(l.inputs[0])];
+  switch (l.kind) {
+    case OpKind::Conv2D:
+      backend.conv2d_into(in0, l,
+                          params.weights[static_cast<std::size_t>(id)].data,
+                          params.weights[static_cast<std::size_t>(id)].params,
+                          params.bias[static_cast<std::size_t>(id)], out);
+      return;
+    case OpKind::DepthwiseConv2D:
+      backend.depthwise_conv2d_into(
+          in0, l, params.weights[static_cast<std::size_t>(id)].data,
+          params.weights[static_cast<std::size_t>(id)].params,
+          params.bias[static_cast<std::size_t>(id)], out);
+      return;
+    case OpKind::FullyConnected:
+      backend.fully_connected_into(
+          in0, l, params.weights[static_cast<std::size_t>(id)].data,
+          params.weights[static_cast<std::size_t>(id)].params,
+          params.bias[static_cast<std::size_t>(id)], out);
+      return;
+    case OpKind::MaxPool:
+      backend.max_pool_into(in0, l, out);
+      return;
+    case OpKind::AvgPool:
+      backend.avg_pool_into(in0, l, out);
+      return;
+    case OpKind::GlobalAvgPool:
+      backend.global_avg_pool_into(in0, out);
+      return;
+    case OpKind::Add:
+      backend.add_into(in0, memo[static_cast<std::size_t>(l.inputs[1])],
+                       l.act, out);
+      return;
+    case OpKind::Concat: {
+      std::vector<const QTensor*> ins;
+      ins.reserve(l.inputs.size());
+      for (int in : l.inputs) {
+        ins.push_back(&memo[static_cast<std::size_t>(in)]);
+      }
+      backend.concat_into(ins, out);
+      return;
+    }
+    case OpKind::Softmax:
+      backend.softmax_into(in0, out);
+      return;
+    case OpKind::Input:
+      break;
+  }
+  QMCU_ENSURE(false, "unhandled op kind");
+}
+
 // --- float -----------------------------------------------------------------
 
 CompiledModel::CompiledModel(const Graph& g, ops::KernelTier tier)
@@ -96,37 +242,74 @@ Tensor CompiledModel::run(const Tensor& input) const {
   return run(input, arena_);
 }
 
-Tensor CompiledModel::run(const Tensor& input,
-                          std::span<std::uint8_t> arena) const {
+template <class Bind>
+void CompiledModel::run_layers(const Tensor& input, std::vector<Tensor>& memo,
+                               Bind bind) const {
   const Graph& g = *graph_;
   QMCU_REQUIRE(input.shape() == g.shape(g.inputs().front()),
                "input shape does not match graph input");
-  check_arena(arena, plan_.peak_bytes, alignof(float));
-  // Compiled runs are per-run thread-affine: a serving lane may run this
-  // model from a different thread than the one that compiled it.
+  // Runs are per-run thread-affine: a serving lane may run this model from
+  // a different thread than the one that compiled it.
   backend_.rebind_thread();
-
-  memo_.resize(static_cast<std::size_t>(g.size()));
-  measured_ = 0;
+  memo.resize(static_cast<std::size_t>(g.size()));
   for (int id = 0; id < g.size(); ++id) {
-    const ArenaSlot& slot = plan_.slots[static_cast<std::size_t>(id)];
-    const std::int64_t n = g.shape(id).elements();
-    auto* base = reinterpret_cast<float*>(arena.data() + slot.offset);
-    memo_[static_cast<std::size_t>(id)] =
-        Tensor(g.shape(id), std::span<float>(base, static_cast<std::size_t>(n)));
-    measured_ = std::max(
-        measured_,
-        slot.offset + n * static_cast<std::int64_t>(sizeof(float)));
-    Tensor& out = memo_[static_cast<std::size_t>(id)];
+    Tensor& out = memo[static_cast<std::size_t>(id)] = bind(id);
     if (g.layer(id).kind == OpKind::Input) {
-      std::memcpy(out.data().data(), input.data().data(),
-                  static_cast<std::size_t>(n) * sizeof(float));
+      std::copy(input.data().begin(), input.data().end(), out.data().begin());
     } else {
-      run_layer_f32_into(g, id, memo_, backend_, out);
+      run_layer_f32_into(g, id, memo, backend_, out);
     }
   }
+}
+
+Tensor CompiledModel::run(const Tensor& input,
+                          std::span<std::uint8_t> arena) const {
+  const Graph& g = *graph_;
+  check_arena(arena, plan_.peak_bytes, alignof(float));
+  measured_ = 0;
+  run_layers(input, memo_, [&](int id) {
+    const std::int64_t offset =
+        plan_.slots[static_cast<std::size_t>(id)].offset;
+    const std::int64_t n = g.shape(id).elements();
+    measured_ = std::max(
+        measured_, offset + n * static_cast<std::int64_t>(sizeof(float)));
+    return Tensor(g.shape(id),
+                  std::span<float>(
+                      reinterpret_cast<float*>(arena.data() + offset),
+                      static_cast<std::size_t>(n)));
+  });
   // Copying the borrowed view materialises an owning tensor for the caller.
   return memo_[static_cast<std::size_t>(g.output())];
+}
+
+std::vector<Tensor> CompiledModel::run_all(const Tensor& input) const {
+  std::vector<Tensor> memo;
+  run_layers(input, memo, [&](int id) { return Tensor(graph_->shape(id)); });
+  return memo;
+}
+
+std::vector<Tensor> CompiledModel::run_from(std::vector<Tensor> memo,
+                                            int changed_layer) const {
+  const Graph& g = *graph_;
+  QMCU_REQUIRE(static_cast<int>(memo.size()) == g.size(),
+               "memo must cover every layer");
+  QMCU_REQUIRE(changed_layer >= 0 && changed_layer < g.size(),
+               "changed layer out of range");
+  backend_.rebind_thread();
+  std::vector<bool> dirty(static_cast<std::size_t>(g.size()), false);
+  dirty[static_cast<std::size_t>(changed_layer)] = true;
+  for (int id = changed_layer + 1; id < g.size(); ++id) {
+    const auto& inputs = g.layer(id).inputs;
+    if (std::none_of(inputs.begin(), inputs.end(), [&](int in) {
+          return dirty[static_cast<std::size_t>(in)];
+        })) {
+      continue;
+    }
+    Tensor& out = memo[static_cast<std::size_t>(id)] = Tensor(g.shape(id));
+    run_layer_f32_into(g, id, memo, backend_, out);
+    dirty[static_cast<std::size_t>(id)] = true;
+  }
+  return memo;
 }
 
 // --- quantized -------------------------------------------------------------
@@ -177,33 +360,51 @@ QTensor CompiledQuantModel::run(const Tensor& input) const {
   return run(input, arena_);
 }
 
-QTensor CompiledQuantModel::run(const Tensor& input,
-                                std::span<std::uint8_t> arena) const {
+template <class Bind>
+void CompiledQuantModel::run_layers(const Tensor& input,
+                                    std::vector<QTensor>& memo,
+                                    Bind bind) const {
   const Graph& g = *graph_;
   QMCU_REQUIRE(input.shape() == g.shape(g.inputs().front()),
                "input shape does not match graph input");
-  check_arena(arena, plan_.peak_bytes, 1);
-  // Per-run thread affinity (see CompiledModel::run).
+  // Per-run thread affinity (see CompiledModel::run_layers).
   backend_.rebind_thread();
-
-  memo_.resize(static_cast<std::size_t>(g.size()));
-  measured_ = 0;
+  memo.resize(static_cast<std::size_t>(g.size()));
   for (int id = 0; id < g.size(); ++id) {
-    const ArenaSlot& slot = plan_.slots[static_cast<std::size_t>(id)];
-    const std::int64_t n = g.shape(id).elements();
-    auto* base = reinterpret_cast<std::int8_t*>(arena.data() + slot.offset);
-    memo_[static_cast<std::size_t>(id)] = QTensor(
-        g.shape(id), effective_[static_cast<std::size_t>(id)],
-        std::span<std::int8_t>(base, static_cast<std::size_t>(n)));
-    measured_ = std::max(measured_, slot.offset + n);
-    QTensor& out = memo_[static_cast<std::size_t>(id)];
+    QTensor& out = memo[static_cast<std::size_t>(id)] = bind(id);
     if (g.layer(id).kind == OpKind::Input) {
       quantize_into(input, out);
     } else {
-      run_layer_q_into(g, id, memo_, *params_, backend_, out);
+      run_layer_q_into(g, id, memo, *params_, backend_, out);
     }
   }
+}
+
+QTensor CompiledQuantModel::run(const Tensor& input,
+                                std::span<std::uint8_t> arena) const {
+  const Graph& g = *graph_;
+  check_arena(arena, plan_.peak_bytes, 1);
+  measured_ = 0;
+  run_layers(input, memo_, [&](int id) {
+    const std::int64_t offset =
+        plan_.slots[static_cast<std::size_t>(id)].offset;
+    const std::int64_t n = g.shape(id).elements();
+    measured_ = std::max(measured_, offset + n);
+    return QTensor(g.shape(id), effective_[static_cast<std::size_t>(id)],
+                   std::span<std::int8_t>(
+                       reinterpret_cast<std::int8_t*>(arena.data() + offset),
+                       static_cast<std::size_t>(n)));
+  });
   return memo_[static_cast<std::size_t>(g.output())];
+}
+
+std::vector<QTensor> CompiledQuantModel::run_all(const Tensor& input) const {
+  std::vector<QTensor> memo;
+  run_layers(input, memo, [&](int id) {
+    return QTensor(graph_->shape(id),
+                   effective_[static_cast<std::size_t>(id)]);
+  });
+  return memo;
 }
 
 }  // namespace qmcu::nn

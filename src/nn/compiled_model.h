@@ -1,27 +1,34 @@
-// compiled_model.h — compile-once / run-many execution against a static
-// tensor arena.
+// compiled_model.h — layer-based (whole feature map) execution, compiled
+// once and run many times against a static tensor arena.
 //
-// The executors in executor.h recompute per run everything that is actually
-// invariant across runs: the topological schedule, quantized weights and
-// rescaled biases, and — worst of all — a fresh heap allocation per feature
-// map per layer. A CompiledModel does that work exactly once:
+// Two models share the Graph IR, one per numeric domain:
+//   CompiledModel      — float32 reference; also the calibration vehicle.
+//   CompiledQuantModel — integer inference with per-layer activation
+//                        QuantParams (the per-feature-map bitwidth
+//                        assignment the paper's VDQS produces) and 8-bit
+//                        symmetric weights.
 //
-//   Graph ──compile──► { schedule, ArenaPlan offsets, prepacked weight
-//                        panels, quantized parameters } ──run──► output
+// Construction does the work that is invariant across runs exactly once:
+//
+//   Graph ──compile──► { ArenaPlan offsets, prepacked weight panels,
+//                        quantized parameters } ──run──► output
 //
 // run() binds every feature map onto its planned byte offset inside one
 // arena (owned, or caller-provided — the MCU's static SRAM buffer) and
-// executes the schedule through the `_into` kernel entry points, so the hot
+// executes the graph through the `_into` kernel entry points, so the hot
 // path performs zero per-layer allocations and the memory planner's peak is
-// the allocator's actual high-water by construction. Outputs are
-// bit-identical to the heap-per-layer executors: the same kernels run in
-// the same order on the same values.
+// the allocator's actual high-water by construction. run_all() runs the
+// same per-layer loop but binds each feature map to its own heap tensor and
+// returns them all — calibration, the entropy analyses and the
+// layer-by-layer oracle comparisons read every map, which a single
+// overwriting arena cannot keep. Both return bit-identical final maps: the
+// same kernels run in the same order on the same values.
 //
 // This header also hosts the quantization-time model parameters
 // (ActivationQuantConfig, QuantizedParameters) shared by the compiled
-// models, the layer-based executors and the patch engine. QuantizedParameters
-// can be built once and shared across any number of executors/compiled
-// models over the same graph (bench sweeps construct many).
+// models and the patch engine. QuantizedParameters can be built once and
+// shared across any number of compiled models over the same graph (bench
+// sweeps construct many).
 #pragma once
 
 #include <cstdint>
@@ -50,9 +57,8 @@ struct ActivationQuantConfig {
 
 // Ahead-of-time converted model parameters: 8-bit symmetric weights and
 // int32 biases rescaled to in_scale * weight_scale, per MAC layer. Shared
-// by the layer-based QuantExecutor and the patch engine
-// (patch::CompiledPatchQuantModel); build once with build_shared() when
-// several models run the same graph.
+// by CompiledQuantModel and the patch engine (patch::CompiledPatchQuantModel);
+// build once with build_shared() when several models run the same graph.
 //
 // The per-layer entries are span views: build() points them at the owned
 // `weight_store`/`bias_store`, while the plan-artifact loader points them
@@ -125,6 +131,19 @@ struct PrecompiledBundle {
 void check_arena(std::span<const std::uint8_t> arena, std::int64_t need,
                  std::size_t alignment);
 
+// Executes one non-Input layer of `g` into `out`, a caller-bound
+// destination of shape g.shape(id) — for a quantized layer carrying its
+// effective output params (effective_output_params: a pool keeps its
+// producer's). `memo` holds the producers' feature maps, indexed by layer
+// id; only the layer's inputs are read. Kernels dispatch through `backend`,
+// which the caller owns. Shared by the compiled models, the fake-quantized
+// forward pass and the patch engine's tail phase.
+void run_layer_f32_into(const Graph& g, int id, std::span<const Tensor> memo,
+                        ops::KernelBackend& backend, Tensor& out);
+void run_layer_q_into(const Graph& g, int id, std::span<const QTensor> memo,
+                      const QuantizedParameters& params,
+                      ops::KernelBackend& backend, QTensor& out);
+
 // --- float -----------------------------------------------------------------
 
 class CompiledModel {
@@ -141,6 +160,16 @@ class CompiledModel {
   // Executes against a caller-provided arena (>= arena_bytes(), 4-byte
   // aligned) — the deployment form where SRAM is a fixed static buffer.
   Tensor run(const Tensor& input, std::span<std::uint8_t> arena) const;
+  // Runs the whole graph off the arena; result[i] is the output feature
+  // map of layer i, each an owning tensor.
+  [[nodiscard]] std::vector<Tensor> run_all(const Tensor& input) const;
+  // Incremental re-execution: `memo` holds a full run's feature maps with
+  // memo[changed_layer] already replaced (e.g. by a fake-quantized copy);
+  // recomputes only the layers downstream of the change and returns the
+  // updated memo. Used by sensitivity analyses (HAWQ-style perturbation)
+  // that would otherwise pay a full forward pass per probed layer.
+  [[nodiscard]] std::vector<Tensor> run_from(std::vector<Tensor> memo,
+                                             int changed_layer) const;
 
   [[nodiscard]] const ArenaPlan& arena_plan() const { return plan_; }
   [[nodiscard]] std::int64_t arena_bytes() const { return plan_.peak_bytes; }
@@ -149,10 +178,6 @@ class CompiledModel {
   // measurement that the tests compare against the planned peak.
   [[nodiscard]] std::int64_t measured_high_water() const { return measured_; }
   [[nodiscard]] const Graph& graph() const { return *graph_; }
-  // The model's kernel backend (scratch arena + panel cache). Exposed so
-  // the owning executor's run_all / run_from memo paths share one panel
-  // cache with the compiled path instead of packing every conv panel twice.
-  [[nodiscard]] ops::KernelBackend& backend() const { return backend_; }
   // Serving integration (same contract as the patch models): when set,
   // run() leases its arena from `slab` per run instead of growing an owned
   // buffer, so a ServingFrontend fleet of layer-based models is capped at
@@ -162,6 +187,12 @@ class CompiledModel {
   }
 
  private:
+  // The one per-layer loop of run and run_all: binds layer id's output to
+  // `bind(id)` in `memo`, then seeds it from `input` or runs the layer.
+  template <class Bind>
+  void run_layers(const Tensor& input, std::vector<Tensor>& memo,
+                  Bind bind) const;
+
   const Graph* graph_;  // non-owning; graph must outlive the model
   ArenaPlan plan_;
   std::shared_ptr<ArenaSlab> arena_source_;
@@ -177,9 +208,10 @@ class CompiledModel {
 
 class CompiledQuantModel {
  public:
-  // Pass prebuilt `params` (build_shared) to share the weight conversion
-  // across executors/compiled models of the same graph; nullptr builds
-  // them here.
+  // Weights are quantized (8-bit symmetric) and biases rescaled at
+  // construction, mirroring ahead-of-time conversion on the MCU. Pass
+  // prebuilt `params` (build_shared) to share that conversion across
+  // compiled models of the same graph; nullptr builds them here.
   CompiledQuantModel(const Graph& g, ActivationQuantConfig cfg,
                      ops::KernelTier tier = ops::KernelTier::Simd,
                      std::shared_ptr<const QuantizedParameters> params = {});
@@ -195,6 +227,9 @@ class CompiledQuantModel {
 
   [[nodiscard]] QTensor run(const Tensor& input) const;
   QTensor run(const Tensor& input, std::span<std::uint8_t> arena) const;
+  // Every layer's feature map as an owning tensor at its effective params
+  // (see CompiledModel::run_all); back() is bit-identical to run().
+  [[nodiscard]] std::vector<QTensor> run_all(const Tensor& input) const;
 
   [[nodiscard]] const ArenaPlan& arena_plan() const { return plan_; }
   [[nodiscard]] std::int64_t arena_bytes() const { return plan_.peak_bytes; }
@@ -215,6 +250,11 @@ class CompiledQuantModel {
   }
 
  private:
+  // The per-layer loop of run and run_all (see CompiledModel::run_layers).
+  template <class Bind>
+  void run_layers(const Tensor& input, std::vector<QTensor>& memo,
+                  Bind bind) const;
+
   const Graph* graph_;
   ActivationQuantConfig cfg_;
   std::shared_ptr<ArenaSlab> arena_source_;

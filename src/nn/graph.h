@@ -66,8 +66,8 @@ constexpr bool is_windowed_op(OpKind k) {
 }
 
 // True for pooling layers, which never requantize: their output carries the
-// producer's QuantParams (TFLite contract), a rule the executors, the
-// quantized-parameter builder and the compiled models all share.
+// producer's QuantParams (TFLite contract), a rule QuantizedParameters::build,
+// the compiled models and the patch engine all share.
 constexpr bool is_pool_op(OpKind k) {
   return k == OpKind::MaxPool || k == OpKind::AvgPool ||
          k == OpKind::GlobalAvgPool;

@@ -552,9 +552,8 @@ void KernelBackend::concat_into(std::span<const QTensor* const> inputs,
 
 void KernelBackend::softmax_into(const QTensor& in, QTensor& out) {
   guard();
-  // Same arithmetic chain as softmax_q (dequantize → softmax_f32 →
-  // quantize), with the float detour living in arena scratch instead of
-  // two heap tensors.
+  // The float detour (dequantize → softmax → quantize) lives in arena
+  // scratch, not in heap tensors.
   QMCU_REQUIRE(out.shape() == in.shape(),
                "softmax: destination shape mismatch");
   arena_.reset();
@@ -601,7 +600,8 @@ void KernelBackend::conv2d_f32_into(const Tensor& in, const Layer& l,
   const std::int64_t k64 = im2col_row_elements(is, l);
   QMCU_REQUIRE(static_cast<std::int64_t>(weights.size()) == k64 * n,
                "conv weight count mismatch");
-  QMCU_REQUIRE(out.shape() == os, "conv2d_f32: destination shape mismatch");
+  QMCU_REQUIRE(out.shape() == os,
+               "conv2d_f32_into: destination shape mismatch");
   const int k = static_cast<int>(k64);
   arena_.reset();
   auto bt = arena_.f32(static_cast<std::size_t>(n) * k);

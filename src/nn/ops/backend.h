@@ -1,4 +1,4 @@
-// backend.h — kernel tier dispatch and the per-executor scratch arena.
+// backend.h — kernel tier dispatch and the per-model scratch arena.
 //
 // Two implementation tiers share one arithmetic contract:
 //   Reference — the plain loop nests of int8_kernels.h / float_kernels.h;
@@ -28,14 +28,14 @@
 // op, so sub-byte activations take the int8 GEMM against the k-major
 // weight panel.
 //
-// Each executor owns one KernelBackend. Its ScratchArena is a grow-only
-// pool of typed blocks reused across every op the executor runs, so
-// patch-branch inference stops paying a heap allocation per temporary:
-// after the first branch the arena is at steady state and im2col strips,
-// repacked weight panels and accumulator tiles all come from recycled
-// memory. Elementwise ops (Add/Concat/Softmax/global pooling and the
-// requantize slice copy) have a single integer-only implementation shared
-// by both tiers.
+// Each compiled model (and each patch worker lane) owns one KernelBackend.
+// Its ScratchArena is a grow-only pool of typed blocks reused across every
+// op the model runs, so patch-branch inference stops paying a heap
+// allocation per temporary: after the first branch the arena is at steady
+// state and im2col strips, repacked weight panels and accumulator tiles all
+// come from recycled memory. Elementwise ops (Add/Concat/Softmax/global
+// pooling and the requantize slice copy) have a single integer-only
+// implementation shared by both tiers.
 #pragma once
 
 #include <atomic>
@@ -127,8 +127,8 @@ class KernelBackend {
   // each weight blob across calls (keyed by the blob's address), so
   // repeated convolutions over the same layer — every patch branch, every
   // frame — pack once. It requires the weight spans to stay alive and
-  // unchanged for the backend's lifetime, which holds for executors (they
-  // own both); pass false where that cannot be guaranteed.
+  // unchanged for the backend's lifetime, which holds for compiled models
+  // (they own both); pass false where that cannot be guaranteed.
   explicit KernelBackend(KernelTier tier = KernelTier::Simd,
                          bool cache_weight_panels = true);
 
@@ -207,8 +207,8 @@ class KernelBackend {
   void add_into(const QTensor& lhs, const QTensor& rhs, Activation act,
                 QTensor& out);
   void concat_into(std::span<const QTensor* const> inputs, QTensor& out);
-  // Scratch-backed softmax (dequantize → softmax_f32 → quantize over arena
-  // float scratch): bit-identical to softmax_q without its allocations.
+  // Integer softmax through a float detour: dequantize → softmax_f32_into
+  // → quantize, with both float maps in arena scratch.
   void softmax_into(const QTensor& in, QTensor& out);
   void requantize_into(const QTensor& q, QTensor& out);
 

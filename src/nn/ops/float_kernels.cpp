@@ -57,7 +57,7 @@ void conv2d_f32_into(const Tensor& in, const Layer& l,
                    static_cast<std::int64_t>(l.out_channels) * l.kernel_h *
                        l.kernel_w * is.c,
                "conv weight count mismatch");
-  require_out_shape(out, os, "conv2d_f32");
+  require_out_shape(out, os, "conv2d_f32_into");
   const std::span<const float> x = in.data();
   const std::span<float> y = out.data();
 
@@ -97,13 +97,6 @@ void conv2d_f32_into(const Tensor& in, const Layer& l,
   }
 }
 
-Tensor conv2d_f32(const Tensor& in, const Layer& l,
-                  std::span<const float> weights, std::span<const float> bias) {
-  Tensor out(windowed_shape(in.shape(), l, l.out_channels));
-  conv2d_f32_into(in, l, weights, bias, out);
-  return out;
-}
-
 void depthwise_conv2d_f32_into(const Tensor& in, const Layer& l,
                                std::span<const float> weights,
                                std::span<const float> bias, Tensor& out) {
@@ -112,7 +105,7 @@ void depthwise_conv2d_f32_into(const Tensor& in, const Layer& l,
   QMCU_REQUIRE(static_cast<std::int64_t>(weights.size()) ==
                    static_cast<std::int64_t>(l.kernel_h) * l.kernel_w * is.c,
                "dwconv weight count mismatch");
-  require_out_shape(out, os, "depthwise_conv2d_f32");
+  require_out_shape(out, os, "depthwise_conv2d_f32_into");
   const std::span<const float> x = in.data();
   const std::span<float> y = out.data();
 
@@ -153,7 +146,7 @@ void depthwise_conv2d_f32_rows_into(const Tensor& in, const Layer& l,
   QMCU_REQUIRE(static_cast<std::int64_t>(weights.size()) ==
                    static_cast<std::int64_t>(l.kernel_h) * l.kernel_w * is.c,
                "dwconv weight count mismatch");
-  require_out_shape(out, os, "depthwise_conv2d_f32");
+  require_out_shape(out, os, "depthwise_conv2d_f32_rows_into");
   const auto c = static_cast<std::size_t>(is.c);
   const float* x = in.data().data();
   const float* w = weights.data();
@@ -182,14 +175,6 @@ void depthwise_conv2d_f32_rows_into(const Tensor& in, const Layer& l,
   }
 }
 
-Tensor depthwise_conv2d_f32(const Tensor& in, const Layer& l,
-                            std::span<const float> weights,
-                            std::span<const float> bias) {
-  Tensor out(windowed_shape(in.shape(), l, in.shape().c));
-  depthwise_conv2d_f32_into(in, l, weights, bias, out);
-  return out;
-}
-
 void fully_connected_f32_into(const Tensor& in, const Layer& l,
                               std::span<const float> weights,
                               std::span<const float> bias, Tensor& out) {
@@ -198,7 +183,7 @@ void fully_connected_f32_into(const Tensor& in, const Layer& l,
                    in_features * l.out_channels,
                "fc weight count mismatch");
   require_out_shape(out, TensorShape{1, 1, l.out_channels},
-                    "fully_connected_f32");
+                    "fully_connected_f32_into");
   const std::span<const float> x = in.data();
   const std::span<float> y = out.data();
   for (int o = 0; o < l.out_channels; ++o) {
@@ -222,7 +207,7 @@ void fully_connected_f32_interleaved_into(const Tensor& in, const Layer& l,
                    in_features * l.out_channels,
                "fc weight count mismatch");
   require_out_shape(out, TensorShape{1, 1, l.out_channels},
-                    "fully_connected_f32");
+                    "fully_connected_f32_interleaved_into");
   constexpr int kLanes = 8;
   const auto k = static_cast<std::size_t>(in_features);
   const float* x = in.data().data();
@@ -249,18 +234,10 @@ void fully_connected_f32_interleaved_into(const Tensor& in, const Layer& l,
   }
 }
 
-Tensor fully_connected_f32(const Tensor& in, const Layer& l,
-                           std::span<const float> weights,
-                           std::span<const float> bias) {
-  Tensor out(TensorShape{1, 1, l.out_channels});
-  fully_connected_f32_into(in, l, weights, bias, out);
-  return out;
-}
-
 void max_pool_f32_into(const Tensor& in, const Layer& l, Tensor& out) {
   const TensorShape& is = in.shape();
   const TensorShape os = windowed_shape(is, l, is.c);
-  require_out_shape(out, os, "max_pool_f32");
+  require_out_shape(out, os, "max_pool_f32_into");
   for (int oy = 0; oy < os.h; ++oy) {
     const int iy0 = oy * l.stride_h - l.pad_h;
     for (int ox = 0; ox < os.w; ++ox) {
@@ -282,16 +259,10 @@ void max_pool_f32_into(const Tensor& in, const Layer& l, Tensor& out) {
   }
 }
 
-Tensor max_pool_f32(const Tensor& in, const Layer& l) {
-  Tensor out(windowed_shape(in.shape(), l, in.shape().c));
-  max_pool_f32_into(in, l, out);
-  return out;
-}
-
 void avg_pool_f32_into(const Tensor& in, const Layer& l, Tensor& out) {
   const TensorShape& is = in.shape();
   const TensorShape os = windowed_shape(is, l, is.c);
-  require_out_shape(out, os, "avg_pool_f32");
+  require_out_shape(out, os, "avg_pool_f32_into");
   for (int oy = 0; oy < os.h; ++oy) {
     const int iy0 = oy * l.stride_h - l.pad_h;
     for (int ox = 0; ox < os.w; ++ox) {
@@ -315,15 +286,9 @@ void avg_pool_f32_into(const Tensor& in, const Layer& l, Tensor& out) {
   }
 }
 
-Tensor avg_pool_f32(const Tensor& in, const Layer& l) {
-  Tensor out(windowed_shape(in.shape(), l, in.shape().c));
-  avg_pool_f32_into(in, l, out);
-  return out;
-}
-
 void global_avg_pool_f32_into(const Tensor& in, Tensor& out) {
   const TensorShape& is = in.shape();
-  require_out_shape(out, TensorShape{1, 1, is.c}, "global_avg_pool_f32");
+  require_out_shape(out, TensorShape{1, 1, is.c}, "global_avg_pool_f32_into");
   const float inv = 1.0f / static_cast<float>(is.h * is.w);
   for (int c = 0; c < is.c; ++c) {
     float sum = 0.0f;
@@ -334,28 +299,16 @@ void global_avg_pool_f32_into(const Tensor& in, Tensor& out) {
   }
 }
 
-Tensor global_avg_pool_f32(const Tensor& in) {
-  Tensor out(TensorShape{1, 1, in.shape().c});
-  global_avg_pool_f32_into(in, out);
-  return out;
-}
-
 void add_f32_into(const Tensor& lhs, const Tensor& rhs, Activation act,
                   Tensor& out) {
   QMCU_REQUIRE(lhs.shape() == rhs.shape(), "add operand shape mismatch");
-  require_out_shape(out, lhs.shape(), "add_f32");
+  require_out_shape(out, lhs.shape(), "add_f32_into");
   const auto a = lhs.data();
   const auto b = rhs.data();
   auto y = out.data();
   for (std::size_t i = 0; i < y.size(); ++i) {
     y[i] = activate(a[i] + b[i], act);
   }
-}
-
-Tensor add_f32(const Tensor& lhs, const Tensor& rhs, Activation act) {
-  Tensor out(lhs.shape());
-  add_f32_into(lhs, rhs, act, out);
-  return out;
 }
 
 void concat_f32_into(std::span<const Tensor* const> inputs, Tensor& out) {
@@ -368,7 +321,7 @@ void concat_f32_into(std::span<const Tensor* const> inputs, Tensor& out) {
     channels += t->shape().c;
   }
   require_out_shape(out, TensorShape{first.h, first.w, channels},
-                    "concat_f32");
+                    "concat_f32_into");
   for (int y = 0; y < first.h; ++y) {
     for (int x = 0; x < first.w; ++x) {
       int co = 0;
@@ -381,18 +334,8 @@ void concat_f32_into(std::span<const Tensor* const> inputs, Tensor& out) {
   }
 }
 
-Tensor concat_f32(std::span<const Tensor* const> inputs) {
-  QMCU_REQUIRE(!inputs.empty(), "concat needs inputs");
-  const TensorShape& first = inputs[0]->shape();
-  int channels = 0;
-  for (const Tensor* t : inputs) channels += t->shape().c;
-  Tensor out(TensorShape{first.h, first.w, channels});
-  concat_f32_into(inputs, out);
-  return out;
-}
-
 void softmax_f32_into(const Tensor& in, Tensor& out) {
-  require_out_shape(out, in.shape(), "softmax_f32");
+  require_out_shape(out, in.shape(), "softmax_f32_into");
   const auto x = in.data();
   auto y = out.data();
   const float maxv = *std::max_element(x.begin(), x.end());
@@ -403,12 +346,6 @@ void softmax_f32_into(const Tensor& in, Tensor& out) {
   }
   const float inv = 1.0f / sum;
   for (float& v : y) v *= inv;
-}
-
-Tensor softmax_f32(const Tensor& in) {
-  Tensor out(in.shape());
-  softmax_f32_into(in, out);
-  return out;
 }
 
 }  // namespace qmcu::nn::ops

@@ -5,10 +5,8 @@
 // symmetric zero padding, fused activation) comes from the Layer spec so the
 // kernels stay in lock-step with graph shape inference.
 //
-// Every kernel has two entry points: the value-returning form (allocates its
-// output) and an `_into` form that writes into a caller-provided, correctly
-// shaped destination — the form the compiled arena executors use so the hot
-// path performs no per-layer allocation. Both compute bit-identical results.
+// Every kernel writes into a caller-provided, correctly shaped destination,
+// so the compiled models' hot path performs no per-layer allocation.
 #pragma once
 
 #include <algorithm>
@@ -22,24 +20,16 @@ namespace qmcu::nn::ops {
 
 // 2-D convolution. `weights` layout [out_c][kh][kw][in_c]; `bias` may be
 // empty (treated as zero).
-Tensor conv2d_f32(const Tensor& in, const Layer& l,
-                  std::span<const float> weights, std::span<const float> bias);
 void conv2d_f32_into(const Tensor& in, const Layer& l,
                      std::span<const float> weights,
                      std::span<const float> bias, Tensor& out);
 
 // Depthwise convolution (channel multiplier 1). `weights` layout [kh][kw][c].
-Tensor depthwise_conv2d_f32(const Tensor& in, const Layer& l,
-                            std::span<const float> weights,
-                            std::span<const float> bias);
 void depthwise_conv2d_f32_into(const Tensor& in, const Layer& l,
                                std::span<const float> weights,
                                std::span<const float> bias, Tensor& out);
 
 // Fully connected over the flattened input. `weights` layout [out][in].
-Tensor fully_connected_f32(const Tensor& in, const Layer& l,
-                           std::span<const float> weights,
-                           std::span<const float> bias);
 void fully_connected_f32_into(const Tensor& in, const Layer& l,
                               std::span<const float> weights,
                               std::span<const float> bias, Tensor& out);
@@ -67,19 +57,13 @@ void fully_connected_f32_interleaved_into(const Tensor& in, const Layer& l,
                                           std::span<const float> bias,
                                           Tensor& out);
 
-Tensor max_pool_f32(const Tensor& in, const Layer& l);
 void max_pool_f32_into(const Tensor& in, const Layer& l, Tensor& out);
-Tensor avg_pool_f32(const Tensor& in, const Layer& l);
 void avg_pool_f32_into(const Tensor& in, const Layer& l, Tensor& out);
-Tensor global_avg_pool_f32(const Tensor& in);
 void global_avg_pool_f32_into(const Tensor& in, Tensor& out);
 
-Tensor add_f32(const Tensor& lhs, const Tensor& rhs, Activation act);
 void add_f32_into(const Tensor& lhs, const Tensor& rhs, Activation act,
                   Tensor& out);
-Tensor concat_f32(std::span<const Tensor* const> inputs);
 void concat_f32_into(std::span<const Tensor* const> inputs, Tensor& out);
-Tensor softmax_f32(const Tensor& in);
 void softmax_f32_into(const Tensor& in, Tensor& out);
 
 // Fused activation of one value.

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 
-#include "nn/ops/float_kernels.h"
 #include "nn/ops/im2col.h"
 #include "nn/ops/requantize.h"
 #include "nn/ops/simd/simd_kernels.h"
@@ -70,7 +69,7 @@ void conv2d_q_into(const QTensor& in, const Layer& l,
                    std::span<const std::int32_t> qbias, QTensor& out) {
   const TensorShape& is = in.shape();
   const TensorShape os = conv_output_shape(is, l, l.out_channels);
-  QMCU_REQUIRE(out.shape() == os, "conv2d_q: destination shape mismatch");
+  QMCU_REQUIRE(out.shape() == os, "conv2d_q_into: destination shape mismatch");
   const QuantParams& out_params = out.params();
   const auto& ip = in.params();
   const FixedPointMultiplier m = quantize_multiplier(
@@ -122,16 +121,6 @@ void conv2d_q_into(const QTensor& in, const Layer& l,
   }
 }
 
-QTensor conv2d_q(const QTensor& in, const Layer& l,
-                 std::span<const std::int8_t> qweights,
-                 const QuantParams& wparams,
-                 std::span<const std::int32_t> qbias,
-                 const QuantParams& out_params) {
-  QTensor out(conv_output_shape(in.shape(), l, l.out_channels), out_params);
-  conv2d_q_into(in, l, qweights, wparams, qbias, out);
-  return out;
-}
-
 void depthwise_conv2d_q_into(const QTensor& in, const Layer& l,
                              std::span<const std::int8_t> qweights,
                              const QuantParams& wparams,
@@ -140,7 +129,7 @@ void depthwise_conv2d_q_into(const QTensor& in, const Layer& l,
   const TensorShape& is = in.shape();
   const TensorShape os = conv_output_shape(is, l, is.c);
   QMCU_REQUIRE(out.shape() == os,
-               "depthwise_conv2d_q: destination shape mismatch");
+               "depthwise_conv2d_q_into: destination shape mismatch");
   const QuantParams& out_params = out.params();
   const auto& ip = in.params();
   const FixedPointMultiplier m = quantize_multiplier(
@@ -188,16 +177,6 @@ void depthwise_conv2d_q_into(const QTensor& in, const Layer& l,
   }
 }
 
-QTensor depthwise_conv2d_q(const QTensor& in, const Layer& l,
-                           std::span<const std::int8_t> qweights,
-                           const QuantParams& wparams,
-                           std::span<const std::int32_t> qbias,
-                           const QuantParams& out_params) {
-  QTensor out(conv_output_shape(in.shape(), l, in.shape().c), out_params);
-  depthwise_conv2d_q_into(in, l, qweights, wparams, qbias, out);
-  return out;
-}
-
 void fully_connected_q_into(const QTensor& in, const Layer& l,
                             std::span<const std::int8_t> qweights,
                             const QuantParams& wparams,
@@ -205,7 +184,7 @@ void fully_connected_q_into(const QTensor& in, const Layer& l,
                             QTensor& out) {
   const std::int64_t in_features = in.elements();
   QMCU_REQUIRE(out.shape() == TensorShape(1, 1, l.out_channels),
-               "fully_connected_q: destination shape mismatch");
+               "fully_connected_q_into: destination shape mismatch");
   const QuantParams& out_params = out.params();
   const auto& ip = in.params();
   const FixedPointMultiplier m = quantize_multiplier(
@@ -229,22 +208,13 @@ void fully_connected_q_into(const QTensor& in, const Layer& l,
   }
 }
 
-QTensor fully_connected_q(const QTensor& in, const Layer& l,
-                          std::span<const std::int8_t> qweights,
-                          const QuantParams& wparams,
-                          std::span<const std::int32_t> qbias,
-                          const QuantParams& out_params) {
-  QTensor out(TensorShape{1, 1, l.out_channels}, out_params);
-  fully_connected_q_into(in, l, qweights, wparams, qbias, out);
-  return out;
-}
-
 void max_pool_q_into(const QTensor& in, const Layer& l, QTensor& out) {
   const TensorShape& is = in.shape();
   const TensorShape os = conv_output_shape(is, l, is.c);
-  QMCU_REQUIRE(out.shape() == os, "max_pool_q: destination shape mismatch");
+  QMCU_REQUIRE(out.shape() == os,
+               "max_pool_q_into: destination shape mismatch");
   QMCU_REQUIRE(out.params() == in.params(),
-               "max_pool_q: pools keep the input params");
+               "max_pool_q_into: pools keep the input params");
   const std::int8_t* x = in.data().data();
   std::int8_t* y = out.data().data();
   const int c = is.c;
@@ -273,24 +243,14 @@ void max_pool_q_into(const QTensor& in, const Layer& l, QTensor& out) {
   }
 }
 
-QTensor max_pool_q(const QTensor& in, const Layer& l) {
-  QTensor out(conv_output_shape(in.shape(), l, in.shape().c), in.params());
-  max_pool_q_into(in, l, out);
-  return out;
-}
-
-void avg_pool_q_into(const QTensor& in, const Layer& l, QTensor& out) {
-  const AvgPoolMultipliers avg(l.kernel_h * l.kernel_w);
-  avg_pool_q_into(in, l, avg, out);
-}
-
 void avg_pool_q_into(const QTensor& in, const Layer& l,
                      const AvgPoolMultipliers& avg, QTensor& out) {
   const TensorShape& is = in.shape();
   const TensorShape os = conv_output_shape(is, l, is.c);
-  QMCU_REQUIRE(out.shape() == os, "avg_pool_q: destination shape mismatch");
+  QMCU_REQUIRE(out.shape() == os,
+               "avg_pool_q_into: destination shape mismatch");
   QMCU_REQUIRE(out.params() == in.params(),
-               "avg_pool_q: pools keep the input params");
+               "avg_pool_q_into: pools keep the input params");
   const std::int32_t qmin = in.params().qmin();
   const std::int32_t qmax = in.params().qmax();
   const std::int8_t* x = in.data().data();
@@ -328,21 +288,15 @@ void avg_pool_q_into(const QTensor& in, const Layer& l,
   }
 }
 
-QTensor avg_pool_q(const QTensor& in, const Layer& l) {
-  QTensor out(conv_output_shape(in.shape(), l, in.shape().c), in.params());
-  avg_pool_q_into(in, l, out);
-  return out;
-}
-
 void global_avg_pool_q_into(const QTensor& in, std::span<std::int32_t> sums,
                             QTensor& out) {
   const TensorShape& is = in.shape();
   QMCU_REQUIRE(out.shape() == TensorShape(1, 1, is.c),
-               "global_avg_pool_q: destination shape mismatch");
+               "global_avg_pool_q_into: destination shape mismatch");
   QMCU_REQUIRE(out.params() == in.params(),
-               "global_avg_pool_q: pools keep the input params");
+               "global_avg_pool_q_into: pools keep the input params");
   QMCU_REQUIRE(static_cast<std::int64_t>(sums.size()) >= is.c,
-               "global_avg_pool_q: sums scratch too small");
+               "global_avg_pool_q_into: sums scratch too small");
   const int pixels = is.h * is.w;
   const ElementRequantizer mean(1.0 / pixels, 128 * pixels);
   const std::int32_t qmin = in.params().qmin();
@@ -365,7 +319,7 @@ void add_q_into(const QTensor& lhs, const QTensor& rhs, Activation act,
                 QTensor& out, const simd::SimdKernels* simd) {
   QMCU_REQUIRE(lhs.shape() == rhs.shape(), "add operand shape mismatch");
   QMCU_REQUIRE(out.shape() == lhs.shape(),
-               "add_q: destination shape mismatch");
+               "add_q_into: destination shape mismatch");
   const QuantParams& out_params = out.params();
   const auto& lp = lhs.params();
   const auto& rp = rhs.params();
@@ -380,13 +334,6 @@ void add_q_into(const QTensor& lhs, const QTensor& rhs, Activation act,
                     out_params.zero_point, act_lo, act_hi, out.data().data());
 }
 
-QTensor add_q(const QTensor& lhs, const QTensor& rhs, Activation act,
-              const QuantParams& out_params) {
-  QTensor out(lhs.shape(), out_params);
-  add_q_into(lhs, rhs, act, out);
-  return out;
-}
-
 void concat_q_into(std::span<const QTensor* const> inputs, QTensor& out) {
   QMCU_REQUIRE(!inputs.empty(), "concat needs inputs");
   const TensorShape& first = inputs[0]->shape();
@@ -397,7 +344,7 @@ void concat_q_into(std::span<const QTensor* const> inputs, QTensor& out) {
     channels += t->shape().c;
   }
   QMCU_REQUIRE(out.shape() == TensorShape(first.h, first.w, channels),
-               "concat_q: destination shape mismatch");
+               "concat_q_into: destination shape mismatch");
   const QuantParams& out_params = out.params();
   const std::int32_t qmin = out_params.qmin();
   const std::int32_t qmax = out_params.qmax();
@@ -434,15 +381,9 @@ void concat_q_into(std::span<const QTensor* const> inputs, QTensor& out) {
   }
 }
 
-QTensor softmax_q(const QTensor& in, const QuantParams& out_params) {
-  const Tensor real = dequantize(in);
-  const Tensor soft = softmax_f32(real);
-  return quantize(soft, out_params);
-}
-
 void requantize_q_into(const QTensor& q, QTensor& out) {
   QMCU_REQUIRE(out.shape() == q.shape(),
-               "requantize_q: destination shape mismatch");
+               "requantize_q_into: destination shape mismatch");
   const QuantParams& target = out.params();
   const auto src = q.data();
   auto dst = out.data();

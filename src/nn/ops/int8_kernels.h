@@ -64,51 +64,31 @@ class AvgPoolMultipliers {
   std::vector<ElementRequantizer> per_count_;  // index = count - 1
 };
 
-// Every kernel has a value-returning form (allocates its output) and an
-// `_into` form writing into a caller-provided destination whose shape is
+// Every kernel writes into a caller-provided destination whose shape is
 // already correct and whose QuantParams are the output parameters — the
-// form the compiled arena executors bind onto planned arena offsets. Both
-// forms compute bit-identical results.
-QTensor conv2d_q(const QTensor& in, const Layer& l,
-                 std::span<const std::int8_t> qweights,
-                 const QuantParams& wparams,
-                 std::span<const std::int32_t> qbias,
-                 const QuantParams& out_params);
+// compiled models bind it onto a planned arena offset.
 void conv2d_q_into(const QTensor& in, const Layer& l,
                    std::span<const std::int8_t> qweights,
                    const QuantParams& wparams,
                    std::span<const std::int32_t> qbias, QTensor& out);
 
-QTensor depthwise_conv2d_q(const QTensor& in, const Layer& l,
-                           std::span<const std::int8_t> qweights,
-                           const QuantParams& wparams,
-                           std::span<const std::int32_t> qbias,
-                           const QuantParams& out_params);
 void depthwise_conv2d_q_into(const QTensor& in, const Layer& l,
                              std::span<const std::int8_t> qweights,
                              const QuantParams& wparams,
                              std::span<const std::int32_t> qbias,
                              QTensor& out);
 
-QTensor fully_connected_q(const QTensor& in, const Layer& l,
-                          std::span<const std::int8_t> qweights,
-                          const QuantParams& wparams,
-                          std::span<const std::int32_t> qbias,
-                          const QuantParams& out_params);
 void fully_connected_q_into(const QTensor& in, const Layer& l,
                             std::span<const std::int8_t> qweights,
                             const QuantParams& wparams,
                             std::span<const std::int32_t> qbias, QTensor& out);
 
 // Pools keep the input QuantParams (TFLite requires matching scales); the
-// `_into` destinations must carry the producer's params.
-QTensor max_pool_q(const QTensor& in, const Layer& l);
+// destinations must carry the producer's params.
 void max_pool_q_into(const QTensor& in, const Layer& l, QTensor& out);
-QTensor avg_pool_q(const QTensor& in, const Layer& l);
-void avg_pool_q_into(const QTensor& in, const Layer& l, QTensor& out);
-// Allocation-free flavour: `avg` must be built for (at least) the layer's
-// kernel_h * kernel_w window. The table depends only on the window size, so
-// callers on the hot path (KernelBackend) cache it across runs.
+// `avg` must be built for (at least) the layer's kernel_h * kernel_w window.
+// The table depends only on the window size, so KernelBackend caches it
+// across runs.
 void avg_pool_q_into(const QTensor& in, const Layer& l,
                      const AvgPoolMultipliers& avg, QTensor& out);
 // `sums` is caller-provided scratch of in.c int32 accumulators (contents
@@ -116,14 +96,11 @@ void avg_pool_q_into(const QTensor& in, const Layer& l,
 void global_avg_pool_q_into(const QTensor& in, std::span<std::int32_t> sums,
                             QTensor& out);
 
-QTensor add_q(const QTensor& lhs, const QTensor& rhs, Activation act,
-              const QuantParams& out_params);
 // `simd` (optional) runs the rows through its add_row; a null table, or a
 // null entry, runs the scalar body. Bit-identical either way.
 void add_q_into(const QTensor& lhs, const QTensor& rhs, Activation act,
                 QTensor& out, const simd::SimdKernels* simd = nullptr);
 void concat_q_into(std::span<const QTensor* const> inputs, QTensor& out);
-QTensor softmax_q(const QTensor& in, const QuantParams& out_params);
 
 // Rescales `q` into `out`'s params with a single fixed-point multiplier
 // (identity copy when the params already match). This is the branch-slice

@@ -3,14 +3,13 @@
 // Arithmetic contract matches TensorFlow Lite / TFLite-Micro:
 //   real = scale * (q - zero_point)
 // with q saturating to the signed range of the target bitwidth
-// [-2^(b-1), 2^(b-1) - 1]. Sub-byte types (I4/I2) use the same contract with
-// a narrower range, as CMix-NN does.
+// [-2^(b-1), 2^(b-1) - 1]. Sub-byte widths (4 and 2 bits) use the same
+// contract with a narrower range, as CMix-NN does.
 #pragma once
 
 #include <cstdint>
 
 #include "nn/check.h"
-#include "nn/dtype.h"
 
 namespace qmcu::nn {
 

@@ -13,7 +13,7 @@
 #include <iosfwd>
 #include <string>
 
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/graph.h"
 
 namespace qmcu::nn {

@@ -134,14 +134,6 @@ double ActivationStatsTracker::range_utilization(int layer_id) const {
                     1.0);
 }
 
-const quant::Histogram* ActivationStatsTracker::layer_histogram(
-    int layer_id) const {
-  const auto it = layers_.find(layer_id);
-  return it == layers_.end() || !it->second.hist.has_value()
-             ? nullptr
-             : &*it->second.hist;
-}
-
 std::vector<quant::LayerRange> ActivationStatsTracker::drifted_ranges(
     int num_layers) const {
   std::vector<quant::LayerRange> ranges(

@@ -84,7 +84,6 @@ class ActivationStatsTracker {
   [[nodiscard]] double saturation_fraction(int layer_id) const;
   [[nodiscard]] double range_utilization(int layer_id) const;
   [[nodiscard]] std::int64_t observations() const { return observations_; }
-  [[nodiscard]] const quant::Histogram* layer_histogram(int layer_id) const;
 
   // Refreshed ranges for quant::make_quant_config: per layer id in
   // [0, num_layers), the calibrated range widened on a saturating edge

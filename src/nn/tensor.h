@@ -13,7 +13,7 @@
 //              row band at a time into QTensor scratch for the kernels.
 //
 // Both types either own their storage (the default) or *borrow* it from a
-// caller-provided span — the form the compiled arena executors use to bind
+// caller-provided span — the form the compiled models use to bind
 // feature maps onto planned tensor-arena offsets without per-layer heap
 // allocation. Borrowed tensors behave identically through the public API;
 // copying any tensor always deep-copies into fresh owned storage, so a

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "nn/executor.h"
 #include "nn/ops/requantize.h"
 #include "nn/ops/simd/simd_kernels.h"
 #include "patch/patch_cost.h"

@@ -6,7 +6,7 @@
 // cut-layer feature map at their own bit widths (uniform int8, or the
 // mixed-mode per-branch step params and rescaled biases VDQS chose), and a
 // layer-based int8 tail follows. Float inference is the host reference
-// (nn::Executor); CompiledPatchQuantModel is the deployment engine.
+// (nn::CompiledModel); CompiledPatchQuantModel is the deployment engine.
 //
 // The model plans, once:
 //

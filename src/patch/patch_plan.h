@@ -25,8 +25,6 @@ struct PatchSpec {
   int split_layer = -1;  // cut point: last layer id executed patch-wise
   int grid_rows = 2;
   int grid_cols = 2;
-
-  [[nodiscard]] int num_patches() const { return grid_rows * grid_cols; }
 };
 
 // One layer's work inside one branch.

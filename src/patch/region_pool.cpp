@@ -74,7 +74,7 @@ void pool_region_q_into(const nn::QTensor& have, const Region& avail,
           q = best;
         } else {
           // Shared fixed-point mean: identical rounding to
-          // nn::ops::avg_pool_q by construction.
+          // nn::ops::avg_pool_q_into by construction.
           q = count > 0 ? avg->average(sum, count) : p.zero_point;
           q = std::clamp(q, p.qmin(), p.qmax());
         }

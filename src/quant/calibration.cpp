@@ -39,7 +39,7 @@ std::vector<LayerRange> calibrate_ranges(const nn::Graph& g,
                                          std::span<const nn::Tensor> inputs) {
   QMCU_REQUIRE(!inputs.empty(), "calibration needs at least one input");
   require_finite_calibration(inputs);
-  const nn::Executor exec(g);
+  const nn::CompiledModel exec(g);
   RangeObserver observer(g);
   for (const nn::Tensor& in : inputs) {
     const std::vector<nn::Tensor> fms = exec.run_all(in);

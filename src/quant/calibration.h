@@ -1,16 +1,16 @@
 // calibration.h — post-training range calibration.
 //
-// Runs the float reference executor over a calibration batch, records the
-// running min/max of every feature map (TFLite post-training-quantization
-// style), and materialises per-layer QuantParams for a chosen bitwidth
-// assignment. The bitwidth vector is exactly what VDPC/VDQS (or a baseline
-// quantizer) decides per feature map.
+// Runs the float reference model (nn::CompiledModel::run_all) over a
+// calibration batch, records the running min/max of every feature map
+// (TFLite post-training-quantization style), and materialises per-layer
+// QuantParams for a chosen bitwidth assignment. The bitwidth vector is
+// exactly what VDPC/VDQS (or a baseline quantizer) decides per feature map.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/graph.h"
 #include "nn/tensor.h"
 
@@ -43,12 +43,12 @@ class RangeObserver {
 // calibration entry point checks its batch before the first forward pass.
 void require_finite_calibration(std::span<const nn::Tensor> inputs);
 
-// Runs `inputs` through the float executor and returns per-layer ranges.
+// Runs `inputs` through the float model and returns per-layer ranges.
 // Rejects a non-finite batch (require_finite_calibration).
 std::vector<LayerRange> calibrate_ranges(const nn::Graph& g,
                                          std::span<const nn::Tensor> inputs);
 
-// Builds the quantized-executor config from calibrated ranges and a
+// Builds the quantized model's config from calibrated ranges and a
 // per-layer bitwidth assignment.
 nn::ActivationQuantConfig make_quant_config(const nn::Graph& g,
                                             std::span<const LayerRange> ranges,

@@ -1,6 +1,6 @@
 #include "quant/fake_quant.h"
 
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 
 namespace qmcu::quant {
 
@@ -16,9 +16,9 @@ nn::Tensor run_fake_quantized(const nn::Graph& g,
 
   std::vector<nn::Tensor> memo(static_cast<std::size_t>(g.size()));
   for (int id = 0; id < g.size(); ++id) {
-    nn::Tensor out = g.layer(id).kind == nn::OpKind::Input
-                         ? input
-                         : nn::run_layer_f32(g, id, memo, backend);
+    const bool seeded = g.layer(id).kind == nn::OpKind::Input;
+    nn::Tensor out = seeded ? input : nn::Tensor(g.shape(id));
+    if (!seeded) nn::run_layer_f32_into(g, id, memo, backend, out);
     const nn::QuantParams qp = nn::choose_quant_params(
         ranges[static_cast<std::size_t>(id)].min_v,
         ranges[static_cast<std::size_t>(id)].max_v,

@@ -5,7 +5,7 @@
 // standard "simulated quantization" forward of QAT frameworks. Used by the
 // HAQ baseline's episode reward and by accuracy analyses that need the
 // network's output under a candidate bitwidth assignment without building
-// an integer executor.
+// an integer model.
 #pragma once
 
 #include <span>

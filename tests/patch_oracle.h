@@ -5,7 +5,7 @@
 // plainest form: every branch step into a fresh heap tensor, halo crops and
 // pool windows over whole region tensors, each branch's cut-map slice
 // requantized into the tail's params and copied into the assembled map, and
-// the tail layer by layer through nn::run_layer_q. It reads only the
+// the tail layer by layer through nn::run_layer_q_into. It reads only the
 // model's compile-time tables (plan, configs, branch biases, quantized
 // weights) and runs every kernel on its own Reference-tier KernelBackend,
 // so it shares no kernel table, arena, scratch, weight panel, band schedule
@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "kernel_values.h"
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/ops/backend.h"
 #include "nn/ops/im2col.h"
 #include "nn/ops/int8_kernels.h"
@@ -101,9 +101,10 @@ class PatchOracle {
     std::vector<nn::QTensor> memo(static_cast<std::size_t>(g.size()));
     memo[static_cast<std::size_t>(split)] = run_stage(input);
     for (int id = split + 1; id < g.size(); ++id) {
-      memo[static_cast<std::size_t>(id)] = nn::run_layer_q(
-          g, id, memo, *m.shared_parameters(),
-          m.effective_params()[static_cast<std::size_t>(id)], backend_);
+      nn::QTensor& out = memo[static_cast<std::size_t>(id)] = nn::QTensor(
+          g.shape(id), m.effective_params()[static_cast<std::size_t>(id)]);
+      nn::run_layer_q_into(g, id, memo, *m.shared_parameters(), backend_,
+                           out);
     }
     return std::move(memo[static_cast<std::size_t>(g.output())]);
   }

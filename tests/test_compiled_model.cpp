@@ -1,10 +1,10 @@
 // Compiled arena execution (nn/compiled_model.h, patch/compiled_patch_model.h)
 // must be bit-identical to the heap-per-layer paths across float and int8
-// layer-based models and int8 and mixed sub-byte patch modes (the patch
-// models against the per-step oracle of patch_oracle.h), for owned and
-// caller-provided arenas, and must share prebuilt QuantizedParameters
-// across executors. Uniform-int8 patch models are checked against
-// nn::QuantExecutor in test_patch_quant_executor.cpp.
+// layer-based models (run against run_all) and int8 and mixed sub-byte patch
+// modes (the patch models against the per-step oracle of patch_oracle.h),
+// for owned and caller-provided arenas, and must share prebuilt
+// QuantizedParameters across models. Uniform-int8 patch models are checked
+// against nn::CompiledQuantModel in test_patch_quant_executor.cpp.
 #include <gtest/gtest.h>
 
 #include "core/quantmcu.h"
@@ -12,7 +12,6 @@
 #include "models/weights.h"
 #include "models/zoo.h"
 #include "nn/compiled_model.h"
-#include "nn/executor.h"
 #include "nn/memory_planner.h"
 #include "nn/rng.h"
 #include "patch/compiled_patch_model.h"
@@ -104,19 +103,14 @@ TEST(BorrowedTensor, QuantizedViewRoundTrips) {
 
 // --- float parity -----------------------------------------------------------
 
-TEST(CompiledModel, MatchesMemoExecutorBitExact) {
+TEST(CompiledModel, RunMatchesRunAllBitExact) {
   const nn::Graph g = small_net();
-  const nn::Executor exec(g);
   const nn::Tensor in = random_input(g.shape(0), 1);
-  const auto memo = exec.run_all(in);  // legacy heap-per-layer path
-  expect_f_identical(exec.run(in), memo.back());
-
-  // Both kernel tiers, directly on the compiled model.
   for (const auto tier :
        {nn::ops::KernelTier::Simd, nn::ops::KernelTier::Reference}) {
     const nn::CompiledModel model(g, tier);
-    const nn::Executor ref(g, tier);
-    expect_f_identical(model.run(in), ref.run_all(in).back());
+    const auto memo = model.run_all(in);  // heap-per-layer path
+    expect_f_identical(model.run(in), memo.back());
   }
 }
 
@@ -152,7 +146,7 @@ TEST(CompiledModel, RepeatedRunsAreDeterministic) {
 
 // --- quantized parity --------------------------------------------------------
 
-TEST(CompiledQuantModel, MatchesMemoExecutorAcrossBitwidths) {
+TEST(CompiledQuantModel, RunMatchesRunAllAcrossBitwidths) {
   const nn::Graph g = small_net();
   const std::vector<nn::Tensor> calib{random_input(g.shape(0), 6),
                                       random_input(g.shape(0), 7)};
@@ -168,9 +162,9 @@ TEST(CompiledQuantModel, MatchesMemoExecutorAcrossBitwidths) {
 
   for (const auto& bits : assignments) {
     const auto cfg = quant::make_quant_config(g, ranges, bits);
-    const nn::QuantExecutor qexec(g, cfg);
-    const auto memo = qexec.run_all(in);  // legacy heap-per-layer path
-    expect_q_identical(qexec.run(in), memo.back());
+    const nn::CompiledQuantModel model(g, cfg);
+    const auto memo = model.run_all(in);  // heap-per-layer path
+    expect_q_identical(model.run(in), memo.back());
   }
 }
 
@@ -203,18 +197,66 @@ TEST(CompiledQuantModel, CallerProvidedArenaMatchesOwned) {
   expect_q_identical(model.run(in, sram), model.run(in));
 }
 
-TEST(CompiledQuantModel, SharedParametersAcrossExecutors) {
+// Pools never requantize: a pool's output carries its producer's params
+// whatever cfg.params names for it, on the arena path and on run_all alike.
+// Every pool below is configured with params of its own.
+TEST(CompiledQuantModel, RunAllPoolsCarryEffectiveParams) {
+  nn::Graph g("pools");
+  const int in = g.add_input(nn::TensorShape{12, 12, 3});
+  const int a = g.add_conv2d(in, 8, 3, 1, 1, nn::Activation::ReLU, "a");
+  const int max1 = g.add_max_pool(a, 2, 2, 0, "max1");
+  const int b = g.add_conv2d(max1, 8, 3, 1, 1, nn::Activation::None, "b");
+  const int avg = g.add_avg_pool(b, 3, 1, 1, "avg");
+  const int max2 = g.add_max_pool(avg, 2, 2, 0, "max2");  // pool of a pool
+  const int c = g.add_conv2d(max2, 4, 1, 1, 0, nn::Activation::None, "c");
+  g.add_avg_pool(c, 3, 1, 1, "avg_out");
+  models::init_parameters(g, 7);
+
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 30)});
+  auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  for (int id = 0; id < g.size(); ++id) {
+    if (!nn::is_pool_op(g.layer(id).kind)) continue;
+    nn::QuantParams& p = cfg.params[static_cast<std::size_t>(id)];
+    p.scale *= 3.0f;
+    p.zero_point += 5;
+  }
+  const nn::Tensor input = random_input(g.shape(0), 31);
+
+  for (const auto tier :
+       {nn::ops::KernelTier::Reference, nn::ops::KernelTier::Simd}) {
+    const nn::CompiledQuantModel model(g, cfg, tier);
+    const std::span<const nn::QuantParams> eff = model.effective_params();
+    EXPECT_EQ(eff[static_cast<std::size_t>(max1)],
+              cfg.params[static_cast<std::size_t>(a)]);
+    EXPECT_EQ(eff[static_cast<std::size_t>(max2)],
+              cfg.params[static_cast<std::size_t>(b)]);
+    EXPECT_FALSE(eff[static_cast<std::size_t>(avg)] ==
+                 cfg.params[static_cast<std::size_t>(avg)]);
+
+    const std::vector<nn::QTensor> maps = model.run_all(input);
+    ASSERT_EQ(static_cast<int>(maps.size()), g.size());
+    for (int id = 0; id < g.size(); ++id) {
+      EXPECT_EQ(maps[static_cast<std::size_t>(id)].params(),
+                eff[static_cast<std::size_t>(id)])
+          << "layer " << id;
+    }
+    expect_q_identical(maps.back(), model.run(input));
+  }
+}
+
+TEST(CompiledQuantModel, SharedParametersAcrossModels) {
   const nn::Graph g = small_net();
   const auto ranges = quant::calibrate_ranges(
       g, std::vector<nn::Tensor>{random_input(g.shape(0), 13)});
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const auto params = nn::QuantizedParameters::build_shared(g, cfg);
 
-  const nn::QuantExecutor a(g, cfg, nn::ops::KernelTier::Simd, params);
-  const nn::QuantExecutor b(g, cfg, nn::ops::KernelTier::Simd, params);
+  const nn::CompiledQuantModel a(g, cfg, nn::ops::KernelTier::Simd, params);
+  const nn::CompiledQuantModel b(g, cfg, nn::ops::KernelTier::Simd, params);
   EXPECT_EQ(a.shared_parameters().get(), params.get());
   EXPECT_EQ(b.shared_parameters().get(), params.get());
-  const nn::QuantExecutor fresh(g, cfg);  // builds its own
+  const nn::CompiledQuantModel fresh(g, cfg);  // builds its own
   const nn::Tensor in = random_input(g.shape(0), 14);
   expect_q_identical(a.run(in), fresh.run(in));
   expect_q_identical(b.run(in), fresh.run(in));
@@ -255,7 +297,7 @@ TEST(CompiledPatchQuantModel, MixedModeMatchesOracle) {
   expect_q_identical(model.run(in), test::PatchOracle(model).run(in));
 }
 
-TEST(CompiledPatchQuantModel, SharedParametersAcrossPatchExecutors) {
+TEST(CompiledPatchQuantModel, SharedParametersAcrossPatchModels) {
   const nn::Graph g = mbv2_net();
   const auto ranges = quant::calibrate_ranges(
       g, std::vector<nn::Tensor>{random_input(g.shape(0), 20)});
@@ -265,7 +307,8 @@ TEST(CompiledPatchQuantModel, SharedParametersAcrossPatchExecutors) {
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
   const patch::CompiledPatchQuantModel a(g, plan, cfg, {},
                                          nn::ops::KernelTier::Simd, params);
-  const nn::QuantExecutor layer(g, cfg, nn::ops::KernelTier::Simd, params);
+  const nn::CompiledQuantModel layer(g, cfg, nn::ops::KernelTier::Simd,
+                                     params);
   EXPECT_EQ(a.shared_parameters().get(), params.get());
   const nn::Tensor in = random_input(g.shape(0), 21);
   expect_q_identical(a.run(in), layer.run(in));

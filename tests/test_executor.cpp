@@ -1,12 +1,12 @@
-// Tests for the layer-based executors (nn/executor.h): float reference,
-// incremental re-execution, and the integer executor against calibration.
+// Tests for the layer-based models (nn/compiled_model.h): float reference,
+// incremental re-execution, and the integer model against calibration.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <string>
 
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/memory_planner.h"
 #include "nn/rng.h"
 #include "models/weights.h"
@@ -38,9 +38,9 @@ Graph small_net() {
   return g;
 }
 
-TEST(Executor, RunAllProducesEveryFeatureMap) {
+TEST(CompiledModel, RunAllProducesEveryFeatureMap) {
   const Graph g = small_net();
-  const Executor exec(g);
+  const CompiledModel exec(g);
   const auto fms = exec.run_all(random_input(g.shape(0), 1));
   ASSERT_EQ(static_cast<int>(fms.size()), g.size());
   for (int i = 0; i < g.size(); ++i) {
@@ -49,9 +49,9 @@ TEST(Executor, RunAllProducesEveryFeatureMap) {
   }
 }
 
-TEST(Executor, RunReturnsFinalLayer) {
+TEST(CompiledModel, RunReturnsFinalLayer) {
   const Graph g = small_net();
-  const Executor exec(g);
+  const CompiledModel exec(g);
   const Tensor in = random_input(g.shape(0), 2);
   const Tensor out = exec.run(in);
   const auto fms = exec.run_all(in);
@@ -62,9 +62,9 @@ TEST(Executor, RunReturnsFinalLayer) {
   }
 }
 
-TEST(Executor, DeterministicAcrossRuns) {
+TEST(CompiledModel, DeterministicAcrossRuns) {
   const Graph g = small_net();
-  const Executor exec(g);
+  const CompiledModel exec(g);
   const Tensor in = random_input(g.shape(0), 3);
   const Tensor a = exec.run(in);
   const Tensor b = exec.run(in);
@@ -73,15 +73,15 @@ TEST(Executor, DeterministicAcrossRuns) {
   }
 }
 
-TEST(Executor, RejectsWrongInputShape) {
+TEST(CompiledModel, RejectsWrongInputShape) {
   const Graph g = small_net();
-  const Executor exec(g);
+  const CompiledModel exec(g);
   EXPECT_THROW(exec.run(Tensor(TensorShape{8, 8, 3})), std::invalid_argument);
 }
 
-TEST(Executor, RunFromUnchangedMemoIsIdentity) {
+TEST(CompiledModel, RunFromUnchangedMemoIsIdentity) {
   const Graph g = small_net();
-  const Executor exec(g);
+  const CompiledModel exec(g);
   const Tensor in = random_input(g.shape(0), 4);
   const auto base = exec.run_all(in);
   // "Change" layer 1 to its own value: downstream recompute must reproduce
@@ -96,9 +96,9 @@ TEST(Executor, RunFromUnchangedMemoIsIdentity) {
   }
 }
 
-TEST(Executor, RunFromMatchesFullRerunAfterPerturbation) {
+TEST(CompiledModel, RunFromMatchesFullRerunAfterPerturbation) {
   const Graph g = small_net();
-  const Executor exec(g);
+  const CompiledModel exec(g);
   const Tensor in = random_input(g.shape(0), 5);
   auto memo = exec.run_all(in);
 
@@ -115,8 +115,8 @@ TEST(Executor, RunFromMatchesFullRerunAfterPerturbation) {
   manual[1] = perturbed;
   ops::KernelBackend backend;
   for (int id = 2; id < g.size(); ++id) {
-    manual[static_cast<std::size_t>(id)] =
-        run_layer_f32(g, id, manual, backend);
+    Tensor& out = manual[static_cast<std::size_t>(id)] = Tensor(g.shape(id));
+    run_layer_f32_into(g, id, manual, backend, out);
   }
   for (int i = 0; i < g.size(); ++i) {
     const auto& x = incremental[static_cast<std::size_t>(i)].data();
@@ -128,14 +128,14 @@ TEST(Executor, RunFromMatchesFullRerunAfterPerturbation) {
   }
 }
 
-TEST(QuantExecutor, Int8TracksFloatWithinTolerance) {
+TEST(CompiledQuantModel, Int8TracksFloatWithinTolerance) {
   const Graph g = small_net();
   const std::vector<Tensor> calib{random_input(g.shape(0), 6),
                                   random_input(g.shape(0), 7)};
   const auto ranges = quant::calibrate_ranges(g, calib);
   const auto cfg = quant::make_quant_config(g, ranges, uniform_bits(g, 8));
-  const QuantExecutor qexec(g, cfg);
-  const Executor exec(g);
+  const CompiledQuantModel qexec(g, cfg);
+  const CompiledModel exec(g);
 
   const Tensor in = random_input(g.shape(0), 8);
   const Tensor ref = exec.run(in);
@@ -147,18 +147,18 @@ TEST(QuantExecutor, Int8TracksFloatWithinTolerance) {
   }
 }
 
-TEST(QuantExecutor, LowerBitsDegradeOutputMonotonically) {
+TEST(CompiledQuantModel, LowerBitsDegradeOutputMonotonically) {
   const Graph g = small_net();
   const std::vector<Tensor> calib{random_input(g.shape(0), 9)};
   const auto ranges = quant::calibrate_ranges(g, calib);
-  const Executor exec(g);
+  const CompiledModel exec(g);
   const Tensor in = random_input(g.shape(0), 10);
   const Tensor ref = exec.run(in);
 
   const auto error_at = [&](int bits) {
     const auto cfg =
         quant::make_quant_config(g, ranges, uniform_bits(g, bits));
-    const QuantExecutor qexec(g, cfg);
+    const CompiledQuantModel qexec(g, cfg);
     const Tensor out = dequantize(qexec.run(in));
     double err = 0.0;
     for (std::size_t i = 0; i < out.data().size(); ++i) {
@@ -170,17 +170,17 @@ TEST(QuantExecutor, LowerBitsDegradeOutputMonotonically) {
   EXPECT_LE(error_at(4), error_at(2) + 1e-9);
 }
 
-TEST(QuantExecutor, RequiresConfigCoveringAllLayers) {
+TEST(CompiledQuantModel, RequiresConfigCoveringAllLayers) {
   const Graph g = small_net();
   ActivationQuantConfig cfg;  // empty
-  EXPECT_THROW(QuantExecutor(g, cfg), std::invalid_argument);
+  EXPECT_THROW(CompiledQuantModel(g, cfg), std::invalid_argument);
 }
 
 TEST(Calibration, RangesCoverObservedValues) {
   const Graph g = small_net();
   const std::vector<Tensor> calib{random_input(g.shape(0), 11)};
   const auto ranges = quant::calibrate_ranges(g, calib);
-  const Executor exec(g);
+  const CompiledModel exec(g);
   const auto fms = exec.run_all(calib[0]);
   for (int i = 0; i < g.size(); ++i) {
     const auto [lo, hi] = tensor_min_max(fms[static_cast<std::size_t>(i)]);

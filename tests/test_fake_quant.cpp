@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "models/weights.h"
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/memory_planner.h"
 #include "nn/rng.h"
 #include "quant/fake_quant.h"
@@ -33,7 +33,7 @@ TEST(FakeQuantRun, EightBitStaysCloseToFloat) {
   const std::vector<nn::Tensor> calib{input(1), input(2)};
   const auto ranges = calibrate_ranges(g, calib);
   nn::ops::KernelBackend backend;
-  const nn::Executor exec(g);
+  const nn::CompiledModel exec(g);
   const nn::Tensor in = input(3);
   const nn::Tensor ref = exec.run(in);
   const nn::Tensor fq =
@@ -46,7 +46,7 @@ TEST(FakeQuantRun, MseGrowsAsBitsShrink) {
   const std::vector<nn::Tensor> calib{input(4)};
   const auto ranges = calibrate_ranges(g, calib);
   nn::ops::KernelBackend backend;
-  const nn::Executor exec(g);
+  const nn::CompiledModel exec(g);
   const nn::Tensor in = input(5);
   const nn::Tensor ref = exec.run(in);
   const double e8 =

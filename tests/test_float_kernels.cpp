@@ -4,10 +4,15 @@
 #include <array>
 #include <cmath>
 
+#include "kernel_values.h"
 #include "nn/ops/float_kernels.h"
 
 namespace qmcu::nn::ops {
 namespace {
+
+using test::value_of;
+
+constexpr std::span<const float> kNoBias{};
 
 Layer conv_layer(int out_c, int k, int s, int p,
                  Activation act = Activation::None) {
@@ -28,7 +33,8 @@ TEST(Conv2D, IdentityKernelCopiesInput) {
   }
   // 1x1 kernel with weight 1.
   const std::array<float, 1> w{1.0f};
-  const Tensor out = conv2d_f32(in, conv_layer(1, 1, 1, 0), w, {});
+  const Tensor out = value_of(conv2d_f32_into, Tensor(TensorShape{3, 3, 1}),
+                              in, conv_layer(1, 1, 1, 0), w, kNoBias);
   for (int y = 0; y < 3; ++y) {
     for (int x = 0; x < 3; ++x) {
       EXPECT_FLOAT_EQ(out.at(y, x, 0), in.at(y, x, 0));
@@ -43,7 +49,8 @@ TEST(Conv2D, SumKernelWithZeroPadding) {
   in.at(1, 0, 0) = 3.0f;
   in.at(1, 1, 0) = 4.0f;
   const std::array<float, 9> w{1, 1, 1, 1, 1, 1, 1, 1, 1};
-  const Tensor out = conv2d_f32(in, conv_layer(1, 3, 1, 1), w, {});
+  const Tensor out = value_of(conv2d_f32_into, Tensor(TensorShape{2, 2, 1}),
+                              in, conv_layer(1, 3, 1, 1), w, kNoBias);
   // Centre of the padded sum at (0,0): covers the whole 2x2 input.
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 10.0f);
   EXPECT_FLOAT_EQ(out.at(1, 1, 0), 10.0f);
@@ -55,7 +62,8 @@ TEST(Conv2D, BiasAndReluApplied) {
   const std::array<float, 1> w{1.0f};
   const std::array<float, 1> bias{2.0f};
   const Tensor out =
-      conv2d_f32(in, conv_layer(1, 1, 1, 0, Activation::ReLU), w, bias);
+      value_of(conv2d_f32_into, Tensor(TensorShape{1, 1, 1}), in,
+               conv_layer(1, 1, 1, 0, Activation::ReLU), w, bias);
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 0.0f);  // relu(-5 + 2)
 }
 
@@ -64,7 +72,8 @@ TEST(Conv2D, Relu6Clamps) {
   in.at(0, 0, 0) = 100.0f;
   const std::array<float, 1> w{1.0f};
   const Tensor out =
-      conv2d_f32(in, conv_layer(1, 1, 1, 0, Activation::ReLU6), w, {});
+      value_of(conv2d_f32_into, Tensor(TensorShape{1, 1, 1}), in,
+               conv_layer(1, 1, 1, 0, Activation::ReLU6), w, kNoBias);
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 6.0f);
 }
 
@@ -75,7 +84,8 @@ TEST(Conv2D, StrideSkipsPositions) {
   }
   const std::array<float, 1> w{1.0f};
   Layer l = conv_layer(1, 1, 2, 0);
-  const Tensor out = conv2d_f32(in, l, w, {});
+  const Tensor out = value_of(conv2d_f32_into, Tensor(TensorShape{2, 2, 1}),
+                              in, l, w, kNoBias);
   EXPECT_EQ(out.shape().h, 2);
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 0.0f);
   EXPECT_FLOAT_EQ(out.at(0, 1, 0), 2.0f);
@@ -89,7 +99,8 @@ TEST(Conv2D, MultiChannelAccumulatesOverInputChannels) {
   in.at(0, 0, 2) = 3.0f;
   const std::array<float, 6> w{1, 1, 1,    // out channel 0
                                2, 0, -1};  // out channel 1
-  const Tensor out = conv2d_f32(in, conv_layer(2, 1, 1, 0), w, {});
+  const Tensor out = value_of(conv2d_f32_into, Tensor(TensorShape{1, 1, 2}),
+                              in, conv_layer(2, 1, 1, 0), w, kNoBias);
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 6.0f);
   EXPECT_FLOAT_EQ(out.at(0, 0, 1), -1.0f);
 }
@@ -102,7 +113,8 @@ TEST(DepthwiseConv2D, ChannelsIndependent) {
   Layer l;
   l.kind = OpKind::DepthwiseConv2D;
   l.kernel_h = l.kernel_w = 1;
-  const Tensor out = depthwise_conv2d_f32(in, l, w, {});
+  const Tensor out = value_of(depthwise_conv2d_f32_into,
+                              Tensor(TensorShape{1, 1, 2}), in, l, w, kNoBias);
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 6.0f);
   EXPECT_FLOAT_EQ(out.at(0, 0, 1), -5.0f);
 }
@@ -118,7 +130,8 @@ TEST(FullyConnected, MatchesMatrixVectorProduct) {
   l.out_channels = 2;
   const std::array<float, 8> w{1, 0, 0, 0,   // picks element 0
                                0, 1, 1, 1};  // sums elements 1..3
-  const Tensor out = fully_connected_f32(in, l, w, {});
+  const Tensor out = value_of(fully_connected_f32_into,
+                              Tensor(TensorShape{1, 1, 2}), in, l, w, kNoBias);
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 1.0f);
   EXPECT_FLOAT_EQ(out.at(0, 0, 1), 9.0f);
 }
@@ -138,7 +151,8 @@ TEST(MaxPool, PicksWindowMaximum) {
   in.at(0, 1, 0) = 9.0f;
   in.at(1, 0, 0) = -3.0f;
   in.at(1, 1, 0) = 4.0f;
-  const Tensor out = max_pool_f32(in, pool_layer(OpKind::MaxPool, 2, 2, 0));
+  const Tensor out = value_of(max_pool_f32_into, Tensor(TensorShape{1, 1, 1}),
+                              in, pool_layer(OpKind::MaxPool, 2, 2, 0));
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 9.0f);
 }
 
@@ -149,7 +163,8 @@ TEST(MaxPool, PaddingDoesNotIntroduceZeros) {
   for (int y = 0; y < 2; ++y) {
     for (int x = 0; x < 2; ++x) in.at(y, x, 0) = -5.0f;
   }
-  const Tensor out = max_pool_f32(in, pool_layer(OpKind::MaxPool, 3, 1, 1));
+  const Tensor out = value_of(max_pool_f32_into, Tensor(TensorShape{2, 2, 1}),
+                              in, pool_layer(OpKind::MaxPool, 3, 1, 1));
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), -5.0f);
 }
 
@@ -160,7 +175,8 @@ TEST(AvgPool, AveragesOnlyValidElements) {
   in.at(1, 0, 0) = 6.0f;
   in.at(1, 1, 0) = 8.0f;
   // 2x2 window at stride 1 with pad 1: corner window sees one element.
-  const Tensor out = avg_pool_f32(in, pool_layer(OpKind::AvgPool, 2, 1, 1));
+  const Tensor out = value_of(avg_pool_f32_into, Tensor(TensorShape{3, 3, 1}),
+                              in, pool_layer(OpKind::AvgPool, 2, 1, 1));
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 2.0f);   // only (0,0) valid
   EXPECT_FLOAT_EQ(out.at(1, 1, 0), 5.0f);   // full window
 }
@@ -175,7 +191,8 @@ TEST(GlobalAvgPool, AveragesWholeMap) {
       v += 1.0f;
     }
   }
-  const Tensor out = global_avg_pool_f32(in);
+  const Tensor out =
+      value_of(global_avg_pool_f32_into, Tensor(TensorShape{1, 1, 2}), in);
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 2.5f);
   EXPECT_FLOAT_EQ(out.at(0, 0, 1), -2.5f);
 }
@@ -187,7 +204,8 @@ TEST(Add, ElementwiseWithActivation) {
   b.at(0, 0, 0) = 2.0f;
   a.at(0, 0, 1) = -4.0f;
   b.at(0, 0, 1) = 1.0f;
-  const Tensor out = add_f32(a, b, Activation::ReLU);
+  const Tensor out = value_of(add_f32_into, Tensor(TensorShape{1, 1, 2}), a,
+                              b, Activation::ReLU);
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 3.0f);
   EXPECT_FLOAT_EQ(out.at(0, 0, 1), 0.0f);
 }
@@ -199,7 +217,8 @@ TEST(Concat, InterleavesChannelsInInputOrder) {
   a.at(0, 0, 1) = 2.0f;
   b.at(0, 0, 0) = 3.0f;
   const std::array<const Tensor*, 2> ins{&a, &b};
-  const Tensor out = concat_f32(ins);
+  const Tensor out =
+      value_of(concat_f32_into, Tensor(TensorShape{1, 1, 3}), ins);
   EXPECT_EQ(out.shape().c, 3);
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 1.0f);
   EXPECT_FLOAT_EQ(out.at(0, 0, 2), 3.0f);
@@ -210,7 +229,8 @@ TEST(Softmax, NormalisesAndOrdersProbabilities) {
   in.at(0, 0, 0) = 1.0f;
   in.at(0, 0, 1) = 2.0f;
   in.at(0, 0, 2) = 3.0f;
-  const Tensor out = softmax_f32(in);
+  const Tensor out =
+      value_of(softmax_f32_into, Tensor(TensorShape{1, 1, 3}), in);
   float sum = 0.0f;
   for (int c = 0; c < 3; ++c) sum += out.at(0, 0, c);
   EXPECT_NEAR(sum, 1.0f, 1e-6f);
@@ -222,7 +242,8 @@ TEST(Softmax, StableForLargeLogits) {
   Tensor in(TensorShape{1, 1, 2});
   in.at(0, 0, 0) = 1000.0f;
   in.at(0, 0, 1) = 1001.0f;
-  const Tensor out = softmax_f32(in);
+  const Tensor out =
+      value_of(softmax_f32_into, Tensor(TensorShape{1, 1, 2}), in);
   EXPECT_FALSE(std::isnan(out.at(0, 0, 0)));
   EXPECT_NEAR(out.at(0, 0, 0) + out.at(0, 0, 1), 1.0f, 1e-6f);
 }

@@ -92,7 +92,7 @@ TEST_P(FuzzedTopology, QuantizedPatchInferenceBitExact) {
   spec.split_layer = cut;
   spec.grid_rows = spec.grid_cols = 2;
   const CompiledPatchQuantModel pexec(g, build_patch_plan(g, spec), cfg);
-  const nn::QuantExecutor qexec(g, cfg);
+  const nn::CompiledQuantModel qexec(g, cfg);
   const nn::Tensor in = random_input(g.shape(0), seed + 3);
   const nn::QTensor a = pexec.run(in);
   const nn::QTensor b = qexec.run(in);

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "models/zoo.h"
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/rng.h"
 #include "quant/entropy.h"
 #include "quant/histogram.h"
@@ -167,7 +167,7 @@ TEST(EntropyProfile, MatchesFakeQuantizeOracleOnMobileNetV2) {
   nn::Tensor in(g.shape(0));
   nn::Rng rng(61);
   for (float& v : in.data()) v = static_cast<float>(rng.normal(0.0, 1.0));
-  const std::vector<nn::Tensor> fms = nn::Executor(g).run_all(in);
+  const std::vector<nn::Tensor> fms = nn::CompiledModel(g).run_all(in);
   for (const int k : {16, 256}) {
     for (std::size_t id = 0; id < fms.size(); ++id) {
       expect_profile_exact(fms[id], k, "layer " + std::to_string(id));

@@ -5,12 +5,17 @@
 #include <array>
 #include <cmath>
 
+#include "kernel_values.h"
+#include "nn/ops/backend.h"
 #include "nn/ops/float_kernels.h"
+#include "nn/ops/im2col.h"
 #include "nn/ops/int8_kernels.h"
 #include "nn/rng.h"
 
 namespace qmcu::nn::ops {
 namespace {
+
+using test::value_of;
 
 Layer conv_layer(int out_c, int k, int s, int p, Activation act) {
   Layer l;
@@ -51,7 +56,9 @@ TEST_P(QuantizedConv, TracksFloatReference) {
   for (float& v : bias) v = static_cast<float>(rng.uniform(-0.2, 0.2));
 
   const Layer l = conv_layer(out_c, k, s, p, act);
-  const Tensor ref = conv2d_f32(in, l, w, bias);
+  const Tensor ref =
+      value_of(conv2d_f32_into, Tensor(conv_output_shape(in_shape, l, out_c)),
+               in, l, w, bias);
 
   // Quantize input / weights / output ranges.
   const auto [in_lo, in_hi] = tensor_min_max(in);
@@ -62,7 +69,9 @@ TEST_P(QuantizedConv, TracksFloatReference) {
   const auto [out_lo, out_hi] = tensor_min_max(ref);
   const QuantParams out_p = choose_quant_params(out_lo, out_hi, 8);
 
-  const QTensor qout = conv2d_q(qin, l, qw.data, qw.params, qbias, out_p);
+  const QTensor qout =
+      value_of(conv2d_q_into, QTensor(ref.shape(), out_p), qin, l, qw.data,
+               qw.params, qbias);
   ASSERT_EQ(qout.shape(), ref.shape());
 
   // Error bound: output quantization step + accumulated input/weight noise.
@@ -96,14 +105,18 @@ TEST(QuantizedDepthwise, TracksFloatReference) {
   l.pad_h = l.pad_w = 1;
   l.act = Activation::ReLU6;
 
-  const Tensor ref = depthwise_conv2d_f32(in, l, w, {});
+  const Tensor ref =
+      value_of(depthwise_conv2d_f32_into, Tensor(in_shape), in, l, w,
+               std::span<const float>{});
   const auto [in_lo, in_hi] = tensor_min_max(in);
   const QuantParams in_p = choose_quant_params(in_lo, in_hi, 8);
   const QuantizedWeights qw = quantize_weights(w);
   const auto [out_lo, out_hi] = tensor_min_max(ref);
   const QuantParams out_p = choose_quant_params(out_lo, out_hi, 8);
   const QTensor qout =
-      depthwise_conv2d_q(quantize(in, in_p), l, qw.data, qw.params, {}, out_p);
+      value_of(depthwise_conv2d_q_into, QTensor(in_shape, out_p),
+               quantize(in, in_p), l, qw.data, qw.params,
+               std::span<const std::int32_t>{});
   const Tensor deq = dequantize(qout);
   const double bound = static_cast<double>(out_p.scale) * 2.0 +
                        static_cast<double>(in_p.scale) * 0.5 * 9 * 0.3;
@@ -121,14 +134,18 @@ TEST(QuantizedFullyConnected, TracksFloatReference) {
   l.kind = OpKind::FullyConnected;
   l.out_channels = 10;
 
-  const Tensor ref = fully_connected_f32(in, l, w, {});
+  const Tensor ref =
+      value_of(fully_connected_f32_into, Tensor(TensorShape{1, 1, 10}), in, l,
+               w, std::span<const float>{});
   const auto [in_lo, in_hi] = tensor_min_max(in);
   const QuantParams in_p = choose_quant_params(in_lo, in_hi, 8);
   const QuantizedWeights qw = quantize_weights(w);
   const auto [out_lo, out_hi] = tensor_min_max(ref);
   const QuantParams out_p = choose_quant_params(out_lo, out_hi, 8);
   const QTensor qout =
-      fully_connected_q(quantize(in, in_p), l, qw.data, qw.params, {}, out_p);
+      value_of(fully_connected_q_into, QTensor(TensorShape{1, 1, 10}, out_p),
+               quantize(in, in_p), l, qw.data, qw.params,
+               std::span<const std::int32_t>{});
   const Tensor deq = dequantize(qout);
   for (int c = 0; c < 10; ++c) {
     EXPECT_NEAR(deq.at(0, 0, c), ref.at(0, 0, c),
@@ -147,7 +164,8 @@ TEST(QuantizedMaxPool, ExactOnQuantizedGrid) {
   l.kind = OpKind::MaxPool;
   l.kernel_h = l.kernel_w = 2;
   l.stride_h = l.stride_w = 2;
-  const QTensor out = max_pool_q(in, l);
+  const QTensor out =
+      value_of(max_pool_q_into, QTensor(TensorShape{1, 1, 1}, p), in, l);
   EXPECT_EQ(out.at(0, 0, 0), 77);
   EXPECT_EQ(out.params(), p);
 }
@@ -163,7 +181,9 @@ TEST(QuantizedAvgPool, RoundsToNearest) {
   l.kernel_w = 2;
   l.stride_h = 1;
   l.stride_w = 2;
-  const QTensor out = avg_pool_q(in, l);
+  const QTensor out =
+      value_of(avg_pool_q_into, QTensor(TensorShape{1, 1, 1}, p), in, l,
+               AvgPoolMultipliers(2));
   EXPECT_EQ(out.at(0, 0, 0), 4);  // 3.5 rounds to 4
 }
 
@@ -175,7 +195,8 @@ TEST(QuantizedAdd, RescalesMismatchedInputScales) {
   QTensor b(TensorShape{1, 1, 1}, pb);
   a.at(0, 0, 0) = static_cast<std::int8_t>(pa.quantize(1.0f));
   b.at(0, 0, 0) = static_cast<std::int8_t>(pb.quantize(2.0f));
-  const QTensor out = add_q(a, b, Activation::None, po);
+  QTensor out(a.shape(), po);
+  add_q_into(a, b, Activation::None, out);
   EXPECT_NEAR(po.dequantize(out.at(0, 0, 0)), 3.0f, po.scale * 2.0f);
 }
 
@@ -187,7 +208,9 @@ TEST(QuantizedSoftmax, ProbabilitiesSumToOne) {
   in.at(0, 0, 2) = -5;
   in.at(0, 0, 3) = 0;
   const QuantParams pout = choose_quant_params(0.0f, 1.0f, 8);
-  const QTensor out = softmax_q(in, pout);
+  KernelBackend backend(KernelTier::Reference);
+  const QTensor out = value_of(backend, &KernelBackend::softmax_into,
+                               QTensor(in.shape(), pout), in);
   float sum = 0.0f;
   for (int c = 0; c < 4; ++c) sum += pout.dequantize(out.at(0, 0, c));
   EXPECT_NEAR(sum, 1.0f, 4.0f * pout.scale);

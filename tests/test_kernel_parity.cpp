@@ -26,7 +26,7 @@
 #include "data/synthetic.h"
 #include "kernel_values.h"
 #include "models/zoo.h"
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/memory_planner.h"
 #include "nn/ops/backend.h"
 #include "nn/ops/float_kernels.h"
@@ -635,7 +635,9 @@ TEST(KernelParity, FloatConvBitExact) {
     for (float& v : bias) v = static_cast<float>(rng.uniform(-0.3, 0.3));
 
     KernelBackend simd(KernelTier::Simd);
-    const Tensor want = conv2d_f32(in, l, weights, bias);
+    const Tensor want = value_of(
+        conv2d_f32_into, Tensor(conv_output_shape(in.shape(), l, out_c)), in,
+        l, weights, bias);
     expect_bits_identical(want,
                           value_of(simd, &KernelBackend::conv2d_f32_into,
                                    Tensor(want.shape()), in, l, weights, bias),
@@ -680,7 +682,10 @@ TEST(KernelParity, FloatDepthwiseBitExact) {
               with_bias ? random_f32s(rng, static_cast<std::size_t>(ch), 0.3)
                         : std::vector<float>{};
           KernelBackend simd(KernelTier::Simd);
-          const Tensor want = depthwise_conv2d_f32(in, l, weights, bias);
+          const Tensor want = value_of(
+              depthwise_conv2d_f32_into,
+              Tensor(conv_output_shape(in.shape(), l, ch)), in, l, weights,
+              bias);
           const std::string what = "dw trial " + std::to_string(trial++);
           expect_bits_identical(
               want,
@@ -713,7 +718,9 @@ TEST(KernelParity, FloatFullyConnectedBitExact) {
                 ? random_f32s(rng, static_cast<std::size_t>(out_c), 0.3)
                 : std::vector<float>{};
         KernelBackend simd(KernelTier::Simd);
-        const Tensor want = fully_connected_f32(in, l, weights, bias);
+        const Tensor want =
+            value_of(fully_connected_f32_into, Tensor(TensorShape{1, 1, out_c}),
+                     in, l, weights, bias);
         const std::string what = "fc trial " + std::to_string(trial++);
         expect_bits_identical(
             want,
@@ -728,7 +735,7 @@ TEST(KernelParity, FloatFullyConnectedBitExact) {
 // Every feature map of every zoo model, Simd against Reference, as bit
 // patterns. Calibration and the planner's entropy profiles read these maps
 // from the Simd tier.
-TEST(Executor, SimdRunAllEqualsReferenceOnZooModels) {
+TEST(CompiledModel, SimdRunAllEqualsReferenceOnZooModels) {
   models::ModelConfig cfg;
   cfg.width_multiplier = 0.25f;
   cfg.resolution = 64;
@@ -738,8 +745,9 @@ TEST(Executor, SimdRunAllEqualsReferenceOnZooModels) {
     const Graph g = models::make_model(name, cfg);
     const Tensor in = random_f32(rng, g.shape(0));
     const std::vector<Tensor> want =
-        Executor(g, KernelTier::Reference).run_all(in);
-    const std::vector<Tensor> got = Executor(g, KernelTier::Simd).run_all(in);
+        CompiledModel(g, KernelTier::Reference).run_all(in);
+    const std::vector<Tensor> got =
+        CompiledModel(g, KernelTier::Simd).run_all(in);
     ASSERT_EQ(want.size(), got.size()) << name;
     for (std::size_t id = 0; id < want.size(); ++id) {
       expect_bits_identical(want[id], got[id],
@@ -1391,8 +1399,8 @@ TEST(ScopedEnv, AmbientForceVariableSurvivesAGuard) {
 }  // namespace qmcu::nn::ops
 
 // ---------------------------------------------------------------------------
-// Executor-level regression: switching the backend tier must not change any
-// executor output — uniform int8 and the mixed-precision patch runtime.
+// Model-level regression: switching the backend tier must not change any
+// model output — uniform int8 and the mixed-precision patch runtime.
 namespace qmcu::patch {
 namespace {
 
@@ -1420,19 +1428,19 @@ void expect_q_identical(const nn::QTensor& a, const nn::QTensor& b) {
   }
 }
 
-TEST(BackendRegression, QuantExecutorTierInvariant) {
+TEST(BackendRegression, CompiledQuantModelTierInvariant) {
   const nn::Graph g = small_mbv2();
   const std::vector<nn::Tensor> calib{random_input(g.shape(0), 21)};
   const auto ranges = quant::calibrate_ranges(g, calib);
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
-  const nn::QuantExecutor ref(g, cfg, nn::ops::KernelTier::Reference);
-  const nn::QuantExecutor simd(g, cfg, nn::ops::KernelTier::Simd);
+  const nn::CompiledQuantModel ref(g, cfg, nn::ops::KernelTier::Reference);
+  const nn::CompiledQuantModel simd(g, cfg, nn::ops::KernelTier::Simd);
   const nn::Tensor in = random_input(g.shape(0), 22);
   const nn::QTensor want = ref.run(in);
   expect_q_identical(want, simd.run(in));
   const test::ScopedEnv scalar("QMCU_FORCE_SCALAR", "1");
-  const nn::QuantExecutor fallback(g, cfg, nn::ops::KernelTier::Simd);
-  ASSERT_EQ(fallback.compiled().backend().simd_kernels(), nullptr);
+  const nn::CompiledQuantModel fallback(g, cfg, nn::ops::KernelTier::Simd);
+  ASSERT_EQ(fallback.backend().simd_kernels(), nullptr);
   expect_q_identical(want, fallback.run(in));
 }
 
@@ -1468,22 +1476,22 @@ TEST(BackendRegression, PatchQuantModelMixedModeTierInvariant) {
   expect_q_identical(want, fallback.run(in));
 }
 
-// Demoting the dot-product GEMM generation must not change any executor
+// Demoting the dot-product GEMM generation must not change any model
 // output. The backend snapshots its kernel table at construction, so one
-// executor is built with QMCU_FORCE_NO_DOT pinned and one without; on hosts
+// model is built with QMCU_FORCE_NO_DOT pinned and one without; on hosts
 // with no dot generation both resolve to the same table and the test
 // degenerates to self-comparison.
-TEST(BackendRegression, QuantExecutorDotGenerationInvariant) {
+TEST(BackendRegression, CompiledQuantModelDotGenerationInvariant) {
   const nn::Graph g = small_mbv2();
   const std::vector<nn::Tensor> calib{random_input(g.shape(0), 41)};
   const auto ranges = quant::calibrate_ranges(g, calib);
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
-  const nn::QuantExecutor dot(g, cfg, nn::ops::KernelTier::Simd);
+  const nn::CompiledQuantModel dot(g, cfg, nn::ops::KernelTier::Simd);
   const nn::Tensor in = random_input(g.shape(0), 42);
   nn::QTensor want;
   {
     const test::ScopedEnv no_dot("QMCU_FORCE_NO_DOT", "1");
-    const nn::QuantExecutor nodot(g, cfg, nn::ops::KernelTier::Simd);
+    const nn::CompiledQuantModel nodot(g, cfg, nn::ops::KernelTier::Simd);
     want = nodot.run(in);
   }
   expect_q_identical(want, dot.run(in));

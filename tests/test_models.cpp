@@ -5,7 +5,7 @@
 #include "models/blocks.h"
 #include "models/weights.h"
 #include "models/zoo.h"
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/rng.h"
 
 namespace qmcu::models {
@@ -39,7 +39,7 @@ TEST_P(EveryModel, OutputIsClassDistribution) {
 
 TEST_P(EveryModel, ExecutesAndProducesNormalisedProbabilities) {
   const nn::Graph g = make_model(GetParam(), tiny_config());
-  const nn::Executor exec(g);
+  const nn::CompiledModel exec(g);
   nn::Tensor in(g.shape(0));
   nn::Rng rng(5);
   for (float& v : in.data()) v = static_cast<float>(rng.normal(0.0, 1.0));

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "models/weights.h"
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/memory_planner.h"
 #include "nn/ops/simd/simd_kernels.h"
 #include "nn/rng.h"
@@ -240,7 +240,7 @@ TEST_P(PackedBits, UniformSubByteEqualsLayerBasedOnOddChannels) {
   const auto ranges = quant::calibrate_ranges(g, calib);
   const auto cfg =
       quant::make_quant_config(g, ranges, nn::uniform_bits(g, bits));
-  const nn::QuantExecutor layer(g, cfg);
+  const nn::CompiledQuantModel layer(g, cfg);
   for (const int grid : {2, 3}) {
     const CompiledPatchQuantModel model(g, odd_plan(g, grid), cfg);
     const CompiledPatchQuantModel ref(g, odd_plan(g, grid), cfg, {},

@@ -17,7 +17,7 @@
 #include "core/quantmcu.h"
 #include "data/synthetic.h"
 #include "models/zoo.h"
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/memory_planner.h"
 #include "nn/ops/backend.h"
 #include "nn/rng.h"

@@ -14,7 +14,7 @@
 #include "data/synthetic.h"
 #include "models/weights.h"
 #include "models/zoo.h"
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/memory_planner.h"
 #include "nn/rng.h"
 #include "nn/runtime/worker_pool.h"
@@ -108,7 +108,7 @@ TEST_P(QuantPatchEquivalence, UniformInt8MatchesLayerBasedExactly) {
   spec.split_layer = split;
   spec.grid_rows = spec.grid_cols = grid;
   const CompiledPatchQuantModel pexec(g, build_patch_plan(g, spec), cfg);
-  const nn::QuantExecutor qexec(g, cfg);
+  const nn::CompiledQuantModel qexec(g, cfg);
 
   const nn::Tensor in = random_input(g.shape(0), 3);
   expect_q_identical(pexec.run(in), qexec.run(in));
@@ -138,7 +138,7 @@ TEST(QuantPatchEquivalence, MobileNetV2UniformInt8Exact) {
       quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const PatchSpec spec = plan_mcunetv2(g, {2, 4});
   const CompiledPatchQuantModel pexec(g, build_patch_plan(g, spec), cfg);
-  const nn::QuantExecutor qexec(g, cfg);
+  const nn::CompiledQuantModel qexec(g, cfg);
   const nn::Tensor in = random_input(g.shape(0), 5);
   expect_q_identical(pexec.run(in), qexec.run(in));
 }
@@ -154,7 +154,7 @@ TEST(PatchOracle, AssembledStageMatchesLayerBasedInt8) {
   spec.split_layer = 4;
   spec.grid_rows = spec.grid_cols = 3;
   const CompiledPatchQuantModel model(g, build_patch_plan(g, spec), cfg);
-  const nn::QuantExecutor qexec(g, cfg);
+  const nn::CompiledQuantModel qexec(g, cfg);
   const nn::Tensor in = random_input(g.shape(0), 7);
   const auto memo = qexec.run_all(in);
   expect_q_identical(test::PatchOracle(model).run_stage(in), memo[4]);
@@ -178,7 +178,7 @@ TEST(PatchQuantModel, MixedPrecisionFromQuantMcuPlanRuns) {
 
   const CompiledPatchQuantModel pexec(g, plan.patch_plan, deploy_cfg,
                                       branch_cfgs);
-  const nn::Executor ref(g);
+  const nn::CompiledModel ref(g);
   const nn::Tensor in = ds.image(11);
   const nn::QTensor out = pexec.run(in);
   const nn::Tensor deq = nn::dequantize(out);
@@ -215,7 +215,7 @@ TEST(PatchQuantModel, MixedPrecisionNoisierThanUniformInt8) {
   const CompiledPatchQuantModel uniform(g, plan.patch_plan, cfg8);
   const CompiledPatchQuantModel mixed(g, plan.patch_plan, deploy_cfg,
                                       branch_cfgs);
-  const nn::Executor ref(g);
+  const nn::CompiledModel ref(g);
 
   double err_uniform = 0.0;
   double err_mixed = 0.0;
@@ -386,7 +386,7 @@ TEST_P(ZooWideQuantEquivalence, UniformInt8BitExact) {
       quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const PatchSpec spec = plan_mcunetv2(g, {2, 4});
   const CompiledPatchQuantModel pexec(g, build_patch_plan(g, spec), qcfg);
-  const nn::QuantExecutor qexec(g, qcfg);
+  const nn::CompiledQuantModel qexec(g, qcfg);
   const nn::Tensor in = random_input(g.shape(0), 32);
   expect_q_identical(pexec.run(in), qexec.run(in));
 }

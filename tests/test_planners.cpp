@@ -4,7 +4,7 @@
 
 #include "models/weights.h"
 #include "models/zoo.h"
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/memory_planner.h"
 #include "nn/rng.h"
 #include "patch/mcunetv2.h"
@@ -101,7 +101,7 @@ TEST(RnnPool, VariantExecutesAfterWeightInit) {
   const nn::Graph g = models::make_mobilenet_v2(cfg);  // with weights
   RnnPoolResult r = make_rnnpool_variant(g);
   models::init_parameters(r.graph, 5);  // fills only the new stem
-  const nn::Executor exec(r.graph);
+  const nn::CompiledModel exec(r.graph);
   nn::Tensor in(r.graph.shape(0));
   nn::Rng rng(3);
   for (float& v : in.data()) v = static_cast<float>(rng.normal(0.0, 1.0));

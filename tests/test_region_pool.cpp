@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "nn/ops/im2col.h"
 #include "nn/ops/int8_kernels.h"
 #include "nn/ops/requantize.h"
 #include "nn/ops/simd/simd_kernels.h"
@@ -50,9 +51,13 @@ TEST(RegionPool, QuantizedMatchesLayerKernel) {
   for (auto kind : {nn::OpKind::MaxPool, nn::OpKind::AvgPool}) {
     SCOPED_TRACE(to_string(kind));
     const nn::Layer l = pool(kind, 3, 2, 1);
-    const nn::QTensor ref = kind == nn::OpKind::MaxPool
-                                ? nn::ops::max_pool_q(in, l)
-                                : nn::ops::avg_pool_q(in, l);
+    const nn::QTensor dst(
+        nn::ops::conv_output_shape(in.shape(), l, in.shape().c), in.params());
+    const nn::QTensor ref =
+        kind == nn::OpKind::MaxPool
+            ? test::value_of(nn::ops::max_pool_q_into, dst, in, l)
+            : test::value_of(nn::ops::avg_pool_q_into, dst, in, l,
+                             nn::ops::AvgPoolMultipliers(9));
     expect_codes_equal(test::pool_q(in, full_region(in.shape()), l,
                                      full_region(ref.shape()), in.shape()),
                        ref);
@@ -86,7 +91,9 @@ TEST(RegionPool, AvgDividesByValidCountOnly) {
 TEST(RegionPool, SubRegionReadsFromRegionTensorOffsets) {
   const nn::QTensor full = random_codes({8, 8, 1}, kParams, 3);
   const nn::Layer l = pool(nn::OpKind::MaxPool, 2, 2, 0);
-  const nn::QTensor ref = nn::ops::max_pool_q(full, l);
+  const nn::QTensor ref = test::value_of(
+      nn::ops::max_pool_q_into, nn::QTensor(nn::TensorShape{4, 4, 1}, kParams),
+      full, l);
   // The producer region covers rows/cols 2..8; pool output region 1..4
   // (which reads inputs 2..8) must match the reference slice.
   const Region avail{{2, 8}, {2, 8}};

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "models/zoo.h"
-#include "nn/executor.h"
+#include "nn/compiled_model.h"
 #include "nn/memory_planner.h"
 #include "nn/rng.h"
 #include "nn/serialize.h"
@@ -68,8 +68,8 @@ TEST(Serialize, LoadedModelComputesIdenticalOutputs) {
   write_graph(g, ss);
   const Graph back = read_graph(ss);
   const Tensor in = random_input(g.shape(0), 3);
-  const Tensor a = Executor(g).run(in);
-  const Tensor b = Executor(back).run(in);
+  const Tensor a = CompiledModel(g).run(in);
+  const Tensor b = CompiledModel(back).run(in);
   for (std::size_t i = 0; i < a.data().size(); ++i) {
     ASSERT_EQ(a.data()[i], b.data()[i]);
   }
@@ -219,8 +219,8 @@ TEST(Serialize, DeployedPackageReproducesQuantizedInference) {
   const ActivationQuantConfig cfg2 = read_quant_config(cs);
 
   const Tensor in = random_input(g.shape(0), 7);
-  const QTensor a = QuantExecutor(g, cfg).run(in);
-  const QTensor b = QuantExecutor(g2, cfg2).run(in);
+  const QTensor a = CompiledQuantModel(g, cfg).run(in);
+  const QTensor b = CompiledQuantModel(g2, cfg2).run(in);
   ASSERT_EQ(a.shape(), b.shape());
   for (std::size_t i = 0; i < a.data().size(); ++i) {
     ASSERT_EQ(a.data()[i], b.data()[i]);

@@ -129,8 +129,7 @@ def main():
     parser.add_argument(
         "--guard",
         default=r"^BM_(RepeatedPatchRun|PipelinedPatchRun"
-                r"|Conv2dInt8Simd|PackedConvTierSweep"
-                r"|GemmTierSweep|FcTierSweep)\b"
+                r"|Conv2dInt8Simd|GemmTierSweep|FcTierSweep)\b"
                 r"|^serving/closed/.*req_per_s$"
                 r"|^cold_start/speedup_x$"
                 r"|^streaming/.*speedup_x$",
